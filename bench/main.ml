@@ -24,9 +24,6 @@
      parallel — domain-parallel plan search and scatter-gather execution:
               speedup curve over 1..N domains with bit-identity checks
               (--json=PATH as above)
-     batch  — vectorized batch executor vs tuple-at-a-time: rows/sec on the
-              scan/filter/hash-join kernels and the OO7 workload end to end;
-              DISCO_OO7_SCALE=large arms the 2x gate (--json=PATH as above)
      serve  — the federation server under closed-loop multi-client load:
               QPS and latency percentiles per domain count, with exact
               client/server accounting and a warm-restart check
@@ -40,7 +37,7 @@
 
 let all =
   [ "fig12"; "t1"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8"; "cache"; "micro";
-    "formula"; "faults"; "parallel"; "batch"; "serve"; "verify"; "joins" ]
+    "formula"; "faults"; "parallel"; "serve"; "verify"; "joins" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -81,7 +78,6 @@ let () =
       | "formula" -> Micro.print_formula ~smoke:small ?json_path ()
       | "faults" -> Faults.print ~smoke:small ?json_path ()
       | "parallel" -> Parallel.print ~smoke:small ?json_path ()
-      | "batch" -> Batch_bench.print ~smoke:small ?json_path ()
       | "serve" -> Serve_bench.print ~smoke:small ?json_path ()
       | "verify" -> Verify_bench.print ~smoke:small ?json_path ()
       | "joins" -> Joins.print ~smoke:small ?json_path ()

@@ -45,27 +45,6 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let enum_arg =
-  let modes =
-    [ ("dp", Optimizer.Dp); ("dpccp", Optimizer.Dpccp);
-      ("greedy", Optimizer.Greedy); ("auto", Optimizer.Auto) ]
-  in
-  let doc =
-    "Join-enumeration engine: $(b,dp) (subset DP), $(b,dpccp) \
-     (connected-subgraph DP; bit-identical plans at a fraction of the \
-     enumeration work), $(b,greedy) (GOO + bounded improvement, for wide \
-     federations), or $(b,auto) (dpccp up to the threshold, greedy above). \
-     Defaults to $(b,DISCO_ENUM), else auto."
-  in
-  Arg.(value & opt (some (enum modes)) None & info [ "enum" ] ~docv:"MODE" ~doc)
-
-let enum_threshold_arg =
-  let doc =
-    "Relation count where $(b,--enum auto) hands exact DPccp enumeration \
-     over to the greedy engine (default 12)."
-  in
-  Arg.(value & opt (some int) None & info [ "enum-threshold" ] ~docv:"N" ~doc)
-
 let stats_arg =
   let doc =
     "Enable feedback-driven statistics: harvest wrapper samples into \
@@ -84,45 +63,6 @@ let fault_arg =
   in
   Arg.(value & opt (some string) None & info [ "fault-profile" ] ~docv:"SPEC" ~doc)
 
-let engine_arg =
-  let doc =
-    "Execution engine: $(b,tuple) (tuple-at-a-time) or $(b,batch) \
-     (vectorized columnar batches). Results and simulated costs are \
-     bit-identical; only wall-clock differs. Defaults to $(b,DISCO_ENGINE), \
-     else tuple."
-  in
-  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let batch_size_arg =
-  let doc =
-    "Rows per columnar batch in the batched engine. Defaults to \
-     $(b,DISCO_BATCH), else 1024."
-  in
-  Arg.(value & opt (some int) None & info [ "batch-size" ] ~docv:"N" ~doc)
-
-(* Resolve --engine/--batch-size into the session-wide default mode. *)
-let set_engine engine batch_size =
-  let bsz =
-    match batch_size with
-    | Some n when n > 0 -> n
-    | Some n -> Fmt.failwith "batch size must be positive, got %d" n
-    | None ->
-      (match Run.default_mode () with
-       | Run.Batched { batch_size } -> batch_size
-       | Run.Tuple_at_a_time -> Run.default_batch_size)
-  in
-  match engine with
-  | Some ("tuple" | "tuple-at-a-time") -> Run.set_default_mode Run.Tuple_at_a_time
-  | Some ("batch" | "batched" | "vector" | "vectorized") ->
-    Run.set_default_mode (Run.Batched { batch_size = bsz })
-  | Some other -> Fmt.failwith "unknown engine %S (tuple|batch)" other
-  | None ->
-    (* keep the env-derived default, but honour an explicit --batch-size *)
-    (match Run.default_mode () with
-     | Run.Batched _ when batch_size <> None ->
-       Run.set_default_mode (Run.Batched { batch_size = bsz })
-     | _ -> ())
-
 let history_mode = function
   | "off" -> History.Off
   | "exact" -> History.Exact
@@ -138,10 +78,15 @@ let objective_of = function
   | "first" -> Optimizer.First_tuple
   | other -> Fmt.failwith "unknown objective %S (total|first)" other
 
-let make_mediator ?(no_cache = false) ?(stats = false) ?fault ?domains ?enum
-    ?enum_threshold ~small ~seed ~history ~no_rules () =
-  let sizes = if small then Demo.small_sizes else Demo.default_sizes in
-  let wrappers = Demo.make ~seed ~sizes () in
+(* The demo data set every command loads: --small and --seed. *)
+let data_term = Term.(const (fun small seed -> (small, seed)) $ small_arg $ seed_arg)
+
+let demo_wrappers (small, seed) =
+  Demo.make ~seed ~sizes:(if small then Demo.small_sizes else Demo.default_sizes) ()
+
+let make_mediator ?(history = "off") ?(no_rules = false) ?(no_cache = false)
+    ?(stats = false) ?fault ?domains data =
+  let wrappers = demo_wrappers data in
   let wrappers =
     if no_rules then List.map Wrapper.without_rules wrappers else wrappers
   in
@@ -151,7 +96,7 @@ let make_mediator ?(no_cache = false) ?(stats = false) ?fault ?domains ?enum
   in
   let med =
     Mediator.create ~history_mode:(history_mode history) ~cache:(not no_cache)
-      ?domains ~stats_mode ?enum_mode:enum ?enum_threshold ()
+      ?domains ~stats_mode ()
   in
   List.iter (Mediator.register med) wrappers;
   (match fault with
@@ -165,6 +110,20 @@ let make_mediator ?(no_cache = false) ?(stats = false) ?fault ?domains ?enum
        (Disco_fault.Fault.parse_spec spec));
   (med, wrappers)
 
+(* The mediator of query, explain, analyze and serve: the demo federation
+   under every mediator option. It is built on demand, inside the command's
+   error handler, so a bad option value exits 1 like any handled error. *)
+let mediator_term =
+  let make data history no_rules no_cache stats fault domains () =
+    make_mediator ~history ~no_rules ~no_cache ~stats ?fault ?domains data
+  in
+  Term.(
+    const make $ data_term $ history_arg $ no_rules_arg $ no_cache_arg $ stats_arg
+    $ fault_arg $ domains_arg)
+
+let sql_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
+
 let handle f =
   match Disco_common.Err.guard f with
   | Ok () -> 0
@@ -175,17 +134,9 @@ let handle f =
 (* --- query -------------------------------------------------------------------- *)
 
 let query_cmd =
-  let sql =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
-  in
-  let run small seed history no_rules no_cache stats fault domains enum
-      enum_threshold objective engine batch_size sql =
+  let run mediator objective sql =
     handle (fun () ->
-        set_engine engine batch_size;
-        let med, _ =
-          make_mediator ~no_cache ~stats ?fault ?domains ?enum ?enum_threshold
-            ~small ~seed ~history ~no_rules ()
-        in
+        let med, _ = mediator () in
         let a = Mediator.run_query ~objective:(objective_of objective) med sql in
         List.iter (fun row -> Fmt.pr "%a@." Tuple.pp_with_names row) a.Mediator.rows;
         Fmt.pr "-- %d rows, measured %a@."
@@ -204,25 +155,14 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a query against the demo federation.")
-    Term.(
-      const run $ small_arg $ seed_arg $ history_arg $ no_rules_arg $ no_cache_arg
-      $ stats_arg $ fault_arg $ domains_arg $ enum_arg $ enum_threshold_arg
-      $ objective_arg $ engine_arg $ batch_size_arg $ sql)
+    Term.(const run $ mediator_term $ objective_arg $ sql_arg)
 
 (* --- explain ------------------------------------------------------------------- *)
 
 let explain_cmd =
-  let sql =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
-  in
-  let run small seed history no_rules no_cache stats fault domains enum
-      enum_threshold engine batch_size sql =
+  let run mediator sql =
     handle (fun () ->
-        set_engine engine batch_size;
-        let med, _ =
-          make_mediator ~no_cache ~stats ?fault ?domains ?enum ?enum_threshold
-            ~small ~seed ~history ~no_rules ()
-        in
+        let med, _ = mediator () in
         print_string (Mediator.explain med sql))
   in
   Cmd.v
@@ -230,33 +170,20 @@ let explain_cmd =
        ~doc:
          "Show the chosen plan with per-node cost estimates and the scope of \
           the rule that produced each one.")
-    Term.(
-      const run $ small_arg $ seed_arg $ history_arg $ no_rules_arg $ no_cache_arg
-      $ stats_arg $ fault_arg $ domains_arg $ enum_arg $ enum_threshold_arg
-      $ engine_arg $ batch_size_arg $ sql)
+    Term.(const run $ mediator_term $ sql_arg)
 
 (* --- analyze ------------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let sql =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
-  in
-  let run small seed history no_rules no_cache stats fault domains engine
-      batch_size sql =
+  let run mediator sql =
     handle (fun () ->
-        set_engine engine batch_size;
-        let med, _ =
-          make_mediator ~no_cache ~stats ?fault ?domains ~small ~seed ~history
-            ~no_rules ()
-        in
+        let med, _ = mediator () in
         print_string (Mediator.analyze med sql))
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Execute a query and compare estimated vs measured costs per subquery.")
-    Term.(
-      const run $ small_arg $ seed_arg $ history_arg $ no_rules_arg $ no_cache_arg
-      $ stats_arg $ fault_arg $ domains_arg $ engine_arg $ batch_size_arg $ sql)
+    Term.(const run $ mediator_term $ sql_arg)
 
 (* --- registration ----------------------------------------------------------------- *)
 
@@ -267,10 +194,9 @@ let registration_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"SOURCE" ~doc:"Wrapper name (relstore, objstore, files, web).")
   in
-  let run small seed source =
+  let run data source =
     handle (fun () ->
-        let wrappers = Demo.make ~seed ~sizes:(if small then Demo.small_sizes else Demo.default_sizes) () in
-        match List.find_opt (fun w -> w.Wrapper.name = source) wrappers with
+        match List.find_opt (fun w -> w.Wrapper.name = source) (demo_wrappers data) with
         | Some w -> print_endline (Wrapper.registration_text w)
         | None -> Fmt.failwith "unknown source %S" source)
   in
@@ -279,7 +205,7 @@ let registration_cmd =
        ~doc:
          "Print the cost-communication-language text a wrapper exports at \
           registration (schemas, statistics, cost rules).")
-    Term.(const run $ small_arg $ seed_arg $ source)
+    Term.(const run $ data_term $ source)
 
 (* --- check ----------------------------------------------------------------------- *)
 
@@ -290,12 +216,9 @@ let check_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"SOURCE" ~doc:"Wrapper name (relstore, objstore, files, web).")
   in
-  let run small seed source =
+  let run data source =
     handle (fun () ->
-        let wrappers =
-          Demo.make ~seed ~sizes:(if small then Demo.small_sizes else Demo.default_sizes) ()
-        in
-        match List.find_opt (fun w -> w.Wrapper.name = source) wrappers with
+        match List.find_opt (fun w -> w.Wrapper.name = source) (demo_wrappers data) with
         | None -> Fmt.failwith "unknown source %S" source
         | Some w ->
           let issues =
@@ -307,7 +230,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Statically check a wrapper's registration export (rules, interfaces).")
-    Term.(const run $ small_arg $ seed_arg $ source)
+    Term.(const run $ data_term $ source)
 
 (* --- lint ------------------------------------------------------------------------ *)
 
@@ -344,14 +267,14 @@ let lint_cmd =
     let doc = "Write the findings as a JSON array to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
   in
-  let run small seed no_rules strict fail_on json =
+  let run data no_rules strict fail_on json =
     handle (fun () ->
         let module A = Disco_analysis.Analyzer in
         (* the demo federation: generic model blended with the four wrapper
            exports (lint runs over every registered source, "default" and
            "mediator" included). Findings of circuit-broken sources are
            reported but tagged scope:excluded and never gate. *)
-        let med, _ = make_mediator ~small ~seed ~history:"off" ~no_rules () in
+        let med, _ = make_mediator ~no_rules data in
         let breaker_open src =
           match Health.state (Mediator.health med) src with
           | Health.Open _ -> true
@@ -394,8 +317,7 @@ let lint_cmd =
           zero, NaN, negative costs), rule shadowing and dead rules, \
           coverage of the five cost variables, and dependency cycles.")
     Term.(
-      const run $ small_arg $ seed_arg $ no_rules_arg $ strict_arg $ fail_on_arg
-      $ json_arg)
+      const run $ data_term $ no_rules_arg $ strict_arg $ fail_on_arg $ json_arg)
 
 (* --- verify ---------------------------------------------------------------------- *)
 
@@ -404,13 +326,13 @@ let verify_cmd =
     let doc = "Write the findings as a JSON array to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
   in
-  let run small seed no_rules stats strict fail_on json =
+  let run data no_rules stats strict fail_on json =
     handle (fun () ->
         let module PC = Disco_analysis.Plancheck in
         let module PB = Disco_analysis.Planbound in
         (* demo federation: optimize a representative query corpus and verify
            every chosen plan — typed well-formedness plus estimate bounds *)
-        let med, _ = make_mediator ~stats ~small ~seed ~history:"off" ~no_rules () in
+        let med, _ = make_mediator ~stats ~no_rules data in
         let corpus =
           [ "select e.name from Employee e where e.salary > 5000";
             "select e.name, e.age from Employee e where e.age >= 30 order by e.age";
@@ -481,17 +403,15 @@ let verify_cmd =
           and capabilities) plus interval cardinality/cost-bound validation \
           of its estimates (NaN, negative, divergent, non-monotone).")
     Term.(
-      const run $ small_arg $ seed_arg $ no_rules_arg $ stats_arg $ strict_arg
-      $ fail_on_arg $ json_arg)
+      const run $ data_term $ no_rules_arg $ stats_arg $ strict_arg $ fail_on_arg
+      $ json_arg)
 
 (* --- sources --------------------------------------------------------------------- *)
 
 let sources_cmd =
-  let run small seed =
+  let run data =
     handle (fun () ->
-        let med, wrappers =
-          make_mediator ~small ~seed ~history:"off" ~no_rules:false ()
-        in
+        let med, wrappers = make_mediator data in
         List.iter
           (fun w ->
             Fmt.pr "source %s:@." w.Wrapper.name;
@@ -509,7 +429,7 @@ let sources_cmd =
   in
   Cmd.v
     (Cmd.info "sources" ~doc:"List registered sources, collections and rule counts.")
-    Term.(const run $ small_arg $ seed_arg)
+    Term.(const run $ data_term)
 
 (* --- health ---------------------------------------------------------------------- *)
 
@@ -518,12 +438,9 @@ let health_cmd =
     let doc = "Probe submits per source." in
     Arg.(value & opt int 3 & info [ "probes" ] ~doc)
   in
-  let run small seed fault domains probes =
+  let run data fault domains probes =
     handle (fun () ->
-        let med, wrappers =
-          make_mediator ?fault ?domains ~small ~seed ~history:"off"
-            ~no_rules:false ()
-        in
+        let med, wrappers = make_mediator ?fault ?domains data in
         (* probe each source with real submits (scan of its first collection)
            so timeouts, retries and breaker transitions actually happen *)
         List.iter
@@ -561,7 +478,7 @@ let health_cmd =
          "Probe each source with real submits under the configured fault \
           profiles and print the per-source health table (state, outcomes, \
           retries, circuit breaker).")
-    Term.(const run $ small_arg $ seed_arg $ fault_arg $ domains_arg $ probes_arg)
+    Term.(const run $ data_term $ fault_arg $ domains_arg $ probes_arg)
 
 (* --- serve / metrics -------------------------------------------------------------- *)
 
@@ -624,15 +541,10 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
-  let run small seed history no_rules no_cache stats fault domains enum
-      enum_threshold engine batch_size socket host port queue workers deadline
-      snapshot snapshot_every no_verify =
+  let run mediator socket host port queue workers deadline snapshot snapshot_every
+      no_verify =
     handle (fun () ->
-        set_engine engine batch_size;
-        let med, _ =
-          make_mediator ~no_cache ~stats ?fault ?domains ?enum ?enum_threshold
-            ~small ~seed ~history ~no_rules ()
-        in
+        let med, _ = mediator () in
         let config =
           { Server.addr = addr_of socket host port;
             queue_depth = queue;
@@ -659,11 +571,9 @@ let serve_cmd =
           backpressure, per-tenant history partitions, a shared plan cache, \
           /health and /metrics endpoints, and snapshot-based warm restarts.")
     Term.(
-      const run $ small_arg $ seed_arg $ history_arg $ no_rules_arg $ no_cache_arg
-      $ stats_arg $ fault_arg $ domains_arg $ enum_arg $ enum_threshold_arg
-      $ engine_arg $ batch_size_arg $ socket_arg $ host_arg $ port_arg
-      $ queue_arg $ workers_arg $ deadline_arg $ snapshot_arg
-      $ snapshot_every_arg $ no_verify_arg)
+      const run $ mediator_term $ socket_arg $ host_arg $ port_arg $ queue_arg
+      $ workers_arg $ deadline_arg $ snapshot_arg $ snapshot_every_arg
+      $ no_verify_arg)
 
 let metrics_cmd =
   let json_flag =
@@ -750,9 +660,8 @@ let fig12_cmd =
     let doc = "Number of AtomicParts (the paper uses 70000)." in
     Arg.(value & opt int 70_000 & info [ "parts" ] ~doc)
   in
-  let run parts engine batch_size =
+  let run parts =
     handle (fun () ->
-        set_engine engine batch_size;
         let config = { Disco_oo7.Oo7.paper_config with Disco_oo7.Oo7.atomic_parts = parts } in
         let source = Disco_oo7.Oo7.make_source ~config ~with_rules:true () in
         let registry_of src =
@@ -787,7 +696,7 @@ let fig12_cmd =
   in
   Cmd.v
     (Cmd.info "fig12" ~doc:"Reproduce the paper's Figure 12 index-scan experiment.")
-    Term.(const run $ parts $ engine_arg $ batch_size_arg)
+    Term.(const run $ parts)
 
 let () =
   let info =

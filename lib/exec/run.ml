@@ -7,12 +7,13 @@
 
    Two execution engines share this module:
 
+   - the batched engine ([exec_batch]), the production engine, which streams
+     columnar {!Batch.t} chunks through the operators, compiles predicates
+     once per batch into selection masks ({!Bpred}) and carries row counts
+     and byte sizes incrementally;
    - the tuple-at-a-time engine ([exec_tuple]), the original list-of-tuples
-     interpreter;
-   - the batched engine ([exec_batch]), which streams columnar {!Batch.t}
-     chunks through the same operators, compiles predicates once per batch
-     into selection masks ({!Bpred}) and carries row counts and byte sizes
-     incrementally.
+     interpreter, kept as the reference the batched engine is tested
+     against.
 
    Both charge simulated milliseconds through the same cost-formula helpers
    below, replay buffer-pool accesses in the same order and produce the same
@@ -42,20 +43,7 @@ type mode = Tuple_at_a_time | Batched of { batch_size : int }
 
 let default_batch_size = 1024
 
-let mode_of_env () =
-  let batch_size =
-    match Sys.getenv_opt "DISCO_BATCH" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-       | Some n when n > 0 -> n
-       | _ -> default_batch_size)
-    | None -> default_batch_size
-  in
-  match Sys.getenv_opt "DISCO_ENGINE" with
-  | Some ("batch" | "batched" | "vector" | "vectorized") -> Batched { batch_size }
-  | _ -> Tuple_at_a_time
-
-let default_mode_ref = ref (mode_of_env ())
+let default_mode_ref = ref (Batched { batch_size = default_batch_size })
 let default_mode () = !default_mode_ref
 let set_default_mode m = default_mode_ref := m
 
@@ -554,7 +542,10 @@ let bpush a (b : Batch.t) =
 let bdone a = List.rev a.abats
 
 (* Row-wise output collector: builds batches of at most [osize] rows,
-   starting a new batch when the row schema changes mid-stream. *)
+   starting a new batch when the row schema changes mid-stream. Builders
+   start small and double up to [osize]: most operator outputs on the
+   mediator side hold a few dozen rows, and preallocating [osize] slots per
+   column would allocate every output straight into the major heap. *)
 type bout = {
   osize : int;
   mutable cur : (string array * Batch.builder) option;
@@ -576,7 +567,7 @@ let bout_target o attrs =
   | Some (a, bld) when schema_eq a attrs -> bld
   | _ ->
     bout_flush o;
-    let bld = Batch.builder ~hint:o.osize attrs in
+    let bld = Batch.builder ~hint:(min o.osize 64) attrs in
     o.cur <- Some (attrs, bld);
     bld
 

@@ -5,9 +5,11 @@
     "real measurements of an object database system" (§5); they are also what
     the historical-cost extension feeds back into the cost model.
 
-    Two engines share the operators: the original tuple-at-a-time
-    interpreter, and a batched engine streaming columnar {!Batch.t} chunks
-    with predicates compiled once per batch ({!Bpred}). Both replay the same
+    Every query runs on the batched engine, which streams columnar
+    {!Batch.t} chunks with predicates compiled once per batch ({!Bpred}).
+    The original tuple-at-a-time interpreter stays only as the reference
+    engine: the differential suites and the benchmark's answer oracle select
+    it through [?mode] or {!set_default_mode}. Both replay the same
     buffer-pool accesses and charge simulated time through shared cost
     formulas, so rows and simulated costs are bit-identical between engines;
     only [wall_ms] — the real clock on the engine itself — differs. *)
@@ -25,18 +27,22 @@ type env = {
           shipped to the mediator at registration, like cost rules *)
 }
 
-(** Which engine executes the plan. *)
+(** Which engine executes the plan. [Batched] is the production engine;
+    [Tuple_at_a_time] is kept only as the reference engine that tests and
+    the benchmark's answer oracle compare against. *)
 type mode = Tuple_at_a_time | Batched of { batch_size : int }
 
 val default_batch_size : int
-(** 1024 rows per batch unless overridden. *)
+(** 1024 rows per batch. *)
 
 val default_mode : unit -> mode
-(** The session default: [Batched] when [DISCO_ENGINE] is
-    [batch|batched|vector|vectorized] (batch size from [DISCO_BATCH]),
-    [Tuple_at_a_time] otherwise. *)
+(** [Batched { batch_size = default_batch_size }] unless a reference run
+    changed it with {!set_default_mode}. *)
 
 val set_default_mode : mode -> unit
+(** For reference runs only: the differential suites and the benchmark's
+    answer oracle switch to [Tuple_at_a_time] and restore the default
+    afterwards. *)
 
 type result = {
   rows : Tuple.t list;
@@ -82,8 +88,9 @@ val pp_submit_failure : Format.formatter -> submit_failure -> unit
 
 val run : ?mode:mode -> env -> Physical.t -> result
 (** Execute a physical plan, producing rows and simulated times. [mode]
-    defaults to {!default_mode}; both engines produce the same rows in the
-    same order and bit-identical simulated times.
+    defaults to {!default_mode}; pass [Tuple_at_a_time] only to get the
+    reference result. Both engines produce the same rows in the same order
+    and bit-identical simulated times.
 
     Concurrency contract: [run] mutates [env.buffer] (the buffer pool's
     replacement state), so a given [env] must be driven from one domain at

@@ -63,9 +63,8 @@ type t = {
      every estimate is bit-identical to a mediator without the subsystem. *)
   stats_mode : stats_mode;
   (* join-enumeration engine (DESIGN.md §15): auto hands exact DPccp over
-     to the greedy path above [enum_threshold] relations *)
+     to the greedy path above [Optimizer.default_enum_threshold] relations *)
   enum_mode : Optimizer.enum_mode;
-  enum_threshold : int;
   (* cumulative optimizer counters across every optimization this mediator
      ran; surfaced through the server's /metrics so plan-search cost is
      observable in production mode *)
@@ -107,18 +106,10 @@ let refresh_histograms t ~source =
   | _ -> ()
 
 let create ?backend ?calibration ?(history_mode = History.Off) ?(cache = true)
-    ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off) ?enum_mode
-    ?enum_threshold () =
+    ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off)
+    ?(enum_mode = Optimizer.Auto) () =
   let domains =
     match domains with Some d -> max 1 (min d Pool.max_domains) | None -> Pool.env_domains ()
-  in
-  let enum_mode =
-    match enum_mode with Some m -> m | None -> Optimizer.env_enum_mode ()
-  in
-  let enum_threshold =
-    match enum_threshold with
-    | Some n -> max 1 n
-    | None -> Optimizer.default_enum_threshold
   in
   let catalog = Catalog.create () in
   let registry = Registry.create ?backend catalog in
@@ -149,7 +140,6 @@ let create ?backend ?calibration ?(history_mode = History.Off) ?(cache = true)
       domains;
       stats_mode;
       enum_mode;
-      enum_threshold;
       opt_stats = Optimizer.new_stats () }
   in
   (match stats_mode with
@@ -189,7 +179,6 @@ let last_lint t = t.last_lint
 let domains t = t.domains
 let stats_mode t = t.stats_mode
 let enum_mode t = t.enum_mode
-let enum_threshold t = t.enum_threshold
 
 (* A copy, so callers can't corrupt the accumulator. *)
 let optimizer_stats t =
@@ -541,8 +530,7 @@ let plan_of_variant ?objective ?available t (r : resolved) : Plan.t =
       fst
         (Optimizer.optimize ?objective ~memo:t.cache_enabled
            ?cache:(active_cache t) ~available ~domains:t.domains
-           ~stats:t.opt_stats ~enum:t.enum_mode
-           ~enum_threshold:t.enum_threshold t.registry r.spec)
+           ~stats:t.opt_stats ~enum:t.enum_mode t.registry r.spec)
   in
   decorate r joined
 

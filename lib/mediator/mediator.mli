@@ -30,7 +30,7 @@ val create :
   ?backend:Registry.backend -> ?calibration:Generic.calibration ->
   ?history_mode:History.mode -> ?cache:bool -> ?policy:Health.policy ->
   ?lint:[ `Error | `Warn | `Off ] -> ?domains:int -> ?stats_mode:stats_mode ->
-  ?enum_mode:Optimizer.enum_mode -> ?enum_threshold:int -> unit -> t
+  ?enum_mode:Optimizer.enum_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed. [backend]
     selects the formula backend (bytecode by default; [Registry.Closure] is
     the differential reference). [cache] (default on) enables the
@@ -56,11 +56,8 @@ val domains : t -> int
 val stats_mode : t -> stats_mode
 
 val enum_mode : t -> Optimizer.enum_mode
-(** The join-enumeration engine queries optimize with (the CLI's [--enum];
-    default from [DISCO_ENUM], else [Auto]). *)
-
-val enum_threshold : t -> int
-(** The relation count where [Auto] hands exact DPccp over to greedy. *)
+(** The join-enumeration engine queries optimize with ([Auto] unless a
+    reference run set another with [create ~enum_mode]). *)
 
 val optimizer_stats : t -> Optimizer.stats
 (** A copy of the cumulative optimizer counters over every optimization this

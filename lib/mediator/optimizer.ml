@@ -22,8 +22,8 @@
      at most the leaf threshold). Polynomial; used above the threshold where
      exact enumeration is hopeless.
 
-   [Auto] (the default) runs [Dpccp] up to [enum_threshold] relations and
-   [Greedy] beyond it. *)
+   [Auto] (the default) runs [Dpccp] up to [default_enum_threshold]
+   relations and [Greedy] beyond it. *)
 
 open Disco_common
 open Disco_algebra
@@ -439,22 +439,6 @@ let enum_mode_to_string = function
   | Greedy -> "greedy"
   | Auto -> "auto"
 
-let enum_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "dp" -> Some Dp
-  | "dpccp" -> Some Dpccp
-  | "greedy" -> Some Greedy
-  | "auto" -> Some Auto
-  | _ -> None
-
-(* DISCO_ENUM overrides the default mode for mediators created without an
-   explicit one (the CI integration run sets it to dpccp); an unknown value
-   falls back to auto rather than failing query processing. *)
-let env_enum_mode () =
-  match Sys.getenv_opt "DISCO_ENUM" with
-  | Some s -> (match enum_mode_of_string s with Some m -> m | None -> Auto)
-  | None -> Auto
-
 (* The improvement phase of the greedy engine stops after this many csg–cmp
    pairs: a deterministic work bound (never wall-clock) so dense unit graphs
    — where a single window DP would cost more than the plan is worth — fall
@@ -577,8 +561,8 @@ let no_plan_error (spec : spec) ~available : 'a =
    (enumeration work) differs: the subset DP examines every split of every
    subset, DPccp touches valid pairs only. *)
 let optimize ?(objective = Total_time) ?(memo = true) ?cache
-    ?(available = fun _ -> true) ?(domains = 1) ?stats ?(enum = Auto)
-    ?(enum_threshold = default_enum_threshold) registry (spec : spec)
+    ?(available = fun _ -> true) ?(domains = 1) ?stats ?(enum = Auto) registry
+    (spec : spec)
     : Plan.t * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
@@ -1080,7 +1064,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
         r
       end
     in
-    let wcap = max 2 (min enum_threshold max_graph_width) in
+    let wcap = default_enum_threshold in
     let rec tree_leaves = function
       | Gleaf i -> [ i ]
       | Gnode (a, b) -> tree_leaves a @ tree_leaves b
@@ -1154,7 +1138,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     | Dpccp -> run_dpccp ()
     | Greedy -> run_greedy ()
     | Auto ->
-      if n <= min (max 1 enum_threshold) max_graph_width then run_dpccp ()
+      if n <= default_enum_threshold then run_dpccp ()
       else run_greedy ()
   in
   match run () with

@@ -118,14 +118,6 @@ val default_enum_threshold : int
 
 val enum_mode_to_string : enum_mode -> string
 
-val enum_mode_of_string : string -> enum_mode option
-(** Parses ["dp"], ["dpccp"], ["greedy"], ["auto"] (case-insensitive). *)
-
-val env_enum_mode : unit -> enum_mode
-(** The mode named by [DISCO_ENUM], or [Auto] when unset or unknown. Used as
-    the default by mediators created without an explicit mode, so CI can run
-    the whole suite under one engine. *)
-
 val cost_of :
   ?bound:float -> ?objective:objective -> ?memo:Estimator.memo ->
   ?cache:Plancache.t -> ?shard:int -> Registry.t -> stats -> Plan.t ->
@@ -157,7 +149,7 @@ val choose :
 val optimize :
   ?objective:objective -> ?memo:bool -> ?cache:Plancache.t ->
   ?available:(string -> bool) -> ?domains:int -> ?stats:stats ->
-  ?enum:enum_mode -> ?enum_threshold:int -> Registry.t -> spec ->
+  ?enum:enum_mode -> Registry.t -> spec ->
   Plan.t * float
 (** Dynamic programming over alias subsets, keeping the best candidate per
     site (one per source for unwrapped subplans, one mediator-side). [memo]
@@ -171,10 +163,10 @@ val optimize :
     (the error lists its connected components).
 
     [enum] selects the engine (default [Auto]: exact [Dpccp] up to
-    [enum_threshold] relations — default {!default_enum_threshold} — and
-    [Greedy] beyond). [Dp] and [Dpccp] return bit-identical plans, costs and
-    [plans_considered] at any domain count; [Greedy] returns a valid plan
-    whose cost the joins bench tracks against the exact engines.
+    {!default_enum_threshold} relations and [Greedy] beyond). [Dp] and
+    [Dpccp] return bit-identical plans, costs and [plans_considered] at any
+    domain count; [Greedy] returns a valid plan whose cost the joins bench
+    tracks against the exact engines.
 
     [domains] (default 1) distributes each subset size across a domain pool
     (subsets of one size are mutually independent); every slot costs with

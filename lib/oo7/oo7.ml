@@ -38,36 +38,6 @@ let small_config =
     documents = 40;
     seed = 7 }
 
-(* Scaled-up database for throughput benchmarks: ~1M atomic parts (the
-   paper's parameters times ~14), same distributions. Big enough that the
-   per-row interpretation overhead dominates a scan, which is what the
-   batched engine attacks. *)
-let large_config =
-  { atomic_parts = 1_000_000;
-    composite_parts = 5_000;
-    connections_per_part = 3;
-    documents = 5_000;
-    seed = 7 }
-
-(* Pick the benchmark scale from [DISCO_OO7_SCALE]: "large", "paper",
-   "small", or an explicit atomic-part count (other sizes scaled
-   proportionally to the paper config). Unset means [paper_config]. *)
-let scale_from_env () =
-  match Option.map String.trim (Sys.getenv_opt "DISCO_OO7_SCALE") with
-  | Some ("large" | "LARGE") -> large_config
-  | Some ("small" | "SMALL") -> small_config
-  | Some ("paper" | "PAPER") -> paper_config
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some n when n > 0 ->
-       let scale base = max 1 (base * n / paper_config.atomic_parts) in
-       { paper_config with
-         atomic_parts = n;
-         composite_parts = scale paper_config.composite_parts;
-         documents = scale paper_config.documents }
-     | _ -> paper_config)
-  | None -> paper_config
-
 let atomic_part_schema =
   Schema.collection "AtomicPart"
     [ ("id", Schema.Tint);

@@ -26,14 +26,6 @@ val paper_config : config
 val small_config : config
 (** A reduced configuration for tests. *)
 
-val large_config : config
-(** Scaled-up database for throughput benchmarks: ~1M atomic parts, same
-    distributions as {!paper_config}. *)
-
-val scale_from_env : unit -> config
-(** Benchmark scale from [DISCO_OO7_SCALE]: ["large"], ["paper"], ["small"]
-    or an explicit atomic-part count; {!paper_config} when unset. *)
-
 val atomic_part_schema : Schema.collection
 val composite_part_schema : Schema.collection
 val connection_schema : Schema.collection

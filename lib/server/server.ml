@@ -245,7 +245,7 @@ let metrics_json t : Json.t =
           [ ( "enum_mode",
               Json.String
                 (Optimizer.enum_mode_to_string (Mediator.enum_mode t.med)) );
-            ("enum_threshold", Json.Int (Mediator.enum_threshold t.med));
+            ("enum_threshold", Json.Int Optimizer.default_enum_threshold);
             ("plans_considered", Json.Int os.Optimizer.plans_considered);
             ("plans_aborted", Json.Int os.Optimizer.plans_aborted);
             ("csg_cmp_pairs", Json.Int os.Optimizer.csg_cmp_pairs);

@@ -124,13 +124,12 @@ let registration_text t = Pp.source_to_string (registration_decl t)
 
 (* --- Query phase ----------------------------------------------------------- *)
 
-(* Execute a logical subplan (no [submit] nodes) and measure it. [mode]
-   selects the execution engine, defaulting to the session default. *)
-let execute ?mode t (plan : Plan.t) : Tuple.t list * Run.vector =
+(* Execute a logical subplan (no [submit] nodes) and measure it. *)
+let execute t (plan : Plan.t) : Tuple.t list * Run.vector =
   let physical =
     Physical.of_logical ~engine:t.engine ~find_table:(find_table t) plan
   in
-  Run.measure ?mode
+  Run.measure
     { Run.engine = t.engine; buffer = t.buffer; hash_join = false; adts = t.adts }
     physical
 

@@ -74,10 +74,8 @@ val registration_text : t -> string
 
 (** {1 Query phase (paper Fig 2)} *)
 
-val execute : ?mode:Run.mode -> t -> Plan.t -> Tuple.t list * Run.vector
-(** Execute a logical subplan (no [submit] nodes) and measure it. [mode]
-    selects the execution engine (default {!Run.default_mode}); both engines
-    return the same rows and bit-identical simulated vectors. *)
+val execute : t -> Plan.t -> Tuple.t list * Run.vector
+(** Execute a logical subplan (no [submit] nodes) and measure it. *)
 
 val physical_plan : t -> Plan.t -> Physical.t
 (** The physical plan the wrapper would run, for explain output. *)

@@ -241,6 +241,39 @@ let test_wall_clock_present () =
   let br = Run.run_batched ~batch_size:64 (env ()) (pscan parts "p") in
   Alcotest.(check bool) "batched wall >= 0" true (br.Run.bwall_ms >= 0.)
 
+(* --- Output builder capacity ---------------------------------------------------- *)
+
+(* Words allocated straight into the major heap (not promoted from the minor
+   heap) since the program started, on this domain. *)
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+(* Operator output builders start small and double up to the batch size. A
+   builder preallocated at the full batch size puts every mediator-side
+   operator output straight into the major heap, whatever its row count:
+   some 300 000 words for one 20-way chain over 50-row sources. *)
+let test_small_outputs_stay_minor () =
+  Alcotest.(check bool) "the batched engine is the default" true
+    (Run.default_mode () = Run.Batched { batch_size = Run.default_batch_size });
+  let open Disco_mediator in
+  let open Disco_wrapper in
+  let med = Mediator.create ~domains:1 () in
+  List.iter (Mediator.register med) (Demo.synthetic ~rows:50 ~n:20 ());
+  let plan, _ =
+    Mediator.plan_query med (Demo.synthetic_sql ~shape:Demo.Chain ~n:20 ())
+  in
+  let phys = Mediator.to_physical med plan in
+  let env = Mediator.mediator_run_env med in
+  let want, _ = Run.measure ~mode:Run.Tuple_at_a_time env phys in
+  let before = direct_major_words () in
+  let rows, _ = Run.measure env phys in
+  let words = direct_major_words () -. before in
+  Alcotest.(check bool) "same rows as the reference engine" true
+    (List.equal Tuple.equal want rows);
+  if words > 20_000. then
+    Alcotest.failf "%.0f words allocated directly in the major heap" words
+
 let () =
   Alcotest.run "batch"
     [ ( "representation",
@@ -255,4 +288,6 @@ let () =
       ( "accounting",
         [ Alcotest.test_case "incremental count/bytes exact" `Quick
             test_incremental_accounting;
-          Alcotest.test_case "wall clock populated" `Quick test_wall_clock_present ] ) ]
+          Alcotest.test_case "wall clock populated" `Quick test_wall_clock_present;
+          Alcotest.test_case "small outputs stay in the minor heap" `Quick
+            test_small_outputs_stay_minor ] ) ]

@@ -247,32 +247,19 @@ let test_chain50_end_to_end () =
   in
   Alcotest.(check int) "executed plan verifies clean" 0 (List.length errs)
 
-(* --- mode parsing and the DISCO_ENUM environment override ------------------ *)
+(* --- the default mode and the mode names ------------------------------------ *)
 
-let test_mode_parsing () =
+let test_mode_default () =
   let mode =
     Alcotest.testable
       (fun ppf m -> Fmt.string ppf (Optimizer.enum_mode_to_string m))
       ( = )
   in
-  Alcotest.(check (option mode)) "dp" (Some Optimizer.Dp)
-    (Optimizer.enum_mode_of_string "dp");
-  Alcotest.(check (option mode)) "DPCCP" (Some Optimizer.Dpccp)
-    (Optimizer.enum_mode_of_string "DPCCP");
-  Alcotest.(check (option mode)) "Greedy" (Some Optimizer.Greedy)
-    (Optimizer.enum_mode_of_string "Greedy");
-  Alcotest.(check (option mode)) "auto" (Some Optimizer.Auto)
-    (Optimizer.enum_mode_of_string "auto");
-  Alcotest.(check (option mode)) "unknown" None
-    (Optimizer.enum_mode_of_string "bogus");
-  Unix.putenv "DISCO_ENUM" "greedy";
-  Alcotest.(check mode) "env greedy" Optimizer.Greedy (Optimizer.env_enum_mode ());
-  Unix.putenv "DISCO_ENUM" "bogus";
-  Alcotest.(check mode) "env unknown falls back" Optimizer.Auto
-    (Optimizer.env_enum_mode ());
-  Unix.putenv "DISCO_ENUM" "";
-  Alcotest.(check mode) "env empty falls back" Optimizer.Auto
-    (Optimizer.env_enum_mode ())
+  Alcotest.(check mode) "mediators default to auto" Optimizer.Auto
+    (Mediator.enum_mode (Mediator.create ()));
+  Alcotest.(check (list string)) "mode names" [ "dp"; "dpccp"; "greedy"; "auto" ]
+    (List.map Optimizer.enum_mode_to_string
+       Optimizer.[ Dp; Dpccp; Greedy; Auto ])
 
 let () =
   Alcotest.run "enum"
@@ -296,5 +283,5 @@ let () =
           Alcotest.test_case "width limits" `Quick test_width_guards ] );
       ( "modes",
         [ Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
-          Alcotest.test_case "parsing and DISCO_ENUM" `Quick test_mode_parsing ] )
+          Alcotest.test_case "default and names" `Quick test_mode_default ] )
     ]

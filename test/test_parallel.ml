@@ -342,8 +342,10 @@ let test_batched_composes () =
     (fun domains ->
       List.iter
         (fun stats_mode ->
-          let exec_ref = trace_execute ~stats_mode ~domains () in
-          let oo7_ref = trace_oo7 ~stats_mode ~domains () in
+          let exec_ref, oo7_ref =
+            with_mode Run.Tuple_at_a_time (fun () ->
+                (trace_execute ~stats_mode ~domains (), trace_oo7 ~stats_mode ~domains ()))
+          in
           List.iter
             (fun batch_size ->
               with_mode (Run.Batched { batch_size }) (fun () ->
