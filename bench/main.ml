@@ -17,10 +17,9 @@
      t8     — OO7 query workload accuracy (measured vs calibrated vs rules)
      cache  — two-level estimation cache: speedup + differential assertions
      micro  — Bechamel micro-benchmarks of the mediator kernels
-     formula — cost-formula throughput, bytecode VM vs closure backend
-               (--json=PATH writes the BENCH JSON record to a file)
      faults — fault injection: zero-fault differential, determinism,
-              availability vs latency sweep (--json=PATH as above)
+              availability vs latency sweep (--json=PATH writes the BENCH
+              JSON record to a file)
      parallel — domain-parallel plan search and scatter-gather execution:
               speedup curve over 1..N domains with bit-identity checks
               (--json=PATH as above)
@@ -37,7 +36,7 @@
 
 let all =
   [ "fig12"; "t1"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8"; "cache"; "micro";
-    "formula"; "faults"; "parallel"; "serve"; "verify"; "joins" ]
+    "faults"; "parallel"; "serve"; "verify"; "joins" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -75,7 +74,6 @@ let () =
       | "t8" -> Oo7queries.print ?config:fig12_config ()
       | "cache" -> Cachebench.print ~smoke:small ()
       | "micro" -> Micro.print ()
-      | "formula" -> Micro.print_formula ~smoke:small ?json_path ()
       | "faults" -> Faults.print ~smoke:small ?json_path ()
       | "parallel" -> Parallel.print ~smoke:small ?json_path ()
       | "serve" -> Serve_bench.print ~smoke:small ?json_path ()

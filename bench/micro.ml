@@ -66,478 +66,6 @@ let tests () =
       (Staged.stage (fun () ->
            ignore (Estimator.estimate ~source:"oo7" oo7_reg fig12_plan))) ]
 
-(* --- Formula throughput: bytecode VM vs closure reference backend -------------
-
-   Every formula of the generic model plus representative wrapper exports
-   (object store, web source, OO7 Yao rules) is evaluated in a tight loop
-   against a synthetic resolution context — once as the closure trees of the
-   reference backend, once through the registration-time optimizer and the
-   flat VM with slot pre-resolution. This isolates the formula-evaluation
-   kernel the estimator runs thousands of times per optimization. The two
-   backends are asserted to produce bit-identical values on every formula
-   before anything is timed; full mode enforces the >= 2x throughput target.
-
-   On top of the kernel, two registry-level workloads report the end-to-end
-   effect: OO7 estimation and federation planning under each backend. *)
-
-module Formula = struct
-  open Disco_costlang
-
-  (* Synthetic resolution environment shaped like the estimator's
-     [resolve_ref] chain: body locals, the cost-variable name check, head
-     bindings, then the parameter/statistics tables. A dynamic reference
-     pays the whole chain on every evaluation, exactly as it does inside
-     the estimator — where the real chain is strictly more expensive
-     (scope hierarchy, catalog walks, statistics derivation) — while a
-     slotted reference pays it once per model generation. Values are
-     deterministic in the path (positive, so divisions stay defined) and
-     the differential gate below re-checks both backends against them. *)
-  let head_bindings = [ ("W", Value.Vname "wrapper") ]
-
-  let lets : (string, Value.t) Hashtbl.t = Hashtbl.create 64
-
-  let derived key = Value.Vnum (float_of_int ((Hashtbl.hash key land 0xff) + 2))
-
-  let derived_f key = float_of_int ((Hashtbl.hash key land 0xff) + 2)
-
-  (* Synthetic catalog mirroring [Catalog]'s representation exactly:
-     association lists per level (sources, then collections, then
-     attributes), so one resolution pays what the estimator pays against the
-     real catalog — a membership scan ([Catalog.mem_collection]), a second
-     scan to fetch the entry ([Catalog.find_collection]), then either a
-     field dispatch on the statistic name ([Registry.extent_stat]) or an
-     attribute scan plus a derived-record allocation and another dispatch
-     ([Catalog.attribute_stats] + [Derive.of_catalog_attr] +
-     [Registry.attr_stat_value]). *)
-  type extent = { count_objects : float; total_size : float; object_size : float }
-
-  type attr_stat = { indexed : bool; distinct : float; vmin : Value.t; vmax : Value.t }
-
-  type centry = { extent : extent; attributes : (string * attr_stat) list }
-
-  type csource = { mutable colls : (string * centry) list }
-
-  let catalog : (string * csource) list =
-    [ ("bench", { colls = [] }); ("wrapper", { colls = [] }) ]
-
-  let extent_stat (e : extent) = function
-    | "CountObject" -> Some e.count_objects
-    | "TotalSize" -> Some e.total_size
-    | "ObjectSize" -> Some e.object_size
-    | _ -> None
-
-  let attr_record key =
-    { indexed = Hashtbl.hash key land 1 = 0; distinct = derived_f key;
-      vmin = Value.Vnum 0.; vmax = Value.Vnum (derived_f key) }
-
-  let attr_stat_of (s : attr_stat) = function
-    | "Indexed" -> Some (Value.Vnum (if s.indexed then 1. else 0.))
-    | "CountDistinct" -> Some (Value.Vnum s.distinct)
-    | "Min" -> Some s.vmin
-    | "Max" -> Some s.vmax
-    | _ -> None
-
-  (* a fixed schema per collection, like a wrapper registration would
-     upload; a statistics path finds its attribute by scanning it *)
-  let attr_names = [ "oid"; "key"; "a"; "b"; "size"; "tag" ]
-
-  let register_collection src coll =
-    let key = src ^ "." ^ coll in
-    let f = derived_f key in
-    let entry =
-      { extent = { count_objects = f; total_size = f *. 64.; object_size = 64. };
-        attributes = List.map (fun a -> (a, attr_record (key ^ "." ^ a))) attr_names }
-    in
-    (match List.assoc_opt src catalog with
-     | Some s -> s.colls <- (coll, entry) :: s.colls
-     | None -> ());
-    entry
-
-  let mem_collection src coll =
-    match List.assoc_opt src catalog with
-    | None -> false
-    | Some s -> List.mem_assoc coll s.colls
-
-  let find_collection src coll =
-    match List.assoc_opt src catalog with
-    | None -> None
-    | Some s -> List.assoc_opt coll s.colls
-
-  let default_attr = attr_record "default"
-
-  let catalog_path ~source path =
-    match path with
-    | [ coll; stat ] ->
-      if not (mem_collection source coll) then
-        (* first touch registers deterministically, as catalog registration
-           would have; steady state is the scans above and below *)
-        ignore (register_collection source coll);
-      (match find_collection source coll with
-       | Some e -> Option.map (fun f -> Value.Vnum f) (extent_stat e.extent stat)
-       | None -> None)
-    | [ coll; attr; stat ] ->
-      if not (mem_collection source coll) then ignore (register_collection source coll);
-      (match find_collection source coll with
-       | Some e ->
-         let s =
-           match List.assoc_opt attr e.attributes with
-           | Some s -> s
-           | None -> default_attr (* [Stats.default_attribute] *)
-         in
-         (* the real chain re-derives the statistics record per resolution
-            ([Derive.of_catalog_attr] allocates) before dispatching *)
-         let s = { s with distinct = s.distinct } in
-         attr_stat_of s stat
-       | None -> None)
-    | _ -> None
-
-  (* [Derive.find_loose]: exact match first, then a scan that strips any
-     [Collection.attr] qualification off each candidate before comparing *)
-  let find_loose (attrs : (string * attr_stat) list) name =
-    match List.assoc_opt name attrs with
-    | Some s -> Some s
-    | None ->
-      List.find_opt
-        (fun (q, _) ->
-          match String.rindex_opt q '.' with
-          | Some i ->
-            String.equal (String.sub q (i + 1) (String.length q - i - 1)) name
-          | None -> String.equal q name)
-        attrs
-      |> Option.map snd
-
-  (* the operand's result statistics, searched with loose matching as
-     [Estimator.operand_path] does on [Rule.Input] operands *)
-  let operand_attrs : (string * attr_stat) list ref = ref []
-
-  let value_of_path locals path =
-    match path with
-    | [] -> Value.Vnum 1.
-    | [ x ] ->
-      (match Hashtbl.find_opt locals x with
-       | Some v -> v
-       | None ->
-         (match Ast.cost_var_of_name x with
-          | Some _ -> Value.Vnum 12.5 (* an input's cost variable *)
-          | None ->
-            (match List.assoc_opt x head_bindings with
-             | Some v -> v
-             | None ->
-               (* wrapper/default parameter (a [let] of the model text) *)
-               (match Hashtbl.find_opt lets x with
-                | Some v -> v
-                | None ->
-                  let v = derived x in
-                  Hashtbl.add lets x v;
-                  v))))
-    | x :: rest ->
-      (match List.assoc_opt x head_bindings with
-       | Some _ ->
-         (* operand-rooted path: substitute bound segments, then resolve
-            against the operand's statistics ([Estimator.operand_path]) *)
-         let rest =
-           List.map
-             (fun s ->
-               match List.assoc_opt s head_bindings with
-               | Some (Value.Vname n) -> n
-               | _ -> s)
-             rest
-         in
-         (match rest with
-          | [ stat ] ->
-            (match Ast.cost_var_of_name stat with
-             | Some _ -> Value.Vnum 12.5 (* child cost variable *)
-             | None ->
-               if String.equal stat "ObjectSize" then Value.Vnum 64.
-               else derived stat)
-          | [ attr; stat ] ->
-            (match find_loose !operand_attrs attr with
-             | Some s ->
-               (match attr_stat_of s stat with
-                | Some v -> v
-                | None -> derived (attr ^ "." ^ stat))
-             | None ->
-               let s = attr_record attr in
-               operand_attrs := (attr, s) :: !operand_attrs;
-               (match attr_stat_of s stat with
-                | Some v -> v
-                | None -> derived (attr ^ "." ^ stat)))
-          | _ -> derived (String.concat "." rest))
-       | None ->
-         (* literal collection path, walked against the catalog under the
-            evaluation source and then the rule's own source, exactly like
-            the [Registry.catalog_path] double lookup *)
-         (match catalog_path ~source:"bench" path with
-          | Some v -> v
-          | None ->
-            (match catalog_path ~source:"wrapper" path with
-             | Some v -> v
-             | None -> derived (String.concat "." path))))
-
-  let to_f v = try Value.to_num v with Err.Eval_error _ -> 1.
-
-  type unit_of_work = {
-    label : string;
-    closure : Compile.compiled list;     (* the rule body, reference backend *)
-    progs : Vm.program list;             (* the same body, optimized bytecode *)
-    slots : Vm.slots;
-    locals : (string, Value.t) Hashtbl.t;
-        (* per-instance body locals, as [inst.values] in the estimator — the
-           evaluation contexts below capture it, so both backends pay the
-           estimator's per-instance context construction *)
-    vc : Vm.ctx;
-        (* allocated once per instance as the estimator does; each pass
-           repins the slot column and clears the dynamic-reference memo *)
-  }
-
-  let rec compile_units () =
-    let decls =
-      Parser.parse_source ~what:"generic" (Generic.text ())
-      :: List.map
-           (fun (name, text) ->
-             { Ast.source_name = name; items = Parser.parse_items ~what:name text })
-           [ ("objstore", Demo.objstore_rules);
-             ("web", Demo.web_rules);
-             ("oo7", Disco_oo7.Oo7.yao_rules) ]
-    in
-    List.concat_map
-      (fun (decl : Ast.source_decl) ->
-        let defs =
-          List.filter_map
-            (function
-              | Ast.Def (name, params, body) ->
-                Some (name, Compile.compile_def ~params body)
-              | _ -> None)
-            decl.Ast.items
-        in
-        let decl_locals : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
-        let rec cctx = { Compile.resolve_ref = value_of_path decl_locals; call }
-        and call name args =
-          match List.assoc_opt name defs with
-          | Some def -> Compile.apply_def def cctx args
-          | None ->
-            (match (name, args) with
-             | "max", [ a; b ] -> Value.Vnum (Float.max (to_f a) (to_f b))
-             | "min", [ a; b ] -> Value.Vnum (Float.min (to_f a) (to_f b))
-             | "exp", [ a ] -> Value.Vnum (Float.exp (to_f a))
-             | "ceil", [ a ] -> Value.Vnum (Float.ceil (to_f a))
-             | "if", [ c; a; b ] -> if to_f c <> 0. then a else b
-             | "sel", _ -> Value.Vnum 0.1
-             | "adjust", _ -> Value.Vnum 1.
-             | _ -> Value.Vnum 1.)
-        in
-        let lookup name =
-          Option.map
-            (fun (d : Compile.def) -> (d.Compile.params, d.Compile.def_ast))
-            (List.assoc_opt name defs)
-        in
-        List.filter_map
-          (fun ((iface : string option), (rule : Ast.rule)) ->
-            let targets = List.map (fun (t, _) -> Ast.target_name t) rule.Ast.body in
-            let head_vars = Ast.head_var_names rule.Ast.head in
-            let head_var x = List.mem x head_vars in
-            let volatile_first x =
-              Option.is_some (Ast.cost_var_of_name x) || List.mem x targets
-            in
-            let dynamic_first x = head_var x || volatile_first x in
-            let b = Vm.new_builder () in
-            let progs =
-              List.map
-                (fun (_, e) ->
-                   Vm.compile b ~dynamic_first ~volatile_first ~head_var
-                     (Opt.pipeline ~lookup e))
-                rule.Ast.body
-            in
-            let slots = Vm.finish b in
-            let closure = List.map (fun (_, e) -> Compile.compile e) rule.Ast.body in
-            let label =
-              Fmt.str "%s/%s%s" decl.Ast.source_name
-                (Ast.head_operator rule.Ast.head)
-                (match iface with Some i -> "(" ^ i ^ ")" | None -> "")
-            in
-            let locals : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
-            let vc =
-              { Vm.bank = Vm.empty_bank;
-                dmemo =
-                  (let n = Vm.dyn_count slots in
-                   if n = 0 then Vm.empty_bank else Vm.new_bank n);
-                slots;
-                resolve = value_of_path locals;
-                call = cctx.Compile.call }
-            in
-            let u = { label; closure; progs; slots; locals; vc } in
-            (* differential gate: both backends agree bit-for-bit on every
-               formula of the body, or the rule is excluded (a formula may
-               raise under the synthetic context, e.g. via a zero divisor) *)
-            let agrees =
-              List.for_all2
-                (fun compiled prog ->
-                  let c = try Some (compiled cctx) with Err.Eval_error _ -> None in
-                  let v =
-                    try Some (Vm.exec prog (vm_ctx u cctx)) with Err.Eval_error _ -> None
-                  in
-                  match (c, v) with
-                  | None, None -> false (* raising formulas carry no signal *)
-                  | Some (Value.Vnum a), Some (Value.Vnum b) ->
-                    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-                    || Fmt.failwith "formula bench: %s: closure %.17g <> vm %.17g"
-                         label a b
-                  | Some a, Some b ->
-                    a = b
-                    || Fmt.failwith "formula bench: %s: backends disagree" label
-                  | _ -> Fmt.failwith "formula bench: %s: one backend raised" label)
-                u.closure u.progs
-            in
-            if agrees then Some (u, cctx) else None)
-          (Ast.rules_of_source decl))
-      decls
-
-  and vm_ctx u (_cctx : Compile.ctx) =
-    (* per-pass repin, as the estimator does: fetch the slot column under
-       the current generation; the dynamic-reference memo survives, since
-       the generation is unchanged (the estimator drops it when a model
-       write moves the generation, like the slot banks) *)
-    u.vc.Vm.bank <-
-      (if Vm.slot_count u.slots = 0 then Vm.empty_bank
-       else Vm.slot_cache u.slots ~generation:1 ~source:"bench");
-    u.vc
-
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-
-  let run_closure units iters =
-    (* the estimator builds a fresh evaluation context per formula
-       evaluation on this backend ([eval_ctx] captures the instance); the
-       closure backend has no cacheable slot identity, so that construction
-       is part of its per-eval cost *)
-    let n = ref 0 in
-    let (), s =
-      time (fun () ->
-          for _ = 1 to iters do
-            List.iter
-              (fun (u, cctx) ->
-                List.iter
-                  (fun c ->
-                    let ectx =
-                      { Compile.resolve_ref = value_of_path u.locals;
-                        call = cctx.Compile.call }
-                    in
-                    ignore (c ectx);
-                    incr n)
-                  u.closure)
-              units
-          done)
-    in
-    s *. 1e9 /. float_of_int (max !n 1)
-
-  let run_vm units iters =
-    let n = ref 0 in
-    let (), s =
-      time (fun () ->
-          for _ = 1 to iters do
-            List.iter
-              (fun (u, cctx) ->
-                let ctx = vm_ctx u cctx in
-                List.iter (fun p -> ignore (Vm.exec p ctx); incr n) u.progs)
-              units
-          done)
-    in
-    s *. 1e9 /. float_of_int (max !n 1)
-end
-
-let formula_queries =
-  [ "select e.id from Employee e where e.salary > 20000";
-    "select e.id from Employee e, Department d, Project p \
-     where e.dept_id = d.id and d.id = p.dept_id" ]
-
-let print_formula ?(smoke = false) ?json_path () =
-  Util.section
-    (Fmt.str "formula — cost-formula throughput, bytecode VM vs closure backend%s"
-       (if smoke then " (smoke)" else ""));
-  let units = Formula.compile_units () in
-  let rounds = if smoke then 1 else 5 in
-  let per_round = if smoke then 1 else 4_000 in
-  let iters = rounds * per_round in
-  ignore (Formula.run_closure units 1);   (* warm-up both sides *)
-  ignore (Formula.run_vm units 1);
-  (* interleaved best-of-N: per-process GC and scheduling noise swamps a
-     single measurement, so each side keeps its fastest round *)
-  let closure_best = ref infinity and vm_best = ref infinity in
-  for _ = 1 to rounds do
-    closure_best := Float.min !closure_best (Formula.run_closure units per_round);
-    vm_best := Float.min !vm_best (Formula.run_vm units per_round)
-  done;
-  let closure_ns = !closure_best and vm_ns = !vm_best in
-  let speedup = closure_ns /. Float.max vm_ns 1e-9 in
-  (* registry-level workloads: estimation / planning end to end *)
-  let oo7_ns backend =
-    let registry =
-      let source =
-        Disco_oo7.Oo7.make_source ~config:Disco_oo7.Oo7.small_config ~with_rules:true ()
-      in
-      let r = Registry.create ~backend (Disco_catalog.Catalog.create ()) in
-      Generic.register r;
-      ignore (Registry.register_source_decl r (Wrapper.registration_decl source));
-      r
-    in
-    let queries = Disco_oo7.Oo7.queries Disco_oo7.Oo7.small_config in
-    let reps = if smoke then 1 else 50 in
-    let n = ref 0 in
-    let (), s =
-      Formula.time (fun () ->
-          for _ = 1 to reps do
-            List.iter
-              (fun (_, plan) ->
-                ignore (Estimator.estimate ~source:"oo7" registry plan);
-                incr n)
-              queries
-          done)
-    in
-    s *. 1e9 /. float_of_int (max !n 1)
-  in
-  let fed_ns backend =
-    let med = Mediator.create ~backend ~cache:false () in
-    List.iter (Mediator.register med) (Demo.make ~sizes:Demo.small_sizes ());
-    let reps = if smoke then 1 else 50 in
-    let n = ref 0 in
-    let (), s =
-      Formula.time (fun () ->
-          for _ = 1 to reps do
-            List.iter
-              (fun q -> ignore (Mediator.plan_query med q); incr n)
-              formula_queries
-          done)
-    in
-    s *. 1e9 /. float_of_int (max !n 1)
-  in
-  let oo7_c = oo7_ns Registry.Closure and oo7_b = oo7_ns Registry.Bytecode in
-  let fed_c = fed_ns Registry.Closure and fed_b = fed_ns Registry.Bytecode in
-  Util.table
-    [ "kernel"; "closure(ns)"; "bytecode(ns)"; "speedup" ]
-    [ [ Fmt.str "formula-eval (%d formulas)"
-          (List.fold_left (fun a (u, _) -> a + List.length u.Formula.progs) 0 units);
-        Util.f1 closure_ns; Util.f1 vm_ns; Util.f2 speedup ^ "x" ];
-      [ "oo7-estimate"; Util.f1 oo7_c; Util.f1 oo7_b;
-        Util.f2 (oo7_c /. Float.max oo7_b 1e-9) ^ "x" ];
-      [ "federation-plan"; Util.f1 fed_c; Util.f1 fed_b;
-        Util.f2 (fed_c /. Float.max fed_b 1e-9) ^ "x" ] ];
-  Util.bench_json ?json_path ~bench:"formula"
-    ~domains:(Disco_parallel.Pool.env_domains ())
-    [ Fmt.str
-        {|"smoke":%b,"iters":%d,"formulas":%d,"closure_ns_per_eval":%.1f,"bytecode_ns_per_eval":%.1f,"speedup":%.2f,"registry":[{"name":"oo7-estimate","closure_ns":%.1f,"bytecode_ns":%.1f},{"name":"federation-plan","closure_ns":%.1f,"bytecode_ns":%.1f}]|}
-        smoke iters
-        (List.fold_left (fun a (u, _) -> a + List.length u.Formula.progs) 0 units)
-        closure_ns vm_ns speedup oo7_c oo7_b fed_c fed_b ];
-  if (not smoke) && speedup < 2. then
-    Fmt.failwith
-      "formula bench: bytecode speedup %.2fx is below the 2x target" speedup;
-  if not smoke then
-    Fmt.pr "  bytecode formula-eval speedup %.1fx (target >= 2x), differential \
-            assertions passed@."
-      speedup
-
 let print () =
   Util.section "Bechamel micro-benchmarks (mediator-side kernels, ns/run)";
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false () in

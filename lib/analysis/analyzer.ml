@@ -157,11 +157,10 @@ let rule_resolver reg ~source ~kinds ~locals path : Absint.aval =
         | None -> by_tail ()
         | exception _ -> by_tail ()))
 
-(* One pass over a rule body with a transform applied to each formula
-   (identity for the AST pass, [Opt.pipeline] for the bytecode cross-check).
-   Sequential scoping: earlier targets' abstract values refine later
-   formulas, exactly like the concrete evaluator's [inst.values]. *)
-let body_pass reg (rule : Rule.t) (ast : Ast.rule) ~transform : finding list =
+(* The interval pass over one rule body. Sequential scoping: earlier
+   targets' abstract values refine later formulas, exactly like the concrete
+   evaluator's [inst.values]. *)
+let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
   let source = rule.Rule.source in
   let operator = Rule.operator rule in
   let where = Fmt.str "rule %a" Pp.head ast.Ast.head in
@@ -191,7 +190,6 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) ~transform : finding list =
         | Some _ as p -> p
         | None -> ast.Ast.rule_pos
       in
-      let expr = try transform expr with _ -> expr in
       let v, issues = Absint.eval env expr in
       List.iter
         (fun (i : Absint.issue) ->
@@ -235,38 +233,9 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) ~transform : finding list =
     ast.Ast.body;
   List.rev !findings
 
-(* The verdict of a pass: which (tag, severity) classes it raised. The AST
-   and bytecode backends must agree — [Opt]'s rewrites are documented as
-   observationally equivalent. *)
-let verdict fs = List.sort_uniq compare (List.map (fun f -> (f.tag, f.severity)) fs)
-
+(* Rules without source AST (query-scope history) have nothing to analyze. *)
 let analyze_rule reg (rule : Rule.t) : finding list =
-  match rule.Rule.ast with
-  | None -> []
-  | Some ast ->
-    let raw = body_pass reg rule ast ~transform:(fun e -> e) in
-    let lookup fn =
-      match
-        Registry.lookup_def_or_default reg ~source:rule.Rule.source fn
-      with
-      | Some d -> Some (d.Compile.params, d.Compile.def_ast)
-      | None -> None
-    in
-    let opt = body_pass reg rule ast ~transform:(Opt.pipeline ~lookup) in
-    if verdict raw <> verdict opt then
-      raw
-      @ [ { severity = Warning; tag = "backend-divergence";
-            source = rule.Rule.source;
-            operator = Some (Rule.operator rule);
-            scope = Some rule.Rule.scope;
-            where = Fmt.str "rule %a" Pp.head ast.Ast.head;
-            loc = ast.Ast.rule_pos;
-            msg =
-              "the AST and optimized (bytecode) forms of this rule disagree \
-               on lint verdicts — optimizer rewrites may not be \
-               observationally equivalent here";
-            excluded = false } ]
-    else raw
+  match rule.Rule.ast with None -> [] | Some ast -> body_pass reg rule ast
 
 (* --- ADT parameter ranges ------------------------------------------------- *)
 

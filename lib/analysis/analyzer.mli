@@ -7,9 +7,7 @@
       over typed variable domains — cardinalities, sizes and times in
       [[0, inf)], selectivities in [[0, 1]], [let] parameters at their
       registered values — flagging possible division by zero, NaN,
-      negative costs, and names silently coerced to numbers. The pass is
-      run on the raw AST and again after {!Disco_costlang.Opt.pipeline},
-      and the two verdicts are compared ("backend-divergence");
+      negative costs, and names silently coerced to numbers;
     - {b shadowing}: per (source, operator) chain, rules whose head is
       subsumed by strictly more specific rules providing all their
       variables are dead; same-level overlaps are min-combined
@@ -38,7 +36,7 @@ type finding = {
       (** stable machine tag: "div-zero", "nan", "negative", "non-numeric",
           "unknown-function", "selectivity-range", "dead-rule",
           "shadows-default", "ambiguous", "coverage", "fallback", "cycle",
-          "unmatchable", "backend-divergence" *)
+          "unmatchable" *)
   source : string;  (** owning source of the offending rule or parameter *)
   operator : string option;
   scope : Scope.t option;
@@ -60,9 +58,8 @@ val active : finding list -> finding list
     these. *)
 
 val analyze_rule : Registry.t -> Rule.t -> finding list
-(** Interval pass over one rule's body (both backends, verdicts
-    compared). Rules without source AST (query-scope history) yield no
-    findings. *)
+(** Interval pass over one rule's body. Rules without source AST
+    (query-scope history) yield no findings. *)
 
 val analyze_chain : Registry.t -> source:string -> operator:string -> finding list
 (** Shadowing, ambiguity, coverage and cycle analysis of the merged

@@ -28,9 +28,6 @@ type ctx = {
   registry : Registry.t;
   abort_above : float option;
   evals : int ref;  (* number of formula evaluations performed *)
-  shard : int;
-      (* VM slot-cache shard this pass resolves through; the domain-pool
-         slot number when estimating in parallel, 0 sequentially *)
 }
 
 type ann = {
@@ -52,23 +49,9 @@ and inst = {
   bindings : Rule.bindings;
   values : (string, Value.t) Hashtbl.t;
   mutable next_assign : int;
-  mutable vmcache : Vm.ctx option;
-      (* the VM evaluation context, allocated once per instance: its
-         callbacks resolve through [vmpass], so a new estimation pass only
-         repins the slot column and clears the dynamic-reference memo *)
-  mutable vmpass : ctx option;
-      (* the estimation pass the cached context is pinned to ([ctx] is
-         created per [estimate] call, so comparing identity ensures the slot
-         column is re-fetched under the current generation and a stale
-         [abort_above]/[evals] is never used) *)
-  mutable vmgen : int;
-      (* registry generation the dynamic-reference memo was filled under;
-         like the slot banks, the memo survives across passes and is dropped
-         only when the generation moves *)
 }
 
-let make_ctx ?abort_above ?(evals = ref 0) ?(shard = 0) registry =
-  { registry; abort_above; evals; shard }
+let make_ctx ?abort_above ?(evals = ref 0) registry = { registry; abort_above; evals }
 
 (* --- Annotation construction (structure + derived statistics) ----------- *)
 
@@ -150,8 +133,6 @@ let input_stats ann =
 
 (* --- Variable computation ------------------------------------------------ *)
 
-let huge = 1e18
-
 let rec require ctx ann (v : Ast.cost_var) : float =
   match Hashtbl.find_opt ann.vars v with
   | Some (x, _) -> x
@@ -217,8 +198,7 @@ and eval_rule_var ctx ann (rule : Rule.t) bindings (v : Ast.cost_var) : float =
     | Some i -> i
     | None ->
       let i =
-        { rule; bindings; values = Hashtbl.create 8; next_assign = 0;
-          vmcache = None; vmpass = None; vmgen = -1 }
+        { rule; bindings; values = Hashtbl.create 8; next_assign = 0 }
       in
       Hashtbl.add ann.insts rule.Rule.id i;
       i
@@ -234,13 +214,9 @@ and eval_rule_var ctx ann (rule : Rule.t) bindings (v : Ast.cost_var) : float =
           (Err.Eval_error
              (Fmt.str "rule #%d does not compute %s" rule.Rule.id wanted))
       else begin
-        let target, code = body.(inst.next_assign) in
+        let target, compiled = body.(inst.next_assign) in
         incr ctx.evals;
-        let value =
-          match code with
-          | Rule.Closure compiled -> compiled (eval_ctx ctx ann inst)
-          | Rule.Prog p -> Vm.exec p (vm_ctx ctx ann inst)
-        in
+        let value = compiled (eval_ctx ctx ann inst) in
         Hashtbl.replace inst.values (Ast.target_name target) value;
         inst.next_assign <- inst.next_assign + 1;
         run ()
@@ -465,71 +441,15 @@ and eval_ctx ctx ann (inst : inst) : Compile.ctx =
   { Compile.resolve_ref = (fun path -> resolve_ref ctx ann inst path);
     call = (fun name args -> call_function ctx ann inst name args) }
 
-(* Resolve slot [i] of the rule's pre-resolution table: static references go
-   through the regular resolver once per (generation, evaluation source) and
-   are served from the cache afterwards. A registry write bumps the
-   generation, so stale statistics are never served (paper §4.3: calibration
-   and historical feedback must show up in the next estimate). *)
-and vm_ctx ctx ann (inst : inst) : Vm.ctx =
-  (* allocated once per instance, repinned once per estimation pass: the
-     slot column is fetched under the current generation, and the
-     dynamic-reference memo is dropped if the generation moved since it was
-     filled. Within a generation each distinct non-volatile path resolves
-     once per instance, since resolution is deterministic there (bindings
-     fixed, derived statistics and child cost variables memoized, and
-     anything assignment-dependent is classified volatile and never
-     memoized), where the closure backend re-resolves every occurrence.
-     Failed resolutions are not memoized. The callbacks reach the pass
-     state through [inst.vmpass], so repinning allocates nothing. *)
-  let pin () =
-    let slots = inst.rule.Rule.slots in
-    inst.vmpass <- Some ctx;
-    if Vm.slot_count slots = 0 then Vm.empty_bank
-    else
-      Vm.slot_cache slots ~shard:ctx.shard
-        ~generation:(Registry.generation ctx.registry)
-        ~source:ann.source
-  in
-  match inst.vmcache with
-  | Some vc ->
-    (match inst.vmpass with
-     | Some c0 when c0 == ctx -> vc
-     | _ ->
-       vc.Vm.bank <- pin ();
-       let gen = Registry.generation ctx.registry in
-       if inst.vmgen <> gen then begin
-         Vm.clear_bank vc.Vm.dmemo;
-         inst.vmgen <- gen
-       end;
-       vc)
-  | None ->
-    let slots = inst.rule.Rule.slots in
-    let cur () =
-      match inst.vmpass with Some c -> c | None -> assert false
-    in
-    let vc =
-      { Vm.bank = pin ();
-        dmemo =
-          (let n = Vm.dyn_count slots in
-           if n = 0 then Vm.empty_bank else Vm.new_bank n);
-        slots;
-        resolve = (fun path -> resolve_ref (cur ()) ann inst path);
-        call = (fun name args -> call_function (cur ()) ann inst name args) }
-    in
-    inst.vmgen <- Registry.generation ctx.registry;
-    inst.vmcache <- Some vc;
-    vc
-
 (* --- Public API ----------------------------------------------------------- *)
 
 (* Estimate a plan: returns the annotated tree with at least [require]d
    variables computed at the root. [source] sets the rule-lookup context of
    the root (default: the mediator; pass a wrapper name to estimate a subplan
    as the wrapper executes it). *)
-let estimate ?abort_above ?evals ?memo ?shard
-    ?(require_vars = Ast.all_cost_vars)
+let estimate ?abort_above ?evals ?memo ?(require_vars = Ast.all_cost_vars)
     ?(source = Registry.mediator_source) registry plan =
-  let ctx = make_ctx ?abort_above ?evals ?shard registry in
+  let ctx = make_ctx ?abort_above ?evals registry in
   let ann = build ?memo registry ~source plan in
   List.iter (fun v -> ignore (require ctx ann v)) require_vars;
   ann
@@ -581,5 +501,3 @@ let report ann =
   in
   go 0 ann;
   Buffer.contents buf
-
-let _ = huge (* referenced by documentation; keeps the sentinel close by *)

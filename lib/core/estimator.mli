@@ -29,10 +29,6 @@ type ctx = {
   registry : Registry.t;
   abort_above : float option;
   evals : int ref;  (** number of formula evaluations performed *)
-  shard : int;
-      (** VM slot-cache shard this pass resolves through
-          ({!Disco_costlang.Vm.slot_cache}); the domain-pool slot when
-          estimating in parallel, [0] on the sequential path *)
 }
 
 type ann = {
@@ -55,20 +51,9 @@ and inst = {
   bindings : Rule.bindings;
   values : (string, Value.t) Hashtbl.t;
   mutable next_assign : int;
-  mutable vmcache : Vm.ctx option;
-      (** bytecode evaluation context, allocated once per instance (carries
-          the per-instance dynamic-reference memo) *)
-  mutable vmpass : ctx option;
-      (** the estimation pass [vmcache] is pinned to; a new pass repins the
-          slot column without allocating *)
-  mutable vmgen : int;
-      (** registry generation the dynamic-reference memo was filled under;
-          the memo is dropped only when the generation moves, like the slot
-          banks *)
 }
 
-val make_ctx :
-  ?abort_above:float -> ?evals:int ref -> ?shard:int -> Registry.t -> ctx
+val make_ctx : ?abort_above:float -> ?evals:int ref -> Registry.t -> ctx
 
 type memo
 (** A per-optimization memo of annotated subtrees, keyed on the rule-context
@@ -101,7 +86,6 @@ val estimate :
   ?abort_above:float ->
   ?evals:int ref ->
   ?memo:memo ->
-  ?shard:int ->
   ?require_vars:Ast.cost_var list ->
   ?source:string ->
   Registry.t ->
@@ -110,10 +94,8 @@ val estimate :
 (** Annotate and compute the [require_vars] (default: all five) at the root.
     [source] defaults to the mediator; pass a wrapper name to estimate a
     subplan as the wrapper executes it. [memo] shares subtree annotations
-    across calls (see {!memo}). [shard] (default [0]) selects the VM
-    slot-cache shard; parallel estimation passes its pool slot so shared
-    rule slot tables are never written from two domains. A [memo] must not
-    be shared across shards — give each domain its own. *)
+    across calls (see {!memo}). A [memo] is mutated by every call that
+    uses it, so parallel estimation gives each domain its own. *)
 
 val var : ann -> Ast.cost_var -> float option
 (** A computed variable, if it has been demanded. *)

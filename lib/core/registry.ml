@@ -16,12 +16,6 @@ open Disco_costlang
 let default_source = "default"
 let mediator_source = "mediator"
 
-(* Which formula backend newly registered rules compile to. [Bytecode] is
-   the default: the optimizer pass ([Opt]) plus the flat VM ([Vm]) with
-   slot pre-resolution. [Closure] keeps the original closure-tree backend
-   ([Compile]) as the differential reference. *)
-type backend = Closure | Bytecode
-
 type source_entry = {
   mutable lets : (string * Compile.compiled) list;  (* declaration order *)
   let_cache : (string, Value.t) Hashtbl.t;
@@ -32,7 +26,6 @@ type source_entry = {
 
 type t = {
   catalog : Catalog.t;
-  backend : backend;
   sources : (string, source_entry) Hashtbl.t;
   merged : (string * string, Rule.t list) Hashtbl.t;  (* (source, operator) *)
   (* per-call cost and selectivity of ADT operations (paper §7), exported by
@@ -64,9 +57,8 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?(backend = Bytecode) catalog =
+let create catalog =
   { catalog;
-    backend;
     sources = Hashtbl.create 16;
     merged = Hashtbl.create 64;
     adt_costs = Hashtbl.create 8;
@@ -213,45 +205,9 @@ let lookup_def_or_default t ~source name =
 
 (* --- Registration -------------------------------------------------------- *)
 
-(* Compile a rule body under the registry's backend. For [Bytecode] each
-   formula runs through the registration-time pipeline (def inlining,
-   folding, simplification — [Opt.pipeline]) and compiles to a [Vm.program];
-   references whose first segment cannot be a head variable, a cost variable
-   or another body target — and whose later segments are not head variables —
-   become pre-resolvable slots shared across the body.
-
-   Only the rule's own source's defs are inlined: they are registered and
-   cleared together with its rules, so the baked-in body can never go stale.
-   Calls to default-model defs (and non-inlinable calls) keep the runtime
-   [apply_def] path, exactly like the closure backend. *)
-let compile_body t ~source ~(head : Ast.head option)
-    (body : (Ast.target * Ast.expr) list) : (Ast.target * Rule.code) list * Vm.slots =
-  match t.backend with
-  | Closure ->
-    ( List.map (fun (tgt, e) -> (tgt, Rule.Closure (Compile.compile e))) body,
-      Vm.empty_slots () )
-  | Bytecode ->
-    let head_vars = match head with Some h -> Ast.head_var_names h | None -> [] in
-    let targets = List.map (fun (tgt, _) -> Ast.target_name tgt) body in
-    let head_var x = List.mem x head_vars in
-    let volatile_first x =
-      Option.is_some (Ast.cost_var_of_name x) || List.mem x targets
-    in
-    let dynamic_first x = head_var x || volatile_first x in
-    let lookup name =
-      Option.map
-        (fun (d : Compile.def) -> (d.Compile.params, d.Compile.def_ast))
-        (lookup_def t ~source name)
-    in
-    let b = Vm.new_builder () in
-    let body =
-      List.map
-        (fun (tgt, e) ->
-          let e = Opt.pipeline ~lookup e in
-          (tgt, Rule.Prog (Vm.compile b ~dynamic_first ~volatile_first ~head_var e)))
-        body
-    in
-    (body, Vm.finish b)
+(* Compile a rule body: each formula becomes a closure tree once, here
+   (paper §2.4); estimation only runs the closures. *)
+let compile_body body = List.map (fun (tgt, e) -> (tgt, Compile.compile e)) body
 
 let fresh_ids t =
   let id = t.next_id and order = t.next_order in
@@ -279,14 +235,12 @@ let add_rule ?interface_of ?scope_override t ~source (r : Ast.rule) =
     List.fold_left (fun acc n -> max acc (depth_of n)) 0 named
   in
   let c0, c1, c2, c3 = Rule.specificity_of_head r.Ast.head in
-  let body, slots = compile_body t ~source ~head:(Some r.Ast.head) r.Ast.body in
   let compiled =
     { Rule.id;
       scope;
       source;
       kind = Rule.Pattern r.Ast.head;
-      body;
-      slots;
+      body = compile_body r.Ast.body;
       provides = Ast.rule_provides r;
       specificity = (c0 + depth, c1, c2, c3);
       order;
@@ -301,17 +255,12 @@ let add_rule ?interface_of ?scope_override t ~source (r : Ast.rule) =
 let add_query_rule t ~source (plan : Disco_algebra.Plan.t)
     (vars : (Ast.cost_var * float) list) =
   let id, order = fresh_ids t in
-  let body, slots =
-    compile_body t ~source ~head:None
-      (List.map (fun (v, x) -> (Ast.Cost v, Ast.Num x)) vars)
-  in
   let compiled =
     { Rule.id;
       scope = Scope.Query;
       source;
       kind = Rule.Exact plan;
-      body;
-      slots;
+      body = compile_body (List.map (fun (v, x) -> (Ast.Cost v, Ast.Num x)) vars);
       provides = List.map fst vars;
       specificity = (max_int, 0, 0, 0);
       order;
@@ -535,7 +484,5 @@ let set_adjust t ~source f =
   (entry t source).adjust <- f;
   bump t
 let adjust t ~source = (entry t source).adjust
-
-let backend t = t.backend
 
 let catalog t = t.catalog

@@ -18,17 +18,9 @@ val mediator_source : string
 (** ["mediator"]: the pseudo-source owning local-scope rules; also the rule
     context of plan nodes outside any [submit]. *)
 
-(** Which formula backend newly registered rules compile to. [Bytecode]
-    (the default) runs the registration-time optimizer ({!Opt}) and the
-    flat VM ({!Vm}) with slot pre-resolution; [Closure] keeps the original
-    closure-tree backend ({!Compile}) as the differential reference. *)
-type backend = Closure | Bytecode
-
 type t
 
-val create : ?backend:backend -> Catalog.t -> t
-
-val backend : t -> backend
+val create : Catalog.t -> t
 
 val catalog : t -> Catalog.t
 
@@ -44,9 +36,8 @@ val invalidate : t -> unit
 (** Drop the merged-rule cache and bump the generation without changing any
     registered content. The feedback loop uses it when drift detection
     decides that accumulated statistics corrections must reach cached plans
-    ({!Plancache} entries and VM slot caches validate against the
-    generation). Safe to call concurrently with estimation (short-lock
-    discipline). *)
+    ({!Plancache} entries validate against the generation). Safe to call
+    concurrently with estimation (short-lock discipline). *)
 
 (** {1 Statistics resolution helpers (shared with the estimator)} *)
 

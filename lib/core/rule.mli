@@ -28,19 +28,13 @@ type kind =
   | Pattern of Ast.head
   | Exact of Plan.t  (** query-scope rules match one subplan structurally *)
 
-(** A compiled formula: bytecode ({!Vm}) on the fast path, or the closure
-    reference backend when the registry runs with the closure flag. *)
-type code =
-  | Closure of Compile.compiled
-  | Prog of Vm.program
-
 type t = {
   id : int;
   scope : Scope.t;
   source : string;  (** owning source; ["default"] for the generic model *)
   kind : kind;
-  body : (Ast.target * code) list;
-  slots : Vm.slots;  (** pre-resolvable references shared by the body *)
+  body : (Ast.target * Compile.compiled) list;
+      (** each formula compiled to closures once, at registration *)
   provides : Ast.cost_var list;
   specificity : int * int * int * int;
       (** literal positions: (collections, attributes, constants,

@@ -50,8 +50,7 @@ let eval_num (c : compiled) ctx = Value.to_num (c ctx)
 
 (* A wrapper-defined function ([def f(x, y) = ...]): compiled once; at call
    time the parameters shadow the ambient reference resolution. The source
-   AST is kept so the bytecode backend can inline non-recursive defs at rule
-   registration ([Opt.inline_defs]). *)
+   AST is kept for the static analyzer's abstract interpreter. *)
 type def = { params : string list; body : compiled; def_ast : Ast.expr }
 
 let compile_def ~params body = { params; body = compile body; def_ast = body }
@@ -72,14 +71,3 @@ let apply_def (d : def) (ctx : ctx) (args : Value.t list) : Value.t =
           | _ -> ctx.resolve_ref path) }
   in
   d.body inner
-
-(* Static analysis: which references does a formula make? Used by the
-   estimator's phase 1 to propagate required-variable lists to children
-   (paper §4.2, optimization (i)/(ii)). *)
-let rec refs (e : Ast.expr) : string list list =
-  match e with
-  | Ast.Num _ | Ast.Str _ -> []
-  | Ast.Ref p -> [ p ]
-  | Ast.Neg e -> refs e
-  | Ast.Binop (_, a, b) -> refs a @ refs b
-  | Ast.Call (_, args) -> List.concat_map refs args

@@ -23,8 +23,8 @@ val eval_num : compiled -> ctx -> float
 (** Evaluate and coerce to a number. *)
 
 (** A wrapper-defined function ([def f(x, y) = ...]). [def_ast] is the
-    source of [body], kept for registration-time inlining
-    ({!Opt.inline_defs}). *)
+    source of [body], kept for the static analyzer's abstract interpreter,
+    which evaluates calls through it. *)
 type def = { params : string list; body : compiled; def_ast : Ast.expr }
 
 val compile_def : params:string list -> Ast.expr -> def
@@ -32,7 +32,3 @@ val compile_def : params:string list -> Ast.expr -> def
 val apply_def : def -> ctx -> Value.t list -> Value.t
 (** Call a def; the parameters shadow the ambient reference resolution.
     @raise Disco_common.Err.Eval_error on arity mismatch. *)
-
-val refs : Ast.expr -> string list list
-(** Static analysis: the reference paths a formula makes. Used to propagate
-    required-variable lists to children (the optimizations of paper §4.2). *)

@@ -11,12 +11,6 @@ type t =
   | Vname of string      (* an attribute or collection name bound in a head *)
   | Vpred of Pred.t      (* a predicate bound to a predicate variable *)
 
-let pp ppf = function
-  | Vnum f -> Fmt.float ppf f
-  | Vconst c -> Constant.pp ppf c
-  | Vname s -> Fmt.string ppf s
-  | Vpred p -> Pred.pp ppf p
-
 let to_num = function
   | Vnum f -> f
   | Vconst c ->

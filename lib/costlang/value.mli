@@ -11,8 +11,6 @@ type t =
   | Vname of string  (** an attribute or collection name bound in a head *)
   | Vpred of Pred.t  (** a predicate bound to a predicate variable *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_num : t -> float
 (** Numeric view; booleans coerce to 0/1.
     @raise Disco_common.Err.Eval_error for names, predicates and non-numeric

@@ -105,14 +105,14 @@ let refresh_histograms t ~source =
   | Some w when stats_on t -> harvest_wrapper t w
   | _ -> ()
 
-let create ?backend ?calibration ?(history_mode = History.Off) ?(cache = true)
+let create ?calibration ?(history_mode = History.Off) ?(cache = true)
     ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off)
     ?(enum_mode = Optimizer.Auto) () =
   let domains =
     match domains with Some d -> max 1 (min d Pool.max_domains) | None -> Pool.env_domains ()
   in
   let catalog = Catalog.create () in
-  let registry = Registry.create ?backend catalog in
+  let registry = Registry.create catalog in
   Generic.register ?calibration registry;
   (* Admission gate of the plan cache: structural well-formedness only
      (Plancheck), placement-agnostic — optimizer DP candidates include
@@ -571,12 +571,11 @@ let cached_estimate t ~var (plan : Plan.t) : float =
        Plancache.add c t.registry ~objective:var plan cost;
        cost)
 
-(* Parse, resolve and optimize a query — including the push-vs-defer choice
-   for expensive predicates; returns the decorated plan and its estimated
-   TotalTime. *)
-let best_plan ?(objective = Optimizer.Total_time) t (text : string) : Plan.t * float =
-  let q = Sql.parse text in
-  let r = resolve t q in
+(* Optimize a resolved query — including the push-vs-defer choice for
+   expensive predicates; returns the decorated plan and its estimated
+   TotalTime. Source availability is read per call, so a replan sees the
+   breaker state the failed attempt left behind. *)
+let best_plan ?(objective = Optimizer.Total_time) t (r : resolved) : Plan.t * float =
   let available, release_probes = availability t in
   match
     check_sources_available ~available t r;
@@ -603,7 +602,7 @@ let best_plan ?(objective = Optimizer.Total_time) t (text : string) : Plan.t * f
     release_probes ();
     raise e
 
-let plan_query ?objective t text = best_plan ?objective t text
+let plan_query ?objective t text = best_plan ?objective t (resolve t (Sql.parse text))
 
 (* --- Execution ------------------------------------------------------------------ *)
 
@@ -910,11 +909,11 @@ let verify_plan ?deep t plan = verify_chosen ?deep t plan
 
 let run_query ?objective ?(max_replans = 2) ?(verify = false) t (text : string)
     : answer =
-  let q = Sql.parse text in
-  let r = resolve t q in
+  (* resolution reads only the catalog, so every replan reuses it *)
+  let r = resolve t (Sql.parse text) in
   let rec go replans failures =
     match
-      let plan, _ = best_plan ?objective t text in
+      let plan, _ = best_plan ?objective t r in
       let estimate = Estimator.estimate t.registry plan in
       (if verify then
          let gen = Registry.generation t.registry in

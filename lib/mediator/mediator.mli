@@ -27,18 +27,16 @@ type t
 type stats_mode = Stats_off | Stats_feedback of History.feedback
 
 val create :
-  ?backend:Registry.backend -> ?calibration:Generic.calibration ->
-  ?history_mode:History.mode -> ?cache:bool -> ?policy:Health.policy ->
-  ?lint:[ `Error | `Warn | `Off ] -> ?domains:int -> ?stats_mode:stats_mode ->
-  ?enum_mode:Optimizer.enum_mode -> unit -> t
-(** A fresh mediator with its generic cost model installed. [backend]
-    selects the formula backend (bytecode by default; [Registry.Closure] is
-    the differential reference). [cache] (default on) enables the
-    cross-query plan/cost cache; disabling it is the reference behavior the
-    differential tests compare against. [policy] sets the submit policy —
-    per-source timeout, retry budget, backoff, circuit breaker
-    ({!Health.default_policy} when omitted). [lint] is the strict-mode
-    contract for registration-time static analysis
+  ?calibration:Generic.calibration -> ?history_mode:History.mode ->
+  ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
+  ?domains:int -> ?stats_mode:stats_mode -> ?enum_mode:Optimizer.enum_mode ->
+  unit -> t
+(** A fresh mediator with its generic cost model installed. [cache] (default
+    on) enables the cross-query plan/cost cache; disabling it is the
+    reference behavior the differential tests compare against. [policy] sets
+    the submit policy — per-source timeout, retry budget, backoff, circuit
+    breaker ({!Health.default_policy} when omitted). [lint] is the
+    strict-mode contract for registration-time static analysis
     ({!Disco_analysis.Analyzer}): [`Error] rejects (and rolls back) an
     export whose lint has error-severity findings, [`Warn] (the default)
     logs findings and keeps them inspectable via {!last_lint}, [`Off]
@@ -238,7 +236,9 @@ val run_query :
     to [max_replans], default 2) against the sources still healthy; when
     recovery is impossible the accumulated failures surface as {!Degraded}.
     A query needing an already-open source raises
-    [Disco_common.Err.Source_unavailable] directly. With [~verify:true]
+    [Disco_common.Err.Source_unavailable] directly. The text is parsed and
+    resolved once; every replan re-reads source availability and
+    re-optimizes that resolved query. With [~verify:true]
     (default false) the chosen plan is verified — reusing the answer's own
     estimation tree, so no second estimation pass — and {!Invalid_plan}
     raised before any execution. *)

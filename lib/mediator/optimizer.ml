@@ -327,7 +327,7 @@ let objective_var = function
    have aborted — callers compare against the best so far either way, so the
    selected plan is identical; only the abort counter differs. Aborted
    estimates are never cached. *)
-let cost_of ?bound ?(objective = Total_time) ?memo ?cache ?shard registry
+let cost_of ?bound ?(objective = Total_time) ?memo ?cache registry
     (stats : stats) (plan : Plan.t) : float option =
   stats.plans_considered <- stats.plans_considered + 1;
   let var = objective_var objective in
@@ -344,8 +344,8 @@ let cost_of ?bound ?(objective = Total_time) ?memo ?cache ?shard registry
     let result =
       try
         let ann =
-          Estimator.estimate ?abort_above:bound ~evals ?memo ?shard
-            ~require_vars:[ var ] registry plan
+          Estimator.estimate ?abort_above:bound ~evals ?memo ~require_vars:[ var ]
+            registry plan
         in
         Some (Option.get (Estimator.var ann var))
       with Estimator.Aborted ->
@@ -363,23 +363,23 @@ module Pool = Disco_parallel.Pool
 (* Pick the cheapest plan from an explicit list, optionally with
    branch-and-bound pruning. With [domains > 1] the list is split into
    contiguous chunks costed concurrently — each slot with its own memo,
-   stats and prune bound, shard-isolated in the VM — and the chunk winners
-   are reduced in chunk order under the same [c <= cost] keep-the-earlier
-   tie-break the sequential fold applies, so the chosen plan and cost are
-   bit-identical at any domain count. (With pruning on, [plans_aborted] may
-   differ across domain counts: chunk-local bounds abort differently. The
-   winner cannot change — an aborted plan's cost exceeds its chunk bound,
-   which some already-kept plan achieved.) *)
+   stats and prune bound — and the chunk winners are reduced in chunk order
+   under the same [c <= cost] keep-the-earlier tie-break the sequential fold
+   applies, so the chosen plan and cost are bit-identical at any domain
+   count. (With pruning on, [plans_aborted] may differ across domain counts:
+   chunk-local bounds abort differently. The winner cannot change — an
+   aborted plan's cost exceeds its chunk bound, which some already-kept plan
+   achieved.) *)
 let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache
     ?(domains = 1) registry ?stats (plans : Plan.t list) :
     (Plan.t * float) option =
   let caller_stats = stats in
-  let best_of ?memo ~shard stats plans =
+  let best_of ?memo stats plans =
     List.fold_left
       (fun best plan ->
         let bound = if prune then Option.map snd best else None in
         match
-          cost_of ?bound ~objective ?memo ?cache ~shard registry stats plan
+          cost_of ?bound ~objective ?memo ?cache registry stats plan
         with
         | None -> best
         | Some cost ->
@@ -397,7 +397,7 @@ let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache
   in
   if Pool.degree pool <= 1 then
     let stats = match caller_stats with Some s -> s | None -> new_stats () in
-    best_of ?memo ~shard:0 stats plans
+    best_of ?memo stats plans
   else begin
     let chunks = Pool.chunk (Pool.degree pool) plans in
     let nchunks = Array.length chunks in
@@ -410,8 +410,7 @@ let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache
     let results =
       Pool.run pool
         (fun slot ->
-          best_of ?memo:memos.(slot) ~shard:slot slot_stats.(slot)
-            chunks.(slot))
+          best_of ?memo:memos.(slot) slot_stats.(slot) chunks.(slot))
         nchunks
     in
     for s = 1 to nchunks - 1 do
@@ -539,16 +538,15 @@ let no_plan_error (spec : spec) ~available : 'a =
    its splits read only strictly-smaller keys, and all its candidates land
    on its own key — so each size is a fork/join round: subsets are chunked
    contiguously across domains, every slot accumulates its subsets' entry
-   lists locally (shard-isolated cost evaluation: own memo, own stats, own
-   VM slot-cache shard), and the main domain installs the lists into the
-   shared table at the barrier, in enumeration order. Costs are
-   value-deterministic whatever slot computes them, so every comparison —
-   the per-site [old_cost <= c_cost] keep-the-incumbent rule and the final
-   [b <= cst] fold — resolves identically at any domain count, and the
-   chosen plan, its cost, the DP table and [plans_considered] are
-   bit-identical to the sequential run. Only [formula_evals] is
-   configuration-dependent (per-slot memos change what is recomputed, never
-   any value), exactly as PR 1's cache caveat.
+   lists locally (isolated cost evaluation: own memo, own stats), and the
+   main domain installs the lists into the shared table at the barrier, in
+   enumeration order. Costs are value-deterministic whatever slot computes
+   them, so every comparison — the per-site [old_cost <= c_cost]
+   keep-the-incumbent rule and the final [b <= cst] fold — resolves
+   identically at any domain count, and the chosen plan, its cost, the DP
+   table and [plans_considered] are bit-identical to the sequential run.
+   Only [formula_evals] is configuration-dependent (per-slot memos change
+   what is recomputed, never any value), exactly as PR 1's cache caveat.
 
    The same argument makes [Dpccp] bit-identical to [Dp]: the subset DP only
    ever costs a split whose two sides both have table entries (i.e. are
@@ -585,8 +583,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
    | _ -> ());
   let cost ~slot plan =
     match
-      cost_of ~objective ?memo:memos.(slot) ?cache ~shard:slot registry
-        slot_stats.(slot) plan
+      cost_of ~objective ?memo:memos.(slot) ?cache registry slot_stats.(slot) plan
     with
     | Some c -> c
     | None -> infinity

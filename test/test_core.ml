@@ -12,9 +12,9 @@ open Disco_core
 let emp = { Plan.source = "src"; collection = "Employee"; binding = "e" }
 let mgr = { Plan.source = "src"; collection = "Manager"; binding = "m" }
 
-let base_registry ?backend ?(extra = "") () =
+let base_registry ?(extra = "") () =
   let catalog = Disco_catalog.Catalog.create () in
-  let registry = Registry.create ?backend catalog in
+  let registry = Registry.create catalog in
   Generic.register registry;
   let text =
     Fmt.str
@@ -313,21 +313,17 @@ let test_min_combining_same_level () =
 let test_min_combining_prefers_finite_over_nan () =
   (* regression: the fold compared with [<], under which NaN is never less
      and never greater — a NaN first candidate (here ln(0) * 0) used to
-     survive over a later finite same-level rule. Checked on both formula
-     backends. *)
-  List.iter
-    (fun backend ->
-      let registry =
-        base_registry ~backend
-          ~extra:
-            {| rule scan(C) { TotalTime = ln(0) * 0; }
-               rule scan(C) { TotalTime = 300; } |}
-          ()
-      in
-      let t = total ~source:"src" registry scan_emp in
-      Alcotest.(check bool) "not NaN" false (Float.is_nan t);
-      Alcotest.(check (float 0.)) "finite candidate wins" 300. t)
-    [ Registry.Closure; Registry.Bytecode ]
+     survive over a later finite same-level rule. *)
+  let registry =
+    base_registry
+      ~extra:
+        {| rule scan(C) { TotalTime = ln(0) * 0; }
+           rule scan(C) { TotalTime = 300; } |}
+      ()
+  in
+  let t = total ~source:"src" registry scan_emp in
+  Alcotest.(check bool) "not NaN" false (Float.is_nan t);
+  Alcotest.(check (float 0.)) "finite candidate wins" 300. t
 
 let test_first_rule_wins_tie_via_order () =
   (* min-combining makes value ties harmless; check both are evaluated by
@@ -998,6 +994,70 @@ let test_feedback_second_pass_cheaper () =
   Alcotest.(check bool) "both passes return the same answer" true
     (rows1 = rows2 && rows1 <> [])
 
+(* --- Invalidation: model writes reach the next estimate ------------------------
+
+   Rules compile once, at registration, and resolve what they reference —
+   generic coefficients, catalog statistics, adjustment factors — each time
+   they run, so a model write must show up in the very next estimate (paper
+   §4.3). *)
+
+let test_calibration_update_reaches_estimates () =
+  (* the wrapper rule reads the generic coefficient IO; re-registering the
+     generic model with a new calibration leaves the wrapper rule as it was
+     compiled *)
+  let registry = base_registry ~extra:"rule scan(C) { TotalTime = IO * 10; }" () in
+  Alcotest.(check (float 0.)) "initial coefficient" 250.
+    (total ~source:"src" registry scan_emp);
+  let gen0 = Registry.generation registry in
+  Generic.register
+    ~calibration:{ Generic.default_calibration with Generic.io_ms = 100. }
+    registry;
+  Alcotest.(check bool) "re-registration bumps the generation" true
+    (Registry.generation registry > gen0);
+  Alcotest.(check (float 0.)) "next estimate sees the new coefficient" 1000.
+    (total ~source:"src" registry scan_emp)
+
+let test_statistics_update_reaches_estimates () =
+  (* re-registering the source replaces its extent statistics *)
+  let registry = base_registry () in
+  let register count =
+    ignore
+      (Registry.register_text registry ~what:"src"
+         (Fmt.str
+            {| source src {
+                 interface Employee {
+                   attribute long id;
+                   cardinality extent(%d, 120000, 120);
+                 }
+                 rule scan(Employee) { TotalTime = Employee.CountObject / 10; }
+               } |}
+            count))
+  in
+  register 1000;
+  Alcotest.(check (float 0.)) "initial statistics" 100.
+    (total ~source:"src" registry scan_emp);
+  register 5000;
+  Alcotest.(check (float 0.)) "refreshed statistics" 500.
+    (total ~source:"src" registry scan_emp)
+
+let test_adjust_factor_reaches_estimates () =
+  (* the files source exports no rules: its submit estimate comes from the
+     generic rule, which reads the adjust(W) factor (paper §4.3.1) *)
+  let med = Med.create () in
+  List.iter (Med.register med)
+    (Disco_wrapper.Demo.make ~sizes:Disco_wrapper.Demo.small_sizes ());
+  let registry = Med.registry med in
+  let q = "select doc.doc_id from Document doc where doc.bytes > 50000" in
+  let _, cost0 = Med.plan_query med q in
+  Registry.set_adjust registry ~source:"files" 4.;
+  let _, cost1 = Med.plan_query med q in
+  Alcotest.(check bool) "adjustment factor raises the submit estimate" true
+    (cost1 > cost0);
+  Registry.set_adjust registry ~source:"files" 1.;
+  let _, cost2 = Med.plan_query med q in
+  Alcotest.(check bool) "factor reset restores the estimate bit for bit" true
+    (Int64.equal (Int64.bits_of_float cost2) (Int64.bits_of_float cost0))
+
 let () =
   Alcotest.run "core"
     [ ( "scope",
@@ -1054,6 +1114,13 @@ let () =
           Alcotest.test_case "TimeNext consistency" `Quick test_time_next_consistency;
           Alcotest.test_case "group cardinality" `Quick test_groupcard;
           Alcotest.test_case "report" `Quick test_report_smoke ] );
+      ( "invalidation",
+        [ Alcotest.test_case "calibration update" `Quick
+            test_calibration_update_reaches_estimates;
+          Alcotest.test_case "statistics update" `Quick
+            test_statistics_update_reaches_estimates;
+          Alcotest.test_case "history feedback" `Quick
+            test_adjust_factor_reaches_estimates ] );
       ( "derive",
         [ Alcotest.test_case "scan and select" `Quick test_derive_scan_and_select;
           Alcotest.test_case "range narrowing" `Quick test_derive_range_narrowing;

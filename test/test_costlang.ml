@@ -505,13 +505,6 @@ let test_defs () =
        false
      with Err.Eval_error _ -> true)
 
-let test_refs_analysis () =
-  let e = pexpr "C.TotalTime + max(C.CountObject, PageSize) * sel(P)" in
-  let refs = Compile.refs e in
-  Alcotest.(check int) "four refs" 4 (List.length refs);
-  Alcotest.(check bool) "contains child total" true (List.mem [ "C"; "TotalTime" ] refs);
-  Alcotest.(check bool) "contains P" true (List.mem [ "P" ] refs)
-
 let test_value_to_num () =
   Alcotest.(check (float 0.)) "const int" 3. (Value.to_num (Value.Vconst (Constant.Int 3)));
   Alcotest.(check bool) "string raises" true
@@ -570,5 +563,4 @@ let () =
           Alcotest.test_case "yao exact" `Quick test_yao_exact;
           QCheck_alcotest.to_alcotest prop_yao_monotone;
           Alcotest.test_case "wrapper-defined functions" `Quick test_defs;
-          Alcotest.test_case "refs analysis" `Quick test_refs_analysis;
           Alcotest.test_case "value conversions" `Quick test_value_to_num ] ) ]
