@@ -2,23 +2,25 @@
    (DESIGN.md §15).
 
    Chain / star / clique / random join graphs at 5..50 sources, optimized
-   by each enumeration engine where it is feasible:
+   by each engine where it is feasible:
 
-   - [Dp]    — the subset-size dynamic program (the pre-DPccp core), kept
-               as the differential baseline. Its work is exponential in the
-               relation count regardless of graph shape.
-   - [Dpccp] — connected-subgraph / complement enumeration: work
-               proportional to the number of csg–cmp pairs the graph
-               actually has (cubic on chains).
-   - [Greedy] — GOO with bounded DPccp window improvement; the engine
-               [Auto] hands over to above the threshold.
+   - [dpccp]  — connected-subgraph / complement enumeration: work
+                proportional to the number of csg–cmp pairs the graph
+                actually has (cubic on chains). The exact engine
+                [Optimizer.optimize] runs up to the threshold.
+   - [greedy] — GOO with bounded DPccp window improvement; the engine
+                [Optimizer.optimize] hands over to above the threshold.
+   - [oracle] — at 5 sources only: [choose ~prune:false] over every plan
+                [enumerate] produces.
 
    Assertions and gates:
-   - wherever Dp and Dpccp both run, the chosen plan, its cost, and the
-     [plans_considered]/[dp_entries] counters are bit-identical;
-   - at chain-12, Dp examines >= 10x more csg–cmp pairs than Dpccp (the
-     enumeration-work gate: cost evaluations are identical by construction,
-     the enumeration around them is what DPccp collapses);
+   - at 5 sources, on every shape, DPccp's cost equals the exhaustive
+     oracle's to the bit;
+   - at chain-12, DPccp generates exactly (n^3 - n)/6 = 286 csg–cmp pairs,
+     and at least 10x fewer than the (3^n - 2^(n+1) + 1)/2 = 261,625 splits
+     a DP over every alias subset examines (the enumeration-work gate: cost
+     evaluations are the same either way, the enumeration around them is
+     what DPccp collapses);
    - every sparse 50-source shape (chain/star/random) optimizes by greedy in
      under 100 ms; clique-50 in under 500 ms — its query carries n(n-1)/2 =
      1225 join predicates, so every one of its ~n^2/2 pair rankings is an
@@ -28,7 +30,6 @@
      whole-plan verification with zero errors;
    - chain-50 runs end to end through [Mediator.run_query]. *)
 
-open Disco_algebra
 open Disco_wrapper
 open Disco_mediator
 
@@ -44,15 +45,8 @@ let fed ~n ~rows =
 
 let spec_of med sql = (Mediator.resolve med (Disco_sql.Sql.parse sql)).Mediator.spec
 
-(* Feasibility caps per graph shape: the width up to which an engine's
-   enumeration stays tractable (Dp is ~3^n splits on any shape; Dpccp is
-   ~3^n pairs on cliques and stars but cubic on chains). *)
-let dp_cap = function
-  | Demo.Chain -> 14
-  | Demo.Star -> 12
-  | Demo.Clique -> 10
-  | Demo.Random_edges _ -> 10
-
+(* Feasibility caps per graph shape: the width up to which DPccp stays
+   tractable (~3^n pairs on cliques and stars, cubic on chains). *)
 let ccp_cap = function
   | Demo.Chain -> Optimizer.max_graph_width
   | Demo.Star -> 12
@@ -60,7 +54,6 @@ let ccp_cap = function
   | Demo.Random_edges _ -> 12
 
 type run = {
-  plan : Plan.t;
   cost : float;
   ms : float;
   considered : int;
@@ -68,28 +61,26 @@ type run = {
   entries : int;
 }
 
-let optimize_with ~enum med spec =
+let optimize_with (engine : Optimizer.engine) med spec =
   let stats = Optimizer.new_stats () in
-  let (plan, cost), ms =
-    time (fun () -> Optimizer.optimize ~enum ~stats (Mediator.registry med) spec)
+  let (_, cost), ms =
+    time (fun () -> engine ~stats (Mediator.registry med) spec)
   in
-  { plan; cost; ms;
+  { cost; ms;
     considered = stats.Optimizer.plans_considered;
     pairs = stats.Optimizer.csg_cmp_pairs;
     entries = stats.Optimizer.dp_entries }
 
-let assert_identical ~where (a : run) (b : run) =
-  if Plan.to_string a.plan <> Plan.to_string b.plan then
-    Fmt.failwith "joins: %s: Dp and Dpccp chose different plans" where;
-  if Int64.bits_of_float a.cost <> Int64.bits_of_float b.cost then
-    Fmt.failwith "joins: %s: Dp and Dpccp costs differ (%g vs %g)" where a.cost
-      b.cost;
-  if a.considered <> b.considered then
-    Fmt.failwith "joins: %s: plans_considered differ (%d vs %d)" where
-      a.considered b.considered;
-  if a.entries <> b.entries then
-    Fmt.failwith "joins: %s: dp_entries differ (%d vs %d)" where a.entries
-      b.entries
+(* The exhaustive oracle: the cheapest of every plan [enumerate] produces. *)
+let oracle med spec =
+  let stats = Optimizer.new_stats () in
+  let best, ms =
+    time (fun () ->
+        Optimizer.choose ~prune:false (Mediator.registry med) ~stats
+          (Optimizer.enumerate spec))
+  in
+  { cost = snd (Option.get best); ms;
+    considered = stats.Optimizer.plans_considered; pairs = 0; entries = 0 }
 
 let shapes n =
   [ ("chain", Demo.Chain);
@@ -112,26 +103,27 @@ let print ?(smoke = false) ?json_path () =
         (fun (shape_name, shape) ->
           let where = Fmt.str "%s-%d" shape_name n in
           let spec = spec_of med (Demo.synthetic_sql ~shape ~n ()) in
-          let run_engine name enum =
-            let r = optimize_with ~enum med spec in
+          let add_run name r =
             add_row
               [ where; name; Fmt.str "%.2f" r.ms; string_of_int r.considered;
                 string_of_int r.pairs; string_of_int r.entries;
                 Fmt.str "%.0f" r.cost ];
             r
           in
-          let dp =
-            if n <= dp_cap shape then Some (run_engine "dp" Optimizer.Dp)
-            else None
-          in
           let ccp =
-            if n <= ccp_cap shape then Some (run_engine "dpccp" Optimizer.Dpccp)
+            if n <= ccp_cap shape then
+              Some (add_run "dpccp" (optimize_with Optimizer.dpccp med spec))
             else None
           in
-          (match dp, ccp with
-           | Some a, Some b -> assert_identical ~where a b; incr identical
+          (match ccp with
+           | Some b when n = 5 ->
+             let o = add_run "oracle" (oracle med spec) in
+             if Int64.bits_of_float o.cost <> Int64.bits_of_float b.cost then
+               Fmt.failwith "joins: %s: dpccp cost %h, exhaustive oracle %h"
+                 where b.cost o.cost;
+             incr identical
            | _ -> ());
-          let greedy = run_engine "greedy" Optimizer.Greedy in
+          let greedy = add_run "greedy" (optimize_with Optimizer.greedy med spec) in
           (match ccp with
            | Some b when b.cost > 0. ->
              add_row
@@ -144,17 +136,27 @@ let print ?(smoke = false) ?json_path () =
   Util.table
     [ "graph"; "engine"; "ms"; "considered"; "csg-cmp"; "dp-entries"; "cost" ]
     (List.rev !table_rows);
-  Fmt.pr "  %d Dp/Dpccp identity checks passed@." !identical;
+  Fmt.pr "  %d dpccp = exhaustive oracle checks passed@." !identical;
+  if !identical <> 4 then
+    Fmt.failwith "joins: %d oracle checks ran, expected one per 5-source shape"
+      !identical;
 
-  (* --- gate: enumeration work at chain-12, Dp vs DPccp ------------------- *)
-  let med12 = fed ~n:12 ~rows in
-  let spec12 = spec_of med12 (Demo.synthetic_sql ~shape:Demo.Chain ~n:12 ()) in
-  let dp12 = optimize_with ~enum:Optimizer.Dp med12 spec12 in
-  let ccp12 = optimize_with ~enum:Optimizer.Dpccp med12 spec12 in
-  assert_identical ~where:"chain-12 (gate)" dp12 ccp12;
-  let ratio = float_of_int dp12.pairs /. float_of_int (max ccp12.pairs 1) in
-  Fmt.pr "  chain-12 enumeration work: dp %d pairs, dpccp %d pairs (%.1fx)@."
-    dp12.pairs ccp12.pairs ratio;
+  (* --- gate: enumeration work at chain-12 ---------------------------------
+     A DP over every alias subset examines each of the 2^(k-1) - 1 splits of
+     each k-subset, (3^n - 2^(n+1) + 1)/2 in all; DPccp generates only the
+     connected pairs, (n^3 - n)/6 on a chain. *)
+  let n12 = 12 in
+  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+  let dp12_pairs = (pow 3 n12 - pow 2 (n12 + 1) + 1) / 2 in
+  let med12 = fed ~n:n12 ~rows in
+  let spec12 = spec_of med12 (Demo.synthetic_sql ~shape:Demo.Chain ~n:n12 ()) in
+  let ccp12 = optimize_with Optimizer.dpccp med12 spec12 in
+  if ccp12.pairs <> ((n12 * n12 * n12) - n12) / 6 then
+    Fmt.failwith "joins: chain-12 dpccp generated %d pairs, expected (n^3 - n)/6 = %d"
+      ccp12.pairs (((n12 * n12 * n12) - n12) / 6);
+  let ratio = float_of_int dp12_pairs /. float_of_int (max ccp12.pairs 1) in
+  Fmt.pr "  chain-12 enumeration work: subset DP %d splits, dpccp %d pairs (%.1fx)@."
+    dp12_pairs ccp12.pairs ratio;
   if ratio < 10. then
     Fmt.failwith
       "joins: chain-12 enumeration-work ratio %.1fx below the 10x gate" ratio;
@@ -200,7 +202,7 @@ let print ?(smoke = false) ?json_path () =
   Util.bench_json ?json_path ~bench:"joins" ~domains:(Mediator.domains e2e_med)
     [ Fmt.str {|"rows_per_relation":%d|} rows;
       Fmt.str {|"identity_checks":%d|} !identical;
-      Fmt.str {|"chain12_dp_pairs":%d|} dp12.pairs;
+      Fmt.str {|"chain12_dp_pairs":%d|} dp12_pairs;
       Fmt.str {|"chain12_dpccp_pairs":%d|} ccp12.pairs;
       Fmt.str {|"chain12_pair_ratio":%.2f|} ratio;
       Fmt.str {|"greedy50_chain_ms":%.3f|}

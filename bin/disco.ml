@@ -620,9 +620,8 @@ let metrics_cmd =
           Fmt.pr "stats     generation %d  history records %d  tenants %d@."
             (iget "generation" st) (iget "history_records" st) (iget "tenants" st);
           let opt = Option.value ~default:Json.Null (Json.member "optimizer" m) in
-          Fmt.pr "optimizer %s (threshold %d)  plans %d  aborted %d  csg-cmp \
+          Fmt.pr "optimizer threshold %d  plans %d  aborted %d  csg-cmp \
                   pairs %d  dp entries %d@."
-            (Option.value ~default:"?" (Json.string_member "enum_mode" opt))
             (iget "enum_threshold" opt) (iget "plans_considered" opt)
             (iget "plans_aborted" opt) (iget "csg_cmp_pairs" opt)
             (iget "dp_entries" opt);

@@ -72,15 +72,9 @@ module Memo_tbl = Hashtbl.Make (struct
   let hash (s, p) = (Hashtbl.hash s * 31) + Plan.hash p
 end)
 
-type memo = {
-  table : ann Memo_tbl.t;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
-}
+type memo = ann Memo_tbl.t
 
-let new_memo () = { table = Memo_tbl.create 128; memo_hits = 0; memo_misses = 0 }
-
-let memo_counters m = (m.memo_hits, m.memo_misses)
+let new_memo () = Memo_tbl.create 128
 
 let node_source ~inherited (node : Plan.t) =
   match node with
@@ -118,14 +112,11 @@ let rec build ?memo registry ~source (node : Plan.t) : ann =
   | None -> construct ()
   | Some m ->
     let key = (source, node) in
-    (match Memo_tbl.find_opt m.table key with
-     | Some ann ->
-       m.memo_hits <- m.memo_hits + 1;
-       ann
+    (match Memo_tbl.find_opt m key with
+     | Some ann -> ann
      | None ->
-       m.memo_misses <- m.memo_misses + 1;
        let ann = construct () in
-       Memo_tbl.add m.table key ann;
+       Memo_tbl.add m key ann;
        ann)
 
 let input_stats ann =

@@ -67,9 +67,6 @@ type memo
 
 val new_memo : unit -> memo
 
-val memo_counters : memo -> int * int
-(** [(subtree hits, subtree misses)] since creation. *)
-
 val build : ?memo:memo -> Registry.t -> source:string -> Plan.t -> ann
 (** Annotate a plan without computing anything; [source] is the rule context
     of the root (nodes under [Submit] switch to the submitted source, scans

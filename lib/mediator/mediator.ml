@@ -62,9 +62,6 @@ type t = {
      estimator then never sees a histogram or a selectivity correction and
      every estimate is bit-identical to a mediator without the subsystem. *)
   stats_mode : stats_mode;
-  (* join-enumeration engine (DESIGN.md §15): auto hands exact DPccp over
-     to the greedy path above [Optimizer.default_enum_threshold] relations *)
-  enum_mode : Optimizer.enum_mode;
   (* cumulative optimizer counters across every optimization this mediator
      ran; surfaced through the server's /metrics so plan-search cost is
      observable in production mode *)
@@ -106,8 +103,7 @@ let refresh_histograms t ~source =
   | _ -> ()
 
 let create ?calibration ?(history_mode = History.Off) ?(cache = true)
-    ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off)
-    ?(enum_mode = Optimizer.Auto) () =
+    ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off) () =
   let domains =
     match domains with Some d -> max 1 (min d Pool.max_domains) | None -> Pool.env_domains ()
   in
@@ -139,7 +135,6 @@ let create ?calibration ?(history_mode = History.Off) ?(cache = true)
       wrappers = [];
       domains;
       stats_mode;
-      enum_mode;
       opt_stats = Optimizer.new_stats () }
   in
   (match stats_mode with
@@ -178,7 +173,6 @@ let lint_mode t = t.lint
 let last_lint t = t.last_lint
 let domains t = t.domains
 let stats_mode t = t.stats_mode
-let enum_mode t = t.enum_mode
 
 (* A copy, so callers can't corrupt the accumulator. *)
 let optimizer_stats t =
@@ -530,7 +524,7 @@ let plan_of_variant ?objective ?available t (r : resolved) : Plan.t =
       fst
         (Optimizer.optimize ?objective ~memo:t.cache_enabled
            ?cache:(active_cache t) ~available ~domains:t.domains
-           ~stats:t.opt_stats ~enum:t.enum_mode t.registry r.spec)
+           ~stats:t.opt_stats t.registry r.spec)
   in
   decorate r joined
 
@@ -552,25 +546,6 @@ let check_sources_available ?available t (r : resolved) =
              { source = s; retry_at_ms = Health.retry_at t.health s }))
     r.spec.Optimizer.bases
 
-(* Estimate one variable of a complete plan through the cross-query cache
-   (when enabled). Cached and fresh paths return bit-identical values: the
-   cache stores exactly what the estimator computed, and the generation stamp
-   drops it as soon as the model changes. *)
-let cached_estimate t ~var (plan : Plan.t) : float =
-  let fresh () =
-    let ann = Estimator.estimate ~require_vars:[ var ] t.registry plan in
-    Option.get (Estimator.var ann var)
-  in
-  match active_cache t with
-  | None -> fresh ()
-  | Some c ->
-    (match Plancache.find c t.registry ~objective:var plan with
-     | Some cost -> cost
-     | None ->
-       let cost = fresh () in
-       Plancache.add c t.registry ~objective:var plan cost;
-       cost)
-
 (* Optimize a resolved query — including the push-vs-defer choice for
    expensive predicates; returns the decorated plan and its estimated
    TotalTime. Source availability is read per call, so a replan sees the
@@ -579,23 +554,23 @@ let best_plan ?(objective = Optimizer.Total_time) t (r : resolved) : Plan.t * fl
   let available, release_probes = availability t in
   match
     check_sources_available ~available t r;
-    let var =
-      match objective with
-      | Optimizer.Total_time -> Disco_costlang.Ast.Total_time
-      | Optimizer.First_tuple -> Disco_costlang.Ast.Time_first
-    in
-    let candidates =
-      List.map
-        (fun v ->
-          let plan = plan_of_variant ~objective ~available t v in
-          (plan, cached_estimate t ~var plan))
-        (variants r)
-    in
-    (candidates : (Plan.t * float) list)
+    List.map
+      (fun v ->
+        let plan = plan_of_variant ~objective ~available t v in
+        (* a fresh stats record: the whole-plan estimate is not plan
+           search, so [optimizer_stats] does not count it *)
+        let cost =
+          Optimizer.cost_of ~objective ?cache:(active_cache t) t.registry
+            (Optimizer.new_stats ()) plan
+        in
+        (plan, Option.get cost))
+      (variants r)
   with
   | [] -> raise (Err.Plan_error "no plan")
   | first :: rest ->
-    List.fold_left (fun best c -> if snd c < snd best then c else best) first rest
+    List.fold_left
+      (fun best c -> if Optimizer.cost_le (snd best) (snd c) then best else c)
+      first rest
   | exception e ->
     (* the query dies before any submit: give admitted half-open probes
        back so concurrent traffic can re-probe immediately *)

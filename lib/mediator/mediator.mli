@@ -29,8 +29,7 @@ type stats_mode = Stats_off | Stats_feedback of History.feedback
 val create :
   ?calibration:Generic.calibration -> ?history_mode:History.mode ->
   ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
-  ?domains:int -> ?stats_mode:stats_mode -> ?enum_mode:Optimizer.enum_mode ->
-  unit -> t
+  ?domains:int -> ?stats_mode:stats_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed. [cache] (default
     on) enables the cross-query plan/cost cache; disabling it is the
     reference behavior the differential tests compare against. [policy] sets
@@ -52,10 +51,6 @@ val domains : t -> int
 (** The domain-pool degree this mediator optimizes and executes with. *)
 
 val stats_mode : t -> stats_mode
-
-val enum_mode : t -> Optimizer.enum_mode
-(** The join-enumeration engine queries optimize with ([Auto] unless a
-    reference run set another with [create ~enum_mode]). *)
 
 val optimizer_stats : t -> Optimizer.stats
 (** A copy of the cumulative optimizer counters over every optimization this

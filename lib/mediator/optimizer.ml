@@ -5,25 +5,20 @@
    under the blended cost model.
 
    [enumerate] exhaustively generates complete plans (used by the validation
-   benches, in particular the branch-and-bound ablation of §4.3.2);
-   [optimize] is the DP used during normal query processing. It has three
-   engines behind one interface (see DESIGN.md §15):
+   benches, in particular the branch-and-bound ablation of §4.3.2, and as
+   the oracle the exact engine is tested against); [optimize] is what normal
+   query processing runs. It picks one of two engines by query width (see
+   DESIGN.md §15):
 
-   - [Dp]: the original subset-size DP — every alias subset of every size,
-     every 2^(k-1) split of each subset. Exponential in federation width.
-   - [Dpccp]: connected-subgraph / connected-complement enumeration over the
-     join graph (Moerkotte & Neumann's DPccp). It generates exactly the
+   - [dpccp]: connected-subgraph / connected-complement enumeration over the
+     join graph (Moerkotte & Neumann's DPccp). It costs exactly the
      (left, right) pairs whose sides are both connected and joined by at
-     least one predicate — the only splits the subset DP ever costs — so the
-     chosen plan, its cost, the DP entries and [plans_considered] are
-     bit-identical to [Dp]; only the enumeration work collapses.
-   - [Greedy]: GOO-style cheapest-connected-pair merging followed by bounded
+     least one predicate, and returns the cost of the cheapest plan
+     [enumerate] produces. Runs up to [default_enum_threshold] relations.
+   - [greedy]: GOO-style cheapest-connected-pair merging followed by bounded
      iterative improvement (subtree re-optimization with DPccp on windows of
-     at most the leaf threshold). Polynomial; used above the threshold where
-     exact enumeration is hopeless.
-
-   [Auto] (the default) runs [Dpccp] up to [default_enum_threshold]
-   relations and [Greedy] beyond it. *)
+     at most the threshold). Polynomial; runs above the threshold, where
+     exact enumeration is hopeless. *)
 
 open Disco_common
 open Disco_algebra
@@ -203,12 +198,6 @@ let combine spec (adj : adjacency) (l : candidate) (r : candidate) :
 
 (* --- Width limits ------------------------------------------------------------ *)
 
-(* [splits] materializes 2^(n-1) masks: [1 lsl n] is undefined at the word
-   size and the list is hopeless long before that. The subset DP therefore
-   supports at most [max_split_width] relations; wider federations must use
-   the dpccp / greedy engines. *)
-let max_split_width = 20
-
 (* [enumerate] is super-exponential (every bushy shape of every split). *)
 let max_enumerate_width = 10
 
@@ -216,19 +205,12 @@ let max_enumerate_width = 10
 let max_graph_width = 61
 
 (* All non-empty proper splits of a list (first element pinned to the left
-   side, avoiding mirror duplicates). *)
+   side, avoiding mirror duplicates). [enumerate]'s width limit keeps the
+   2^(n-1) masks small. *)
 let splits = function
   | [] | [ _ ] -> []
   | first :: rest ->
     let n = List.length rest in
-    if n + 1 > max_split_width then
-      raise
-        (Err.Plan_error
-           (Fmt.str
-              "cannot split a %d-relation subset: the subset DP materializes \
-               2^(n-1) splits and supports at most %d relations — use the \
-               dpccp or greedy join enumerator"
-              (n + 1) max_split_width));
     let all = ref [] in
     for mask = 0 to (1 lsl n) - 1 do
       let left = ref [ first ] and right = ref [] in
@@ -279,6 +261,13 @@ let enumerate (spec : spec) : Plan.t list =
       complete
 
 (* --- Cost-based selection ---------------------------------------------------- *)
+
+(* The order every plan selection compares costs in: numbers as [<=] orders
+   them, NaN after every number. A wrapper formula can evaluate to NaN
+   (ln(0) * 0), and plain [<=] is false whenever NaN is involved, so the
+   later of two plans would win: a NaN plan would displace a finite one.
+   On non-NaN costs this is exactly [<=], so no tie-break moves. *)
+let cost_le a b = a <= b || Float.is_nan b
 
 type stats = {
   mutable plans_considered : int;
@@ -361,82 +350,23 @@ let cost_of ?bound ?(objective = Total_time) ?memo ?cache registry
 module Pool = Disco_parallel.Pool
 
 (* Pick the cheapest plan from an explicit list, optionally with
-   branch-and-bound pruning. With [domains > 1] the list is split into
-   contiguous chunks costed concurrently — each slot with its own memo,
-   stats and prune bound — and the chunk winners are reduced in chunk order
-   under the same [c <= cost] keep-the-earlier tie-break the sequential fold
-   applies, so the chosen plan and cost are bit-identical at any domain
-   count. (With pruning on, [plans_aborted] may differ across domain counts:
-   chunk-local bounds abort differently. The winner cannot change — an
-   aborted plan's cost exceeds its chunk bound, which some already-kept plan
-   achieved.) *)
-let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache
-    ?(domains = 1) registry ?stats (plans : Plan.t list) :
-    (Plan.t * float) option =
-  let caller_stats = stats in
-  let best_of ?memo stats plans =
-    List.fold_left
-      (fun best plan ->
-        let bound = if prune then Option.map snd best else None in
-        match
-          cost_of ?bound ~objective ?memo ?cache registry stats plan
-        with
-        | None -> best
-        | Some cost ->
-          (match best with
-           | Some (_, c) when c <= cost -> best
-           | _ -> Some (plan, cost)))
-      None plans
-  in
-  let pool = Pool.create domains in
-  let finish stats result =
-    (match caller_stats with
-     | Some into when into != stats -> merge_stats ~into stats
-     | _ -> ());
-    result
-  in
-  if Pool.degree pool <= 1 then
-    let stats = match caller_stats with Some s -> s | None -> new_stats () in
-    best_of ?memo stats plans
-  else begin
-    let chunks = Pool.chunk (Pool.degree pool) plans in
-    let nchunks = Array.length chunks in
-    let memos =
-      Array.init nchunks (fun i ->
-          if i = 0 then memo
-          else Option.map (fun _ -> Estimator.new_memo ()) memo)
-    in
-    let slot_stats = Array.init nchunks (fun _ -> new_stats ()) in
-    let results =
-      Pool.run pool
-        (fun slot ->
-          best_of ?memo:memos.(slot) slot_stats.(slot) chunks.(slot))
-        nchunks
-    in
-    for s = 1 to nchunks - 1 do
-      merge_stats ~into:slot_stats.(0) slot_stats.(s)
-    done;
-    finish slot_stats.(0)
-      (Array.fold_left
-         (fun best r ->
-           match best, r with
-           | Some (_, c), Some (_, c') when c <= c' -> best
-           | _, Some pc -> Some pc
-           | _, None -> best)
-         None results)
-  end
+   branch-and-bound pruning; ties keep the earlier plan. *)
+let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache registry
+    ?(stats = new_stats ()) (plans : Plan.t list) : (Plan.t * float) option =
+  List.fold_left
+    (fun best plan ->
+      let bound = if prune then Option.map snd best else None in
+      match cost_of ?bound ~objective ?memo ?cache registry stats plan with
+      | None -> best
+      | Some cost ->
+        (match best with
+         | Some (_, c) when cost_le c cost -> best
+         | _ -> Some (plan, cost)))
+    None plans
 
-(* --- Enumeration modes -------------------------------------------------------- *)
-
-type enum_mode = Dp | Dpccp | Greedy | Auto
+(* --- Engine selection --------------------------------------------------------- *)
 
 let default_enum_threshold = 12
-
-let enum_mode_to_string = function
-  | Dp -> "dp"
-  | Dpccp -> "dpccp"
-  | Greedy -> "greedy"
-  | Auto -> "auto"
 
 (* The improvement phase of the greedy engine stops after this many csg–cmp
    pairs: a deterministic work bound (never wall-clock) so dense unit graphs
@@ -457,8 +387,8 @@ let bit_index b =
   go 0 b
 
 (* Masks compared as their ascending index sequences, lexicographically —
-   the order [subsets_of_size] emits alias combinations in. Comparing raw
-   mask values is not equivalent: {0,3} = 9 would sort after {1,2} = 6. *)
+   the order the DP visits the subsets of one size in. Comparing raw mask
+   values is not equivalent: {0,3} = 9 would sort after {1,2} = 6. *)
 let rec lex_mask_compare a b =
   if a = b then 0
   else
@@ -471,12 +401,6 @@ let rec lex_mask_compare a b =
 type gtree = Gleaf of int | Gnode of gtree * gtree
 
 (* --- Dynamic programming ------------------------------------------------------ *)
-
-module Key = struct
-  type t = string list (* sorted aliases *)
-
-  let of_aliases s = List.sort String.compare (Aliases.elements s)
-end
 
 (* Diagnose an impossible query precisely instead of a generic "no complete
    plan found": name the unavailable single-sourced relations, and the
@@ -525,42 +449,34 @@ let no_plan_error (spec : spec) ~available : 'a =
   in
   raise (Err.Plan_error msg)
 
-(* DP over alias subsets: for each subset keep the best candidate per site
-   (one per source for unwrapped plans, one mediator-side), stored with its
-   cost so each candidate is costed exactly once per run — the incumbent's
-   stored cost is compared against, never recomputed. [memo] (default on)
-   shares subtree annotations across the run — candidates overlap massively,
-   so without sharing the estimator re-runs formulas on identical subtrees
-   thousands of times. [cache] is the cross-query cache; both only change
-   what is recomputed, never the costs, so the chosen plan is identical with
-   and without them (see test/test_plancache.ml). *)
-(* Parallel structure: within one subset size every subset is independent —
-   its splits read only strictly-smaller keys, and all its candidates land
-   on its own key — so each size is a fork/join round: subsets are chunked
-   contiguously across domains, every slot accumulates its subsets' entry
-   lists locally (isolated cost evaluation: own memo, own stats), and the
-   main domain installs the lists into the shared table at the barrier, in
-   enumeration order. Costs are value-deterministic whatever slot computes
-   them, so every comparison — the per-site [old_cost <= c_cost]
-   keep-the-incumbent rule and the final [b <= cst] fold — resolves
-   identically at any domain count, and the chosen plan, its cost, the DP
-   table and [plans_considered] are bit-identical to the sequential run.
-   Only [formula_evals] is configuration-dependent (per-slot memos change
-   what is recomputed, never any value), exactly as PR 1's cache caveat.
+(* Both engines keep, for every alias set they build (a connected subset in
+   the exact DP, a merged unit in greedy), the best candidate per site (one
+   per source for unwrapped plans, one mediator-side), stored with its cost
+   so each candidate is costed exactly once per run — the incumbent's
+   stored cost is compared against, never recomputed. [memo] (default on) shares subtree annotations across the
+   run — candidates overlap massively, so without sharing the estimator
+   re-runs formulas on identical subtrees thousands of times. [cache] is the
+   cross-query cache; both only change what is recomputed, never the costs,
+   so the chosen plan is identical with and without them (see
+   test/test_plancache.ml).
 
-   The same argument makes [Dpccp] bit-identical to [Dp]: the subset DP only
-   ever costs a split whose two sides both have table entries (i.e. are
-   connected induced subgraphs — by induction only those get entries) and
-   whose [connecting] predicates are non-empty; those are exactly the
-   csg–cmp pairs DPccp generates. Within a subset the DPccp splits are
-   replayed in the subset DP's order (descending right-to-left mask), so the
-   [put_entry] sequence — and with it every incumbent comparison, every
-   stored cost, and [plans_considered] — is identical. Only [csg_cmp_pairs]
-   (enumeration work) differs: the subset DP examines every split of every
-   subset, DPccp touches valid pairs only. *)
-let optimize ?(objective = Total_time) ?(memo = true) ?cache
-    ?(available = fun _ -> true) ?(domains = 1) ?stats ?(enum = Auto) registry
-    (spec : spec)
+   Parallel structure of the exact engine: within one subset size every
+   subset is independent — its splits read only strictly smaller subsets,
+   and all its candidates land on its own entry — so each size is a
+   fork/join round: subsets are chunked contiguously across domains, every
+   slot accumulates its subsets' entry lists locally (isolated cost
+   evaluation: own memo, own stats), and the main domain installs the lists
+   into the shared table at the barrier, in enumeration order. Costs are
+   value-deterministic whatever slot computes them, so every comparison —
+   the per-site keep-the-incumbent rule and the final keep-the-earlier
+   fold — resolves identically at any domain count, and the chosen plan,
+   its cost, the DP table and [plans_considered] are bit-identical to the
+   sequential run. Only [formula_evals] is configuration-dependent
+   (per-slot memos change what is recomputed, never any value). *)
+type strategy = Exact | Goo
+
+let search strategy ?(objective = Total_time) ?(memo = true) ?cache
+    ?(available = fun _ -> true) ?(domains = 1) ?stats registry (spec : spec)
     : Plan.t * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
@@ -600,12 +516,12 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     match List.find_opt same_site existing with
     | Some ((_, old_cost) as entry) ->
       let c_cost = cost ~slot c.plan in
-      if old_cost <= c_cost then existing
+      if cost_le old_cost c_cost then existing
       else (c, c_cost) :: List.filter (fun e -> e != entry) existing
     | None -> (c, cost ~slot c.plan) :: existing
   in
   (* the singleton entries of one base: the wrapper-side candidate and its
-     wrapped mediator-side form, exactly as the subset DP seeds them *)
+     wrapped mediator-side form *)
   let seed_base ~slot (b : base) =
     let c =
       { plan = base_plan b;
@@ -629,7 +545,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
              plan (submit + residual) and are costed once here *)
           let cst = if w == c then stored else cost ~slot:0 w.plan in
           match best with
-          | Some (_, b) when b <= cst -> best
+          | Some (_, b) when cost_le b cst -> best
           | _ -> Some (w.plan, cst))
         None cands
     with
@@ -638,93 +554,11 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
   in
   let n = List.length spec.bases in
 
-  (* --- engine 1: the original subset-size DP --------------------------------- *)
-  let run_dp () =
-    if n > max_split_width then
-      raise
-        (Err.Plan_error
-           (Fmt.str
-              "the dp join enumerator supports at most %d relations (this \
-               query has %d) — use dpccp, greedy or auto"
-              max_split_width n));
-    let table : (Key.t, (candidate * float) list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    List.iter
-      (fun b ->
-        Hashtbl.replace table
-          (Key.of_aliases (Aliases.singleton b.ref_.Plan.binding))
-          (seed_base ~slot:0 b))
-      spec.bases;
-    (* grow subsets by size *)
-    let alias_arr = Array.of_list aliases in
-    let subsets_of_size k =
-      let out = ref [] in
-      let rec go i chosen count =
-        if count = k then out := List.rev chosen :: !out
-        else if i < n then begin
-          go (i + 1) (alias_arr.(i) :: chosen) (count + 1);
-          if n - i - 1 >= k - count then go (i + 1) chosen count
-        end
-      in
-      go 0 [] 0;
-      !out
-    in
-    (* one subset's entry list, built against the (read-only) smaller sizes *)
-    let process_subset ~slot subset =
-      let entries = ref [] in
-      List.iter
-        (fun (left, right) ->
-          let st = slot_stats.(slot) in
-          st.csg_cmp_pairs <- st.csg_cmp_pairs + 1;
-          let lkey = Key.of_aliases (Aliases.of_list left)
-          and rkey = Key.of_aliases (Aliases.of_list right) in
-          match Hashtbl.find_opt table lkey, Hashtbl.find_opt table rkey with
-          | Some ls, Some rs ->
-            List.iter
-              (fun (l, _) ->
-                List.iter
-                  (fun (r, _) ->
-                    List.iter
-                      (fun c -> entries := put_entry ~slot !entries c)
-                      (combine spec adj l r))
-                  rs)
-              ls
-          | _ -> ())
-        (splits subset);
-      (Key.of_aliases (Aliases.of_list subset), !entries)
-    in
-    for size = 2 to n do
-      let chunks = Pool.chunk p (subsets_of_size size) in
-      let results =
-        Pool.run pool
-          (fun slot -> List.map (process_subset ~slot) chunks.(slot))
-          (Array.length chunks)
-      in
-      (* install at the barrier, in enumeration order; a subset with no
-         connecting joins stays absent, as the sequential path leaves it *)
-      Array.iter
-        (fun keyed ->
-          List.iter
-            (fun (key, entries) ->
-              if entries <> [] then begin
-                Hashtbl.replace table key entries;
-                slot_stats.(0).dp_entries <-
-                  slot_stats.(0).dp_entries + List.length entries
-              end)
-            keyed)
-        results
-    done;
-    match Hashtbl.find_opt table (Key.of_aliases (Aliases.of_list aliases)) with
-    | None | Some [] -> no_plan_error spec ~available
-    | Some cands -> best_of_entries cands
-  in
-
   (* --- DPccp over an array of units ------------------------------------------ *)
   (* The csg–cmp engine, generalized to "units": disjoint alias groups with
-     their candidate entries. The exact path uses the query's bases as
-     units (with the fork/join size rounds of the subset DP); the greedy
-     improver re-enters with composite units, sequentially. Returns the
+     their candidate entries. The exact engine uses the query's bases as
+     units (with one fork/join round per subset size); the greedy improver
+     re-enters with composite units, sequentially. Returns the
      entry list of the union of all units, or [None] when [pair_limit]
      would be exceeded (checked before any costing). *)
   let dpccp_units ?(parallel = false) ?pair_limit
@@ -737,7 +571,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
            (Fmt.str
               "the dpccp join enumerator represents subsets as bits of one \
                int and supports at most %d relations (this query has %d) — \
-               use greedy or auto"
+               use greedy"
               max_graph_width m));
     if m = 0 then Some []
     else if m = 1 then Some (snd units.(0))
@@ -792,10 +626,11 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
         expand s ((1 lsl (i + 1)) - 1)
       done;
       (* the valid splits of a connected subset: connected left sides
-         containing its lowest unit (the element the subset DP pins left),
-         with connected complements — emitted in the subset DP's split
-         order (descending mask; compaction onto the rest-list is monotone,
-         so raw mask order coincides) *)
+         containing its lowest unit (pinned left, so each unordered split
+         appears once; [combine] adds both orientations) with connected
+         complements, in descending mask order. This order and the
+         size-then-lexicographic subset order fix every keep-the-earlier
+         tie-break, and with them which of two equal-cost plans wins. *)
       let splits_of s_mask =
         let e0 = lowest_bit s_mask in
         let acc = ref [] in
@@ -908,8 +743,8 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     end
   in
 
-  (* --- engine 2: DPccp over the bases ---------------------------------------- *)
-  let run_dpccp () =
+  (* --- the exact engine: DPccp over the bases --------------------------------- *)
+  let run_exact () =
     let units =
       Array.of_list
         (List.map
@@ -922,7 +757,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     | Some [] | None -> no_plan_error spec ~available
   in
 
-  (* --- engine 3: greedy (GOO) + bounded DPccp-window improvement ------------- *)
+  (* --- the greedy engine: GOO + bounded DPccp-window improvement ------------- *)
   let run_greedy () =
     let slot = 0 in
     let base_arr = Array.of_list spec.bases in
@@ -956,19 +791,20 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
       !entries
     in
     (* a pair's rank: the cost of joining the two sides' cheapest entries
-       (strict [<] keeps the earlier entry on ties, so the pick is
-       deterministic). Ranking only the cheapest-by-cheapest combination —
-       both sides are already costed and memoized, so a rank costs a couple
-       of top-node estimations — keeps the GOO loop quadratic-with-small-
-       constant even on cliques; the full entry product is materialized
-       only for the winning pair of each round. *)
+       (ties keep the earlier entry, so the pick is deterministic). Ranking
+       only the cheapest-by-cheapest combination — both sides are already
+       costed and memoized, so a rank costs a couple of top-node
+       estimations — keeps the GOO loop quadratic-with-small-constant even
+       on cliques; the full entry product is materialized only for the
+       winning pair of each round. *)
     let cheapest entries =
       match entries with
       | [] -> None
       | e0 :: tl ->
         Some
           (List.fold_left
-             (fun ((_, r) as best) ((_, r') as e) -> if r' < r then e else best)
+             (fun ((_, r) as best) ((_, r') as e) ->
+               if cost_le r r' then best else e)
              e0 tl)
     in
     let rank_cache : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -982,7 +818,9 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
           match cheapest entries_u.(i), cheapest entries_u.(j) with
           | Some (lc, _), Some (rc, _) ->
             List.fold_left
-              (fun m c -> Float.min m (cost ~slot c.plan))
+              (fun m c ->
+                let x = cost ~slot c.plan in
+                if cost_le m x then m else x)
               infinity
               (combine spec adj lc rc)
           | _ -> infinity
@@ -1001,7 +839,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
             if active.(j) && uadj.(i).(j) then begin
               let rank = eval_pair i j in
               match !best with
-              | Some (_, _, br) when br <= rank -> ()
+              | Some (_, _, br) when cost_le br rank -> ()
               | _ -> best := Some (i, j, rank)
             end
           done
@@ -1038,8 +876,8 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     (* final selection over the wrapped full-query candidates, through
        [choose] so its branch-and-bound pruning applies *)
     let final_of entries =
-      choose ~prune:true ~objective ?memo:memos.(slot) ?cache ~domains:1
-        registry ~stats:slot_stats.(slot)
+      choose ~prune:true ~objective ?memo:memos.(slot) ?cache registry
+        ~stats:slot_stats.(slot)
         (List.map (fun (c, _) -> (wrap c).plan) entries)
     in
     let goo =
@@ -1115,7 +953,7 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     match improved_entries with
     | Some (_ :: _ as entries) -> (
       match final_of entries with
-      | Some (p, c) when c < snd goo -> (p, c)
+      | Some (p, c) when not (cost_le (snd goo) c) -> (p, c)
       | _ -> goo)
     | _ -> goo
   in
@@ -1130,16 +968,26 @@ let optimize ?(objective = Total_time) ?(memo = true) ?cache
     result
   in
   let run () =
-    match enum with
-    | Dp -> run_dp ()
-    | Dpccp -> run_dpccp ()
-    | Greedy -> run_greedy ()
-    | Auto ->
-      if n <= default_enum_threshold then run_dpccp ()
-      else run_greedy ()
+    match strategy with Exact -> run_exact () | Goo -> run_greedy ()
   in
   match run () with
   | result -> finish result
   | exception e ->
     ignore (finish ());
     raise e
+
+type engine =
+  ?objective:objective -> ?memo:bool -> ?cache:Plancache.t ->
+  ?available:(string -> bool) -> ?domains:int -> ?stats:stats ->
+  Registry.t -> spec ->
+  Plan.t * float
+
+let dpccp : engine = search Exact
+let greedy : engine = search Goo
+
+let optimize : engine =
+ fun ?objective ?memo ?cache ?available ?domains ?stats registry spec ->
+  let engine =
+    if List.length spec.bases <= default_enum_threshold then dpccp else greedy
+  in
+  engine ?objective ?memo ?cache ?available ?domains ?stats registry spec

@@ -178,13 +178,3 @@ let chunk p xs =
     done;
     chunks
   end
-
-let reduce f a =
-  match Array.length a with
-  | 0 -> None
-  | n ->
-    let acc = ref a.(0) in
-    for i = 1 to n - 1 do
-      acc := f !acc a.(i)
-    done;
-    Some !acc

@@ -1,5 +1,4 @@
-(** A shared fixed pool of OCaml 5 domains with a fork/join helper and
-    deterministic reduction.
+(** A shared fixed pool of OCaml 5 domains with a fork/join helper.
 
     The pool exists to parallelize two embarrassingly parallel hot spots of
     the mediator — plan-space search and wrapper scatter-gather — without
@@ -53,10 +52,6 @@ val chunk : int -> 'a list -> 'a list array
     earlier chunks larger. Concatenating the chunks in index order yields
     [xs] — the helper parallel loops use to keep chunked iteration in the
     same order as the sequential fold they replace. *)
-
-val reduce : ('a -> 'a -> 'a) -> 'a array -> 'a option
-(** Left fold in index order — the deterministic reduction for per-slot
-    partial results. [None] on an empty array. *)
 
 val shutdown : unit -> unit
 (** Join all spawned worker domains. Automatically registered with

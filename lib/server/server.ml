@@ -238,14 +238,11 @@ let metrics_json t : Json.t =
             ("generation", Json.Int (Registry.generation (Mediator.registry t.med)));
             ("history_records", Json.Int history_records);
             ("tenants", Json.Int (List.length tenants)) ] );
-      (* cumulative plan-search cost (DESIGN.md §15): which enumeration
-         engine runs and how much work it does per query shape *)
+      (* cumulative plan-search cost (DESIGN.md §15): the width above which
+         queries plan greedily, and how much work plan search does *)
       ( "optimizer",
         Json.Obj
-          [ ( "enum_mode",
-              Json.String
-                (Optimizer.enum_mode_to_string (Mediator.enum_mode t.med)) );
-            ("enum_threshold", Json.Int Optimizer.default_enum_threshold);
+          [ ("enum_threshold", Json.Int Optimizer.default_enum_threshold);
             ("plans_considered", Json.Int os.Optimizer.plans_considered);
             ("plans_aborted", Json.Int os.Optimizer.plans_aborted);
             ("csg_cmp_pairs", Json.Int os.Optimizer.csg_cmp_pairs);

@@ -1,9 +1,10 @@
-(* Join-enumeration engines (DESIGN.md §15): DPccp must be bit-identical to
-   the subset DP wherever both run (plan, cost, plans_considered,
-   dp_entries — at any domain count); greedy must produce valid plans at
-   near-exact cost on the widths where the exact cost is still computable;
-   and the width guards and impossible-query diagnostics that arrived with
-   the engines must fire with named, actionable messages. *)
+(* Join enumeration (DESIGN.md §15): the exact engine must return the cost
+   of the cheapest plan exhaustive enumeration finds, to the bit, at any
+   domain count; [optimize] must hand over from DPccp to greedy at the
+   threshold; greedy must produce valid plans at near-exact cost on the
+   widths where the exact cost is still computable; a NaN cost must never
+   win a plan selection; and the width guards and impossible-query
+   diagnostics must fire with named, actionable messages. *)
 
 open Disco_algebra
 open Disco_wrapper
@@ -24,25 +25,50 @@ let synth_med ?(rows = 30) n =
 let spec_of med sql =
   (Mediator.resolve med (Disco_sql.Sql.parse sql)).Mediator.spec
 
-(* What bit-identity means between engines: same plan text, same cost down
-   to the last mantissa bit, same candidates costed, same entries kept. *)
-type obs = { plan : string; cost_bits : int64; considered : int; entries : int }
+(* What it means for two runs to be the same run: same plan text, same cost
+   down to the last mantissa bit, same candidates costed, same entries
+   kept, same enumeration work. *)
+type obs = {
+  plan : string;
+  cost_bits : int64;
+  considered : int;
+  entries : int;
+  pairs : int;
+}
 
-let observe ?domains ~enum med spec =
+let observe ?domains (engine : Optimizer.engine) med spec =
   let stats = Optimizer.new_stats () in
-  let plan, cost =
-    Optimizer.optimize ?domains ~enum ~stats (Mediator.registry med) spec
-  in
+  let plan, cost = engine ?domains ~stats (Mediator.registry med) spec in
   { plan = Plan.to_string plan;
     cost_bits = bits cost;
     considered = stats.Optimizer.plans_considered;
-    entries = stats.Optimizer.dp_entries }
+    entries = stats.Optimizer.dp_entries;
+    pairs = stats.Optimizer.csg_cmp_pairs }
 
 let check_identical where a b =
   Alcotest.(check string) (where ^ ": plan") a.plan b.plan;
   Alcotest.(check int64) (where ^ ": cost bits") a.cost_bits b.cost_bits;
   Alcotest.(check int) (where ^ ": plans_considered") a.considered b.considered;
-  Alcotest.(check int) (where ^ ": dp_entries") a.entries b.entries
+  Alcotest.(check int) (where ^ ": dp_entries") a.entries b.entries;
+  Alcotest.(check int) (where ^ ": csg_cmp_pairs") a.pairs b.pairs
+
+(* The exhaustive oracle: the cheapest of every complete plan. It shares
+   only the cost model with the DP, not the way the DP builds plans. *)
+let oracle_cost med spec =
+  snd
+    (Option.get
+       (Optimizer.choose ~prune:false (Mediator.registry med)
+          (Optimizer.enumerate spec)))
+
+(* Ties may exist between distinct plans, so only the cost is compared. *)
+let check_oracle where med spec ~domains =
+  let _, cost =
+    Optimizer.optimize ~domains (Mediator.registry med) spec
+  in
+  let expected = oracle_cost med spec in
+  if bits cost <> bits expected then
+    Alcotest.failf "%s domains=%d: optimize cost %h, exhaustive oracle %h"
+      where domains cost expected
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -59,7 +85,7 @@ let expect_plan_error ~what subs f =
           Alcotest.failf "%s: diagnostic %S does not mention %S" what msg s)
       subs
 
-(* --- property: Dp = Dpccp on random synthetic join graphs ------------------ *)
+(* --- property: optimize = exhaustive oracle on random join graphs ---------- *)
 
 let shape_of_idx n = function
   | 0 -> Demo.Chain
@@ -67,37 +93,31 @@ let shape_of_idx n = function
   | 2 -> Demo.Clique
   | _ -> Demo.Random_edges (max 1 (n / 2))
 
-let differential_prop =
+let oracle_prop =
   let gen =
-    QCheck2.Gen.(triple (int_range 0 3) (int_range 2 8) (int_range 0 3))
+    QCheck2.Gen.(triple (int_range 0 3) (int_range 2 5) (int_range 0 3))
   in
   let print (s, n, seed) = Fmt.str "shape=%d n=%d seed=%d" s n seed in
-  QCheck2.Test.make ~count:12 ~name:"dp = dpccp on random join graphs" ~print
-    gen (fun (s, n, seed) ->
-      (* Dense shapes stay small: the subset DP is ~3^n on them. *)
-      let n = match s with 1 | 2 -> min n 6 | _ -> n in
+  QCheck2.Test.make ~count:12
+    ~name:"optimize = oracle on random graphs" ~print gen
+    (fun (s, n, seed) ->
       let shape = shape_of_idx n s in
       let med = Mediator.create () in
       List.iter (Mediator.register med) (Demo.synthetic ~seed ~rows:25 ~n ());
       let spec = spec_of med (Demo.synthetic_sql ~seed ~shape ~n ()) in
-      List.iter
-        (fun domains ->
-          let where =
-            Fmt.str "%s-%d seed=%d domains=%d" (Demo.shape_to_string shape) n
-              seed domains
-          in
-          check_identical where
-            (observe ~domains ~enum:Optimizer.Dp med spec)
-            (observe ~domains ~enum:Optimizer.Dpccp med spec))
-        [ 1; 4 ];
+      let where =
+        Fmt.str "%s-%d seed=%d" (Demo.shape_to_string shape) n seed
+      in
+      List.iter (fun domains -> check_oracle where med spec ~domains) [ 1; 4 ];
       true)
 
-(* --- demo corpus: engines agree; the pinned 3-chain counters --------------- *)
+(* --- demo corpus: the oracle again; the pinned 3-chain counters ------------ *)
 
 let workload =
   [ "select e.id from Employee e where e.salary > 20000";
     "select e.id from Employee e, Department d where e.dept_id = d.id \
      and d.budget > 150000";
+    "select t.id from Project p, Task t where t.project_id = p.id";
     "select e.id from Employee e, Department d, Project p \
      where e.dept_id = d.id and d.id = p.dept_id and e.salary > 15000";
     "select e.id from Employee e, Department d, Project p, Task t \
@@ -109,20 +129,10 @@ let test_demo_corpus () =
   List.iteri
     (fun i sql ->
       let spec = spec_of med sql in
-      let dp = observe ~enum:Optimizer.Dp med spec in
-      (* Dpccp matches the sequential Dp reference at every pool size, and
-         Auto below the threshold is exactly Dpccp. *)
       List.iter
         (fun domains ->
-          check_identical
-            (Fmt.str "workload %d dpccp domains=%d" i domains)
-            dp
-            (observe ~domains ~enum:Optimizer.Dpccp med spec))
-        [ 1; 2; 4; 8 ];
-      check_identical
-        (Fmt.str "workload %d auto" i)
-        dp
-        (observe ~enum:Optimizer.Auto med spec))
+          check_oracle (Fmt.str "workload %d" i) med spec ~domains)
+        [ 1; 2; 4; 8 ])
     workload
 
 let test_pinned_counters () =
@@ -132,20 +142,28 @@ let test_pinned_counters () =
       "select e.id from Employee e, Department d, Project p \
        where e.dept_id = d.id and d.id = p.dept_id"
   in
-  let run enum =
-    let stats = Optimizer.new_stats () in
-    let _ = Optimizer.optimize ~enum ~stats (Mediator.registry med) spec in
-    stats
-  in
-  let dp = run Optimizer.Dp and ccp = run Optimizer.Dpccp in
-  Alcotest.(check int) "dp considered" 36 dp.Optimizer.plans_considered;
-  Alcotest.(check int) "dpccp considered" 36 ccp.Optimizer.plans_considered;
-  Alcotest.(check int) "dp entries" 10 dp.Optimizer.dp_entries;
-  Alcotest.(check int) "dpccp entries" 10 ccp.Optimizer.dp_entries;
-  (* The one counter the engines are allowed to differ on: enumeration
-     work. The 3-chain has 6 subset splits but only 4 csg–cmp pairs. *)
-  Alcotest.(check int) "dp splits" 6 dp.Optimizer.csg_cmp_pairs;
-  Alcotest.(check int) "dpccp pairs" 4 ccp.Optimizer.csg_cmp_pairs
+  let ccp = observe Optimizer.dpccp med spec in
+  Alcotest.(check int) "dpccp considered" 36 ccp.considered;
+  Alcotest.(check int) "dpccp entries" 10 ccp.entries;
+  (* the 3-chain has 4 csg–cmp pairs ({e}{d}, {d}{p}, {e}{dp}, {ed}{p}) *)
+  Alcotest.(check int) "dpccp pairs" 4 ccp.pairs
+
+(* --- optimize dispatches on width ------------------------------------------ *)
+
+let test_dispatch () =
+  let t = Optimizer.default_enum_threshold in
+  let med = synth_med ~rows:20 (t + 1) in
+  let at n = spec_of med (Demo.synthetic_sql ~shape:Demo.Chain ~n ()) in
+  let spec_t = at t and spec_t1 = at (t + 1) in
+  let exact = observe Optimizer.dpccp med spec_t in
+  check_identical (Fmt.str "%d relations" t)
+    exact (observe Optimizer.optimize med spec_t);
+  let goo = observe Optimizer.greedy med spec_t1 in
+  check_identical (Fmt.str "%d relations" (t + 1))
+    goo (observe Optimizer.optimize med spec_t1);
+  (* the two engines are told apart by their enumeration work *)
+  if (observe Optimizer.greedy med spec_t).pairs = exact.pairs then
+    Alcotest.fail "dpccp and greedy do the same work: dispatch is untested"
 
 (* --- greedy: near-exact cost where exact is feasible, valid plans wider ---- *)
 
@@ -153,22 +171,16 @@ let test_greedy_cost_ratio () =
   let n = 16 in
   let med = synth_med n in
   let spec = spec_of med (Demo.synthetic_sql ~shape:Demo.Chain ~n ()) in
-  let cost_of enum =
-    let stats = Optimizer.new_stats () in
-    snd (Optimizer.optimize ~enum ~stats (Mediator.registry med) spec)
-  in
-  let exact = cost_of Optimizer.Dpccp and greedy = cost_of Optimizer.Greedy in
+  let cost_of (engine : Optimizer.engine) = snd (engine (Mediator.registry med) spec) in
+  let exact = cost_of Optimizer.dpccp and greedy = cost_of Optimizer.greedy in
   let ratio = greedy /. exact in
   if ratio < 0.999 || ratio > 1.5 then
     Alcotest.failf "greedy/exact cost ratio %.4f outside [1, 1.5] at chain-16"
       ratio
 
 let test_greedy_plans_verify () =
-  let med = Mediator.create ~enum_mode:Optimizer.Greedy () in
+  let med = Mediator.create () in
   List.iter (Mediator.register med) (Demo.synthetic ~rows:30 ~n:18 ());
-  Alcotest.(check string)
-    "mediator runs the greedy engine" "greedy"
-    (Optimizer.enum_mode_to_string (Mediator.enum_mode med));
   List.iter
     (fun shape ->
       let sql = Demo.synthetic_sql ~shape ~n:18 () in
@@ -181,6 +193,60 @@ let test_greedy_plans_verify () =
            (Demo.shape_to_string shape))
         0 (List.length errs))
     [ Demo.Chain; Demo.Random_edges 9 ]
+
+(* --- NaN costs never win a plan selection ---------------------------------- *)
+
+(* objstore's join rule replaced by one whose TotalTime is NaN: every plan
+   that joins inside objstore costs NaN, every other plan stays finite. *)
+let nan_join_med () =
+  let rules =
+    let s = Demo.objstore_rules and head = "rule join(C1, C2, P) {" in
+    let rec find i =
+      if String.sub s i (String.length head) = head then i else find (i + 1)
+    in
+    let i = find 0 in
+    let j = String.index_from s i '}' in
+    String.sub s 0 i ^ head ^ " TotalTime = ln(0) * 0; }"
+    ^ String.sub s (j + 1) (String.length s - j - 1)
+  in
+  let med = Mediator.create () in
+  List.iter
+    (fun (w : Wrapper.t) ->
+      Mediator.register med
+        (if w.Wrapper.name = "objstore" then { w with Wrapper.rules_text = rules }
+         else w))
+    (Demo.make ~sizes:Demo.small_sizes ());
+  med
+
+let test_nan_never_wins () =
+  Alcotest.(check bool) "cost_le: NaN after every number" true
+    Optimizer.(
+      cost_le 1. nan && cost_le infinity nan && cost_le nan nan
+      && (not (cost_le nan 1.)) && cost_le 1. 1. && not (cost_le 2. 1.));
+  let med = nan_join_med () in
+  let registry = Mediator.registry med in
+  List.iter
+    (fun sql ->
+      let spec = spec_of med sql in
+      let plans = Optimizer.enumerate spec in
+      let pick plans =
+        snd (Option.get (Optimizer.choose ~prune:false registry plans))
+      in
+      let forward = pick plans and backward = pick (List.rev plans) in
+      if Float.is_nan forward || bits forward <> bits backward then
+        Alcotest.failf "%s: choose depends on list order: %h forward, %h reversed"
+          sql forward backward;
+      List.iter
+        (fun (name, (engine : Optimizer.engine)) ->
+          let _, cost = engine registry spec in
+          if Float.is_nan cost then Alcotest.failf "%s: %s returned NaN" sql name)
+        [ ("dpccp", Optimizer.dpccp); ("greedy", Optimizer.greedy) ];
+      check_oracle sql med spec ~domains:1;
+      let _, cost = Mediator.plan_query med sql in
+      if Float.is_nan cost then Alcotest.failf "%s: plan_query returned NaN" sql)
+    [ "select t.id from Project p, Task t where t.project_id = p.id";
+      "select e.id from Employee e, Department d, Project p, Task t \
+       where e.dept_id = d.id and d.id = p.dept_id and p.id = t.project_id" ]
 
 (* --- diagnostics: impossible queries fail with names ----------------------- *)
 
@@ -211,13 +277,10 @@ let test_width_guards () =
   let spec11 = spec_of med11 (Demo.synthetic_sql ~shape:Demo.Chain ~n:11 ()) in
   expect_plan_error ~what:"enumerate at 11" [ "cannot enumerate"; "11" ]
     (fun () -> Optimizer.enumerate spec11);
+  (* DPccp's work follows the graph, not the width: a 21-chain is fine *)
   let med21 = synth_med ~rows:10 21 in
   let spec21 = spec_of med21 (Demo.synthetic_sql ~shape:Demo.Chain ~n:21 ()) in
-  expect_plan_error ~what:"dp at 21" [ "dp join enumerator"; "at most 20" ]
-    (fun () ->
-      Optimizer.optimize ~enum:Optimizer.Dp (Mediator.registry med21) spec21);
-  (* The same query is fine under the graph-based engines. *)
-  let _ = Optimizer.optimize ~enum:Optimizer.Dpccp (Mediator.registry med21) spec21 in
+  let _ = Optimizer.dpccp (Mediator.registry med21) spec21 in
   ()
 
 (* --- mediator-level stats accumulate across queries ------------------------ *)
@@ -233,7 +296,7 @@ let test_stats_accumulate () =
   if not (c0 < c1 && c1 < c2) then
     Alcotest.failf "optimizer_stats did not accumulate: %d, %d, %d" c0 c1 c2
 
-(* --- 50 sources end to end (the Auto -> Greedy path) ----------------------- *)
+(* --- 50 sources end to end (the greedy path) ------------------------------- *)
 
 let test_chain50_end_to_end () =
   let med = synth_med ~rows:15 50 in
@@ -247,28 +310,16 @@ let test_chain50_end_to_end () =
   in
   Alcotest.(check int) "executed plan verifies clean" 0 (List.length errs)
 
-(* --- the default mode and the mode names ------------------------------------ *)
-
-let test_mode_default () =
-  let mode =
-    Alcotest.testable
-      (fun ppf m -> Fmt.string ppf (Optimizer.enum_mode_to_string m))
-      ( = )
-  in
-  Alcotest.(check mode) "mediators default to auto" Optimizer.Auto
-    (Mediator.enum_mode (Mediator.create ()));
-  Alcotest.(check (list string)) "mode names" [ "dp"; "dpccp"; "greedy"; "auto" ]
-    (List.map Optimizer.enum_mode_to_string
-       Optimizer.[ Dp; Dpccp; Greedy; Auto ])
-
 let () =
   Alcotest.run "enum"
     [ ( "differential",
-        [ QCheck_alcotest.to_alcotest differential_prop;
-          Alcotest.test_case "demo corpus: dp = dpccp = auto" `Quick
+        [ QCheck_alcotest.to_alcotest oracle_prop;
+          Alcotest.test_case "demo corpus: optimize = oracle" `Quick
             test_demo_corpus;
           Alcotest.test_case "3-chain pinned counters" `Quick
-            test_pinned_counters ] );
+            test_pinned_counters;
+          Alcotest.test_case "NaN cost never beats a finite one" `Quick
+            test_nan_never_wins ] );
       ( "greedy",
         [ Alcotest.test_case "chain-16 cost ratio" `Quick test_greedy_cost_ratio;
           Alcotest.test_case "18-source plans verify" `Quick
@@ -283,5 +334,5 @@ let () =
           Alcotest.test_case "width limits" `Quick test_width_guards ] );
       ( "modes",
         [ Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
-          Alcotest.test_case "default and names" `Quick test_mode_default ] )
+          Alcotest.test_case "dispatch by width" `Quick test_dispatch ] )
     ]

@@ -3,7 +3,7 @@
    ways:
 
    - the pool primitives themselves (chunking, task/slot ordering, exception
-     determinism, nested fork/join reentrancy, deterministic reduction);
+     determinism, nested fork/join reentrancy);
 
    - differentially: plan search and full query execution at 1, 2, 4 and 8
      domains must produce bit-identical plans, costs ([Int64.bits_of_float]
@@ -78,11 +78,6 @@ let test_run_nested () =
   in
   Alcotest.(check (list int)) "nested runs compute inline" [ 10; 510 ]
     (Array.to_list r)
-
-let test_reduce () =
-  Alcotest.(check (option int)) "left fold in index order" (Some 5)
-    (Pool.reduce ( - ) [| 10; 3; 2 |]);
-  Alcotest.(check (option int)) "empty" None (Pool.reduce ( + ) [||])
 
 (* --- Federation fixture ---------------------------------------------------------- *)
 
@@ -207,37 +202,6 @@ let test_optimize_differential () =
            cache lock)"
           domains)
     (List.tl domain_counts)
-
-(* choose over an explicit plan list: same winner and cost at every domain
-   count, with and without pruning. *)
-let test_choose_differential () =
-  let med, _ = fed ~domains:1 () in
-  let registry = Mediator.registry med in
-  let plans =
-    Optimizer.enumerate
-      (spec_of med
-         "select e.id from Employee e, Department d, Project p \
-          where e.dept_id = d.id and d.id = p.dept_id")
-  in
-  Alcotest.(check bool) "enumeration is non-trivial" true (List.length plans > 4);
-  List.iter
-    (fun prune ->
-      let reference =
-        Option.get (Optimizer.choose ~prune ~domains:1 registry plans)
-      in
-      List.iter
-        (fun domains ->
-          let plan, cost =
-            Option.get (Optimizer.choose ~prune ~domains registry plans)
-          in
-          if
-            (not (Plan.equal plan (fst reference)))
-            || bits cost <> bits (snd reference)
-          then
-            Alcotest.failf "choose (prune=%b) diverged at %d domains" prune
-              domains)
-        (List.tl domain_counts))
-    [ false; true ]
 
 (* --- Differential: scatter-gather execution --------------------------------------- *)
 
@@ -367,8 +331,7 @@ let () =
         [ Alcotest.test_case "chunk" `Quick test_chunk;
           Alcotest.test_case "run ordering" `Quick test_run_order;
           Alcotest.test_case "exception determinism" `Quick test_run_exception;
-          Alcotest.test_case "nested reentrancy" `Quick test_run_nested;
-          Alcotest.test_case "reduce" `Quick test_reduce ] );
+          Alcotest.test_case "nested reentrancy" `Quick test_run_nested ] );
       ( "stats",
         [ Alcotest.test_case "merge is exact" `Quick test_merge_stats_exact;
           Alcotest.test_case "pinned across domains" `Quick
@@ -376,7 +339,6 @@ let () =
       ( "differential",
         [ Alcotest.test_case "optimize (cache + generation bump)" `Quick
             test_optimize_differential;
-          Alcotest.test_case "choose" `Quick test_choose_differential;
           Alcotest.test_case "execute (scatter-gather)" `Quick
             test_execute_differential;
           Alcotest.test_case "stats off = seed (demo)" `Quick
