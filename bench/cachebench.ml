@@ -7,7 +7,7 @@
      every later pass is a cache probe instead of a full cost evaluation.
 
    - federation: multi-join SQL queries planned repeatedly through the
-     mediator (subset-DP), cache-enabled vs cache-disabled mediators over the
+     mediator (DPccp), cache-enabled vs cache-disabled mediators over the
      same demo federation.
 
    The differential assertions always run, in every mode: the cached and

@@ -29,7 +29,7 @@
               (--json=PATH as above)
      verify — whole-plan verification overhead on the warm plan-cache
               query path, gated at 5% (--json=PATH as above)
-     joins  — scalable join enumeration: DPccp vs subset-DP vs greedy over
+     joins  — scalable join enumeration: DPccp vs exhaustive vs greedy over
               chain/star/clique/random graphs at 5..50 sources, with
               bit-identity checks and the enumeration-work and 50-source
               latency gates (--json=PATH as above) *)

@@ -3,7 +3,7 @@
 
    Two curves:
 
-   1. optimize — plan_query over an OO7 join workload (the subset-DP
+   1. optimize — plan_query over an OO7 join workload (DPccp
       parallelizes per subset size; caching off so every repetition pays the
       full search);
    2. execute — run_query over the demo federation (submits to distinct

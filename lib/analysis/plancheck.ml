@@ -118,10 +118,28 @@ let available env =
 
 (* ---------------- the checker ---------------- *)
 
+(* Operator paths. A walk carries only the reversed list of nodes from the
+   current one up to the root; the path string is rendered when a finding
+   is recorded, so a clean check (every plan-cache admission) builds no
+   labels and no paths. *)
+let render_path label rev_nodes = String.concat "/" (List.rev_map label rev_nodes)
+
+let plan_label = function
+  | Plan.Scan r -> Fmt.str "scan(%s.%s)" r.Plan.source r.Plan.collection
+  | Plan.Select _ -> "select"
+  | Plan.Project _ -> "project"
+  | Plan.Sort _ -> "sort"
+  | Plan.Join _ -> "join"
+  | Plan.Union _ -> "union"
+  | Plan.Dedup _ -> "dedup"
+  | Plan.Aggregate _ -> "aggregate"
+  | Plan.Submit (s, _) -> Fmt.str "submit(%s)" s
+
 let check ?(ctx = `Mediator) reg plan =
   let cat = Registry.catalog reg in
   let out = ref [] in
   let add ?source ?scope severity tag path msg =
+    let path = render_path plan_label path in
     out := { severity; tag; source; scope; path; msg } :: !out
   in
   let resolve_or_report ?(tag = "unknown-attribute") env path name =
@@ -180,23 +198,11 @@ let check ?(ctx = `Mediator) reg plan =
          | None -> ())
       | _ -> ())
   in
-  (* Returns the node's typed output environment. [inside] is the submit
-     source when below a Submit node. *)
-  let rec walk ~inside rev_path (p : Plan.t) : env =
-    let label =
-      match p with
-      | Plan.Scan r -> Fmt.str "scan(%s.%s)" r.Plan.source r.Plan.collection
-      | Plan.Select _ -> "select"
-      | Plan.Project _ -> "project"
-      | Plan.Sort _ -> "sort"
-      | Plan.Join _ -> "join"
-      | Plan.Union _ -> "union"
-      | Plan.Dedup _ -> "dedup"
-      | Plan.Aggregate _ -> "aggregate"
-      | Plan.Submit (s, _) -> Fmt.str "submit(%s)" s
-    in
-    let rev_path = label :: rev_path in
-    let path = String.concat "/" (List.rev rev_path) in
+  (* Returns the node's typed output environment. [up] lists the ancestors,
+     nearest first; [inside] is the submit source when below a Submit
+     node. *)
+  let rec walk ~inside up (p : Plan.t) : env =
+    let path = p :: up in
     match p with
     | Plan.Scan r ->
       let source = r.Plan.source in
@@ -232,11 +238,11 @@ let check ?(ctx = `Mediator) reg plan =
              (q, a.Schema.attr_type))
            entry.Catalog.schema.Schema.attributes)
     | Plan.Select (c, pred) ->
-      let env = walk ~inside rev_path c in
+      let env = walk ~inside path c in
       check_pred env path pred;
       env
     | Plan.Project (c, attrs) ->
-      let env = walk ~inside rev_path c in
+      let env = walk ~inside path c in
       if attrs = [] then
         add Error "projection" path "projection keeps no attributes";
       let seen = Hashtbl.create 8 in
@@ -252,13 +258,13 @@ let check ?(ctx = `Mediator) reg plan =
             | _ -> None))
         attrs
     | Plan.Sort (c, keys) ->
-      let env = walk ~inside rev_path c in
+      let env = walk ~inside path c in
       List.iter (fun (k, _) -> ignore (resolve_or_report env path k)) keys;
       if keys = [] then add Warning "sort" path "sort with no keys";
       env
     | Plan.Join (l, r, pred) ->
-      let le = walk ~inside rev_path l in
-      let re = walk ~inside rev_path r in
+      let le = walk ~inside path l in
+      let re = walk ~inside path r in
       let overlap = List.filter (fun (n, _) -> List.mem_assoc n re) le in
       (match overlap with
        | [] -> ()
@@ -271,8 +277,8 @@ let check ?(ctx = `Mediator) reg plan =
       check_pred ~sides:(le, re) env path pred;
       env
     | Plan.Union (l, r) ->
-      let le = walk ~inside rev_path l in
-      let re = walk ~inside rev_path r in
+      let le = walk ~inside path l in
+      let re = walk ~inside path r in
       let names e = List.sort compare (List.map fst e) in
       if names le <> names re then
         add Warning "union-schema" path
@@ -289,9 +295,9 @@ let check ?(ctx = `Mediator) reg plan =
             | _ -> ())
           le;
       le
-    | Plan.Dedup c -> walk ~inside rev_path c
+    | Plan.Dedup c -> walk ~inside path c
     | Plan.Aggregate (c, a) ->
-      let env = walk ~inside rev_path c in
+      let env = walk ~inside path c in
       let group =
         List.filter_map
           (fun g ->
@@ -371,95 +377,12 @@ let check ?(ctx = `Mediator) reg plan =
                  (Fmt.str "source %s cannot execute %s" source op)
              | _ -> ())
            () sub;
-         walk ~inside:(Some source) rev_path sub)
+         walk ~inside:(Some source) path sub)
   in
   ignore (walk ~inside:None [] plan);
   List.rev !out
 
 let ok ?ctx reg plan = errors (check ?ctx reg plan) = []
-
-(* ---------------- physical-plan invariants ---------------- *)
-
-module P = Disco_exec.Physical
-module T = Disco_storage.Table
-
-let check_physical plan =
-  let out = ref [] in
-  let add severity tag path msg =
-    out := { severity; tag; source = None; scope = None; path; msg } :: !out
-  in
-  let table_attr table binding path what name =
-    (* residuals and access paths reference attributes of one table: accept
-       the bare schema name or its binding-qualified form *)
-    let bare =
-      match Plan.split_attr name with
-      | Some (b, a) when b = binding -> Some a
-      | Some _ -> None
-      | None -> Some name
-    in
-    match bare with
-    | Some a
-      when Schema.find_attribute table.T.schema a <> None ->
-      Some a
-    | _ ->
-      add Error "unknown-attribute" path
-        (Fmt.str "%s references %s, not an attribute of %s" what name
-           table.T.schema.Schema.coll_name);
-      None
-  in
-  let rec walk rev_path (p : P.t) =
-    let label =
-      match p with
-      | P.Pscan { table; _ } -> Fmt.str "pscan(%s)" table.T.name
-      | P.Pfilter _ -> "pfilter"
-      | P.Pproject _ -> "pproject"
-      | P.Psort _ -> "psort"
-      | P.Pnested_join _ -> "pnested_join"
-      | P.Pindex_join _ -> "pindex_join"
-      | P.Punion _ -> "punion"
-      | P.Pdedup _ -> "pdedup"
-      | P.Paggregate _ -> "paggregate"
-      | P.Pmaterialized _ -> "pmaterialized"
-    in
-    let rev_path = label :: rev_path in
-    let path = String.concat "/" (List.rev rev_path) in
-    match p with
-    | P.Pscan { table; binding; access; residual } ->
-      (match access with
-       | P.Full_scan -> ()
-       | P.Index_scan { attr; _ } -> (
-         match table_attr table binding path "index access" attr with
-         | Some a when not (T.has_index table a) ->
-           add Error "index-access" path
-             (Fmt.str "index scan on %s but %s has no index on it" attr
-                table.T.name)
-         | _ -> ()));
-      List.iter
-        (fun a -> ignore (table_attr table binding path "residual" a))
-        (Pred.attributes residual)
-    | P.Pfilter (c, _) | P.Pproject (c, _) | P.Psort (c, _) | P.Pdedup c
-    | P.Paggregate (c, _) ->
-      walk rev_path c
-    | P.Pnested_join (l, r, _) | P.Punion (l, r) ->
-      walk rev_path l;
-      walk rev_path r
-    | P.Pindex_join { outer; table; binding; inner_attr; residual; _ } ->
-      (match table_attr table binding path "index join" inner_attr with
-       | Some a when not (T.has_index table a) ->
-         add Error "index-access" path
-           (Fmt.str "index join probes %s but %s has no index on it" inner_attr
-              table.T.name)
-       | _ -> ());
-      ignore residual;
-      walk rev_path outer
-    | P.Pmaterialized { rows; count; _ } ->
-      let n = List.length rows in
-      if count <> n then
-        add Error "materialized-count" path
-          (Fmt.str "materialized node claims %d rows but holds %d" count n)
-  in
-  walk [] plan;
-  List.rev !out
 
 (* ---------------- batched-engine preconditions ---------------- *)
 
@@ -510,4 +433,95 @@ let check_batch (b : B.t) =
     if !bytes <> b.B.bytes then
       add Error "batch-bytes"
         (Fmt.str "batch claims %d bytes but rows sum to %d" b.B.bytes !bytes));
+  List.rev !out
+
+(* ---------------- physical-plan invariants ---------------- *)
+
+module P = Disco_exec.Physical
+module T = Disco_storage.Table
+
+let physical_label = function
+  | P.Pscan { table; _ } -> Fmt.str "pscan(%s)" table.T.name
+  | P.Pfilter _ -> "pfilter"
+  | P.Pproject _ -> "pproject"
+  | P.Psort _ -> "psort"
+  | P.Pnested_join _ -> "pnested_join"
+  | P.Pindex_join _ -> "pindex_join"
+  | P.Punion _ -> "punion"
+  | P.Pdedup _ -> "pdedup"
+  | P.Paggregate _ -> "paggregate"
+  | P.Pmaterialized _ -> "pmaterialized"
+
+let check_physical plan =
+  let out = ref [] in
+  let add severity tag path msg =
+    let path = render_path physical_label path in
+    out := { severity; tag; source = None; scope = None; path; msg } :: !out
+  in
+  let table_attr table binding path what name =
+    (* residuals and access paths reference attributes of one table: accept
+       the bare schema name or its binding-qualified form *)
+    let bare =
+      match Plan.split_attr name with
+      | Some (b, a) when b = binding -> Some a
+      | Some _ -> None
+      | None -> Some name
+    in
+    match bare with
+    | Some a
+      when Schema.find_attribute table.T.schema a <> None ->
+      Some a
+    | _ ->
+      add Error "unknown-attribute" path
+        (Fmt.str "%s references %s, not an attribute of %s" what name
+           table.T.schema.Schema.coll_name);
+      None
+  in
+  let rec walk up (p : P.t) =
+    let path = p :: up in
+    match p with
+    | P.Pscan { table; binding; access; residual } ->
+      (match access with
+       | P.Full_scan -> ()
+       | P.Index_scan { attr; _ } -> (
+         match table_attr table binding path "index access" attr with
+         | Some a when not (T.has_index table a) ->
+           add Error "index-access" path
+             (Fmt.str "index scan on %s but %s has no index on it" attr
+                table.T.name)
+         | _ -> ()));
+      List.iter
+        (fun a -> ignore (table_attr table binding path "residual" a))
+        (Pred.attributes residual)
+    | P.Pfilter (c, _) | P.Pproject (c, _) | P.Psort (c, _) | P.Pdedup c
+    | P.Paggregate (c, _) ->
+      walk path c
+    | P.Pnested_join (l, r, _) | P.Punion (l, r) ->
+      walk path l;
+      walk path r
+    | P.Pindex_join { outer; table; binding; inner_attr; residual; _ } ->
+      (match table_attr table binding path "index join" inner_attr with
+       | Some a when not (T.has_index table a) ->
+         add Error "index-access" path
+           (Fmt.str "index join probes %s but %s has no index on it" inner_attr
+              table.T.name)
+       | _ -> ());
+      ignore residual;
+      walk path outer
+    | P.Pmaterialized { batches; count; _ } ->
+      (* the mediator's engine reads these batches without re-checking
+         them: each must meet the batched engine's preconditions *)
+      List.iteri
+        (fun i b ->
+          List.iter
+            (fun (f : finding) ->
+              add f.severity f.tag path (Fmt.str "batch %d: %s" i f.msg))
+            (check_batch b))
+        batches;
+      let n = List.fold_left (fun acc (b : B.t) -> acc + b.B.len) 0 batches in
+      if count <> n then
+        add Error "materialized-count" path
+          (Fmt.str "materialized node claims %d rows but holds %d" count n)
+  in
+  walk [] plan;
   List.rev !out

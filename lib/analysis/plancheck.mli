@@ -47,14 +47,21 @@ val check : ?ctx:ctx -> Registry.t -> Plan.t -> finding list
     and their subtrees are skipped rather than cascading. *)
 
 val ok : ?ctx:ctx -> Registry.t -> Plan.t -> bool
-(** [errors (check ...) = []] — the cheap admission predicate. *)
+(** [errors (check ...) = []] — the cheap admission predicate: a clean walk
+    renders no operator paths (they are built only when a finding is
+    recorded). *)
 
 (** {1 Physical-plan and batch invariants} *)
 
 val check_physical : Disco_exec.Physical.t -> finding list
-(** Shape invariants the executors assume but do not re-check: materialized
-    node counts match their row lists, index access paths name indexed
-    attributes, residual predicates resolve against the scanned table. *)
+(** Shape invariants the executors assume but do not re-check: index access
+    paths name indexed attributes, residual predicates resolve against the
+    scanned table, and materialized nodes — what crosses from a wrapper to
+    the mediator — claim the total length of their batches as [count] and
+    hold only batches that pass {!check_batch} (those findings are reported
+    at the node's path, prefixed with the batch's position). Walks every
+    row of every materialized batch, so it is a test and audit tool, off
+    the query path. *)
 
 val check_batch : Disco_exec.Batch.t -> finding list
 (** Batched-engine preconditions: attrs/columns agreement, selection-vector

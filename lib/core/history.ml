@@ -104,7 +104,7 @@ let feed_cardinality t ~source ~plan ~actual ~estimated =
      | Some pred ->
        let key = Pred.to_string pred in
        let ratio = (estimated +. 1.) /. (actual +. 1.) in
-       let old_fix = Registry.sel_fix t.registry ~source key in
+       let old_fix = Registry.sel_fix t.registry ~source (fun () -> key) in
        let target = old_fix /. ratio in
        let fix = (fb.smoothing *. target) +. ((1. -. fb.smoothing) *. old_fix) in
        if Float.is_finite fix && fix > 0. then

@@ -37,8 +37,8 @@ type t = {
      cardinalities (§4.3). Writes do NOT bump the generation — corrections
      accumulate silently and only a drift-triggered [invalidate] republishes
      them to cached plans. [sel_fix_active] is a monotone flag letting the
-     estimator skip the lock entirely until the first correction exists, so
-     the feedback-off path costs nothing. *)
+     estimator skip the lock — and the printing of the key — entirely until
+     the first correction exists, so the feedback-off path costs nothing. *)
   sel_fixes : (string * string, float) Hashtbl.t;
   mutable sel_fix_active : bool;
   mutable next_id : int;
@@ -103,6 +103,7 @@ let set_sel_fix t ~source key factor =
 let sel_fix t ~source key =
   if not t.sel_fix_active then 1.
   else
+    let key = key () in
     Mutex.protect t.lock (fun () ->
         Option.value ~default:1. (Hashtbl.find_opt t.sel_fixes (source, key)))
 

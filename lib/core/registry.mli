@@ -152,11 +152,12 @@ val adjust : t -> source:string -> float
     cardinalities. Unlike {!set_adjust}, writes deliberately do {e not} bump
     the generation: corrections accumulate silently while plans keep being
     served from caches, and only a drift-triggered {!invalidate} republishes
-    them. [sel_fix] is lock-free until the first correction is installed, so
-    the feedback-off path costs nothing. *)
+    them. [sel_fix] takes no lock and prints no key until the first
+    correction is installed, so the feedback-off path costs nothing. *)
 
 val set_sel_fix : t -> source:string -> string -> float -> unit
-val sel_fix : t -> source:string -> string -> float
-(** The correction for a predicate key; 1 when none is installed. *)
+val sel_fix : t -> source:string -> (unit -> string) -> float
+(** The correction for a predicate key; 1 when none is installed. The key
+    is computed only once some correction exists. *)
 
 val clear_sel_fixes : t -> source:string -> unit

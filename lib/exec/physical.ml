@@ -32,10 +32,11 @@ type t =
   | Punion of t * t
   | Pdedup of t
   | Paggregate of t * Plan.aggregate
-  (* Already-computed input (a wrapper subresult at the mediator), with the
-     simulated times spent producing it. [count] is [List.length rows],
-     carried so pretty-printing never walks materialized data. *)
-  | Pmaterialized of { rows : Tuple.t list; count : int; first : float; total : float }
+  (* Already-computed input (a wrapper subresult at the mediator): the
+     wrapper engine's batches as they are, with the simulated times spent
+     producing them. [count] is their total length, carried so
+     pretty-printing never walks materialized data. *)
+  | Pmaterialized of { batches : Batch.t list; count : int; first : float; total : float }
 
 let rec pp ppf = function
   | Pscan { table; binding; access; residual } ->

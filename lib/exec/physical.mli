@@ -32,11 +32,13 @@ type t =
   | Punion of t * t
   | Pdedup of t
   | Paggregate of t * Plan.aggregate
-  | Pmaterialized of { rows : Tuple.t list; count : int; first : float; total : float }
+  | Pmaterialized of { batches : Batch.t list; count : int; first : float; total : float }
       (** An already-computed input (a wrapper subresult at the mediator),
-          with the simulated times spent producing it. [count] must equal
-          [List.length rows]; it is carried so pretty-printing a plan never
-          walks materialized data. *)
+          with the simulated times spent producing it. [batches] are the
+          wrapper engine's own columnar output, handed over as they are
+          (see {!Run.run_batched}); they are read-only from then on. [count]
+          must equal the total length of [batches]; it is carried so
+          pretty-printing a plan never walks materialized data. *)
 
 val pp : Format.formatter -> t -> unit
 

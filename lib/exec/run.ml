@@ -242,8 +242,10 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
   (* Gather point of the mediator's scatter-gather: wrapper subresults land
      here pre-executed (possibly concurrently, in their own envs), so the
      composition below never touches a wrapper and [env] stays
-     single-domain. *)
-  | Physical.Pmaterialized { rows; count = _; first; total } -> mk rows ~first ~total
+     single-domain. They arrive as batches; the reference engine reads
+     them as tuples. *)
+  | Physical.Pmaterialized { batches; count = _; first; total } ->
+    mk (List.concat_map Batch.to_tuples batches) ~first ~total
   | Physical.Pscan { table; binding; access; residual } ->
     let attrs = qualified_attrs table binding in
     let has_residual = not (Pred.equal residual Pred.True) in
@@ -605,10 +607,12 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
   let e = env.engine in
   let apply = Adt.apply env.adts in
   match p with
-  | Physical.Pmaterialized { rows; count = _; first; total } ->
-    let o = bout bsz in
-    List.iter (fun (t : Tuple.t) -> bout_row o t.Tuple.attrs t.Tuple.values) rows;
-    bres (bout_done o) ~first ~total
+  | Physical.Pmaterialized { batches; count = _; first; total } ->
+    (* the wrapper engine's batches are taken as they are: O(#batches),
+       whatever their size or selection vectors *)
+    let acc = bacc () in
+    List.iter (bpush acc) batches;
+    bres_of_acc acc ~first ~total
   | Physical.Pscan { table; binding; access; residual } ->
     let attrs = qualified_attrs table binding in
     let has_residual = not (Pred.equal residual Pred.True) in
@@ -1064,9 +1068,26 @@ let timed f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
 
-let run_batched ?(batch_size = default_batch_size) env p =
-  let br, w = timed (fun () -> exec_batch env ~bsz:(max batch_size 1) p) in
-  { br with bwall_ms = w }
+let resolve_mode = function Some m -> m | None -> !default_mode_ref
+
+let run_tuple env p =
+  let r, w = timed (fun () -> exec_tuple env p) in
+  { r with wall_ms = w }
+
+(* The reference engine's rows in batch form: one batch per run of rows
+   sharing an attribute array ([bout] starts a new batch wherever it
+   changes — a union mixes schemas in one stream). *)
+let batched_of_rows (r : result) =
+  let o = bout max_int in
+  List.iter (fun (t : Tuple.t) -> bout_row o t.Tuple.attrs t.Tuple.values) r.rows;
+  { (bres (bout_done o) ~first:r.first ~total:r.total) with bwall_ms = r.wall_ms }
+
+let run_batched ?mode env p =
+  match resolve_mode mode with
+  | Tuple_at_a_time -> batched_of_rows (run_tuple env p)
+  | Batched { batch_size } ->
+    let br, w = timed (fun () -> exec_batch env ~bsz:(max batch_size 1) p) in
+    { br with bwall_ms = w }
 
 let rows_of_batched br = List.concat_map Batch.to_tuples br.batches
 
@@ -1079,15 +1100,11 @@ let vector_of_batched br =
     total_time = br.btotal;
     wall_ms = br.bwall_ms }
 
-let resolve_mode = function Some m -> m | None -> !default_mode_ref
-
 let run ?mode env p : result =
   match resolve_mode mode with
-  | Tuple_at_a_time ->
-    let r, w = timed (fun () -> exec_tuple env p) in
-    { r with wall_ms = w }
-  | Batched { batch_size } ->
-    let br = run_batched ~batch_size env p in
+  | Tuple_at_a_time -> run_tuple env p
+  | Batched _ as mode ->
+    let br = run_batched ~mode env p in
     { rows = rows_of_batched br;
       first = br.bfirst;
       total = br.btotal;
@@ -1100,8 +1117,8 @@ let run ?mode env p : result =
 let measure ?mode env p : Tuple.t list * vector =
   match resolve_mode mode with
   | Tuple_at_a_time ->
-    let r = run ~mode:Tuple_at_a_time env p in
+    let r = run_tuple env p in
     (r.rows, vector_of_result r)
-  | Batched { batch_size } ->
-    let br = run_batched ~batch_size env p in
+  | Batched _ as mode ->
+    let br = run_batched ~mode env p in
     (rows_of_batched br, vector_of_batched br)

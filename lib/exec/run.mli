@@ -98,14 +98,21 @@ val run : ?mode:mode -> env -> Physical.t -> result
     This is why the mediator's scatter-gather path parallelizes {e
     upstream} of [run]: wrapper subplans execute concurrently in their own
     wrappers (each with its own [env]) during translation to {!Physical.t},
-    arrive here as {!Physical.Pmaterialized} leaves — rows plus the
-    simulated times already charged — and the mediator-side composition
-    that [run] performs stays single-domain and deterministic. *)
+    arrive here as {!Physical.Pmaterialized} leaves — the wrapper engine's
+    batches plus the simulated times already charged — and the
+    mediator-side composition that [run] performs stays single-domain and
+    deterministic. A batch built on a scatter domain is read-only once
+    {!run_batched} returns it: no engine writes to an emitted batch or to
+    the column arrays it shares (with a table's columnar mirror or with
+    another batch), so the gathering domain reads it without copying or
+    locking. *)
 
 val measure : ?mode:mode -> env -> Physical.t -> Tuple.t list * vector
 (** {!run} followed by {!vector_of_result}. In batched mode the vector's
     count and size come from incrementally-carried totals rather than a
-    walk over the result rows. *)
+    walk over the result rows. The mediator calls it once per query, for
+    the final answer; wrapper results stay in batch form
+    ({!run_batched}). *)
 
 (** {1 Batched execution}
 
@@ -122,9 +129,16 @@ type batched_result = {
   bwall_ms : float;
 }
 
-val run_batched : ?batch_size:int -> env -> Physical.t -> batched_result
-(** Execute with the batched engine, keeping the columnar result. Same
-    concurrency contract as {!run}. *)
+val run_batched : ?mode:mode -> env -> Physical.t -> batched_result
+(** Execute, keeping the result in batch form: the one entry point that
+    returns batches, and what a wrapper hands the mediator. [mode] defaults
+    to {!default_mode}. The batched engine returns its own batches; the
+    reference engine's rows are chunked into one batch per run of rows
+    sharing an attribute array. Either way {!rows_of_batched} gives back
+    {!run}'s rows in order, and counts, bytes and simulated times are
+    bit-identical between modes. A {!Physical.Pmaterialized} input costs
+    the batched engine O(#batches): its batches are passed on as they
+    are. Same concurrency contract as {!run}. *)
 
 val rows_of_batched : batched_result -> Tuple.t list
 

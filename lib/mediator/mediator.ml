@@ -629,7 +629,7 @@ let history_estimate t ~source sub =
    mediator accounting (history feedback, communication charge, clock
    advance, health) happens here, on the gathering domain, in plan order. *)
 type prefetched =
-  (string, (Tuple.t list * Run.vector, exn) result Queue.t) Hashtbl.t
+  (string, (Batch.t list * Run.vector, exn) result Queue.t) Hashtbl.t
 
 let submit_subplan ?prefetched t src sub : Physical.t =
   let w = find_wrapper t src in
@@ -644,7 +644,7 @@ let submit_subplan ?prefetched t src sub : Physical.t =
     | None -> Wrapper.execute w sub
   in
   let complete ~inflate =
-    let rows, vec = execute () in
+    let batches, vec = execute () in
     let estimated_total, estimated_count = history_estimate t ~source:src sub in
     let measured =
       if inflate = 0. then Run.to_cost_vars vec
@@ -660,7 +660,7 @@ let submit_subplan ?prefetched t src sub : Physical.t =
     t.now <- t.now +. vec.Run.total_time +. comm +. inflate;
     Health.on_success t.health src;
     Physical.Pmaterialized
-      { rows;
+      { batches;
         count = int_of_float vec.Run.count;
         first = vec.Run.time_first +. net.Costs.msg_ms +. inflate;
         total = vec.Run.total_time +. comm +. inflate }

@@ -4,8 +4,8 @@
    whatever cost rules its implementor wrote (possibly none: the mediator's
    generic model then covers the source). During the query phase it accepts
    logical subplans, translates them to physical plans over its stored
-   tables, executes them on the simulated engine and returns objects plus
-   measured costs. *)
+   tables, executes them on the simulated engine and returns objects, in
+   the engine's columnar batches, plus measured costs. *)
 
 open Disco_common
 open Disco_catalog
@@ -124,14 +124,19 @@ let registration_text t = Pp.source_to_string (registration_decl t)
 
 (* --- Query phase ----------------------------------------------------------- *)
 
-(* Execute a logical subplan (no [submit] nodes) and measure it. *)
-let execute t (plan : Plan.t) : Tuple.t list * Run.vector =
+(* Execute a logical subplan (no [submit] nodes) and measure it. The result
+   stays in the batches the engine produced: the mediator's engine composes
+   them as they are. *)
+let execute t (plan : Plan.t) : Batch.t list * Run.vector =
   let physical =
     Physical.of_logical ~engine:t.engine ~find_table:(find_table t) plan
   in
-  Run.measure
-    { Run.engine = t.engine; buffer = t.buffer; hash_join = false; adts = t.adts }
-    physical
+  let br =
+    Run.run_batched
+      { Run.engine = t.engine; buffer = t.buffer; hash_join = false; adts = t.adts }
+      physical
+  in
+  (br.Run.batches, Run.vector_of_batched br)
 
 (* The physical plan the wrapper would run, for explain output. *)
 let physical_plan t (plan : Plan.t) : Physical.t =

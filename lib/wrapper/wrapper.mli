@@ -4,7 +4,7 @@
     whatever cost rules its implementor wrote (possibly none: the mediator's
     generic model then covers the source). During the query phase it accepts
     logical subplans, executes them on the simulated engine, and returns
-    objects plus measured costs. *)
+    objects, in columnar batches, plus measured costs. *)
 
 open Disco_algebra
 open Disco_costlang
@@ -74,8 +74,14 @@ val registration_text : t -> string
 
 (** {1 Query phase (paper Fig 2)} *)
 
-val execute : t -> Plan.t -> Tuple.t list * Run.vector
-(** Execute a logical subplan (no [submit] nodes) and measure it. *)
+val execute : t -> Plan.t -> Batch.t list * Run.vector
+(** Execute a logical subplan (no [submit] nodes) and measure it. The
+    objects come back in the batches the wrapper's engine produced
+    ({!Run.run_batched} under the default mode), in row order, possibly
+    with selection vectors and sharing column arrays with the wrapper's
+    tables; callers must treat them as read-only. The mediator composes
+    them as they are ({!Physical.Pmaterialized}); {!Batch.to_tuples}
+    turns one into tuples. *)
 
 val physical_plan : t -> Plan.t -> Physical.t
 (** The physical plan the wrapper would run, for explain output. *)

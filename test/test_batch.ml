@@ -86,7 +86,7 @@ let test_find_col_matches_tuple_get () =
 let test_mask_matches_pred_eval () =
   let parts = part_table ~n:200 () in
   let e = env () in
-  let br = Run.run_batched ~batch_size:64 e (pscan parts "p") in
+  let br = Run.run_batched ~mode:(Run.Batched { batch_size = 64 }) e (pscan parts "p") in
   let pred =
     Pred.And
       ( Pred.Cmp ("p.weight", Pred.Lt, Constant.Int 25),
@@ -127,6 +127,15 @@ let batch_sizes = [ 1; 7; 64; 100_000 ]
 
 let check_diff ?hash_join name phys =
   let rt, vt = Run.measure ~mode:Run.Tuple_at_a_time (env ?hash_join ()) phys in
+  (* the reference rows in batch form, as a wrapper in reference mode hands
+     them to the mediator: one batch per schema run, same rows and names *)
+  let tb = Run.run_batched ~mode:Run.Tuple_at_a_time (env ?hash_join ()) phys in
+  Alcotest.(check bool) (name ^ " reference batches: rows and names") true
+    (List.equal
+       (fun (a : Tuple.t) (b : Tuple.t) ->
+         a.Tuple.attrs = b.Tuple.attrs && Tuple.equal a b)
+       rt (Run.rows_of_batched tb));
+  check_vec (name ^ " reference batches") vt (Run.vector_of_batched tb);
   List.iter
     (fun bsz ->
       let rb, vb =
@@ -210,7 +219,9 @@ let test_materialized_roundtrip () =
   in
   let phys =
     Physical.Pdedup
-      (Physical.Pmaterialized { rows; count = 10; first = 2.; total = 11. })
+      (Physical.Pmaterialized
+         { batches = [ Batch.of_tuples [| "x.a" |] rows ]; count = 10; first = 2.;
+           total = 11. })
   in
   check_diff "dedup over materialized" phys
 
@@ -218,7 +229,9 @@ let test_materialized_roundtrip () =
 
 let test_incremental_accounting () =
   let parts = part_table ~n:1000 () in
-  let br = Run.run_batched ~batch_size:13 (env ()) (pscan parts "p") in
+  let br =
+    Run.run_batched ~mode:(Run.Batched { batch_size = 13 }) (env ()) (pscan parts "p")
+  in
   let rows = Run.rows_of_batched br in
   (* the carried totals are exact: equal to a full refold over the rows *)
   Alcotest.(check int) "carried count" (List.length rows) br.Run.bcount;
@@ -234,11 +247,55 @@ let test_incremental_accounting () =
     (fun b -> Alcotest.(check bool) "batch non-empty" true (Batch.length b > 0))
     br.Run.batches
 
+(* This domain's allocation counters, exact: OCaml 5 folds the current
+   minor heap's allocations (and direct major allocations) into the
+   counters only at a minor collection, so force one first. *)
+let gc_stat () =
+  Gc.minor ();
+  Gc.quick_stat ()
+
+(* Words allocated on this domain so far, minor and direct-major. *)
+let allocated_words () =
+  let s = gc_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A wrapper result reaches the mediator's engine as the batches the wrapper
+   produced: taking a materialized input costs O(#batches) words, not a
+   rebuild per row. *)
+let test_materialized_input_allocation () =
+  let parts = part_table ~n:10_000 () in
+  let input =
+    Run.run_batched ~mode:(Run.Batched { batch_size = 1024 }) (env ())
+      (Physical.Pscan
+         { table = parts;
+           binding = "p";
+           access =
+             Physical.Index_scan { attr = "id"; op = Cmp.Le; value = Constant.Int 10_000 };
+           residual = Pred.True })
+  in
+  let nbatches = List.length input.Run.batches in
+  Alcotest.(check int) "10,000 rows" 10_000 input.Run.bcount;
+  let phys =
+    Physical.Pmaterialized
+      { batches = input.Run.batches; count = input.Run.bcount; first = 1.; total = 2. }
+  in
+  let e = env () in
+  let before = allocated_words () in
+  let r = Sys.opaque_identity (Run.run_batched e phys) in
+  let words = allocated_words () -. before in
+  Alcotest.(check bool) "the input batches are passed on as they are" true
+    (List.equal ( == ) input.Run.batches r.Run.batches);
+  Alcotest.(check int) "bytes carried" input.Run.bbytes r.Run.bbytes;
+  if words > float_of_int ((16 * nbatches) + 256) then
+    Alcotest.failf "%.0f words for a %d-batch materialized input" words nbatches
+
 let test_wall_clock_present () =
   let parts = part_table () in
   let r = Run.run ~mode:Run.Tuple_at_a_time (env ()) (pscan parts "p") in
   Alcotest.(check bool) "tuple wall >= 0" true (r.Run.wall_ms >= 0.);
-  let br = Run.run_batched ~batch_size:64 (env ()) (pscan parts "p") in
+  let br =
+    Run.run_batched ~mode:(Run.Batched { batch_size = 64 }) (env ()) (pscan parts "p")
+  in
   Alcotest.(check bool) "batched wall >= 0" true (br.Run.bwall_ms >= 0.)
 
 (* --- Output builder capacity ---------------------------------------------------- *)
@@ -246,7 +303,7 @@ let test_wall_clock_present () =
 (* Words allocated straight into the major heap (not promoted from the minor
    heap) since the program started, on this domain. *)
 let direct_major_words () =
-  let s = Gc.quick_stat () in
+  let s = gc_stat () in
   s.Gc.major_words -. s.Gc.promoted_words
 
 (* Operator output builders start small and double up to the batch size. A
@@ -290,4 +347,6 @@ let () =
             test_incremental_accounting;
           Alcotest.test_case "wall clock populated" `Quick test_wall_clock_present;
           Alcotest.test_case "small outputs stay in the minor heap" `Quick
-            test_small_outputs_stay_minor ] ) ]
+            test_small_outputs_stay_minor;
+          Alcotest.test_case "materialized input costs O(#batches)" `Quick
+            test_materialized_input_allocation ] ) ]

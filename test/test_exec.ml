@@ -312,7 +312,14 @@ let test_aggregate_empty_group_by () =
 
 let test_materialized_passthrough () =
   let rows = [ Tuple.make [| "x" |] [| Constant.Int 1 |] ] in
-  let r = Run.run (env ()) (Physical.Pmaterialized { rows; count = 1; first = 5.; total = 9. }) in
+  let r =
+    Run.run (env ())
+      (Physical.Pmaterialized
+         { batches = [ Batch.of_tuples [| "x" |] rows ];
+           count = 1;
+           first = 5.;
+           total = 9. })
+  in
   Alcotest.(check int) "rows" 1 (List.length r.Run.rows);
   Alcotest.(check (float 0.)) "first" 5. r.Run.first;
   Alcotest.(check (float 0.)) "total" 9. r.Run.total

@@ -268,18 +268,46 @@ let test_stats_off_identical_demo () =
    at 1/2/4/8 domains. *)
 let oo7_config = Disco_oo7.Oo7.small_config
 
+let oo7_scan collection binding =
+  Plan.Scan { Plan.source = "oo7"; collection; binding }
+
+(* A residual-filtered index range: at small batch sizes the wrapper hands
+   the mediator several batches that carry selection vectors. *)
+let oo7_filtered =
+  let int i = Disco_common.Constant.Int i in
+  Plan.Select
+    ( Plan.Select (oo7_scan "AtomicPart" "a", Pred.Cmp ("a.id", Pred.Le, int 60)),
+      Pred.Cmp ("a.x", Pred.Lt, int 50_000) )
+
+(* Those batches composed at the mediator: hash join, sort, aggregate. *)
+let oo7_composed =
+  Plan.Aggregate
+    ( Plan.Sort
+        ( Plan.Join
+            ( Plan.Submit ("oo7", oo7_filtered),
+              Plan.Submit ("oo7", oo7_scan "CompositePart" "c"),
+              Pred.Attr_cmp ("a.partOf", Pred.Eq, "c.id") ),
+          [ ("c.buildDate", Plan.Desc); ("a.id", Plan.Asc) ] ),
+      { Plan.group_by = [ "c.id" ];
+        aggs =
+          [ (Plan.Count, "", "n"); (Plan.Sum, "a.x", "sx"); (Plan.Min, "a.y", "my") ] } )
+
 let trace_oo7 ?stats_mode ~domains () =
   let med = Mediator.create ?stats_mode ~domains () in
   Mediator.register med (Disco_oo7.Oo7.make_source ~config:oo7_config ());
   let env = Mediator.mediator_run_env med in
   List.map
     (fun (label, plan) ->
-      let phys = Mediator.to_physical med (Plan.Submit ("oo7", plan)) in
+      let phys = Mediator.to_physical med plan in
       let rows, v = Run.measure env phys in
-      Fmt.str "%s | %Lx %Lx | %d rows %s" label (bits v.Run.total_time)
-        (bits v.Run.time_first) (List.length rows)
+      Fmt.str "%s | %Lx %Lx %Lx %Lx %Lx | %d rows %s" label (bits v.Run.count)
+        (bits v.Run.size) (bits v.Run.time_first) (bits v.Run.time_next)
+        (bits v.Run.total_time) (List.length rows)
         (String.concat ";" (List.map Tuple.key rows)))
-    (Disco_oo7.Oo7.queries oo7_config)
+    (List.map
+       (fun (label, plan) -> (label, Plan.Submit ("oo7", plan)))
+       (Disco_oo7.Oo7.queries oo7_config)
+     @ [ ("composed at the mediator", oo7_composed) ])
   @ [ Fmt.str "clock %Lx" (bits (Mediator.now med)) ]
 
 let test_stats_off_identical_oo7 () =
@@ -300,8 +328,17 @@ let with_mode m f =
 (* The vectorized engine is a drop-in under every composition: for each
    (domain count, stats mode) the full execution trace — rows, measured
    bits, simulated clock — of the batched engine equals the tuple engine's,
-   over both the demo federation and OO7. *)
+   over both the demo federation and OO7. Wrapper results cross into the
+   mediator as batches, so this also pins the composition of batches built
+   on scatter domains, selection vectors included. *)
 let test_batched_composes () =
+  with_mode (Run.Batched { batch_size = 7 }) (fun () ->
+      let source = Disco_oo7.Oo7.make_source ~config:oo7_config () in
+      let batches, _ = Wrapper.execute source oo7_filtered in
+      Alcotest.(check bool)
+        "the filtered range crosses as several selection-vector batches" true
+        (List.length batches > 1
+         && List.for_all (fun (b : Batch.t) -> b.Batch.sel <> None) batches));
   List.iter
     (fun domains ->
       List.iter
@@ -321,7 +358,7 @@ let test_batched_composes () =
                     Alcotest.failf
                       "batched OO7 trace diverged at %d domains, batch %d"
                       domains batch_size))
-            [ 17; 1024 ])
+            [ 1; 7; 64; 1024 ])
         [ Mediator.Stats_off; Mediator.Stats_feedback History.default_feedback ])
     domain_counts
 

@@ -8,10 +8,12 @@
      output;
    - soundness: random single-source plans (the fuzz grammar) stay within
      the Planbound cardinality intervals;
-   - mutations: swapped join keys, dropped attributes, dangling sources and
-     negative cost constants are each detected with their specific tag;
-   - engine preconditions: corrupt batches and materialized nodes are
-     rejected by [check_batch] / [check_physical]. *)
+   - mutations: swapped join keys, dropped attributes, dangling sources,
+     negative cost constants, and a wrapper result with a wrong count or an
+     out-of-range selection index are each detected with their specific tag;
+   - engine preconditions: corrupt batches are rejected by [check_batch],
+     and what really crosses from wrappers to the mediator passes
+     [check_physical]. *)
 
 open Disco_common
 open Disco_algebra
@@ -242,18 +244,51 @@ let test_check_batch () =
   Alcotest.(check bool) "bytes accounting" true
     (has_tag "batch-bytes" (PC.check_batch bad_bytes))
 
+(* A real wrapper result, as it crosses into the mediator: a residual scan's
+   batches with their selection vector. *)
+let employees_result () =
+  let relstore =
+    List.find
+      (fun w -> w.Wrapper.name = "relstore")
+      (Demo.make ~sizes:Demo.small_sizes ())
+  in
+  Wrapper.execute relstore
+    (Plan.Select
+       ( Plan.Scan { Plan.source = "relstore"; collection = "Employee"; binding = "e" },
+         Pred.Cmp ("e.salary", Cmp.Gt, Constant.Int 5000) ))
+
+let materialized ?count batches (v : Run.vector) =
+  let count = Option.value count ~default:(int_of_float v.Run.count) in
+  Physical.Pmaterialized { batches; count; first = 0.; total = 0. }
+
 let test_check_physical () =
-  let rows = [ Tuple.make [| "e.id" |] [| Constant.Int 1 |] ] in
-  let good =
-    Physical.Pmaterialized { rows; count = 1; first = 0.; total = 0. }
-  in
-  Alcotest.(check int) "good materialized clean" 0
-    (List.length (PC.errors (PC.check_physical good)));
-  let bad =
-    Physical.Pmaterialized { rows; count = 5; first = 0.; total = 0. }
-  in
-  Alcotest.(check bool) "count mismatch" true
+  let batches, v = employees_result () in
+  Alcotest.(check string) "wrapper result clean" ""
+    (pp_errors (PC.check_physical (materialized batches v)));
+  (* and so is every physical plan the mediator builds for the corpus *)
+  let med = make_med () in
+  List.iter
+    (fun sql ->
+      let plan, _ = Mediator.plan_query med sql in
+      Alcotest.(check string) (sql ^ " physical plan clean") ""
+        (pp_errors (PC.check_physical (Mediator.to_physical med plan))))
+    corpus
+
+let test_materialized_count () =
+  let batches, v = employees_result () in
+  let bad = materialized ~count:(int_of_float v.Run.count + 1) batches v in
+  Alcotest.(check bool) "wrong count detected via [materialized-count]" true
     (has_tag "materialized-count" (PC.check_physical bad))
+
+let test_materialized_selection () =
+  let batches, v = employees_result () in
+  let corrupt i (b : Batch.t) =
+    if i > 0 then b else { b with Batch.sel = Some (Array.make b.Batch.len 1_000_000) }
+  in
+  let bad = materialized (List.mapi corrupt batches) v in
+  Alcotest.(check bool) "selection index out of range detected via [selection-vector]"
+    true
+    (has_tag "selection-vector" (PC.check_physical bad))
 
 (* --- plan-cache admission ----------------------------------------------------- *)
 
@@ -282,7 +317,10 @@ let () =
        [ Alcotest.test_case "dangling source" `Quick test_dangling_source;
          Alcotest.test_case "swapped join key" `Quick test_swapped_join_key;
          Alcotest.test_case "dropped attribute" `Quick test_dropped_attribute;
-         Alcotest.test_case "negative cost" `Quick test_negative_cost ]);
+         Alcotest.test_case "negative cost" `Quick test_negative_cost;
+         Alcotest.test_case "materialized wrong count" `Quick test_materialized_count;
+         Alcotest.test_case "materialized bad selection" `Quick
+           test_materialized_selection ]);
       ("engine",
        [ Alcotest.test_case "batch preconditions" `Quick test_check_batch;
          Alcotest.test_case "physical invariants" `Quick test_check_physical ]);
