@@ -8,13 +8,15 @@
 
    - federation: multi-join SQL queries planned repeatedly through the
      mediator (DPccp), cache-enabled vs cache-disabled mediators over the
-     same demo federation.
+     same demo federation. A warm query is served from the cache's
+     search-result entry, so it runs no plan search at all.
 
    The differential assertions always run, in every mode: the cached and
    uncached paths must pick identical plans with bit-identical estimated
    costs (a wrong cache silently corrupts plan choice — see
-   test/test_plancache.ml for the randomized version). [smoke] runs one
-   iteration and only the assertions, for CI. *)
+   test/test_plancache.ml for the randomized version), and a repeated
+   federation query must not search again. [smoke] runs one iteration and
+   only the assertions, for CI. *)
 
 open Disco_costlang
 open Disco_core
@@ -106,12 +108,16 @@ let federation_workload ~iters =
   let cached = federation_mediator ~cache:true in
   let uncached = federation_mediator ~cache:false in
   (* differential check: identical plan, bit-identical cost — twice, so the
-     second round is served from the warm cross-query cache *)
+     second round is served from the warm cross-query cache, which must
+     answer it without a plan search (the optimizer counters stay put) *)
   List.iter
     (fun sql ->
       let p0, c0 = Mediator.plan_query uncached sql in
       for round = 1 to 2 do
+        let searched = Mediator.optimizer_stats cached in
         let p1, c1 = Mediator.plan_query cached sql in
+        if round = 2 && Mediator.optimizer_stats cached <> searched then
+          Fmt.failwith "cachebench: %s (round 2): the warm round searched" sql;
         if not (Disco_algebra.Plan.equal p0 p1) then
           Fmt.failwith "cachebench: %s (round %d): cached chose a different plan"
             sql round;

@@ -70,7 +70,7 @@ let to_json findings =
   in
   "[" ^ String.concat "," (List.map one findings) ^ "]"
 
-type ctx = [ `Mediator | `Wrapper of string | `Any ]
+type ctx = [ `Mediator | `Wrapper of string ]
 
 (* ---------------- typed environments ---------------- *)
 
@@ -120,8 +120,7 @@ let available env =
 
 (* Operator paths. A walk carries only the reversed list of nodes from the
    current one up to the root; the path string is rendered when a finding
-   is recorded, so a clean check (every plan-cache admission) builds no
-   labels and no paths. *)
+   is recorded, so a clean check builds no labels and no paths. *)
 let render_path label rev_nodes = String.concat "/" (List.rev_map label rev_nodes)
 
 let plan_label = function
@@ -381,8 +380,6 @@ let check ?(ctx = `Mediator) reg plan =
   in
   ignore (walk ~inside:None [] plan);
   List.rev !out
-
-let ok ?ctx reg plan = errors (check ?ctx reg plan) = []
 
 (* ---------------- batched-engine preconditions ---------------- *)
 

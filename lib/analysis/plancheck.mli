@@ -37,19 +37,12 @@ type ctx =
   [ `Mediator  (** full mediator plan: bare scans outside [Submit] are errors *)
   | `Wrapper of string
     (** wrapper-side plan for the named source: [Submit] is an error and
-        every scan must stay on that source *)
-  | `Any  (** placement-agnostic: accepts both shapes (plan-cache admission,
-              where DP candidates include unwrapped wrapper-side trees) *) ]
+        every scan must stay on that source *) ]
 
 val check : ?ctx:ctx -> Registry.t -> Plan.t -> finding list
 (** Structural + type checks only; never estimates costs (see {!Planbound}).
     Defaults to [`Mediator]. Unknown sources/collections are reported once
     and their subtrees are skipped rather than cascading. *)
-
-val ok : ?ctx:ctx -> Registry.t -> Plan.t -> bool
-(** [errors (check ...) = []] — the cheap admission predicate: a clean walk
-    renders no operator paths (they are built only when a finding is
-    recorded). *)
 
 (** {1 Physical-plan and batch invariants} *)
 

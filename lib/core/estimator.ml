@@ -59,12 +59,12 @@ let make_ctx ?abort_above ?(evals = ref 0) registry = { registry; abort_above; e
    structural hash). Two structurally equal subtrees estimated under the same
    source context are estimation-equivalent while the registry is unchanged,
    so they can share one [ann] — and with it every cost variable already
-   computed. This is the per-optimization cache of the subset-DP: candidate
-   plans overlap massively (the same submit subtree appears under many join
+   computed. This is the per-optimization cache of the DP: candidate plans
+   overlap massively (the same submit subtree appears under many join
    orders), and sharing annotations means the estimator never re-runs a
    formula on an already-costed subtree. A memo must not outlive a registry
-   write (callers create one per optimization; cross-query reuse is
-   [Plancache]'s job, guarded by the generation counter). *)
+   write (callers create one per optimization; across queries [Plancache]
+   keeps whole search results, guarded by the generation counter). *)
 module Memo_tbl = Hashtbl.Make (struct
   type t = string * Plan.t
 

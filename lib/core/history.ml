@@ -22,7 +22,7 @@ type mode = Off | Exact | Adjust of { smoothing : float }
 (* Feedback-driven statistics (§4.3, DESIGN.md §11): estimated vs. measured
    cardinalities of executed subplans maintain per-predicate selectivity
    corrections in the registry, and sustained misestimation (drift) bumps the
-   model generation so cached plans are re-costed. *)
+   model generation so cached plans are re-planned. *)
 type feedback = {
   band : float;       (* drift when est/actual leaves [1/band, band] *)
   consecutive : int;  (* k drifting observations in a row trigger *)

@@ -15,13 +15,6 @@ open Disco_wrapper
 open Disco_fault
 open Disco_sql
 
-module Plan_tbl = Hashtbl.Make (struct
-  type t = Plan.t
-
-  let equal = Plan.equal_structural
-  let hash = Plan.hash
-end)
-
 type t = {
   catalog : Catalog.t;
   registry : Registry.t;
@@ -33,19 +26,14 @@ type t = {
      model as always. *)
   mutable history : History.t;
   plancache : Plancache.t;
-  (* plans already verified clean, stamped with the registry generation
-     they verified at: the warm query path under [~verify:true] skips the
-     checker walks for a plan it has already proven at the current model
-     (same contract as the plan cache's stamped entries). *)
-  verify_memo : int Plan_tbl.t;
   health : Health.t;
   (* simulated wall clock, in ms; advances only when submit traffic runs
      (wrapper work, communication, injected anomalies, retry backoff). The
      fault injectors' windows and the circuit-breaker cooldowns live on it. *)
   mutable now : float;
-  (* escape hatch (the CLI's --no-cache): when off, every optimization
-     re-estimates from scratch — the reference behavior the differential
-     tests compare against *)
+  (* escape hatch (the CLI's --no-cache): when off, the plan cache is
+     bypassed and every search runs without its memo — the reference
+     behavior the differential tests compare against *)
   mutable cache_enabled : bool;
   (* strict-mode contract for registration-time static analysis: [`Error]
      rejects an export whose lint has error-severity findings, [`Warn] logs
@@ -110,23 +98,11 @@ let create ?calibration ?(history_mode = History.Off) ?(cache = true)
   let catalog = Catalog.create () in
   let registry = Registry.create catalog in
   Generic.register ?calibration registry;
-  (* Admission gate of the plan cache: structural well-formedness only
-     (Plancheck), placement-agnostic — optimizer DP candidates include
-     unwrapped wrapper-side trees. Bound validation (Planbound) re-enters
-     the estimator, which itself consults this cache, so it stays out of
-     the admission path and runs on chosen plans instead (run_query
-     ~verify / verify_plan). *)
-  let plancache =
-    Plancache.create
-      ~verify:(fun reg plan -> Disco_analysis.Plancheck.ok ~ctx:`Any reg plan)
-      ()
-  in
   let t =
     { catalog;
       registry;
       history = History.create ~mode:history_mode registry;
-      plancache;
-      verify_memo = Plan_tbl.create 64;
+      plancache = Plancache.create ();
       health = Health.create ?policy ();
       now = 0.;
       cache_enabled = cache;
@@ -510,21 +486,26 @@ let availability t =
   (check, release)
 
 (* Optimize one resolved variant into a complete decorated plan. Sources
-   with an open circuit breaker are excluded from plan seeding. *)
-let plan_of_variant ?objective ?available t (r : resolved) : Plan.t =
+   with an open circuit breaker are excluded from plan seeding. The search
+   runs only on a plan-cache miss. *)
+let plan_of_variant ?(objective = Optimizer.Total_time) ?available t
+    (r : resolved) : Plan.t =
   let available =
     match available with
     | Some f -> f
     | None -> fst (availability t)
   in
+  let spec = r.spec and var = Optimizer.objective_var objective in
+  let search () =
+    Optimizer.optimize ~objective ~memo:t.cache_enabled ~available
+      ~domains:t.domains ~stats:t.opt_stats t.registry spec
+  in
   let joined =
-    match r.spec.Optimizer.bases with
-    | [ b ] -> Optimizer.submit_base b
-    | _ ->
-      fst
-        (Optimizer.optimize ?objective ~memo:t.cache_enabled
-           ?cache:(active_cache t) ~available ~domains:t.domains
-           ~stats:t.opt_stats t.registry r.spec)
+    match spec.Optimizer.bases, active_cache t with
+    | [ b ], _ -> Optimizer.submit_base b
+    | _, None -> fst (search ())
+    | _, Some cache ->
+      fst (Plancache.search cache t.registry ~objective:var ~available spec search)
   in
   decorate r joined
 
@@ -546,6 +527,21 @@ let check_sources_available ?available t (r : resolved) =
              { source = s; retry_at_ms = Health.retry_at t.health s }))
     r.spec.Optimizer.bases
 
+(* The estimated cost of a decorated plan, through the plan cache. A fresh
+   stats record: this estimate is not plan search, so [optimizer_stats]
+   does not count it. *)
+let plan_cost ~objective t plan =
+  let var = Optimizer.objective_var objective and cache = active_cache t in
+  match Option.bind cache (fun c -> Plancache.find c t.registry ~objective:var plan) with
+  | Some cost -> cost
+  | None ->
+    let cost =
+      Option.get
+        (Optimizer.cost_of ~objective t.registry (Optimizer.new_stats ()) plan)
+    in
+    Option.iter (fun c -> Plancache.add c t.registry ~objective:var plan cost) cache;
+    cost
+
 (* Optimize a resolved query — including the push-vs-defer choice for
    expensive predicates; returns the decorated plan and its estimated
    TotalTime. Source availability is read per call, so a replan sees the
@@ -557,13 +553,7 @@ let best_plan ?(objective = Optimizer.Total_time) t (r : resolved) : Plan.t * fl
     List.map
       (fun v ->
         let plan = plan_of_variant ~objective ~available t v in
-        (* a fresh stats record: the whole-plan estimate is not plan
-           search, so [optimizer_stats] does not count it *)
-        let cost =
-          Optimizer.cost_of ~objective ?cache:(active_cache t) t.registry
-            (Optimizer.new_stats ()) plan
-        in
-        (plan, Option.get cost))
+        (plan, plan_cost ~objective t plan))
       (variants r)
   with
   | [] -> raise (Err.Plan_error "no plan")
@@ -882,31 +872,26 @@ let verify_chosen ?(deep = true) ?ann t plan =
 
 let verify_plan ?deep t plan = verify_chosen ?deep t plan
 
-let run_query ?objective ?(max_replans = 2) ?(verify = false) t (text : string)
-    : answer =
+let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
+    ?(verify = false) t (text : string) : answer =
   (* resolution reads only the catalog, so every replan reuses it *)
   let r = resolve t (Sql.parse text) in
+  let var = Optimizer.objective_var objective in
   let rec go replans failures =
     match
-      let plan, _ = best_plan ?objective t r in
+      let plan, _ = best_plan ~objective t r in
       let estimate = Estimator.estimate t.registry plan in
       (if verify then
-         let gen = Registry.generation t.registry in
-         match Plan_tbl.find_opt t.verify_memo plan with
-         | Some g when g = gen -> ()
-         | _ -> (
+         let check () =
            match
-             Disco_analysis.Plancheck.errors
-               (verify_chosen ~ann:estimate t plan)
+             Disco_analysis.Plancheck.errors (verify_chosen ~ann:estimate t plan)
            with
-           | [] ->
-             (* generation-stamped positive cache; a model change bumps the
-                generation and forces re-verification (bounded like the
-                plan cache, cleared wholesale on overflow) *)
-             if Plan_tbl.length t.verify_memo >= 4096 then
-               Plan_tbl.reset t.verify_memo;
-             Plan_tbl.replace t.verify_memo plan gen
-           | errs -> raise (Invalid_plan errs)));
+           | [] -> ()
+           | errs -> raise (Invalid_plan errs)
+         in
+         match active_cache t with
+         | Some c -> Plancache.ensure_verified c t.registry ~objective:var plan check
+         | None -> check ());
       let physical = to_physical t plan in
       let rows, measured = Run.measure (mediator_run_env t) physical in
       (plan, estimate, rows, measured)

@@ -31,10 +31,11 @@ val create :
   ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
   ?domains:int -> ?stats_mode:stats_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed. [cache] (default
-    on) enables the cross-query plan/cost cache; disabling it is the
-    reference behavior the differential tests compare against. [policy] sets
-    the submit policy — per-source timeout, retry budget, backoff, circuit
-    breaker ({!Health.default_policy} when omitted). [lint] is the
+    on) enables the cross-query {!Plancache} and the plan search's
+    estimator memo; disabling both is the reference behavior the
+    differential tests compare against. [policy] sets the submit policy —
+    per-source timeout, retry budget, backoff, circuit breaker
+    ({!Health.default_policy} when omitted). [lint] is the
     strict-mode contract for registration-time static analysis
     ({!Disco_analysis.Analyzer}): [`Error] rejects (and rolls back) an
     export whose lint has error-severity findings, [`Warn] (the default)
@@ -82,9 +83,10 @@ val set_history : t -> History.t -> unit
     [set_history] + {!run_query}). *)
 
 val plancache : t -> Plancache.t
-(** The cross-query plan/cost cache (its counters report hits, misses, stale
-    drops and evictions even when disabled — a disabled cache is simply never
-    consulted). *)
+(** The cross-query plan cache: plan-search results per resolved join spec,
+    decorated-plan costs and their verified flags. Its counters report hits,
+    misses, stale drops and evictions; a disabled cache is simply never
+    consulted. *)
 
 val cache_enabled : t -> bool
 val set_cache_enabled : t -> bool -> unit
@@ -160,7 +162,8 @@ val plan_of_variant :
     [available] overrides the availability check — {!run_query} passes a
     per-query memoized view, because {!Health.available} is the breaker's
     single-admission probe point and must be consulted once per source per
-    query. *)
+    query. With the cache enabled the search runs only on a miss of
+    {!Plancache.search}, whose hits answer exactly as the search would. *)
 
 val check_sources_available : ?available:(string -> bool) -> t -> resolved -> unit
 (** @raise Disco_common.Err.Source_unavailable when a relation's source has
@@ -236,7 +239,8 @@ val run_query :
     re-optimizes that resolved query. With [~verify:true]
     (default false) the chosen plan is verified — reusing the answer's own
     estimation tree, so no second estimation pass — and {!Invalid_plan}
-    raised before any execution. *)
+    raised before any execution; a clean verification is remembered
+    ({!Plancache.ensure_verified}). *)
 
 val explain : t -> string -> string
 (** The chosen plan plus per-node cost estimates annotated with the scope of

@@ -308,55 +308,38 @@ let objective_var = function
 
 (* Estimate a complete plan; [bound] enables the early-abort heuristic of
    §4.3.2 (TotalTime objective only — TimeFirst is not monotone along the
-   tree). Returns [None] when aborted.
-
-   [memo] shares subtree annotations with earlier estimates of the same
-   optimizer run; [cache] consults (and feeds) the cross-query plan cache. A
-   cache hit can return a cost above [bound] where the uncached path would
-   have aborted — callers compare against the best so far either way, so the
-   selected plan is identical; only the abort counter differs. Aborted
-   estimates are never cached. *)
-let cost_of ?bound ?(objective = Total_time) ?memo ?cache registry
-    (stats : stats) (plan : Plan.t) : float option =
+   tree). Returns [None] when aborted. [memo] shares subtree annotations
+   with earlier estimates of the same optimizer run. *)
+let cost_of ?bound ?(objective = Total_time) ?memo registry (stats : stats)
+    (plan : Plan.t) : float option =
   stats.plans_considered <- stats.plans_considered + 1;
   let var = objective_var objective in
-  let cached =
-    match cache with
-    | Some c -> Plancache.find c registry ~objective:var plan
-    | None -> None
+  let evals = ref 0 in
+  let bound = match objective with Total_time -> bound | First_tuple -> None in
+  let result =
+    try
+      let ann =
+        Estimator.estimate ?abort_above:bound ~evals ?memo ~require_vars:[ var ]
+          registry plan
+      in
+      Some (Option.get (Estimator.var ann var))
+    with Estimator.Aborted ->
+      stats.plans_aborted <- stats.plans_aborted + 1;
+      None
   in
-  match cached with
-  | Some cost -> Some cost
-  | None ->
-    let evals = ref 0 in
-    let bound = match objective with Total_time -> bound | First_tuple -> None in
-    let result =
-      try
-        let ann =
-          Estimator.estimate ?abort_above:bound ~evals ?memo ~require_vars:[ var ]
-            registry plan
-        in
-        Some (Option.get (Estimator.var ann var))
-      with Estimator.Aborted ->
-        stats.plans_aborted <- stats.plans_aborted + 1;
-        None
-    in
-    stats.formula_evals <- stats.formula_evals + !evals;
-    (match result, cache with
-     | Some cost, Some c -> Plancache.add c registry ~objective:var plan cost
-     | _ -> ());
-    result
+  stats.formula_evals <- stats.formula_evals + !evals;
+  result
 
 module Pool = Disco_parallel.Pool
 
 (* Pick the cheapest plan from an explicit list, optionally with
    branch-and-bound pruning; ties keep the earlier plan. *)
-let choose ?(prune = true) ?(objective = Total_time) ?memo ?cache registry
+let choose ?(prune = true) ?(objective = Total_time) ?memo registry
     ?(stats = new_stats ()) (plans : Plan.t list) : (Plan.t * float) option =
   List.fold_left
     (fun best plan ->
       let bound = if prune then Option.map snd best else None in
-      match cost_of ?bound ~objective ?memo ?cache registry stats plan with
+      match cost_of ?bound ~objective ?memo registry stats plan with
       | None -> best
       | Some cost ->
         (match best with
@@ -449,16 +432,21 @@ let no_plan_error (spec : spec) ~available : 'a =
   in
   raise (Err.Plan_error msg)
 
+(* The fail-fast half of the diagnosis: a base whose only source is
+   unavailable (open circuit) can never be part of a complete plan. *)
+let require_available (spec : spec) ~available =
+  if List.exists (fun b -> not (available b.ref_.Plan.source)) spec.bases then
+    no_plan_error spec ~available
+
 (* Both engines keep, for every alias set they build (a connected subset in
    the exact DP, a merged unit in greedy), the best candidate per site (one
    per source for unwrapped plans, one mediator-side), stored with its cost
    so each candidate is costed exactly once per run — the incumbent's
-   stored cost is compared against, never recomputed. [memo] (default on) shares subtree annotations across the
-   run — candidates overlap massively, so without sharing the estimator
-   re-runs formulas on identical subtrees thousands of times. [cache] is the
-   cross-query cache; both only change what is recomputed, never the costs,
-   so the chosen plan is identical with and without them (see
-   test/test_plancache.ml).
+   stored cost is compared against, never recomputed. [memo] (default on)
+   shares subtree annotations across the run — candidates overlap
+   massively, so without sharing the estimator re-runs formulas on
+   identical subtrees thousands of times. It only changes what is
+   recomputed, never the costs (see test/test_plancache.ml).
 
    Parallel structure of the exact engine: within one subset size every
    subset is independent — its splits read only strictly smaller subsets,
@@ -475,7 +463,7 @@ let no_plan_error (spec : spec) ~available : 'a =
    (per-slot memos change what is recomputed, never any value). *)
 type strategy = Exact | Goo
 
-let search strategy ?(objective = Total_time) ?(memo = true) ?cache
+let search strategy ?(objective = Total_time) ?(memo = true)
     ?(available = fun _ -> true) ?(domains = 1) ?stats registry (spec : spec)
     : Plan.t * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
@@ -491,18 +479,14 @@ let search strategy ?(objective = Total_time) ?(memo = true) ?cache
      circuit) or a join graph in several pieces can never produce a complete
      plan — diagnose both up front instead of discovering an empty table
      after the whole enumeration ran *)
-  if List.exists (fun b -> not (available b.ref_.Plan.source)) spec.bases then
-    no_plan_error spec ~available;
+  require_available spec ~available;
   let aliases = List.map (fun b -> b.ref_.Plan.binding) spec.bases in
   (match join_components adj aliases with
    | _ :: _ :: _ -> no_plan_error spec ~available
    | _ -> ());
   let cost ~slot plan =
-    match
-      cost_of ~objective ?memo:memos.(slot) ?cache registry slot_stats.(slot) plan
-    with
-    | Some c -> c
-    | None -> infinity
+    Option.value ~default:infinity
+      (cost_of ~objective ?memo:memos.(slot) registry slot_stats.(slot) plan)
   in
   (* keep at most one candidate per site; [existing] is threaded, not read
      back from the table, so slots can accumulate without touching it *)
@@ -876,7 +860,7 @@ let search strategy ?(objective = Total_time) ?(memo = true) ?cache
     (* final selection over the wrapped full-query candidates, through
        [choose] so its branch-and-bound pruning applies *)
     let final_of entries =
-      choose ~prune:true ~objective ?memo:memos.(slot) ?cache registry
+      choose ~prune:true ~objective ?memo:memos.(slot) registry
         ~stats:slot_stats.(slot)
         (List.map (fun (c, _) -> (wrap c).plan) entries)
     in
@@ -977,17 +961,16 @@ let search strategy ?(objective = Total_time) ?(memo = true) ?cache
     raise e
 
 type engine =
-  ?objective:objective -> ?memo:bool -> ?cache:Plancache.t ->
-  ?available:(string -> bool) -> ?domains:int -> ?stats:stats ->
-  Registry.t -> spec ->
+  ?objective:objective -> ?memo:bool -> ?available:(string -> bool) ->
+  ?domains:int -> ?stats:stats -> Registry.t -> spec ->
   Plan.t * float
 
 let dpccp : engine = search Exact
 let greedy : engine = search Goo
 
 let optimize : engine =
- fun ?objective ?memo ?cache ?available ?domains ?stats registry spec ->
+ fun ?objective ?memo ?available ?domains ?stats registry spec ->
   let engine =
     if List.length spec.bases <= default_enum_threshold then dpccp else greedy
   in
-  engine ?objective ?memo ?cache ?available ?domains ?stats registry spec
+  engine ?objective ?memo ?available ?domains ?stats registry spec

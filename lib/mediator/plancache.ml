@@ -1,155 +1,193 @@
-(* Cross-query plan/cost cache.
+(* Cross-query plan cache: plan-search results and whole-plan costs in one
+   generation-stamped table (contract in plancache.mli).
 
-   The per-optimization memo in [Estimator] shares subtree annotations within
-   one optimizer run; this cache carries complete estimation results across
-   queries. Entries are keyed on the objective variable and the canonical
-   structural hash of the plan, and stamped with the registry generation in
-   force when they were computed. Any write to the blended model — rule
-   registration, [let] update, calibration adjustment, historical-tuning
-   feedback (§4.3) — bumps the generation, so stale entries are detected on
-   lookup and dropped instead of served: the dynamic-extension machinery can
-   never be shadowed by an old cached cost.
-
-   Eviction is FIFO under a fixed capacity: mediator workloads re-optimize
-   recent query shapes, and FIFO keeps the bookkeeping O(1) without touching
+   Eviction is FIFO under a fixed capacity: mediator workloads re-run recent
+   query shapes, and FIFO keeps the bookkeeping O(1) without touching
    entries on hit. *)
 
 open Disco_algebra
 open Disco_core
 
-module Tbl = Hashtbl.Make (struct
-  type t = Disco_costlang.Ast.cost_var * Plan.t
+type var = Disco_costlang.Ast.cost_var
 
-  let equal (v1, p1) (v2, p2) = v1 = v2 && Plan.equal_structural p1 p2
-  let hash (v, p) = (Hashtbl.hash v * 31) + Plan.hash p
+(* A search key holds every spec field the search reads; [can_join] is left
+   out because registration, which sets it, moves the generation. *)
+type key =
+  | Plan_cost of var * Plan.t
+  | Search of var * Optimizer.base list * (string * string * Pred.t) list
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let base_equal (a : Optimizer.base) (b : Optimizer.base) =
+    a.ref_ = b.ref_ && Pred.equal a.pred b.pred && a.project = b.project
+    && a.can_select = b.can_select && a.can_project = b.can_project
+
+  let join_equal (a1, b1, p1) (a2, b2, p2) = a1 = a2 && b1 = b2 && Pred.equal p1 p2
+
+  let equal k1 k2 =
+    match k1, k2 with
+    | Plan_cost (v1, p1), Plan_cost (v2, p2) -> v1 = v2 && Plan.equal p1 p2
+    | Search (v1, b1, j1), Search (v2, b2, j2) ->
+      v1 = v2 && List.equal base_equal b1 b2 && List.equal join_equal j1 j2
+    | _ -> false
+
+  let comb acc x = (acc * 31) + x
+
+  let hash = function
+    | Plan_cost (v, p) -> comb (Hashtbl.hash v) (Plan.hash p)
+    | Search (v, bases, joins) ->
+      (* relations, selections and join predicates: enough to spread keys *)
+      let base acc (b : Optimizer.base) =
+        comb (comb acc (Hashtbl.hash b.ref_)) (Pred.hash b.pred)
+      in
+      let join acc (_, _, p) = comb acc (Pred.hash p) in
+      List.fold_left join (List.fold_left base (Hashtbl.hash v) bases) joins
+      land max_int
 end)
 
-(* [stamp] identifies the entry's occurrence in the FIFO [order] queue. A key
-   dropped as stale in [find] leaves a dead occurrence behind; when the key
-   is later re-added it gets a fresh occurrence and a fresh stamp, so the
-   eviction loop can tell the dead (older) occurrence from the live one and
-   never evicts a re-added entry out of insertion order. *)
-type entry = { cost : float; generation : int; stamp : int }
-
-(* the live counters, mutated under [t.lock] *)
-type live = {
-  mutable hits : int;
-  mutable misses : int;       (* includes stale lookups *)
-  mutable stale : int;        (* entries dropped because the model changed *)
-  mutable evictions : int;    (* entries dropped by the capacity bound *)
-  mutable verify_rejects : int;  (* plans refused admission by the verifier *)
+(* [plan] is a search entry's join tree, or a whole-plan entry's own plan.
+   [verified] is only ever set on whole-plan entries. [stamp] is the
+   entry's insertion number, its slot in the FIFO [order]. *)
+type entry = {
+  plan : Plan.t;
+  cost : float;
+  generation : int;
+  stamp : int;
+  verified : bool;
 }
 
-(* what callers see: an immutable snapshot taken in one critical section,
-   so continuously polling consumers (metrics endpoints, the CLI) can never
-   observe a torn state where hits + misses ≠ lookups *)
+(* immutable, so a snapshot handed out is frozen: continuously polling
+   consumers (metrics endpoints, the CLI) can never observe a torn state
+   where hits + misses ≠ lookups *)
 type counters = {
   hits : int;
-  misses : int;
-  stale : int;
-  evictions : int;
-  entries : int;  (* table size at snapshot time *)
-  verify_rejects : int;
+  misses : int;     (* includes stale lookups *)
+  stale : int;      (* entries dropped because the model changed *)
+  evictions : int;  (* entries dropped by the capacity bound *)
+  entries : int;    (* table size, filled in when a snapshot is taken *)
 }
+
+let zero = { hits = 0; misses = 0; stale = 0; evictions = 0; entries = 0 }
 
 type t = {
   capacity : int;
-  verify : Registry.t -> Plan.t -> bool;
   table : entry Tbl.t;
-  (* insertion order; each element is one stamped occurrence of a key *)
-  order : ((Disco_costlang.Ast.cost_var * Plan.t) * int) Queue.t;
-  counters : live;
-  mutable tick : int;  (* stamp generator *)
-  (* one lock over table + queue + counters + tick: every operation is a
-     short critical section (hash probe, queue pop, counter bump — no
-     estimation work), and a single lock keeps the counters exact under
-     concurrent access — hits + misses always equals lookups, an eviction
-     is counted exactly once *)
+  (* FIFO order: the key of every live entry under its stamp, and nothing
+     else — an entry leaves it with the entry, so it is bounded by the
+     table. A re-added key takes a fresh stamp, so it goes to the back.
+     [oldest] is at most the smallest live stamp; eviction walks forward
+     from it, never back, so its walk is amortized O(1). *)
+  order : (int, key) Hashtbl.t;
+  mutable oldest : int;
+  mutable tick : int;  (* the last stamp handed out *)
+  mutable counts : counters;
+  (* one lock over table + order + counters + stamps: every operation is a
+     short critical section (hash probe, counter bump — no estimation
+     work), and a single lock keeps the counters exact under concurrent
+     access — hits + misses always equals lookups, an eviction is counted
+     exactly once *)
   lock : Mutex.t;
 }
 
-let create ?(capacity = 4096) ?(verify = fun _ _ -> true) () =
+let create ?(capacity = 4096) () =
   { capacity = max capacity 1;
-    verify;
     table = Tbl.create 256;
-    order = Queue.create ();
-    counters = { hits = 0; misses = 0; stale = 0; evictions = 0; verify_rejects = 0 };
+    order = Hashtbl.create 256;
+    oldest = 1;
     tick = 0;
+    counts = zero;
     lock = Mutex.create () }
 
 let counters t =
-  Mutex.protect t.lock (fun () ->
-      { hits = t.counters.hits;
-        misses = t.counters.misses;
-        stale = t.counters.stale;
-        evictions = t.counters.evictions;
-        entries = Tbl.length t.table;
-        verify_rejects = t.counters.verify_rejects })
+  Mutex.protect t.lock (fun () -> { t.counts with entries = Tbl.length t.table })
 
 let size t = Mutex.protect t.lock (fun () -> Tbl.length t.table)
 
 let clear t =
   Mutex.protect t.lock (fun () ->
       Tbl.reset t.table;
-      Queue.clear t.order;
-      t.counters.hits <- 0;
-      t.counters.misses <- 0;
-      t.counters.stale <- 0;
-      t.counters.evictions <- 0;
-      t.counters.verify_rejects <- 0)
+      Hashtbl.reset t.order;
+      t.oldest <- t.tick + 1;
+      t.counts <- zero)
 
-let find t registry ~objective plan =
-  let key = (objective, plan) in
+let lookup t registry key =
   Mutex.protect t.lock (fun () ->
       match Tbl.find_opt t.table key with
       | Some e when e.generation = Registry.generation registry ->
-        t.counters.hits <- t.counters.hits + 1;
-        Some e.cost
-      | Some _ ->
+        t.counts <- { t.counts with hits = t.counts.hits + 1 };
+        Some e
+      | Some e ->
         Tbl.remove t.table key;
-        t.counters.stale <- t.counters.stale + 1;
-        t.counters.misses <- t.counters.misses + 1;
+        Hashtbl.remove t.order e.stamp;
+        let c = t.counts in
+        t.counts <- { c with misses = c.misses + 1; stale = c.stale + 1 };
         None
       | None ->
-        t.counters.misses <- t.counters.misses + 1;
+        t.counts <- { t.counts with misses = t.counts.misses + 1 };
         None)
 
-let add t registry ~objective plan cost =
-  let key = (objective, plan) in
-  (* verification walks the plan: run it outside the critical section (the
-     lock only covers O(1) bookkeeping). Both branches below are guarded —
-     a refresh-in-place is a re-admission and re-verifies like any other. *)
-  if not (t.verify registry plan) then
-    Mutex.protect t.lock (fun () ->
-        t.counters.verify_rejects <- t.counters.verify_rejects + 1)
-  else
+let store t registry key plan cost =
+  let generation = Registry.generation registry in
   Mutex.protect t.lock (fun () ->
       match Tbl.find_opt t.table key with
       | Some e ->
-        (* refresh in place, keeping the entry's queue slot (no duplicate
-           push) *)
+        (* refresh in place, keeping the entry's stamp; a verification
+           holds only within its generation *)
         Tbl.replace t.table key
-          { e with cost; generation = Registry.generation registry }
+          { e with plan; cost; generation;
+                   verified = e.verified && e.generation = generation }
       | None ->
-        (* the order queue may hold dead occurrences — keys dropped as stale
-           in [find], or superseded by a re-add under a newer stamp; pop
-           until a live occurrence is evicted *)
-        while Tbl.length t.table >= t.capacity && not (Queue.is_empty t.order) do
-          match Queue.pop t.order with
-          | victim, stamp ->
-            (match Tbl.find_opt t.table victim with
-             | Some e when e.stamp = stamp ->
-               Tbl.remove t.table victim;
-               t.counters.evictions <- t.counters.evictions + 1
-             | _ -> ())
+        (* stamps of dropped entries are gaps; skip them *)
+        while Tbl.length t.table >= t.capacity do
+          (match Hashtbl.find_opt t.order t.oldest with
+           | Some victim ->
+             Hashtbl.remove t.order t.oldest;
+             Tbl.remove t.table victim;
+             t.counts <- { t.counts with evictions = t.counts.evictions + 1 }
+           | None -> ());
+          t.oldest <- t.oldest + 1
         done;
         t.tick <- t.tick + 1;
-        Queue.push (key, t.tick) t.order;
+        Hashtbl.replace t.order t.tick key;
         Tbl.replace t.table key
-          { cost; generation = Registry.generation registry; stamp = t.tick })
+          { plan; cost; generation; stamp = t.tick; verified = false })
+
+let find t registry ~objective plan =
+  Option.map (fun e -> e.cost) (lookup t registry (Plan_cost (objective, plan)))
+
+let add t registry ~objective plan cost =
+  store t registry (Plan_cost (objective, plan)) plan cost
+
+let search t registry ~objective ~available (spec : Optimizer.spec) run =
+  let key = Search (objective, spec.bases, spec.joins) in
+  match lookup t registry key with
+  | Some e ->
+    Optimizer.require_available spec ~available;
+    (e.plan, e.cost)
+  | None ->
+    let ((plan, cost) as result) = run () in
+    store t registry key plan cost;
+    result
+
+(* The flag's reads and writes are not lookups: the counters do not move.
+   [check] runs outside the lock, and its outcome is recorded only on an
+   entry of the generation it was checked at. *)
+let ensure_verified t registry ~objective plan check =
+  let key = Plan_cost (objective, plan) and generation = Registry.generation registry in
+  let entry () =
+    match Tbl.find_opt t.table key with
+    | Some e when e.generation = generation -> Some e
+    | _ -> None
+  in
+  match Mutex.protect t.lock entry with
+  | Some e when e.verified -> ()
+  | _ ->
+    check ();
+    Mutex.protect t.lock (fun () ->
+        Option.iter (fun e -> Tbl.replace t.table key { e with verified = true }) (entry ()))
 
 let pp_counters ppf t =
   let c = counters t in
-  Fmt.pf ppf
-    "hits %d, misses %d (stale %d), evictions %d, entries %d, verify rejects %d"
-    c.hits c.misses c.stale c.evictions c.entries c.verify_rejects
+  Fmt.pf ppf "hits %d, misses %d (stale %d), evictions %d, entries %d" c.hits
+    c.misses c.stale c.evictions c.entries

@@ -1,44 +1,38 @@
-(** Cross-query plan/cost cache, invalidated by the registry generation.
+(** Cross-query plan cache, invalidated by the registry generation.
 
-    Complete estimation results (one cost per objective variable per plan)
-    are kept across queries, keyed on the canonical structural hash of the
-    plan ({!Disco_algebra.Plan.hash}). Each entry is stamped with the
-    {!Disco_core.Registry.generation} in force when it was computed; a lookup
-    under a newer generation drops the entry instead of serving it, so model
-    writes — rule registration, [let] updates, calibration adjustment,
-    historical-tuning feedback (paper §4.3) — can never be shadowed by an
-    old cached cost. Eviction is FIFO under a fixed capacity.
+    One table (one FIFO capacity bound, one lock, one counter set) holds the
+    results of plan searches, keyed on the resolved join spec and the
+    objective variable, and the estimated costs of complete plans, keyed on
+    the plan and the objective variable. Keys compare structurally
+    ({!Disco_algebra.Plan.equal}, {!Disco_algebra.Pred.equal}). Optimizer
+    candidates never enter it.
 
-    Admission can be guarded by a verifier ({!create}'s [verify]): a plan
-    failing verification is never admitted (counted in [verify_rejects]).
-    Because every stored entry passed verification at its stamped
-    generation and lookups drop entries from any other generation, a
-    served cost is always one verified against a registry state the
-    current generation still matches — re-verifying on lookup would be
-    redundant. *)
+    Each entry is stamped with the {!Disco_core.Registry.generation} in
+    force when it was computed; a lookup under a newer generation drops the
+    entry instead of serving it, so model writes — rule registration, [let]
+    updates, calibration adjustment, historical-tuning feedback (paper
+    §4.3) — can never be shadowed by an old cached plan or cost. *)
 
 open Disco_algebra
 open Disco_core
 
 type t
 
-(** Hit/miss/eviction counters, exposed for the CLI, the cache bench and
-    the server's metrics endpoint. An immutable snapshot taken in one
-    critical section: [hits + misses] always equals the lookups performed
-    before the snapshot, even under concurrent traffic. *)
+(** Hit/miss/eviction counters over the lookups of both kinds, exposed for
+    the CLI, the cache bench and the server's metrics endpoint. An
+    immutable snapshot taken in one critical section: [hits + misses]
+    always equals the lookups performed before the snapshot, even under
+    concurrent traffic. *)
 type counters = {
   hits : int;
   misses : int;     (** includes stale lookups *)
   stale : int;      (** entries dropped because the model changed *)
   evictions : int;  (** entries dropped by the capacity bound *)
   entries : int;    (** table size at snapshot time *)
-  verify_rejects : int;  (** plans refused admission by the verifier *)
 }
 
-val create : ?capacity:int -> ?verify:(Registry.t -> Plan.t -> bool) -> unit -> t
-(** An empty cache holding at most [capacity] (default 4096) entries.
-    [verify] (default: accept) gates admission in {!add}: it runs outside
-    the cache lock (it may walk the whole plan) and must be pure. *)
+val create : ?capacity:int -> unit -> t
+(** An empty cache holding at most [capacity] (default 4096) entries. *)
 
 val find : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float option
 (** The cached cost of [plan] under [objective], if present and computed
@@ -48,6 +42,26 @@ val find : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
 val add : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float -> unit
 (** Record a freshly computed cost, stamped with the current generation,
     evicting the oldest entries if the capacity is reached. *)
+
+val search :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var ->
+  available:(string -> bool) -> Optimizer.spec -> (unit -> Plan.t * float) ->
+  Plan.t * float
+(** The result of a plan search over [spec]: the cached one at the current
+    generation, else what the last argument's search returns, recorded.
+    The key is every spec field the search reads but [can_join], which
+    only registration sets, and registration moves the generation. A hit
+    consults [available] as the search's fail-fast check does
+    ({!Optimizer.require_available}). *)
+
+val ensure_verified :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
+  (unit -> unit) -> unit
+(** Run the last argument — a whole-plan verification that raises on an
+    invalid plan — unless [plan]'s cost entry under [objective] is flagged
+    verified at the current generation; when it returns, flag the entry.
+    The flag is gone after any generation bump or once the entry is
+    evicted, and without an entry every call verifies. *)
 
 val counters : t -> counters
 (** A consistent snapshot of the counters, taken under the cache lock. *)

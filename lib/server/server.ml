@@ -222,8 +222,7 @@ let metrics_json t : Json.t =
             ("misses", Json.Int pc.Plancache.misses);
             ("stale", Json.Int pc.Plancache.stale);
             ("evictions", Json.Int pc.Plancache.evictions);
-            ("entries", Json.Int pc.Plancache.entries);
-            ("verify_rejects", Json.Int pc.Plancache.verify_rejects) ] );
+            ("entries", Json.Int pc.Plancache.entries) ] );
       ( "verify",
         Json.Obj
           [ ("enabled", Json.Bool t.config.verify);

@@ -159,31 +159,32 @@ let test_stats_pinned_across_domains () =
 (* --- Differential: plan search over domains, cache active, generation bump ------- *)
 
 (* One mediator per domain count over the identical federation; every query
-   is optimized twice (cold, then warm from the plan cache), then the cost
-   model's generation is bumped by re-registering a wrapper (refreshing its
-   statistics) and the pass repeats against the now-stale cache. All four
-   observations must be identical across domain counts, bit for bit. *)
+   is planned twice through the mediator (cold, then warm from the plan
+   cache, which holds search results), then the cost model's generation is
+   bumped by re-registering a wrapper (refreshing its statistics) and the
+   pass repeats against the now-stale cache. Each observation records the
+   plan, its cost bits and the search work the query cost; all of them, and
+   the cache counters, must be identical across domain counts, bit for
+   bit. *)
 let trace_optimize ?stats_mode ~domains () =
   let med, wrappers = fed ?stats_mode ~domains () in
-  let cache = Mediator.plancache med in
-  let registry = Mediator.registry med in
   let pass label =
-    List.concat_map
+    List.map
       (fun sql ->
-        let stats = Optimizer.new_stats () in
-        let plan, cost =
-          Optimizer.optimize ~domains ~stats ~cache registry (spec_of med sql)
-        in
-        [ Fmt.str "%s %s %Lx considered=%d aborted=%d" label
-            (Plan.to_string plan) (bits cost) stats.Optimizer.plans_considered
-            stats.Optimizer.plans_aborted ])
+        let before = Mediator.optimizer_stats med in
+        let plan, cost = Mediator.plan_query med sql in
+        let after = Mediator.optimizer_stats med in
+        Fmt.str "%s %s %Lx considered=%d aborted=%d" label
+          (Plan.to_string plan) (bits cost)
+          (after.Optimizer.plans_considered - before.Optimizer.plans_considered)
+          (after.Optimizer.plans_aborted - before.Optimizer.plans_aborted))
       optimize_workload
   in
   let cold = pass "cold" in
   let warm = pass "warm" in
   List.iter (Mediator.register med) wrappers;   (* generation bump mid-run *)
   let bumped = pass "bumped" in
-  let c = Plancache.counters cache in
+  let c = Plancache.counters (Mediator.plancache med) in
   (cold @ warm @ bumped,
    (c.Plancache.hits, c.Plancache.misses, c.Plancache.stale))
 

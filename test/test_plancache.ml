@@ -4,7 +4,11 @@
      cache-disabled mediator over the same federation must yield the
      identical plan and a bit-identical estimated cost ([Int64.bits_of_float]
      equality, not an epsilon) — and a repeated cached query, now served from
-     the warm cross-query cache, must reproduce the same bits;
+     the warm cross-query cache, must reproduce the same bits without
+     running a plan search. The plan-cache properties are pinned on the
+     query-level table: structurally identical join specs share a search
+     result, a registration forces a new search, an open breaker is
+     honoured on a hit, and the two objectives key apart;
 
    - invalidation: every kind of cost-model write — rule registration,
      [let] update via re-registration, calibration adjustment, historical
@@ -23,15 +27,17 @@ let bits = Int64.bits_of_float
 
 (* --- Differential harness ------------------------------------------------------ *)
 
+let federation ~cache =
+  let m = Mediator.create ~cache () in
+  List.iter (Mediator.register m) (Demo.make ~sizes:Demo.small_sizes ());
+  m
+
 (* Two mediators over the same deterministic demo federation: the reference
    (cache disabled: no estimator memo, no plan cache) and the cached one. *)
-let reference, cached =
-  let mk cache =
-    let m = Mediator.create ~cache () in
-    List.iter (Mediator.register m) (Demo.make ~sizes:Demo.small_sizes ());
-    m
-  in
-  (mk false, mk true)
+let reference, cached = (federation ~cache:false, federation ~cache:true)
+
+(* Plan-search work a mediator has done so far. *)
+let considered med = (Mediator.optimizer_stats med).Optimizer.plans_considered
 
 (* Query templates spanning the shapes the optimizer sees: single-source
    selections, intra- and cross-source joins, three- and four-way joins,
@@ -88,10 +94,12 @@ let prop_differential =
       let sql = (List.nth templates ti) v in
       let p0, c0 = Mediator.plan_query reference sql in
       let p1, c1 = Mediator.plan_query cached sql in
-      (* same query again: complete-plan costs now come from the warm
-         cross-query cache *)
+      (* same query again: the search result and the complete-plan cost now
+         come from the warm cross-query cache, so no plan search runs *)
+      let searched = considered cached in
       let p2, c2 = Mediator.plan_query cached sql in
-      Plan.equal p0 p1 && bits c0 = bits c1 && Plan.equal p0 p2 && bits c0 = bits c2)
+      Plan.equal p0 p1 && bits c0 = bits c1 && Plan.equal p0 p2 && bits c0 = bits c2
+      && considered cached = searched)
 
 let prop_objectives_differential =
   QCheck2.Test.make ~name:"differential also holds under TimeFirst" ~count:40
@@ -126,6 +134,132 @@ let test_no_cache_flag_toggles () =
   ignore (Mediator.plan_query med sql);
   Alcotest.(check bool) "lookups once enabled" true
     ((Plancache.counters (Mediator.plancache med)).Plancache.misses > 0)
+
+(* Two texts with the same FROM/WHERE whose SELECT lists need the same
+   attributes of every relation resolve to one join spec: the second plans
+   from the first one's search result and only adds its own whole-plan
+   entry. A SELECT list needing other attributes changes a base's
+   projection, hence the spec, and searches on its own. *)
+let test_shared_search_entry () =
+  let med = federation ~cache:true in
+  let where =
+    " from Employee e, Department d where e.dept_id = d.id and d.budget > 100000"
+  in
+  let as_uncached sql (p, c) =
+    let p0, c0 = Mediator.plan_query reference sql in
+    Alcotest.(check bool) (sql ^ ": same plan as uncached") true (Plan.equal p0 p);
+    Alcotest.(check bool) (sql ^ ": same cost bits as uncached") true (bits c0 = bits c)
+  in
+  let q1 = "select e.dept_id" ^ where and q2 = "select d.id, e.dept_id" ^ where in
+  ignore (Mediator.plan_query med q1);
+  let searched = considered med in
+  let entries = Plancache.size (Mediator.plancache med) in
+  as_uncached q2 (Mediator.plan_query med q2);
+  Alcotest.(check int) "no second search" searched (considered med);
+  Alcotest.(check int) "one new entry: the second text's whole-plan cost"
+    (entries + 1)
+    (Plancache.size (Mediator.plancache med));
+  let q3 = "select e.name" ^ where in
+  as_uncached q3 (Mediator.plan_query med q3);
+  Alcotest.(check bool) "another projection searches" true (considered med > searched)
+
+(* Does some submit of the plan run a join inside its wrapper? *)
+let wrapper_side_join plan =
+  Plan.fold
+    (fun acc n ->
+      acc
+      ||
+      match n with
+      | Plan.Submit (_, sub) ->
+        Plan.fold (fun acc n -> acc || match n with Plan.Join _ -> true | _ -> false)
+          false sub
+      | _ -> false)
+    false plan
+
+(* A model write between two runs of one query forces a new search, whose
+   result equals an uncached mediator's after the same write. The join
+   capability is not part of the search key: re-registering a source
+   without it must reach the cached query through the generation. *)
+let test_registration_forces_search () =
+  let cached = federation ~cache:true and reference = federation ~cache:false in
+  let both f = f cached; f reference in
+  let after_write what sql write =
+    let _, before = Mediator.plan_query cached sql in
+    ignore (Mediator.plan_query cached sql);
+    let searched = considered cached in
+    both write;
+    let p1, c1 = Mediator.plan_query cached sql in
+    let p0, c0 = Mediator.plan_query reference sql in
+    Alcotest.(check bool) (what ^ ": searched again") true (considered cached > searched);
+    Alcotest.(check bool) (what ^ ": same plan as uncached") true (Plan.equal p0 p1);
+    Alcotest.(check bool) (what ^ ": same cost bits as uncached") true (bits c0 = bits c1);
+    (p1, c1, before)
+  in
+  let _, c1, c0 =
+    after_write "rule registration"
+      "select e.id from Employee e, Department d where e.dept_id = d.id \
+       and e.salary > 20000"
+      (fun med ->
+        ignore
+          (Registry.add_rule (Mediator.registry med) ~source:"relstore"
+             (Parser.parse_rule ~what:"test rule"
+                "rule select(Employee, P) { TotalTime = 42; }")))
+  in
+  Alcotest.(check bool) "the new rule governs" true (bits c1 <> bits c0);
+  let sql =
+    "select t.id from Project p, Task t where t.project_id = p.id and p.cost < 50000"
+  in
+  Alcotest.(check bool) "objstore joins inside the wrapper at first" true
+    (wrapper_side_join (fst (Mediator.plan_query cached sql)));
+  let p1, _, _ =
+    after_write "capability re-registration" sql (fun med ->
+        let w = Mediator.find_wrapper med "objstore" in
+        Mediator.register med
+          { w with
+            Wrapper.rules_text =
+              w.Wrapper.rules_text ^ "\ncapabilities scan, select, project;" })
+  in
+  Alcotest.(check bool) "no wrapper-side join once objstore cannot join" false
+    (wrapper_side_join p1)
+
+(* An open breaker on a base source is honoured on a hit exactly as by a
+   search: run_query fails fast with [Source_unavailable], and planning the
+   variant directly gives the search's named diagnosis. *)
+let test_breaker_on_hit () =
+  let cached = federation ~cache:true and reference = federation ~cache:false in
+  let sql =
+    "select e.id from Employee e, Department d where e.dept_id = d.id \
+     and d.budget > 200000"
+  in
+  ignore (Mediator.plan_query cached sql);
+  let open_relstore med =
+    let h = Mediator.health med in
+    for _ = 1 to (Health.policy h).Health.breaker_threshold do
+      Health.on_failure h ~now:(Mediator.now med) "relstore" ~reason:"test"
+    done
+  in
+  open_relstore cached;
+  open_relstore reference;
+  let outcome med =
+    match Mediator.run_query med sql with
+    | _ -> "answered"
+    | exception Err.Source_unavailable { source; retry_at_ms } ->
+      Fmt.str "unavailable %s until %g" source retry_at_ms
+  in
+  Alcotest.(check string) "run_query as uncached" (outcome reference) (outcome cached);
+  Alcotest.(check bool) "fails fast" true
+    (String.starts_with ~prefix:"unavailable relstore" (outcome cached));
+  let plan_error med =
+    let r = Mediator.resolve med (Disco_sql.Sql.parse sql) in
+    match Mediator.plan_of_variant med r with
+    | _ -> "planned"
+    | exception Err.Plan_error msg -> msg
+  in
+  let hits = (Plancache.counters (Mediator.plancache cached)).Plancache.hits in
+  Alcotest.(check string) "planning diagnosis as uncached" (plan_error reference)
+    (plan_error cached);
+  Alcotest.(check int) "the diagnosis came from a hit" (hits + 1)
+    (Plancache.counters (Mediator.plancache cached)).Plancache.hits
 
 (* --- Plancache mechanics -------------------------------------------------------- *)
 
@@ -234,6 +368,68 @@ let prop_cache_model =
           if Plancache.size cache <> List.length !model then ok := false)
         ops;
       !ok)
+
+(* Regression: a stale drop must take its entry's slot in the FIFO order
+   with it. Otherwise a table whose entries keep going stale never reaches
+   capacity, no eviction pops the dead slots, and the order grows by one
+   per cycle for ever. *)
+let test_stale_churn_bounded () =
+  let registry = fresh_registry () in
+  let cache = Plancache.create ~capacity:4 () in
+  let cycle i =
+    let plan = dummy_plan (i mod 4) in
+    Registry.invalidate registry;
+    ignore (Plancache.find cache registry ~objective:Ast.Total_time plan);
+    Plancache.add cache registry ~objective:Ast.Total_time plan 1.
+  in
+  let words () = Obj.reachable_words (Obj.repr cache) in
+  for i = 1 to 1_000 do cycle i done;
+  let w1 = words () in
+  for i = 1_001 to 10_000 do cycle i done;
+  let w2 = words () in
+  if w2 > 2 * w1 then
+    Alcotest.failf "cache grew from %d to %d words under stale churn" w1 w2;
+  Alcotest.(check int) "stale drops counted" 9_996
+    (Plancache.counters cache).Plancache.stale
+
+(* The verified flag lives on a whole-plan entry and holds only at the
+   generation it was set at: a model write or an eviction forces the plan
+   to be verified again, and a failed check sets nothing. *)
+let test_verified_flag () =
+  let registry = fresh_registry () in
+  let cache = Plancache.create ~capacity:2 () in
+  let plan = dummy_plan 1 in
+  let checks = ref 0 in
+  let verify ?(objective = Ast.Total_time) ?(check = fun () -> incr checks) () =
+    Plancache.ensure_verified cache registry ~objective plan check
+  in
+  let add p = Plancache.add cache registry ~objective:Ast.Total_time p 1. in
+  let expect what n = Alcotest.(check int) what n !checks in
+  verify ();
+  verify ();
+  expect "without an entry every call verifies" 2;
+  add plan;
+  verify ();
+  verify ();
+  expect "with one, the first call verifies" 3;
+  verify ~objective:Ast.Time_first ();
+  expect "per objective" 4;
+  Registry.invalidate registry;
+  add plan;
+  verify ();
+  verify ();
+  expect "a generation bump forces one verification" 5;
+  Registry.invalidate registry;
+  add plan;
+  (match verify ~check:(fun () -> failwith "invalid plan") () with
+   | () -> Alcotest.fail "the check's exception must propagate"
+   | exception Failure _ -> ());
+  verify ();
+  expect "a failed check sets no flag" 6;
+  add (dummy_plan 2);
+  add (dummy_plan 3);
+  verify ();
+  expect "eviction forces verification again" 7
 
 (* --- Concurrency ----------------------------------------------------------------- *)
 
@@ -387,7 +583,24 @@ let test_objectives_are_distinct_keys () =
   Alcotest.(check (option (float 0.))) "total" (Some 10.)
     (Plancache.find cache registry ~objective:Ast.Total_time plan);
   Alcotest.(check (option (float 0.))) "first" (Some 2.)
-    (Plancache.find cache registry ~objective:Ast.Time_first plan)
+    (Plancache.find cache registry ~objective:Ast.Time_first plan);
+  (* search results key apart by objective too, and never collide with a
+     whole-plan entry *)
+  let med = federation ~cache:true in
+  let sql =
+    "select t.id from Project p, Task t where t.project_id = p.id and p.cost < 50000"
+  in
+  let first = Optimizer.First_tuple in
+  ignore (Mediator.plan_query med sql);
+  let searched = considered med in
+  let p1, c1 = Mediator.plan_query ~objective:first med sql in
+  Alcotest.(check bool) "TimeFirst searches on its own" true (considered med > searched);
+  let searched = considered med in
+  let p2, c2 = Mediator.plan_query ~objective:first med sql in
+  Alcotest.(check int) "and then hits its own entry" searched (considered med);
+  let p0, c0 = Mediator.plan_query ~objective:first reference sql in
+  Alcotest.(check bool) "TimeFirst plans as uncached" true
+    (Plan.equal p0 p1 && Plan.equal p0 p2 && bits c0 = bits c1 && bits c0 = bits c2)
 
 (* --- Invalidation ---------------------------------------------------------------- *)
 
@@ -548,7 +761,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_differential; prop_objectives_differential ]
         @ [ Alcotest.test_case "cache exercised" `Quick test_cache_was_exercised;
-            Alcotest.test_case "no-cache toggle" `Quick test_no_cache_flag_toggles ] );
+            Alcotest.test_case "no-cache toggle" `Quick test_no_cache_flag_toggles;
+            Alcotest.test_case "shared search entry" `Quick test_shared_search_entry;
+            Alcotest.test_case "registration forces search" `Quick
+              test_registration_forces_search;
+            Alcotest.test_case "breaker on hit" `Quick test_breaker_on_hit ] );
       ( "mechanics",
         [ Alcotest.test_case "fifo eviction" `Quick test_fifo_eviction;
           Alcotest.test_case "churn re-add" `Quick test_churn_readd_survives;
@@ -558,7 +775,9 @@ let () =
           Alcotest.test_case "counters never torn" `Quick
             test_counters_never_torn_under_polling;
           QCheck_alcotest.to_alcotest prop_cache_model;
-          Alcotest.test_case "objective keys" `Quick test_objectives_are_distinct_keys ] );
+          Alcotest.test_case "objective keys" `Quick test_objectives_are_distinct_keys;
+          Alcotest.test_case "stale churn bounded" `Quick test_stale_churn_bounded;
+          Alcotest.test_case "verified flag" `Quick test_verified_flag ] );
       ( "invalidation",
         [ Alcotest.test_case "add_rule" `Quick test_invalidate_add_rule;
           Alcotest.test_case "let update" `Quick test_invalidate_let_update;

@@ -290,19 +290,6 @@ let test_materialized_selection () =
     true
     (has_tag "selection-vector" (PC.check_physical bad))
 
-(* --- plan-cache admission ----------------------------------------------------- *)
-
-let test_plancache_rejects () =
-  let reject_all = Plancache.create ~verify:(fun _ _ -> false) () in
-  let med = make_med () in
-  let reg = Mediator.registry med in
-  let plan = joined_plan med in
-  Plancache.add reject_all reg ~objective:Disco_costlang.Ast.Total_time plan 1.0;
-  let c = Plancache.counters reject_all in
-  Alcotest.(check int) "admission rejected" 1 c.Plancache.verify_rejects;
-  Alcotest.(check bool) "nothing admitted" true
-    (Plancache.find reject_all reg ~objective:Disco_costlang.Ast.Total_time plan = None)
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
     [ prop_optimizer_verifies; prop_bounds_sound ]
 
@@ -324,6 +311,4 @@ let () =
       ("engine",
        [ Alcotest.test_case "batch preconditions" `Quick test_check_batch;
          Alcotest.test_case "physical invariants" `Quick test_check_physical ]);
-      ("plancache",
-       [ Alcotest.test_case "admission verify" `Quick test_plancache_rejects ]);
       ("properties", qcheck) ]
