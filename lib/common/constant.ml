@@ -16,7 +16,15 @@ let pp ppf = function
   | Float f -> Fmt.float ppf f
   | String s -> Fmt.pf ppf "%S" s
 
-let to_string c = Fmt.str "%a" pp c
+(* Byte-identical to [Fmt.str "%a" pp], without a [Format] buffer: the
+   dedup, join and group keys and the predicate keys render every value
+   through here. [%g] and [%S] are the conversions [pp] prints with. *)
+let to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | String s -> "\"" ^ String.escaped s ^ "\""
 
 let equal a b =
   match a, b with

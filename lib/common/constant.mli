@@ -16,6 +16,7 @@ val pp : Format.formatter -> t -> unit
 (** Render a constant; strings are quoted. *)
 
 val to_string : t -> string
+(** Byte-identical to [Fmt.str "%a" pp]. *)
 
 val equal : t -> t -> bool
 (** Equality with numeric coercion: [equal (Int 2) (Float 2.) = true]. *)

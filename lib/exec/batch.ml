@@ -97,14 +97,30 @@ let find_col b name =
          (Fmt.str "attribute %S not found in tuple (%s)" name
             (String.concat ", " (Array.to_list b.attrs))))
 
-(* The whole row, boxed. *)
-let row b i = Array.init (Array.length b.cols) (fun c -> cell b c i)
+(* Row by row would box through [cell] with a closure and an index
+   translation per cell; instead the rows are allocated once and filled
+   column by column. *)
+let to_tuples b =
+  let n = b.len in
+  let rows = Array.init n (fun _ -> Array.make (Array.length b.cols) Constant.Null) in
+  Array.iteri
+    (fun c col ->
+      match col, b.sel with
+      | Ints a, None -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Int a.(i) done
+      | Ints a, Some s -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Int a.(s.(i)) done
+      | Floats a, None -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Float a.(i) done
+      | Floats a, Some s ->
+        for i = 0 to n - 1 do rows.(i).(c) <- Constant.Float a.(s.(i)) done
+      | Boxed a, None -> for i = 0 to n - 1 do rows.(i).(c) <- a.(i) done
+      | Boxed a, Some s -> for i = 0 to n - 1 do rows.(i).(c) <- a.(s.(i)) done)
+    b.cols;
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    acc := { Tuple.attrs = b.attrs; values = rows.(i) } :: !acc
+  done;
+  !acc
 
-let tuple_at b i = Tuple.make b.attrs (row b i)
-
-let to_tuples b = List.init b.len (fun i -> tuple_at b i)
-
-(* Rendered-values key, identical to [Tuple.key] on [tuple_at b i]. *)
+(* Rendered-values key, identical to [Tuple.key] on row [i]'s tuple. *)
 let row_key b i =
   String.concat "\x00"
     (List.init (Array.length b.cols) (fun c -> Constant.to_string (cell b c i)))
@@ -412,6 +428,106 @@ let of_table_columns attrs (cols : Disco_storage.Table.col array) n : t =
       cols
   in
   { attrs; cols; len = n; bytes = !bytes; sel = None }
+
+(* --- Gather ----------------------------------------------------------------- *)
+
+(* Global row ids over a sequence of batches: id [g] is logical row
+   [g - starts.(b)] of batch [b]. [bat]/[pos] give each id's batch and
+   physical row; a single batch needs neither (its ids are its logical
+   rows), so they stay empty. *)
+type rows = {
+  srcs : t array;
+  starts : int array;
+  bat : int array;
+  pos : int array;
+}
+
+let rows srcs =
+  let nb = Array.length srcs in
+  let starts = Array.make (nb + 1) 0 in
+  Array.iteri (fun b s -> starts.(b + 1) <- starts.(b) + s.len) srcs;
+  if nb <= 1 then { srcs; starts; bat = [||]; pos = [||] }
+  else begin
+    let bat = Array.make starts.(nb) 0 and pos = Array.make starts.(nb) 0 in
+    Array.iteri
+      (fun b s ->
+        let o = starts.(b) in
+        Array.fill bat o s.len b;
+        match s.sel with
+        | None -> for i = 0 to s.len - 1 do pos.(o + i) <- i done
+        | Some sl -> Array.blit sl 0 pos o s.len)
+      srcs;
+    { srcs; starts; bat; pos }
+  end
+
+let rows_batch r g = if Array.length r.bat = 0 then 0 else r.bat.(g)
+let rows_row r g = g - r.starts.(rows_batch r g)
+
+(* Physical row of id [g] in [rows_batch r g]. *)
+let rows_phys r g =
+  if Array.length r.bat = 0 then phys r.srcs.(0) g else r.pos.(g)
+
+(* Box the cell at physical row [p]. *)
+let pcell b c p =
+  match b.cols.(c) with
+  | Ints a -> Constant.Int a.(p)
+  | Floats a -> Constant.Float a.(p)
+  | Boxed a -> a.(p)
+
+(* Column [c] of the rows [ids.(lo)] .. [ids.(lo + len - 1)], and its byte
+   size. Unboxed when column [c] is unboxed the same way in every source. *)
+let gather_col r c ids lo len =
+  let srcs = r.srcs in
+  let all f = Array.for_all (fun s -> f s.cols.(c)) srcs in
+  if all (function Ints _ -> true | _ -> false) then begin
+    let arrs = Array.map (fun s -> match s.cols.(c) with Ints a -> a | _ -> [||]) srcs in
+    let out = Array.make len 0 in
+    for k = 0 to len - 1 do
+      let g = ids.(lo + k) in
+      out.(k) <- arrs.(rows_batch r g).(rows_phys r g)
+    done;
+    (Ints out, 8 * len)
+  end
+  else if all (function Floats _ -> true | _ -> false) then begin
+    let arrs = Array.map (fun s -> match s.cols.(c) with Floats a -> a | _ -> [||]) srcs in
+    let out = Array.make len 0. in
+    for k = 0 to len - 1 do
+      let g = ids.(lo + k) in
+      out.(k) <- arrs.(rows_batch r g).(rows_phys r g)
+    done;
+    (Floats out, 8 * len)
+  end
+  else begin
+    let out = Array.make len Constant.Null and bytes = ref 0 in
+    for k = 0 to len - 1 do
+      let g = ids.(lo + k) in
+      let v = pcell srcs.(rows_batch r g) c (rows_phys r g) in
+      bytes := !bytes + Constant.byte_size v;
+      out.(k) <- v
+    done;
+    (Boxed out, !bytes)
+  end
+
+let gather_into r ids lo len cols off =
+  let bytes = ref 0 in
+  for c = 0 to Array.length r.srcs.(0).cols - 1 do
+    let col, b = gather_col r c ids lo len in
+    cols.(off + c) <- col;
+    bytes := !bytes + b
+  done;
+  !bytes
+
+let gather r ids lo len =
+  let src = r.srcs.(0) in
+  let cols = Array.make (Array.length src.cols) (Boxed [||]) in
+  let bytes = gather_into r ids lo len cols 0 in
+  { attrs = src.attrs; cols; len; bytes; sel = None }
+
+let gather_pairs attrs l lids r rids lo len =
+  let lw = Array.length l.srcs.(0).cols in
+  let cols = Array.make (lw + Array.length r.srcs.(0).cols) (Boxed [||]) in
+  let bytes = gather_into l lids lo len cols 0 + gather_into r rids lo len cols lw in
+  { attrs; cols; len; bytes; sel = None }
 
 (* Convert a tuple list (one schema run is NOT assumed: the caller chunks on
    schema change) — helper for materialized inputs lives in Run. *)

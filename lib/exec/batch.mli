@@ -49,15 +49,14 @@ val find_col : t -> string -> int
     unqualified-suffix match.
     @raise Disco_common.Err.Eval_error when absent or ambiguous. *)
 
-val row : t -> int -> Constant.t array
-val tuple_at : t -> int -> Tuple.t
 val to_tuples : t -> Tuple.t list
+(** Filled column by column: one box per cell, nothing else per cell. *)
 
 val row_key : t -> int -> string
-(** Identical to [Tuple.key (tuple_at b i)]. *)
+(** Identical to [Tuple.key] on row [i] of {!to_tuples}. *)
 
 val row_bytes : t -> int -> int
-(** Identical to [Tuple.byte_size (tuple_at b i)]. *)
+(** Identical to [Tuple.byte_size] on row [i] of {!to_tuples}. *)
 
 val same_schema : t -> t -> bool
 
@@ -101,6 +100,35 @@ val select_cols : t -> string list -> t
 val of_table_columns : string array -> Disco_storage.Table.col array -> int -> t
 (** Zero-copy batch over a table's columnar mirror (column arrays shared,
     not copied); the int is the table's row count. *)
+
+(** {1 Gather}
+
+    The batched engine's sort and hash join address their inputs by global
+    row id and write their outputs column by column. *)
+
+type rows
+(** A sequence of batches addressed by global row id: ids count the rows
+    of the batches in order, [0 .. rows_count - 1]. *)
+
+val rows : t array -> rows
+(** O(1) for one batch; two ints per row to locate ids over several. *)
+
+val rows_batch : rows -> int -> int
+(** Index of the batch holding an id. *)
+
+val rows_row : rows -> int -> int
+(** The id's logical row within {!rows_batch}. *)
+
+val gather : rows -> int array -> int -> int -> t
+(** [gather r ids lo len]: a dense batch of the rows [ids.(lo)] ..
+    [ids.(lo + len - 1)], in that order. Every source batch must have the
+    first one's schema. A column is [Ints] ([Floats]) when it is in every
+    source, and [Boxed] otherwise. Fresh arrays: the sources are only
+    read. *)
+
+val gather_pairs : string array -> rows -> int array -> rows -> int array -> int -> int -> t
+(** [gather_pairs attrs l lids r rids lo len]: the concatenation of
+    [gather l lids lo len] and [gather r rids lo len], under [attrs]. *)
 
 val of_tuples : string array -> Tuple.t list -> t
 (** Build from same-schema tuples (the caller chunks on schema change). *)

@@ -603,6 +603,347 @@ let bres (bats, count, bytes) ~first ~total =
 let bres_of_acc acc ~first ~total =
   bres (bdone acc, acc.acount, acc.abytes) ~first ~total
 
+(* --- Composition kernels -----------------------------------------------------
+
+   The sort, hash join and aggregate address their input batches by global
+   row id ([Batch.rows]) and read keys from columns extracted once per
+   input. A key column is unboxed when the key's column is unboxed the same
+   way in every batch and boxed otherwise: each operator keeps one
+   algorithm, and only the key column's representation varies. Outputs are
+   gathered column by column ([Batch.gather]), except over a union's mixed
+   schemas, which go row by row through [bout]. *)
+
+type keycol =
+  | Kints of int array
+  | Kfloats of float array
+  | Kboxed of Constant.t array
+
+(* Key [name] over [bats] in row-id order ([n] rows). A batch where [name]
+   does not resolve gets its exception in [bad] (and placeholder values):
+   the tuple engine raises only on rows that actually reach the key. *)
+let extract_key (bats : Batch.t array) n name =
+  let bad = Array.make (Array.length bats) None in
+  let cols =
+    Array.mapi
+      (fun bi b ->
+        match Batch.find_col b name with
+        | c -> Some c
+        | exception (Err.Eval_error _ as ex) ->
+          bad.(bi) <- Some ex;
+          None)
+      bats
+  in
+  let all f =
+    Array.for_all2
+      (fun (b : Batch.t) -> function None -> true | Some c -> f b.Batch.cols.(c))
+      bats cols
+  in
+  (* [copy o b c] copies column [c] of batch [b] to row ids [o ..] *)
+  let fill copy =
+    let o = ref 0 in
+    Array.iteri
+      (fun bi (b : Batch.t) ->
+        Option.iter (copy !o b) cols.(bi);
+        o := !o + b.Batch.len)
+      bats
+  in
+  let kc =
+    if all (function Batch.Ints _ -> true | _ -> false) then begin
+      let a = Array.make n 0 in
+      fill (fun o b c ->
+          match b.Batch.cols.(c), b.Batch.sel with
+          | Batch.Ints x, None -> Array.blit x 0 a o b.Batch.len
+          | Batch.Ints x, Some s -> Array.iteri (fun i p -> a.(o + i) <- x.(p)) s
+          | _ -> ());
+      Kints a
+    end
+    else if all (function Batch.Floats _ -> true | _ -> false) then begin
+      let a = Array.make n 0. in
+      fill (fun o b c ->
+          match b.Batch.cols.(c), b.Batch.sel with
+          | Batch.Floats x, None -> Array.blit x 0 a o b.Batch.len
+          | Batch.Floats x, Some s -> Array.iteri (fun i p -> a.(o + i) <- x.(p)) s
+          | _ -> ());
+      Kfloats a
+    end
+    else begin
+      let a = Array.make n Constant.Null in
+      fill (fun o b c ->
+          for i = 0 to b.Batch.len - 1 do a.(o + i) <- Batch.cell b c i done);
+      Kboxed a
+    end
+  in
+  (kc, bad)
+
+let rec nbits x = if x = 0 then 0 else 1 + nbits (x lsr 1)
+
+(* LSD radix sort of non-negative ints below [2^bits], 8 bits per pass;
+   returns the sorted array ([a] itself or a temporary one). *)
+let radix_sort (a : int array) bits =
+  let n = Array.length a in
+  let count = Array.make 257 0 in
+  let src = ref a and dst = ref (Array.make n 0) in
+  let shift = ref 0 in
+  while !shift < bits do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 257 0;
+    for i = 0 to n - 1 do
+      let k = ((s.(i) lsr sh) land 255) + 1 in
+      count.(k) <- count.(k) + 1
+    done;
+    (* a pass whose digit is the same for every row moves nothing *)
+    if count.(((s.(0) lsr sh) land 255) + 1) < n then begin
+      for k = 1 to 256 do count.(k) <- count.(k) + count.(k - 1) done;
+      for i = 0 to n - 1 do
+        let k = (s.(i) lsr sh) land 255 in
+        d.(count.(k)) <- s.(i);
+        count.(k) <- count.(k) + 1
+      done;
+      src := d;
+      dst := s
+    end;
+    shift := sh + 8
+  done;
+  !src
+
+(* Below this many rows a segment is merge-sorted even when radix applies:
+   a radix pass clears and scans 257 counters whatever the row count. *)
+let radix_min = 64
+
+(* Stable sort of the row ids [perm.(lo)] .. [perm.(hi - 1)] by one key
+   column. Int keys go through radix when the key's range and the
+   segment's positions pack into 62 bits: the position breaks ties, so the
+   sort is stable. Everything else is a stable merge sort whose comparator
+   agrees with [Constant.compare]. *)
+let sort_segment perm lo hi kc (ord : Plan.order) =
+  let len = hi - lo in
+  let seg = Array.sub perm lo len in
+  let sorted =
+    match kc with
+    | Kints a when len >= radix_min ->
+      let mn = ref max_int and mx = ref min_int in
+      Array.iter (fun g -> let v = a.(g) in if v < !mn then mn := v; if v > !mx then mx := v) seg;
+      (* a range past [max_int] wraps negative and counts 63 bits *)
+      let range = !mx - !mn and pbits = nbits (len - 1) in
+      if nbits range + pbits <= 62 then begin
+        let mn = !mn and mx = !mx in
+        let packed =
+          Array.mapi
+            (fun i g ->
+              let v = match ord with Plan.Asc -> a.(g) - mn | Plan.Desc -> mx - a.(g) in
+              (v lsl pbits) lor i)
+            seg
+        in
+        let packed = radix_sort packed (nbits range + pbits) in
+        let mask = (1 lsl pbits) - 1 in
+        Array.map (fun x -> seg.(x land mask)) packed
+      end
+      else seg
+    | _ -> seg
+  in
+  if sorted == seg then begin
+    let sign = match ord with Plan.Asc -> 1 | Plan.Desc -> -1 in
+    let cmp =
+      match kc with
+      | Kints a -> fun i j -> sign * Int.compare a.(i) a.(j)
+      | Kfloats a -> fun i j -> sign * Float.compare a.(i) a.(j)
+      | Kboxed a -> fun i j -> sign * Constant.compare a.(i) a.(j)
+    in
+    Array.stable_sort cmp seg
+  end;
+  Array.blit sorted 0 perm lo len
+
+let key_equal kc g h =
+  match kc with
+  | Kints a -> a.(g) = a.(h)
+  | Kfloats a -> Float.compare a.(g) a.(h) = 0
+  | Kboxed a -> Constant.compare a.(g) a.(h) = 0
+
+(* The row ids of [bats] in sorted order: stable, lexicographic over
+   [keys]. Key [k + 1] is extracted only when two rows tie on keys 0..k,
+   and only the rows of such ties read it — exactly the rows whose
+   comparisons reach it in a comparison sort — so a sort over at most one
+   row, or one whose ties never reach an unresolvable key, raises
+   nothing. *)
+let sort_ids (bats : Batch.t array) rows n (keys : (string * Plan.order) array) =
+  let perm = Array.init n Fun.id in
+  let extracted = Array.make (Array.length keys) None in
+  let rec sort_from k lo hi =
+    let kc, bad =
+      match extracted.(k) with
+      | Some x -> x
+      | None ->
+        let x = extract_key bats n (fst keys.(k)) in
+        extracted.(k) <- Some x;
+        x
+    in
+    if Array.exists Option.is_some bad then
+      for i = lo to hi - 1 do
+        match bad.(Batch.rows_batch rows perm.(i)) with Some ex -> raise ex | None -> ()
+      done;
+    sort_segment perm lo hi kc (snd keys.(k));
+    if k + 1 < Array.length keys then begin
+      let i = ref lo in
+      while !i < hi do
+        let j = ref (!i + 1) in
+        while !j < hi && key_equal kc perm.(!i) perm.(!j) do incr j done;
+        if !j - !i >= 2 then sort_from (k + 1) !i !j;
+        i := !j
+      done
+    end
+  in
+  if n >= 2 && Array.length keys > 0 then sort_from 0 0 n;
+  perm
+
+let same_schemas (bats : Batch.t array) =
+  Array.for_all (fun b -> Batch.same_schema bats.(0) b) bats
+
+(* Open-addressing map from int keys to non-negative ints, linear probing,
+   doubled at half load: the int-key join's key -> newest build row and the
+   int-key aggregate's key -> group. Nothing is allocated per insertion or
+   lookup. *)
+type itbl = {
+  mutable ikeys : int array;
+  mutable ivals : int array;  (* -1 marks an empty slot *)
+  mutable ibits : int;
+  mutable isize : int;
+}
+
+let itbl () = { ikeys = Array.make 16 0; ivals = Array.make 16 (-1); ibits = 4; isize = 0 }
+
+(* The slot holding [k], or the empty slot where it would go. *)
+let itbl_slot t k =
+  let mask = Array.length t.ikeys - 1 in
+  let i = ref ((k * 0x9E3779B97F4A7C1) lsr (63 - t.ibits)) in
+  while t.ivals.(!i) >= 0 && t.ikeys.(!i) <> k do i := (!i + 1) land mask done;
+  !i
+
+(* The value bound to [k], or -1. *)
+let itbl_find t k = t.ivals.(itbl_slot t k)
+
+(* Bind [k] to [v] at [slot] (from [itbl_slot t k]); may move every slot. *)
+let itbl_set t slot k v =
+  if t.ivals.(slot) >= 0 then t.ivals.(slot) <- v
+  else begin
+    t.ikeys.(slot) <- k;
+    t.ivals.(slot) <- v;
+    t.isize <- t.isize + 1;
+    if 2 * t.isize > Array.length t.ikeys then begin
+      let keys = t.ikeys and vals = t.ivals in
+      t.ibits <- t.ibits + 1;
+      t.ikeys <- Array.make (1 lsl t.ibits) 0;
+      t.ivals <- Array.make (1 lsl t.ibits) (-1);
+      Array.iteri
+        (fun i v ->
+          if v >= 0 then begin
+            let j = itbl_slot t keys.(i) in
+            t.ikeys.(j) <- keys.(i);
+            t.ivals.(j) <- v
+          end)
+        vals
+    end
+  end
+
+(* A growable int array: join output pairs, group witnesses, the outer
+   rows of an index join's staged inner rows. *)
+type ivec = { mutable iv : int array; mutable ilen : int }
+
+let ivec cap = { iv = Array.make (max cap 1) 0; ilen = 0 }
+
+let ipush v x =
+  if v.ilen = Array.length v.iv then begin
+    let a = Array.make (2 * v.ilen) 0 in
+    Array.blit v.iv 0 a 0 v.ilen;
+    v.iv <- a
+  end;
+  v.iv.(v.ilen) <- x;
+  v.ilen <- v.ilen + 1
+
+(* [name]'s column in every batch is unboxed [Ints]. *)
+let all_ints (bats : Batch.t array) name =
+  Array.for_all
+    (fun b ->
+      match Batch.find_col_opt b name with
+      | Some c -> (match b.Batch.cols.(c) with Batch.Ints _ -> true | _ -> false)
+      | None -> false)
+    bats
+
+(* [name] occurs exactly once in [attrs], at an index within [lo, hi). *)
+let exact_once attrs name ~lo ~hi =
+  let hits = ref 0 and at = ref (-1) in
+  Array.iteri (fun i a -> if String.equal a name then (incr hits; at := i)) attrs;
+  !hits = 1 && !at >= lo && !at < hi
+
+(* Chain the rows of [bats] (ids [0 .. n-1]) by key [name], newest first:
+   [next.(g)] is the previous row with [g]'s key, or -1. The returned
+   [lookup b c] maps row [i] of a probe batch [b], key column [c], to the
+   newest row with that key, or -1. Int keys go through an [itbl], other
+   keys through their rendered value. *)
+let chain_build ~int_keys (bats : Batch.t array) n name =
+  let next = Array.make n (-1) in
+  let g = ref 0 in
+  let lookup =
+    if int_keys then begin
+      let tbl = itbl () in
+      Array.iter
+        (fun (b : Batch.t) ->
+          match b.Batch.cols.(Batch.find_col b name) with
+          | Batch.Ints a ->
+            let ix = Batch.indexer b in
+            for i = 0 to b.Batch.len - 1 do
+              let k = a.(ix i) in
+              let slot = itbl_slot tbl k in
+              next.(!g) <- tbl.ivals.(slot);
+              itbl_set tbl slot k !g;
+              incr g
+            done
+          | _ -> assert false)
+        bats;
+      fun (b : Batch.t) c ->
+        match b.Batch.cols.(c) with
+        | Batch.Ints a ->
+          let ix = Batch.indexer b in
+          fun i -> itbl_find tbl a.(ix i)
+        | _ -> assert false
+    end
+    else begin
+      let tbl : (string, int) Hashtbl.t = Hashtbl.create n in
+      let find k = match Hashtbl.find tbl k with h -> h | exception Not_found -> -1 in
+      Array.iter
+        (fun (b : Batch.t) ->
+          let c = Batch.find_col b name in
+          for i = 0 to b.Batch.len - 1 do
+            let k = Constant.to_string (Batch.cell b c i) in
+            next.(!g) <- find k;
+            Hashtbl.replace tbl k !g;
+            incr g
+          done)
+        bats;
+      fun b c i -> find (Constant.to_string (Batch.cell b c i))
+    end
+  in
+  (next, lookup)
+
+(* Walk the chain of every row of [bats] (ids [0 .. n-1]; last row first
+   when [rev]), calling [f probe_id chained_id] per candidate. *)
+let probe_chains ~rev (bats : Batch.t array) n name (next, lookup) f =
+  let nb = Array.length bats in
+  let o = ref (if rev then n else 0) in
+  for k = 0 to nb - 1 do
+    let b = bats.(if rev then nb - 1 - k else k) in
+    if rev then o := !o - b.Batch.len;
+    let find = lookup b (Batch.find_col b name) in
+    for j = 0 to b.Batch.len - 1 do
+      let i = if rev then b.Batch.len - 1 - j else j in
+      let g = ref (find i) in
+      while !g >= 0 do
+        f (!o + i) !g;
+        g := next.(!g)
+      done
+    done;
+    if not rev then o := !o + b.Batch.len
+  done
+
 let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
   let e = env.engine in
   let apply = Adt.apply env.adts in
@@ -702,46 +1043,26 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
   | Physical.Psort (child, keys) ->
     let c = exec_batch env ~bsz child in
     let bats = Array.of_list c.batches in
-    let keyspec = Array.of_list keys in
-    (* per-batch, per-key column resolution, forced only when a comparison
-       actually reaches that key — so a sort over <= 1 rows (no comparisons)
-       or with ties never hit tolerates unresolvable keys, exactly like the
-       tuple comparator *)
-    let kcols =
-      Array.map
-        (fun b -> Array.map (fun (k, _) -> lazy (Batch.find_col b k)) keyspec)
-        bats
-    in
-    let idx = Array.make c.bcount (0, 0) in
-    let pos = ref 0 in
-    Array.iteri
-      (fun bi b ->
-        for i = 0 to b.Batch.len - 1 do
-          idx.(!pos) <- (bi, i);
-          incr pos
-        done)
-      bats;
-    let cmp (bi, ri) (bj, rj) =
-      let rec go k =
-        if k >= Array.length keyspec then 0
-        else begin
-          let _, ord = keyspec.(k) in
-          let ci = Lazy.force kcols.(bi).(k) in
-          let cj = Lazy.force kcols.(bj).(k) in
-          let r = Batch.cell_compare bats.(bi) ci ri bats.(bj) cj rj in
-          let r = match ord with Plan.Asc -> r | Plan.Desc -> -r in
-          if r <> 0 then r else go (k + 1)
-        end
-      in
-      go 0
-    in
-    (* both engines use a stable merge sort with the same comparator, so the
-       output permutation is identical *)
-    Array.stable_sort cmp idx;
-    let o = bout bsz in
-    Array.iter (fun (bi, i) -> bout_from o bats.(bi) i) idx;
+    let rows = Batch.rows bats in
+    let perm = sort_ids bats rows c.bcount (Array.of_list keys) in
     let first, total = sort_costs e ~c_total:c.btotal ~n:c.bcount in
-    bres (bout_done o) ~first ~total
+    if c.bcount > 0 && same_schemas bats then begin
+      let acc = bacc () in
+      let lo = ref 0 in
+      while !lo < c.bcount do
+        let len = min bsz (c.bcount - !lo) in
+        bpush acc (Batch.gather rows perm !lo len);
+        lo := !lo + len
+      done;
+      bres_of_acc acc ~first ~total
+    end
+    else begin
+      let o = bout bsz in
+      Array.iter
+        (fun g -> bout_from o bats.(Batch.rows_batch rows g) (Batch.rows_row rows g))
+        perm;
+      bres (bout_done o) ~first ~total
+    end
   | Physical.Pnested_join (left, right, pred) ->
     let l = exec_batch env ~bsz left and r = exec_batch env ~bsz right in
     let lbats = Array.of_list l.batches and rbats = Array.of_list r.batches in
@@ -780,73 +1101,87 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     in
     (match equi_key with
      | Some (lkey, rkey) ->
-       (* int-specialized build/probe is valid only when the key column is
-          unboxed Ints on every batch of both sides: the tuple path keys the
-          hash table on [Constant.to_string], under which [Int 1] and
-          [Float 1.] do NOT collide, so numeric-coercing keys would change
-          the partition. *)
-       let all_ints bats key =
-         bats <> []
-         && List.for_all
-              (fun b ->
-                match Batch.find_col_opt b key with
-                | Some c ->
-                  (match b.Batch.cols.(c) with Batch.Ints _ -> true | _ -> false)
-                | None -> false)
-              bats
+       (* Candidates are the (left, right) pairs with equal keys, taken in
+          the tuple path's order: left rows in input order, each one's
+          matches newest build row first ([Hashtbl.find_all]'s order). Int
+          keys are valid only when the key column is unboxed Ints in every
+          batch of both sides: the tuple path keys on [Constant.to_string],
+          under which [Int 1] and [Float 1.] do NOT collide, so
+          numeric-coercing keys would change the partition. *)
+       let int_keys = all_ints lbats lkey && all_ints rbats rkey in
+       let lrows = Batch.rows lbats and rrows = Batch.rows rbats in
+       let single = same_schemas lbats && same_schemas rbats in
+       let cattrs = Array.append lbats.(0).Batch.attrs rbats.(0).Batch.attrs in
+       let lw = Array.length lbats.(0).Batch.attrs in
+       (* a bare equi conjunct over int keys holds for every candidate when
+          both names resolve exactly, once, to the key columns *)
+       let recheck =
+         not
+           (int_keys && single
+           && (match pred with Pred.Attr_cmp (_, Pred.Eq, _) -> true | _ -> false)
+           && exact_once cattrs lkey ~lo:0 ~hi:lw
+           && exact_once cattrs rkey ~lo:lw ~hi:(Array.length cattrs))
        in
        let candidates = ref 0 in
-       let o = bout bsz in
-       let emit lbi (lb : Batch.t) li matches =
-         candidates := !candidates + List.length matches;
-         List.iter
-           (fun (rbi, ri) ->
-             let cattrs, ev = pair_info lbi rbi in
-             if ev li ri then bout_pair o cattrs lb li rbats.(rbi) ri)
-           matches
+       (* same schemas: kept pairs as row ids, gathered every [bsz] pairs;
+          a union's mixed schemas: row by row *)
+       let acc = bacc () and o = bout bsz in
+       let lids = ivec (min bsz 64) and rids = ivec (min bsz 64) in
+       let flush () =
+         if lids.ilen > 0 then begin
+           bpush acc (Batch.gather_pairs cattrs lrows lids.iv rrows rids.iv 0 lids.ilen);
+           lids.ilen <- 0;
+           rids.ilen <- 0
+         end
        in
-       if all_ints l.batches lkey && all_ints r.batches rkey then begin
-         let tbl : (int, int * int) Hashtbl.t = Hashtbl.create r.bcount in
-         Array.iteri
-           (fun rbi (b : Batch.t) ->
-             match b.Batch.cols.(Batch.find_col b rkey) with
-             | Batch.Ints a ->
-               let ix = Batch.indexer b in
-               for i = 0 to b.Batch.len - 1 do
-                 Hashtbl.add tbl a.(ix i) (rbi, i)
-               done
-             | _ -> assert false)
-           rbats;
-         Array.iteri
-           (fun lbi (lb : Batch.t) ->
-             match lb.Batch.cols.(Batch.find_col lb lkey) with
-             | Batch.Ints a ->
-               let ix = Batch.indexer lb in
-               for li = 0 to lb.Batch.len - 1 do
-                 emit lbi lb li (Hashtbl.find_all tbl a.(ix li))
-               done
-             | _ -> assert false)
-           lbats
-       end
+       let li = Batch.rows_row lrows and ri = Batch.rows_row rrows in
+       let candidate lg rg =
+         incr candidates;
+         let lbi = Batch.rows_batch lrows lg and rbi = Batch.rows_batch rrows rg in
+         if (not recheck) || (snd (pair_info lbi rbi)) (li lg) (ri rg) then
+           if single then begin
+             ipush lids lg;
+             ipush rids rg;
+             if lids.ilen >= bsz then flush ()
+           end
+           else bout_pair o (fst (pair_info lbi rbi)) lbats.(lbi) (li lg) rbats.(rbi) (ri rg)
+       in
+       if r.bcount <= l.bcount then
+         probe_chains ~rev:false lbats l.bcount lkey
+           (chain_build ~int_keys rbats r.bcount rkey)
+           candidate
        else begin
-         let tbl : (string, int * int) Hashtbl.t = Hashtbl.create r.bcount in
-         Array.iteri
-           (fun rbi (b : Batch.t) ->
-             let c = Batch.find_col b rkey in
-             for i = 0 to b.Batch.len - 1 do
-               Hashtbl.add tbl (Constant.to_string (Batch.cell b c i)) (rbi, i)
-             done)
-           rbats;
-         Array.iteri
-           (fun lbi (lb : Batch.t) ->
-             let c = Batch.find_col lb lkey in
-             for li = 0 to lb.Batch.len - 1 do
-               emit lbi lb li
-                 (Hashtbl.find_all tbl (Constant.to_string (Batch.cell lb c li)))
-             done)
-           lbats
+         (* build on the smaller left side, probe right rows last first,
+            and restore the order by a stable counting sort on the left
+            row: per left row, right rows come out newest first *)
+         let cl = ivec 64 and cr = ivec 64 in
+         probe_chains ~rev:true rbats r.bcount rkey
+           (chain_build ~int_keys lbats l.bcount lkey)
+           (fun rg lg -> ipush cl lg; ipush cr rg);
+         let start = Array.make (l.bcount + 1) 0 in
+         for k = 0 to cl.ilen - 1 do
+           start.(cl.iv.(k) + 1) <- start.(cl.iv.(k) + 1) + 1
+         done;
+         for g = 1 to l.bcount do start.(g) <- start.(g) + start.(g - 1) done;
+         let sorted = Array.make cl.ilen 0 in
+         for k = 0 to cl.ilen - 1 do
+           let lg = cl.iv.(k) in
+           sorted.(start.(lg)) <- cr.iv.(k);
+           start.(lg) <- start.(lg) + 1
+         done;
+         (* [start.(g)] now ends left row [g]'s run *)
+         let k = ref 0 in
+         for lg = 0 to l.bcount - 1 do
+           while !k < start.(lg) do
+             candidate lg sorted.(!k);
+             incr k
+           done
+         done
        end;
-       let bats, n_out, bytes = bout_done o in
+       flush ();
+       let bats, n_out, bytes =
+         if single then (bdone acc, acc.acount, acc.abytes) else bout_done o
+       in
        let first, total =
          hash_join_costs e ~l_first:l.bfirst ~l_total:l.btotal ~r_total:r.btotal
            ~n_left:l.bcount ~n_right:r.bcount ~candidates:!candidates ~n_out
@@ -892,16 +1227,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
         (* fetched inner rows staged per outer batch, with the outer row
            index of each staged row alongside *)
         let stage = Batch.builder ~hint:bsz attrs in
-        let oix = ref (Array.make (max bsz 16) 0) and on = ref 0 in
-        let push_ix li =
-          if !on >= Array.length !oix then begin
-            let a = Array.make (2 * Array.length !oix) 0 in
-            Array.blit !oix 0 a 0 !on;
-            oix := a
-          end;
-          !oix.(!on) <- li;
-          incr on
-        in
+        let oix = ivec (max bsz 16) in
         let emit () =
           if Batch.builder_len stage > 0 then begin
             let ib = Batch.flush stage in
@@ -910,11 +1236,11 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
               else None
             in
             for k = 0 to ib.Batch.len - 1 do
-              let li = !oix.(k) in
+              let li = oix.iv.(k) in
               if (match ev with None -> true | Some f -> f li k) then
                 bout_pair o cattrs ob li ib k
             done;
-            on := 0
+            oix.ilen <- 0
           end
         in
         for li = 0 to ob.Batch.len - 1 do
@@ -926,7 +1252,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
               then io := !io +. e.Costs.io_ms;
               incr fetched;
               Batch.add_row stage (Table.fetch table rid);
-              push_ix li;
+              ipush oix li;
               if Batch.builder_len stage >= bsz then emit ())
             (Btree.lookup idx key)
         done;
@@ -969,92 +1295,138 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
   | Physical.Paggregate (child, agg) ->
     let c = exec_batch env ~bsz child in
     let bats = Array.of_list c.batches in
-    let nb = Array.length bats in
-    let groups : (string, (int * int) * (int * int) list ref) Hashtbl.t =
-      Hashtbl.create 64
+    (* each row id's group, groups numbered in first-seen order; a group's
+       witness is its first row (batch, logical row) *)
+    let gid = Array.make c.bcount 0 in
+    let wbat = ivec 16 and wrow = ivec 16 in
+    let gcols = Array.map (fun b -> List.map (Batch.find_col b) agg.Plan.group_by) bats in
+    (* [group lookup] numbers every row id's group; [lookup bi b] is batch
+       [bi]'s row -> group function, which opens groups through [fresh] *)
+    let fresh bi i =
+      ipush wbat bi;
+      ipush wrow i;
+      wbat.ilen - 1
     in
-    let order = ref [] in
-    Array.iteri
-      (fun bi (b : Batch.t) ->
-        let gcols = List.map (fun a -> Batch.find_col b a) agg.Plan.group_by in
-        for i = 0 to b.Batch.len - 1 do
-          let key =
-            String.concat "\x00"
-              (List.map (fun ci -> Constant.to_string (Batch.cell b ci i)) gcols)
-          in
-          match Hashtbl.find_opt groups key with
-          | Some (_, rows) -> rows := (bi, i) :: !rows
-          | None ->
-            Hashtbl.add groups key ((bi, i), ref [ (bi, i) ]);
-            order := key :: !order
-        done)
-      bats;
-    (* one evaluator per aggregate; group rows arrive in the same (reversed)
-       accumulation order the tuple path folds over *)
-    let agg_evals =
+    let group lookup =
+      let g = ref 0 in
+      Array.iteri
+        (fun bi (b : Batch.t) ->
+          let find = lookup bi b in
+          for i = 0 to b.Batch.len - 1 do
+            gid.(!g) <- find i;
+            incr g
+          done)
+        bats
+    in
+    (match agg.Plan.group_by with
+     | [ _ ]
+       when Array.for_all2
+              (fun (b : Batch.t) cs ->
+                match b.Batch.cols.(List.hd cs) with Batch.Ints _ -> true | _ -> false)
+              bats gcols ->
+       (* a single unboxed Int key: its rendering is injective, so int keys
+          partition exactly as the rendered keys do *)
+       let tbl = itbl () in
+       group (fun bi b ->
+           match b.Batch.cols.(List.hd gcols.(bi)) with
+           | Batch.Ints a ->
+             let ix = Batch.indexer b in
+             fun i ->
+               let k = a.(ix i) in
+               let slot = itbl_slot tbl k in
+               let v = tbl.ivals.(slot) in
+               if v >= 0 then v
+               else begin
+                 let v = fresh bi i in
+                 itbl_set tbl slot k v;
+                 v
+               end
+           | _ -> assert false)
+     | _ ->
+       (* groups are keyed by the rendered values: [Int 1] and [Float 1.]
+          stay apart *)
+       let tbl : (string, int) Hashtbl.t = Hashtbl.create 64 in
+       group (fun bi b i ->
+           let key =
+             String.concat "\x00"
+               (List.map (fun ci -> Constant.to_string (Batch.cell b ci i)) gcols.(bi))
+           in
+           match Hashtbl.find tbl key with
+           | v -> v
+           | exception Not_found ->
+             let v = fresh bi i in
+             Hashtbl.add tbl key v;
+             v));
+    let ng = wbat.ilen in
+    (* Every aggregate folds each group's rows newest first, as the tuple
+       path folds its reversed row lists: row ids are visited from last to
+       first, so sums and averages keep their bits. [visit input f] calls
+       [f group column physical_row] over the aggregate's input column. *)
+    let visit input f =
+      let g = ref c.bcount in
+      for bi = Array.length bats - 1 downto 0 do
+        let b = bats.(bi) in
+        let col = b.Batch.cols.(Batch.find_col b input) and ix = Batch.indexer b in
+        for i = b.Batch.len - 1 downto 0 do
+          decr g;
+          f gid.(!g) col (ix i)
+        done
+      done
+    in
+    let counts = Array.make ng 0 in
+    Array.iter (fun k -> counts.(k) <- counts.(k) + 1) gid;
+    let agg_vals =
       List.map
         (fun (f, input, _) ->
-          let icol = Array.make (max nb 1) (-1) in
-          let getv (bi, i) =
-            let ci =
-              if icol.(bi) >= 0 then icol.(bi)
-              else begin
-                let ci = Batch.find_col bats.(bi) input in
-                icol.(bi) <- ci;
-                ci
-              end
+          match f with
+          | Plan.Count -> Array.map (fun n -> Constant.Int n) counts
+          | Plan.Sum | Plan.Avg ->
+            let sum = Array.make ng 0. and nums = Array.make ng 0 in
+            let add k x =
+              sum.(k) <- sum.(k) +. x;
+              nums.(k) <- nums.(k) + 1
             in
-            Batch.cell bats.(bi) ci i
-          in
-          fun (rows : (int * int) list) : Constant.t ->
-            let nums () =
-              List.filter_map (fun p -> Constant.to_float_opt (getv p)) rows
-            in
-            match f with
-            | Plan.Count -> Constant.Int (List.length rows)
-            | Plan.Sum -> Constant.Float (List.fold_left ( +. ) 0. (nums ()))
-            | Plan.Avg ->
-              let xs = nums () in
-              if xs = [] then Constant.Null
-              else
-                Constant.Float
-                  (List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs))
-            | Plan.Min ->
-              (match rows with
-               | [] -> Constant.Null
-               | p0 :: _ ->
-                 List.fold_left
-                   (fun acc p ->
-                     let v = getv p in
-                     if Constant.compare v acc < 0 then v else acc)
-                   (getv p0) rows)
-            | Plan.Max ->
-              (match rows with
-               | [] -> Constant.Null
-               | p0 :: _ ->
-                 List.fold_left
-                   (fun acc p ->
-                     let v = getv p in
-                     if Constant.compare v acc > 0 then v else acc)
-                   (getv p0) rows))
+            visit input (fun k col p ->
+                match col with
+                | Batch.Ints a -> add k (float_of_int a.(p))
+                | Batch.Floats a -> add k a.(p)
+                | Batch.Boxed a -> Option.iter (add k) (Constant.to_float_opt a.(p)));
+            Array.mapi
+              (fun k s ->
+                match f with
+                | Plan.Sum -> Constant.Float s
+                | _ ->
+                  if nums.(k) = 0 then Constant.Null
+                  else Constant.Float (s /. float_of_int nums.(k)))
+              sum
+          | Plan.Min | Plan.Max ->
+            let best = Array.make ng Constant.Null and seen = Array.make ng false in
+            visit input (fun k col p ->
+                let v =
+                  match col with
+                  | Batch.Ints a -> Constant.Int a.(p)
+                  | Batch.Floats a -> Constant.Float a.(p)
+                  | Batch.Boxed a -> a.(p)
+                in
+                if (not seen.(k))
+                   || (let r = Constant.compare v best.(k) in
+                       match f with Plan.Min -> r < 0 | _ -> r > 0)
+                then begin
+                  best.(k) <- v;
+                  seen.(k) <- true
+                end);
+            best)
         agg.Plan.aggs
     in
     let out_attrs =
       Array.of_list (agg.Plan.group_by @ List.map (fun (_, _, o) -> o) agg.Plan.aggs)
     in
     let o = bout bsz in
-    List.iter
-      (fun key ->
-        let (wbi, wi), rows = Hashtbl.find groups key in
-        let wb = bats.(wbi) in
-        let group_vals =
-          List.map
-            (fun a -> Batch.cell wb (Batch.find_col wb a) wi)
-            agg.Plan.group_by
-        in
-        let agg_vals = List.map (fun ev -> ev !rows) agg_evals in
-        bout_row o out_attrs (Array.of_list (group_vals @ agg_vals)))
-      (List.rev !order);
+    for k = 0 to ng - 1 do
+      let wb = bats.(wbat.iv.(k)) and wi = wrow.iv.(k) in
+      let group_vals = List.map (fun a -> Batch.cell wb (Batch.find_col wb a) wi) agg.Plan.group_by in
+      bout_row o out_attrs (Array.of_list (group_vals @ List.map (fun vals -> vals.(k)) agg_vals))
+    done;
     let bats, n_out, bytes = bout_done o in
     let first, total =
       aggregate_costs e ~c_total:c.btotal ~n_in:c.bcount ~n_out

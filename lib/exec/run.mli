@@ -12,7 +12,20 @@
     it through [?mode] or {!set_default_mode}. Both replay the same
     buffer-pool accesses and charge simulated time through shared cost
     formulas, so rows and simulated costs are bit-identical between engines;
-    only [wall_ms] — the real clock on the engine itself — differs. *)
+    only [wall_ms] — the real clock on the engine itself — differs.
+
+    The batched engine's composition kernels (sort, hash join, aggregate)
+    address their inputs by row id over key columns extracted once per input
+    (unboxed when the key's column is unboxed the same way in every batch)
+    and write sort and join outputs column by column. They keep the
+    reference's semantics exactly: sorts are stable and compare keys as
+    [Constant.compare] does; each left row's join matches come newest build
+    row first, whichever side the table is built on, and the candidate
+    count that enters the cost is the same; groups come in first-seen order
+    and every aggregate folds a group's rows newest first; and a sort key is
+    resolved only for rows whose comparisons reach it, so a sort over at
+    most one row, or whose ties never reach an unresolvable key, raises
+    nothing. *)
 
 open Disco_storage
 

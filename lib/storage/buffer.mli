@@ -1,7 +1,13 @@
 (** An LRU buffer pool. The executor routes every page access through it; a
     miss counts one physical IO. Repeated accesses to resident pages are
     free, which is what makes measured index-scan IO follow the number of
-    {e distinct} pages touched (Yao) rather than the number of objects. *)
+    {e distinct} pages touched (Yao) rather than the number of objects.
+
+    The replacement policy is exact LRU: on a miss with [capacity] pages
+    resident, the least recently accessed page is evicted. An access
+    allocates nothing, and the pool's memory is bounded by its capacity
+    (O(capacity) words, plus one entry per distinct table name), however
+    many accesses it serves. *)
 
 type t
 

@@ -165,13 +165,35 @@ let prop_fraction_monotone =
       let f v = Option.get (Constant.fraction ~min:lo ~max:hi (Constant.Int v)) in
       if v1 <= v2 then f v1 <= f v2 else f v1 >= f v2)
 
+(* [Constant.to_string] renders each constructor directly; it must match
+   the [Format] rendering byte for byte, special floats and escapes too. *)
+let prop_to_string_matches_pp =
+  let special =
+    [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 1e300; -1e-300; 1e-310;
+      Float.min_float; 4.9e-324; Float.max_float; 0.1; 1.; 123456789.; -2.5e-7 ]
+  in
+  QCheck2.Test.make ~name:"to_string = Fmt rendering" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [ map (fun i -> Constant.Int i) int;
+          map (fun i -> Constant.Int i) (oneofl [ 0; -1; max_int; min_int ]);
+          map (fun f -> Constant.Float f) float;
+          map (fun f -> Constant.Float f) (oneofl special);
+          map (fun s -> Constant.String s) (string_size ~gen:char (int_range 0 40));
+          map (fun s -> Constant.String s)
+            (oneofl [ ""; "\""; "a\\b"; "tab\there"; "\n\r"; "caf\xc3\xa9"; "\x00\xff" ]);
+          map (fun b -> Constant.Bool b) bool;
+          pure Constant.Null ])
+    (fun c -> String.equal (Constant.to_string c) (Fmt.str "%a" Constant.pp c))
+
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_compare_antisym;
       prop_compare_transitive;
       prop_equal_consistent_with_compare;
       prop_fraction_bounds;
-      prop_fraction_monotone ]
+      prop_fraction_monotone;
+      prop_to_string_matches_pp ]
 
 let () =
   Alcotest.run "common"

@@ -200,6 +200,60 @@ let prop_buffer_misses_bounded =
       let distinct = List.length (List.sort_uniq compare pages) in
       Buffer.misses b >= distinct && Buffer.misses b <= List.length pages)
 
+(* A naive exact LRU: resident keys, most recent first. *)
+let model_access (resident, cap) key =
+  if List.mem key resident then (false, (key :: List.filter (( <> ) key) resident, cap))
+  else
+    let kept = if List.length resident >= cap then List.filteri (fun i _ -> i < cap - 1) resident else resident in
+    (true, (key :: kept, cap))
+
+type op = Access of int * int | Clear
+
+let prop_buffer_model =
+  let tables = [| "a"; "b"; "c" |] in
+  QCheck2.Test.make ~name:"exact LRU = naive list model" ~count:500
+    QCheck2.Gen.(
+      triple (int_range 1 8) (int_range 1 3)
+        (list_size (int_range 0 200)
+           (frequency
+              [ (30, map2 (fun t p -> Access (t, p)) (int_range 0 2) (int_range 0 11));
+                (1, pure Clear) ])))
+    (fun (cap, ntables, ops) ->
+      let b = Buffer.create ~capacity:cap in
+      let model = ref ([], cap) and hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Clear ->
+            Buffer.clear b;
+            model := ([], cap);
+            hits := 0;
+            misses := 0;
+            Buffer.resident b = 0 && Buffer.hits b = 0 && Buffer.misses b = 0
+          | Access (t, page) ->
+            let t = t mod ntables in
+            let want, m = model_access !model (t, page) in
+            model := m;
+            if want then incr misses else incr hits;
+            let got = Buffer.access b ~table:tables.(t) ~page in
+            got = want
+            && Buffer.resident b = List.length (fst m)
+            && Buffer.hits b = !hits
+            && Buffer.misses b = !misses)
+        ops)
+
+(* A pool that never fills keeps a bounded footprint: a million hits on 100
+   resident pages must not grow it with the number of accesses. *)
+let test_buffer_bounded_memory () =
+  let b = Buffer.create ~capacity:2048 in
+  for i = 1 to 1_000_000 do
+    ignore (Buffer.access b ~table:"t" ~page:(i mod 100))
+  done;
+  Alcotest.(check int) "resident" 100 (Buffer.resident b);
+  Alcotest.(check int) "misses" 100 (Buffer.misses b);
+  let words = Obj.reachable_words (Obj.repr b) in
+  if words > 2_000 then Alcotest.failf "%d words reachable after 10^6 hits" words
+
 let () =
   Alcotest.run "storage"
     [ ( "btree",
@@ -223,4 +277,6 @@ let () =
           Alcotest.test_case "distinct pages" `Quick test_buffer_distinct_pages_when_large;
           Alcotest.test_case "clear" `Quick test_buffer_clear;
           Alcotest.test_case "tables disjoint" `Quick test_buffer_tables_disjoint;
-          QCheck_alcotest.to_alcotest prop_buffer_misses_bounded ] ) ]
+          Alcotest.test_case "bounded memory" `Quick test_buffer_bounded_memory;
+          QCheck_alcotest.to_alcotest prop_buffer_misses_bounded;
+          QCheck_alcotest.to_alcotest prop_buffer_model ] ) ]
