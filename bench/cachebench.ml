@@ -9,14 +9,18 @@
    - federation: multi-join SQL queries planned repeatedly through the
      mediator (DPccp), cache-enabled vs cache-disabled mediators over the
      same demo federation. A warm query is served from the cache's
-     search-result entry, so it runs no plan search at all.
+     search-result entry, so it runs no plan search at all. The
+     assertions also cover a greedy-planned 20-relation chain over the
+     synthetic federation.
 
    The differential assertions always run, in every mode: the cached and
    uncached paths must pick identical plans with bit-identical estimated
    costs (a wrong cache silently corrupts plan choice — see
-   test/test_plancache.ml for the randomized version), and a repeated
-   federation query must not search again. [smoke] runs one iteration and
-   only the assertions, for CI. *)
+   test/test_plancache.ml for the randomized version), a repeated
+   federation query must not search again, and its run — whose estimates
+   come from the plan's estimate record — must report the root estimate
+   and history records of the uncached run, bit for bit. [smoke] runs one
+   iteration and only the assertions, for CI. *)
 
 open Disco_costlang
 open Disco_core
@@ -99,32 +103,67 @@ let federation_queries =
     "select e.id from Employee e, Department d, Project p, Task t \
      where e.dept_id = d.id and d.id = p.dept_id and p.id = t.project_id" ]
 
+(* A greedy-planned join with 20 submits: checked, not timed. *)
+let synthetic_chain = Demo.synthetic_sql ~shape:Demo.Chain ~n:20 ()
+
 let federation_mediator ~cache =
   let med = Mediator.create ~cache () in
-  List.iter (Mediator.register med) (Demo.make ~sizes:Demo.small_sizes ());
+  List.iter (Mediator.register med)
+    (Demo.make ~sizes:Demo.small_sizes () @ Demo.synthetic ~rows:50 ~n:20 ());
   med
+
+(* What a run reports from its estimates: the root's variables with their
+   provenance and the history records it added, floats as bits. *)
+let run_report med sql =
+  let h = Mediator.history med in
+  let before = History.count h in
+  let a = Mediator.run_query med sql in
+  let root =
+    List.map
+      (fun v ->
+        ( Option.map bits (Estimator.var a.Mediator.estimate v),
+          Estimator.provenance a.Mediator.estimate v ))
+      Ast.all_cost_vars
+  in
+  let record (r : History.record) =
+    ( Disco_algebra.Plan.to_string r.History.plan,
+      r.History.source,
+      List.map (fun (v, x) -> (v, bits x)) r.History.measured,
+      bits r.History.estimated_total,
+      Option.map bits r.History.estimated_count )
+  in
+  (root, List.map record (History.newest h (History.count h - before)))
 
 let federation_workload ~iters =
   let cached = federation_mediator ~cache:true in
   let uncached = federation_mediator ~cache:false in
   (* differential check: identical plan, bit-identical cost — twice, so the
      second round is served from the warm cross-query cache, which must
-     answer it without a plan search (the optimizer counters stay put) *)
+     answer it without a plan search (the optimizer counters stay put).
+     Each round also runs the query on both mediators: the warm run reads
+     its estimates off the plan's record, and must report what the
+     uncached run estimated afresh. *)
   List.iter
     (fun sql ->
       let p0, c0 = Mediator.plan_query uncached sql in
       for round = 1 to 2 do
         let searched = Mediator.optimizer_stats cached in
         let p1, c1 = Mediator.plan_query cached sql in
+        let warm = run_report cached sql in
         if round = 2 && Mediator.optimizer_stats cached <> searched then
           Fmt.failwith "cachebench: %s (round 2): the warm round searched" sql;
         if not (Disco_algebra.Plan.equal p0 p1) then
           Fmt.failwith "cachebench: %s (round %d): cached chose a different plan"
             sql round;
         assert_same_cost (Fmt.str "%s (round %d)" sql round) ~cached:c1
-          ~uncached:c0
+          ~uncached:c0;
+        if warm <> run_report uncached sql then
+          Fmt.failwith
+            "cachebench: %s (round %d): the run's estimates or history records \
+             differ from the uncached run's"
+            sql round
       done)
-    federation_queries;
+    (synthetic_chain :: federation_queries);
   let run med () =
     for _ = 1 to iters do
       List.iter (fun sql -> ignore (Mediator.plan_query med sql)) federation_queries

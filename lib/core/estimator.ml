@@ -194,7 +194,7 @@ and eval_rule_var ctx ann (rule : Rule.t) bindings (v : Ast.cost_var) : float =
       Hashtbl.add ann.insts rule.Rule.id i;
       i
   in
-  let body = Array.of_list rule.Rule.body in
+  let body = rule.Rule.body in
   let wanted = Ast.cost_var_name v in
   let rec run () =
     match Hashtbl.find_opt inst.values wanted with
@@ -446,6 +446,21 @@ let estimate ?abort_above ?evals ?memo ?(require_vars = Ast.all_cost_vars)
   let ctx = make_ctx ?abort_above ?evals registry in
   let ann = build ?memo registry ~source plan in
   List.iter (fun v -> ignore (require ctx ann v)) require_vars;
+  ann
+
+(* The root's computed variables, and an annotation whose root carries
+   them: what a caller needs to hand out an estimate again without
+   recomputing it. Below the root nothing is computed; [require] fills the
+   rest on demand, with the values a fresh estimate would give while the
+   model is unchanged. *)
+let root_vars ann =
+  List.filter_map
+    (fun v -> Option.map (fun x -> (v, x)) (Hashtbl.find_opt ann.vars v))
+    Ast.all_cost_vars
+
+let build_with_root registry plan vars =
+  let ann = build registry ~source:Registry.mediator_source plan in
+  List.iter (fun (v, x) -> Hashtbl.replace ann.vars v x) vars;
   ann
 
 let var ann v = Option.map fst (Hashtbl.find_opt ann.vars v)

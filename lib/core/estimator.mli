@@ -94,6 +94,17 @@ val estimate :
     across calls (see {!memo}). A [memo] is mutated by every call that
     uses it, so parallel estimation gives each domain its own. *)
 
+val root_vars : ann -> (Ast.cost_var * (float * provenance)) list
+(** The root's computed variables with their provenance, in
+    {!Ast.all_cost_vars} order. *)
+
+val build_with_root :
+  Registry.t -> Plan.t -> (Ast.cost_var * (float * provenance)) list -> ann
+(** {!build} of a mediator plan whose root carries the given variables, as
+    recorded by {!root_vars} from an earlier estimate of the same plan.
+    Nothing below the root is computed: {!require} computes it on demand,
+    exactly as a fresh estimate would while the model is unchanged. *)
+
 val var : ann -> Ast.cost_var -> float option
 (** A computed variable, if it has been demanded. *)
 

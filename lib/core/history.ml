@@ -46,6 +46,7 @@ type t = {
   registry : Registry.t;
   mutable mode : mode;
   mutable records : record list;  (* newest first *)
+  mutable count : int;  (* List.length records, kept by observe and forget *)
   mutable feedback : feedback option;
   mutable on_drift : (source:string -> unit) option;
   (* consecutive drifting observations per (source, predicate key); guarded
@@ -60,6 +61,7 @@ let create ?(mode = Off) registry =
   { registry;
     mode;
     records = [];
+    count = 0;
     feedback = None;
     on_drift = None;
     streaks = Hashtbl.create 16;
@@ -77,6 +79,15 @@ let set_feedback t ?on_drift fb =
 let feedback t = t.feedback
 
 let records t = List.rev t.records
+
+let count t = t.count
+
+let newest t n =
+  let rec take n acc = function
+    | r :: rest when n > 0 -> take (n - 1) (r :: acc) rest
+    | _ -> acc
+  in
+  take n [] t.records
 
 (* The predicate whose selectivity the observation measures: the outermost
    selection of the executed subplan. Joins and bare scans carry no single
@@ -140,6 +151,7 @@ let feed_cardinality t ~source ~plan ~actual ~estimated =
 let observe ?estimated_count t ~source ~(plan : Plan.t) ~measured ~estimated_total =
   t.records <-
     { plan; source; measured; estimated_total; estimated_count } :: t.records;
+  t.count <- t.count + 1;
   (match (estimated_count, List.assoc_opt Ast.Count_object measured) with
    | Some estimated, Some actual when estimated >= 0. && actual >= 0. ->
      feed_cardinality t ~source ~plan ~actual ~estimated
@@ -162,6 +174,7 @@ let observe ?estimated_count t ~source ~(plan : Plan.t) ~measured ~estimated_tot
 
 let forget t =
   t.records <- [];
+  t.count <- 0;
   Mutex.protect t.lock (fun () -> Hashtbl.reset t.streaks);
   List.iter
     (fun source ->

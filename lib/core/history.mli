@@ -56,7 +56,14 @@ val set_feedback : t -> ?on_drift:(source:string -> unit) -> feedback option -> 
 val feedback : t -> feedback option
 
 val records : t -> record list
-(** Oldest first. *)
+(** Oldest first. O(records): it copies the whole list. *)
+
+val count : t -> int
+(** [List.length (records t)], in O(1) and without allocating. *)
+
+val newest : t -> int -> record list
+(** The newest [n] records (all of them when fewer), oldest first, in
+    O(n). *)
 
 val observe :
   ?estimated_count:float ->

@@ -48,6 +48,10 @@ type t = {
      adjustment, ADT export). Caches of estimation results are valid only
      while the generation they were computed under is still current. *)
   mutable generation : int;
+  (* monotonic stamp of everything an estimate reads: moves with every
+     generation bump and with every selectivity-correction write, which
+     leaves the generation alone *)
+  mutable revision : int;
   (* guards the query-time lazily-filled tables ([merged], per-source
      [let_cache], on-demand [sources] entries) so concurrent estimation
      domains cannot corrupt a Hashtbl mid-resize. Held only across the
@@ -68,6 +72,7 @@ let create catalog =
     next_id = 0;
     next_order = 0;
     generation = 0;
+    revision = 0;
     lock = Mutex.create () }
 
 let entry t source =
@@ -85,9 +90,12 @@ let entry t source =
         Hashtbl.add t.sources source e;
         e)
 
-let bump t = t.generation <- t.generation + 1
+let bump t =
+  t.generation <- t.generation + 1;
+  t.revision <- t.revision + 1
 
 let generation t = t.generation
+let revision t = t.revision
 
 let invalidate t =
   Mutex.protect t.lock (fun () -> Hashtbl.reset t.merged);
@@ -98,7 +106,8 @@ let invalidate t =
 let set_sel_fix t ~source key factor =
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.sel_fixes (source, key) factor);
-  t.sel_fix_active <- true
+  t.sel_fix_active <- true;
+  t.revision <- t.revision + 1
 
 let sel_fix t ~source key =
   if not t.sel_fix_active then 1.
@@ -111,7 +120,8 @@ let clear_sel_fixes t ~source =
   Mutex.protect t.lock (fun () ->
       Hashtbl.iter
         (fun ((s, _) as k) _ -> if String.equal s source then Hashtbl.remove t.sel_fixes k)
-        (Hashtbl.copy t.sel_fixes))
+        (Hashtbl.copy t.sel_fixes));
+  t.revision <- t.revision + 1
 
 (* --- Statistics resolution helpers (shared with the estimator) ---------- *)
 
@@ -207,8 +217,10 @@ let lookup_def_or_default t ~source name =
 (* --- Registration -------------------------------------------------------- *)
 
 (* Compile a rule body: each formula becomes a closure tree once, here
-   (paper §2.4); estimation only runs the closures. *)
-let compile_body body = List.map (fun (tgt, e) -> (tgt, Compile.compile e)) body
+   (paper §2.4), into the array estimation indexes; estimation only runs the
+   closures. *)
+let compile_body body =
+  Array.of_list (List.map (fun (tgt, e) -> (tgt, Compile.compile e)) body)
 
 let fresh_ids t =
   let id = t.next_id and order = t.next_order in

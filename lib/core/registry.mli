@@ -32,6 +32,15 @@ val generation : t -> int
     factors. A cached estimation result is valid only while the generation it
     was computed under is still current. *)
 
+val revision : t -> int
+(** Monotonic stamp of everything an estimate reads: it moves with every
+    {!generation} bump and with every selectivity-correction write
+    ({!set_sel_fix}, {!clear_sel_fixes}), which deliberately leave the
+    generation alone. Plan-search results and whole-plan costs key on the
+    generation; only the estimate record of a chosen plan (the mediator's
+    [Plancache.estimates]) keys on the revision, so it is never served
+    across a correction either. *)
+
 val invalidate : t -> unit
 (** Drop the merged-rule cache and bump the generation without changing any
     registered content. The feedback loop uses it when drift detection
@@ -153,7 +162,8 @@ val adjust : t -> source:string -> float
     the generation: corrections accumulate silently while plans keep being
     served from caches, and only a drift-triggered {!invalidate} republishes
     them. [sel_fix] takes no lock and prints no key until the first
-    correction is installed, so the feedback-off path costs nothing. *)
+    correction is installed, so the feedback-off path costs nothing. Both
+    writes move the {!revision}. *)
 
 val set_sel_fix : t -> source:string -> string -> float -> unit
 val sel_fix : t -> source:string -> (unit -> string) -> float

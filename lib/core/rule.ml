@@ -33,7 +33,7 @@ type t = {
   scope : Scope.t;
   source : string;  (* owning source; "default" for the generic model *)
   kind : kind;
-  body : (Ast.target * Compile.compiled) list;  (* compiled at registration *)
+  body : (Ast.target * Compile.compiled) array;  (* compiled at registration *)
   provides : Ast.cost_var list;
   (* Literal positions in the head: (collections, attributes, constants,
      shaped-predicate bonus); lexicographic, higher is more specific. *)

@@ -33,8 +33,9 @@ type t = {
   scope : Scope.t;
   source : string;  (** owning source; ["default"] for the generic model *)
   kind : kind;
-  body : (Ast.target * Compile.compiled) list;
-      (** each formula compiled to closures once, at registration *)
+  body : (Ast.target * Compile.compiled) array;
+      (** each formula compiled to closures once, at registration, in body
+          order *)
   provides : Ast.cost_var list;
   specificity : int * int * int * int;
       (** literal positions: (collections, attributes, constants,

@@ -580,22 +580,58 @@ let mediator_run_env t =
     hash_join = true;
     adts = List.concat_map (fun (_, w) -> w.Wrapper.adts) t.wrappers }
 
-(* Estimate a submitted subplan for the history feedback; the estimate
-   carries the current per-source adjustment factor, so the smoothing in
-   History.observe converges instead of compounding. Model errors degrade to
-   0 (no feedback); anything else — in particular typed submit failures —
-   propagates. *)
-let history_estimate t ~source sub =
-  try
-    let ann = Estimator.estimate ~source t.registry sub in
-    let count =
-      if stats_on t then Some (Estimator.count_object ann) else None
-    in
-    (Estimator.total_time ann *. Registry.adjust t.registry ~source, count)
+(* A submitted subplan's estimate for the history feedback, read off its
+   annotation: all five variables are demanded, as a fresh estimate does,
+   and TotalTime and CountObject kept. A model error is no estimate;
+   anything else propagates. The annotation is a fresh one
+   ([Estimator.build] under the wrapper's rule context) or, in the chosen
+   plan's annotation, the submit node's child: the same node under the same
+   context, so the same values. *)
+let subplan_estimate registry (ann : Estimator.ann) =
+  let ctx = Estimator.make_ctx registry in
+  match
+    List.iter
+      (fun v -> ignore (Estimator.require ctx ann v))
+      Disco_costlang.Ast.all_cost_vars
   with
-  | Err.Eval_error _ | Err.Plan_error _ | Err.Unknown_collection _
-  | Err.Unknown_attribute _ | Err.Unknown_source _ ->
-    (0., None)
+  | () -> Some (Estimator.total_time ann, Estimator.count_object ann)
+  | exception
+      ( Err.Eval_error _ | Err.Plan_error _ | Err.Unknown_collection _
+      | Err.Unknown_attribute _ | Err.Unknown_source _ ) ->
+    None
+
+(* The submit nodes' subplan annotations, in translation order. *)
+let rec submit_anns (ann : Estimator.ann) acc =
+  match ann.Estimator.node with
+  | Plan.Submit _ -> ann.Estimator.inputs.(0) :: acc
+  | Plan.Join _ | Plan.Union _ ->
+    submit_anns ann.Estimator.inputs.(1) (submit_anns ann.Estimator.inputs.(0) acc)
+  | _ -> Array.fold_right submit_anns ann.Estimator.inputs acc
+
+(* The estimate record of a chosen plan, read off its annotation, which was
+   computed at [revision]. *)
+let record_estimates t ~revision (ann : Estimator.ann) : Plancache.estimates =
+  { Plancache.revision;
+    root = Estimator.root_vars ann;
+    submits = Array.of_list (List.map (subplan_estimate t.registry) (submit_anns ann [])) }
+
+(* The history estimate of the [index]th submit in translation order: the
+   record's while it is current, else a fresh estimate of the subplan. It
+   carries the per-source adjustment factor in force now, so the smoothing
+   in History.observe converges instead of compounding. No estimate feeds
+   back 0. *)
+let history_estimate ?estimates t ~index ~source sub =
+  let est =
+    match estimates with
+    | Some (e : Plancache.estimates)
+      when Plancache.current t.registry e && index < Array.length e.Plancache.submits ->
+      e.Plancache.submits.(index)
+    | _ -> subplan_estimate t.registry (Estimator.build t.registry ~source sub)
+  in
+  match est with
+  | Some (total, count) ->
+    (total *. Registry.adjust t.registry ~source, if stats_on t then Some count else None)
+  | None -> (0., None)
 
 (* Submit one subplan to its wrapper under the submit policy.
 
@@ -617,11 +653,14 @@ let history_estimate t ~source sub =
    consumes them, so popping the head always yields this very submit's
    result. Only wrapper execution is ever prefetched — every piece of
    mediator accounting (history feedback, communication charge, clock
-   advance, health) happens here, on the gathering domain, in plan order. *)
+   advance, health) happens here, on the gathering domain, in plan order.
+
+   [estimates] is the plan's estimate record and [index] this submit's
+   place in translation order ([history_estimate]). *)
 type prefetched =
   (string, (Batch.t list * Run.vector, exn) result Queue.t) Hashtbl.t
 
-let submit_subplan ?prefetched t src sub : Physical.t =
+let submit_subplan ?prefetched ?estimates ~index t src sub : Physical.t =
   let w = find_wrapper t src in
   let net = w.Wrapper.network in
   let execute () =
@@ -635,7 +674,9 @@ let submit_subplan ?prefetched t src sub : Physical.t =
   in
   let complete ~inflate =
     let batches, vec = execute () in
-    let estimated_total, estimated_count = history_estimate t ~source:src sub in
+    let estimated_total, estimated_count =
+      history_estimate ?estimates t ~index ~source:src sub
+    in
     let measured =
       if inflate = 0. then Run.to_cost_vars vec
       else
@@ -699,25 +740,33 @@ let submit_subplan ?prefetched t src sub : Physical.t =
    engine. Binary nodes pin the translation order explicitly — right child
    first, matching what OCaml's right-to-left argument evaluation always
    did here — because the scatter phase must enqueue wrapper results in
-   exactly the order this gather consumes them. *)
-let rec translate ?prefetched t (plan : Plan.t) : Physical.t =
-  match plan with
-  | Plan.Submit (src, sub) -> submit_subplan ?prefetched t src sub
-  | Plan.Scan _ ->
-    raise (Err.Plan_error "bare scan at the mediator (missing submit)")
-  | Plan.Select (c, p) -> Physical.Pfilter (translate ?prefetched t c, p)
-  | Plan.Project (c, attrs) -> Physical.Pproject (translate ?prefetched t c, attrs)
-  | Plan.Sort (c, keys) -> Physical.Psort (translate ?prefetched t c, keys)
-  | Plan.Join (l, r, p) ->
-    let pr = translate ?prefetched t r in
-    let pl = translate ?prefetched t l in
-    Physical.Pnested_join (pl, pr, p)
-  | Plan.Union (l, r) ->
-    let ur = translate ?prefetched t r in
-    let ul = translate ?prefetched t l in
-    Physical.Punion (ul, ur)
-  | Plan.Dedup c -> Physical.Pdedup (translate ?prefetched t c)
-  | Plan.Aggregate (c, a) -> Physical.Paggregate (translate ?prefetched t c, a)
+   exactly the order this gather consumes them, and the estimate record
+   lists its submits in it. [next] counts the submits translated so far. *)
+let translate ?prefetched ?estimates t (plan : Plan.t) : Physical.t =
+  let next = ref 0 in
+  let rec go (plan : Plan.t) =
+    match plan with
+    | Plan.Submit (src, sub) ->
+      let index = !next in
+      incr next;
+      submit_subplan ?prefetched ?estimates ~index t src sub
+    | Plan.Scan _ ->
+      raise (Err.Plan_error "bare scan at the mediator (missing submit)")
+    | Plan.Select (c, p) -> Physical.Pfilter (go c, p)
+    | Plan.Project (c, attrs) -> Physical.Pproject (go c, attrs)
+    | Plan.Sort (c, keys) -> Physical.Psort (go c, keys)
+    | Plan.Join (l, r, p) ->
+      let pr = go r in
+      let pl = go l in
+      Physical.Pnested_join (pl, pr, p)
+    | Plan.Union (l, r) ->
+      let ur = go r in
+      let ul = go l in
+      Physical.Punion (ul, ur)
+    | Plan.Dedup c -> Physical.Pdedup (go c)
+    | Plan.Aggregate (c, a) -> Physical.Paggregate (go c, a)
+  in
+  go plan
 
 (* Submit occurrences in translation order (right child first, like
    [translate]); the scatter phase partitions them by source. *)
@@ -744,8 +793,8 @@ let rec submit_occurrences (plan : Plan.t) : (string * Plan.t) list =
    the clock the sequential path would. A wrapper error inside a group
    parks as [Error] in the queue and re-raises at the consuming submit's
    position. *)
-let to_physical t (plan : Plan.t) : Physical.t =
-  if t.domains <= 1 then translate t plan
+let to_physical ?estimates t (plan : Plan.t) : Physical.t =
+  if t.domains <= 1 then translate ?estimates t plan
   else begin
     let occs = submit_occurrences plan in
     (* per-source groups of prefetchable submits, first-occurrence order *)
@@ -791,7 +840,7 @@ let to_physical t (plan : Plan.t) : Physical.t =
         let q = Hashtbl.find prefetched src in
         List.iter (fun r -> Queue.push r q) rs)
       results;
-    translate ~prefetched t plan
+    translate ~prefetched ?estimates t plan
   end
 
 type answer = {
@@ -876,11 +925,22 @@ let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
     ?(verify = false) t (text : string) : answer =
   (* resolution reads only the catalog, so every replan reuses it *)
   let r = resolve t (Sql.parse text) in
-  let var = Optimizer.objective_var objective in
+  let var = Optimizer.objective_var objective and cache = active_cache t in
   let rec go replans failures =
     match
       let plan, _ = best_plan ~objective t r in
-      let estimate = Estimator.estimate t.registry plan in
+      (* a repeat with the model unchanged is served from the plan's record;
+         otherwise the plan is estimated once, and the record read off that
+         annotation after verification *)
+      let recorded =
+        Option.bind cache (fun c -> Plancache.estimates c t.registry ~objective:var plan)
+      in
+      let revision = Registry.revision t.registry in
+      let estimate =
+        match recorded with
+        | Some e -> Estimator.build_with_root t.registry plan e.Plancache.root
+        | None -> Estimator.estimate t.registry plan
+      in
       (if verify then
          let check () =
            match
@@ -889,10 +949,20 @@ let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
            | [] -> ()
            | errs -> raise (Invalid_plan errs)
          in
-         match active_cache t with
+         match cache with
          | Some c -> Plancache.ensure_verified c t.registry ~objective:var plan check
          | None -> check ());
-      let physical = to_physical t plan in
+      let estimates =
+        match recorded with
+        | Some e -> e
+        | None ->
+          let e = record_estimates t ~revision estimate in
+          Option.iter
+            (fun c -> Plancache.set_estimates c t.registry ~objective:var plan e)
+            cache;
+          e
+      in
+      let physical = to_physical ~estimates t plan in
       let rows, measured = Run.measure (mediator_run_env t) physical in
       (plan, estimate, rows, measured)
     with
@@ -932,11 +1002,9 @@ let explain t (text : string) : string =
    an administrator would look at before deciding which wrappers need better
    cost rules (or a history mode). *)
 let analyze ?objective t (text : string) : string =
-  let before = List.length (History.records t.history) in
+  let before = History.count t.history in
   let a = run_query ?objective t text in
-  let new_records =
-    List.filteri (fun i _ -> i >= before) (History.records t.history)
-  in
+  let new_records = History.newest t.history (History.count t.history - before) in
   let buf = Stdlib.Buffer.create 256 in
   Stdlib.Buffer.add_string buf (Fmt.str "%a" Plan.pp_indented a.plan);
   Stdlib.Buffer.add_string buf "per wrapper subquery (estimated vs measured TotalTime, ms):\n";

@@ -182,7 +182,8 @@ val mediator_run_env : t -> Run.env
 (** The mediator's composition engine (in-memory, hash equi-joins), with the
     ADT implementations shipped by the registered wrappers. *)
 
-val to_physical : t -> Plan.t -> Disco_exec.Physical.t
+val to_physical :
+  ?estimates:Plancache.estimates -> t -> Plan.t -> Disco_exec.Physical.t
 (** Execute all [submit] subtrees in their wrappers (charging communication
     per the wrapper's network and feeding history) and translate the
     remaining composition operators; the result runs under
@@ -190,12 +191,23 @@ val to_physical : t -> Plan.t -> Disco_exec.Physical.t
     sources scatter across the domain pool (grouped per source — wrapper
     buffers make same-source submits order-dependent) while all mediator
     accounting gathers sequentially in plan order, so results are
-    bit-identical to the sequential path. *)
+    bit-identical to the sequential path.
+
+    Each submit feeds history its subplan's estimate times the source's
+    adjustment factor in force at that moment. [estimates] is [plan]'s
+    record ({!Plancache.estimates}): its submits are consumed in
+    translation order (right child first), each only while the record is
+    {!Plancache.current} — under [History.Adjust] a submit's feedback moves
+    the model, so the later ones estimate fresh. Without it every subplan
+    is estimated fresh. *)
 
 type answer = {
   rows : Tuple.t list;
   plan : Plan.t;
   estimate : Estimator.ann;
+      (** the chosen plan's annotation: its root holds all five variables;
+          below the root, variables compute on demand
+          ({!Estimator.require}) *)
   measured : Run.vector;
   replans : int;  (** mid-execution replans this query needed *)
   recovered : Run.submit_failure list;
@@ -240,7 +252,16 @@ val run_query :
     (default false) the chosen plan is verified — reusing the answer's own
     estimation tree, so no second estimation pass — and {!Invalid_plan}
     raised before any execution; a clean verification is remembered
-    ({!Plancache.ensure_verified}). *)
+    ({!Plancache.ensure_verified}).
+
+    A repeated query estimates nothing while the model is unchanged: the
+    chosen plan's estimate and its submits' history estimates come from the
+    record on its plan-cache entry ({!Plancache.estimates}). Otherwise the
+    plan is estimated once, that annotation verifies it and yields the
+    record, which is stored. Either way [answer.estimate]'s root holds all
+    five variables, bit-identical to a fresh {!Estimator.estimate}; below
+    the root it computes on demand ({!Estimator.require}). Each replan
+    restarts the submit sequence. *)
 
 val explain : t -> string -> string
 (** The chosen plan plus per-node cost estimates annotated with the scope of

@@ -46,15 +46,22 @@ module Tbl = Hashtbl.Make (struct
       land max_int
 end)
 
+type estimates = {
+  revision : int;
+  root : (var * (float * Estimator.provenance)) list;
+  submits : (float * float) option array;
+}
+
 (* [plan] is a search entry's join tree, or a whole-plan entry's own plan.
-   [verified] is only ever set on whole-plan entries. [stamp] is the
-   entry's insertion number, its slot in the FIFO [order]. *)
+   [verified] and [estimates] are only ever set on whole-plan entries.
+   [stamp] is the entry's insertion number, its slot in the FIFO [order]. *)
 type entry = {
   plan : Plan.t;
   cost : float;
   generation : int;
   stamp : int;
   verified : bool;
+  estimates : estimates option;
 }
 
 (* immutable, so a snapshot handed out is frozen: continuously polling
@@ -133,10 +140,12 @@ let store t registry key plan cost =
       match Tbl.find_opt t.table key with
       | Some e ->
         (* refresh in place, keeping the entry's stamp; a verification
-           holds only within its generation *)
+           and an estimate record hold only within their generation *)
+        let same = e.generation = generation in
         Tbl.replace t.table key
           { e with plan; cost; generation;
-                   verified = e.verified && e.generation = generation }
+                   verified = e.verified && same;
+                   estimates = (if same then e.estimates else None) }
       | None ->
         (* stamps of dropped entries are gaps; skip them *)
         while Tbl.length t.table >= t.capacity do
@@ -151,7 +160,8 @@ let store t registry key plan cost =
         t.tick <- t.tick + 1;
         Hashtbl.replace t.order t.tick key;
         Tbl.replace t.table key
-          { plan; cost; generation; stamp = t.tick; verified = false })
+          { plan; cost; generation; stamp = t.tick; verified = false;
+            estimates = None })
 
 let find t registry ~objective plan =
   Option.map (fun e -> e.cost) (lookup t registry (Plan_cost (objective, plan)))
@@ -170,22 +180,46 @@ let search t registry ~objective ~available (spec : Optimizer.spec) run =
     store t registry key plan cost;
     result
 
-(* The flag's reads and writes are not lookups: the counters do not move.
-   [check] runs outside the lock, and its outcome is recorded only on an
+(* The whole-plan entry of [plan] stamped [generation]. Reading or writing
+   its verified flag or estimate record is not a lookup: the counters do
+   not move. Call under the lock. *)
+let plan_entry t ~generation ~objective plan =
+  let key = Plan_cost (objective, plan) in
+  match Tbl.find_opt t.table key with
+  | Some e when e.generation = generation -> Some (key, e)
+  | _ -> None
+
+(* [check] runs outside the lock, and its outcome is recorded only on an
    entry of the generation it was checked at. *)
 let ensure_verified t registry ~objective plan check =
-  let key = Plan_cost (objective, plan) and generation = Registry.generation registry in
-  let entry () =
-    match Tbl.find_opt t.table key with
-    | Some e when e.generation = generation -> Some e
-    | _ -> None
-  in
+  let generation = Registry.generation registry in
+  let entry () = plan_entry t ~generation ~objective plan in
   match Mutex.protect t.lock entry with
-  | Some e when e.verified -> ()
+  | Some (_, e) when e.verified -> ()
   | _ ->
     check ();
     Mutex.protect t.lock (fun () ->
-        Option.iter (fun e -> Tbl.replace t.table key { e with verified = true }) (entry ()))
+        Option.iter
+          (fun (key, e) -> Tbl.replace t.table key { e with verified = true })
+          (entry ()))
+
+(* The one validity rule of a record: nothing an estimate reads has been
+   written since it was computed. *)
+let current registry (e : estimates) = e.revision = Registry.revision registry
+
+let estimates t registry ~objective plan =
+  let generation = Registry.generation registry in
+  Mutex.protect t.lock (fun () ->
+      match plan_entry t ~generation ~objective plan with
+      | Some (_, { estimates = Some e; _ }) when current registry e -> Some e
+      | _ -> None)
+
+let set_estimates t registry ~objective plan e =
+  let generation = Registry.generation registry in
+  Mutex.protect t.lock (fun () ->
+      Option.iter
+        (fun (key, entry) -> Tbl.replace t.table key { entry with estimates = Some e })
+        (plan_entry t ~generation ~objective plan))
 
 let pp_counters ppf t =
   let c = counters t in

@@ -5,7 +5,8 @@
     objective variable, and the estimated costs of complete plans, keyed on
     the plan and the objective variable. Keys compare structurally
     ({!Disco_algebra.Plan.equal}, {!Disco_algebra.Pred.equal}). Optimizer
-    candidates never enter it.
+    candidates never enter it. A whole-plan entry also carries a verified
+    flag and, for a plan the mediator chose, its {!estimates} record.
 
     Each entry is stamped with the {!Disco_core.Registry.generation} in
     force when it was computed; a lookup under a newer generation drops the
@@ -62,6 +63,38 @@ val ensure_verified :
     verified at the current generation; when it returns, flag the entry.
     The flag is gone after any generation bump or once the entry is
     evicted, and without an entry every call verifies. *)
+
+(** The estimates a chosen plan's run needs, recorded so that a repeated
+    query estimates nothing: the root's five cost variables with their
+    provenance ({!Disco_core.Estimator.root_vars}), and each submit's
+    history estimate — TotalTime and CountObject of its subplan, [None]
+    for a model error — in translation order (right child first). A few
+    words per submit; the annotation tree itself is never kept. *)
+type estimates = {
+  revision : int;  (** the {!Registry.revision} they were computed at *)
+  root : (Disco_costlang.Ast.cost_var * (float * Estimator.provenance)) list;
+  submits : (float * float) option array;
+}
+
+val current : Registry.t -> estimates -> bool
+(** The record's one validity rule: the registry's {!Registry.revision} is
+    still the one it was computed at, so every estimate it holds equals a
+    fresh one bit for bit. *)
+
+val estimates :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
+  estimates option
+(** The record on [plan]'s cost entry under [objective], if the entry is of
+    the current generation and the record {!current}. Not a lookup: the
+    counters do not move. The record is gone with its entry — after a
+    generation bump or an eviction. *)
+
+val set_estimates :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
+  estimates -> unit
+(** Put a record on [plan]'s cost entry under [objective] if one exists at
+    the current generation; without an entry, nothing is stored. Not a
+    lookup. *)
 
 val counters : t -> counters
 (** A consistent snapshot of the counters, taken under the cache lock. *)

@@ -755,6 +755,279 @@ let test_generation_stable_across_reads () =
   ignore (Registry.matching registry ~source:"src" scan_emp);
   Alcotest.(check int) "reads do not bump" g0 (Registry.generation registry)
 
+(* --- Estimate record ----------------------------------------------------------------- *)
+
+(* A repeated query estimates nothing: the chosen plan's root estimate and
+   its submits' history estimates come from the record on its whole-plan
+   entry. Everything they feed must stay bit-identical to fresh
+   estimation. *)
+
+(* The 24-source federation of the wide-join benchmark and its query shape:
+   an n-way join over [Demo.synthetic_edges], foreign keys read
+   parent-to-child, selections on every eighth relation. *)
+let wide_sql ~seed ~shape ~n =
+  let joins =
+    List.map
+      (fun (a, b, kind) ->
+        match kind with
+        | `Fk -> Fmt.str "r%d.fk = r%d.id" a b
+        | `Grp -> Fmt.str "r%d.grp = r%d.grp" a b)
+      (Demo.synthetic_edges ~shape ~n ~seed)
+  in
+  let selects =
+    List.filter_map
+      (fun i -> if i mod 8 = 2 then Some (Fmt.str "r%d.v > 300" i) else None)
+      (List.init n Fun.id)
+  in
+  Fmt.str "select r0.id, r%d.v from %s where %s" (n - 1)
+    (String.concat ", " (List.init n (fun i -> Fmt.str "Rel%d r%d" i i)))
+    (String.concat " and " (joins @ selects))
+
+(* Slot i of the benchmark's pool: chain, star or random edges by i mod 3,
+   17 to 24 relations. *)
+let wide_query i =
+  let shape =
+    match i mod 3 with 0 -> Demo.Chain | 1 -> Demo.Star | _ -> Demo.Random_edges 1
+  in
+  wide_sql ~seed:i ~shape ~n:(17 + (i * 5 mod 8))
+
+let wide_queries = List.init 16 wide_query
+
+(* three of them: a 17-way chain, a 22-way star, a 19-way random graph *)
+let synthetic_joins = [ wide_query 0; wide_query 1; wide_query 2 ]
+
+let federation_corpus =
+  [ "select e.name from Employee e where e.salary > 5000";
+    "select e.name, e.age from Employee e where e.age >= 30 order by e.age";
+    "select e.name, d.city from Employee e, Department d \
+     where e.dept_id = d.id and d.budget > 100000";
+    "select p.id, t.hours from Project p, Task t \
+     where t.project_id = p.id order by t.hours";
+    "select d.id, count(*) as n from Employee e, Department d \
+     where e.dept_id = d.id group by d.id";
+    "select l.rating, e.name from Listing l, Employee e where l.emp_id = e.id";
+    "select p.id, doc.doc_id from Project p, Document doc \
+     where doc.project_id = p.id and p.cost > 100";
+    "select doc.doc_id from Project p, Document doc \
+     where p.cost < 5300 and doc.project_id = p.id and lang_match(doc.lang, \"en\")" ]
+
+let record_mediator ?history_mode ?stats_mode ~cache () =
+  let m = Mediator.create ?history_mode ?stats_mode ~cache () in
+  List.iter (Mediator.register m)
+    (Demo.make ~sizes:Demo.small_sizes () @ Demo.synthetic ~seed:1 ~rows:50 ~n:24 ());
+  m
+
+(* Everything an answer carries, floats as bits. *)
+let answer_key (a : Mediator.answer) =
+  let root =
+    List.map
+      (fun v ->
+        ( Option.map bits (Estimator.var a.Mediator.estimate v),
+          Estimator.provenance a.Mediator.estimate v ))
+      Ast.all_cost_vars
+  in
+  let m = a.Mediator.measured in
+  ( root,
+    Plan.to_string a.Mediator.plan,
+    List.map (fun t -> Fmt.str "%a" Disco_exec.Tuple.pp t) a.Mediator.rows,
+    List.map bits
+      [ m.Disco_exec.Run.total_time; m.Disco_exec.Run.time_first; m.Disco_exec.Run.count;
+        m.Disco_exec.Run.size ] )
+
+let record_key (r : History.record) =
+  ( Plan.to_string r.History.plan,
+    r.History.source,
+    List.map (fun (v, x) -> (v, bits x)) r.History.measured,
+    bits r.History.estimated_total,
+    Option.map bits r.History.estimated_count )
+
+let shuffled round =
+  let a = Array.of_list (federation_corpus @ synthetic_joins) in
+  let st = Random.State.make [| 7; round |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+(* A cache-on mediator against a cache-off one over the same sequence, in
+   each history setting: every answer and every history record equal. *)
+let test_record_differential () =
+  let adjust = History.Adjust { smoothing = 0.5 } in
+  let feedback = Mediator.Stats_feedback History.default_feedback in
+  List.iter
+    (fun (what, history_mode, stats_mode, tenants) ->
+      let make cache = record_mediator ~history_mode ?stats_mode ~cache () in
+      let on = make true and off = make false in
+      let partitions m =
+        Array.init tenants (fun i ->
+            if i = 0 then Mediator.history m else Mediator.fresh_history m)
+      in
+      let on_parts = partitions on and off_parts = partitions off in
+      let k = ref 0 in
+      for round = 1 to 3 do
+        List.iter
+          (fun sql ->
+            let tenant = !k mod tenants in
+            incr k;
+            Mediator.set_history on on_parts.(tenant);
+            Mediator.set_history off off_parts.(tenant);
+            let a = Mediator.run_query ~verify:true on sql in
+            let b = Mediator.run_query ~verify:true off sql in
+            if answer_key a <> answer_key b then
+              Alcotest.failf "%s, round %d: answers differ for %s" what round sql)
+          (shuffled round)
+      done;
+      Array.iteri
+        (fun i h ->
+          if
+            List.map record_key (History.records h)
+            <> List.map record_key (History.records off_parts.(i))
+          then Alcotest.failf "%s: history records differ (tenant %d)" what i)
+        on_parts;
+      (* under Adjust every query moves the model, so only the first
+         submit of each run reads the record *)
+      if history_mode = History.Off then
+        Alcotest.(check bool) (what ^ ": the cache served") true
+          ((Plancache.counters (Mediator.plancache on)).Plancache.hits > 0))
+    [ ("history off", History.Off, None, 1);
+      ("adjust", adjust, None, 1);
+      ("adjust + feedback, two tenants", adjust, Some feedback, 2) ]
+
+let rec submits (p : Plan.t) =
+  match p with
+  | Plan.Submit (s, q) -> [ (s, q) ]
+  | _ -> List.concat_map submits (Plan.children p)
+
+(* With history off every record's estimate is a fresh estimate of its
+   subplan times the adjustment factor, bit for bit: on a query's first
+   run (the record read off the chosen plan's annotation) and on its
+   repeats (the record served). Feedback with a zero weight and an
+   unreachable band records counts without moving any estimate. *)
+let test_record_equals_fresh () =
+  let neutral = { History.band = infinity; consecutive = max_int; smoothing = 0. } in
+  List.iter
+    (fun stats_mode ->
+      let med = record_mediator ?stats_mode ~cache:true () in
+      let reg = Mediator.registry med in
+      let h = Mediator.history med in
+      for _ = 1 to 2 do
+        List.iter
+          (fun sql ->
+            let before = History.count h in
+            ignore (Mediator.run_query med sql);
+            List.iter
+              (fun (r : History.record) ->
+                let source = r.History.source in
+                let fresh = Estimator.estimate ~source reg r.History.plan in
+                let adjust = Registry.adjust reg ~source in
+                Alcotest.(check int64) "estimated_total"
+                  (bits (Estimator.total_time fresh *. adjust))
+                  (bits r.History.estimated_total);
+                Alcotest.(check (option int64)) "estimated_count"
+                  (Option.map (fun _ -> bits (Estimator.count_object fresh)) stats_mode)
+                  (Option.map bits r.History.estimated_count))
+              (History.newest h (History.count h - before)))
+          (federation_corpus @ synthetic_joins)
+      done)
+    [ None; Some (Mediator.Stats_feedback neutral) ]
+
+(* A selectivity correction moves no generation, so plans and costs are
+   still served; the estimate record must not be. *)
+let test_record_after_sel_fix () =
+  let med = record_mediator ~cache:true () in
+  let reg = Mediator.registry med in
+  let sql = "select e.name from Employee e where e.salary > 5000" in
+  ignore (Mediator.run_query med sql);
+  let warm = Mediator.run_query med sql in
+  let source, pred =
+    match submits warm.Mediator.plan with
+    | [ (s, Plan.Project (Plan.Select (_, p), _)) ] | [ (s, Plan.Select (_, p)) ] -> (s, p)
+    | _ -> Alcotest.failf "unexpected plan %s" (Plan.to_string warm.Mediator.plan)
+  in
+  let count (a : Mediator.answer) = Estimator.count_object a.Mediator.estimate in
+  let g0 = Registry.generation reg in
+  Registry.set_sel_fix reg ~source (Pred.to_string pred) 0.25;
+  Alcotest.(check int) "a correction moves no generation" g0 (Registry.generation reg);
+  let corrected = Mediator.run_query med sql in
+  let fresh = Estimator.estimate reg corrected.Mediator.plan in
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int64))
+        (Ast.cost_var_name v ^ " = a fresh estimate")
+        (Option.map bits (Estimator.var fresh v))
+        (Option.map bits (Estimator.var corrected.Mediator.estimate v)))
+    Ast.all_cost_vars;
+  Alcotest.(check bool) "and differs from the estimate before the correction" true
+    (bits (count corrected) <> bits (count warm))
+
+(* Under Adjust the first submit's feedback moves the factor: the second
+   submit's record carries the new factor, applied at use time. *)
+let test_record_second_submit_adjust () =
+  let med = record_mediator ~history_mode:(History.Adjust { smoothing = 0.5 }) ~cache:true () in
+  let reg = Mediator.registry med and h = Mediator.history med in
+  let sql = "select p.id, t.hours from Project p, Task t where t.project_id = p.id" in
+  ignore (Mediator.run_query med sql);
+  let f0 = Registry.adjust reg ~source:"objstore" in
+  let before = History.count h in
+  let a = Mediator.run_query med sql in
+  match History.newest h (History.count h - before), submits a.Mediator.plan with
+  | [ r1; r2 ], [ (_, left); (_, right) ] ->
+    Alcotest.(check bool) "right child first" true
+      (Plan.equal r1.History.plan right && Plan.equal r2.History.plan left);
+    let real = List.assoc Ast.Total_time r1.History.measured in
+    let f1 = (0.5 *. (real /. r1.History.estimated_total *. f0)) +. (0.5 *. f0) in
+    Alcotest.(check bool) "the first submit moved the factor" true (f1 <> f0);
+    let raw = Estimator.total_time (Estimator.estimate ~source:"objstore" reg left) in
+    Alcotest.(check int64) "second record = estimate x the new factor" (bits (raw *. f1))
+      (bits r2.History.estimated_total)
+  | rs, ss ->
+    Alcotest.failf "expected two objstore submits, got %d records, %d submits"
+      (List.length rs) (List.length ss)
+
+let allocated_words () =
+  Gc.minor ();
+  ignore (Gc.major_slice 0);
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A warm run of a 17- to 22-way join estimates nothing and allocates
+   less than the chosen plan's estimate alone did: parse, resolve, the
+   cache probes, the submits and the composition. *)
+let test_record_warm_allocation () =
+  let med = record_mediator ~cache:true () in
+  List.iter
+    (fun sql ->
+      ignore (Mediator.run_query ~verify:true med sql);
+      ignore (Mediator.run_query ~verify:true med sql);
+      let before = allocated_words () in
+      ignore (Mediator.run_query ~verify:true med sql);
+      let words = allocated_words () -. before in
+      if words > 120_000. then
+        Alcotest.failf "a warm run allocated %.0f words (bound 120,000)" words)
+    synthetic_joins
+
+(* The record is a few words per submit, not the annotation tree (about
+   22,800 live words per wide-join plan). Measured on the wide-join federation
+   alone as the live heap the cache's entries hold; the heap is settled
+   before warming, so registration's garbage is not counted. *)
+let test_record_retained_size () =
+  let med = Mediator.create () in
+  List.iter (Mediator.register med) (Demo.synthetic ~seed:1 ~rows:50 ~n:24 ());
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (live ());
+  List.iter (fun sql -> ignore (Mediator.run_query ~verify:true med sql)) wide_queries;
+  let with_cache = live () in
+  Plancache.clear (Mediator.plancache med);
+  let per_query = (with_cache - live ()) / List.length wide_queries in
+  if per_query > 10_000 then
+    Alcotest.failf "the plan cache holds %d live words per query (bound 10,000)" per_query
+
 let () =
   Alcotest.run "plancache"
     [ ( "differential",
@@ -778,6 +1051,14 @@ let () =
           Alcotest.test_case "objective keys" `Quick test_objectives_are_distinct_keys;
           Alcotest.test_case "stale churn bounded" `Quick test_stale_churn_bounded;
           Alcotest.test_case "verified flag" `Quick test_verified_flag ] );
+      ( "estimates",
+        [ Alcotest.test_case "cache on = cache off" `Quick test_record_differential;
+          Alcotest.test_case "record = fresh estimate" `Quick test_record_equals_fresh;
+          Alcotest.test_case "selectivity correction" `Quick test_record_after_sel_fix;
+          Alcotest.test_case "second submit under adjust" `Quick
+            test_record_second_submit_adjust;
+          Alcotest.test_case "warm allocation" `Quick test_record_warm_allocation;
+          Alcotest.test_case "retained size" `Quick test_record_retained_size ] );
       ( "invalidation",
         [ Alcotest.test_case "add_rule" `Quick test_invalidate_add_rule;
           Alcotest.test_case "let update" `Quick test_invalidate_let_update;

@@ -498,6 +498,100 @@ let test_http_endpoints () =
       Alcotest.(check bool) "404 otherwise" true
         (contains missing "HTTP/1.0 404"))
 
+(* Regression: requests were read with an unbounded [input_line], so a
+   client sending a long line without a newline made the server buffer all
+   of it. A line past 1 MiB gets the typed error and its connection is
+   closed, while other clients are still served. *)
+let test_request_line_bound () =
+  with_server (fun _srv addr _med ->
+      let (Server.Unix_socket sock_path | Server.Tcp { host = sock_path; _ }) =
+        addr
+      in
+      (* the server closes mid-line: the writer gets EPIPE, not the signal *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX sock_path);
+      (* a server that keeps the connection open fails the test, not hangs it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let line = Bytes.make ((2 * 1024 * 1024) + 1) 'x' in
+      Bytes.set line (Bytes.length line - 1) '\n';
+      let writer =
+        Thread.create
+          (fun () ->
+            try ignore (Unix.write fd line 0 (Bytes.length line))
+            with Unix.Unix_error _ -> ())
+          ()
+      in
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec read_all () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> `Closed
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          read_all ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Closed
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Open
+      in
+      let closed = read_all () in
+      Unix.shutdown fd Unix.SHUTDOWN_ALL;
+      Thread.join writer;
+      Unix.close fd;
+      let reply = Buffer.contents buf in
+      (match Json.parse (String.trim reply) with
+       | Ok j ->
+         Alcotest.(check string) "typed error" "error" (status j);
+         Alcotest.(check (option string)) "names the limit"
+           (Some "request line longer than 1048576 bytes")
+           (Json.string_member "error" j)
+       | Error e -> Alcotest.failf "reply %S is not one JSON line: %s" reply e);
+      Alcotest.(check bool) "connection closed" true (closed = `Closed);
+      let c = Client.connect_retry addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Alcotest.(check string) "another client is answered" "ok"
+            (status (Client.query c (List.hd queries)))))
+
+(* [History.count] is the record count without copying the list: equal to
+   [List.length (records h)] after observations, after [forget] and after
+   a snapshot restore, and free to call. *)
+let test_history_count () =
+  let med = make_mediator ~history:(History.Adjust { smoothing = 0.5 }) () in
+  let h = Mediator.history med in
+  let check what h =
+    Alcotest.(check int) what (List.length (History.records h)) (History.count h)
+  in
+  check "empty" h;
+  List.iter (fun sql -> ignore (Mediator.run_query med sql)) queries;
+  check "after observations" h;
+  Alcotest.(check bool) "records were kept" true (History.count h > 0);
+  let words () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0);
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let n = ref 0 in
+  for _ = 1 to 1000 do n := !n + History.count h done;
+  let allocated = words () -. before in
+  ignore (Sys.opaque_identity !n);
+  (* the two [quick_stat] records of the measurement itself *)
+  if allocated > 64. then
+    Alcotest.failf "1,000 calls of History.count allocated %.0f words" allocated;
+  let state = Snapshot.capture med ~tenants:[ ("default", h) ] in
+  let restored =
+    Snapshot.restore (make_mediator ())
+      ~fresh_tenant:(fun _ -> History.create (Mediator.registry med))
+      state
+  in
+  List.iter (fun (_, h') -> check "after restore" h') restored;
+  Alcotest.(check int) "restore replays every record" (History.count h)
+    (List.fold_left (fun acc (_, h') -> acc + History.count h') 0 restored);
+  History.forget h;
+  check "after forget" h;
+  Alcotest.(check int) "forget empties" 0 (History.count h)
+
 let test_shutdown_op () =
   let med = make_mediator () in
   let addr = Server.Unix_socket (fresh_socket_path ()) in
@@ -540,7 +634,9 @@ let () =
           Alcotest.test_case "backpressure accounting" `Quick
             test_serve_backpressure_accounting ] );
       ( "snapshot",
-        [ Alcotest.test_case "warm restart" `Quick test_snapshot_warm_restart ] );
+        [ Alcotest.test_case "warm restart" `Quick test_snapshot_warm_restart;
+          Alcotest.test_case "history count" `Quick test_history_count ] );
       ( "endpoints",
         [ Alcotest.test_case "http" `Quick test_http_endpoints;
+          Alcotest.test_case "request line bound" `Quick test_request_line_bound;
           Alcotest.test_case "shutdown op" `Quick test_shutdown_op ] ) ]
