@@ -31,10 +31,10 @@ let workload =
      l.rating >= 3";
     "select distinct d.city from Department d where d.budget > 100000" ]
 
-let make ?(faults = fun _ -> None) ?domains ~smoke () =
+let make ?(faults = fun _ -> None) ~smoke () =
   let sizes = if smoke then Demo.small_sizes else Demo.default_sizes in
   let wrappers = Demo.make ~sizes () in
-  let med = Mediator.create ?domains () in
+  let med = Mediator.create () in
   List.iter (Mediator.register med) wrappers;
   List.iter
     (fun w ->
@@ -47,43 +47,38 @@ let make ?(faults = fun _ -> None) ?domains ~smoke () =
 (* --- 1. zero-fault differential ------------------------------------------- *)
 
 let check_differential ~smoke () =
-  let plain, _ = make ~domains:1 ~smoke () in
-  let inert, _ = make ~faults:(fun _ -> Some Fault.none) ~domains:1 ~smoke () in
-  (* the same zero-fault run again, but planning and submitting through a
-     4-domain pool: parallelism must be as invisible as an inert injector *)
-  let par, _ = make ~domains:4 ~smoke () in
+  let plain, _ = make ~smoke () in
+  let inert, _ = make ~faults:(fun _ -> Some Fault.none) ~smoke () in
   (* one pass per mediator — history and the simulated clock advance across
      the workload, so comparisons must pair up the same pass *)
   let answers med = List.map (Mediator.run_query med) workload in
   let reference = answers plain in
-  let against label (b_answers : Mediator.answer list) =
-    List.iter2
-      (fun sql (a, b) ->
-        if not (Plan.equal a.Mediator.plan b.Mediator.plan) then
-          Fmt.failwith "faults bench: %s changed the plan for %S" label sql;
-        let ea = Estimator.total_time a.Mediator.estimate
-        and eb = Estimator.total_time b.Mediator.estimate in
-        if bits ea <> bits eb then
-          Fmt.failwith
-            "faults bench: %s changed the estimate for %S (%h vs %h)"
-            label sql ea eb;
-        if
-          bits a.Mediator.measured.Run.total_time
-          <> bits b.Mediator.measured.Run.total_time
-          || bits a.Mediator.measured.Run.time_first
-             <> bits b.Mediator.measured.Run.time_first
-        then
-          Fmt.failwith "faults bench: %s changed measured times for %S" label
-            sql;
-        if a.Mediator.replans <> 0 || b.Mediator.replans <> 0 then
-          Fmt.failwith "faults bench: replans without faults for %S" sql)
-      workload
-      (List.combine reference b_answers)
-  in
-  against "inert injector" (answers inert);
-  against "4-domain pool" (answers par);
+  List.iter2
+    (fun sql ((a : Mediator.answer), (b : Mediator.answer)) ->
+      if not (Plan.equal a.Mediator.plan b.Mediator.plan) then
+        Fmt.failwith "faults bench: an inert injector changed the plan for %S"
+          sql;
+      let ea = Estimator.total_time a.Mediator.estimate
+      and eb = Estimator.total_time b.Mediator.estimate in
+      if bits ea <> bits eb then
+        Fmt.failwith
+          "faults bench: an inert injector changed the estimate for %S (%h \
+           vs %h)"
+          sql ea eb;
+      if
+        bits a.Mediator.measured.Run.total_time
+        <> bits b.Mediator.measured.Run.total_time
+        || bits a.Mediator.measured.Run.time_first
+           <> bits b.Mediator.measured.Run.time_first
+      then
+        Fmt.failwith
+          "faults bench: an inert injector changed measured times for %S" sql;
+      if a.Mediator.replans <> 0 || b.Mediator.replans <> 0 then
+        Fmt.failwith "faults bench: replans without faults for %S" sql)
+    workload
+    (List.combine reference (answers inert));
   Fmt.pr "  zero-fault differential: %d queries bit-identical with inert \
-          injectors and with --domains 4@."
+          injectors@."
     (List.length workload)
 
 (* --- 2. determinism -------------------------------------------------------- *)
@@ -221,7 +216,6 @@ let print ?(smoke = false) ?json_path () =
      Fmt.failwith "faults bench: fault-free baseline degraded or retried"
    | _ -> ());
   Util.bench_json ?json_path ~bench:"faults"
-    ~domains:(Disco_parallel.Pool.env_domains ())
     [ Fmt.str {|"smoke":%b|} smoke;
       Fmt.str {|"scenarios":[%s]|}
         (String.concat ","

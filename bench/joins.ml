@@ -199,7 +199,7 @@ let print ?(smoke = false) ?json_path () =
     (List.length answer.Mediator.rows) e2e_ms answer.Mediator.replans;
 
   let os = Mediator.optimizer_stats e2e_med in
-  Util.bench_json ?json_path ~bench:"joins" ~domains:(Mediator.domains e2e_med)
+  Util.bench_json ?json_path ~bench:"joins"
     [ Fmt.str {|"rows_per_relation":%d|} rows;
       Fmt.str {|"identity_checks":%d|} !identical;
       Fmt.str {|"chain12_dp_pairs":%d|} dp12_pairs;

@@ -20,11 +20,8 @@
      faults — fault injection: zero-fault differential, determinism,
               availability vs latency sweep (--json=PATH writes the BENCH
               JSON record to a file)
-     parallel — domain-parallel plan search and scatter-gather execution:
-              speedup curve over 1..N domains with bit-identity checks
-              (--json=PATH as above)
      serve  — the federation server under closed-loop multi-client load:
-              QPS and latency percentiles per domain count, with exact
+              QPS and latency percentiles, with exact
               client/server accounting and a warm-restart check
               (--json=PATH as above)
      verify — whole-plan verification overhead on the warm plan-cache
@@ -36,7 +33,7 @@
 
 let all =
   [ "fig12"; "t1"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8"; "cache"; "micro";
-    "faults"; "parallel"; "serve"; "verify"; "joins" ]
+    "faults"; "serve"; "verify"; "joins" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -75,7 +72,6 @@ let () =
       | "cache" -> Cachebench.print ~smoke:small ()
       | "micro" -> Micro.print ()
       | "faults" -> Faults.print ~smoke:small ?json_path ()
-      | "parallel" -> Parallel.print ~smoke:small ?json_path ()
       | "serve" -> Serve_bench.print ~smoke:small ?json_path ()
       | "verify" -> Verify_bench.print ~smoke:small ?json_path ()
       | "joins" -> Joins.print ~smoke:small ?json_path ()

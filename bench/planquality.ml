@@ -174,8 +174,7 @@ let print ?json_path ?(smoke = false) () =
   Fmt.pr "  error reduction (off / histograms+feedback): %.1fx %s@."
     improvement
     (if improvement >= 2. then "(gate >= 2x: ok)" else "(gate >= 2x: FAILED)");
-  let domains = (Mediator.create ()) |> Mediator.domains in
-  Util.bench_json ?json_path ~bench:"planquality" ~domains
+  Util.bench_json ?json_path ~bench:"planquality"
     [ Fmt.str {|"mean_err_off":%.4f|} err_off;
       Fmt.str {|"mean_err_hist":%.4f|} err_hist;
       Fmt.str {|"mean_err_feedback":%.4f|} err_fb;

@@ -1,13 +1,11 @@
 (* disco serve under closed-loop multi-client load.
 
-   For each domain-pool degree, a fresh server (its own mediator and unix
-   socket) takes a fixed workload from C concurrent clients, each running
-   as its own tenant: every client blocks on its previous answer before
-   sending the next — the closed-loop model, so offered load tracks service
-   rate and the numbers are throughput (QPS) and latency percentiles
-   rather than queue growth. Queries are serialized on the server's
-   execution lock; the domain pool parallelizes *inside* each query, so
-   the sweep shows what intra-query parallelism buys a saturated server.
+   A fresh server (its own mediator and unix socket) takes a fixed workload
+   from C concurrent clients, each running as its own tenant: every client
+   blocks on its previous answer before sending the next — the closed-loop
+   model, so offered load tracks service rate and the numbers are
+   throughput (QPS) and latency percentiles rather than queue growth.
+   Queries are serialized on the server's execution lock.
 
    Two assertions ride along:
    - exact accounting: the server's completed/rejected counters must equal
@@ -16,7 +14,7 @@
      process-equivalent (fresh mediator, same path) must come back with
      bit-identical adjustment factors and clock, and all history records.
 
-   The trailing BENCH JSON record carries QPS and p99 per domain count for
+   The trailing BENCH JSON record carries QPS and latency percentiles for
    archived CI artifacts. *)
 
 open Disco_core
@@ -41,9 +39,9 @@ let socket_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "disco-bench-%d-%d.sock" (Unix.getpid ()) !n)
 
-let make_mediator ?(history = History.Off) ~domains ~smoke () =
+let make_mediator ?(history = History.Off) ~smoke () =
   let sizes = if smoke then Demo.small_sizes else Demo.default_sizes in
-  let med = Mediator.create ~history_mode:history ~domains () in
+  let med = Mediator.create ~history_mode:history () in
   List.iter (Mediator.register med) (Demo.make ~sizes ());
   med
 
@@ -94,8 +92,8 @@ let closed_loop ~clients ~rounds addr =
   let total a = Array.fold_left ( + ) 0 a in
   (total ok, total rejected, wall)
 
-let run_domain_point ~smoke ~clients ~rounds domains =
-  let med = make_mediator ~domains ~smoke () in
+let run_point ~smoke ~clients ~rounds =
+  let med = make_mediator ~smoke () in
   let srv, addr = start_server med in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -117,10 +115,7 @@ let warm_restart_exercise ~smoke () =
   let snap = Filename.temp_file "disco-serve-bench" ".snap" in
   Sys.remove snap;
   let sources = [ "relstore"; "objstore"; "files"; "web" ] in
-  let med1 =
-    make_mediator ~history:(History.Adjust { smoothing = 0.6 }) ~domains:1
-      ~smoke ()
-  in
+  let med1 = make_mediator ~history:(History.Adjust { smoothing = 0.6 }) ~smoke () in
   let srv1, addr1 = start_server ~snapshot_path:snap med1 in
   let trained =
     Fun.protect
@@ -133,10 +128,7 @@ let warm_restart_exercise ~smoke () =
           Mediator.now med1 ))
   in
   (* Server.stop wrote the final snapshot; restart "the process" *)
-  let med2 =
-    make_mediator ~history:(History.Adjust { smoothing = 0.6 }) ~domains:1
-      ~smoke ()
-  in
+  let med2 = make_mediator ~history:(History.Adjust { smoothing = 0.6 }) ~smoke () in
   let srv2, _addr2 = start_server ~snapshot_path:snap med2 in
   let restored_ok =
     Fun.protect
@@ -155,57 +147,33 @@ let warm_restart_exercise ~smoke () =
 
 let print ?(smoke = false) ?json_path () =
   Util.section "serve: closed-loop multi-client server throughput";
-  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let clients = if smoke then 4 else 8 in
   let rounds = if smoke then 15 else 40 in
-  Fmt.pr "  %d clients (one tenant each), %d queries per client, per domain \
-          count@."
-    clients
+  Fmt.pr "  %d clients (one tenant each), %d queries per client@." clients
     (rounds * List.length workload);
-  let all_match = ref true in
-  let results =
-    List.map
-      (fun domains ->
-        let ok, rejected, wall, m, counters_match =
-          run_domain_point ~smoke ~clients ~rounds domains
-        in
-        if not counters_match then all_match := false;
-        (domains, ok, rejected, wall, m))
-      domain_counts
-  in
+  let ok, rejected, wall, m, counters_match = run_point ~smoke ~clients ~rounds in
   Util.table
-    [ "domains"; "queries"; "rejected"; "wall s"; "qps"; "p50 ms"; "p95 ms";
-      "p99 ms"; "max ms" ]
-    (List.map
-       (fun (domains, ok, rejected, wall, m) ->
-         [ string_of_int domains;
-           string_of_int ok;
-           string_of_int rejected;
-           Util.f2 wall;
-           Util.f1 (float_of_int ok /. wall);
-           Util.f2 m.Metrics.p50_ms;
-           Util.f2 m.Metrics.p95_ms;
-           Util.f2 m.Metrics.p99_ms;
-           Util.f2 m.Metrics.max_ms ])
-       results);
+    [ "queries"; "rejected"; "wall s"; "qps"; "p50 ms"; "p95 ms"; "p99 ms";
+      "max ms" ]
+    [ [ string_of_int ok;
+        string_of_int rejected;
+        Util.f2 wall;
+        Util.f1 (float_of_int ok /. wall);
+        Util.f2 m.Metrics.p50_ms;
+        Util.f2 m.Metrics.p95_ms;
+        Util.f2 m.Metrics.p99_ms;
+        Util.f2 m.Metrics.max_ms ] ];
   Fmt.pr "  exact accounting (client view = server counters): %s@."
-    (if !all_match then "ok" else "MISMATCH");
+    (if counters_match then "ok" else "MISMATCH");
   let warm_ok = warm_restart_exercise ~smoke () in
   Fmt.pr "  warm restart (factors + clock bit-identical after reload): %s@."
     (if warm_ok then "ok" else "MISMATCH");
-  if not (!all_match && warm_ok) then exit 1;
-  let fields =
-    List.concat_map
-      (fun (domains, ok, _rejected, wall, m) ->
-        [ Fmt.str {|"qps_d%d":%.1f|} domains (float_of_int ok /. wall);
-          Fmt.str {|"p50_d%d_ms":%.3f|} domains m.Metrics.p50_ms;
-          Fmt.str {|"p99_d%d_ms":%.3f|} domains m.Metrics.p99_ms ])
-      results
-    @ [ Fmt.str {|"clients":%d|} clients;
-        Fmt.str {|"queries_per_point":%d|} (clients * rounds * List.length workload);
-        Fmt.str {|"counters_match":%b|} !all_match;
-        Fmt.str {|"warm_restart_ok":%b|} warm_ok ]
-  in
+  if not (counters_match && warm_ok) then exit 1;
   Util.bench_json ?json_path ~bench:"serve"
-    ~domains:(List.fold_left max 1 domain_counts)
-    fields
+    [ Fmt.str {|"qps":%.1f|} (float_of_int ok /. wall);
+      Fmt.str {|"p50_ms":%.3f|} m.Metrics.p50_ms;
+      Fmt.str {|"p99_ms":%.3f|} m.Metrics.p99_ms;
+      Fmt.str {|"clients":%d|} clients;
+      Fmt.str {|"queries":%d|} (clients * rounds * List.length workload);
+      Fmt.str {|"counters_match":%b|} counters_match;
+      Fmt.str {|"warm_restart_ok":%b|} warm_ok ]

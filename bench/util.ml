@@ -44,14 +44,11 @@ let geomean xs =
 let maximum xs = List.fold_left Float.max neg_infinity xs
 
 (* Emit the one-line machine-readable record every bench ends with, and
-   optionally persist it (--json=PATH). [domains] is the domain-pool degree
-   the bench ran under — every record carries it so archived CI artifacts
-   from parallel and sequential runs stay distinguishable. [fields] are
-   pre-rendered `"key":value` JSON members. *)
-let bench_json ?json_path ~bench ~domains fields =
+   optionally persist it (--json=PATH). [fields] are pre-rendered
+   `"key":value` JSON members. *)
+let bench_json ?json_path ~bench fields =
   let json =
-    Fmt.str {|{"bench":%S,"domains":%d,%s}|} bench domains
-      (String.concat "," fields)
+    Fmt.str {|{"bench":%S,%s}|} bench (String.concat "," fields)
   in
   Fmt.pr "  BENCH JSON %s@." json;
   match json_path with

@@ -82,7 +82,7 @@ let print ?(smoke = false) ?json_path () =
   let pc = Plancache.counters (Mediator.plancache med) in
   Fmt.pr "  plancache: %d hits, %d misses@." pc.Plancache.hits
     pc.Plancache.misses;
-  Util.bench_json ?json_path ~bench:"verify" ~domains:(Mediator.domains med)
+  Util.bench_json ?json_path ~bench:"verify"
     [ Fmt.str {|"queries":%d|} (List.length queries);
       Fmt.str {|"iters":%d|} iters;
       Fmt.str {|"plain_us_per_query":%.3f|} (per_query base);

@@ -37,14 +37,6 @@ let no_cache_arg =
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Domain-pool degree for parallel plan search and scatter-gather submit \
-     execution (1 = sequential; results are bit-identical at any value). \
-     Defaults to $(b,DISCO_DOMAINS), else 1."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
 let stats_arg =
   let doc =
     "Enable feedback-driven statistics: harvest wrapper samples into \
@@ -85,7 +77,7 @@ let demo_wrappers (small, seed) =
   Demo.make ~seed ~sizes:(if small then Demo.small_sizes else Demo.default_sizes) ()
 
 let make_mediator ?(history = "off") ?(no_rules = false) ?(no_cache = false)
-    ?(stats = false) ?fault ?domains data =
+    ?(stats = false) ?fault data =
   let wrappers = demo_wrappers data in
   let wrappers =
     if no_rules then List.map Wrapper.without_rules wrappers else wrappers
@@ -96,7 +88,7 @@ let make_mediator ?(history = "off") ?(no_rules = false) ?(no_cache = false)
   in
   let med =
     Mediator.create ~history_mode:(history_mode history) ~cache:(not no_cache)
-      ?domains ~stats_mode ()
+      ~stats_mode ()
   in
   List.iter (Mediator.register med) wrappers;
   (match fault with
@@ -114,12 +106,12 @@ let make_mediator ?(history = "off") ?(no_rules = false) ?(no_cache = false)
    under every mediator option. It is built on demand, inside the command's
    error handler, so a bad option value exits 1 like any handled error. *)
 let mediator_term =
-  let make data history no_rules no_cache stats fault domains () =
-    make_mediator ~history ~no_rules ~no_cache ~stats ?fault ?domains data
+  let make data history no_rules no_cache stats fault () =
+    make_mediator ~history ~no_rules ~no_cache ~stats ?fault data
   in
   Term.(
     const make $ data_term $ history_arg $ no_rules_arg $ no_cache_arg $ stats_arg
-    $ fault_arg $ domains_arg)
+    $ fault_arg)
 
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
@@ -438,9 +430,9 @@ let health_cmd =
     let doc = "Probe submits per source." in
     Arg.(value & opt int 3 & info [ "probes" ] ~doc)
   in
-  let run data fault domains probes =
+  let run data fault probes =
     handle (fun () ->
-        let med, wrappers = make_mediator ?fault ?domains data in
+        let med, wrappers = make_mediator ?fault data in
         (* probe each source with real submits (scan of its first collection)
            so timeouts, retries and breaker transitions actually happen *)
         List.iter
@@ -478,7 +470,7 @@ let health_cmd =
          "Probe each source with real submits under the configured fault \
           profiles and print the per-source health table (state, outcomes, \
           retries, circuit breaker).")
-    Term.(const run $ data_term $ fault_arg $ domains_arg $ probes_arg)
+    Term.(const run $ data_term $ fault_arg $ probes_arg)
 
 (* --- serve / metrics -------------------------------------------------------------- *)
 

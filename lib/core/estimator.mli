@@ -92,7 +92,7 @@ val estimate :
     [source] defaults to the mediator; pass a wrapper name to estimate a
     subplan as the wrapper executes it. [memo] shares subtree annotations
     across calls (see {!memo}). A [memo] is mutated by every call that
-    uses it, so parallel estimation gives each domain its own. *)
+    uses it, so two estimations running at once must not share one. *)
 
 val root_vars : ann -> (Ast.cost_var * (float * provenance)) list
 (** The root's computed variables with their provenance, in

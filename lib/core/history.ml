@@ -50,7 +50,7 @@ type t = {
   mutable feedback : feedback option;
   mutable on_drift : (source:string -> unit) option;
   (* consecutive drifting observations per (source, predicate key); guarded
-     by [lock] — observations arrive sequentially from the gather domain
+     by [lock] — observations arrive sequentially from one query's submits
      today, but the short-lock discipline keeps the subsystem safe if that
      ever changes (same pattern as [Registry]/[Health]). *)
   streaks : (string * string, int) Hashtbl.t;

@@ -53,11 +53,14 @@ type t = {
      leaves the generation alone *)
   mutable revision : int;
   (* guards the query-time lazily-filled tables ([merged], per-source
-     [let_cache], on-demand [sources] entries) so concurrent estimation
-     domains cannot corrupt a Hashtbl mid-resize. Held only across the
-     table operations themselves, never across formula evaluation —
-     [lookup_let] computes outside the lock (a duplicated computation is
-     harmless: let values are deterministic within a generation). *)
+     [let_cache], on-demand [sources] entries) so two estimations running
+     at once cannot corrupt a Hashtbl mid-resize. The server estimates one
+     query at a time today (under its exec lock); concurrent queries will
+     not, and test_core's registry hammer estimates from four domains.
+     Held only across the table operations themselves, never across
+     formula evaluation — [lookup_let] computes outside the lock (a
+     duplicated computation is harmless: let values are deterministic
+     within a generation). *)
   lock : Mutex.t;
 }
 
@@ -443,7 +446,7 @@ let register_text ?scope_override t ~what text =
 let rules_for t ~source ~operator : Rule.t list =
   (* the whole merge runs under the lock: it touches only [t.sources] and
      pure rule metadata, so holding it is cheap and keeps the lazily-filled
-     [merged] table consistent across estimation domains *)
+     [merged] table consistent under concurrent estimation *)
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.merged (source, operator) with
       | Some rs -> rs

@@ -239,11 +239,9 @@ let mk rows ~first ~total = { rows; first; total; wall_ms = 0. }
 let rec exec_tuple (env : env) (p : Physical.t) : result =
   let e = env.engine in
   match p with
-  (* Gather point of the mediator's scatter-gather: wrapper subresults land
-     here pre-executed (possibly concurrently, in their own envs), so the
-     composition below never touches a wrapper and [env] stays
-     single-domain. They arrive as batches; the reference engine reads
-     them as tuples. *)
+  (* Wrapper subresults land here pre-executed in their own envs, so the
+     composition below never touches a wrapper. They arrive as batches;
+     the reference engine reads them as tuples. *)
   | Physical.Pmaterialized { batches; count = _; first; total } ->
     mk (List.concat_map Batch.to_tuples batches) ~first ~total
   | Physical.Pscan { table; binding; access; residual } ->

@@ -106,19 +106,16 @@ val run : ?mode:mode -> env -> Physical.t -> result
     and bit-identical simulated times.
 
     Concurrency contract: [run] mutates [env.buffer] (the buffer pool's
-    replacement state), so a given [env] must be driven from one domain at
+    replacement state), so a given [env] must be driven from one thread at
     a time and two evaluations over the same [env] are order-dependent.
-    This is why the mediator's scatter-gather path parallelizes {e
-    upstream} of [run]: wrapper subplans execute concurrently in their own
-    wrappers (each with its own [env]) during translation to {!Physical.t},
-    arrive here as {!Physical.Pmaterialized} leaves — the wrapper engine's
-    batches plus the simulated times already charged — and the
-    mediator-side composition that [run] performs stays single-domain and
-    deterministic. A batch built on a scatter domain is read-only once
+    Wrapper subplans execute in their own wrappers (each with its own
+    [env]) during the mediator's translation to {!Physical.t} and arrive
+    here as {!Physical.Pmaterialized} leaves — the wrapper engine's batches
+    plus the simulated times already charged. A batch is read-only once
     {!run_batched} returns it: no engine writes to an emitted batch or to
     the column arrays it shares (with a table's columnar mirror or with
-    another batch), so the gathering domain reads it without copying or
-    locking. *)
+    another batch), so the mediator's composition reads it without
+    copying. *)
 
 val measure : ?mode:mode -> env -> Physical.t -> Tuple.t list * vector
 (** {!run} followed by {!vector_of_result}. In batched mode the vector's

@@ -46,8 +46,9 @@ type entry = {
 type t = {
   policy : policy;
   entries : (string, entry) Hashtbl.t;
-  (* guards the table and every per-source entry: scatter-gather execution
-     reads availability and reports outcomes from several domains; each
+  (* guards the table and every per-source entry: a server worker reports
+     outcomes while a query runs and reader threads render the health
+     report at the same time; each
      operation is a short read-modify-write, so one lock suffices and keeps
      the counters and breaker transitions exact *)
   lock : Mutex.t;

@@ -41,11 +41,6 @@ type t = {
   lint : [ `Error | `Warn | `Off ];
   mutable last_lint : Disco_analysis.Analyzer.finding list;
   mutable wrappers : (string * Wrapper.t) list;
-  (* degree of the domain pool used for plan search and scatter-gather
-     submit execution; 1 = fully sequential. Parallelism is value-preserving
-     (see Optimizer and [to_physical]), so this is a throughput knob, never
-     a semantics knob. *)
-  domains : int;
   (* feedback-driven statistics (§4.3, DESIGN.md §11). Off by default: the
      estimator then never sees a histogram or a selectivity correction and
      every estimate is bit-identical to a mediator without the subsystem. *)
@@ -57,8 +52,6 @@ type t = {
 }
 
 and stats_mode = Stats_off | Stats_feedback of History.feedback
-
-module Pool = Disco_parallel.Pool
 
 let stats_on t = t.stats_mode <> Stats_off
 
@@ -82,19 +75,16 @@ let harvest_wrapper t (w : Wrapper.t) =
     (Catalog.collections t.catalog ~source:w.Wrapper.name)
 
 (* Drift-triggered recalibration: re-sample the drifting source and rebuild
-   its histograms. Runs on the gather domain (History.observe's caller);
-   catalog writes are plain replacements and estimation re-reads them only
-   after the accompanying generation bump drops cached plans. *)
+   its histograms. Runs inside History.observe, from the submit that saw
+   the drift; catalog writes are plain replacements and estimation re-reads
+   them only after the accompanying generation bump drops cached plans. *)
 let refresh_histograms t ~source =
   match List.assoc_opt source t.wrappers with
   | Some w when stats_on t -> harvest_wrapper t w
   | _ -> ()
 
 let create ?calibration ?(history_mode = History.Off) ?(cache = true)
-    ?policy ?(lint = `Warn) ?domains ?(stats_mode = Stats_off) () =
-  let domains =
-    match domains with Some d -> max 1 (min d Pool.max_domains) | None -> Pool.env_domains ()
-  in
+    ?policy ?(lint = `Warn) ?(stats_mode = Stats_off) () =
   let catalog = Catalog.create () in
   let registry = Registry.create catalog in
   Generic.register ?calibration registry;
@@ -109,7 +99,6 @@ let create ?calibration ?(history_mode = History.Off) ?(cache = true)
       lint;
       last_lint = [];
       wrappers = [];
-      domains;
       stats_mode;
       opt_stats = Optimizer.new_stats () }
   in
@@ -147,7 +136,6 @@ let cache_enabled t = t.cache_enabled
 let set_cache_enabled t on = t.cache_enabled <- on
 let lint_mode t = t.lint
 let last_lint t = t.last_lint
-let domains t = t.domains
 let stats_mode t = t.stats_mode
 
 (* A copy, so callers can't corrupt the accumulator. *)
@@ -498,7 +486,7 @@ let plan_of_variant ?(objective = Optimizer.Total_time) ?available t
   let spec = r.spec and var = Optimizer.objective_var objective in
   let search () =
     Optimizer.optimize ~objective ~memo:t.cache_enabled ~available
-      ~domains:t.domains ~stats:t.opt_stats t.registry spec
+      ~stats:t.opt_stats t.registry spec
   in
   let joined =
     match spec.Optimizer.bases, active_cache t with
@@ -648,32 +636,13 @@ let history_estimate ?estimates t ~index ~source sub =
    to the measured TotalTime fed into history: under [History.Adjust] a
    flaky source's estimates inflate, steering the optimizer away from it.
 
-   [prefetched] holds scatter-phase wrapper results, one FIFO queue per
-   source filled in the same per-source order this sequential gather
-   consumes them, so popping the head always yields this very submit's
-   result. Only wrapper execution is ever prefetched — every piece of
-   mediator accounting (history feedback, communication charge, clock
-   advance, health) happens here, on the gathering domain, in plan order.
-
    [estimates] is the plan's estimate record and [index] this submit's
    place in translation order ([history_estimate]). *)
-type prefetched =
-  (string, (Batch.t list * Run.vector, exn) result Queue.t) Hashtbl.t
-
-let submit_subplan ?prefetched ?estimates ~index t src sub : Physical.t =
+let submit_subplan ?estimates ~index t src sub : Physical.t =
   let w = find_wrapper t src in
   let net = w.Wrapper.network in
-  let execute () =
-    match prefetched with
-    | Some (tbl : prefetched) ->
-      (match Hashtbl.find_opt tbl src with
-       | Some q when not (Queue.is_empty q) ->
-         (match Queue.pop q with Ok r -> r | Error e -> raise e)
-       | _ -> Wrapper.execute w sub)
-    | None -> Wrapper.execute w sub
-  in
   let complete ~inflate =
-    let batches, vec = execute () in
+    let batches, vec = Wrapper.execute w sub in
     let estimated_total, estimated_count =
       history_estimate ?estimates t ~index ~source:src sub
     in
@@ -739,17 +708,18 @@ let submit_subplan ?prefetched ?estimates ~index t src sub : Physical.t =
    fed back, faults retried); composition operators run in the mediator
    engine. Binary nodes pin the translation order explicitly — right child
    first, matching what OCaml's right-to-left argument evaluation always
-   did here — because the scatter phase must enqueue wrapper results in
-   exactly the order this gather consumes them, and the estimate record
-   lists its submits in it. [next] counts the submits translated so far. *)
-let translate ?prefetched ?estimates t (plan : Plan.t) : Physical.t =
+   did here — because submits to one source share its buffer pool and each
+   submit advances the simulated clock, so the order is observable, and the
+   estimate record lists its submits in it. [next] counts the submits
+   translated so far. *)
+let to_physical ?estimates t (plan : Plan.t) : Physical.t =
   let next = ref 0 in
   let rec go (plan : Plan.t) =
     match plan with
     | Plan.Submit (src, sub) ->
       let index = !next in
       incr next;
-      submit_subplan ?prefetched ?estimates ~index t src sub
+      submit_subplan ?estimates ~index t src sub
     | Plan.Scan _ ->
       raise (Err.Plan_error "bare scan at the mediator (missing submit)")
     | Plan.Select (c, p) -> Physical.Pfilter (go c, p)
@@ -767,81 +737,6 @@ let translate ?prefetched ?estimates t (plan : Plan.t) : Physical.t =
     | Plan.Aggregate (c, a) -> Physical.Paggregate (go c, a)
   in
   go plan
-
-(* Submit occurrences in translation order (right child first, like
-   [translate]); the scatter phase partitions them by source. *)
-let rec submit_occurrences (plan : Plan.t) : (string * Plan.t) list =
-  match plan with
-  | Plan.Submit (src, sub) -> [ (src, sub) ]
-  | Plan.Scan _ -> []
-  | Plan.Select (c, _) | Plan.Project (c, _) | Plan.Sort (c, _)
-  | Plan.Dedup c | Plan.Aggregate (c, _) -> submit_occurrences c
-  | Plan.Join (l, r, _) | Plan.Union (l, r) ->
-    submit_occurrences r @ submit_occurrences l
-
-(* Scatter-gather execution. With [domains > 1], independent wrapper work
-   runs concurrently: submits to injector-free sources are grouped per
-   source (wrapper buffers make same-source submits order-dependent, so a
-   group executes its submits in plan order on one domain) and the groups
-   fan out over the pool. The gather then runs the ordinary sequential
-   translation, consuming the prefetched results — so history feedback,
-   communication charges, the simulated clock and health all advance in
-   plan order on the calling domain, and answers, history, clock and
-   breaker state are bit-identical to the sequential path. Sources with a
-   fault injector are left to the gather untouched: their outcomes depend
-   on the clock at submit time, and the retry/backoff/breaker loop must see
-   the clock the sequential path would. A wrapper error inside a group
-   parks as [Error] in the queue and re-raises at the consuming submit's
-   position. *)
-let to_physical ?estimates t (plan : Plan.t) : Physical.t =
-  if t.domains <= 1 then translate ?estimates t plan
-  else begin
-    let occs = submit_occurrences plan in
-    (* per-source groups of prefetchable submits, first-occurrence order *)
-    let groups : (string * Plan.t list ref) list ref = ref [] in
-    List.iter
-      (fun (src, sub) ->
-        match List.assoc_opt src t.wrappers with
-        | Some { Wrapper.fault = None; _ } ->
-          (match List.assoc_opt src !groups with
-           | Some subs -> subs := sub :: !subs
-           | None -> groups := !groups @ [ (src, ref [ sub ]) ])
-        | Some _ | None ->
-          (* faulty at gather time; unknown sources error there too *)
-          ())
-      occs;
-    let groups =
-      List.map (fun (src, subs) -> (src, List.rev !subs)) !groups
-    in
-    let prefetched : prefetched = Hashtbl.create 8 in
-    List.iter (fun (src, _) -> Hashtbl.replace prefetched src (Queue.create ())) groups;
-    let garr = Array.of_list groups in
-    let pool = Pool.create t.domains in
-    let results =
-      Pool.run pool
-        (fun i ->
-          let src, subs = garr.(i) in
-          let w = List.assoc src t.wrappers in
-          (* stop at the first error: the submits a sequential run would
-             never have reached must not touch the wrapper's buffer *)
-          let rec go acc = function
-            | [] -> List.rev acc
-            | sub :: rest ->
-              (match Wrapper.execute w sub with
-               | r -> go (Ok r :: acc) rest
-               | exception e -> List.rev (Error e :: acc))
-          in
-          go [] subs)
-        (Array.length garr)
-    in
-    Array.iteri
-      (fun i rs ->
-        let src, _ = garr.(i) in
-        let q = Hashtbl.find prefetched src in
-        List.iter (fun r -> Queue.push r q) rs)
-      results;
-    translate ~prefetched ?estimates t plan
-  end
 
 type answer = {
   rows : Tuple.t list;

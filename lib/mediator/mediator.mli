@@ -29,7 +29,7 @@ type stats_mode = Stats_off | Stats_feedback of History.feedback
 val create :
   ?calibration:Generic.calibration -> ?history_mode:History.mode ->
   ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
-  ?domains:int -> ?stats_mode:stats_mode -> unit -> t
+  ?stats_mode:stats_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed. [cache] (default
     on) enables the cross-query {!Plancache} and the plan search's
     estimator memo; disabling both is the reference behavior the
@@ -40,16 +40,7 @@ val create :
     ({!Disco_analysis.Analyzer}): [`Error] rejects (and rolls back) an
     export whose lint has error-severity findings, [`Warn] (the default)
     logs findings and keeps them inspectable via {!last_lint}, [`Off]
-    skips the analyzer. [domains] sets the degree of the domain pool used
-    for parallel plan search and scatter-gather submit execution (clamped
-    to [1 .. Disco_parallel.Pool.max_domains]; default: the
-    [DISCO_DOMAINS] environment variable, else 1). Parallelism is
-    value-preserving: answers, chosen plans and costs, history, the
-    simulated clock and breaker state are bit-identical at any domain
-    count. *)
-
-val domains : t -> int
-(** The domain-pool degree this mediator optimizes and executes with. *)
+    skips the analyzer. *)
 
 val stats_mode : t -> stats_mode
 
@@ -187,11 +178,7 @@ val to_physical :
 (** Execute all [submit] subtrees in their wrappers (charging communication
     per the wrapper's network and feeding history) and translate the
     remaining composition operators; the result runs under
-    {!mediator_env}. With {!domains} above 1, submits to injector-free
-    sources scatter across the domain pool (grouped per source — wrapper
-    buffers make same-source submits order-dependent) while all mediator
-    accounting gathers sequentially in plan order, so results are
-    bit-identical to the sequential path.
+    {!mediator_env}. Submits run one at a time, right child first.
 
     Each submit feeds history its subplan's estimate times the source's
     adjustment factor in force at that moment. [estimates] is [plan]'s

@@ -284,11 +284,9 @@ let new_stats () =
     csg_cmp_pairs = 0;
     dp_entries = 0 }
 
-(* Counters are never shared across domains: each parallel slot fills its
-   own [stats] (a [cost_of] call mutates exactly the record it was handed)
-   and the partials are merged once, at the fork/join barrier, in slot
-   order. One merge per partial — never double- or under-counted; the
-   regression test in test/test_parallel.ml pins exact values. *)
+(* A search fills its own [stats] (a [cost_of] call mutates exactly the
+   record it was handed) and merges it into the caller's once, when it
+   finishes or fails — never double- or under-counted. *)
 let merge_stats ~into (s : stats) =
   into.plans_considered <- into.plans_considered + s.plans_considered;
   into.plans_aborted <- into.plans_aborted + s.plans_aborted;
@@ -329,8 +327,6 @@ let cost_of ?bound ?(objective = Total_time) ?memo registry (stats : stats)
   in
   stats.formula_evals <- stats.formula_evals + !evals;
   result
-
-module Pool = Disco_parallel.Pool
 
 (* Pick the cheapest plan from an explicit list, optionally with
    branch-and-bound pruning; ties keep the earlier plan. *)
@@ -446,34 +442,16 @@ let require_available (spec : spec) ~available =
    shares subtree annotations across the run — candidates overlap
    massively, so without sharing the estimator re-runs formulas on
    identical subtrees thousands of times. It only changes what is
-   recomputed, never the costs (see test/test_plancache.ml).
-
-   Parallel structure of the exact engine: within one subset size every
-   subset is independent — its splits read only strictly smaller subsets,
-   and all its candidates land on its own entry — so each size is a
-   fork/join round: subsets are chunked contiguously across domains, every
-   slot accumulates its subsets' entry lists locally (isolated cost
-   evaluation: own memo, own stats), and the main domain installs the lists
-   into the shared table at the barrier, in enumeration order. Costs are
-   value-deterministic whatever slot computes them, so every comparison —
-   the per-site keep-the-incumbent rule and the final keep-the-earlier
-   fold — resolves identically at any domain count, and the chosen plan,
-   its cost, the DP table and [plans_considered] are bit-identical to the
-   sequential run. Only [formula_evals] is configuration-dependent
-   (per-slot memos change what is recomputed, never any value). *)
+   recomputed, never the costs (see test/test_plancache.ml). *)
 type strategy = Exact | Goo
 
 let search strategy ?(objective = Total_time) ?(memo = true)
-    ?(available = fun _ -> true) ?(domains = 1) ?stats registry (spec : spec)
+    ?(available = fun _ -> true) ?stats registry (spec : spec)
     : Plan.t * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
-  let pool = Pool.create domains in
-  let p = Pool.degree pool in
-  let memos =
-    Array.init p (fun _ -> if memo then Some (Estimator.new_memo ()) else None)
-  in
-  let slot_stats = Array.init p (fun _ -> new_stats ()) in
+  let memo = if memo then Some (Estimator.new_memo ()) else None in
+  let stats = new_stats () in
   let adj = adjacency_of spec in
   (* fail early, with names: a base whose only source is unavailable (open
      circuit) or a join graph in several pieces can never produce a complete
@@ -484,13 +462,11 @@ let search strategy ?(objective = Total_time) ?(memo = true)
   (match join_components adj aliases with
    | _ :: _ :: _ -> no_plan_error spec ~available
    | _ -> ());
-  let cost ~slot plan =
-    Option.value ~default:infinity
-      (cost_of ~objective ?memo:memos.(slot) registry slot_stats.(slot) plan)
+  let cost plan =
+    Option.value ~default:infinity (cost_of ~objective ?memo registry stats plan)
   in
-  (* keep at most one candidate per site; [existing] is threaded, not read
-     back from the table, so slots can accumulate without touching it *)
-  let put_entry ~slot existing (c : candidate) =
+  (* keep at most one candidate per site *)
+  let put_entry existing (c : candidate) =
     let same_site ((x : candidate), _) =
       match x.site, c.site with
       | At_mediator, At_mediator -> true
@@ -499,23 +475,22 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     in
     match List.find_opt same_site existing with
     | Some ((_, old_cost) as entry) ->
-      let c_cost = cost ~slot c.plan in
+      let c_cost = cost c.plan in
       if cost_le old_cost c_cost then existing
       else (c, c_cost) :: List.filter (fun e -> e != entry) existing
-    | None -> (c, cost ~slot c.plan) :: existing
+    | None -> (c, cost c.plan) :: existing
   in
   (* the singleton entries of one base: the wrapper-side candidate and its
      wrapped mediator-side form *)
-  let seed_base ~slot (b : base) =
+  let seed_base (b : base) =
     let c =
       { plan = base_plan b;
         site = At_source b.ref_.Plan.source;
         aliases = Aliases.singleton b.ref_.Plan.binding;
         residual = base_residual b }
     in
-    let entries = put_entry ~slot (put_entry ~slot [] c) (wrap c) in
-    slot_stats.(slot).dp_entries <-
-      slot_stats.(slot).dp_entries + List.length entries;
+    let entries = put_entry (put_entry [] c) (wrap c) in
+    stats.dp_entries <- stats.dp_entries + List.length entries;
     entries
   in
   (* fold the full-query entries down to the cheapest complete plan *)
@@ -527,7 +502,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
           (* wrapping is the identity on mediator-side candidates, whose
              stored cost is still exact; wrapper-side candidates change
              plan (submit + residual) and are costed once here *)
-          let cst = if w == c then stored else cost ~slot:0 w.plan in
+          let cst = if w == c then stored else cost w.plan in
           match best with
           | Some (_, b) when cost_le b cst -> best
           | _ -> Some (w.plan, cst))
@@ -541,11 +516,10 @@ let search strategy ?(objective = Total_time) ?(memo = true)
   (* --- DPccp over an array of units ------------------------------------------ *)
   (* The csg–cmp engine, generalized to "units": disjoint alias groups with
      their candidate entries. The exact engine uses the query's bases as
-     units (with one fork/join round per subset size); the greedy improver
-     re-enters with composite units, sequentially. Returns the
+     units; the greedy improver re-enters with composite units. Returns the
      entry list of the union of all units, or [None] when [pair_limit]
      would be exceeded (checked before any costing). *)
-  let dpccp_units ?(parallel = false) ?pair_limit
+  let dpccp_units ?pair_limit
       (units : (Aliases.t * (candidate * float) list) array) :
       (candidate * float) list option =
     let m = Array.length units in
@@ -676,12 +650,13 @@ let search strategy ?(objective = Total_time) ?(memo = true)
         Array.iteri
           (fun i (_, entries) -> Hashtbl.replace table (1 lsl i) entries)
           units;
-        let process ~slot (s_mask, lmasks) =
+        (* subsets by size: every split of a subset reads strictly smaller
+           ones, all already in the table *)
+        let process (s_mask, lmasks) =
           let entries = ref [] in
           List.iter
             (fun lmask ->
-              let st = slot_stats.(slot) in
-              st.csg_cmp_pairs <- st.csg_cmp_pairs + 1;
+              stats.csg_cmp_pairs <- stats.csg_cmp_pairs + 1;
               match
                 Hashtbl.find_opt table lmask,
                 Hashtbl.find_opt table (s_mask lxor lmask)
@@ -692,34 +667,19 @@ let search strategy ?(objective = Total_time) ?(memo = true)
                     List.iter
                       (fun (r, _) ->
                         List.iter
-                          (fun c -> entries := put_entry ~slot !entries c)
+                          (fun c -> entries := put_entry !entries c)
                           (combine spec adj l r))
                       rs)
                   ls
               | _ -> ())
             lmasks;
-          (s_mask, !entries)
-        in
-        let install (mask, entries) =
-          if entries <> [] then begin
-            Hashtbl.replace table mask entries;
-            slot_stats.(0).dp_entries <-
-              slot_stats.(0).dp_entries + List.length entries
+          if !entries <> [] then begin
+            Hashtbl.replace table s_mask !entries;
+            stats.dp_entries <- stats.dp_entries + List.length !entries
           end
         in
         for size = 2 to m do
-          let group = by_size.(size) in
-          if group <> [] then
-            if parallel && p > 1 then begin
-              let chunks = Pool.chunk p group in
-              let results =
-                Pool.run pool
-                  (fun slot -> List.map (process ~slot) chunks.(slot))
-                  (Array.length chunks)
-              in
-              Array.iter (List.iter install) results
-            end
-            else List.iter (fun g -> install (process ~slot:0 g)) group
+          List.iter process by_size.(size)
         done;
         Some
           (Option.value ~default:[]
@@ -732,20 +692,18 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     let units =
       Array.of_list
         (List.map
-           (fun b ->
-             (Aliases.singleton b.ref_.Plan.binding, seed_base ~slot:0 b))
+           (fun b -> (Aliases.singleton b.ref_.Plan.binding, seed_base b))
            spec.bases)
     in
-    match dpccp_units ~parallel:true units with
+    match dpccp_units units with
     | Some (_ :: _ as cands) -> best_of_entries cands
     | Some [] | None -> no_plan_error spec ~available
   in
 
   (* --- the greedy engine: GOO + bounded DPccp-window improvement ------------- *)
   let run_greedy () =
-    let slot = 0 in
     let base_arr = Array.of_list spec.bases in
-    let seeds = Array.map (fun b -> seed_base ~slot b) base_arr in
+    let seeds = Array.map seed_base base_arr in
     (* mutable unit state; index i starts as base i and absorbs its merge
        partners *)
     let al_u = Array.map (fun b -> Aliases.singleton b.ref_.Plan.binding) base_arr in
@@ -768,7 +726,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
           List.iter
             (fun (rc, _) ->
               List.iter
-                (fun c -> entries := put_entry ~slot !entries c)
+                (fun c -> entries := put_entry !entries c)
                 (combine spec adj lc rc))
             r)
         l;
@@ -796,14 +754,13 @@ let search strategy ?(objective = Total_time) ?(memo = true)
       match Hashtbl.find_opt rank_cache (i, j) with
       | Some r -> r
       | None ->
-        slot_stats.(slot).csg_cmp_pairs <-
-          slot_stats.(slot).csg_cmp_pairs + 1;
+        stats.csg_cmp_pairs <- stats.csg_cmp_pairs + 1;
         let rank =
           match cheapest entries_u.(i), cheapest entries_u.(j) with
           | Some (lc, _), Some (rc, _) ->
             List.fold_left
               (fun m c ->
-                let x = cost ~slot c.plan in
+                let x = cost c.plan in
                 if cost_le m x then m else x)
               infinity
               (combine spec adj lc rc)
@@ -839,8 +796,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
         entries_u.(i) <- entries;
         tree_u.(i) <- Gnode (tree_u.(i), tree_u.(j));
         active.(j) <- false;
-        slot_stats.(slot).dp_entries <-
-          slot_stats.(slot).dp_entries + List.length entries;
+        stats.dp_entries <- stats.dp_entries + List.length entries;
         for k = 0 to n - 1 do
           if k <> i && k <> j then begin
             uadj.(i).(k) <- uadj.(i).(k) || uadj.(j).(k);
@@ -860,8 +816,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     (* final selection over the wrapped full-query candidates, through
        [choose] so its branch-and-bound pruning applies *)
     let final_of entries =
-      choose ~prune:true ~objective ?memo:memos.(slot) registry
-        ~stats:slot_stats.(slot)
+      choose ~prune:true ~objective ?memo registry ~stats
         (List.map (fun (c, _) -> (wrap c).plan) entries)
     in
     let goo =
@@ -877,9 +832,9 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     let run_window units =
       if !budget <= 0 then None
       else begin
-        let before = slot_stats.(slot).csg_cmp_pairs in
+        let before = stats.csg_cmp_pairs in
         let r = dpccp_units ~pair_limit:!budget units in
-        budget := !budget - (slot_stats.(slot).csg_cmp_pairs - before);
+        budget := !budget - (stats.csg_cmp_pairs - before);
         r
       end
     in
@@ -942,35 +897,21 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     | _ -> goo
   in
 
-  let finish result =
-    for s = 1 to p - 1 do
-      merge_stats ~into:slot_stats.(0) slot_stats.(s)
-    done;
-    (match caller_stats with
-     | Some into -> merge_stats ~into slot_stats.(0)
-     | None -> ());
-    result
-  in
-  let run () =
-    match strategy with Exact -> run_exact () | Goo -> run_greedy ()
-  in
-  match run () with
-  | result -> finish result
-  | exception e ->
-    ignore (finish ());
-    raise e
+  Fun.protect
+    ~finally:(fun () -> Option.iter (fun into -> merge_stats ~into stats) caller_stats)
+    (match strategy with Exact -> run_exact | Goo -> run_greedy)
 
 type engine =
   ?objective:objective -> ?memo:bool -> ?available:(string -> bool) ->
-  ?domains:int -> ?stats:stats -> Registry.t -> spec ->
+  ?stats:stats -> Registry.t -> spec ->
   Plan.t * float
 
 let dpccp : engine = search Exact
 let greedy : engine = search Goo
 
 let optimize : engine =
- fun ?objective ?memo ?available ?domains ?stats registry spec ->
+ fun ?objective ?memo ?available ?stats registry spec ->
   let engine =
     if List.length spec.bases <= default_enum_threshold then dpccp else greedy
   in
-  engine ?objective ?memo ?available ?domains ?stats registry spec
+  engine ?objective ?memo ?available ?stats registry spec

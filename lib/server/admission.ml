@@ -2,11 +2,10 @@
 
    [try_push] never blocks — when the queue is at depth, the job is
    refused immediately and the client gets a structured rejection instead
-   of unbounded latency (the queue saturates exactly when the executor —
-   and behind it the PR 5 domain pool — cannot keep up). [pop] blocks
-   until a job or until [close]; a closed queue drains before reporting
-   exhaustion, so accepted work is never dropped. Counters follow the
-   immutable-snapshot discipline. *)
+   of unbounded latency (the queue saturates exactly when the executor
+   cannot keep up). [pop] blocks until a job or until [close]; a closed
+   queue drains before reporting exhaustion, so accepted work is never
+   dropped. Counters follow the immutable-snapshot discipline. *)
 
 type counters = { pushed : int; rejected : int; popped : int }
 

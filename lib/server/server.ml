@@ -6,9 +6,11 @@
    immediate structured rejection, not unbounded latency) into a small
    worker pool. Workers serialize execution on [exec_lock] — [run_query]
    mutates the simulated clock, wrapper buffers and the active history
-   partition, so queries are sequential at the top while each one still
-   fans out over the PR 5 domain pool inside. That serialization is also
-   what makes server answers bit-identical to one-shot runs.
+   partition, so one query runs at a time, start to finish, on one domain.
+   That serialization is also what makes server answers bit-identical to
+   one-shot runs. Reader threads answer metrics and health requests
+   without it, while a query runs, so what they read (plan cache, health,
+   history counts, admission queue, metrics) keeps its own lock.
 
    Multi-tenancy is history partitioning: each tenant gets its own
    {!History.t} (created on first use or restored from a snapshot), swapped
@@ -517,12 +519,12 @@ let start t =
         Thread.create (fun () -> worker_loop t) ());
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t fd) ());
   Log.info (fun m ->
-      m "serving on %s (%d workers, queue %d, %d domains)"
+      m "serving on %s (%d workers, queue %d)"
         (match t.config.addr with
          | Unix_socket p -> p
          | Tcp { host; port } -> Printf.sprintf "%s:%d" host port)
         (max 1 t.config.workers)
-        (Admission.depth t.queue) (Mediator.domains t.med))
+        (Admission.depth t.queue))
 
 let running t = t.running
 let mediator t = t.med

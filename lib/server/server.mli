@@ -4,10 +4,10 @@
     speak the line-delimited JSON {!Protocol} (plus plain [GET /health] /
     [GET /metrics] for curl). Queries pass the bounded {!Admission} queue —
     a full queue is an immediate [rejected/queue_full] answer, the server's
-    backpressure point — and execute serialized on an internal lock (intra-
-    query parallelism comes from the mediator's domain pool), which keeps
-    server answers bit-identical to one-shot runs. Each tenant gets its own
-    history partition; catalog, plan cache and breaker state are shared.
+    backpressure point — and execute one at a time on an internal lock,
+    which keeps server answers bit-identical to one-shot runs. Each tenant
+    gets its own history partition; catalog, plan cache and breaker state
+    are shared.
     With a snapshot path configured, learned state (histories, adjustment
     factors, the simulated clock) persists across restarts. *)
 

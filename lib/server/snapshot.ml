@@ -12,16 +12,19 @@
    (replay is per tenant, so cross-tenant interleaving of Adjust smoothing
    is not reproduced exactly — the pinned factors are).
 
-   The format is a magic line + version, then a [Marshal]ed [state]. Plans
-   and predicates are pure data, so marshalling is safe; the magic/version
-   check refuses snapshots from other builds instead of crashing on a
-   layout change. *)
+   The format is a magic line + version, the MD5 digest of the payload,
+   then the payload: a [Marshal]ed [state]. Plans and predicates are pure
+   data, so marshalling is safe; the magic/version check refuses snapshots
+   from other builds instead of crashing on a layout change, and the digest
+   refuses a damaged file before [Marshal] reads it ([Marshal] trusts its
+   input: a flipped byte can crash the process or load a wrong state). A
+   forged file with a matching digest is not caught. *)
 
 open Disco_core
 open Disco_mediator
 
 let magic = "disco-snapshot"
-let version = 1
+let version = 2
 
 type tenant_state = {
   tenant : string;
@@ -53,12 +56,14 @@ let capture med ~(tenants : (string * History.t) list) : state =
         (Registry.sources registry) }
 
 let save ~path (s : state) =
+  let payload = Marshal.to_string s [] in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   output_string oc magic;
   output_char oc '\n';
   output_binary_int oc version;
-  Marshal.to_channel oc s [];
+  Digest.output oc (Digest.string payload);
+  output_string oc payload;
   close_out oc;
   Sys.rename tmp path  (* atomic replace: a crash never truncates the old one *)
 
@@ -72,14 +77,22 @@ let load ~path : (state, string) result =
         match input_line ic with
         | exception End_of_file -> Error "truncated snapshot"
         | line when line <> magic -> Error "not a disco snapshot"
-        | _ ->
-          let v = input_binary_int ic in
-          if v <> version then
+        | _ -> (
+          match input_binary_int ic with
+          | exception End_of_file -> Error "truncated snapshot"
+          | v when v <> version ->
             Error (Printf.sprintf "snapshot version %d, expected %d" v version)
-          else
-            (match (Marshal.from_channel ic : state) with
-             | s -> Ok s
-             | exception _ -> Error "corrupt snapshot payload"))
+          | _ -> (
+            match Digest.input ic with
+            | exception End_of_file -> Error "truncated snapshot"
+            | digest ->
+              let payload = In_channel.input_all ic in
+              if not (String.equal (Digest.string payload) digest) then
+                Error "corrupt snapshot payload (digest mismatch)"
+              else
+                match (Marshal.from_string payload 0 : state) with
+                | s -> Ok s
+                | exception _ -> Error "corrupt snapshot payload")))
 
 (* Replay one tenant's records into a history partition, oldest first. *)
 let replay_tenant (h : History.t) (ts : tenant_state) =

@@ -25,8 +25,9 @@ val save : path:string -> state -> unit
     existing snapshot. *)
 
 val load : path:string -> (state, string) result
-(** Refuses files without the snapshot magic or with a different layout
-    version instead of crashing on [Marshal]. *)
+(** Refuses files without the snapshot magic, with a different layout
+    version, or whose payload does not match the digest written with it,
+    instead of crashing on [Marshal] or loading a damaged state. *)
 
 val restore :
   Mediator.t -> fresh_tenant:(string -> History.t) -> state ->

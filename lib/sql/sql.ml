@@ -247,6 +247,34 @@ let comma_list c f =
   in
   go []
 
+(* The value of the LIMIT literal under the cursor: a plain decimal integer
+   in [0, max_int], anything else is a parse error. The lexer reads every
+   number as a float, which rounds long literals, overflows to infinity and
+   keeps fractions, so the literal's own text decides. *)
+let limit_literal c text =
+  let s = c.toks.(c.i) in
+  let rec line_start off line =
+    if line = 1 then off
+    else line_start (String.index_from text off '\n' + 1) (line - 1)
+  in
+  let start = line_start 0 s.Lexer.line + s.Lexer.col - 1 in
+  let stop = ref start in
+  while !stop < String.length text && text.[!stop] >= '0' && text.[!stop] <= '9' do
+    incr stop
+  done;
+  let plain =
+    !stop = String.length text || not (String.contains ".eE" text.[!stop])
+  in
+  match
+    if plain then int_of_string_opt (String.sub text start (!stop - start))
+    else None
+  with
+  | Some n -> n
+  | None ->
+    error_at c
+      (Fmt.str "LIMIT takes an integer between 0 and %d, found %a" max_int
+         Lexer.pp_token (peek c))
+
 let parse ?(what = "query") text : t =
   let toks = Array.of_list (Lexer.tokenize ~what text) in
   let c = { toks; i = 0; what } in
@@ -303,9 +331,10 @@ let parse ?(what = "query") text : t =
     if is_kw c "limit" then begin
       advance c;
       match peek c with
-      | Lexer.NUMBER f ->
+      | Lexer.NUMBER _ ->
+        let n = limit_literal c text in
         advance c;
-        Some (int_of_float f)
+        Some n
       | t -> error_at c (Fmt.str "expected number after LIMIT, found %a" Lexer.pp_token t)
     end
     else None

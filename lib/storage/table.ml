@@ -83,9 +83,9 @@ let create ~name ~schema ?(page_size = 4096) ?(fill = 0.96) ~object_size ?cluste
     (attr, Btree.build !entries)
   in
   (* The columnar mirror duplicates the data in unboxed form (cheaper than
-     the boxed rows it shadows). Built eagerly so concurrent domains never
-     race on a lazy cell. [arr] is already in page order — pages were cut
-     from it above. *)
+     the boxed rows it shadows). Built eagerly, so there is no lazy cell
+     for concurrent readers to race on. [arr] is already in page order —
+     pages were cut from it above. *)
   let ncols = List.length schema.Schema.attributes in
   let columnar =
     Array.init ncols (fun c ->

@@ -608,7 +608,7 @@ let test_small_outputs_stay_minor () =
     (Run.default_mode () = Run.Batched { batch_size = Run.default_batch_size });
   let open Disco_mediator in
   let open Disco_wrapper in
-  let med = Mediator.create ~domains:1 () in
+  let med = Mediator.create () in
   List.iter (Mediator.register med) (Demo.synthetic ~rows:50 ~n:20 ());
   let plan, _ =
     Mediator.plan_query med (Demo.synthetic_sql ~shape:Demo.Chain ~n:20 ())
@@ -624,6 +624,45 @@ let test_small_outputs_stay_minor () =
   if words > 20_000. then
     Alcotest.failf "%.0f words allocated directly in the major heap" words
 
+(* --- The batched engine composes with the mediator --------------------------- *)
+
+let with_mode m f =
+  let prev = Run.default_mode () in
+  Run.set_default_mode m;
+  Fun.protect ~finally:(fun () -> Run.set_default_mode prev) f
+
+(* The batched engine is a drop-in under the whole mediator: for each stats
+   mode the full execution trace — rows, measured bits, simulated clock —
+   of the batched engine at every batch size equals the tuple engine's,
+   over both the demo federation and OO7. Wrapper results cross into the
+   mediator as batches, so this also pins their composition, selection
+   vectors included. *)
+let test_batched_composes () =
+  with_mode (Run.Batched { batch_size = 7 }) (fun () ->
+      let source = Disco_oo7.Oo7.make_source ~config:Traces.oo7_config () in
+      let batches, _ = Disco_wrapper.Wrapper.execute source Traces.oo7_filtered in
+      Alcotest.(check bool)
+        "the filtered range crosses as several selection-vector batches" true
+        (List.length batches > 1
+         && List.for_all (fun (b : Batch.t) -> b.Batch.sel <> None) batches));
+  List.iter
+    (fun stats_mode ->
+      let exec_ref, oo7_ref =
+        with_mode Run.Tuple_at_a_time (fun () ->
+            (Traces.trace_execute ~stats_mode (), Traces.trace_oo7 ~stats_mode ()))
+      in
+      List.iter
+        (fun batch_size ->
+          with_mode (Run.Batched { batch_size }) (fun () ->
+              if Traces.trace_execute ~stats_mode () <> exec_ref then
+                Alcotest.failf "batched execute trace diverged at batch %d"
+                  batch_size;
+              if Traces.trace_oo7 ~stats_mode () <> oo7_ref then
+                Alcotest.failf "batched OO7 trace diverged at batch %d" batch_size))
+        [ 1; 7; 64; 1024 ])
+    [ Disco_mediator.Mediator.Stats_off;
+      Disco_mediator.Mediator.Stats_feedback Disco_core.History.default_feedback ]
+
 let () =
   Alcotest.run "batch"
     [ ( "representation",
@@ -638,7 +677,8 @@ let () =
           Alcotest.test_case "sort edge cases" `Quick test_sort_edge_cases;
           Alcotest.test_case "hash join edge cases" `Quick test_hash_join_edge_cases;
           Alcotest.test_case "aggregate edge cases" `Quick test_aggregate_edge_cases;
-          QCheck_alcotest.to_alcotest prop_kernels_match_reference ] );
+          QCheck_alcotest.to_alcotest prop_kernels_match_reference;
+          Alcotest.test_case "batched engine composes" `Quick test_batched_composes ] );
       ( "accounting",
         [ Alcotest.test_case "incremental count/bytes exact" `Quick
             test_incremental_accounting;

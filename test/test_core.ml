@@ -1058,6 +1058,51 @@ let test_adjust_factor_reaches_estimates () =
   Alcotest.(check bool) "factor reset restores the estimate bit for bit" true
     (Int64.equal (Int64.bits_of_float cost2) (Int64.bits_of_float cost0))
 
+(* --- Concurrent estimation through one registry --------------------------------- *)
+
+(* Registry hammer: [rules_for] and [lookup_let] fill the registry's
+   merged-rule and let caches lazily, under one lock. Four domains estimate
+   the demo federation's chosen plans through one freshly registered
+   mediator's registry, so every cache starts cold and the first fills race;
+   each domain walks the plans from its own offset. Every estimate's root
+   TotalTime, CountObject and TimeFirst must equal the sequential reference
+   (taken on another fresh registry), bit for bit. *)
+let test_registry_hammer () =
+  let open Disco_mediator in
+  let registry () = Mediator.registry (fst (Traces.fed ())) in
+  let plans =
+    let med, _ = Traces.fed () in
+    Array.of_list
+      (List.map
+         (fun sql -> fst (Mediator.plan_query med sql))
+         (Traces.optimize_workload @ Traces.execute_workload
+         @ [ "select doc.doc_id from Document doc where lang_match(doc.lang, \"en\")" ]))
+  in
+  let root registry plan =
+    let ann = Estimator.estimate registry plan in
+    List.map
+      (fun v -> Int64.bits_of_float (Option.get (Estimator.var ann v)))
+      [ Ast.Total_time; Ast.Count_object; Ast.Time_first ]
+  in
+  let reference = Array.map (root (registry ())) plans in
+  let shared = registry () in
+  let n_domains = 4 and rounds = 10 and n = Array.length plans in
+  let mismatches = Array.make n_domains 0 in
+  let worker slot () =
+    for r = 0 to rounds - 1 do
+      for k = 0 to n - 1 do
+        let i = (k + (slot * 2) + r) mod n in
+        if root shared plans.(i) <> reference.(i) then
+          mismatches.(slot) <- mismatches.(slot) + 1
+      done
+    done
+  in
+  let spawned = List.init (n_domains - 1) (fun s -> Domain.spawn (worker (s + 1))) in
+  worker 0 ();
+  List.iter Domain.join spawned;
+  Alcotest.(check int) "every concurrent estimate equals the sequential one" 0
+    (Array.fold_left ( + ) 0 mismatches)
+
 let () =
   Alcotest.run "core"
     [ ( "scope",
@@ -1139,4 +1184,6 @@ let () =
         [ Alcotest.test_case "drift bumps generation exactly once" `Quick
             test_feedback_drift_bumps_once;
           Alcotest.test_case "second pass plans cheaper" `Quick
-            test_feedback_second_pass_cheaper ] ) ]
+            test_feedback_second_pass_cheaper ] );
+      ( "concurrency",
+        [ Alcotest.test_case "registry hammer" `Quick test_registry_hammer ] ) ]

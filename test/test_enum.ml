@@ -1,6 +1,6 @@
 (* Join enumeration (DESIGN.md §15): the exact engine must return the cost
-   of the cheapest plan exhaustive enumeration finds, to the bit, at any
-   domain count; [optimize] must hand over from DPccp to greedy at the
+   of the cheapest plan exhaustive enumeration finds, to the bit;
+   [optimize] must hand over from DPccp to greedy at the
    threshold; greedy must produce valid plans at near-exact cost on the
    widths where the exact cost is still computable; a NaN cost must never
    win a plan selection; and the width guards and impossible-query
@@ -36,9 +36,9 @@ type obs = {
   pairs : int;
 }
 
-let observe ?domains (engine : Optimizer.engine) med spec =
+let observe (engine : Optimizer.engine) med spec =
   let stats = Optimizer.new_stats () in
-  let plan, cost = engine ?domains ~stats (Mediator.registry med) spec in
+  let plan, cost = engine ~stats (Mediator.registry med) spec in
   { plan = Plan.to_string plan;
     cost_bits = bits cost;
     considered = stats.Optimizer.plans_considered;
@@ -61,14 +61,12 @@ let oracle_cost med spec =
           (Optimizer.enumerate spec)))
 
 (* Ties may exist between distinct plans, so only the cost is compared. *)
-let check_oracle where med spec ~domains =
-  let _, cost =
-    Optimizer.optimize ~domains (Mediator.registry med) spec
-  in
+let check_oracle where med spec =
+  let _, cost = Optimizer.optimize (Mediator.registry med) spec in
   let expected = oracle_cost med spec in
   if bits cost <> bits expected then
-    Alcotest.failf "%s domains=%d: optimize cost %h, exhaustive oracle %h"
-      where domains cost expected
+    Alcotest.failf "%s: optimize cost %h, exhaustive oracle %h" where cost
+      expected
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -108,7 +106,7 @@ let oracle_prop =
       let where =
         Fmt.str "%s-%d seed=%d" (Demo.shape_to_string shape) n seed
       in
-      List.iter (fun domains -> check_oracle where med spec ~domains) [ 1; 4 ];
+      check_oracle where med spec;
       true)
 
 (* --- demo corpus: the oracle again; the pinned 3-chain counters ------------ *)
@@ -127,12 +125,7 @@ let workload =
 let test_demo_corpus () =
   let med = demo_med () in
   List.iteri
-    (fun i sql ->
-      let spec = spec_of med sql in
-      List.iter
-        (fun domains ->
-          check_oracle (Fmt.str "workload %d" i) med spec ~domains)
-        [ 1; 2; 4; 8 ])
+    (fun i sql -> check_oracle (Fmt.str "workload %d" i) med (spec_of med sql))
     workload
 
 let test_pinned_counters () =
@@ -241,7 +234,7 @@ let test_nan_never_wins () =
           let _, cost = engine registry spec in
           if Float.is_nan cost then Alcotest.failf "%s: %s returned NaN" sql name)
         [ ("dpccp", Optimizer.dpccp); ("greedy", Optimizer.greedy) ];
-      check_oracle sql med spec ~domains:1;
+      check_oracle sql med spec;
       let _, cost = Mediator.plan_query med sql in
       if Float.is_nan cost then Alcotest.failf "%s: plan_query returned NaN" sql)
     [ "select t.id from Project p, Task t where t.project_id = p.id";
@@ -310,6 +303,28 @@ let test_chain50_end_to_end () =
   in
   Alcotest.(check int) "executed plan verifies clean" 0 (List.length errs)
 
+(* --- counter merge ------------------------------------------------------------ *)
+
+(* A search merges its counters into the caller's record once; [merge_stats]
+   adds every counter exactly once and leaves its source alone. *)
+let test_merge_stats_exact () =
+  let a = Optimizer.new_stats () in
+  a.Optimizer.plans_considered <- 3;
+  a.Optimizer.plans_aborted <- 1;
+  a.Optimizer.formula_evals <- 40;
+  let b = Optimizer.new_stats () in
+  b.Optimizer.plans_considered <- 5;
+  b.Optimizer.plans_aborted <- 2;
+  b.Optimizer.formula_evals <- 60;
+  Optimizer.merge_stats ~into:a b;
+  Alcotest.(check (list int)) "merge adds each counter exactly once"
+    [ 8; 3; 100 ]
+    [ a.Optimizer.plans_considered; a.Optimizer.plans_aborted;
+      a.Optimizer.formula_evals ];
+  Alcotest.(check (list int)) "source unchanged" [ 5; 2; 60 ]
+    [ b.Optimizer.plans_considered; b.Optimizer.plans_aborted;
+      b.Optimizer.formula_evals ]
+
 let () =
   Alcotest.run "enum"
     [ ( "differential",
@@ -334,5 +349,6 @@ let () =
           Alcotest.test_case "width limits" `Quick test_width_guards ] );
       ( "modes",
         [ Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
-          Alcotest.test_case "dispatch by width" `Quick test_dispatch ] )
+          Alcotest.test_case "dispatch by width" `Quick test_dispatch ] );
+      ("stats", [ Alcotest.test_case "merge is exact" `Quick test_merge_stats_exact ])
     ]

@@ -261,6 +261,28 @@ let test_breaker_on_hit () =
   Alcotest.(check int) "the diagnosis came from a hit" (hits + 1)
     (Plancache.counters (Mediator.plancache cached)).Plancache.hits
 
+(* The demo optimize workload planned cold, warm and again after a
+   generation bump (the wrappers re-registered), through a cached and an
+   uncached mediator ({!Traces.trace_optimize}): every pass yields the
+   uncached plan and cost bits; the warm pass is served from the cache and
+   searches nothing, and after the bump the stale entries are dropped and
+   each query searches exactly as the uncached mediator does. *)
+let test_optimize_generation_bump () =
+  let on, (hits, _, stale) = Traces.trace_optimize () in
+  let off, _ = Traces.trace_optimize ~cache:false () in
+  Alcotest.(check bool) "warm pass actually hit the cache" true (hits > 0);
+  Alcotest.(check bool) "generation bump dropped stale entries" true (stale > 0);
+  List.iter2
+    (fun (pass, plan, cost, considered, aborted) (_, plan', cost', considered', aborted') ->
+      if plan <> plan' || cost <> cost' then
+        Alcotest.failf "%s pass: cached %s (%Lx) <> uncached %s (%Lx)" pass plan cost
+          plan' cost';
+      let expected = if pass = "warm" then (0, 0) else (considered', aborted') in
+      if (considered, aborted) <> expected then
+        Alcotest.failf "%s pass of %s: searched %d/%d plans, expected %d/%d" pass plan
+          considered aborted (fst expected) (snd expected))
+    on off
+
 (* --- Plancache mechanics -------------------------------------------------------- *)
 
 let fresh_registry () =
@@ -493,8 +515,9 @@ let test_counters_never_torn_under_polling () =
   Alcotest.(check int) "final accounting exact" lookups
     (c.Plancache.hits + c.Plancache.misses)
 
-(* Multi-domain hammer: the parallel plan search and scatter-gather paths hit
-   one shared cache from every pool slot, so its single lock must keep the
+(* Multi-domain hammer: the server's reader threads read the cache's
+   counters while a worker's query finds and adds entries, and concurrent
+   queries will share the cache outright, so its single lock must keep the
    counters exact, the capacity bound tight and the generation stamp
    authoritative under contention. Four domains interleave find/add churn
    over a key space three times the capacity, in two waves with a cost-model
@@ -1038,7 +1061,9 @@ let () =
             Alcotest.test_case "shared search entry" `Quick test_shared_search_entry;
             Alcotest.test_case "registration forces search" `Quick
               test_registration_forces_search;
-            Alcotest.test_case "breaker on hit" `Quick test_breaker_on_hit ] );
+            Alcotest.test_case "breaker on hit" `Quick test_breaker_on_hit;
+            Alcotest.test_case "optimize (cache + generation bump)" `Quick
+              test_optimize_generation_bump ] );
       ( "mechanics",
         [ Alcotest.test_case "fifo eviction" `Quick test_fifo_eviction;
           Alcotest.test_case "churn re-add" `Quick test_churn_readd_survives;

@@ -592,6 +592,56 @@ let test_history_count () =
   check "after forget" h;
   Alcotest.(check int) "forget empties" 0 (History.count h)
 
+(* Every byte of a snapshot with history records flipped with each of the
+   masks 0x01, 0x80 and 0xff: every damaged file must load as [Error] —
+   never crash the process, never load silently. A version-1 file (no
+   digest) is refused by its version. *)
+let test_snapshot_corruption_sweep () =
+  let med = make_mediator ~history:(History.Adjust { smoothing = 0.6 }) () in
+  List.iter (fun sql -> ignore (Mediator.run_query med sql)) queries;
+  let state = Snapshot.capture med ~tenants:[ ("default", Mediator.history med) ] in
+  Alcotest.(check bool) "the snapshot holds history records" true
+    (List.exists (fun ts -> ts.Snapshot.records <> []) state.Snapshot.tenants);
+  let path = Filename.temp_file "disco-test" ".snap" in
+  let damaged = path ^ ".damaged" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; damaged ])
+    (fun () ->
+      Snapshot.save ~path state;
+      (match Snapshot.load ~path with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "the intact snapshot was refused: %s" e);
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let write text = Out_channel.with_open_bin damaged (fun oc -> output_string oc text) in
+      let loaded = ref [] in
+      String.iteri
+        (fun pos c ->
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string bytes in
+              Bytes.set b pos (Char.chr (Char.code c lxor mask));
+              write (Bytes.to_string b);
+              match Snapshot.load ~path:damaged with
+              | Error _ -> ()
+              | Ok _ -> loaded := (pos, mask) :: !loaded)
+            [ 0x01; 0x80; 0xff ])
+        bytes;
+      (match !loaded with
+       | [] -> ()
+       | l ->
+         Alcotest.failf "%d of %d damaged snapshots loaded, e.g. byte %d ^ 0x%02x"
+           (List.length l) (3 * String.length bytes) (fst (List.hd l)) (snd (List.hd l)));
+      let v1 = Buffer.create 64 in
+      Buffer.add_string v1 "disco-snapshot\n";
+      Buffer.add_int32_be v1 1l;
+      Buffer.add_string v1 (Marshal.to_string state []);
+      write (Buffer.contents v1);
+      match Snapshot.load ~path:damaged with
+      | Error e ->
+        Alcotest.(check string) "version-1 file refused by its version"
+          "snapshot version 1, expected 2" e
+      | Ok _ -> Alcotest.fail "a version-1 snapshot loaded")
+
 let test_shutdown_op () =
   let med = make_mediator () in
   let addr = Server.Unix_socket (fresh_socket_path ()) in
@@ -635,7 +685,9 @@ let () =
             test_serve_backpressure_accounting ] );
       ( "snapshot",
         [ Alcotest.test_case "warm restart" `Quick test_snapshot_warm_restart;
-          Alcotest.test_case "history count" `Quick test_history_count ] );
+          Alcotest.test_case "history count" `Quick test_history_count;
+          Alcotest.test_case "corrupted files refused" `Quick
+            test_snapshot_corruption_sweep ] );
       ( "endpoints",
         [ Alcotest.test_case "http" `Quick test_http_endpoints;
           Alcotest.test_case "request line bound" `Quick test_request_line_bound;

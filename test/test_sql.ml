@@ -128,6 +128,89 @@ let test_aliases_helper () =
   let q = parse "select * from A x, B y" in
   Alcotest.(check (list string)) "aliases" [ "x"; "y" ] (Sql.aliases q)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* LIMIT takes a plain integer in [0, max_int]; a literal the lexer's float
+   would round, overflow or truncate is a parse error naming LIMIT. *)
+let test_limit_literals () =
+  let limit sql = (parse sql).Sql.limit in
+  Alcotest.(check (option int)) "LIMIT 0" (Some 0) (limit "select a from T limit 0");
+  Alcotest.(check (option int)) "LIMIT 3" (Some 3) (limit "select a from T limit 3");
+  Alcotest.(check (option int)) "LIMIT max_int" (Some max_int)
+    (limit (Fmt.str "select a from T limit %d" max_int));
+  Alcotest.(check (option int)) "LIMIT on a later line" (Some 7)
+    (limit "select a\nfrom T\n  limit 7;");
+  List.iter
+    (fun lit ->
+      match parse ("select e.id from Employee e\nlimit " ^ lit) with
+      | q -> Alcotest.failf "LIMIT %s parsed as %a" lit Fmt.(option int) q.Sql.limit
+      | exception Err.Parse_error { msg; _ } ->
+        if not (contains msg "LIMIT") then
+          Alcotest.failf "LIMIT %s: the error does not name LIMIT: %s" lit msg)
+    [ "99999999999999999999999"; "1e400"; "4611686018427387904"; "2.9" ]
+
+(* --- Parser fuzz ------------------------------------------------------------- *)
+
+(* Texts the demo federation really sends through the two parsers: client
+   queries, and the cost-language exports its wrappers upload at
+   registration (untrusted input to the mediator). *)
+let sql_corpus =
+  [ "select e.name from Employee e where e.salary > 5000";
+    "select e.name, e.age from Employee e where e.age >= 30 order by e.age desc";
+    "select e.name, d.city from Employee e, Department d \
+     where e.dept_id = d.id and d.budget > 100000";
+    "select d.id, count(*) as n, sum(e.salary) as s from Employee e, \
+     Department d where e.dept_id = d.id group by d.id";
+    "select distinct e.dept_id from Employee e limit 5";
+    "select doc.doc_id from Document doc where lang_match(doc.lang, \"en\")";
+    "select * from relstore.Employee as e where e.name <> \"Ann\" and e.age <= 40.5;" ]
+
+let export_corpus =
+  List.map Disco_wrapper.Wrapper.registration_text
+    (Disco_wrapper.Demo.make ~sizes:Disco_wrapper.Demo.small_sizes ())
+
+(* 1–4 byte edits (replace, insert or delete at a random position, any byte
+   value), applied in turn. *)
+let gen_edited texts =
+  QCheck2.Gen.(
+    let* text = oneofl texts in
+    let* n = int_range 1 4 in
+    let* edits = list_repeat n (triple (int_range 0 2) nat char) in
+    return
+      (List.fold_left
+         (fun t (kind, pos, c) ->
+           let n = String.length t in
+           match kind with
+           | 0 when n > 0 ->
+             let p = pos mod n in
+             String.mapi (fun i x -> if i = p then c else x) t
+           | 1 ->
+             let p = pos mod (n + 1) in
+             String.sub t 0 p ^ String.make 1 c ^ String.sub t p (n - p)
+           | _ when n > 0 ->
+             let p = pos mod n in
+             String.sub t 0 p ^ String.sub t (p + 1) (n - p - 1)
+           | _ -> t)
+         text edits))
+
+(* An edited text parses or raises [Err.Parse_error]; any other exception
+   escapes and fails the property with the text. *)
+let parses_or_fails_typed parse text =
+  match parse text with _ -> true | exception Err.Parse_error _ -> true
+
+let prop_sql_fuzz =
+  QCheck2.Test.make ~count:20_000 ~name:"edited SQL fails typed"
+    ~print:(Printf.sprintf "%S") (gen_edited sql_corpus)
+    (parses_or_fails_typed parse)
+
+let prop_export_fuzz =
+  QCheck2.Test.make ~count:10_000 ~name:"edited exports fail typed"
+    ~print:(Printf.sprintf "%S") (gen_edited export_corpus)
+    (parses_or_fails_typed (Disco_costlang.Parser.parse_source ~what:"fuzz"))
+
 let () =
   Alcotest.run "sql"
     [ ( "parser",
@@ -144,4 +227,8 @@ let () =
           Alcotest.test_case "ADT conditions" `Quick test_adt_condition;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "semicolon" `Quick test_semicolon_tolerated;
-          Alcotest.test_case "aliases" `Quick test_aliases_helper ] ) ]
+          Alcotest.test_case "aliases" `Quick test_aliases_helper;
+          Alcotest.test_case "LIMIT literals" `Quick test_limit_literals ] );
+      ( "fuzz",
+        [ QCheck_alcotest.to_alcotest prop_sql_fuzz;
+          QCheck_alcotest.to_alcotest prop_export_fuzz ] ) ]

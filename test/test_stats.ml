@@ -163,6 +163,24 @@ let test_join_disjoint () =
     (Fmt.str "uniform estimate far off (%.0f)" est_u)
     true (est_u > 100.)
 
+(* --- Stats off is the seed path (demo + OO7) ------------------------------------ *)
+
+(* A mediator with [Stats_off] passed explicitly must trace bit-identically
+   to one built without the argument (the construction path every other
+   caller uses): the no-histogram path is the seed behavior, not merely
+   close to it. *)
+let test_stats_off_identical_demo () =
+  if Traces.trace_optimize ~stats_mode:Mediator.Stats_off () <> Traces.trace_optimize ()
+  then Alcotest.fail "stats-off optimize trace diverged";
+  if Traces.trace_execute ~stats_mode:Mediator.Stats_off () <> Traces.trace_execute ()
+  then Alcotest.fail "stats-off execute trace diverged"
+
+(* The same contract over the OO7 federation: the full query workload
+   executed through the mediator (submit, measured times, simulated clock). *)
+let test_stats_off_identical_oo7 () =
+  if Traces.trace_oo7 ~stats_mode:Mediator.Stats_off () <> Traces.trace_oo7 () then
+    Alcotest.fail "OO7 stats-off trace diverged"
+
 let () =
   Alcotest.run "stats"
     [ ( "cardinality matrix",
@@ -175,4 +193,9 @@ let () =
           Alcotest.test_case "conjunction multiplies" `Quick
             test_conjunction_multiplies;
           Alcotest.test_case "join via histogram overlap" `Quick test_join_overlap;
-          Alcotest.test_case "disjoint join detected" `Quick test_join_disjoint ] ) ]
+          Alcotest.test_case "disjoint join detected" `Quick test_join_disjoint ] );
+      ( "differential",
+        [ Alcotest.test_case "stats off = seed (demo)" `Quick
+            test_stats_off_identical_demo;
+          Alcotest.test_case "stats off = seed (OO7)" `Quick
+            test_stats_off_identical_oo7 ] ) ]

@@ -24,12 +24,12 @@ open Disco_mediator
 module PC = Disco_analysis.Plancheck
 module PB = Disco_analysis.Planbound
 
-let make_med ?seed ?(stats = false) ?(domains = 1) () =
+let make_med ?seed ?(stats = false) () =
   let stats_mode =
     if stats then Mediator.Stats_feedback History.default_feedback
     else Mediator.Stats_off
   in
-  let med = Mediator.create ~stats_mode ~domains () in
+  let med = Mediator.create ~stats_mode () in
   List.iter (Mediator.register med) (Demo.make ?seed ~sizes:Demo.small_sizes ());
   med
 
@@ -53,22 +53,22 @@ let pp_errors fs =
 
 (* Mediator construction dominates; memoize per configuration (generation is
    deterministic in the seed, and verification does not mutate). *)
-let med_cache : (int * bool * int, Mediator.t) Hashtbl.t = Hashtbl.create 16
+let med_cache : (int * bool, Mediator.t) Hashtbl.t = Hashtbl.create 16
 
-let cached_med (seed, stats, domains) =
-  match Hashtbl.find_opt med_cache (seed, stats, domains) with
+let cached_med (seed, stats) =
+  match Hashtbl.find_opt med_cache (seed, stats) with
   | Some m -> m
   | None ->
-    let m = make_med ~seed ~stats ~domains () in
-    Hashtbl.add med_cache (seed, stats, domains) m;
+    let m = make_med ~seed ~stats () in
+    Hashtbl.add med_cache (seed, stats) m;
     m
 
 let prop_optimizer_verifies =
   QCheck2.Test.make ~name:"optimizer output verifies clean" ~count:60
     QCheck2.Gen.(
-      quad (int_range 0 3) bool (oneofl [ 1; 4 ]) (oneofl corpus))
-    (fun (seed, stats, domains, sql) ->
-      let med = cached_med (seed, stats, domains) in
+      triple (int_range 0 3) bool (oneofl corpus))
+    (fun (seed, stats, sql) ->
+      let med = cached_med (seed, stats) in
       let plan, _ = Mediator.plan_query med sql in
       match PC.errors (Mediator.verify_plan med plan) with
       | [] -> true
@@ -113,7 +113,7 @@ let gen_fuzz_plan =
     return (src, Plan.Submit (src, decorated)))
 
 let prop_bounds_sound =
-  let med = cached_med (0, false, 1) in
+  let med = cached_med (0, false) in
   let registry = Mediator.registry med in
   QCheck2.Test.make ~name:"random plans stay within cardinality bounds"
     ~count:300 gen_fuzz_plan
