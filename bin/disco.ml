@@ -690,6 +690,12 @@ let fig12_cmd =
     Term.(const run $ parts)
 
 let () =
+  (* warnings (a refused snapshot, a failed snapshot write, lint warnings at
+     registration) go to stderr; stdout carries command output only. serve
+     logs from its worker and accept threads. *)
+  Logs_threaded.enable ();
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let info =
     Cmd.info "disco" ~version:"1.0.0"
       ~doc:

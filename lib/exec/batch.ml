@@ -284,55 +284,6 @@ let add_pair_from bld (l : t) li (r : t) ri =
   for c = 0 to Array.length r.cols - 1 do one lw r c ri done;
   bld.blen <- j + 1
 
-(* Borrow the builder's rows as a batch WITHOUT transferring ownership: the
-   column arrays are shared and may be longer than [len]. Valid only until
-   the next mutation of the builder; callers must copy anything they keep
-   (see [copy] / [filter]) and then [reset]. This is what lets a residual
-   scan reuse one set of staging arrays for the whole scan instead of
-   flushing a fresh major-heap allocation per batch just to filter it. *)
-let unsafe_view bld : t =
-  let view = function
-    | Bempty -> Boxed [||]
-    | Bints a -> Ints a
-    | Bfloats a -> Floats a
-    | Bboxed a -> Boxed a
-  in
-  { attrs = bld.battrs; cols = Array.map view bld.bufs; len = bld.blen;
-    bytes = bld.bbytes; sel = None }
-
-(* Drop the accumulated rows but keep the buffers (and their types) for the
-   next fill. Pairs with [unsafe_view]. *)
-let reset bld =
-  bld.blen <- 0;
-  bld.bbytes <- 0
-
-(* A batch owning freshly trimmed (and, for selection-vector batches,
-   gathered) copies of [b]'s columns — densifies, detaching a borrowed view
-   or a filter result from the arrays it shares. *)
-let copy (b : t) : t =
-  match b.sel with
-  | None ->
-    let cols =
-      Array.map
-        (function
-          | Ints a -> Ints (Array.sub a 0 b.len)
-          | Floats a -> Floats (Array.sub a 0 b.len)
-          | Boxed a -> Boxed (Array.sub a 0 b.len))
-        b.cols
-    in
-    { b with cols }
-  | Some s ->
-    let n = b.len in
-    let cols =
-      Array.map
-        (function
-          | Ints a -> Ints (Array.init n (fun k -> a.(s.(k))))
-          | Floats a -> Floats (Array.init n (fun k -> a.(s.(k))))
-          | Boxed a -> Boxed (Array.init n (fun k -> a.(s.(k)))))
-        b.cols
-    in
-    { b with cols; sel = None }
-
 (* Emit the accumulated rows as a batch and reset the builder. *)
 let flush bld : t =
   let n = bld.blen in
@@ -409,25 +360,35 @@ let select_cols b names =
 (* Zero-copy batch over a table's columnar mirror: the column arrays are
    shared, not copied — a full scan's output references storage the way any
    vectorized engine's scan vectors do. Safe because batches are read-only
-   after construction. [n] is the table's row count (= every column's
-   length). *)
-let of_table_columns attrs (cols : Disco_storage.Table.col array) n : t =
-  let bytes = ref 0 in
+   after construction. The byte count was summed when the table was built,
+   so this is O(#columns). *)
+let of_table attrs (table : Disco_storage.Table.t) : t =
   let cols =
     Array.map
       (function
-        | Disco_storage.Table.Cints a ->
-          bytes := !bytes + (8 * n);
-          Ints a
-        | Disco_storage.Table.Cfloats a ->
-          bytes := !bytes + (8 * n);
-          Floats a
-        | Disco_storage.Table.Cboxed a ->
-          Array.iter (fun v -> bytes := !bytes + Constant.byte_size v) a;
-          Boxed a)
-      cols
+        | Disco_storage.Table.Cints a -> Ints a
+        | Disco_storage.Table.Cfloats a -> Floats a
+        | Disco_storage.Table.Cboxed a -> Boxed a)
+      (Disco_storage.Table.columnar table)
   in
-  { attrs; cols; len = n; bytes = !bytes; sel = None }
+  { attrs; cols; len = Disco_storage.Table.count table;
+    bytes = table.Disco_storage.Table.bytes; sel = None }
+
+(* Rows [sel] of the dense batch [b], as a selection vector over [b]'s
+   columns: an index scan's output is its postings picked out of the
+   mirror, with no cell copied. *)
+let pick (b : t) (sel : int array) : t =
+  let len = Array.length sel in
+  let bytes = ref 0 in
+  Array.iter
+    (function
+      | Ints _ | Floats _ -> bytes := !bytes + (8 * len)
+      | Boxed a ->
+        for k = 0 to len - 1 do
+          bytes := !bytes + Constant.byte_size a.(Array.unsafe_get sel k)
+        done)
+    b.cols;
+  { b with sel = Some sel; len; bytes = !bytes }
 
 (* --- Gather ----------------------------------------------------------------- *)
 

@@ -74,32 +74,25 @@ val add_pair_from : builder -> t -> int -> t -> int -> unit
 val flush : builder -> t
 (** Emit the accumulated rows and reset the builder (possibly empty). *)
 
-val unsafe_view : builder -> t
-(** Borrow the builder's rows as a batch without transferring ownership:
-    column arrays are shared (and may be longer than the batch). Valid only
-    until the builder's next mutation — keep data via {!copy} or {!filter},
-    then {!reset}. *)
-
-val reset : builder -> unit
-(** Drop the accumulated rows, keeping the buffers for the next fill. *)
-
-val copy : t -> t
-(** A dense batch owning fresh copies of the columns: trims over-long shared
-    arrays (detaching a {!unsafe_view}) and gathers through any selection
-    vector. *)
-
 val filter : t -> Bytes.t -> keep:int -> t
 (** Rows whose mask byte is non-zero; [keep] is their count. Shares the
-    input's column arrays and sets a selection vector rather than copying —
-    {!copy} densifies when the input's storage is about to be reused. *)
+    input's column arrays and sets a selection vector (composed with the
+    input's, if any) rather than copying. *)
 
 val select_cols : t -> string list -> t
 (** Projection; shares column arrays.
     @raise Disco_common.Err.Eval_error on unknown/ambiguous names. *)
 
-val of_table_columns : string array -> Disco_storage.Table.col array -> int -> t
+val of_table : string array -> Disco_storage.Table.t -> t
 (** Zero-copy batch over a table's columnar mirror (column arrays shared,
-    not copied); the int is the table's row count. *)
+    not copied), under the given attribute names: row [p] is the row at
+    position [p]. O(#columns): its byte size is the table's. *)
+
+val pick : t -> int array -> t
+(** [pick b sel]: the rows [sel.(0)], [sel.(1)], ... of the dense batch [b]
+    (typically {!of_table}), in that order, as a selection vector over
+    [b]'s shared columns. [sel] becomes the result's and must not be
+    written afterwards; the byte size is summed over the picked rows. *)
 
 (** {1 Gather}
 

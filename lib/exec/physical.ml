@@ -5,7 +5,12 @@
    scan and an index scan (using the engine's true costs — the wrapper knows
    its own engine, which is precisely why its exported cost rules beat the
    mediator's generic model), and joins choose index-nested-loop when the
-   inner input is a base scan with an index on the join attribute. *)
+   inner input is a base scan with an index on the join attribute.
+
+   Access-path selection runs on every wrapper execution, so it reads the
+   index without walking it: the exact match count of a candidate conjunct
+   is [Btree.count], a difference of posting offsets that allocates
+   nothing. *)
 
 open Disco_common
 open Disco_algebra
@@ -69,9 +74,6 @@ let local_attr ~binding qattr =
 
 (* --- Access-path selection ------------------------------------------------ *)
 
-(* Exact number of matching objects, obtained from the index itself. *)
-let index_match_count (idx : Btree.t) op v = List.length (Btree.search idx op v)
-
 (* Estimated cost of scanning [table] through an index for [k] matches. *)
 let index_scan_cost (engine : Costs.engine) table ~clustered k =
   let pages = float_of_int (Table.page_count table) in
@@ -104,7 +106,7 @@ let choose_access engine table ~binding (pred : Pred.t) : access * Pred.t =
            | Some attr ->
              (match Table.index table attr with
               | Some idx ->
-                let k = index_match_count idx op v in
+                let k = Btree.count idx op v in
                 let clustered = table.Table.clustered_on = Some attr in
                 let cost = index_scan_cost engine table ~clustered k in
                 Some (c, attr, op, v, k, cost)

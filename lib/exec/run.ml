@@ -8,9 +8,10 @@
    Two execution engines share this module:
 
    - the batched engine ([exec_batch]), the production engine, which streams
-     columnar {!Batch.t} chunks through the operators, compiles predicates
-     once per batch into selection masks ({!Bpred}) and carries row counts
-     and byte sizes incrementally;
+     columnar {!Batch.t} chunks through the operators, reads base tables
+     (full scans, index scans, index joins) from their columnar mirrors,
+     compiles predicates once per batch into selection masks ({!Bpred}) and
+     carries row counts and byte sizes incrementally;
    - the tuple-at-a-time engine ([exec_tuple]), the original list-of-tuples
      interpreter, kept as the reference the batched engine is tested
      against.
@@ -271,17 +272,19 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
          | Some i -> i
          | None -> raise (Err.Plan_error ("no index on " ^ attr))
        in
-       let rids = Btree.search idx op value in
-       let io = ref 0. and rows = ref [] in
-       List.iter
-         (fun rid ->
-           if Buffer.access env.buffer ~table:table.Table.name ~page:rid.Btree.page
-           then io := !io +. e.Costs.io_ms;
-           let t = tuple_of_row attrs (Table.fetch table rid) in
-           if (not has_residual) || eval_pred env residual t then rows := t :: !rows)
-         rids;
+       let io = ref 0. and rows = ref [] and fetched = ref 0 in
+       Btree.iter_spans idx op value (fun lo hi ->
+           for o = lo to hi - 1 do
+             let pos = idx.Btree.postings.(o) in
+             incr fetched;
+             if Buffer.access env.buffer ~table:table.Table.name
+                  ~page:(Table.page_of table pos)
+             then io := !io +. e.Costs.io_ms;
+             let t = tuple_of_row attrs (Table.fetch table pos) in
+             if (not has_residual) || eval_pred env residual t then rows := t :: !rows
+           done);
        let rows = List.rev !rows in
-       let fetched = float_of_int (List.length rids) in
+       let fetched = float_of_int !fetched in
        (* every fetched object is materialized, as above *)
        let first, total =
          index_scan_costs e ~height:idx.Btree.height ~io:!io ~fetched ~rc:(rc ())
@@ -394,16 +397,18 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
     List.iter
       (fun ot ->
         incr probes;
-        let key = Tuple.get ot outer_attr in
-        List.iter
-          (fun rid ->
-            if Buffer.access env.buffer ~table:table.Table.name ~page:rid.Btree.page
+        let k = Btree.find idx (Tuple.get ot outer_attr) in
+        if k >= 0 then
+          for o = idx.Btree.starts.(k) to idx.Btree.starts.(k + 1) - 1 do
+            let pos = idx.Btree.postings.(o) in
+            if Buffer.access env.buffer ~table:table.Table.name
+                 ~page:(Table.page_of table pos)
             then io := !io +. e.Costs.io_ms;
             incr fetched;
-            let t = Tuple.concat ot (tuple_of_row attrs (Table.fetch table rid)) in
+            let t = Tuple.concat ot (tuple_of_row attrs (Table.fetch table pos)) in
             if Pred.equal residual Pred.True || eval_pred env residual t then
-              rows := t :: !rows)
-          (Btree.lookup idx key))
+              rows := t :: !rows
+          done)
       o.rows;
     let rows = List.rev !rows in
     let rc =
@@ -956,22 +961,14 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     let attrs = qualified_attrs table binding in
     let has_residual = not (Pred.equal residual Pred.True) in
     let acc = bacc () in
-    let stage = Batch.builder ~hint:bsz attrs in
-    (* flush the staged scanned rows through the residual's selection mask;
-       with a residual the stage is only borrowed (mask + filter-copy, then
-       reset), so one set of staging arrays serves the whole scan and the
-       only allocations that survive are the kept rows *)
-    let emit () =
-      if Batch.builder_len stage > 0 then
-        if has_residual then begin
-          let v = Batch.unsafe_view stage in
-          let m, keep = Bpred.mask ~apply v residual in
-          (* copy densifies: [filter] only sets a selection vector over the
-             staging arrays, which the next fill overwrites *)
-          if keep > 0 then bpush acc (Batch.copy (Batch.filter v m ~keep));
-          Batch.reset stage
-        end
-        else bpush acc (Batch.flush stage)
+    (* the residual goes through a selection mask; [filter] narrows the
+       input's selection vector, so kept rows still share the mirror *)
+    let push (b : Batch.t) =
+      if has_residual then begin
+        let m, keep = Bpred.mask ~apply b residual in
+        if keep > 0 then bpush acc (Batch.filter b m ~keep)
+      end
+      else bpush acc b
     in
     let rc () = if has_residual then Some (pred_cost env residual) else None in
     (match access with
@@ -980,41 +977,48 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
           hence the charged I/O — are exactly the tuple engine's, but the
           data itself comes from the table's columnar mirror, zero-copy:
           the emitted batch shares the mirror's column arrays (and a
-          residual needs just one mask + one gather over them, no per-row
-          staging). Row order is page order either way. *)
+          residual needs just one mask over them, no per-row staging). Row
+          order is page order either way. *)
        let io = ref 0. and scanned = ref 0 in
        Table.iter_pages table (fun page_no page ->
            if Buffer.access env.buffer ~table:table.Table.name ~page:page_no then
              io := !io +. e.Costs.io_ms;
            scanned := !scanned + Array.length page);
-       let n = Table.count table in
-       if n > 0 then begin
-         let whole = Batch.of_table_columns attrs (Table.columnar table) n in
-         if has_residual then begin
-           let m, keep = Bpred.mask ~apply whole residual in
-           if keep > 0 then bpush acc (Batch.filter whole m ~keep)
-         end
-         else bpush acc whole
-       end;
+       if Table.count table > 0 then push (Batch.of_table attrs table);
        let first, total = full_scan_costs e ~io:!io ~scanned:!scanned ~rc:(rc ()) in
        bres_of_acc acc ~first ~total
      | Physical.Index_scan { attr; op; value } ->
+       (* postings in index order, each one's page accessed in that order
+          (the reference engine's access sequence), picked out of the
+          mirror [bsz] at a time as selection vectors: no row is copied *)
        let idx =
          match Table.index table attr with
          | Some i -> i
          | None -> raise (Err.Plan_error ("no index on " ^ attr))
        in
-       let io = ref 0. and nrids = ref 0 in
-       Btree.iter_search idx op value (fun rid ->
-           incr nrids;
-           if Buffer.access env.buffer ~table:table.Table.name ~page:rid.Btree.page
-           then io := !io +. e.Costs.io_ms;
-           Batch.add_row stage (Table.fetch table rid);
-           if Batch.builder_len stage >= bsz then emit ());
-       emit ();
-       let fetched = float_of_int !nrids in
+       let mirror = Batch.of_table attrs table in
+       let postings = idx.Btree.postings in
+       let fetched = Btree.count idx op value in
+       let io = ref 0. and left = ref fetched and k = ref 0 in
+       let sel = ref (Array.make (min bsz fetched) 0) in
+       Btree.iter_spans idx op value (fun lo hi ->
+           for o = lo to hi - 1 do
+             let pos = postings.(o) in
+             if Buffer.access env.buffer ~table:table.Table.name
+                  ~page:(Table.page_of table pos)
+             then io := !io +. e.Costs.io_ms;
+             !sel.(!k) <- pos;
+             incr k;
+             if !k = Array.length !sel then begin
+               push (Batch.pick mirror !sel);
+               left := !left - !k;
+               k := 0;
+               sel := Array.make (min bsz !left) 0
+             end
+           done);
        let first, total =
-         index_scan_costs e ~height:idx.Btree.height ~io:!io ~fetched ~rc:(rc ())
+         index_scan_costs e ~height:idx.Btree.height ~io:!io
+           ~fetched:(float_of_int fetched) ~rc:(rc ())
        in
        bres_of_acc acc ~first ~total)
   | Physical.Pfilter (child, pred) ->
@@ -1216,54 +1220,77 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     in
     let attrs = qualified_attrs table binding in
     let has_res = not (Pred.equal residual Pred.True) in
+    (* inner rows are mirror positions: pairs are evaluated and gathered
+       straight from the mirror's columns *)
+    let mirror = Batch.of_table attrs table in
+    let inner = Batch.rows [| mirror |] in
+    let starts = idx.Btree.starts and postings = idx.Btree.postings in
     let io = ref 0. and probes = ref 0 and fetched = ref 0 in
-    let o = bout bsz in
-    List.iter
-      (fun (ob : Batch.t) ->
-        let kol = Batch.find_col ob outer_attr in
-        let cattrs = Array.append ob.Batch.attrs attrs in
-        (* fetched inner rows staged per outer batch, with the outer row
-           index of each staged row alongside *)
-        let stage = Batch.builder ~hint:bsz attrs in
-        let oix = ivec (max bsz 16) in
-        let emit () =
-          if Batch.builder_len stage > 0 then begin
-            let ib = Batch.flush stage in
-            let ev =
-              if has_res then Some (Bpred.pair_eval ~apply ob ib residual)
-              else None
-            in
-            for k = 0 to ib.Batch.len - 1 do
-              let li = oix.iv.(k) in
-              if (match ev with None -> true | Some f -> f li k) then
-                bout_pair o cattrs ob li ib k
-            done;
-            oix.ilen <- 0
-          end
-        in
-        for li = 0 to ob.Batch.len - 1 do
-          incr probes;
-          let key = Batch.cell ob kol li in
-          List.iter
-            (fun rid ->
-              if Buffer.access env.buffer ~table:table.Table.name ~page:rid.Btree.page
-              then io := !io +. e.Costs.io_ms;
-              incr fetched;
-              Batch.add_row stage (Table.fetch table rid);
-              ipush oix li;
-              if Batch.builder_len stage >= bsz then emit ())
-            (Btree.lookup idx key)
-        done;
-        emit ())
-      ores.batches;
+    let acc = bacc () in
+    let oids = ivec (min bsz 64) and pids = ivec (min bsz 64) in
+    (* kept (outer row id, inner position) pairs over a run of outer batches
+       sharing one schema, gathered column by column every [bsz] pairs *)
+    let join_run (bats : Batch.t array) =
+      let orows = Batch.rows bats in
+      let cattrs = Array.append bats.(0).Batch.attrs attrs in
+      let flush () =
+        if oids.ilen > 0 then begin
+          bpush acc (Batch.gather_pairs cattrs orows oids.iv inner pids.iv 0 oids.ilen);
+          oids.ilen <- 0;
+          pids.ilen <- 0
+        end
+      in
+      let g = ref 0 in
+      Array.iter
+        (fun (ob : Batch.t) ->
+          (* compiled on the first fetched pair: the reference evaluates
+             the residual only once a pair exists *)
+          let ev = lazy (Bpred.pair_eval ~apply ob mirror residual) in
+          let ix = Batch.indexer ob in
+          let find =
+            match ob.Batch.cols.(Batch.find_col ob outer_attr) with
+            | Batch.Ints a -> fun li -> Btree.find_int idx a.(ix li)
+            | Batch.Floats a -> fun li -> Btree.find_float idx a.(ix li)
+            | Batch.Boxed a -> fun li -> Btree.find idx a.(ix li)
+          in
+          for li = 0 to ob.Batch.len - 1 do
+            incr probes;
+            let k = find li in
+            if k >= 0 then
+              for o = starts.(k) to starts.(k + 1) - 1 do
+                let pos = postings.(o) in
+                if Buffer.access env.buffer ~table:table.Table.name
+                     ~page:(Table.page_of table pos)
+                then io := !io +. e.Costs.io_ms;
+                incr fetched;
+                if (not has_res) || (Lazy.force ev) li pos then begin
+                  ipush oids (!g + li);
+                  ipush pids pos;
+                  if oids.ilen >= bsz then flush ()
+                end
+              done
+          done;
+          g := !g + ob.Batch.len)
+        bats;
+      flush ()
+    in
+    let obats = Array.of_list ores.batches in
+    let i = ref 0 in
+    while !i < Array.length obats do
+      let j = ref (!i + 1) in
+      while !j < Array.length obats && Batch.same_schema obats.(!i) obats.(!j) do
+        incr j
+      done;
+      join_run (Array.sub obats !i (!j - !i));
+      i := !j
+    done;
     let rc = if has_res then Some (pred_cost env residual) else None in
-    let bats, n_out, bytes = bout_done o in
     let first, total =
       index_join_costs e ~o_first:ores.bfirst ~o_total:ores.btotal
         ~height:idx.Btree.height ~probes:!probes ~io:!io ~fetched:!fetched ~rc
-        ~n_out
+        ~n_out:acc.acount
     in
-    bres (bats, n_out, bytes) ~first ~total
+    bres_of_acc acc ~first ~total
   | Physical.Punion (left, right) ->
     let l = exec_batch env ~bsz left and r = exec_batch env ~bsz right in
     let first, total =

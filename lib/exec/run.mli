@@ -14,6 +14,18 @@
     formulas, so rows and simulated costs are bit-identical between engines;
     only [wall_ms] — the real clock on the engine itself — differs.
 
+    Base-table access in the batched engine reads the table's columnar
+    mirror and copies no stored row: a full scan emits one zero-copy batch
+    over it; an index scan walks the index's posting spans, accesses each
+    posting's page in posting order (the reference engine's sequence) and
+    emits its positions [bsz] at a time as selection vectors over the
+    mirror ({!Batch.pick}), a residual narrowing each one; an index join
+    looks each outer key up (unboxed when the outer column is), accesses
+    the postings' pages in the same order, evaluates a residual on the
+    (outer row, mirror row) pair, and gathers the kept pairs column by
+    column every [bsz] pairs. The reference engine walks the same spans and
+    fetches the boxed rows by position.
+
     The batched engine's composition kernels (sort, hash join, aggregate)
     address their inputs by row id over key columns extracted once per input
     (unboxed when the key's column is unboxed the same way in every batch)

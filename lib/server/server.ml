@@ -176,8 +176,19 @@ let restore_snapshot t =
   | Some path ->
     (match Snapshot.load ~path with
      | Error e ->
-       if Sys.file_exists path then
-         Log.warn (fun m -> m "ignoring snapshot %s: %s" path e);
+       (* a file that is there but refused is moved aside before anything
+          can snapshot over it: the shutdown snapshot would otherwise
+          replace the only copy of the learned state with a cold one *)
+       if Sys.file_exists path then begin
+         let rejected = path ^ ".rejected" in
+         match Sys.rename path rejected with
+         | () ->
+           Log.warn (fun m ->
+               m "ignoring snapshot %s: %s; moved it to %s" path e rejected)
+         | exception Sys_error r ->
+           Log.warn (fun m ->
+               m "ignoring snapshot %s: %s; could not move it to %s: %s" path e rejected r)
+       end;
        false
      | Ok s ->
        let tenants =

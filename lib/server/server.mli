@@ -42,7 +42,11 @@ val create : ?config:config -> Mediator.t -> t
 
 val start : t -> unit
 (** Restore the snapshot (if configured and present), bind, and spawn the
-    accept loop and workers. Returns immediately. *)
+    accept loop and workers. Returns immediately. A snapshot file that is
+    present but refused by {!Snapshot.load} is renamed to
+    [<path>.rejected], with one warning (log source [disco.server]) naming
+    both paths, and the server starts cold: the next snapshot cannot
+    overwrite the refused bytes. *)
 
 val stop : t -> unit
 (** Stop accepting, drain the admission queue, join the workers, close

@@ -1,16 +1,25 @@
-(* A secondary index: keys in sorted order, each with the record ids of the
-   matching objects. Implemented as a sorted array with binary search —
-   behaviourally equivalent to a B-tree for our simulation purposes; the
-   probe cost (tree descent) is charged by the executor. *)
+(* A secondary index: keys in sorted order, each with the row positions of
+   the matching objects. Implemented as a sorted key array with binary
+   search over flat postings — behaviourally equivalent to a B-tree for our
+   simulation purposes; the probe cost (tree descent) is charged by the
+   executor.
+
+   Postings are stored CSR-style: one [int array] of row positions (indexes
+   into the table's columnar mirror, i.e. storage order) in key order, and
+   per key the offset of its first posting. A key range is therefore one
+   contiguous run of offsets, and counting matches is a subtraction. Within
+   a key, positions are in descending storage order: that is the order the
+   index has always replayed its fetches in, and the simulated IO of an
+   index scan (which pages hit the LRU pool, in which order) and the order
+   of its output rows both depend on it. *)
 
 open Disco_common
 
-type rid = { page : int; slot : int }
-
 type t = {
-  keys : Constant.t array;        (* sorted, distinct *)
-  rids : rid list array;          (* postings per key *)
-  height : int;                   (* simulated tree height, for probe cost *)
+  keys : Constant.t array;  (* sorted, distinct *)
+  starts : int array;       (* key_count + 1 offsets into [postings] *)
+  postings : int array;     (* row positions, key order, descending within a key *)
+  height : int;             (* simulated tree height, for probe cost *)
 }
 
 let height_of n =
@@ -18,26 +27,33 @@ let height_of n =
   let rec go h cap = if cap >= n || h > 8 then h else go (h + 1) (cap * 128) in
   go 1 128
 
-let build (entries : (Constant.t * rid) list) : t =
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> Constant.compare a b) entries
-  in
-  let rec group acc current_key current_rids = function
-    | [] ->
-      (match current_key with
-       | None -> List.rev acc
-       | Some k -> List.rev ((k, List.rev current_rids) :: acc))
-    | (k, r) :: rest ->
-      (match current_key with
-       | None -> group acc (Some k) [ r ] rest
-       | Some ck when Constant.compare ck k = 0 ->
-         group acc current_key (r :: current_rids) rest
-       | Some ck -> group ((ck, List.rev current_rids) :: acc) (Some k) [ r ] rest)
-  in
-  let grouped = group [] None [] sorted in
-  { keys = Array.of_list (List.map fst grouped);
-    rids = Array.of_list (List.map snd grouped);
-    height = height_of (List.length grouped) }
+(* Positions enter the stable sort last first, so equal keys keep
+   descending position; a key's group is represented by its first sorted
+   entry, and an entry joins the group while it compares equal to that
+   representative. *)
+let build (key_at : Constant.t array) : t =
+  let n = Array.length key_at in
+  let postings = Array.init n (fun i -> n - 1 - i) in
+  Array.stable_sort (fun p q -> Constant.compare key_at.(p) key_at.(q)) postings;
+  let groups = ref 0 and rep = ref (-1) in
+  Array.iter
+    (fun p ->
+      if !rep < 0 || Constant.compare key_at.(!rep) key_at.(p) <> 0 then begin
+        incr groups;
+        rep := p
+      end)
+    postings;
+  let keys = Array.make !groups Constant.Null and starts = Array.make (!groups + 1) n in
+  let g = ref (-1) in
+  Array.iteri
+    (fun o p ->
+      if !g < 0 || Constant.compare keys.(!g) key_at.(p) <> 0 then begin
+        incr g;
+        keys.(!g) <- key_at.(p);
+        starts.(!g) <- o
+      end)
+    postings;
+  { keys; starts; postings; height = height_of !groups }
 
 let key_count t = Array.length t.keys
 
@@ -59,65 +75,63 @@ let upper_bound t k =
   done;
   !lo
 
-let lookup t k =
+let find t k =
   let i = lower_bound t k in
-  if i < Array.length t.keys && Constant.compare t.keys.(i) k = 0 then t.rids.(i)
-  else []
+  if i < Array.length t.keys && Constant.compare t.keys.(i) k = 0 then i else -1
 
-(* All rids whose key is within the given bounds, in key order. *)
-let range ?lo ?(lo_strict = false) ?hi ?(hi_strict = false) t : rid list =
-  let start =
-    match lo with
-    | None -> 0
-    | Some k -> if lo_strict then upper_bound t k else lower_bound t k
-  in
-  let stop =
-    match hi with
-    | None -> Array.length t.keys
-    | Some k -> if hi_strict then lower_bound t k else upper_bound t k
-  in
-  let acc = ref [] in
-  for i = stop - 1 downto start do
-    acc := t.rids.(i) @ !acc
+(* [Constant.compare key (Int x)] and [Constant.compare key (Float x)]
+   without boxing the probe: against a non-numeric key only the
+   constructor rank decides, whatever the number. *)
+let compare_int key x =
+  match key with
+  | Constant.Int y -> Int.compare y x
+  | Constant.Float y -> Float.compare y (float_of_int x)
+  | _ -> Constant.compare key (Constant.Int 0)
+
+let compare_float key x =
+  match key with
+  | Constant.Float y -> Float.compare y x
+  | Constant.Int y -> Float.compare (float_of_int y) x
+  | _ -> Constant.compare key (Constant.Float 0.)
+
+let find_int t x =
+  let lo = ref 0 and hi = ref (Array.length t.keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_int t.keys.(mid) x < 0 then lo := mid + 1 else hi := mid
   done;
-  !acc
+  if !lo < Array.length t.keys && compare_int t.keys.(!lo) x = 0 then !lo else -1
 
-(* Rids satisfying a comparison against [k], in key order. *)
-let search t (op : Cmp.t) k =
+let find_float t x =
+  let lo = ref 0 and hi = ref (Array.length t.keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_float t.keys.(mid) x < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length t.keys && compare_float t.keys.(!lo) x = 0 then !lo else -1
+
+(* The posting offsets [span_lo, span_hi) of [key op k] — for [Ne], the
+   offsets it excludes (the key itself). *)
+let span_lo t (op : Cmp.t) k =
   match op with
-  | Cmp.Eq -> lookup t k
-  | Lt -> range ~hi:k ~hi_strict:true t
-  | Le -> range ~hi:k t
-  | Gt -> range ~lo:k ~lo_strict:true t
-  | Ge -> range ~lo:k t
-  | Ne ->
-    range ~hi:k ~hi_strict:true t @ range ~lo:k ~lo_strict:true t
+  | Cmp.Lt | Le -> 0
+  | Eq | Ne | Ge -> t.starts.(lower_bound t k)
+  | Gt -> t.starts.(upper_bound t k)
 
-(* Streaming variants of [range]/[search]: visit the same rids in the same
-   order without materializing the list — the batch executor's index scans
-   fetch millions of rids at the large OO7 scale. *)
-let iter_range ?lo ?(lo_strict = false) ?hi ?(hi_strict = false) t f =
-  let start =
-    match lo with
-    | None -> 0
-    | Some k -> if lo_strict then upper_bound t k else lower_bound t k
-  in
-  let stop =
-    match hi with
-    | None -> Array.length t.keys
-    | Some k -> if hi_strict then lower_bound t k else upper_bound t k
-  in
-  for i = start to stop - 1 do
-    List.iter f t.rids.(i)
-  done
-
-let iter_search t (op : Cmp.t) k f =
+let span_hi t (op : Cmp.t) k =
   match op with
-  | Cmp.Eq -> List.iter f (lookup t k)
-  | Lt -> iter_range ~hi:k ~hi_strict:true t f
-  | Le -> iter_range ~hi:k t f
-  | Gt -> iter_range ~lo:k ~lo_strict:true t f
-  | Ge -> iter_range ~lo:k t f
-  | Ne ->
-    iter_range ~hi:k ~hi_strict:true t f;
-    iter_range ~lo:k ~lo_strict:true t f
+  | Cmp.Eq | Ne | Le -> t.starts.(upper_bound t k)
+  | Lt -> t.starts.(lower_bound t k)
+  | Gt | Ge -> Array.length t.postings
+
+let count t op k =
+  let n = span_hi t op k - span_lo t op k in
+  match op with Cmp.Ne -> Array.length t.postings - n | _ -> n
+
+let iter_spans t op k f =
+  let lo = span_lo t op k and hi = span_hi t op k in
+  match op with
+  | Cmp.Ne ->
+    if lo > 0 then f 0 lo;
+    if hi < Array.length t.postings then f hi (Array.length t.postings)
+  | _ -> if lo < hi then f lo hi

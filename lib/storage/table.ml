@@ -10,10 +10,11 @@ open Disco_catalog
 type tuple = Constant.t array
 
 (* One whole-table column in storage order: unboxed when every cell is an
-   Int (resp. Float), boxed otherwise. The vectorized executor's scan blits
-   batch-sized slices out of these instead of transposing boxed cells row by
-   row — that is what lets a columnar scan beat the tuple engine, whose
-   scan shares the stored row arrays and does no per-cell work at all. *)
+   Int (resp. Float), boxed otherwise. The vectorized executor's full
+   scans, index scans and index joins read these in place (zero-copy
+   batches, selection vectors of row positions, gathers) instead of
+   transposing boxed cells row by row. Row position [p] of the mirror is
+   slot [p mod per_page] of page [p / per_page]. *)
 type col =
   | Cints of int array
   | Cfloats of float array
@@ -29,7 +30,9 @@ type t = {
   indexes : (string * Btree.t) list;  (* attribute -> index *)
   clustered_on : string option;
   count : int;
+  per_page : int;                 (* objects per page; every page but the last is full *)
   columnar : col array;           (* per attribute, whole table, page order *)
+  bytes : int;                    (* Constant.byte_size summed over the mirror *)
 }
 
 let attr_pos t name =
@@ -72,15 +75,7 @@ let create ~name ~schema ?(page_size = 4096) ?(fill = 0.96) ~object_size ?cluste
       | Some i -> i
       | None -> raise (Err.Unknown_attribute { collection = name; attribute = attr })
     in
-    let entries = ref [] in
-    Array.iteri
-      (fun p page ->
-        Array.iteri
-          (fun s row ->
-            entries := (row.(pos), { Btree.page = p; slot = s }) :: !entries)
-          page)
-      pages;
-    (attr, Btree.build !entries)
+    (attr, Btree.build (Array.map (fun row -> row.(pos)) arr))
   in
   (* The columnar mirror duplicates the data in unboxed form (cheaper than
      the boxed rows it shadows). Built eagerly, so there is no lazy cell
@@ -117,14 +112,23 @@ let create ~name ~schema ?(page_size = 4096) ?(fill = 0.96) ~object_size ?cluste
     indexes = List.map index_of index_on;
     clustered_on = cluster_on;
     count;
-    columnar }
+    per_page;
+    columnar;
+    bytes =
+      Array.fold_left
+        (fun acc -> function
+          | Cints _ | Cfloats _ -> acc + (8 * count)
+          | Cboxed a -> Array.fold_left (fun acc v -> acc + Constant.byte_size v) acc a)
+        0 columnar }
 
 let page_count t = Array.length t.pages
 let count t = t.count
 let total_size t = t.count * t.object_size
 let columnar t = t.columnar
 
-let fetch t (rid : Btree.rid) : tuple = t.pages.(rid.Btree.page).(rid.Btree.slot)
+let page_of t pos = pos / t.per_page
+
+let fetch t pos : tuple = t.pages.(pos / t.per_page).(pos mod t.per_page)
 
 let index t attr = List.assoc_opt attr t.indexes
 let has_index t attr = List.mem_assoc attr t.indexes

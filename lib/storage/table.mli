@@ -12,7 +12,8 @@ type tuple = Constant.t array
 (** One whole-table column in storage (page) order: unboxed when every cell
     is an Int (resp. Float), boxed otherwise. Cell [i] equals cell [i] of
     the [i]-th stored row, so a scan reading from the mirror sees exactly
-    the rows it would read page by page. *)
+    the rows it would read page by page. Index postings ({!Btree}) are
+    positions in this order. *)
 type col =
   | Cints of int array
   | Cfloats of float array
@@ -28,7 +29,13 @@ type t = {
   indexes : (string * Btree.t) list;
   clustered_on : string option;
   count : int;
+  per_page : int;
+      (** objects per page: every page but the last is full, so row
+          position [p] is slot [p mod per_page] of page [p / per_page] *)
   columnar : col array;       (** per attribute; built once at creation *)
+  bytes : int;
+      (** [Constant.byte_size] summed over every cell of [columnar], so a
+          batch over the whole mirror needs no pass over its cells *)
 }
 
 val attr_pos : t -> string -> int
@@ -51,7 +58,8 @@ val create :
   t
 (** Build a table. Rows are paged in the given order — callers shuffle
     beforehand for random (unclustered) placement — unless [cluster_on] asks
-    for clustering, in which case rows are sorted by that attribute first. *)
+    for clustering, in which case rows are sorted by that attribute first.
+    Each [index_on] attribute gets a {!Btree} over its mirror column. *)
 
 val page_count : t -> int
 val count : t -> int
@@ -60,7 +68,12 @@ val total_size : t -> int
 val columnar : t -> col array
 (** The columnar mirror of the stored rows, one {!col} per attribute. *)
 
-val fetch : t -> Btree.rid -> tuple
+val page_of : t -> int -> int
+(** The page holding a row position. *)
+
+val fetch : t -> int -> tuple
+(** The stored row at a row position (the reference engine's index
+    access; the batched engine reads the mirror instead). *)
 
 val index : t -> string -> Btree.t option
 val has_index : t -> string -> bool

@@ -474,6 +474,95 @@ let prop_kernels_match_reference =
             (run ~hash_join (Run.Batched { batch_size = bsz }) phys))
         plans)
 
+(* --- Index access on the columnar mirror ------------------------------------------ *)
+
+let ix_schema =
+  Schema.collection "Ix"
+    [ ("id", Schema.Tint); ("k", Schema.Tint); ("m", Schema.Tint); ("name", Schema.Tstring) ]
+
+let ox_schema =
+  Schema.collection "Ox" [ ("oid", Schema.Tint); ("rk", Schema.Tint); ("rm", Schema.Tint) ]
+
+(* 300 shuffled rows, 9 to a page: [k] has duplicates, [m] mixes Int and
+   Null (a boxed mirror column), all three indexed. *)
+let ix_table () =
+  let rng = Rng.create ~seed:5 in
+  let arr =
+    Array.init 300 (fun j ->
+        [| i (j + 1);
+           i (Rng.int rng 20);
+           (if Rng.int rng 4 = 0 then Constant.Null else i (Rng.int rng 12));
+           str (Rng.pick rng [| "a"; "b" |]) |])
+  in
+  Rng.shuffle rng arr;
+  Table.create ~name:"Ix" ~schema:ix_schema ~object_size:400 ~index_on:[ "id"; "k"; "m" ]
+    (Array.to_list arr)
+
+let ox_table () =
+  let rng = Rng.create ~seed:6 in
+  Table.create ~name:"Ox" ~schema:ox_schema ~object_size:24
+    (List.init 60 (fun j ->
+         [| i j;
+            i (Rng.int rng 24);
+            (if Rng.int rng 3 = 0 then Constant.Null else i (Rng.int rng 14)) |]))
+
+(* Rows, their order, bytes, first/total bits and the buffer pool's hits
+   and misses, batched at 1/7/64/1024 against the tuple engine. The pool
+   holds 6 of the table's 34 pages, so the order of page accesses shows in
+   the counts. *)
+let check_index_diff name phys =
+  let run mode =
+    let e = { (env ()) with Run.buffer = Buffer.create ~capacity:6 } in
+    let rows, v = Run.measure ~mode e phys in
+    (rows, v, Buffer.hits e.Run.buffer, Buffer.misses e.Run.buffer)
+  in
+  let rt, vt, ht, mt = run Run.Tuple_at_a_time in
+  Alcotest.(check bool) (name ^ " touches the pool") true (ht + mt > 0 || rt = []);
+  List.iter
+    (fun bsz ->
+      let rb, vb, hb, mb = run (Run.Batched { batch_size = bsz }) in
+      let n = Fmt.str "%s @%d" name bsz in
+      Alcotest.(check int) (n ^ " row count") (List.length rt) (List.length rb);
+      Alcotest.(check bool) (n ^ " rows identical") true (List.for_all2 same_row rt rb);
+      check_vec n vt vb;
+      Alcotest.(check (pair int int)) (n ^ " buffer hits, misses") (ht, mt) (hb, mb))
+    [ 1; 7; 64; 1024 ]
+
+let test_index_access_diff () =
+  let ix = ix_table () and ox = ox_table () in
+  let iscan attr op value residual =
+    Physical.Pscan
+      { table = ix; binding = "x"; access = Physical.Index_scan { attr; op; value }; residual }
+  in
+  let ops = [ Cmp.Eq; Cmp.Ne; Cmp.Lt; Cmp.Le; Cmp.Gt; Cmp.Ge ] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (attr, v) ->
+          let name = Fmt.str "index scan %s %a %a" attr Cmp.pp op Constant.pp v in
+          check_index_diff name (iscan attr op v Pred.True);
+          check_index_diff (name ^ " + residual")
+            (iscan attr op v (Pred.Cmp ("x.name", Pred.Eq, str "a"))))
+        [ ("k", i 7); ("k", i 25); ("k", i (-1)); ("m", i 5); ("m", Constant.Null);
+          ("m", f 3.); ("id", i 150) ])
+    ops;
+  let ijoin ?(residual = Pred.True) outer outer_attr inner_attr =
+    Physical.Pindex_join
+      { outer; table = ix; binding = "x"; outer_attr; inner_attr; residual }
+  in
+  let o = pscan ox "o" in
+  check_index_diff "index join, Ints outer" (ijoin o "o.rk" "k");
+  check_index_diff "index join, Int/Null outer into Int/Null index" (ijoin o "o.rm" "m");
+  check_index_diff "index join + residual"
+    (ijoin ~residual:(Pred.Cmp ("x.id", Pred.Gt, i 100)) o "o.rk" "k");
+  check_index_diff "index join, outer from an index scan"
+    (ijoin (iscan "k" Cmp.Le (i 4) Pred.True) "x.m" "m");
+  check_index_diff "index join, Floats outer"
+    (ijoin (mat [ batch [| "y.v" |] [ [ f 1. ]; [ f 2.5 ]; [ f Float.nan ]; [ f 3. ]; [ f 1. ] ] ])
+       "y.v" "k");
+  check_index_diff "index join, outer schemas change mid-stream"
+    (ijoin (Physical.Punion (o, Physical.Pproject (o, [ "o.rk" ]))) "o.rk" "k")
+
 (* --- Incremental accounting (the O(n^2) fix) -------------------------------------- *)
 
 let test_incremental_accounting () =
@@ -582,6 +671,41 @@ let test_hash_join_allocation () =
   Printf.printf "hash join: %.1f words per output row\n" per_row;
   if per_row > 16. then Alcotest.failf "%.1f words per joined row" per_row
 
+(* Index access reads the columnar mirror: an index scan emits its postings
+   as selection vectors over the mirror's columns (one word per fetched row,
+   however wide the row), and an index join gathers its output column by
+   column from the outer batches and the mirror. *)
+let index_scan_all table binding =
+  Physical.Pscan
+    { table;
+      binding;
+      access = Physical.Index_scan { attr = "id"; op = Cmp.Ge; value = Constant.Int 0 };
+      residual = Pred.True }
+
+let test_index_scan_allocation () =
+  let words, r = kernel_words (index_scan_all (part_table ~n:10_000 ()) "p") in
+  Alcotest.(check int) "10,000 rows fetched" 10_000 r.Run.bcount;
+  let per_row = words /. 10_000. in
+  Printf.printf "index scan: %.1f words per fetched row\n" per_row;
+  if per_row > 4. then Alcotest.failf "%.1f words per fetched row" per_row
+
+let test_index_join_allocation () =
+  let boxes = materialized_scan (box_table ~n:10_000 ~parts:1_000 ()) "b" in
+  let words, r =
+    kernel_words
+      (Physical.Pindex_join
+         { outer = boxes;
+           table = part_table ~n:1_000 ();
+           binding = "p";
+           outer_attr = "b.part_id";
+           inner_attr = "id";
+           residual = Pred.True })
+  in
+  Alcotest.(check int) "every box finds its part" 10_000 r.Run.bcount;
+  let per_row = words /. 10_000. in
+  Printf.printf "index join: %.1f words per output row\n" per_row;
+  if per_row > 12. then Alcotest.failf "%.1f words per joined row" per_row
+
 let test_wall_clock_present () =
   let parts = part_table () in
   let r = Run.run ~mode:Run.Tuple_at_a_time (env ()) (pscan parts "p") in
@@ -678,6 +802,7 @@ let () =
           Alcotest.test_case "hash join edge cases" `Quick test_hash_join_edge_cases;
           Alcotest.test_case "aggregate edge cases" `Quick test_aggregate_edge_cases;
           QCheck_alcotest.to_alcotest prop_kernels_match_reference;
+          Alcotest.test_case "index scans and index joins" `Quick test_index_access_diff;
           Alcotest.test_case "batched engine composes" `Quick test_batched_composes ] );
       ( "accounting",
         [ Alcotest.test_case "incremental count/bytes exact" `Quick
@@ -689,4 +814,8 @@ let () =
             test_materialized_input_allocation;
           Alcotest.test_case "sort allocates O(1) words per row" `Quick test_sort_allocation;
           Alcotest.test_case "hash join allocates O(1) words per row" `Quick
-            test_hash_join_allocation ] ) ]
+            test_hash_join_allocation;
+          Alcotest.test_case "index scan allocates a word per row" `Quick
+            test_index_scan_allocation;
+          Alcotest.test_case "index join allocates O(1) words per row" `Quick
+            test_index_join_allocation ] ) ]

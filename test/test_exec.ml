@@ -136,7 +136,7 @@ let test_access_path_cost_consistent () =
           (Plan.Select (scan_part, pred))
       in
       let idx = Option.get (Table.index parts "id") in
-      let k = List.length (Btree.search idx op (Constant.Int v)) in
+      let k = Btree.count idx op (Constant.Int v) in
       let icost = Physical.index_scan_cost engine parts ~clustered:false k in
       let fcost = Physical.full_scan_cost engine parts ~matches:k in
       match phys with

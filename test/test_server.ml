@@ -642,6 +642,61 @@ let test_snapshot_corruption_sweep () =
           "snapshot version 1, expected 2" e
       | Ok _ -> Alcotest.fail "a version-1 snapshot loaded")
 
+(* A snapshot file that is there but refused is moved to [<path>.rejected]
+   before the server starts, with one warning naming both paths; the
+   server comes up cold and its shutdown snapshot lands at [path], not
+   over the refused bytes. *)
+let test_snapshot_refused_kept () =
+  let med = make_mediator ~history:(History.Adjust { smoothing = 0.6 }) () in
+  List.iter (fun sql -> ignore (Mediator.run_query med sql)) queries;
+  let path = Filename.temp_file "disco-test" ".snap" in
+  let rejected = path ^ ".rejected" in
+  Snapshot.save ~path (Snapshot.capture med ~tenants:[ ("default", Mediator.history med) ]);
+  let flipped =
+    let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+    let last = Bytes.length b - 1 in
+    Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x80));
+    Bytes.to_string b
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc flipped);
+  let warnings = ref [] in
+  let report _src level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun msg ->
+            if level = Logs.Warning then warnings := msg :: !warnings;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level;
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; rejected ])
+    (fun () ->
+      with_server ~history:(History.Adjust { smoothing = 0.6 }) ~snapshot_path:path
+        (fun srv _ _ ->
+          Alcotest.(check int) "started cold" 0
+            (int_field "history_records" (field "stats" (Server.metrics_json srv))));
+      Alcotest.(check string) "the refused bytes are kept" flipped
+        (In_channel.with_open_bin rejected In_channel.input_all);
+      Alcotest.(check bool) "the shutdown snapshot went to the path" true
+        (Result.is_ok (Snapshot.load ~path));
+      match !warnings with
+      | [ w ] ->
+        let mentions p =
+          let n = String.length p in
+          let rec at i = i + n <= String.length w && (String.sub w i n = p || at (i + 1)) in
+          at 0
+        in
+        Alcotest.(check bool) ("the warning names both paths: " ^ w) true
+          (mentions ("ignoring snapshot " ^ path) && mentions rejected)
+      | ws -> Alcotest.failf "%d warnings, expected 1" (List.length ws))
+
 let test_shutdown_op () =
   let med = make_mediator () in
   let addr = Server.Unix_socket (fresh_socket_path ()) in
@@ -687,7 +742,8 @@ let () =
         [ Alcotest.test_case "warm restart" `Quick test_snapshot_warm_restart;
           Alcotest.test_case "history count" `Quick test_history_count;
           Alcotest.test_case "corrupted files refused" `Quick
-            test_snapshot_corruption_sweep ] );
+            test_snapshot_corruption_sweep;
+          Alcotest.test_case "refused file kept" `Quick test_snapshot_refused_kept ] );
       ( "endpoints",
         [ Alcotest.test_case "http" `Quick test_http_endpoints;
           Alcotest.test_case "request line bound" `Quick test_request_line_bound;

@@ -6,40 +6,72 @@ open Disco_storage
 
 (* --- Btree -------------------------------------------------------------------- *)
 
-let mk_index entries =
-  Btree.build (List.map (fun (k, p, s) -> (Constant.Int k, { Btree.page = p; slot = s })) entries)
+(* An index over positions 0 .. n-1, position [p] keyed by the [p]-th key. *)
+let mk_index keys = Btree.build (Array.of_list (List.map (fun k -> Constant.Int k) keys))
 
-let rid p s = { Btree.page = p; slot = s }
+(* Row positions of [key op k], in index order. *)
+let search idx op k =
+  let acc = ref [] in
+  Btree.iter_spans idx op k (fun lo hi ->
+      for o = lo to hi - 1 do
+        acc := idx.Btree.postings.(o) :: !acc
+      done);
+  List.rev !acc
+
+let lookup idx k = search idx Cmp.Eq k
 
 let test_btree_lookup () =
-  let idx = mk_index [ (5, 0, 0); (1, 0, 1); (5, 1, 0); (9, 1, 1) ] in
+  let idx = mk_index [ 5; 1; 5; 9 ] in
   Alcotest.(check int) "key count" 3 (Btree.key_count idx);
-  Alcotest.(check int) "dup postings" 2 (List.length (Btree.lookup idx (Constant.Int 5)));
-  Alcotest.(check int) "single" 1 (List.length (Btree.lookup idx (Constant.Int 1)));
-  Alcotest.(check int) "missing" 0 (List.length (Btree.lookup idx (Constant.Int 7)))
+  Alcotest.(check int) "dup postings" 2 (List.length (lookup idx (Constant.Int 5)));
+  Alcotest.(check int) "single" 1 (List.length (lookup idx (Constant.Int 1)));
+  Alcotest.(check int) "missing" 0 (List.length (lookup idx (Constant.Int 7)));
+  Alcotest.(check int) "find missing" (-1) (Btree.find idx (Constant.Int 7));
+  Alcotest.(check int) "find_int = find" (Btree.find idx (Constant.Int 9))
+    (Btree.find_int idx 9);
+  Alcotest.(check int) "find_float = find" (Btree.find idx (Constant.Int 5))
+    (Btree.find_float idx 5.)
 
 let test_btree_range () =
-  let idx = mk_index (List.init 10 (fun i -> (i, i, 0))) in
-  let range ?lo ?lo_strict ?hi ?hi_strict () =
-    List.map (fun r -> r.Btree.page) (Btree.range ?lo ?lo_strict ?hi ?hi_strict idx)
+  let idx = mk_index (List.init 10 Fun.id) in
+  let range op k = search idx op (Constant.Int k) in
+  Alcotest.(check (list int)) "le 3" [ 0; 1; 2; 3 ] (range Cmp.Le 3);
+  Alcotest.(check (list int)) "lt 3" [ 0; 1; 2 ] (range Cmp.Lt 3);
+  Alcotest.(check (list int)) "ge 7" [ 7; 8; 9 ] (range Cmp.Ge 7);
+  Alcotest.(check (list int)) "gt 7" [ 8; 9 ] (range Cmp.Gt 7);
+  (* spans are runs of posting offsets in key order, so a two-sided range
+     is the overlap of two one-sided spans *)
+  let offsets op k =
+    let r = ref (0, 0) in
+    Btree.iter_spans idx op (Constant.Int k) (fun lo hi -> r := (lo, hi));
+    !r
   in
-  Alcotest.(check (list int)) "le 3" [ 0; 1; 2; 3 ] (range ~hi:(Constant.Int 3) ());
-  Alcotest.(check (list int)) "lt 3" [ 0; 1; 2 ] (range ~hi:(Constant.Int 3) ~hi_strict:true ());
-  Alcotest.(check (list int)) "ge 7" [ 7; 8; 9 ] (range ~lo:(Constant.Int 7) ());
-  Alcotest.(check (list int)) "gt 7" [ 8; 9 ] (range ~lo:(Constant.Int 7) ~lo_strict:true ());
+  let lo, _ = offsets Cmp.Ge 3 and _, hi = offsets Cmp.Lt 5 in
   Alcotest.(check (list int)) "between" [ 3; 4 ]
-    (range ~lo:(Constant.Int 3) ~hi:(Constant.Int 5) ~hi_strict:true ());
-  Alcotest.(check int) "all" 10 (List.length (range ()))
+    (List.init (hi - lo) (fun i -> idx.Btree.postings.(lo + i)));
+  Alcotest.(check int) "all" 10 (List.length (range Cmp.Ne (-1)))
 
 let test_btree_search_ops () =
-  let idx = mk_index (List.init 10 (fun i -> (i, i, 0))) in
-  let count op v = List.length (Btree.search idx op (Constant.Int v)) in
+  let idx = mk_index (List.init 10 Fun.id) in
+  let count op v =
+    let n = List.length (search idx op (Constant.Int v)) in
+    Alcotest.(check int) "count = span length" n (Btree.count idx op (Constant.Int v));
+    n
+  in
   Alcotest.(check int) "eq" 1 (count Cmp.Eq 4);
   Alcotest.(check int) "ne" 9 (count Cmp.Ne 4);
   Alcotest.(check int) "lt" 4 (count Cmp.Lt 4);
   Alcotest.(check int) "le" 5 (count Cmp.Le 4);
   Alcotest.(check int) "gt" 5 (count Cmp.Gt 4);
   Alcotest.(check int) "ge" 6 (count Cmp.Ge 4)
+
+let op_of = function
+  | 0 -> Cmp.Eq
+  | 1 -> Cmp.Ne
+  | 2 -> Cmp.Lt
+  | 3 -> Cmp.Le
+  | 4 -> Cmp.Gt
+  | _ -> Cmp.Ge
 
 let prop_btree_vs_naive =
   QCheck2.Test.make ~name:"btree search = naive filter" ~count:300
@@ -48,26 +80,136 @@ let prop_btree_vs_naive =
         (list_size (int_range 0 60) (int_range 0 20))
         (pair (int_range (-2) 22) (int_range 0 5)))
     (fun (keys, (v, opn)) ->
-      let op =
-        match opn with
-        | 0 -> Cmp.Eq
-        | 1 -> Cmp.Ne
-        | 2 -> Cmp.Lt
-        | 3 -> Cmp.Le
-        | 4 -> Cmp.Gt
-        | _ -> Cmp.Ge
-      in
-      let idx = mk_index (List.mapi (fun i k -> (k, i, 0)) keys) in
+      let op = op_of opn in
+      let idx = mk_index keys in
       let expected =
         List.filter (fun k -> Cmp.eval op (Constant.Int k) (Constant.Int v)) keys
       in
-      List.length (Btree.search idx op (Constant.Int v)) = List.length expected)
+      List.length (search idx op (Constant.Int v)) = List.length expected)
 
 let test_btree_rids_in_key_order () =
-  let idx = mk_index [ (3, 30, 0); (1, 10, 0); (2, 20, 0) ] in
-  Alcotest.(check (list int)) "key order" [ 10; 20; 30 ]
-    (List.map (fun r -> r.Btree.page) (Btree.range idx));
-  ignore (rid 0 0)
+  (* keys 3, 1, 2 at positions 0, 1, 2: postings list them by key *)
+  let idx = mk_index [ 3; 1; 2 ] in
+  Alcotest.(check (list int)) "key order" [ 1; 2; 0 ] (search idx Cmp.Ne (Constant.Int 0))
+
+(* The record-id lists the index kept before its postings went flat: every
+   stored row's (key, (page, slot)) consed in storage order — so the list
+   runs last row first — stably sorted by key and grouped under each
+   group's first key; a search concatenates the matching groups in key
+   order. *)
+let model_rids (t : Table.t) attr op k =
+  let pos = Table.attr_pos t attr in
+  let entries = ref [] in
+  Table.iter_pages t (fun p page ->
+      Array.iteri (fun s row -> entries := (row.(pos), (p, s)) :: !entries) page);
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> Constant.compare a b) !entries in
+  let rec group = function
+    | [] -> []
+    | (key, r) :: rest ->
+      let rec same acc = function
+        | (k', r') :: rest when Constant.compare key k' = 0 -> same (r' :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let rids, rest = same [ r ] rest in
+      (key, rids) :: group rest
+  in
+  List.concat_map
+    (fun (key, rids) -> if Cmp.eval op key k then rids else [])
+    (group sorted)
+
+let kv_schema = Schema.collection "Kv" [ ("k", Schema.Tint); ("v", Schema.Tint) ]
+
+(* Random tables with duplicate keys, some of them Null or an integral
+   Float (equal to the Int under [Constant.compare]), clustered or not, at
+   several objects per page; probes of every operator, absent keys
+   included. The flat index must replay the model's (page, slot) sequence
+   exactly, and count its length. *)
+let prop_flat_index_vs_rid_lists =
+  let open QCheck2.Gen in
+  let key =
+    frequency
+      [ (8, map (fun x -> Constant.Int x) (int_range 0 12));
+        (1, map (fun x -> Constant.Float (float_of_int x)) (int_range 0 12));
+        (1, pure Constant.Null) ]
+  in
+  let gen =
+    let* keys = list_size (int_range 0 150) key in
+    let* clustered = bool and* object_size = oneofl [ 56; 700; 2000 ] in
+    let* probes =
+      list_size (int_range 1 8)
+        (pair (int_range 0 5)
+           (frequency
+              [ (6, map (fun x -> Constant.Int x) (int_range (-1) 14));
+                (1, pure (Constant.Float 2.5));
+                (1, pure Constant.Null) ]))
+    in
+    pure (keys, clustered, object_size, probes)
+  in
+  QCheck2.Test.make ~name:"flat index = rid-list model" ~count:300 gen
+    (fun (keys, clustered, object_size, probes) ->
+      let rows = List.mapi (fun i k -> [| k; Constant.Int i |]) keys in
+      let t =
+        Table.create ~name:"Kv" ~schema:kv_schema ~object_size
+          ?cluster_on:(if clustered then Some "k" else None)
+          ~index_on:[ "k" ] rows
+      in
+      let idx = Option.get (Table.index t "k") in
+      List.for_all
+        (fun (opn, v) ->
+          let op = op_of opn in
+          let got =
+            List.map
+              (fun p ->
+                let page = Table.page_of t p in
+                (page, p - (page * t.Table.per_page)))
+              (search idx op v)
+          in
+          let want = model_rids t "k" op v in
+          got = want
+          && Btree.count idx op v = List.length want
+          && List.for_all2
+               (fun p (page, slot) -> Table.fetch t p == t.Table.pages.(page).(slot))
+               (search idx op v) want)
+        probes)
+
+(* Words allocated on this domain so far (minor and direct-major), exact
+   after forcing a minor collection and a major slice. *)
+let allocated_words () =
+  Gc.minor ();
+  ignore (Gc.major_slice 0);
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Access-path selection counts an index's matches on every wrapper
+   execution: two binary searches and a subtraction, nothing allocated. *)
+let test_btree_count_allocates_nothing () =
+  let idx = mk_index (List.init 5_000 (fun i -> i mod 97)) in
+  let probe = Sys.opaque_identity (Constant.Int 40) in
+  let ops = [| Cmp.Eq; Cmp.Ne; Cmp.Lt; Cmp.Le; Cmp.Gt; Cmp.Ge |] in
+  let sum = ref 0 in
+  let before = allocated_words () in
+  for i = 1 to 6_000 do
+    sum := !sum + Btree.count idx ops.(i mod 6) probe
+  done;
+  let words = allocated_words () -. before in
+  Alcotest.(check bool) "counted" true (!sum > 0);
+  if words > 64. then Alcotest.failf "%.0f words for 6,000 counts" words
+
+(* Postings cost one word per row and one per key: the index keeps at most
+   2n words besides its keys (plus a few headers), against about 7n as
+   lists of (page, slot) records. *)
+let test_btree_retained_size () =
+  let n = 20_000 in
+  let unique = Btree.build (Array.init n (fun i -> Constant.Int ((i * 7919) mod n))) in
+  let dups = Btree.build (Array.init n (fun i -> Constant.Int (i mod 50))) in
+  List.iter
+    (fun (name, idx) ->
+      let words =
+        Obj.reachable_words (Obj.repr idx) - Obj.reachable_words (Obj.repr idx.Btree.keys)
+      in
+      if words > (2 * n) + 16 then
+        Alcotest.failf "%s: %d words over %d rows besides the keys" name words n)
+    [ ("unique keys", unique); ("50 keys", dups) ]
 
 (* --- Table ------------------------------------------------------------------------ *)
 
@@ -92,8 +234,11 @@ let test_table_paging_paper_parameters () =
 let test_table_fetch_and_rows () =
   let t = mk_table 100 in
   Alcotest.(check int) "rows" 100 (List.length (Table.rows t));
-  let r = Table.fetch t { Btree.page = 0; slot = 3 } in
-  Alcotest.(check bool) "fetch slot" true (Constant.equal r.(0) (Constant.Int 4))
+  let r = Table.fetch t 3 in
+  Alcotest.(check bool) "fetch slot" true (Constant.equal r.(0) (Constant.Int 4));
+  (* 70 objects per page: position 75 is slot 5 of page 1 *)
+  Alcotest.(check int) "page of" 1 (Table.page_of t 75);
+  Alcotest.(check bool) "fetch on a later page" true (Table.fetch t 75 == t.Table.pages.(1).(5))
 
 let test_table_clustering () =
   let rows =
@@ -115,8 +260,8 @@ let test_table_indexes () =
   Alcotest.(check bool) "has id index" true (Table.has_index t "id");
   Alcotest.(check bool) "no weight index" false (Table.has_index t "weight");
   let idx = Option.get (Table.index t "id") in
-  (* each rid resolves to the object with the matching key *)
-  let rids = Btree.lookup idx (Constant.Int 123) in
+  (* each posting resolves to the object with the matching key *)
+  let rids = lookup idx (Constant.Int 123) in
   Alcotest.(check int) "one match" 1 (List.length rids);
   let row = Table.fetch t (List.hd rids) in
   Alcotest.(check bool) "resolves" true (Constant.equal row.(0) (Constant.Int 123))
@@ -261,7 +406,11 @@ let () =
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "search operators" `Quick test_btree_search_ops;
           Alcotest.test_case "rids in key order" `Quick test_btree_rids_in_key_order;
-          QCheck_alcotest.to_alcotest prop_btree_vs_naive ] );
+          Alcotest.test_case "count allocates nothing" `Quick
+            test_btree_count_allocates_nothing;
+          Alcotest.test_case "retained size" `Quick test_btree_retained_size;
+          QCheck_alcotest.to_alcotest prop_btree_vs_naive;
+          QCheck_alcotest.to_alcotest prop_flat_index_vs_rid_lists ] );
       ( "table",
         [ Alcotest.test_case "paper paging parameters" `Quick
             test_table_paging_paper_parameters;
