@@ -3,8 +3,7 @@
      dune exec bin/disco.exe -- query "select e.name from Employee e limit 5"
      dune exec bin/disco.exe -- explain "select * from Department d"
      dune exec bin/disco.exe -- registration web
-     dune exec bin/disco.exe -- sources
-     dune exec bin/disco.exe -- fig12 --parts 7000 *)
+     dune exec bin/disco.exe -- sources *)
 
 open Cmdliner
 open Disco_core
@@ -644,51 +643,6 @@ let metrics_cmd =
           breaker states.")
     Term.(const run $ socket_arg $ host_arg $ port_arg $ json_flag)
 
-(* --- fig12 ----------------------------------------------------------------------- *)
-
-let fig12_cmd =
-  let parts =
-    let doc = "Number of AtomicParts (the paper uses 70000)." in
-    Arg.(value & opt int 70_000 & info [ "parts" ] ~doc)
-  in
-  let run parts =
-    handle (fun () ->
-        let config = { Disco_oo7.Oo7.paper_config with Disco_oo7.Oo7.atomic_parts = parts } in
-        let source = Disco_oo7.Oo7.make_source ~config ~with_rules:true () in
-        let registry_of src =
-          let registry = Registry.create (Disco_catalog.Catalog.create ()) in
-          Generic.register registry;
-          ignore (Registry.register_source_decl registry (Wrapper.registration_decl src));
-          registry
-        in
-        let reg_yao = registry_of source in
-        let reg_cal = registry_of (Wrapper.without_rules source) in
-        Fmt.pr "sel   measured(s)  calibrated(s)  yao(s)@.";
-        List.iter
-          (fun sel ->
-            let k = int_of_float (float_of_int parts *. sel) in
-            let plan =
-              Disco_algebra.Plan.Select
-                ( Disco_algebra.Plan.Scan
-                    { Disco_algebra.Plan.source = "oo7";
-                      collection = "AtomicPart";
-                      binding = "a" },
-                  Disco_algebra.Pred.Cmp
-                    ("a.id", Disco_algebra.Pred.Le, Disco_common.Constant.Int k) )
-            in
-            Disco_oo7.Oo7.cold_cache source;
-            let _, v = Wrapper.execute source plan in
-            let est r =
-              Estimator.total_time (Estimator.estimate ~source:"oo7" r plan) /. 1000.
-            in
-            Fmt.pr "%.2f  %11.1f  %13.1f  %6.1f@." sel
-              (v.Run.total_time /. 1000.) (est reg_cal) (est reg_yao))
-          [ 0.01; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7 ])
-  in
-  Cmd.v
-    (Cmd.info "fig12" ~doc:"Reproduce the paper's Figure 12 index-scan experiment.")
-    Term.(const run $ parts)
-
 let () =
   (* warnings (a refused snapshot, a failed snapshot write, lint warnings at
      registration) go to stderr; stdout carries command output only. serve
@@ -706,5 +660,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ query_cmd; explain_cmd; analyze_cmd; registration_cmd; check_cmd;
-            lint_cmd; verify_cmd; sources_cmd; health_cmd; serve_cmd; metrics_cmd;
-            fig12_cmd ]))
+            lint_cmd; verify_cmd; sources_cmd; health_cmd; serve_cmd; metrics_cmd ]))

@@ -14,8 +14,10 @@
      first, then a unique unqualified-suffix match, else [Err.Eval_error]. *)
 
 open Disco_common
+module Table = Disco_storage.Table
 
-type col =
+(* Storage's column type: a table's columns are batch columns as they are. *)
+type col = Table.col =
   | Ints of int array
   | Floats of float array
   | Boxed of Constant.t array
@@ -46,12 +48,7 @@ let indexer b =
 let phys b i = match b.sel with None -> i | Some s -> s.(i)
 
 (* Box one cell; [i] is a logical row index. *)
-let cell b c i =
-  let i = phys b i in
-  match b.cols.(c) with
-  | Ints a -> Constant.Int a.(i)
-  | Floats a -> Constant.Float a.(i)
-  | Boxed a -> a.(i)
+let cell b c i = Table.cell b.cols.(c) (phys b i)
 
 (* Compare two cells without boxing when both columns are unboxed; must
    agree with [Constant.compare] on the boxed values (it does: Int/Int is
@@ -330,65 +327,31 @@ let filter b (mask : Bytes.t) ~keep : t =
          end
        done);
     let sel = if keep = Array.length sel then sel else Array.sub sel 0 keep in
-    let bytes = ref 0 in
-    Array.iter
-      (function
-        | Ints _ | Floats _ -> bytes := !bytes + (8 * keep)
-        | Boxed a ->
-          for k = 0 to keep - 1 do
-            bytes := !bytes + Constant.byte_size a.(Array.unsafe_get sel k)
-          done)
-      b.cols;
-    { b with sel = Some sel; len = keep; bytes = !bytes }
+    { b with sel = Some sel; len = keep; bytes = Table.cols_bytes ~sel b.cols keep }
   end
 
 (* Restrict to a subset of columns (projection); shares column arrays. *)
 let select_cols b names =
   let idx = List.map (fun n -> find_col b n) names in
   let cols = Array.of_list (List.map (fun i -> b.cols.(i)) idx) in
-  let bytes = ref 0 in
-  Array.iter
-    (function
-      | Ints _ | Floats _ -> bytes := !bytes + (8 * b.len)
-      | Boxed a ->
-        for i = 0 to b.len - 1 do
-          bytes := !bytes + Constant.byte_size a.(phys b i)
-        done)
-    cols;
-  { attrs = Array.of_list names; cols; len = b.len; bytes = !bytes; sel = b.sel }
+  { attrs = Array.of_list names; cols; len = b.len;
+    bytes = Table.cols_bytes ?sel:b.sel cols b.len; sel = b.sel }
 
-(* Zero-copy batch over a table's columnar mirror: the column arrays are
-   shared, not copied — a full scan's output references storage the way any
-   vectorized engine's scan vectors do. Safe because batches are read-only
-   after construction. The byte count was summed when the table was built,
-   so this is O(#columns). *)
-let of_table attrs (table : Disco_storage.Table.t) : t =
-  let cols =
-    Array.map
-      (function
-        | Disco_storage.Table.Cints a -> Ints a
-        | Disco_storage.Table.Cfloats a -> Floats a
-        | Disco_storage.Table.Cboxed a -> Boxed a)
-      (Disco_storage.Table.columnar table)
-  in
-  { attrs; cols; len = Disco_storage.Table.count table;
-    bytes = table.Disco_storage.Table.bytes; sel = None }
+(* The table's own columns as a batch — the column array itself, not a
+   copy: a full scan's output references storage the way any vectorized
+   engine's scan vectors do. Safe because batches are read-only after
+   construction. The byte count was summed when the table was built, so
+   this is O(1). *)
+let of_table attrs (table : Table.t) : t =
+  { attrs; cols = table.Table.columns; len = table.Table.count; bytes = table.Table.bytes;
+    sel = None }
 
 (* Rows [sel] of the dense batch [b], as a selection vector over [b]'s
    columns: an index scan's output is its postings picked out of the
-   mirror, with no cell copied. *)
+   table, with no cell copied. *)
 let pick (b : t) (sel : int array) : t =
   let len = Array.length sel in
-  let bytes = ref 0 in
-  Array.iter
-    (function
-      | Ints _ | Floats _ -> bytes := !bytes + (8 * len)
-      | Boxed a ->
-        for k = 0 to len - 1 do
-          bytes := !bytes + Constant.byte_size a.(Array.unsafe_get sel k)
-        done)
-    b.cols;
-  { b with sel = Some sel; len; bytes = !bytes }
+  { b with sel = Some sel; len; bytes = Table.cols_bytes ~sel b.cols len }
 
 (* --- Gather ----------------------------------------------------------------- *)
 
@@ -428,13 +391,6 @@ let rows_row r g = g - r.starts.(rows_batch r g)
 let rows_phys r g =
   if Array.length r.bat = 0 then phys r.srcs.(0) g else r.pos.(g)
 
-(* Box the cell at physical row [p]. *)
-let pcell b c p =
-  match b.cols.(c) with
-  | Ints a -> Constant.Int a.(p)
-  | Floats a -> Constant.Float a.(p)
-  | Boxed a -> a.(p)
-
 (* Column [c] of the rows [ids.(lo)] .. [ids.(lo + len - 1)], and its byte
    size. Unboxed when column [c] is unboxed the same way in every source. *)
 let gather_col r c ids lo len =
@@ -462,7 +418,7 @@ let gather_col r c ids lo len =
     let out = Array.make len Constant.Null and bytes = ref 0 in
     for k = 0 to len - 1 do
       let g = ids.(lo + k) in
-      let v = pcell srcs.(rows_batch r g) c (rows_phys r g) in
+      let v = Table.cell srcs.(rows_batch r g).cols.(c) (rows_phys r g) in
       bytes := !bytes + Constant.byte_size v;
       out.(k) <- v
     done;

@@ -10,7 +10,9 @@
 
 open Disco_common
 
-type col =
+(** Storage's column type, so a table's columns are batch columns as they
+    are. *)
+type col = Disco_storage.Table.col =
   | Ints of int array
   | Floats of float array
   | Boxed of Constant.t array
@@ -84,9 +86,9 @@ val select_cols : t -> string list -> t
     @raise Disco_common.Err.Eval_error on unknown/ambiguous names. *)
 
 val of_table : string array -> Disco_storage.Table.t -> t
-(** Zero-copy batch over a table's columnar mirror (column arrays shared,
-    not copied), under the given attribute names: row [p] is the row at
-    position [p]. O(#columns): its byte size is the table's. *)
+(** The table's columns as a batch, under the given attribute names: [cols]
+    is the table's own column array, not a copy, and row [p] is the row at
+    position [p]. O(1): its byte size is the table's. *)
 
 val pick : t -> int array -> t
 (** [pick b sel]: the rows [sel.(0)], [sel.(1)], ... of the dense batch [b]

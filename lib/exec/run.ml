@@ -9,12 +9,14 @@
 
    - the batched engine ([exec_batch]), the production engine, which streams
      columnar {!Batch.t} chunks through the operators, reads base tables
-     (full scans, index scans, index joins) from their columnar mirrors,
-     compiles predicates once per batch into selection masks ({!Bpred}) and
-     carries row counts and byte sizes incrementally;
+     (full scans, index scans, index joins) as zero-copy batches or
+     selection vectors over the tables' own columns, compiles predicates
+     once per batch into selection masks ({!Bpred}) and carries row counts
+     and byte sizes incrementally;
    - the tuple-at-a-time engine ([exec_tuple]), the original list-of-tuples
      interpreter, kept as the reference the batched engine is tested
-     against.
+     against. It boxes each stored row it reads ([Table.fetch]) from the
+     same columns, page by page.
 
    Both charge simulated milliseconds through the same cost-formula helpers
    below, replay buffer-pool accesses in the same order and produce the same
@@ -252,15 +254,14 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
     (match access with
      | Physical.Full_scan ->
        let io = ref 0. and rows = ref [] and scanned = ref 0 in
-       Table.iter_pages table (fun page_no page ->
+       Table.iter_pages table (fun page_no lo hi ->
            if Buffer.access env.buffer ~table:table.Table.name ~page:page_no then
              io := !io +. e.Costs.io_ms;
-           Array.iter
-             (fun row ->
-               incr scanned;
-               let t = tuple_of_row attrs row in
-               if (not has_residual) || eval_pred env residual t then rows := t :: !rows)
-             page);
+           for pos = lo to hi - 1 do
+             incr scanned;
+             let t = tuple_of_row attrs (Table.fetch table pos) in
+             if (not has_residual) || eval_pred env residual t then rows := t :: !rows
+           done);
        let rows = List.rev !rows in
        (* every scanned object is materialized (the paper's Output cost),
           whether or not it passes the residual predicate *)
@@ -962,7 +963,8 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     let has_residual = not (Pred.equal residual Pred.True) in
     let acc = bacc () in
     (* the residual goes through a selection mask; [filter] narrows the
-       input's selection vector, so kept rows still share the mirror *)
+       input's selection vector, so kept rows still share the table's
+       columns *)
     let push (b : Batch.t) =
       if has_residual then begin
         let m, keep = Bpred.mask ~apply b residual in
@@ -975,28 +977,28 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
      | Physical.Full_scan ->
        (* pages are visited one by one so the buffer-pool accesses — and
           hence the charged I/O — are exactly the tuple engine's, but the
-          data itself comes from the table's columnar mirror, zero-copy:
-          the emitted batch shares the mirror's column arrays (and a
-          residual needs just one mask over them, no per-row staging). Row
-          order is page order either way. *)
+          emitted batch is the table's columns, zero-copy (and a residual
+          needs just one mask over them, no per-row staging). Row order is
+          storage order either way. *)
        let io = ref 0. and scanned = ref 0 in
-       Table.iter_pages table (fun page_no page ->
+       Table.iter_pages table (fun page_no lo hi ->
            if Buffer.access env.buffer ~table:table.Table.name ~page:page_no then
              io := !io +. e.Costs.io_ms;
-           scanned := !scanned + Array.length page);
+           scanned := !scanned + (hi - lo));
        if Table.count table > 0 then push (Batch.of_table attrs table);
        let first, total = full_scan_costs e ~io:!io ~scanned:!scanned ~rc:(rc ()) in
        bres_of_acc acc ~first ~total
      | Physical.Index_scan { attr; op; value } ->
        (* postings in index order, each one's page accessed in that order
           (the reference engine's access sequence), picked out of the
-          mirror [bsz] at a time as selection vectors: no row is copied *)
+          table's columns [bsz] at a time as selection vectors: no row is
+          copied *)
        let idx =
          match Table.index table attr with
          | Some i -> i
          | None -> raise (Err.Plan_error ("no index on " ^ attr))
        in
-       let mirror = Batch.of_table attrs table in
+       let stored = Batch.of_table attrs table in
        let postings = idx.Btree.postings in
        let fetched = Btree.count idx op value in
        let io = ref 0. and left = ref fetched and k = ref 0 in
@@ -1010,7 +1012,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
              !sel.(!k) <- pos;
              incr k;
              if !k = Array.length !sel then begin
-               push (Batch.pick mirror !sel);
+               push (Batch.pick stored !sel);
                left := !left - !k;
                k := 0;
                sel := Array.make (min bsz !left) 0
@@ -1220,10 +1222,10 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     in
     let attrs = qualified_attrs table binding in
     let has_res = not (Pred.equal residual Pred.True) in
-    (* inner rows are mirror positions: pairs are evaluated and gathered
-       straight from the mirror's columns *)
-    let mirror = Batch.of_table attrs table in
-    let inner = Batch.rows [| mirror |] in
+    (* inner rows are table positions: pairs are evaluated and gathered
+       straight from the table's columns *)
+    let stored = Batch.of_table attrs table in
+    let inner = Batch.rows [| stored |] in
     let starts = idx.Btree.starts and postings = idx.Btree.postings in
     let io = ref 0. and probes = ref 0 and fetched = ref 0 in
     let acc = bacc () in
@@ -1245,7 +1247,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
         (fun (ob : Batch.t) ->
           (* compiled on the first fetched pair: the reference evaluates
              the residual only once a pair exists *)
-          let ev = lazy (Bpred.pair_eval ~apply ob mirror residual) in
+          let ev = lazy (Bpred.pair_eval ~apply ob stored residual) in
           let ix = Batch.indexer ob in
           let find =
             match ob.Batch.cols.(Batch.find_col ob outer_attr) with

@@ -14,17 +14,20 @@
     formulas, so rows and simulated costs are bit-identical between engines;
     only [wall_ms] — the real clock on the engine itself — differs.
 
-    Base-table access in the batched engine reads the table's columnar
-    mirror and copies no stored row: a full scan emits one zero-copy batch
-    over it; an index scan walks the index's posting spans, accesses each
-    posting's page in posting order (the reference engine's sequence) and
-    emits its positions [bsz] at a time as selection vectors over the
-    mirror ({!Batch.pick}), a residual narrowing each one; an index join
-    looks each outer key up (unboxed when the outer column is), accesses
-    the postings' pages in the same order, evaluates a residual on the
-    (outer row, mirror row) pair, and gathers the kept pairs column by
-    column every [bsz] pairs. The reference engine walks the same spans and
-    fetches the boxed rows by position.
+    A table is its columns ({!Disco_storage.Table.col}, which is
+    {!Batch.col}), and base-table access in the batched engine copies no
+    stored row: a full scan accesses each page in order and emits the
+    table's columns as one zero-copy batch; an index scan walks the index's
+    posting spans, accesses each posting's page in posting order (the
+    reference engine's sequence) and emits its positions [bsz] at a time as
+    selection vectors over the columns ({!Batch.pick}), a residual
+    narrowing each one; an index join looks each outer key up (unboxed
+    when the outer column is), accesses the postings' pages in the same
+    order, evaluates a residual on the (outer row, stored row) pair, and
+    gathers the kept pairs column by column every [bsz] pairs. The
+    reference engine accesses the same pages in the same order and boxes
+    each row it reads from the columns by position
+    ({!Disco_storage.Table.fetch}).
 
     The batched engine's composition kernels (sort, hash join, aggregate)
     address their inputs by row id over key columns extracted once per input
@@ -125,9 +128,8 @@ val run : ?mode:mode -> env -> Physical.t -> result
     here as {!Physical.Pmaterialized} leaves — the wrapper engine's batches
     plus the simulated times already charged. A batch is read-only once
     {!run_batched} returns it: no engine writes to an emitted batch or to
-    the column arrays it shares (with a table's columnar mirror or with
-    another batch), so the mediator's composition reads it without
-    copying. *)
+    the column arrays it shares (with a table or with another batch), so
+    the mediator's composition reads it without copying. *)
 
 val measure : ?mode:mode -> env -> Physical.t -> Tuple.t list * vector
 (** {!run} followed by {!vector_of_result}. In batched mode the vector's

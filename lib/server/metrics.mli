@@ -24,7 +24,8 @@ val on_rejected_queue : t -> unit
 (** Backpressure: the bounded queue was full. *)
 
 val on_rejected_deadline : t -> unit
-(** Its deadline expired while it waited in the queue. *)
+(** Its deadline expired before it ran: while it waited in the queue or
+    for the query ahead of it to finish. *)
 
 val on_completed : t -> latency_ms:float -> unit
 val on_degraded : t -> latency_ms:float -> unit

@@ -22,7 +22,8 @@
    Observability: [{"op":"metrics"}] / [{"op":"health"}] over the
    protocol, or plain [GET /metrics] / [GET /health] on the same socket
    for curl. Deadlines are wall-clock budgets from receipt; a query whose
-   deadline lapses while queued is rejected without execution. *)
+   deadline lapses while queued, or while it waits for [exec_lock], is
+   rejected without execution. *)
 
 open Disco_core
 open Disco_mediator
@@ -267,17 +268,17 @@ let health_json t : Json.t =
 let expired job ~now =
   match job.deadline with None -> false | Some d -> now >= d
 
+(* The deadline is checked once the job holds [exec_lock]: a job that
+   waited behind a running query is judged after that wait, not before. *)
 let execute t (job : job) =
-  let now = Unix.gettimeofday () in
-  if expired job ~now then begin
-    Metrics.on_rejected_deadline t.metrics;
-    send_line job.conn (Protocol.rejected_response ~id:job.id ~reason:"deadline")
-  end
-  else begin
-    let history = tenant_history t job.tenant in
-    let response =
-      Mutex.protect t.exec_lock (fun () ->
-          Mediator.set_history t.med history;
+  let response =
+    Mutex.protect t.exec_lock (fun () ->
+        if expired job ~now:(Unix.gettimeofday ()) then begin
+          Metrics.on_rejected_deadline t.metrics;
+          Protocol.rejected_response ~id:job.id ~reason:"deadline"
+        end
+        else begin
+          Mediator.set_history t.med (tenant_history t job.tenant);
           match
             Mediator.run_query ~objective:job.objective
               ~verify:t.config.verify t.med job.sql
@@ -315,10 +316,10 @@ let execute t (job : job) =
             let wall_ms = (Unix.gettimeofday () -. job.received_at) *. 1000. in
             Metrics.on_failed t.metrics ~latency_ms:wall_ms;
             t.executed <- t.executed + 1;
-            Protocol.error_response ~id:job.id (Printexc.to_string e))
-    in
-    send_line job.conn response
-  end
+            Protocol.error_response ~id:job.id (Printexc.to_string e)
+        end)
+  in
+  send_line job.conn response
 
 let worker_loop t =
   let rec loop () =

@@ -5,7 +5,7 @@
    executor.
 
    Postings are stored CSR-style: one [int array] of row positions (indexes
-   into the table's columnar mirror, i.e. storage order) in key order, and
+   into the table's columns, i.e. storage order) in key order, and
    per key the offset of its first posting. A key range is therefore one
    contiguous run of offsets, and counting matches is a subtraction. Within
    a key, positions are in descending storage order: that is the order the

@@ -6,7 +6,7 @@
     Postings are flat (CSR): one array of row positions in key order and
     one offset per key, so a key range is one run of offsets and a match
     count is a subtraction. A position is an index into the table's
-    columnar mirror (storage order). Within a key, positions are in
+    columns (storage order). Within a key, positions are in
     descending storage order — the order index fetches have always been
     replayed in; the buffer-pool access sequence, hence the simulated IO,
     and the order of an index scan's output depend on it. *)

@@ -2,37 +2,65 @@
    clustered on one attribute, with secondary B-tree indexes. This is the
    simulated stand-in for the paper's data sources (ObjectStore et al.);
    object placement across pages is what makes index-scan costs follow Yao's
-   formula rather than the linear calibrated model. *)
+   formula rather than the linear calibrated model.
+
+   The objects are stored once, column by column, in storage order. A page
+   is arithmetic on a position: every page but the last holds [per_page]
+   objects, so position [p] sits on page [p / per_page]. Scans, index
+   postings ({!Btree}), the executor's batches and the statistics export all
+   read these columns; a boxed row exists only while a caller holds it. *)
 
 open Disco_common
 open Disco_catalog
 
 type tuple = Constant.t array
 
-(* One whole-table column in storage order: unboxed when every cell is an
-   Int (resp. Float), boxed otherwise. The vectorized executor's full
-   scans, index scans and index joins read these in place (zero-copy
-   batches, selection vectors of row positions, gathers) instead of
-   transposing boxed cells row by row. Row position [p] of the mirror is
-   slot [p mod per_page] of page [p / per_page]. *)
+(* One whole-table column: unboxed when every cell is an Int (resp.
+   Float), boxed otherwise. The executor's batches use this type for their
+   own columns, so a scan's batch is the table's column array itself. *)
 type col =
-  | Cints of int array
-  | Cfloats of float array
-  | Cboxed of Constant.t array
+  | Ints of int array
+  | Floats of float array
+  | Boxed of Constant.t array
+
+(* Box cell [i]. *)
+let cell c i =
+  match c with
+  | Ints a -> Constant.Int a.(i)
+  | Floats a -> Constant.Float a.(i)
+  | Boxed a -> a.(i)
+
+(* [Constant.byte_size] summed over cells [0 .. n - 1] of every column, or
+   over cells [sel.(0)] .. [sel.(n - 1)]. An unboxed cell is 8 bytes. *)
+let cols_bytes ?sel cols n =
+  Array.fold_left
+    (fun acc c ->
+      match c, sel with
+      | (Ints _ | Floats _), _ -> acc + (8 * n)
+      | Boxed a, None ->
+        let s = ref acc in
+        for i = 0 to n - 1 do
+          s := !s + Constant.byte_size a.(i)
+        done;
+        !s
+      | Boxed a, Some sel ->
+        let s = ref acc in
+        for k = 0 to n - 1 do
+          s := !s + Constant.byte_size a.(Array.unsafe_get sel k)
+        done;
+        !s)
+    0 cols
 
 type t = {
   name : string;
   schema : Schema.collection;
-  pages : tuple array array;      (* page -> slot -> object *)
   object_size : int;              (* bytes per object *)
-  page_size : int;
-  fill : float;
   indexes : (string * Btree.t) list;  (* attribute -> index *)
   clustered_on : string option;
   count : int;
   per_page : int;                 (* objects per page; every page but the last is full *)
-  columnar : col array;           (* per attribute, whole table, page order *)
-  bytes : int;                    (* Constant.byte_size summed over the mirror *)
+  columns : col array;            (* per attribute, whole table, storage order *)
+  bytes : int;                    (* Constant.byte_size summed over the columns *)
 }
 
 let attr_pos t name =
@@ -44,111 +72,84 @@ let attr_pos t name =
 let objects_per_page ~page_size ~fill ~object_size =
   max 1 (int_of_float (float_of_int page_size *. fill) / object_size)
 
-(* Build a table from rows. Rows are paged in the given order (callers
+(* Column [c] of the rows [arr], unboxed when every cell allows it. *)
+let column_of (arr : tuple array) c =
+  let n = Array.length arr in
+  let rec kind i k =
+    if i >= n then k
+    else
+      match arr.(i).(c), k with
+      | Constant.Int _, (`Any | `Int) -> kind (i + 1) `Int
+      | Constant.Float _, (`Any | `Float) -> kind (i + 1) `Float
+      | _ -> `Boxed
+  in
+  match kind 0 `Any with
+  | `Int ->
+    Ints (Array.init n (fun i -> match arr.(i).(c) with Constant.Int x -> x | _ -> assert false))
+  | `Float ->
+    Floats
+      (Array.init n (fun i -> match arr.(i).(c) with Constant.Float x -> x | _ -> assert false))
+  | `Any | `Boxed -> Boxed (Array.init n (fun i -> arr.(i).(c)))
+
+(* Build a table from rows. Rows are stored in the given order (callers
    shuffle beforehand for random placement) unless [cluster_on] asks for
-   clustering, in which case rows are sorted by that attribute first. *)
+   clustering, in which case rows are stably sorted by that attribute
+   first. *)
 let create ~name ~schema ?(page_size = 4096) ?(fill = 0.96) ~object_size ?cluster_on
     ?(index_on = []) (rows : tuple list) : t =
+  let attr_index attr =
+    match Schema.attr_index schema attr with
+    | Some i -> i
+    | None -> raise (Err.Unknown_attribute { collection = name; attribute = attr })
+  in
   let rows =
     match cluster_on with
     | None -> rows
     | Some attr ->
-      let pos =
-        match Schema.attr_index schema attr with
-        | Some i -> i
-        | None -> raise (Err.Unknown_attribute { collection = name; attribute = attr })
-      in
-      List.sort (fun a b -> Constant.compare a.(pos) b.(pos)) rows
+      let pos = attr_index attr in
+      List.stable_sort (fun a b -> Constant.compare a.(pos) b.(pos)) rows
   in
-  let per_page = objects_per_page ~page_size ~fill ~object_size in
   let arr = Array.of_list rows in
   let count = Array.length arr in
-  let n_pages = (count + per_page - 1) / per_page in
-  let pages =
-    Array.init (max n_pages 0) (fun p ->
-        let base = p * per_page in
-        Array.init (min per_page (count - base)) (fun s -> arr.(base + s)))
-  in
+  let columns = Array.init (List.length schema.Schema.attributes) (column_of arr) in
+  (* the keys are the input rows' own cells: boxing an unboxed column
+     afresh leaves a dead box per row around the keys the index keeps,
+     and the OO7 queries measured a few percent slower that way *)
   let index_of attr =
-    let pos =
-      match Schema.attr_index schema attr with
-      | Some i -> i
-      | None -> raise (Err.Unknown_attribute { collection = name; attribute = attr })
-    in
+    let pos = attr_index attr in
     (attr, Btree.build (Array.map (fun row -> row.(pos)) arr))
-  in
-  (* The columnar mirror duplicates the data in unboxed form (cheaper than
-     the boxed rows it shadows). Built eagerly, so there is no lazy cell
-     for concurrent readers to race on. [arr] is already in page order —
-     pages were cut from it above. *)
-  let ncols = List.length schema.Schema.attributes in
-  let columnar =
-    Array.init ncols (fun c ->
-        let rec kind i k =
-          if i >= count then k
-          else
-            match arr.(i).(c), k with
-            | Constant.Int _, (`Any | `Int) -> kind (i + 1) `Int
-            | Constant.Float _, (`Any | `Float) -> kind (i + 1) `Float
-            | _ -> `Boxed
-        in
-        match kind 0 `Any with
-        | `Int ->
-          Cints
-            (Array.init count (fun i ->
-                 match arr.(i).(c) with Constant.Int x -> x | _ -> assert false))
-        | `Float ->
-          Cfloats
-            (Array.init count (fun i ->
-                 match arr.(i).(c) with Constant.Float x -> x | _ -> assert false))
-        | `Any | `Boxed -> Cboxed (Array.init count (fun i -> arr.(i).(c))))
   in
   { name;
     schema;
-    pages;
     object_size;
-    page_size;
-    fill;
     indexes = List.map index_of index_on;
     clustered_on = cluster_on;
     count;
-    per_page;
-    columnar;
-    bytes =
-      Array.fold_left
-        (fun acc -> function
-          | Cints _ | Cfloats _ -> acc + (8 * count)
-          | Cboxed a -> Array.fold_left (fun acc v -> acc + Constant.byte_size v) acc a)
-        0 columnar }
+    per_page = objects_per_page ~page_size ~fill ~object_size;
+    columns;
+    bytes = cols_bytes columns count }
 
-let page_count t = Array.length t.pages
+let page_count t = (t.count + t.per_page - 1) / t.per_page
 let count t = t.count
 let total_size t = t.count * t.object_size
-let columnar t = t.columnar
 
 let page_of t pos = pos / t.per_page
 
-let fetch t pos : tuple = t.pages.(pos / t.per_page).(pos mod t.per_page)
+let fetch t pos : tuple = Array.map (fun c -> cell c pos) t.columns
 
 let index t attr = List.assoc_opt attr t.indexes
 let has_index t attr = List.mem_assoc attr t.indexes
 
-let iter_pages t f = Array.iteri f t.pages
-
-let fold_pages t init f =
-  let acc = ref init in
-  Array.iteri (fun p page -> acc := f !acc p page) t.pages;
-  !acc
-
-let fold_rows t init f =
-  fold_pages t init (fun acc _ page -> Array.fold_left f acc page)
+let iter_pages t f =
+  for p = 0 to page_count t - 1 do
+    let lo = p * t.per_page in
+    f p lo (min t.count (lo + t.per_page))
+  done
 
 (* All rows, in storage order. *)
-let rows t = List.rev (fold_rows t [] (fun acc row -> row :: acc))
+let rows t = List.init t.count (fetch t)
 
-let column t attr =
-  let pos = attr_pos t attr in
-  List.rev (fold_rows t [] (fun acc row -> row.(pos) :: acc))
+let column t attr = List.init t.count (cell t.columns.(attr_pos t attr))
 
 (* --- Statistics export (the wrapper's cardinality methods, paper §3.2) --- *)
 

@@ -474,7 +474,7 @@ let prop_kernels_match_reference =
             (run ~hash_join (Run.Batched { batch_size = bsz }) phys))
         plans)
 
-(* --- Index access on the columnar mirror ------------------------------------------ *)
+(* --- Index access on the table's columns ------------------------------------------ *)
 
 let ix_schema =
   Schema.collection "Ix"
@@ -484,7 +484,7 @@ let ox_schema =
   Schema.collection "Ox" [ ("oid", Schema.Tint); ("rk", Schema.Tint); ("rm", Schema.Tint) ]
 
 (* 300 shuffled rows, 9 to a page: [k] has duplicates, [m] mixes Int and
-   Null (a boxed mirror column), all three indexed. *)
+   Null (a boxed column), all three indexed. *)
 let ix_table () =
   let rng = Rng.create ~seed:5 in
   let arr =
@@ -580,7 +580,7 @@ let test_incremental_accounting () =
   Alcotest.(check int64) "vector count from carried total"
     (bits (float_of_int br.Run.bcount)) (bits v.Run.count);
   (* no produced batch is empty (scans may exceed the requested size: a
-     full scan emits zero-copy batches over the whole columnar mirror) *)
+     full scan emits the whole table's columns as one zero-copy batch) *)
   List.iter
     (fun b -> Alcotest.(check bool) "batch non-empty" true (Batch.length b > 0))
     br.Run.batches
@@ -671,10 +671,10 @@ let test_hash_join_allocation () =
   Printf.printf "hash join: %.1f words per output row\n" per_row;
   if per_row > 16. then Alcotest.failf "%.1f words per joined row" per_row
 
-(* Index access reads the columnar mirror: an index scan emits its postings
-   as selection vectors over the mirror's columns (one word per fetched row,
-   however wide the row), and an index join gathers its output column by
-   column from the outer batches and the mirror. *)
+(* Index access reads the table's columns: an index scan emits its postings
+   as selection vectors over them (one word per fetched row, however wide
+   the row), and an index join gathers its output column by column from the
+   outer batches and the table. *)
 let index_scan_all table binding =
   Physical.Pscan
     { table;

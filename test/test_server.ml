@@ -28,9 +28,9 @@ let fresh_socket_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "disco-test-%d-%d.sock" (Unix.getpid ()) !n)
 
-let with_server ?history ?(queue_depth = 64) ?(workers = 2) ?default_deadline_ms
+let with_server ?history ?med ?(queue_depth = 64) ?(workers = 2) ?default_deadline_ms
     ?snapshot_path ?(snapshot_every = 0) f =
-  let med = make_mediator ?history () in
+  let med = match med with Some m -> m | None -> make_mediator ?history () in
   let addr = Server.Unix_socket (fresh_socket_path ()) in
   let config =
     { Server.addr;
@@ -342,6 +342,86 @@ let test_serve_deadline_rejection () =
           (* the connection survives a rejection *)
           let resp = Client.query c (List.hd queries) in
           Alcotest.(check string) "next query fine" "ok" (status resp)))
+
+(* A [lang_match] whose callers block until the gate is released: the
+   query calling it holds the execution lock while it waits. *)
+type gate = {
+  gm : Mutex.t;
+  gc : Condition.t;
+  mutable entered : bool;
+  mutable released : bool;
+}
+
+let gated_mediator g =
+  let adt =
+    { Demo.lang_match with
+      Disco_exec.Adt.impl =
+        (fun a v ->
+          Mutex.protect g.gm (fun () ->
+              g.entered <- true;
+              Condition.broadcast g.gc;
+              while not g.released do
+                Condition.wait g.gc g.gm
+              done);
+          Demo.lang_match.Disco_exec.Adt.impl a v) }
+  in
+  let med = Mediator.create () in
+  List.iter
+    (fun (w : Wrapper.t) ->
+      Mediator.register med
+        (if w.Wrapper.name = "files" then { w with Wrapper.adts = [ adt ] } else w))
+    (Demo.make ~sizes:Demo.small_sizes ());
+  med
+
+(* Query B reaches the second worker while query A holds the execution
+   lock, and its deadline passes before A finishes: B is rejected when it
+   gets the lock, not run. The gate opens only after B's deadline, so the
+   outcome does not depend on timing. *)
+let test_serve_deadline_waiting_for_lock () =
+  let g = { gm = Mutex.create (); gc = Condition.create (); entered = false; released = false } in
+  with_server ~med:(gated_mediator g) ~workers:2 (fun srv addr _med ->
+      let ask ?deadline_ms sql out =
+        Thread.create
+          (fun () ->
+            let c = Client.connect_retry addr in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> out := Some (Client.query ?deadline_ms c sql)))
+          ()
+      in
+      let a_resp = ref None and b_resp = ref None in
+      let a =
+        ask "select d.doc_id from Document d where lang_match(d.lang, \"en\")" a_resp
+      in
+      let entered () = Mutex.protect g.gm (fun () -> g.entered) in
+      while not (entered () || Option.is_some !a_resp) do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check bool) "A holds the lock, blocked in the ADT" true (entered ());
+      let deadline_ms = 200. in
+      let b = ask ~deadline_ms (List.hd queries) b_resp in
+      (* the second worker has taken B off the queue and waits for the lock *)
+      while (Server.admission_counters srv).Admission.popped < 2 do
+        Thread.delay 0.001
+      done;
+      Thread.delay ((deadline_ms /. 1000.) +. 0.1);
+      Mutex.protect g.gm (fun () ->
+          g.released <- true;
+          Condition.broadcast g.gc);
+      Thread.join a;
+      Thread.join b;
+      Alcotest.(check string) "A ok" "ok" (status (Option.get !a_resp));
+      let b = Option.get !b_resp in
+      Alcotest.(check string) "B rejected" "rejected" (status b);
+      Alcotest.(check (option string)) "reason" (Some "deadline")
+        (Json.string_member "reason" b);
+      let s = Metrics.snapshot (Server.metrics srv) in
+      Alcotest.(check int) "deadline rejections" 1 s.Metrics.rejected_deadline;
+      Alcotest.(check int) "completed" 1 s.Metrics.completed;
+      Alcotest.(check int) "none in flight" 0 s.Metrics.in_flight;
+      Alcotest.(check int) "admitted partitions exactly" s.Metrics.admitted
+        (s.Metrics.completed + s.Metrics.degraded + s.Metrics.failed
+        + s.Metrics.rejected_deadline + s.Metrics.in_flight))
 
 (* Flood a tiny server from concurrent clients. Whether any individual
    push wins is timing-dependent; what must be exact is the accounting:
@@ -736,6 +816,8 @@ let () =
             test_serve_concurrent_tenants;
           Alcotest.test_case "deadline rejection" `Quick
             test_serve_deadline_rejection;
+          Alcotest.test_case "deadline while waiting for the lock" `Quick
+            test_serve_deadline_waiting_for_lock;
           Alcotest.test_case "backpressure accounting" `Quick
             test_serve_backpressure_accounting ] );
       ( "snapshot",

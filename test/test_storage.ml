@@ -96,13 +96,10 @@ let test_btree_rids_in_key_order () =
    stored row's (key, (page, slot)) consed in storage order — so the list
    runs last row first — stably sorted by key and grouped under each
    group's first key; a search concatenates the matching groups in key
-   order. *)
-let model_rids (t : Table.t) attr op k =
-  let pos = Table.attr_pos t attr in
-  let entries = ref [] in
-  Table.iter_pages t (fun p page ->
-      Array.iteri (fun s row -> entries := (row.(pos), (p, s)) :: !entries) page);
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Constant.compare a b) !entries in
+   order. [keys] are the stored rows' keys in storage order. *)
+let model_rids keys ~per_page op k =
+  let entries = List.rev (List.mapi (fun i key -> (key, (i / per_page, i mod per_page))) keys) in
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> Constant.compare a b) entries in
   let rec group = function
     | [] -> []
     | (key, r) :: rest ->
@@ -119,11 +116,28 @@ let model_rids (t : Table.t) attr op k =
 
 let kv_schema = Schema.collection "Kv" [ ("k", Schema.Tint); ("v", Schema.Tint) ]
 
+(* The rows a table stores, in storage order: the input, stably sorted on
+   the clustering attribute if there is one. *)
+let stored_order ?cluster_on rows =
+  match cluster_on with
+  | None -> rows
+  | Some c -> List.stable_sort (fun a b -> Constant.compare a.(c) b.(c)) rows
+
+(* Cells equal by constructor and value, floats by bits (NaN, -0.0). *)
+let same_cell a b =
+  match a, b with
+  | Constant.Float x, Constant.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Constant.Float _, _ | _, Constant.Float _ -> false
+  | a, b -> a = b
+
+let same_row a b = Array.length a = Array.length b && Array.for_all2 same_cell a b
+
 (* Random tables with duplicate keys, some of them Null or an integral
    Float (equal to the Int under [Constant.compare]), clustered or not, at
    several objects per page; probes of every operator, absent keys
    included. The flat index must replay the model's (page, slot) sequence
-   exactly, and count its length. *)
+   exactly, count its length, and fetch the input row stored there. *)
 let prop_flat_index_vs_rid_lists =
   let open QCheck2.Gen in
   let key =
@@ -154,6 +168,9 @@ let prop_flat_index_vs_rid_lists =
           ~index_on:[ "k" ] rows
       in
       let idx = Option.get (Table.index t "k") in
+      let stored = Array.of_list (stored_order ?cluster_on:(if clustered then Some 0 else None) rows) in
+      let per_page = Table.objects_per_page ~page_size:4096 ~fill:0.96 ~object_size in
+      let stored_keys = Array.to_list (Array.map (fun row -> row.(0)) stored) in
       List.for_all
         (fun (opn, v) ->
           let op = op_of opn in
@@ -164,11 +181,11 @@ let prop_flat_index_vs_rid_lists =
                 (page, p - (page * t.Table.per_page)))
               (search idx op v)
           in
-          let want = model_rids t "k" op v in
+          let want = model_rids stored_keys ~per_page op v in
           got = want
           && Btree.count idx op v = List.length want
           && List.for_all2
-               (fun p (page, slot) -> Table.fetch t p == t.Table.pages.(page).(slot))
+               (fun p (page, slot) -> same_row (Table.fetch t p) stored.((page * per_page) + slot))
                (search idx op v) want)
         probes)
 
@@ -216,10 +233,11 @@ let test_btree_retained_size () =
 let part_schema =
   Schema.collection "Part" [ ("id", Schema.Tint); ("weight", Schema.Tint) ]
 
+let part_rows n = List.init n (fun i -> [| Constant.Int (i + 1); Constant.Int (i mod 10) |])
+
 let mk_table ?cluster_on ?(index_on = []) ?(object_size = 56) n =
-  let rows = List.init n (fun i -> [| Constant.Int (i + 1); Constant.Int (i mod 10) |]) in
   Table.create ~name:"Part" ~schema:part_schema ~object_size ~page_size:4096 ~fill:0.96
-    ?cluster_on ~index_on rows
+    ?cluster_on ~index_on (part_rows n)
 
 let test_table_paging_paper_parameters () =
   (* the paper's §5 parameters: 56-byte objects, 4096-byte pages, 96% fill
@@ -238,7 +256,8 @@ let test_table_fetch_and_rows () =
   Alcotest.(check bool) "fetch slot" true (Constant.equal r.(0) (Constant.Int 4));
   (* 70 objects per page: position 75 is slot 5 of page 1 *)
   Alcotest.(check int) "page of" 1 (Table.page_of t 75);
-  Alcotest.(check bool) "fetch on a later page" true (Table.fetch t 75 == t.Table.pages.(1).(5))
+  Alcotest.(check bool) "fetch on a later page" true
+    (same_row (Table.fetch t 75) (List.nth (part_rows 100) 75))
 
 let test_table_clustering () =
   let rows =
@@ -284,6 +303,110 @@ let test_table_unknown_attr () =
        ignore (Table.column t "nope");
        false
      with Disco_common.Err.Unknown_attribute _ -> true)
+
+(* Random tables of 1 to 4 columns, each all Int, all Float (NaN and -0.0
+   among them), all String, all Null, Int and Float mixed, or of any kind;
+   empty ones included, clustered on a column or not, at 1, 2 or 70
+   objects per page. The table must give back exactly the input rows in
+   storage order, page by page. *)
+let prop_table_is_input_rows =
+  let open QCheck2.Gen in
+  let float_cell =
+    map
+      (fun x -> Constant.Float x)
+      (frequency [ (6, float_range (-100.) 100.); (1, oneofl [ Float.nan; -0.0; 0.0; infinity ]) ])
+  in
+  let int_cell = map (fun x -> Constant.Int x) (int_range (-5) 30) in
+  let string_cell = map (fun x -> Constant.String x) (oneofl [ "a"; "b"; ""; "ab" ]) in
+  let cell_of = function
+    | 0 -> int_cell
+    | 1 -> float_cell
+    | 2 -> string_cell
+    | 3 -> pure Constant.Null
+    | 4 -> oneof [ int_cell; float_cell ]
+    | _ ->
+      oneof [ int_cell; float_cell; string_cell; pure Constant.Null; map (fun b -> Constant.Bool b) bool ]
+  in
+  let gen =
+    let* kinds = list_size (int_range 1 4) (int_range 0 5) in
+    let kinds = Array.of_list kinds in
+    let* n = frequency [ (1, pure 0); (6, int_range 1 200) ] in
+    let* rows = list_repeat n (flatten_a (Array.map cell_of kinds)) in
+    let* cluster_on = option (int_range 0 (Array.length kinds - 1))
+    and* per_page = oneofl [ 1; 2; 70 ] in
+    pure (kinds, rows, cluster_on, per_page)
+  in
+  let print (kinds, rows, cluster_on, per_page) =
+    Fmt.str "kinds=%s cluster_on=%s per_page=%d rows=[%s]"
+      (String.concat "," (Array.to_list (Array.map string_of_int kinds)))
+      (match cluster_on with None -> "-" | Some c -> string_of_int c)
+      per_page
+      (String.concat "; "
+         (List.map
+            (fun r -> String.concat "," (Array.to_list (Array.map Constant.to_string r)))
+            rows))
+  in
+  QCheck2.Test.make ~name:"table = input rows" ~count:300 ~print gen
+    (fun (kinds, rows, cluster_on, per_page) ->
+      let attrs = Array.to_list (Array.mapi (fun i _ -> (Printf.sprintf "c%d" i, Schema.Tint)) kinds) in
+      let t =
+        Table.create ~name:"R" ~schema:(Schema.collection "R" attrs) ~object_size:56
+          ~page_size:(56 * per_page) ~fill:1.0
+          ?cluster_on:(Option.map (fun c -> fst (List.nth attrs c)) cluster_on)
+          rows
+      in
+      let stored = Array.of_list (stored_order ?cluster_on rows) in
+      let n = Array.length stored in
+      let all p c = Array.for_all (fun row -> p row.(c)) stored in
+      let pages = ref [] in
+      Table.iter_pages t (fun p lo hi -> pages := (p, lo, hi) :: !pages);
+      let pages = List.rev !pages in
+      Table.count t = n
+      && t.Table.per_page = per_page
+      && Table.page_count t = (n + per_page - 1) / per_page
+      && List.length pages = Table.page_count t
+      && List.for_all2
+           (fun i (p, lo, hi) ->
+             p = i && lo = i * per_page
+             && hi = if i = Table.page_count t - 1 then n else lo + per_page)
+           (List.init (List.length pages) Fun.id) pages
+      && (n = 0 || List.for_all (fun (_, lo, hi) -> lo < hi && hi - lo <= per_page) pages)
+      && Array.for_all Fun.id (Array.mapi (fun p row -> same_row (Table.fetch t p) row) stored)
+      && List.for_all2 same_row (Table.rows t) (Array.to_list stored)
+      && List.for_all
+           (fun (c, (name, _)) ->
+             List.for_all2 same_cell (Table.column t name)
+               (Array.to_list (Array.map (fun row -> row.(c)) stored)))
+           (List.mapi (fun c a -> (c, a)) attrs)
+      && t.Table.bytes
+         = Array.fold_left
+             (fun acc row -> Array.fold_left (fun acc v -> acc + Constant.byte_size v) acc row)
+             0 stored
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun c col ->
+                let ints = n > 0 && all (function Constant.Int _ -> true | _ -> false) c
+                and floats = n > 0 && all (function Constant.Float _ -> true | _ -> false) c in
+                match col with
+                | Table.Ints _ -> ints
+                | Table.Floats _ -> floats
+                | Table.Boxed _ -> not (ints || floats))
+              t.Table.columns))
+
+(* A table keeps its objects once, as columns: 20,000 rows of four Int
+   columns and no index retain, besides the schema, one word per cell plus
+   a few headers. *)
+let test_table_retained_size () =
+  let n = 20_000 and k = 4 in
+  let schema = Schema.collection "W" (List.init k (fun c -> (Printf.sprintf "c%d" c, Schema.Tint))) in
+  let t =
+    Table.create ~name:"W" ~schema ~object_size:56
+      (List.init n (fun i -> Array.init k (fun c -> Constant.Int ((i * (c + 3)) mod 1000))))
+  in
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr schema) in
+  if words > (k * n) + 64 then
+    Alcotest.failf "%d words for %d rows of %d Int columns (%.1f per row)" words n k
+      (float_of_int words /. float_of_int n)
 
 (* --- Buffer ------------------------------------------------------------------------- *)
 
@@ -418,7 +541,9 @@ let () =
           Alcotest.test_case "clustering" `Quick test_table_clustering;
           Alcotest.test_case "indexes" `Quick test_table_indexes;
           Alcotest.test_case "statistics" `Quick test_table_stats;
-          Alcotest.test_case "unknown attribute" `Quick test_table_unknown_attr ] );
+          Alcotest.test_case "unknown attribute" `Quick test_table_unknown_attr;
+          Alcotest.test_case "retained size" `Quick test_table_retained_size;
+          QCheck_alcotest.to_alcotest prop_table_is_input_rows ] );
       ( "buffer",
         [ Alcotest.test_case "miss then hit" `Quick test_buffer_miss_then_hit;
           Alcotest.test_case "LRU eviction" `Quick test_buffer_lru_eviction;
