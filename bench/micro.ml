@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks: one [Test.make] per experiment table, measuring
    the mediator-side computational kernel behind it (the estimation /
-   optimization work, not the simulated execution time). Reported as
-   nanoseconds per run from an OLS fit. *)
+   optimization work, not the simulated execution time), and the executor's
+   scan-path kernels. Reported as nanoseconds per run from an OLS fit. *)
 
 open Bechamel
 open Disco_common
@@ -24,6 +24,54 @@ let oo7_registry () =
   Generic.register registry;
   ignore (Registry.register_source_decl registry (Wrapper.registration_decl source));
   registry
+
+(* The scan-path kernels at the sizes of the oo7-paper workload (OO7's
+   210,000 Connections and 70,000 AtomicParts, the 90 % buildDate answer of
+   63,046 rows), on fixed-seed data. *)
+let scan_kernels () =
+  let open Disco_exec in
+  let rng = Rng.create ~seed:1 in
+  let conns =
+    { Batch.attrs = [| "c.length" |];
+      cols = [| Batch.Ints (Array.init 210_000 (fun _ -> Rng.int rng 100)) |];
+      len = 210_000; bytes = 8 * 210_000; sel = None }
+  in
+  let lt50 = Pred.Cmp ("c.length", Pred.Lt, Constant.Int 50) in
+  let apply = Adt.apply [] in
+  let mask, keep = Bpred.mask ~apply conns lt50 in
+  (* 63,046 of 70,000 positions in random order, picked 1,024 at a time as
+     an index scan emits them *)
+  let parts =
+    { Batch.attrs = [| "a.id" |]; cols = [| Batch.Ints (Array.init 70_000 Fun.id) |];
+      len = 70_000; bytes = 8 * 70_000; sel = None }
+  in
+  let perm = Array.init 70_000 Fun.id in
+  Rng.shuffle rng perm;
+  let answer = 63_046 in
+  let batches =
+    List.init ((answer + 1023) / 1024) (fun b ->
+        Batch.pick parts (Array.sub perm (b * 1024) (min 1024 (answer - (b * 1024)))))
+  in
+  let br =
+    { Run.batches; bcount = answer; bbytes = 8 * answer; bfirst = 0.; btotal = 0.;
+      bwall_ms = 0. }
+  in
+  (* every page resident: 63,046 hits on random pages *)
+  let pages = 700 in
+  let pool = Disco_storage.Buffer.create ~capacity:pages in
+  for p = 0 to pages - 1 do ignore (Disco_storage.Buffer.access pool ~table:"a" ~page:p) done;
+  let hits = Array.init answer (fun _ -> Rng.int rng pages) in
+  [ Test.make ~name:"scan/mask-210k-ints-50pct"
+      (Staged.stage (fun () -> ignore (Bpred.mask ~apply conns lt50)));
+    Test.make ~name:"scan/filter-210k-50pct"
+      (Staged.stage (fun () -> ignore (Batch.filter conns mask ~keep)));
+    Test.make ~name:"scan/box-63046-rows"
+      (Staged.stage (fun () -> ignore (Run.rows_of_batched br)));
+    Test.make ~name:"scan/buffer-63046-hits"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun page -> ignore (Disco_storage.Buffer.access pool ~table:"a" ~page))
+             hits)) ]
 
 let tests () =
   let med = setup () in
@@ -65,6 +113,7 @@ let tests () =
     Test.make ~name:"t6-scopes/match-and-estimate"
       (Staged.stage (fun () ->
            ignore (Estimator.estimate ~source:"oo7" oo7_reg fig12_plan))) ]
+  @ scan_kernels ()
 
 let print () =
   Util.section "Bechamel micro-benchmarks (mediator-side kernels, ns/run)";

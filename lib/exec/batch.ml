@@ -94,28 +94,29 @@ let find_col b name =
          (Fmt.str "attribute %S not found in tuple (%s)" name
             (String.concat ", " (Array.to_list b.attrs))))
 
-(* Row by row would box through [cell] with a closure and an index
-   translation per cell; instead the rows are allocated once and filled
-   column by column. *)
-let to_tuples b =
-  let n = b.len in
-  let rows = Array.init n (fun _ -> Array.make (Array.length b.cols) Constant.Null) in
-  Array.iteri
-    (fun c col ->
-      match col, b.sel with
-      | Ints a, None -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Int a.(i) done
-      | Ints a, Some s -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Int a.(s.(i)) done
-      | Floats a, None -> for i = 0 to n - 1 do rows.(i).(c) <- Constant.Float a.(i) done
-      | Floats a, Some s ->
-        for i = 0 to n - 1 do rows.(i).(c) <- Constant.Float a.(s.(i)) done
-      | Boxed a, None -> for i = 0 to n - 1 do rows.(i).(c) <- a.(i) done
-      | Boxed a, Some s -> for i = 0 to n - 1 do rows.(i).(c) <- a.(s.(i)) done)
-    b.cols;
-  let acc = ref [] in
+(* The first [n] rows of [b], boxed and consed onto [acc] from the last
+   row to the first, so each row is consed once. A row allocates its cons,
+   its tuple, its values array and one box per unboxed cell, all small
+   blocks in the minor heap: no row array, and no minor collection forced
+   by storing young values into a major block. *)
+let rows_onto b n acc =
+  let w = Array.length b.cols in
+  let acc = ref acc in
   for i = n - 1 downto 0 do
-    acc := { Tuple.attrs = b.attrs; values = rows.(i) } :: !acc
+    let p = match b.sel with None -> i | Some s -> Array.unsafe_get s i in
+    let values = Array.make w Constant.Null in
+    for c = 0 to w - 1 do
+      Array.unsafe_set values c
+        (match Array.unsafe_get b.cols c with
+         | Ints a -> Constant.Int (Array.unsafe_get a p)
+         | Floats a -> Constant.Float (Array.unsafe_get a p)
+         | Boxed a -> Array.unsafe_get a p)
+    done;
+    acc := { Tuple.attrs = b.attrs; values } :: !acc
   done;
   !acc
+
+let to_tuples b = rows_onto b b.len []
 
 (* Rendered-values key, identical to [Tuple.key] on row [i]'s tuple. *)
 let row_key b i =
@@ -305,28 +306,32 @@ let flush bld : t =
    result SHARES [b]'s column arrays and carries a selection vector instead
    of gathering — at high row counts the gather's allocation churn (and the
    major-GC work it triggers against a large live heap) costs more than the
-   whole filter. Consumers translate through [indexer]/[phys]. *)
+   whole filter. Consumers translate through [indexer]/[phys].
+
+   Every row's index is written at [j], and [j] advances by one if the
+   row's mask byte is non-zero, so no row branches on its byte. The loop
+   ends at the last kept row: up to there [j] stays below [keep], so every
+   write lands in the [keep]-entry vector. *)
 let filter b (mask : Bytes.t) ~keep : t =
   if keep = b.len then b
   else begin
-    let sel = Array.make (max keep 1) 0 in
+    let sel = Array.make keep 0 in
+    let last = ref (b.len - 1) in
+    if keep > 0 then
+      while Bytes.get mask !last = '\000' do decr last done
+    else last := -1;
     let j = ref 0 in
     (match b.sel with
      | None ->
-       for i = 0 to b.len - 1 do
-         if Bytes.unsafe_get mask i <> '\000' then begin
-           Array.unsafe_set sel !j i;
-           incr j
-         end
+       for i = 0 to !last do
+         Array.unsafe_set sel !j i;
+         j := !j + Bool.to_int (Bytes.unsafe_get mask i <> '\000')
        done
      | Some s ->
-       for i = 0 to b.len - 1 do
-         if Bytes.unsafe_get mask i <> '\000' then begin
-           Array.unsafe_set sel !j (Array.unsafe_get s i);
-           incr j
-         end
+       for i = 0 to !last do
+         Array.unsafe_set sel !j (Array.unsafe_get s i);
+         j := !j + Bool.to_int (Bytes.unsafe_get mask i <> '\000')
        done);
-    let sel = if keep = Array.length sel then sel else Array.sub sel 0 keep in
     { b with sel = Some sel; len = keep; bytes = Table.cols_bytes ~sel b.cols keep }
   end
 

@@ -51,8 +51,14 @@ val find_col : t -> string -> int
     unqualified-suffix match.
     @raise Disco_common.Err.Eval_error when absent or ambiguous. *)
 
+val rows_onto : t -> int -> Tuple.t list -> Tuple.t list
+(** [rows_onto b n acc]: the first [n] rows of [b], boxed, in order, in
+    front of [acc]. Rows are boxed from the last to the first, each consed
+    once; a row allocates one cons, one tuple, one values array and one box
+    per unboxed cell, and nothing forces a minor collection. *)
+
 val to_tuples : t -> Tuple.t list
-(** Filled column by column: one box per cell, nothing else per cell. *)
+(** [rows_onto b (length b) []]. *)
 
 val row_key : t -> int -> string
 (** Identical to [Tuple.key] on row [i] of {!to_tuples}. *)
@@ -78,8 +84,9 @@ val flush : builder -> t
 
 val filter : t -> Bytes.t -> keep:int -> t
 (** Rows whose mask byte is non-zero; [keep] is their count. Shares the
-    input's column arrays and sets a selection vector (composed with the
-    input's, if any) rather than copying. *)
+    input's column arrays and sets a selection vector of exactly [keep]
+    entries (composed with the input's, if any) rather than copying. The
+    compaction does not branch on the mask. *)
 
 val select_cols : t -> string list -> t
 (** Projection; shares column arrays.

@@ -37,25 +37,61 @@ let with_mask n f =
   done;
   (m, !cnt)
 
-(* attr-vs-constant column comparison. [ix] translates logical row indices
-   through the batch's selection vector (identity for dense batches). *)
+(* The compare kernel below stores each row's outcome, 0 or 1, as its mask
+   byte and adds it to the count: no closure call and no branch per row.
+   [neg] is 0 or 1 and is xored into the outcome, so Ne, Ge and Le run as
+   the negations of Eq, Lt and Gt, which on ints are exact complements.
+   [Array.unsafe_get] is written out at every site: the primitive is
+   specialized to int arrays only where it is applied. *)
+let[@inline] put m i b neg =
+  let b = Bool.to_int b lxor neg in
+  Bytes.unsafe_set m i (Char.unsafe_chr b);
+  b
+
+type base = Beq | Blt | Bgt
+
+let ints_int m n (a : int array) sel (x : int) op neg =
+  let c = ref 0 in
+  let open Array in
+  (match sel, op with
+   | None, Beq -> for i = 0 to n - 1 do c := !c + put m i (unsafe_get a i = x) neg done
+   | None, Blt -> for i = 0 to n - 1 do c := !c + put m i (unsafe_get a i < x) neg done
+   | None, Bgt -> for i = 0 to n - 1 do c := !c + put m i (unsafe_get a i > x) neg done
+   | Some s, Beq ->
+     for i = 0 to n - 1 do c := !c + put m i (unsafe_get a (unsafe_get s i) = x) neg done
+   | Some s, Blt ->
+     for i = 0 to n - 1 do c := !c + put m i (unsafe_get a (unsafe_get s i) < x) neg done
+   | Some s, Bgt ->
+     for i = 0 to n - 1 do c := !c + put m i (unsafe_get a (unsafe_get s i) > x) neg done);
+  !c
+
+(* attr-vs-constant column comparison: the kernel for an int column
+   against an int constant, row by row through [with_mask] otherwise.
+   [ix] translates logical row indices through the batch's selection
+   vector (identity for dense batches). *)
 let cmp_mask (b : Batch.t) ci op v =
   let n = b.Batch.len in
-  let ix = Batch.indexer b in
   match b.Batch.cols.(ci), v with
   | Batch.Ints a, Constant.Int x ->
-    (match op with
-     | Cmp.Eq -> with_mask n (fun i -> a.(ix i) = x)
-     | Ne -> with_mask n (fun i -> a.(ix i) <> x)
-     | Lt -> with_mask n (fun i -> a.(ix i) < x)
-     | Le -> with_mask n (fun i -> a.(ix i) <= x)
-     | Gt -> with_mask n (fun i -> a.(ix i) > x)
-     | Ge -> with_mask n (fun i -> a.(ix i) >= x))
+    let base, neg =
+      match op with
+      | Cmp.Eq -> (Beq, 0)
+      | Ne -> (Beq, 1)
+      | Lt -> (Blt, 0)
+      | Ge -> (Blt, 1)
+      | Gt -> (Bgt, 0)
+      | Le -> (Bgt, 1)
+    in
+    let m = Bytes.create n in
+    (m, ints_int m n a b.Batch.sel x base neg)
   | Batch.Ints a, Constant.Float x ->
+    let ix = Batch.indexer b in
     with_mask n (fun i -> holds op (Float.compare (float_of_int a.(ix i)) x))
   | Batch.Floats a, Constant.Float x ->
+    let ix = Batch.indexer b in
     with_mask n (fun i -> holds op (Float.compare a.(ix i) x))
   | Batch.Floats a, Constant.Int xi ->
+    let ix = Batch.indexer b in
     let x = float_of_int xi in
     with_mask n (fun i -> holds op (Float.compare a.(ix i) x))
   | Batch.Ints _, v ->
@@ -66,7 +102,9 @@ let cmp_mask (b : Batch.t) ci op v =
   | Batch.Floats _, v ->
     let r = holds op (Constant.compare (Constant.Float 0.) v) in
     with_mask n (fun _ -> r)
-  | Batch.Boxed a, v -> with_mask n (fun i -> Cmp.eval op a.(ix i) v)
+  | Batch.Boxed a, v ->
+    let ix = Batch.indexer b in
+    with_mask n (fun i -> Cmp.eval op a.(ix i) v)
 
 let attr_mask (b : Batch.t) ci cj op =
   let n = b.Batch.len in
@@ -81,6 +119,26 @@ let attr_mask (b : Batch.t) ci cj op =
      | Gt -> with_mask n (fun i -> a.(ix i) > c.(ix i))
      | Ge -> with_mask n (fun i -> a.(ix i) >= c.(ix i)))
   | _ -> with_mask n (fun i -> holds op (Batch.cell_compare b ci i b cj i))
+
+(* [mp] narrowed (widened) to the rows set in [mq] as well (as well or
+   instead), in place; the new count. Mask bytes are 0 or 1. *)
+let both mp mq n =
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    let b = Char.code (Bytes.unsafe_get mp i) land Char.code (Bytes.unsafe_get mq i) in
+    Bytes.unsafe_set mp i (Char.unsafe_chr b);
+    c := !c + b
+  done;
+  !c
+
+let either mp mq n =
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    let b = Char.code (Bytes.unsafe_get mp i) lor Char.code (Bytes.unsafe_get mq i) in
+    Bytes.unsafe_set mp i (Char.unsafe_chr b);
+    c := !c + b
+  done;
+  !c
 
 (* Selection mask of [p] over [b], with its true-count. The right side of a
    conjunction (disjunction) is skipped when no (every) row reaches it —
@@ -102,34 +160,19 @@ let rec mask ~apply (b : Batch.t) (p : Pred.t) : Bytes.t * int =
     if cp = 0 then (mp, 0)
     else begin
       let mq, _ = mask ~apply b q in
-      let cnt = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get mp i <> '\000' then
-          if Bytes.unsafe_get mq i <> '\000' then incr cnt
-          else Bytes.unsafe_set mp i '\000'
-      done;
-      (mp, !cnt)
+      (mp, both mp mq n)
     end
   | Pred.Or (p, q) ->
     let mp, cp = mask ~apply b p in
     if cp = n then (mp, n)
     else begin
       let mq, _ = mask ~apply b q in
-      let cnt = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get mp i <> '\000' || Bytes.unsafe_get mq i <> '\000'
-        then begin
-          Bytes.unsafe_set mp i '\001';
-          incr cnt
-        end
-      done;
-      (mp, !cnt)
+      (mp, either mp mq n)
     end
   | Pred.Not p ->
     let mp, cp = mask ~apply b p in
     for i = 0 to n - 1 do
-      Bytes.unsafe_set mp i
-        (if Bytes.unsafe_get mp i = '\000' then '\001' else '\000')
+      Bytes.unsafe_set mp i (Char.unsafe_chr (Char.code (Bytes.unsafe_get mp i) lxor 1))
     done;
     (mp, n - cp)
 

@@ -10,8 +10,14 @@ open Disco_algebra
 val mask :
   apply:(string -> Constant.t -> Constant.t -> bool) ->
   Batch.t -> Pred.t -> Bytes.t * int
-(** Selection mask (one byte per row, non-zero = selected) and its
-    true-count. @raise Disco_common.Err.Eval_error as [Tuple.get] would. *)
+(** Selection mask (one byte per row: 1 = selected, 0 = not) and its
+    true-count. An [Ints] column compared with an [Int] constant runs one
+    straight-line loop per operator, dense or through the selection
+    vector, with no closure call and no branch per row; [And], [Or] and
+    [Not] combine masks bytewise the same way. Other columns and
+    constants, and [Apply], go row by row. Outcomes are [Cmp.eval]'s on
+    the boxed cells, Int/Float coercion and [Float.compare]'s NaN and -0.0
+    included. @raise Disco_common.Err.Eval_error as [Tuple.get] would. *)
 
 val pair_eval :
   apply:(string -> Constant.t -> Constant.t -> bool) ->

@@ -878,15 +878,20 @@ let exact_once attrs name ~lo ~hi =
   Array.iteri (fun i a -> if String.equal a name then (incr hits; at := i)) attrs;
   !hits = 1 && !at >= lo && !at < hi
 
+(* How [chain_build] finds a key's newest build row: the [itbl] itself for
+   int keys, read straight off a probe batch's key column; otherwise
+   [lookup b c i], the rendered value of row [i] of [b]'s column [c]. *)
+type chain_keys =
+  | Int_keys of itbl
+  | Rendered of (Batch.t -> int -> int -> int)
+
 (* Chain the rows of [bats] (ids [0 .. n-1]) by key [name], newest first:
-   [next.(g)] is the previous row with [g]'s key, or -1. The returned
-   [lookup b c] maps row [i] of a probe batch [b], key column [c], to the
-   newest row with that key, or -1. Int keys go through an [itbl], other
-   keys through their rendered value. *)
+   [next.(g)] is the previous row with [g]'s key, or -1. Int keys go
+   through an [itbl], other keys through their rendered value. *)
 let chain_build ~int_keys (bats : Batch.t array) n name =
   let next = Array.make n (-1) in
   let g = ref 0 in
-  let lookup =
+  let keys =
     if int_keys then begin
       let tbl = itbl () in
       Array.iter
@@ -903,12 +908,7 @@ let chain_build ~int_keys (bats : Batch.t array) n name =
             done
           | _ -> assert false)
         bats;
-      fun (b : Batch.t) c ->
-        match b.Batch.cols.(c) with
-        | Batch.Ints a ->
-          let ix = Batch.indexer b in
-          fun i -> itbl_find tbl a.(ix i)
-        | _ -> assert false
+      Int_keys tbl
     end
     else begin
       let tbl : (string, int) Hashtbl.t = Hashtbl.create n in
@@ -923,29 +923,52 @@ let chain_build ~int_keys (bats : Batch.t array) n name =
             incr g
           done)
         bats;
-      fun b c i -> find (Constant.to_string (Batch.cell b c i))
+      Rendered (fun b c i -> find (Constant.to_string (Batch.cell b c i)))
     end
   in
-  (next, lookup)
+  (next, keys)
 
 (* Walk the chain of every row of [bats] (ids [0 .. n-1]; last row first
-   when [rev]), calling [f probe_id chained_id] per candidate. *)
-let probe_chains ~rev (bats : Batch.t array) n name (next, lookup) f =
+   when [rev]), calling [f probe_id chained_id] per candidate. Int keys are
+   read from the key column, dense or through the selection vector, and
+   looked up in place: a probe row that matches nothing costs no call. *)
+let probe_chains ~rev (bats : Batch.t array) n name (next, keys) f =
   let nb = Array.length bats in
   let o = ref (if rev then n else 0) in
   for k = 0 to nb - 1 do
     let b = bats.(if rev then nb - 1 - k else k) in
-    if rev then o := !o - b.Batch.len;
-    let find = lookup b (Batch.find_col b name) in
-    for j = 0 to b.Batch.len - 1 do
-      let i = if rev then b.Batch.len - 1 - j else j in
-      let g = ref (find i) in
+    let len = b.Batch.len in
+    if rev then o := !o - len;
+    let c = Batch.find_col b name in
+    (* row [i] of the batch, [j]-th in probe order *)
+    let first = if rev then len - 1 else 0 and step = if rev then -1 else 1 in
+    let chain i g0 =
+      let g = ref g0 in
       while !g >= 0 do
         f (!o + i) !g;
         g := next.(!g)
       done
-    done;
-    if not rev then o := !o + b.Batch.len
+    in
+    (match keys, b.Batch.cols.(c), b.Batch.sel with
+     | Int_keys tbl, Batch.Ints a, None ->
+       for j = 0 to len - 1 do
+         let i = first + (step * j) in
+         let g = itbl_find tbl (Array.unsafe_get a i) in
+         if g >= 0 then chain i g
+       done
+     | Int_keys tbl, Batch.Ints a, Some s ->
+       for j = 0 to len - 1 do
+         let i = first + (step * j) in
+         let g = itbl_find tbl (Array.unsafe_get a (Array.unsafe_get s i)) in
+         if g >= 0 then chain i g
+       done
+     | Int_keys _, _, _ -> assert false
+     | Rendered lookup, _, _ ->
+       for j = 0 to len - 1 do
+         let i = first + (step * j) in
+         chain i (lookup b c i)
+       done);
+    if not rev then o := !o + len
   done
 
 let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
@@ -1003,12 +1026,12 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
        let fetched = Btree.count idx op value in
        let io = ref 0. and left = ref fetched and k = ref 0 in
        let sel = ref (Array.make (min bsz fetched) 0) in
+       let name = table.Table.name and per_page = table.Table.per_page in
        Btree.iter_spans idx op value (fun lo hi ->
            for o = lo to hi - 1 do
              let pos = postings.(o) in
-             if Buffer.access env.buffer ~table:table.Table.name
-                  ~page:(Table.page_of table pos)
-             then io := !io +. e.Costs.io_ms;
+             if Buffer.access env.buffer ~table:name ~page:(pos / per_page) then
+               io := !io +. e.Costs.io_ms;
              !sel.(!k) <- pos;
              incr k;
              if !k = Array.length !sel then begin
@@ -1227,6 +1250,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     let stored = Batch.of_table attrs table in
     let inner = Batch.rows [| stored |] in
     let starts = idx.Btree.starts and postings = idx.Btree.postings in
+    let name = table.Table.name and per_page = table.Table.per_page in
     let io = ref 0. and probes = ref 0 and fetched = ref 0 in
     let acc = bacc () in
     let oids = ivec (min bsz 64) and pids = ivec (min bsz 64) in
@@ -1261,9 +1285,8 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
             if k >= 0 then
               for o = starts.(k) to starts.(k + 1) - 1 do
                 let pos = postings.(o) in
-                if Buffer.access env.buffer ~table:table.Table.name
-                     ~page:(Table.page_of table pos)
-                then io := !io +. e.Costs.io_ms;
+                if Buffer.access env.buffer ~table:name ~page:(pos / per_page) then
+                  io := !io +. e.Costs.io_ms;
                 incr fetched;
                 if (not has_res) || (Lazy.force ev) li pos then begin
                   ipush oids (!g + li);
@@ -1488,7 +1511,19 @@ let run_batched ?mode env p =
     let br, w = timed (fun () -> exec_batch env ~bsz:(max batch_size 1) p) in
     { br with bwall_ms = w }
 
-let rows_of_batched br = List.concat_map Batch.to_tuples br.batches
+(* The first [limit] rows (all by default), boxed from the last row of the
+   last batch they reach back to the first row of the first batch: each
+   row is consed once, and rows past the limit are not boxed. *)
+let rows_of_batched ?(limit = max_int) br =
+  let rec reach acc left = function
+    | b :: rest when left > 0 ->
+      let n = min left (Batch.length b) in
+      reach ((b, n) :: acc) (left - n) rest
+    | _ -> acc
+  in
+  List.fold_left
+    (fun rows (b, n) -> Batch.rows_onto b n rows)
+    [] (reach [] limit br.batches)
 
 let vector_of_batched br =
   let count = float_of_int br.bcount in
@@ -1513,11 +1548,14 @@ let run ?mode env p : result =
    size come from the incrementally-carried totals — no walk over the rows —
    and are bit-identical to the tuple path's refold because both are exact
    integer sums. *)
-let measure ?mode env p : Tuple.t list * vector =
+let measure ?mode ?limit env p : Tuple.t list * vector =
   match resolve_mode mode with
   | Tuple_at_a_time ->
     let r = run_tuple env p in
-    (r.rows, vector_of_result r)
+    let rows =
+      match limit with Some n -> List.filteri (fun i _ -> i < n) r.rows | None -> r.rows
+    in
+    (rows, vector_of_result r)
   | Batched _ as mode ->
     let br = run_batched ~mode env p in
-    (rows_of_batched br, vector_of_batched br)
+    (rows_of_batched ?limit br, vector_of_batched br)

@@ -131,12 +131,14 @@ val run : ?mode:mode -> env -> Physical.t -> result
     the column arrays it shares (with a table or with another batch), so
     the mediator's composition reads it without copying. *)
 
-val measure : ?mode:mode -> env -> Physical.t -> Tuple.t list * vector
-(** {!run} followed by {!vector_of_result}. In batched mode the vector's
-    count and size come from incrementally-carried totals rather than a
-    walk over the result rows. The mediator calls it once per query, for
-    the final answer; wrapper results stay in batch form
-    ({!run_batched}). *)
+val measure : ?mode:mode -> ?limit:int -> env -> Physical.t -> Tuple.t list * vector
+(** {!run} followed by {!vector_of_result}, keeping the first [limit] rows
+    (all by default). In batched mode the vector's count and size come
+    from incrementally-carried totals rather than a walk over the result
+    rows, so they count every row whatever [limit] is, and only the kept
+    rows are boxed ({!rows_of_batched}). The mediator calls it once per
+    query, for the final answer, with the query's LIMIT; wrapper results
+    stay in batch form ({!run_batched}). *)
 
 (** {1 Batched execution}
 
@@ -164,7 +166,10 @@ val run_batched : ?mode:mode -> env -> Physical.t -> batched_result
     the batched engine O(#batches): its batches are passed on as they
     are. Same concurrency contract as {!run}. *)
 
-val rows_of_batched : batched_result -> Tuple.t list
+val rows_of_batched : ?limit:int -> batched_result -> Tuple.t list
+(** The first [limit] rows (all by default), in order. Rows are boxed in
+    one pass from the last kept row back to the first ({!Batch.rows_onto}),
+    each consed once; rows past [limit] are not boxed. *)
 
 val vector_of_batched : batched_result -> vector
 (** Built from the carried [bcount]/[bbytes] — O(#batches), not O(rows). *)

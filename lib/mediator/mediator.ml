@@ -858,15 +858,10 @@ let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
           e
       in
       let physical = to_physical ~estimates t plan in
-      let rows, measured = Run.measure (mediator_run_env t) physical in
+      let rows, measured = Run.measure ?limit:r.limit (mediator_run_env t) physical in
       (plan, estimate, rows, measured)
     with
     | plan, estimate, rows, measured ->
-      let rows =
-        match r.limit with
-        | Some n -> List.filteri (fun i _ -> i < n) rows
-        | None -> rows
-      in
       { rows; plan; estimate; measured; replans; recovered = List.rev failures }
     | exception Run.Submit_error f ->
       if replans >= max_replans then

@@ -97,17 +97,57 @@ let parse_exn (s : string) : t =
     else error (Printf.sprintf "expected %s" word)
   in
   let utf8_of_code buf code =
-    (* BMP only; enough for the protocol's \uXXXX escapes *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
+    let add c = Buffer.add_char buf (Char.chr c) in
+    if code < 0x80 then add code
     else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      add (0xC0 lor (code lsr 6));
+      add (0x80 lor (code land 0x3F))
+    end
+    else if code < 0x10000 then begin
+      add (0xE0 lor (code lsr 12));
+      add (0x80 lor ((code lsr 6) land 0x3F));
+      add (0x80 lor (code land 0x3F))
     end
     else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      add (0xF0 lor (code lsr 18));
+      add (0x80 lor ((code lsr 12) land 0x3F));
+      add (0x80 lor ((code lsr 6) land 0x3F));
+      add (0x80 lor (code land 0x3F))
     end
+  in
+  (* Exactly four hex digits ([int_of_string] would take '_' too). *)
+  let hex4 () =
+    if !pos + 4 > n then error "truncated \\u escape";
+    let code = ref 0 in
+    for k = 0 to 3 do
+      let d =
+        match s.[!pos + k] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> error "bad \\u escape"
+      in
+      code := (!code lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !code
+  in
+  (* A \u escape's code point, [pos] just past the 'u': a high surrogate
+     must be followed by an escaped low one, and the pair is one astral
+     code point (JSON writes U+10000 and above that way). *)
+  let escaped_code () =
+    let code = hex4 () in
+    if code >= 0xD800 && code <= 0xDBFF then
+      if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+        pos := !pos + 2;
+        let low = hex4 () in
+        if low >= 0xDC00 && low <= 0xDFFF then
+          0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+        else error "unpaired surrogate in \\u escape"
+      end
+      else error "unpaired surrogate in \\u escape"
+    else if code >= 0xDC00 && code <= 0xDFFF then error "unpaired surrogate in \\u escape"
+    else code
   in
   let parse_string () =
     expect '"';
@@ -132,11 +172,7 @@ let parse_exn (s : string) : t =
              | 'f' -> Buffer.add_char buf '\012'; advance ()
              | 'u' ->
                advance ();
-               if !pos + 4 > n then error "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               (match int_of_string_opt ("0x" ^ hex) with
-                | Some code -> utf8_of_code buf code; pos := !pos + 4
-                | None -> error "bad \\u escape")
+               utf8_of_code buf (escaped_code ())
              | c -> error (Printf.sprintf "bad escape \\%c" c));
           go ()
         | c -> Buffer.add_char buf c; advance (); go ()

@@ -4,10 +4,13 @@
     {e distinct} pages touched (Yao) rather than the number of objects.
 
     The replacement policy is exact LRU: on a miss with [capacity] pages
-    resident, the least recently accessed page is evicted. An access
-    allocates nothing, and the pool's memory is bounded by its capacity
-    (O(capacity) words, plus one entry per distinct table name), however
-    many accesses it serves. *)
+    resident, the least recently accessed page is evicted. A page's slot is
+    found through one array per table, indexed by page, which doubles (at
+    least) to cover the highest page accessed. The pool's memory is
+    O(capacity) words, plus one entry per distinct table name and at most
+    two words per page up to the highest page accessed of each table it
+    has served, however many accesses it serves; an access allocates only
+    to grow those arrays. *)
 
 type t
 
@@ -19,7 +22,8 @@ val clear : t -> unit
 
 val access : t -> table:string -> page:int -> bool
 (** Access a page; [true] means a miss (the caller charges one IO). Pages of
-    different tables are distinct. *)
+    different tables are distinct; a table's pages are numbered from 0.
+    @raise Invalid_argument on a negative page. *)
 
 val resident : t -> int
 val hits : t -> int

@@ -748,6 +748,188 @@ let test_small_outputs_stay_minor () =
   if words > 20_000. then
     Alcotest.failf "%.0f words allocated directly in the major heap" words
 
+(* --- Scan-path kernels ------------------------------------------------------------ *)
+
+let ints_pool = [| 0; 1; -1; 2; -2; 7; min_int; max_int; min_int + 1; max_int - 1 |]
+
+let floats_pool =
+  [| Float.nan; -0.; 0.; Float.infinity; Float.neg_infinity; 1.; -1.; 0.5; 2.;
+     float_of_int max_int; float_of_int min_int |]
+
+let boxed_pool =
+  [| Constant.Null; Constant.Bool true; Constant.Bool false; Constant.String "a";
+     Constant.String ""; Constant.Int 0; Constant.Int max_int; Constant.Float Float.nan;
+     Constant.Float (-0.); Constant.Float 1. |]
+
+(* A column of [n] cells drawn from the pools: [Ints], [Floats] or [Boxed]
+   by [kind]. *)
+let gen_col kind n =
+  let open QCheck2.Gen in
+  let pick pool = map (fun k -> pool.(k)) (int_bound (Array.length pool - 1)) in
+  match kind with
+  | 0 -> map (fun l -> Batch.Ints (Array.of_list l)) (list_repeat n (pick ints_pool))
+  | 1 -> map (fun l -> Batch.Floats (Array.of_list l)) (list_repeat n (pick floats_pool))
+  | _ -> map (fun l -> Batch.Boxed (Array.of_list l)) (list_repeat n (pick boxed_pool))
+
+(* A batch over columns of [phys] physical rows: dense, or a selection
+   vector of random positions (repeats and any order, as an index scan
+   picks them). *)
+let gen_raw_batch attrs kinds =
+  let open QCheck2.Gen in
+  let* phys = int_range 1 40 in
+  let* cols = flatten_l (List.map (fun k -> gen_col k phys) kinds) in
+  let cols = Array.of_list cols in
+  let* sel = option (list_size (int_range 1 40) (int_bound (phys - 1))) in
+  pure
+    (match sel with
+     | None -> { Batch.attrs; cols; len = phys; sel = None; bytes = Table.cols_bytes cols phys }
+     | Some s ->
+       let s = Array.of_list s in
+       let len = Array.length s in
+       { Batch.attrs; cols; len; sel = Some s; bytes = Table.cols_bytes ~sel:s cols len })
+
+(* Row [i] of [b], boxed cell by cell. *)
+let boxed_row (b : Batch.t) i =
+  { Tuple.attrs = b.Batch.attrs;
+    values = Array.init (Array.length b.Batch.cols) (fun c -> Batch.cell b c i) }
+
+(* [Bpred.mask] = [Cmp.eval] on the boxed cells (through [Pred.eval]), in
+   mask bytes (exactly 0 or 1) and in count: every operator, the three
+   column kinds holding NaN, -0.0, 0.0, infinities, [min_int] and
+   [max_int], the five kinds of constant, dense and selected batches, and
+   [And]/[Or]/[Not] nestings. *)
+let prop_mask_matches_cmp_eval =
+  let open QCheck2.Gen in
+  let const =
+    oneof
+      [ map (fun k -> Constant.Int ints_pool.(k)) (int_bound (Array.length ints_pool - 1));
+        map (fun k -> Constant.Float floats_pool.(k)) (int_bound (Array.length floats_pool - 1));
+        map (fun s -> Constant.String s) (oneofl [ "a"; "" ]);
+        pure Constant.Null;
+        map (fun b -> Constant.Bool b) bool ]
+  in
+  let op = oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let leaf = map3 (fun a op v -> Pred.Cmp (a, op, v)) (oneofl [ "x.a"; "x.b" ]) op const in
+  let pred =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             oneof
+               [ leaf;
+                 map2 (fun p q -> Pred.And (p, q)) (self (n / 2)) (self (n / 2));
+                 map2 (fun p q -> Pred.Or (p, q)) (self (n / 2)) (self (n / 2));
+                 map (fun p -> Pred.Not p) (self (n - 1)) ])
+  in
+  let gen =
+    let* ka = int_range 0 2 and* kb = int_range 0 2 in
+    pair (gen_raw_batch [| "x.a"; "x.b" |] [ ka; kb ]) pred
+  in
+  QCheck2.Test.make ~name:"mask = Cmp.eval on boxed cells" ~count:2000 gen (fun (b, p) ->
+      let m, cnt = Bpred.mask ~apply:(Adt.apply []) b p in
+      let want = ref 0 and ok = ref (Bytes.length m = b.Batch.len) in
+      for i = 0 to b.Batch.len - 1 do
+        let t = boxed_row b i in
+        let w = Pred.eval (Tuple.get t) p in
+        if w then incr want;
+        if Bytes.get m i <> if w then '\001' else '\000' then ok := false
+      done;
+      !ok && cnt = !want)
+
+(* [Batch.filter] = a plain compaction of the kept rows' positions, with
+   their byte size, on random masks over dense and selected batches. A
+   kept row's byte is any non-zero value, not only 1. *)
+let prop_filter_matches_compaction =
+  let open QCheck2.Gen in
+  let gen =
+    let* kind = int_range 0 2 in
+    let* b = gen_raw_batch [| "x.a" |] [ kind ] in
+    let* codes = list_repeat b.Batch.len (oneof [ pure 0; pure 1; int_range 2 255 ]) in
+    pure (b, codes)
+  in
+  QCheck2.Test.make ~name:"filter = reference compaction" ~count:1000 gen (fun (b, codes) ->
+      let mask = Bytes.of_seq (List.to_seq (List.map Char.chr codes)) in
+      let bits = List.map (fun c -> c <> 0) codes in
+      let keep = List.length (List.filter Fun.id bits) in
+      let phys i = match b.Batch.sel with None -> i | Some s -> s.(i) in
+      let kept = List.filteri (fun i _ -> List.nth bits i) (List.init b.Batch.len Fun.id) in
+      let r = Batch.filter b mask ~keep in
+      let want_sel = Array.of_list (List.map phys kept) in
+      let got_sel =
+        Array.init r.Batch.len (fun i -> match r.Batch.sel with None -> i | Some s -> s.(i))
+      in
+      let bytes = List.fold_left (fun s i -> s + Batch.row_bytes b i) 0 kept in
+      r.Batch.len = keep && got_sel = want_sel && r.Batch.bytes = bytes
+      && r.Batch.cols == b.Batch.cols
+      && (match r.Batch.sel with Some s -> Array.length s = keep | None -> keep = b.Batch.len))
+
+(* [Run.rows_of_batched] = per-row boxing through [Batch.cell], over random
+   batch lists: mixed schemas (a union), selection vectors, all three
+   column kinds, with and without a limit. *)
+let prop_answer_matches_cells =
+  let open QCheck2.Gen in
+  let gen_batch =
+    let* schema = int_range 0 1 in
+    let attrs = if schema = 0 then [| "u.a"; "u.b" |] else [| "v.c" |] in
+    let* kinds = list_repeat (Array.length attrs) (int_range 0 2) in
+    gen_raw_batch attrs kinds
+  in
+  let gen = pair (list_size (int_range 0 5) gen_batch) (option (int_range 0 120)) in
+  QCheck2.Test.make ~name:"answer = per-row boxing" ~count:500 gen (fun (batches, limit) ->
+      let br =
+        { Run.batches;
+          bcount = List.fold_left (fun s b -> s + b.Batch.len) 0 batches;
+          bbytes = List.fold_left (fun s b -> s + b.Batch.bytes) 0 batches;
+          bfirst = 0.; btotal = 0.; bwall_ms = 0. }
+      in
+      let all = List.concat_map (fun b -> List.init b.Batch.len (boxed_row b)) batches in
+      let want =
+        match limit with Some n -> List.filteri (fun i _ -> i < n) all | None -> all
+      in
+      let got = Run.rows_of_batched ?limit br in
+      List.length got = List.length want
+      && List.for_all2
+           (fun (a : Tuple.t) (b : Tuple.t) -> a.Tuple.attrs == b.Tuple.attrs && same_row a b)
+           got want)
+
+(* Boxing a 63,046-row one-column answer (the oo7-paper 90 % range) read
+   through selection vectors at random positions: at most 10 minor words
+   per row (cons 3, tuple 3, values 2, box 2) plus a few per batch, and no
+   minor collection forced per batch — only the ones the allocated volume
+   fills. *)
+let test_answer_allocation () =
+  let rng = Rng.create ~seed:5 in
+  let stored =
+    { Batch.attrs = [| "a.id" |]; cols = [| Batch.Ints (Array.init 70_000 Fun.id) |];
+      len = 70_000; bytes = 8 * 70_000; sel = None }
+  in
+  let n = 63_046 in
+  let batches =
+    List.init ((n + 1023) / 1024) (fun k ->
+        Batch.pick stored
+          (Array.init (min 1024 (n - (k * 1024))) (fun _ -> Rng.int rng 70_000)))
+  in
+  let br =
+    { Run.batches; bcount = n; bbytes = 8 * n; bfirst = 0.; btotal = 0.; bwall_ms = 0. }
+  in
+  let s0 = gc_stat () in
+  let rows = Sys.opaque_identity (Run.rows_of_batched br) in
+  let s1 = Gc.quick_stat () in
+  Gc.minor ();
+  let s2 = Gc.quick_stat () in
+  Alcotest.(check int) "every row boxed" n (List.length rows);
+  let words = s2.Gc.minor_words -. s0.Gc.minor_words in
+  let per_row = words /. float_of_int n in
+  let collections = s1.Gc.minor_collections - s0.Gc.minor_collections in
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  Printf.printf "answer: %.2f minor words per row, %d minor collections\n" per_row collections;
+  let nb = List.length batches in
+  if words > float_of_int ((10 * n) + (16 * nb) + 256) then
+    Alcotest.failf "%.2f minor words per answer row (%d batches)" per_row nb;
+  if float_of_int collections > (words /. heap) +. 2. then
+    Alcotest.failf "%d minor collections for %.0f words (minor heap %.0f words)" collections
+      words heap
+
 (* --- The batched engine composes with the mediator --------------------------- *)
 
 let with_mode m f =
@@ -793,6 +975,12 @@ let () =
         [ Alcotest.test_case "builder typing + bytes" `Quick test_builder_typing;
           Alcotest.test_case "find_col = Tuple.get" `Quick test_find_col_matches_tuple_get;
           Alcotest.test_case "mask = Pred.eval" `Quick test_mask_matches_pred_eval ] );
+      ( "scan kernels",
+        [ QCheck_alcotest.to_alcotest prop_mask_matches_cmp_eval;
+          QCheck_alcotest.to_alcotest prop_filter_matches_compaction;
+          QCheck_alcotest.to_alcotest prop_answer_matches_cells;
+          Alcotest.test_case "answer allocates at most 10 words per row" `Quick
+            test_answer_allocation ] );
       ( "differential",
         [ Alcotest.test_case "all operators, boundary batch sizes" `Quick
             test_diff_operators;

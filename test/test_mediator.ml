@@ -104,6 +104,14 @@ let test_aggregate_group_order () =
       "select e.dept_id, count(*) as n from Employee e group by e.dept_id order by n desc limit 5"
   in
   Alcotest.(check int) "limit applied" 5 (List.length a.Mediator.rows);
+  let all =
+    Mediator.run_query med
+      "select e.dept_id, count(*) as n from Employee e group by e.dept_id order by n desc"
+  in
+  Alcotest.(check bool) "the first 5 rows of the unlimited answer" true
+    (List.equal Tuple.equal a.Mediator.rows (List.filteri (fun i _ -> i < 5) all.Mediator.rows));
+  Alcotest.(check (float 0.)) "measured over every row, limit or not"
+    all.Mediator.measured.Run.count a.Mediator.measured.Run.count;
   (* counts descending *)
   let counts =
     List.map (fun t -> match Tuple.get t "n" with Constant.Int n -> n | _ -> -1) a.Mediator.rows
@@ -116,6 +124,30 @@ let test_aggregate_group_order () =
    | [| Constant.Int n |] ->
      Alcotest.(check int) "count(*)" (Table.count (table_of wrappers "relstore" "Employee")) n
    | _ -> Alcotest.fail "count shape")
+
+(* LIMIT n boxes n rows: over the default demo's 8,000-row Employee scan,
+   [Run.measure ~limit:5] allocates for 5 rows, not 8,000, and measures the
+   whole result all the same. *)
+let test_limit_boxes_only_kept_rows () =
+  let med = Mediator.create () in
+  List.iter (Mediator.register med) (Demo.make ());
+  let plan, _ = Mediator.plan_query med "select e.id, e.salary from Employee e" in
+  let phys = Mediator.to_physical med plan in
+  let env = Mediator.mediator_run_env med in
+  let all, v_all = Run.measure env phys in
+  Alcotest.(check int) "8,000 employees" 8000 (List.length all);
+  let words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.minor_words
+  in
+  let before = words () in
+  let rows, v = Sys.opaque_identity (Run.measure ~limit:5 env phys) in
+  let used = words () -. before in
+  Alcotest.(check bool) "the first 5 rows" true
+    (List.equal Tuple.equal rows (List.filteri (fun i _ -> i < 5) all));
+  Alcotest.(check (float 0.)) "count of the whole result" v_all.Run.count v.Run.count;
+  Alcotest.(check (float 0.)) "size of the whole result" v_all.Run.size v.Run.size;
+  if used > 2_000. then Alcotest.failf "%.0f minor words to run and box 5 rows" used
 
 let test_distinct_dedup () =
   let med, wrappers = fed () in
@@ -517,6 +549,7 @@ let () =
           Alcotest.test_case "cross-source join" `Quick test_cross_source_join;
           Alcotest.test_case "three-source join" `Quick test_three_source_join;
           Alcotest.test_case "aggregate/group/order/limit" `Quick test_aggregate_group_order;
+          Alcotest.test_case "limit boxes only kept rows" `Quick test_limit_boxes_only_kept_rows;
           Alcotest.test_case "distinct" `Quick test_distinct_dedup;
           Alcotest.test_case "star and order" `Quick test_star_and_order;
           Alcotest.test_case "resolution errors" `Quick test_resolution_errors;

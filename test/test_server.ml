@@ -99,12 +99,35 @@ let test_json_unicode_and_errors () =
      Alcotest.(check (option string)) "escapes decode to UTF-8"
        (Some "caf\xc3\xa9 \xe2\x9c\x93") (Json.string_member "u" j)
    | Error e -> Alcotest.failf "unicode parse failed: %s" e);
+  (* an astral character escaped as a surrogate pair (how Python's
+     json.dumps sends it) is the same string as the raw UTF-8 *)
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Ok j ->
+        Alcotest.(check (option string)) ("surrogate pair " ^ text)
+          (Some "\xf0\x9f\x98\x80") (Json.string_member "u" j)
+      | Error e -> Alcotest.failf "surrogate pair parse failed: %s" e)
+    [ {|{"u":"\ud83d\ude00"}|}; {|{"u":"\uD83D\uDE00"}|}; "{\"u\":\"\xf0\x9f\x98\x80\"}" ];
+  (match Json.parse {|{"u":"\u00e9\u0041\uffff"}|} with
+   | Ok j ->
+     Alcotest.(check (option string)) "BMP escapes" (Some "\xc3\xa9A\xef\xbf\xbf")
+       (Json.string_member "u" j)
+   | Error e -> Alcotest.failf "BMP escapes failed: %s" e);
   List.iter
     (fun bad ->
       match Json.parse bad with
       | Ok _ -> Alcotest.failf "accepted malformed json %S" bad
-      | Error _ -> ())
-    [ "{"; "[1,"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2" ]
+      | Error e ->
+        let rec at i = i + 6 <= String.length e && (String.sub e i 6 = "offset" || at (i + 1)) in
+        if not (at 0) then
+          Alcotest.failf "error %S for %S names no offset" e bad)
+    [ "{"; "[1,"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2";
+      (* a lone or misordered surrogate *)
+      {|"\ude00"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00\ud83d"|};
+      {|"\ud83d\ud83d"|};
+      (* an escape that is not four hex digits *)
+      {|"\u1_23"|}; {|"\u+123"|}; {|"\u12"|}; {|"\uzzzz"|}; {|"\ud83d\u12"|} ]
 
 (* --- admission ------------------------------------------------------------------- *)
 

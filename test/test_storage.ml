@@ -484,7 +484,10 @@ let prop_buffer_model =
       triple (int_range 1 8) (int_range 1 3)
         (list_size (int_range 0 200)
            (frequency
-              [ (30, map2 (fun t p -> Access (t, p)) (int_range 0 2) (int_range 0 11));
+              [ (24, map2 (fun t p -> Access (t, p)) (int_range 0 2) (int_range 0 11));
+                (* pages far past the ones seen so far grow a table's page
+                   array *)
+                (6, map2 (fun t p -> Access (t, p)) (int_range 0 2) (int_range 0 5000));
                 (1, pure Clear) ])))
     (fun (cap, ntables, ops) ->
       let b = Buffer.create ~capacity:cap in
@@ -522,6 +525,33 @@ let test_buffer_bounded_memory () =
   let words = Obj.reachable_words (Obj.repr b) in
   if words > 2_000 then Alcotest.failf "%d words reachable after 10^6 hits" words
 
+(* The pool's memory is O(capacity) words plus the page arrays: after every
+   page 0 .. P-1 of k tables, at most two words per page (an array doubles
+   to cover the highest page accessed), whatever the access count. *)
+let test_buffer_page_arrays_memory () =
+  let capacity = 64 and k = 3 and p = 1500 in
+  let b = Buffer.create ~capacity in
+  for round = 1 to 3 do
+    for t = 0 to k - 1 do
+      for page = 0 to p - 1 do
+        ignore (Buffer.access b ~table:(Printf.sprintf "t%d" t) ~page)
+      done
+    done;
+    if round = 2 then Buffer.clear b
+  done;
+  Alcotest.(check int) "resident" capacity (Buffer.resident b);
+  let words = Obj.reachable_words (Obj.repr b) in
+  let bound = (8 * capacity) + (2 * k * p) + 512 in
+  if words > bound then
+    Alcotest.failf "%d words reachable (bound %d: capacity %d, %d tables of %d pages)" words
+      bound capacity k p
+
+let test_buffer_negative_page () =
+  let b = Buffer.create ~capacity:4 in
+  Alcotest.check_raises "negative page" (Invalid_argument "Buffer.access: negative page")
+    (fun () -> ignore (Buffer.access b ~table:"t" ~page:(-1)));
+  Alcotest.(check int) "nothing counted" 0 (Buffer.hits b + Buffer.misses b)
+
 let () =
   Alcotest.run "storage"
     [ ( "btree",
@@ -552,5 +582,7 @@ let () =
           Alcotest.test_case "clear" `Quick test_buffer_clear;
           Alcotest.test_case "tables disjoint" `Quick test_buffer_tables_disjoint;
           Alcotest.test_case "bounded memory" `Quick test_buffer_bounded_memory;
+          Alcotest.test_case "page arrays memory" `Quick test_buffer_page_arrays_memory;
+          Alcotest.test_case "negative page" `Quick test_buffer_negative_page;
           QCheck_alcotest.to_alcotest prop_buffer_misses_bounded;
           QCheck_alcotest.to_alcotest prop_buffer_model ] ) ]
