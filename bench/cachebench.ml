@@ -1,10 +1,11 @@
-(* Cache bench — speedup of the two-level estimation cache.
+(* Cache bench — speedup of the cross-query plan cache.
 
    Two workloads:
 
    - OO7: the OO7 query workload estimated repeatedly against the
-     wrapper-rule registry. The first pass fills the cross-query plan cache;
-     every later pass is a cache probe instead of a full cost evaluation.
+     wrapper-rule registry, fresh estimates against plan-cache hits. The
+     first pass fills the plan cache; every later pass is a cache probe
+     instead of a full cost evaluation.
 
    - federation: multi-join SQL queries planned repeatedly through the
      mediator (DPccp), cache-enabled vs cache-disabled mediators over the
@@ -43,12 +44,11 @@ let assert_same_cost what ~cached ~uncached =
 (* --- OO7 workload ----------------------------------------------------------- *)
 
 (* Estimate TotalTime of a wrapper-side OO7 plan, optionally through the
-   per-run memo and the cross-query cache. *)
-let oo7_cost ?memo ?cache registry plan =
+   cross-query cache. *)
+let oo7_cost ?cache registry plan =
   let fresh () =
     Estimator.total_time
-      (Estimator.estimate ?memo ~require_vars:[ Ast.Total_time ] ~source:"oo7"
-         registry plan)
+      (Estimator.estimate ~require_vars:[ Ast.Total_time ] ~source:"oo7" registry plan)
   in
   match cache with
   | None -> fresh ()
@@ -72,10 +72,9 @@ let oo7_workload ~iters config =
   let queries = Oo7.queries config in
   let cache = Plancache.create () in
   let run ~cached () =
-    let memo = if cached then Some (Estimator.new_memo ()) else None in
     let cache = if cached then Some cache else None in
     for _ = 1 to iters do
-      List.iter (fun (_, plan) -> ignore (oo7_cost ?memo ?cache registry plan)) queries
+      List.iter (fun (_, plan) -> ignore (oo7_cost ?cache registry plan)) queries
     done
   in
   (* differential check on every query, before timing anything *)
@@ -183,7 +182,7 @@ let print ?(smoke = false) ?config () =
   in
   let iters = if smoke then 1 else 200 in
   Util.section
-    (Fmt.str "cache — two-level estimation cache, %d iteration%s%s" iters
+    (Fmt.str "cache — cross-query plan cache, %d iteration%s%s" iters
        (if iters = 1 then "" else "s")
        (if smoke then " (smoke: assertions only)" else ""));
   let oo7_cold, oo7_warm, oo7_cache = oo7_workload ~iters config in

@@ -15,7 +15,7 @@
      t6     — scope-hierarchy ablation
      t7     — ADT operation costs: push vs defer an expensive predicate
      t8     — OO7 query workload accuracy (measured vs calibrated vs rules)
-     cache  — two-level estimation cache: speedup + differential assertions
+     cache  — cross-query plan cache: speedup + differential assertions
      micro  — Bechamel micro-benchmarks of the mediator kernels
      faults — fault injection: zero-fault differential, determinism,
               availability vs latency sweep (--json=PATH writes the BENCH

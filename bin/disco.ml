@@ -31,8 +31,8 @@ let no_rules_arg =
 
 let no_cache_arg =
   let doc =
-    "Disable the estimation caches (per-optimization memo and cross-query \
-     plan cache); every plan is re-estimated from scratch."
+    "Disable the plan cache; every query runs its plan search and every \
+     plan is re-estimated from scratch."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 

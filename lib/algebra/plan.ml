@@ -128,7 +128,7 @@ let rec equal p q =
 
 let equal_structural = equal
 
-(* Canonical structural hash consistent with [equal_structural]. The tree is
+(* Canonical structural hash consistent with [equal]. The tree is
    combined manually (the default [Hashtbl.hash] stops after 10 meaningful
    nodes, which would collide every deep plan); flat leaf payloads — name
    lists, sort keys, aggregate specs — go through [Hashtbl.hash], and

@@ -58,14 +58,13 @@ val equal : t -> t -> bool
     (historical) cost rules. *)
 
 val equal_structural : t -> t -> bool
-(** Alias of {!equal}, named for its role as the equivalence underlying
-    {!hash}: two structurally equal subtrees are estimation-equivalent under
-    a fixed registry, so caches may share their cost annotations. *)
+(** Alias of {!equal}. The library does not use it; the benchmark's replica
+    of the plan cache's lookup keys its table with it and {!hash}. *)
 
 val hash : t -> int
-(** Canonical structural hash consistent with {!equal_structural} (full
-    depth, numeric-coercing constant hashing). Key plans with [hash] +
-    [equal_structural] in memo tables. *)
+(** Canonical structural hash consistent with {!equal} (full depth,
+    numeric-coercing constant hashing): the key of the plan cache's
+    whole-plan entries. *)
 
 val scans : t -> collection_ref list
 (** All scans, left to right. *)

@@ -8,7 +8,6 @@ type cmp = Cmp.t = Eq | Ne | Lt | Le | Gt | Ge
 
 let pp_cmp = Cmp.pp
 let eval_cmp = Cmp.eval
-let flip_cmp = Cmp.flip
 
 type t =
   | Cmp of string * cmp * Constant.t    (* attr op constant *)

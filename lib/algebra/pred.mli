@@ -8,7 +8,6 @@ type cmp = Cmp.t = Eq | Ne | Lt | Le | Gt | Ge
 
 val pp_cmp : Format.formatter -> cmp -> unit
 val eval_cmp : cmp -> Constant.t -> Constant.t -> bool
-val flip_cmp : cmp -> cmp
 
 type t =
   | Cmp of string * cmp * Constant.t   (** [attr op constant] *)

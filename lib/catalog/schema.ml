@@ -35,8 +35,3 @@ let attr_index c name =
     | _ :: rest -> go (i + 1) rest
   in
   go 0 c.attributes
-
-let pp_collection ppf c =
-  Fmt.pf ppf "interface %s { %a }" c.coll_name
-    Fmt.(list ~sep:(any "; ") (fun ppf a -> pf ppf "%a %s" pp_ty a.attr_type a.attr_name))
-    c.attributes

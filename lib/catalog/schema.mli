@@ -25,5 +25,3 @@ val has_attribute : collection -> string -> bool
 
 val attr_index : collection -> string -> int option
 (** Position of an attribute in the collection's tuple layout. *)
-
-val pp_collection : Format.formatter -> collection -> unit

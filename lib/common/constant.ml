@@ -63,8 +63,6 @@ let compare a b =
   | String a, String b -> String.compare a b
   | _ -> Int.compare (rank a) (rank b)
 
-let is_null = function Null -> true | _ -> false
-
 (* Numeric view: booleans count as 0/1, strings are not numeric. *)
 let to_float_opt = function
   | Int i -> Some (float_of_int i)
@@ -73,7 +71,6 @@ let to_float_opt = function
   | Bool false -> Some 0.
   | Null | String _ -> None
 
-let of_float f = Float f
 let of_int i = Int i
 let of_string s = String s
 

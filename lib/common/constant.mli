@@ -29,13 +29,10 @@ val compare : t -> t -> int
 (** Total order. Numerics compare by value across constructors; values of
     different kinds order by kind rank (null < bool < numeric < string). *)
 
-val is_null : t -> bool
-
 val to_float_opt : t -> float option
 (** Numeric view: integers and floats as themselves, booleans as 0/1, [None]
     for strings and null. *)
 
-val of_float : float -> t
 val of_int : int -> t
 val of_string : string -> t
 

@@ -55,72 +55,34 @@ let make_ctx ?abort_above ?(evals = ref 0) registry = { registry; abort_above; e
 
 (* --- Annotation construction (structure + derived statistics) ----------- *)
 
-(* Memo of annotated subtrees, keyed on (rule-context source, canonical
-   structural hash). Two structurally equal subtrees estimated under the same
-   source context are estimation-equivalent while the registry is unchanged,
-   so they can share one [ann] — and with it every cost variable already
-   computed. This is the per-optimization cache of the DP: candidate plans
-   overlap massively (the same submit subtree appears under many join
-   orders), and sharing annotations means the estimator never re-runs a
-   formula on an already-costed subtree. A memo must not outlive a registry
-   write (callers create one per optimization; across queries [Plancache]
-   keeps whole search results, guarded by the generation counter). *)
-module Memo_tbl = Hashtbl.Make (struct
-  type t = string * Plan.t
-
-  let equal (s1, p1) (s2, p2) = String.equal s1 s2 && Plan.equal_structural p1 p2
-  let hash (s, p) = (Hashtbl.hash s * 31) + Plan.hash p
-end)
-
-type memo = ann Memo_tbl.t
-
-let new_memo () = Memo_tbl.create 128
-
 let node_source ~inherited (node : Plan.t) =
   match node with
   | Plan.Scan r -> r.Plan.source
   | Plan.Submit (src, _) -> src
   | _ -> inherited
 
-let rec build ?memo registry ~source (node : Plan.t) : ann =
-  let source = node_source ~inherited:source node in
-  let construct () =
-    let child_source =
-      match node with Plan.Submit (src, _) -> src | _ -> source
-    in
-    let inputs =
-      Array.of_list
-        (List.map
-           (fun c -> build ?memo registry ~source:child_source c)
-           (Plan.children node))
-    in
-    let stats =
-      lazy
-        (Derive.of_node (Registry.catalog registry) node
-           (Array.to_list (Array.map (fun a -> Lazy.force a.stats) inputs)))
-    in
-    { node;
-      source;
-      inputs;
-      stats;
-      matched = lazy (Registry.matching registry ~source node);
-      vars = Hashtbl.create 8;
-      insts = Hashtbl.create 8;
-      in_progress = [] }
-  in
-  match memo with
-  | None -> construct ()
-  | Some m ->
-    let key = (source, node) in
-    (match Memo_tbl.find_opt m key with
-     | Some ann -> ann
-     | None ->
-       let ann = construct () in
-       Memo_tbl.add m key ann;
-       ann)
+let stats_of inputs = Array.to_list (Array.map (fun a -> Lazy.force a.stats) inputs)
 
-let input_stats ann =
-  Array.to_list (Array.map (fun a -> Lazy.force a.stats) ann.inputs)
+(* One node over its inputs' annotations, whose variables it shares: what
+   they already computed is not computed again. Its children's context is
+   its own source, so [inputs] must have been built in that context. *)
+let extend registry ~source (node : Plan.t) inputs : ann =
+  let source = node_source ~inherited:source node in
+  { node;
+    source;
+    inputs;
+    stats = lazy (Derive.of_node (Registry.catalog registry) node (stats_of inputs));
+    matched = lazy (Registry.matching registry ~source node);
+    vars = Hashtbl.create 8;
+    insts = Hashtbl.create 8;
+    in_progress = [] }
+
+let rec build registry ~source (node : Plan.t) : ann =
+  let source = node_source ~inherited:source node in
+  extend registry ~source node
+    (Array.of_list (List.map (build registry ~source) (Plan.children node)))
+
+let input_stats ann = stats_of ann.inputs
 
 (* --- Variable computation ------------------------------------------------ *)
 
@@ -441,10 +403,10 @@ and eval_ctx ctx ann (inst : inst) : Compile.ctx =
    variables computed at the root. [source] sets the rule-lookup context of
    the root (default: the mediator; pass a wrapper name to estimate a subplan
    as the wrapper executes it). *)
-let estimate ?abort_above ?evals ?memo ?(require_vars = Ast.all_cost_vars)
+let estimate ?abort_above ?evals ?(require_vars = Ast.all_cost_vars)
     ?(source = Registry.mediator_source) registry plan =
   let ctx = make_ctx ?abort_above ?evals registry in
-  let ann = build ?memo registry ~source plan in
+  let ann = build registry ~source plan in
   List.iter (fun v -> ignore (require ctx ann v)) require_vars;
   ann
 

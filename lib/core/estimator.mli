@@ -55,26 +55,22 @@ and inst = {
 
 val make_ctx : ?abort_above:float -> ?evals:int ref -> Registry.t -> ctx
 
-type memo
-(** A per-optimization memo of annotated subtrees, keyed on the rule-context
-    source and the canonical structural hash of the subtree
-    ({!Plan.hash}/{!Plan.equal_structural}). Structurally equal subtrees
-    share one {!ann} — and with it every cost variable already computed — so
-    repeated estimation of overlapping candidate plans never re-runs a
-    formula on an already-costed subtree. A memo is only sound while the
-    registry is unchanged: discard it after any write (see
-    {!Registry.generation}). *)
+val extend : Registry.t -> source:string -> Plan.t -> ann array -> ann
+(** Annotate one plan node over its inputs' annotations without computing
+    anything: [inputs.(i)] is the annotation of the node's [i]th child, and
+    the new node shares it, so what an input has computed is never computed
+    again. [source] is the node's rule context (a [Submit] switches to the
+    submitted source, a scan to its own); its children's context is the
+    node's own, and [inputs] must have been built in it. *)
 
-val new_memo : unit -> memo
-
-val build : ?memo:memo -> Registry.t -> source:string -> Plan.t -> ann
-(** Annotate a plan without computing anything; [source] is the rule context
-    of the root (nodes under [Submit] switch to the submitted source, scans
-    to their own). With [memo], already-annotated subtrees are shared instead
-    of rebuilt. *)
+val build : Registry.t -> source:string -> Plan.t -> ann
+(** Annotate a whole plan without computing anything: {!extend} over the
+    annotations of its children, built recursively in the context each
+    node gives them. [source] is the rule context of the root. *)
 
 val require : ctx -> ann -> Ast.cost_var -> float
-(** Compute (and cache) one cost variable of a node.
+(** Compute (and cache) one cost variable of a node. A variable the node
+    already holds is returned as it is, unchecked against the bound.
     @raise Aborted when the bound is exceeded
     @raise Disco_common.Err.Eval_error on formula errors or circular
     variable dependencies *)
@@ -82,7 +78,6 @@ val require : ctx -> ann -> Ast.cost_var -> float
 val estimate :
   ?abort_above:float ->
   ?evals:int ref ->
-  ?memo:memo ->
   ?require_vars:Ast.cost_var list ->
   ?source:string ->
   Registry.t ->
@@ -90,9 +85,8 @@ val estimate :
   ann
 (** Annotate and compute the [require_vars] (default: all five) at the root.
     [source] defaults to the mediator; pass a wrapper name to estimate a
-    subplan as the wrapper executes it. [memo] shares subtree annotations
-    across calls (see {!memo}). A [memo] is mutated by every call that
-    uses it, so two estimations running at once must not share one. *)
+    subplan as the wrapper executes it. Every call builds a fresh
+    annotation, so nothing is shared with an earlier estimate. *)
 
 val root_vars : ann -> (Ast.cost_var * (float * provenance)) list
 (** The root's computed variables with their provenance, in

@@ -44,7 +44,7 @@ type record = {
 
 type t = {
   registry : Registry.t;
-  mutable mode : mode;
+  mode : mode;
   mutable records : record list;  (* newest first *)
   mutable count : int;  (* List.length records, kept by observe and forget *)
   mutable feedback : feedback option;
@@ -66,8 +66,6 @@ let create ?(mode = Off) registry =
     on_drift = None;
     streaks = Hashtbl.create 16;
     lock = Mutex.create () }
-
-let set_mode t mode = t.mode <- mode
 
 let mode t = t.mode
 

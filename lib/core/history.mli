@@ -43,8 +43,6 @@ type t
 
 val create : ?mode:mode -> Registry.t -> t
 
-val set_mode : t -> mode -> unit
-
 val mode : t -> mode
 
 val set_feedback : t -> ?on_drift:(source:string -> unit) -> feedback option -> unit

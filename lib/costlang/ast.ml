@@ -117,9 +117,6 @@ type rule = {
   body_pos : (string * pos) list; (* assignment-target name -> position *)
 }
 
-let mk_rule ?pos ?(body_pos = []) head body =
-  { head; body; rule_pos = pos; body_pos }
-
 let target_pos r name = List.assoc_opt name r.body_pos
 
 (* Positions don't participate in semantic identity: two parses of the same

@@ -87,10 +87,6 @@ type rule = {
   body_pos : (string * pos) list; (** assignment-target name -> position *)
 }
 
-val mk_rule : ?pos:pos -> ?body_pos:(string * pos) list ->
-  head -> (target * expr) list -> rule
-(** Build a rule; positions default to absent (synthesized rule). *)
-
 val target_pos : rule -> string -> pos option
 (** Position of the assignment to the named target, when parsed. *)
 

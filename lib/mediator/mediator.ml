@@ -32,7 +32,7 @@ type t = {
      fault injectors' windows and the circuit-breaker cooldowns live on it. *)
   mutable now : float;
   (* escape hatch (the CLI's --no-cache): when off, the plan cache is
-     bypassed and every search runs without its memo — the reference
+     bypassed, so every query searches and estimates afresh — the reference
      behavior the differential tests compare against *)
   mutable cache_enabled : bool;
   (* strict-mode contract for registration-time static analysis: [`Error]
@@ -134,7 +134,6 @@ let now t = t.now
 let set_now t v = t.now <- v
 let cache_enabled t = t.cache_enabled
 let set_cache_enabled t on = t.cache_enabled <- on
-let lint_mode t = t.lint
 let last_lint t = t.last_lint
 let stats_mode t = t.stats_mode
 
@@ -485,7 +484,7 @@ let plan_of_variant ?(objective = Optimizer.Total_time) ?available t
   in
   let spec = r.spec and var = Optimizer.objective_var objective in
   let search () =
-    Optimizer.optimize ~objective ~memo:t.cache_enabled ~available
+    Optimizer.optimize ~objective ~available
       ~stats:t.opt_stats t.registry spec
   in
   let joined =

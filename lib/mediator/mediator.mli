@@ -31,9 +31,9 @@ val create :
   ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
   ?stats_mode:stats_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed. [cache] (default
-    on) enables the cross-query {!Plancache} and the plan search's
-    estimator memo; disabling both is the reference behavior the
-    differential tests compare against. [policy] sets the submit policy —
+    on) enables the cross-query {!Plancache}; disabling it is the reference
+    behavior the differential tests compare against (a plan search keeps
+    no cache of its own, so it runs the same either way). [policy] sets the submit policy —
     per-source timeout, retry budget, backoff, circuit breaker
     ({!Health.default_policy} when omitted). [lint] is the
     strict-mode contract for registration-time static analysis
@@ -102,8 +102,6 @@ val register : t -> Wrapper.t -> unit
     @raise Disco_common.Err.Eval_error in [`Error] lint mode when the
     export has error-severity findings; the source's rules are rolled
     back. *)
-
-val lint_mode : t -> [ `Error | `Warn | `Off ]
 
 val last_lint : t -> Disco_analysis.Analyzer.finding list
 (** Findings from the most recent {!register} (empty in [`Off] mode). *)

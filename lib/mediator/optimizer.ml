@@ -46,29 +46,9 @@ type spec = {
 
 module Aliases = Set.Make (String)
 
-(* Plan for one base relation, as executed inside its wrapper — only the
-   operators the wrapper is capable of. *)
-let base_plan (b : base) : Plan.t =
-  let scan = Plan.Scan b.ref_ in
-  let selected =
-    if b.can_select && not (Pred.equal b.pred Pred.True) then
-      Plan.Select (scan, b.pred)
-    else scan
-  in
-  match b.project with
-  | Some attrs when b.can_project -> Plan.Project (selected, attrs)
-  | _ -> selected
-
 (* The part of the base selection the wrapper cannot execute: applied by the
    mediator, above the submit. *)
 let base_residual (b : base) : Pred.t = if b.can_select then Pred.True else b.pred
-
-(* A single base relation as a complete mediator-side plan: submit the
-   wrapper-capable part, apply the residual above. *)
-let submit_base (b : base) : Plan.t =
-  let p = Plan.Submit (b.ref_.Plan.source, base_plan b) in
-  let residual = base_residual b in
-  if Pred.equal residual Pred.True then p else Plan.Select (p, residual)
 
 (* Per-alias index of the join predicates touching each alias, built once
    per enumeration/optimization. [connecting] visits only the joins adjacent
@@ -144,57 +124,120 @@ let join_components (adj : adjacency) (aliases : string list) : string list list
     aliases
 
 (* A candidate subplan during enumeration: either still inside one wrapper
-   (unwrapped), or already a mediator-side plan whose leaves are submits. *)
+   (unwrapped), or already a mediator-side plan whose leaves are submits.
+   Its node ['n] is a bare plan in [enumerate] and the plan's annotation in
+   the search, where each candidate is one new node over its inputs'. *)
 type site = At_source of string | At_mediator
 
-type candidate = {
-  plan : Plan.t;
+type 'n candidate = {
+  n : 'n;
   site : site;
   aliases : Aliases.t;
   (* selection a capability-limited wrapper could not execute; applied by the
      mediator right above the submit *)
   residual : Pred.t;
+  mutable wrapped : 'n candidate option;  (* [wrap]'s result, built once *)
 }
 
-let wrap (c : candidate) : candidate =
-  match c.site with
-  | At_mediator -> c
-  | At_source s ->
-    let p = Plan.Submit (s, c.plan) in
-    let p =
-      if Pred.equal c.residual Pred.True then p else Plan.Select (p, c.residual)
-    in
-    { plan = p; site = At_mediator; aliases = c.aliases; residual = Pred.True }
+(* How candidate nodes are made: [node ~source p inputs] is plan [p], whose
+   children are the [inputs]' plans, in rule context [source]; [plan] reads
+   a node's plan back. *)
+type 'n ops = {
+  plan : 'n -> Plan.t;
+  node : source:string -> Plan.t -> 'n array -> 'n;
+}
 
-(* Combine two disjoint candidates with a join, in both orientations (join
-   costs are asymmetric: the inner input may be probed via an index).
-   Wrapper-side joins are only possible when both sides live in the same
-   source. *)
-let combine spec (adj : adjacency) (l : candidate) (r : candidate) :
-    candidate list =
-  let preds = connecting adj l.aliases r.aliases in
-  if preds = [] then []
-  else
-    let pred = Pred.conj preds in
-    let aliases = Aliases.union l.aliases r.aliases in
-    let mediator_side =
-      let l' = wrap l and r' = wrap r in
-      [ { plan = Plan.Join (l'.plan, r'.plan, pred);
-          site = At_mediator;
-          aliases;
-          residual = Pred.True };
-        { plan = Plan.Join (r'.plan, l'.plan, pred);
-          site = At_mediator;
-          aliases;
-          residual = Pred.True } ]
+let bare = { plan = Fun.id; node = (fun ~source:_ p _ -> p) }
+
+(* A wrapper-side node is annotated in its source's rule context (the one
+   its submit gives it), so its wrapper's rules cost it; a mediator-side
+   node in the mediator's. *)
+let annotations registry =
+  { plan = (fun (a : Estimator.ann) -> a.Estimator.node);
+    node = Estimator.extend registry }
+
+(* One base relation as executed inside its wrapper — only the operators the
+   wrapper is capable of. *)
+let base_node ops (b : base) =
+  let source = b.ref_.Plan.source in
+  let over child p = ops.node ~source p [| child |] in
+  let scan = ops.node ~source (Plan.Scan b.ref_) [||] in
+  let selected =
+    if b.can_select && not (Pred.equal b.pred Pred.True) then
+      over scan (Plan.Select (ops.plan scan, b.pred))
+    else scan
+  in
+  match b.project with
+  | Some attrs when b.can_project ->
+    over selected (Plan.Project (ops.plan selected, attrs))
+  | _ -> selected
+
+let base_plan b = base_node bare b
+
+let seed ops (b : base) =
+  { n = base_node ops b;
+    site = At_source b.ref_.Plan.source;
+    aliases = Aliases.singleton b.ref_.Plan.binding;
+    residual = base_residual b;
+    wrapped = None }
+
+(* A wrapper-side candidate as a mediator-side one: submit it and apply the
+   residual above. Built once, so every join over it shares the node. *)
+let wrap ops (c : 'n candidate) : 'n candidate =
+  match c.site, c.wrapped with
+  | At_mediator, _ -> c
+  | At_source _, Some w -> w
+  | At_source s, None ->
+    let over child p = ops.node ~source:Registry.mediator_source p [| child |] in
+    let sub = over c.n (Plan.Submit (s, ops.plan c.n)) in
+    let n =
+      if Pred.equal c.residual Pred.True then sub
+      else over sub (Plan.Select (ops.plan sub, c.residual))
     in
-    match l.site, r.site with
-    | At_source s1, At_source s2 when String.equal s1 s2 && spec.can_join s1 ->
-      let residual = Pred.conj (Pred.conjuncts l.residual @ Pred.conjuncts r.residual) in
-      { plan = Plan.Join (l.plan, r.plan, pred); site = At_source s1; aliases; residual }
-      :: { plan = Plan.Join (r.plan, l.plan, pred); site = At_source s1; aliases; residual }
-      :: mediator_side
-    | _ -> mediator_side
+    let w =
+      { n; site = At_mediator; aliases = c.aliases; residual = Pred.True; wrapped = None }
+    in
+    c.wrapped <- Some w;
+    w
+
+(* A single base relation as a complete mediator-side plan. *)
+let submit_base b = (wrap bare (seed bare b)).n
+
+(* The joins of two disjoint candidates on [pred] in both orientations (join
+   costs are asymmetric: the inner input may be probed via an index), as
+   nodes in rule context [source]. *)
+let joins ops ~source ~site ~residual l r pred =
+  let aliases = Aliases.union l.aliases r.aliases in
+  let join a b =
+    { n = ops.node ~source (Plan.Join (ops.plan a.n, ops.plan b.n, pred)) [| a.n; b.n |];
+      site;
+      aliases;
+      residual;
+      wrapped = None }
+  in
+  [ join l r; join r l ]
+
+(* Wrapper-side joins are only possible when both sides live in the same
+   source and it can join. *)
+let wrapper_joins ops spec l r pred =
+  match l.site, r.site with
+  | At_source s1, At_source s2 when String.equal s1 s2 && spec.can_join s1 ->
+    let residual = Pred.conj (Pred.conjuncts l.residual @ Pred.conjuncts r.residual) in
+    joins ops ~source:s1 ~site:(At_source s1) ~residual l r pred
+  | _ -> []
+
+(* Mediator-side joins, over two mediator-side candidates. *)
+let mediator_joins ops l r pred =
+  joins ops ~source:Registry.mediator_source ~site:At_mediator ~residual:Pred.True
+    l r pred
+
+(* Every join of two disjoint candidates: wrapper-side, then mediator-side. *)
+let combine ops spec (adj : adjacency) l r =
+  match connecting adj l.aliases r.aliases with
+  | [] -> []
+  | preds ->
+    let pred = Pred.conj preds in
+    wrapper_joins ops spec l r pred @ mediator_joins ops (wrap ops l) (wrap ops r) pred
 
 (* --- Width limits ------------------------------------------------------------ *)
 
@@ -233,19 +276,15 @@ let enumerate (spec : spec) : Plan.t list =
              super-exponential; the limit is %d relations — use optimize"
             (List.length spec.bases) max_enumerate_width));
   let adj = adjacency_of spec in
-  let rec gen (bs : base list) : candidate list =
+  let rec gen (bs : base list) : Plan.t candidate list =
     match bs with
     | [] -> []
-    | [ b ] ->
-      [ { plan = base_plan b;
-          site = At_source b.ref_.Plan.source;
-          aliases = Aliases.singleton b.ref_.Plan.binding;
-          residual = base_residual b } ]
+    | [ b ] -> [ seed bare b ]
     | _ ->
       List.concat_map
         (fun (lbs, rbs) ->
           List.concat_map
-            (fun l -> List.concat_map (fun r -> combine spec adj l r) (gen rbs))
+            (fun l -> List.concat_map (fun r -> combine bare spec adj l r) (gen rbs))
             (gen lbs))
         (splits bs)
   in
@@ -256,7 +295,7 @@ let enumerate (spec : spec) : Plan.t list =
     let complete = gen bs in
     List.filter_map
       (fun c ->
-        if Aliases.cardinal c.aliases = List.length bs then Some (wrap c).plan
+        if Aliases.cardinal c.aliases = List.length bs then Some (wrap bare c).n
         else None)
       complete
 
@@ -304,44 +343,49 @@ let objective_var = function
   | Total_time -> Disco_costlang.Ast.Total_time
   | First_tuple -> Disco_costlang.Ast.Time_first
 
-(* Estimate a complete plan; [bound] enables the early-abort heuristic of
-   §4.3.2 (TotalTime objective only — TimeFirst is not monotone along the
-   tree). Returns [None] when aborted. [memo] shares subtree annotations
-   with earlier estimates of the same optimizer run. *)
-let cost_of ?bound ?(objective = Total_time) ?memo registry (stats : stats)
-    (plan : Plan.t) : float option =
+(* The objective at an annotation's root; [bound] enables the early-abort
+   heuristic of §4.3.2 (TotalTime objective only — TimeFirst is not monotone
+   along the tree). Returns [None] when aborted. What the annotation already
+   holds is read, not computed or checked against the bound again. *)
+let cost_ann ?bound ~objective registry (stats : stats) (ann : Estimator.ann) :
+    float option =
   stats.plans_considered <- stats.plans_considered + 1;
-  let var = objective_var objective in
-  let evals = ref 0 in
   let bound = match objective with Total_time -> bound | First_tuple -> None in
+  let ctx = Estimator.make_ctx ?abort_above:bound registry in
   let result =
-    try
-      let ann =
-        Estimator.estimate ?abort_above:bound ~evals ?memo ~require_vars:[ var ]
-          registry plan
-      in
-      Some (Option.get (Estimator.var ann var))
-    with Estimator.Aborted ->
+    match Estimator.require ctx ann (objective_var objective) with
+    | cost -> Some cost
+    | exception Estimator.Aborted ->
       stats.plans_aborted <- stats.plans_aborted + 1;
       None
   in
-  stats.formula_evals <- stats.formula_evals + !evals;
+  stats.formula_evals <- stats.formula_evals + !(ctx.Estimator.evals);
   result
 
-(* Pick the cheapest plan from an explicit list, optionally with
-   branch-and-bound pruning; ties keep the earlier plan. *)
-let choose ?(prune = true) ?(objective = Total_time) ?memo registry
-    ?(stats = new_stats ()) (plans : Plan.t list) : (Plan.t * float) option =
+(* Estimate a complete plan afresh. *)
+let cost_of ?bound ?(objective = Total_time) registry stats plan =
+  cost_ann ?bound ~objective registry stats
+    (Estimator.build registry ~source:Registry.mediator_source plan)
+
+(* The cheapest of [xs] under [cost_le], [cost bound x] costing each with
+   the best cost so far as its bound when pruning; ties keep the earlier. *)
+let cheapest_by ~prune cost xs =
   List.fold_left
-    (fun best plan ->
+    (fun best x ->
       let bound = if prune then Option.map snd best else None in
-      match cost_of ?bound ~objective ?memo registry stats plan with
+      match cost bound x with
       | None -> best
-      | Some cost ->
+      | Some c ->
         (match best with
-         | Some (_, c) when cost_le c cost -> best
-         | _ -> Some (plan, cost)))
-    None plans
+         | Some (_, b) when cost_le b c -> best
+         | _ -> Some (x, c)))
+    None xs
+
+(* Pick the cheapest plan from an explicit list, optionally with
+   branch-and-bound pruning. *)
+let choose ?(prune = true) ?(objective = Total_time) registry
+    ?(stats = new_stats ()) (plans : Plan.t list) : (Plan.t * float) option =
+  cheapest_by ~prune (fun bound p -> cost_of ?bound ~objective registry stats p) plans
 
 (* --- Engine selection --------------------------------------------------------- *)
 
@@ -438,19 +482,16 @@ let require_available (spec : spec) ~available =
    the exact DP, a merged unit in greedy), the best candidate per site (one
    per source for unwrapped plans, one mediator-side), stored with its cost
    so each candidate is costed exactly once per run — the incumbent's
-   stored cost is compared against, never recomputed. [memo] (default on)
-   shares subtree annotations across the run — candidates overlap
-   massively, so without sharing the estimator re-runs formulas on
-   identical subtrees thousands of times. It only changes what is
-   recomputed, never the costs (see test/test_plancache.ml). *)
+   stored cost is compared against, never recomputed. A candidate is its
+   annotation, one new node over its inputs' (see [annotations]), so
+   costing it evaluates that node's formulas over what its inputs already
+   computed. *)
 type strategy = Exact | Goo
 
-let search strategy ?(objective = Total_time) ?(memo = true)
-    ?(available = fun _ -> true) ?stats registry (spec : spec)
-    : Plan.t * float =
+let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stats
+    registry (spec : spec) : Plan.t * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
-  let memo = if memo then Some (Estimator.new_memo ()) else None in
   let stats = new_stats () in
   let adj = adjacency_of spec in
   (* fail early, with names: a base whose only source is unavailable (open
@@ -462,12 +503,14 @@ let search strategy ?(objective = Total_time) ?(memo = true)
   (match join_components adj aliases with
    | _ :: _ :: _ -> no_plan_error spec ~available
    | _ -> ());
-  let cost plan =
-    Option.value ~default:infinity (cost_of ~objective ?memo registry stats plan)
+  let ops = annotations registry in
+  let plan_of (c : Estimator.ann candidate) = c.n.Estimator.node in
+  let cost (c : Estimator.ann candidate) =
+    Option.get (cost_ann ~objective registry stats c.n)
   in
   (* keep at most one candidate per site *)
-  let put_entry existing (c : candidate) =
-    let same_site ((x : candidate), _) =
+  let put_entry existing (c : Estimator.ann candidate) =
+    let same_site (x, _) =
       match x.site, c.site with
       | At_mediator, At_mediator -> true
       | At_source a, At_source b -> String.equal a b
@@ -475,40 +518,61 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     in
     match List.find_opt same_site existing with
     | Some ((_, old_cost) as entry) ->
-      let c_cost = cost c.plan in
+      let c_cost = cost c in
       if cost_le old_cost c_cost then existing
       else (c, c_cost) :: List.filter (fun e -> e != entry) existing
-    | None -> (c, cost c.plan) :: existing
+    | None -> (c, cost c) :: existing
+  in
+  (* The double loop over the entries of two disjoint alias sets, handing
+     each join to [put]: per (l, r), the wrapper-side joins, then the
+     mediator-side ones unless that pair of mediator-side inputs was
+     already joined. A seed's wrapper-side entry and its wrapped form wrap
+     to the same input, and a repeat costs exactly what its first
+     occurrence did, so it could never displace an entry. *)
+  let join_all ls rs put =
+    let joined = ref [] in
+    List.iter
+      (fun (l, _) ->
+        List.iter
+          (fun (r, _) ->
+            match connecting adj l.aliases r.aliases with
+            | [] -> ()
+            | preds ->
+              let pred = Pred.conj preds in
+              List.iter put (wrapper_joins ops spec l r pred);
+              let l' = wrap ops l and r' = wrap ops r in
+              if not (List.exists (fun (a, b) -> a == l' && b == r') !joined)
+              then begin
+                joined := (l', r') :: !joined;
+                List.iter put (mediator_joins ops l' r' pred)
+              end)
+          rs)
+      ls
+  in
+  let join_entries ls rs =
+    let entries = ref [] in
+    join_all ls rs (fun c -> entries := put_entry !entries c);
+    !entries
   in
   (* the singleton entries of one base: the wrapper-side candidate and its
      wrapped mediator-side form *)
   let seed_base (b : base) =
-    let c =
-      { plan = base_plan b;
-        site = At_source b.ref_.Plan.source;
-        aliases = Aliases.singleton b.ref_.Plan.binding;
-        residual = base_residual b }
-    in
-    let entries = put_entry (put_entry [] c) (wrap c) in
+    let c = seed ops b in
+    let entries = put_entry (put_entry [] c) (wrap ops c) in
     stats.dp_entries <- stats.dp_entries + List.length entries;
     entries
   in
   (* fold the full-query entries down to the cheapest complete plan *)
-  let best_of_entries cands =
-    match
-      List.fold_left
-        (fun best (c, stored) ->
-          let w = wrap c in
-          (* wrapping is the identity on mediator-side candidates, whose
-             stored cost is still exact; wrapper-side candidates change
-             plan (submit + residual) and are costed once here *)
-          let cst = if w == c then stored else cost w.plan in
-          match best with
-          | Some (_, b) when cost_le b cst -> best
-          | _ -> Some (w.plan, cst))
-        None cands
-    with
-    | Some result -> result
+  let best_of_entries entries =
+    (* wrapping is the identity on mediator-side candidates, whose stored
+       cost is still exact; a wrapper-side candidate's submit (and
+       residual) is costed once here *)
+    let wrapped_cost _ (c, stored) =
+      let w = wrap ops c in
+      Some (if w == c then stored else cost w)
+    in
+    match cheapest_by ~prune:false wrapped_cost entries with
+    | Some ((c, _), cst) -> (plan_of (wrap ops c), cst)
     | None -> no_plan_error spec ~available
   in
   let n = List.length spec.bases in
@@ -520,8 +584,8 @@ let search strategy ?(objective = Total_time) ?(memo = true)
      entry list of the union of all units, or [None] when [pair_limit]
      would be exceeded (checked before any costing). *)
   let dpccp_units ?pair_limit
-      (units : (Aliases.t * (candidate * float) list) array) :
-      (candidate * float) list option =
+      (units : (Aliases.t * (Estimator.ann candidate * float) list) array) :
+      (Estimator.ann candidate * float) list option =
     let m = Array.length units in
     if m > max_graph_width then
       raise
@@ -644,7 +708,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
             by_size.(k) <-
               List.sort (fun (a, _) (b, _) -> lex_mask_compare a b) g)
           by_size;
-        let table : (int, (candidate * float) list) Hashtbl.t =
+        let table : (int, (Estimator.ann candidate * float) list) Hashtbl.t =
           Hashtbl.create 64
         in
         Array.iteri
@@ -662,15 +726,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
                 Hashtbl.find_opt table (s_mask lxor lmask)
               with
               | Some ls, Some rs ->
-                List.iter
-                  (fun (l, _) ->
-                    List.iter
-                      (fun (r, _) ->
-                        List.iter
-                          (fun c -> entries := put_entry !entries c)
-                          (combine spec adj l r))
-                      rs)
-                  ls
+                join_all ls rs (fun c -> entries := put_entry !entries c)
               | _ -> ())
             lmasks;
           if !entries <> [] then begin
@@ -719,26 +775,13 @@ let search strategy ?(objective = Total_time) ?(memo = true)
         end
       done
     done;
-    let merge_entries l r =
-      let entries = ref [] in
-      List.iter
-        (fun (lc, _) ->
-          List.iter
-            (fun (rc, _) ->
-              List.iter
-                (fun c -> entries := put_entry !entries c)
-                (combine spec adj lc rc))
-            r)
-        l;
-      !entries
-    in
     (* a pair's rank: the cost of joining the two sides' cheapest entries
        (ties keep the earlier entry, so the pick is deterministic). Ranking
        only the cheapest-by-cheapest combination — both sides are already
-       costed and memoized, so a rank costs a couple of top-node
-       estimations — keeps the GOO loop quadratic-with-small-constant even
-       on cliques; the full entry product is materialized only for the
-       winning pair of each round. *)
+       costed, so a rank costs a couple of top-node estimations — keeps the
+       GOO loop quadratic-with-small-constant even on cliques; the full
+       entry product is materialized only for the winning pair of each
+       round. *)
     let cheapest entries =
       match entries with
       | [] -> None
@@ -757,13 +800,12 @@ let search strategy ?(objective = Total_time) ?(memo = true)
         stats.csg_cmp_pairs <- stats.csg_cmp_pairs + 1;
         let rank =
           match cheapest entries_u.(i), cheapest entries_u.(j) with
-          | Some (lc, _), Some (rc, _) ->
-            List.fold_left
-              (fun m c ->
-                let x = cost c.plan in
-                if cost_le m x then m else x)
-              infinity
-              (combine spec adj lc rc)
+          | Some l, Some r ->
+            let m = ref infinity in
+            join_all [ l ] [ r ] (fun c ->
+                let x = cost c in
+                if not (cost_le !m x) then m := x);
+            !m
           | _ -> infinity
         in
         Hashtbl.replace rank_cache (i, j) rank;
@@ -791,7 +833,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
            graph stays connected under merging *)
         no_plan_error spec ~available
       | Some (i, j, _) ->
-        let entries = merge_entries entries_u.(i) entries_u.(j) in
+        let entries = join_entries entries_u.(i) entries_u.(j) in
         al_u.(i) <- Aliases.union al_u.(i) al_u.(j);
         entries_u.(i) <- entries;
         tree_u.(i) <- Gnode (tree_u.(i), tree_u.(j));
@@ -814,10 +856,13 @@ let search strategy ?(objective = Total_time) ?(memo = true)
       if active.(i) then root := i
     done;
     (* final selection over the wrapped full-query candidates, through
-       [choose] so its branch-and-bound pruning applies *)
+       [choose]'s fold so its branch-and-bound pruning applies *)
     let final_of entries =
-      choose ~prune:true ~objective ?memo registry ~stats
-        (List.map (fun (c, _) -> (wrap c).plan) entries)
+      Option.map
+        (fun (w, c) -> (plan_of w, c))
+        (cheapest_by ~prune:true
+           (fun bound w -> cost_ann ?bound ~objective registry stats w.n)
+           (List.map (fun (c, _) -> wrap ops c) entries))
     in
     let goo =
       match final_of entries_u.(!root) with
@@ -874,7 +919,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
        plan stands as-is, and no composite tree is ever re-costed. *)
     let improved_entries =
       let r =
-        if List.for_all (fun (_, o) -> o = None) wimproved then None
+        if List.for_all (fun (_, o) -> Option.is_none o) wimproved then None
         else begin
           let rec eval t =
             match List.assq_opt t wimproved with
@@ -882,7 +927,7 @@ let search strategy ?(objective = Total_time) ?(memo = true)
             | Some None | None -> (
               match t with
               | Gleaf i -> seeds.(i)
-              | Gnode (a, b) -> merge_entries (eval a) (eval b))
+              | Gnode (a, b) -> join_entries (eval a) (eval b))
           in
           Some (eval tree_u.(!root))
         end
@@ -902,16 +947,15 @@ let search strategy ?(objective = Total_time) ?(memo = true)
     (match strategy with Exact -> run_exact | Goo -> run_greedy)
 
 type engine =
-  ?objective:objective -> ?memo:bool -> ?available:(string -> bool) ->
-  ?stats:stats -> Registry.t -> spec ->
-  Plan.t * float
+  ?objective:objective -> ?available:(string -> bool) -> ?stats:stats ->
+  Registry.t -> spec -> Plan.t * float
 
 let dpccp : engine = search Exact
 let greedy : engine = search Goo
 
 let optimize : engine =
- fun ?objective ?memo ?available ?stats registry spec ->
+ fun ?objective ?available ?stats registry spec ->
   let engine =
     if List.length spec.bases <= default_enum_threshold then dpccp else greedy
   in
-  engine ?objective ?memo ?available ?stats registry spec
+  engine ?objective ?available ?stats registry spec

@@ -43,8 +43,6 @@ let create ~name ~engine ~network ?(buffer_pages = 2048) ?(rules_text = "")
 let install_fault t profile =
   t.fault <- Some (Disco_fault.Fault.install profile ~source:t.name)
 
-let clear_fault t = t.fault <- None
-
 (* The same wrapper, exporting statistics but no cost rules or ADT costs: the
    baseline calibrating behaviour, used by the validation benches. *)
 let without_rules t = { t with rules_text = ""; export_adt_costs = false }

@@ -45,8 +45,6 @@ val install_fault : t -> Disco_fault.Fault.profile -> unit
     The wrapper's tables, rules and statistics are untouched; the mediator's
     submit policy consults the injector on every submit attempt. *)
 
-val clear_fault : t -> unit
-
 val find_table : t -> string -> Table.t
 (** @raise Disco_common.Err.Unknown_collection when absent. *)
 

@@ -1,4 +1,4 @@
-(* The two-level estimation cache, tested two ways:
+(* The cross-query plan cache, tested two ways:
 
    - differentially: random queries planned through a cache-enabled and a
      cache-disabled mediator over the same federation must yield the
@@ -33,7 +33,7 @@ let federation ~cache =
   m
 
 (* Two mediators over the same deterministic demo federation: the reference
-   (cache disabled: no estimator memo, no plan cache) and the cached one. *)
+   (cache disabled: no plan cache) and the cached one. *)
 let reference, cached = (federation ~cache:false, federation ~cache:true)
 
 (* Plan-search work a mediator has done so far. *)
