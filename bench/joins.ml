@@ -181,7 +181,7 @@ let print ?(smoke = false) ?json_path () =
       let sql = Demo.synthetic_sql ~shape ~n:50 () in
       let plan, _cost = Mediator.plan_query med50 sql in
       let errs =
-        Disco_analysis.Plancheck.errors (Mediator.verify_plan med50 plan)
+        Disco_analysis.Finding.errors (Mediator.verify_plan med50 plan)
       in
       if errs <> [] then
         Fmt.failwith "joins: %s-50 plan has %d verification error(s)"

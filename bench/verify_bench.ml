@@ -43,7 +43,7 @@ let print ?(smoke = false) ?json_path () =
       if plain.Mediator.rows <> verified.Mediator.rows then
         Fmt.failwith "verifybench: %s: verification changed the answer" sql;
       let errs =
-        Disco_analysis.Plancheck.errors
+        Disco_analysis.Finding.errors
           (Mediator.verify_plan med plain.Mediator.plan)
       in
       if errs <> [] then

@@ -198,7 +198,10 @@ let registration_cmd =
           registration (schemas, statistics, cost rules).")
     Term.(const run $ data_term $ source)
 
-(* --- check ----------------------------------------------------------------------- *)
+(* --- check, lint, verify: the static checks -------------------------------------- *)
+
+module Finding = Disco_analysis.Finding
+module Json = Disco_server.Json
 
 let check_cmd =
   let source =
@@ -212,18 +215,16 @@ let check_cmd =
         match List.find_opt (fun w -> w.Wrapper.name = source) (demo_wrappers data) with
         | None -> Fmt.failwith "unknown source %S" source
         | Some w ->
-          let issues =
-            Disco_costlang.Check.check_source (Wrapper.registration_decl w)
+          let findings =
+            Disco_analysis.Check.check_source (Wrapper.registration_decl w)
           in
-          if issues = [] then Fmt.pr "%s: export is clean@." source
-          else List.iter (Fmt.pr "%a@." Disco_costlang.Check.pp_issue) issues)
+          if findings = [] then Fmt.pr "%s: export is clean@." source
+          else List.iter (Fmt.pr "%a@." Finding.pp) findings)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Statically check a wrapper's registration export (rules, interfaces).")
     Term.(const run $ data_term $ source)
-
-(* --- lint ------------------------------------------------------------------------ *)
 
 let strict_arg =
   let doc = "Exit non-zero when any error-severity finding is present." in
@@ -240,9 +241,28 @@ let fail_on_arg =
     & opt (some (enum [ ("error", `Error); ("warning", `Warning) ])) None
     & info [ "fail-on" ] ~docv:"SEVERITY" ~doc)
 
-(* Shared gate for lint/verify: [--strict] and [--fail-on] apply to the
-   findings the optimizer can actually act on. *)
-let gate ~what ~strict ~fail_on ~nerrors ~nwarnings =
+let json_arg =
+  let doc = "Write the findings as a JSON array to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+
+(* lint and verify report through one path: a line per finding, a count
+   line after [summary], the JSON artifact, then the gate. [--strict] and
+   [--fail-on] apply to the findings the optimizer can act on. *)
+let report ~what ~summary ~strict ~fail_on ~json findings =
+  List.iter (Fmt.pr "%a@." Finding.pp) findings;
+  let count s = List.length (Finding.of_severity s findings) in
+  Fmt.pr "-- %s%d finding(s): %d error(s), %d warning(s), %d info@." summary
+    (List.length findings) (count Finding.Error) (count Finding.Warning)
+    (count Finding.Info);
+  Option.iter
+    (fun path ->
+      let json = List.map Disco_server.Protocol.json_of_finding findings in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Json.to_string (Json.List json) ^ "\n")))
+    json;
+  let act = Finding.active findings in
+  let nerrors = List.length (Finding.errors act)
+  and nwarnings = List.length (Finding.of_severity Finding.Warning act) in
   if strict && nerrors > 0 then
     Fmt.failwith "%s failed: %d error-severity finding(s)" what nerrors;
   match fail_on with
@@ -253,11 +273,15 @@ let gate ~what ~strict ~fail_on ~nerrors ~nwarnings =
       what nerrors nwarnings
   | _ -> ()
 
+(* The oo7 example export, blended into its own fresh model. *)
+let oo7_registry config =
+  let registry = Registry.create (Disco_catalog.Catalog.create ()) in
+  Generic.register registry;
+  let src = Disco_oo7.Oo7.make_source ~config ~with_rules:true () in
+  ignore (Registry.register_source_decl registry (Wrapper.registration_decl src));
+  registry
+
 let lint_cmd =
-  let json_arg =
-    let doc = "Write the findings as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
   let run data no_rules strict fail_on json =
     handle (fun () ->
         let module A = Disco_analysis.Analyzer in
@@ -272,33 +296,10 @@ let lint_cmd =
           | Health.Closed | Health.Half_open _ -> false
         in
         let demo = A.analyze ~excluded:breaker_open (Mediator.registry med) in
-        (* the oo7 example export, blended into its own fresh model *)
         let oo7 =
-          let registry = Registry.create (Disco_catalog.Catalog.create ()) in
-          Generic.register registry;
-          let src =
-            Disco_oo7.Oo7.make_source ~config:Disco_oo7.Oo7.small_config
-              ~with_rules:true ()
-          in
-          ignore
-            (Registry.register_source_decl registry (Wrapper.registration_decl src));
-          A.analyze_source registry ~source:"oo7"
+          A.analyze_source (oo7_registry Disco_oo7.Oo7.small_config) ~source:"oo7"
         in
-        let findings = demo @ oo7 in
-        List.iter (fun f -> Fmt.pr "%a@." A.pp_finding f) findings;
-        let count s = List.length (A.of_severity s findings) in
-        Fmt.pr "-- %d finding(s): %d error(s), %d warning(s), %d info@."
-          (List.length findings) (count A.Error) (count A.Warning) (count A.Info);
-        (match json with
-         | None -> ()
-         | Some path ->
-           let oc = open_out path in
-           output_string oc (A.to_json findings);
-           close_out oc);
-        let act = A.active findings in
-        gate ~what:"lint" ~strict ~fail_on
-          ~nerrors:(List.length (A.errors act))
-          ~nwarnings:(List.length (A.of_severity A.Warning act)))
+        report ~what:"lint" ~summary:"" ~strict ~fail_on ~json (demo @ oo7))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -310,17 +311,9 @@ let lint_cmd =
     Term.(
       const run $ data_term $ no_rules_arg $ strict_arg $ fail_on_arg $ json_arg)
 
-(* --- verify ---------------------------------------------------------------------- *)
-
 let verify_cmd =
-  let json_arg =
-    let doc = "Write the findings as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
   let run data no_rules stats strict fail_on json =
     handle (fun () ->
-        let module PC = Disco_analysis.Plancheck in
-        let module PB = Disco_analysis.Planbound in
         (* demo federation: optimize a representative query corpus and verify
            every chosen plan — typed well-formedness plus estimate bounds *)
         let med, _ = make_mediator ~stats ~no_rules data in
@@ -339,7 +332,7 @@ let verify_cmd =
              where doc.project_id = p.id and p.cost > 100" ]
         in
         let tag label fs =
-          List.map (fun f -> { f with PC.path = label ^ "/" ^ f.PC.path }) fs
+          List.map (fun (f : Finding.t) -> { f with where = label ^ "/" ^ f.where }) fs
         in
         let demo =
           List.concat_map
@@ -351,39 +344,21 @@ let verify_cmd =
         (* oo7: the example export's own query workload, verified as the
            wrapper executes it (wrapper-side placement rules) *)
         let config = Disco_oo7.Oo7.small_config in
+        let queries = Disco_oo7.Oo7.queries config in
         let oo7 =
-          let registry = Registry.create (Disco_catalog.Catalog.create ()) in
-          Generic.register registry;
-          let src =
-            Disco_oo7.Oo7.make_source ~config ~with_rules:true ()
-          in
-          ignore
-            (Registry.register_source_decl registry (Wrapper.registration_decl src));
+          let registry = oo7_registry config in
           List.concat_map
             (fun (label, plan) ->
               tag ("oo7:" ^ label)
-                (PC.check ~ctx:(`Wrapper "oo7") registry plan
-                 @ PB.check ~source:"oo7" registry plan))
-            (Disco_oo7.Oo7.queries config)
+                (Disco_analysis.Plancheck.check ~ctx:(`Wrapper "oo7") registry plan
+                 @ Disco_analysis.Planbound.check ~source:"oo7" registry plan))
+            queries
         in
-        let findings = demo @ oo7 in
-        List.iter (fun f -> Fmt.pr "%a@." PC.pp_finding f) findings;
-        let count s = List.length (PC.of_severity s findings) in
-        Fmt.pr
-          "-- verified %d demo plan(s), %d oo7 plan(s): %d finding(s) \
-           (%d error(s), %d warning(s), %d info)@."
-          (List.length corpus)
-          (List.length (Disco_oo7.Oo7.queries config))
-          (List.length findings) (count PC.Error) (count PC.Warning)
-          (count PC.Info);
-        (match json with
-         | None -> ()
-         | Some path ->
-           let oc = open_out path in
-           output_string oc (PC.to_json findings);
-           close_out oc);
-        gate ~what:"verify" ~strict ~fail_on ~nerrors:(count PC.Error)
-          ~nwarnings:(count PC.Warning))
+        report ~what:"verify"
+          ~summary:
+            (Fmt.str "verified %d demo plan(s), %d oo7 plan(s); "
+               (List.length corpus) (List.length queries))
+          ~strict ~fail_on ~json (demo @ oo7))
   in
   Cmd.v
     (Cmd.info "verify"
@@ -475,7 +450,6 @@ let health_cmd =
 
 module Server = Disco_server.Server
 module Client = Disco_server.Client
-module Json = Disco_server.Json
 
 let socket_arg =
   let doc = "Unix-domain socket path (ignored when --port is given)." in

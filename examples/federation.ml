@@ -84,10 +84,10 @@ let () =
   hr ();
   print_endline "Lint findings over the blended model:";
   hr ();
-  let module A = Disco_analysis.Analyzer in
-  let findings = A.analyze (Mediator.registry blended) in
-  let count sev = List.length (List.filter (fun f -> f.A.severity = sev) findings) in
-  List.iter (fun f -> Fmt.pr "%a@." A.pp_finding f)
-    (List.filter (fun f -> f.A.severity <> A.Info) findings);
+  let module F = Disco_analysis.Finding in
+  let findings = Disco_analysis.Analyzer.analyze (Mediator.registry blended) in
+  let count sev = List.length (F.of_severity sev findings) in
+  List.iter (fun f -> Fmt.pr "%a@." F.pp f)
+    (List.filter (fun f -> f.F.severity <> F.Info) findings);
   Fmt.pr "%d findings: %d errors, %d warnings, %d info@."
-    (List.length findings) (count A.Error) (count A.Warning) (count A.Info)
+    (List.length findings) (count F.Error) (count F.Warning) (count F.Info)

@@ -12,8 +12,6 @@ type collection_ref = {
   binding : string;     (** alias qualifying this scan's attributes *)
 }
 
-val pp_collection_ref : Format.formatter -> collection_ref -> unit
-
 type order = Asc | Desc
 
 type agg_fun = Count | Sum | Avg | Min | Max

@@ -6,7 +6,7 @@
    builtins get interval transfer functions, and context functions are
    abstracted by their documented ranges. Where the concrete evaluator
    raises — a zero divisor, a name coerced to a number — the interpreter
-   records an issue and continues with a sound over-approximation, so one
+   raises an alarm and continues with a sound over-approximation, so one
    pass surfaces every potential failure in a formula. *)
 
 open Disco_costlang
@@ -22,7 +22,7 @@ type aval =
   | Opaque
 
 (* A potential runtime failure or range violation found while evaluating. *)
-type issue =
+type alarm =
   | Div_by_zero of { definite : bool }
   | Numeric_name of string  (* name/predicate used where a number is required *)
   | Unknown_call of string
@@ -41,11 +41,11 @@ let interval_of = function
   | Num i -> Some i
   | Name _ | Pred _ | Opaque -> None
 
-let eval env (e : Ast.expr) : aval * issue list =
-  let issues = ref [] in
-  let emit i = if not (List.mem i !issues) then issues := i :: !issues in
+let eval env (e : Ast.expr) : aval * alarm list =
+  let alarms = ref [] in
+  let emit i = if not (List.mem i !alarms) then alarms := i :: !alarms in
   (* coerce to a number the way [Value.to_num] does: names and predicates
-     raise (recorded as an issue), opaque values are given the benefit of
+     raise (an alarm), opaque values are given the benefit of
      the doubt *)
   let num = function
     | Num i -> i
@@ -76,16 +76,23 @@ let eval env (e : Ast.expr) : aval * issue list =
          Num r)
     | Ast.Call (fn, args) -> call depth locals fn args
   and call depth locals fn args =
+    match env.def_of fn, args with
+    | _, [ c; t; e ] when fn = "if" ->
+      (* the conditional, compiled as such: no def shadows it *)
+      let ic = num (go depth locals c) in
+      let at = go depth locals t and ae = go depth locals e in
+      (match interval_of at, interval_of ae with
+       | Some it, Some ie -> Num (Interval.ite ic it ie)
+       | _ -> Opaque)
     (* wrapper-defined functions shadow context functions and builtins,
        matching [Estimator.call_function] *)
-    match env.def_of fn with
-    | Some (params, body) when List.length params = List.length args ->
+    | Some (params, body), _ when List.length params = List.length args ->
       if depth >= max_inline_depth then Opaque
       else
         let vals = List.map (go depth locals) args in
         go (depth + 1) (List.combine params vals) body
-    | Some _ -> Opaque (* arity mismatch raises concretely on Vnum count *)
-    | None ->
+    | Some _, _ -> Opaque (* arity mismatch raises concretely on Vnum count *)
+    | None, _ ->
       let nums () = List.map (fun a -> num (go depth locals a)) args in
       let n1 f = match nums () with [ a ] -> Num (f a) | _ -> Opaque in
       let fold f init =
@@ -105,15 +112,7 @@ let eval env (e : Ast.expr) : aval * issue list =
          (match nums () with [ a; b ] -> Num (Interval.pow_ a b) | _ -> Opaque)
        | "min" -> fold Interval.min_ (Interval.point infinity)
        | "max" -> fold Interval.max_ (Interval.point neg_infinity)
-       | "if" ->
-         (match args with
-          | [ c; t; e ] ->
-            let ic = num (go depth locals c) in
-            let at = go depth locals t and ae = go depth locals e in
-            (match interval_of at, interval_of ae with
-             | Some it, Some ie -> Num (Interval.ite ic it ie)
-             | _ -> Opaque)
-          | _ -> Opaque)
+       | "if" -> Opaque (* a wrong arity raises concretely *)
        | "yao" ->
          (* exact Yao'77 page-fetch fraction: in [0, 1] for every input
             (degenerate inputs clamp); NaN inputs propagate *)
@@ -153,12 +152,4 @@ let eval env (e : Ast.expr) : aval * issue list =
          Opaque)
   in
   let v = go 0 [] e in
-  (v, List.rev !issues)
-
-let pp_issue ppf = function
-  | Div_by_zero { definite = true } -> Format.fprintf ppf "division by zero"
-  | Div_by_zero { definite = false } ->
-    Format.fprintf ppf "possible division by zero"
-  | Numeric_name n ->
-    Format.fprintf ppf "%S used where a number is required" n
-  | Unknown_call fn -> Format.fprintf ppf "unknown function %S" fn
+  (v, List.rev !alarms)

@@ -5,21 +5,21 @@
     (depth-bounded), builtins get interval transfer functions, and context
     functions ([sel], [adtcost], ...) are abstracted by their documented
     ranges. Where the concrete evaluator raises — a zero divisor, a name
-    coerced to a number — the interpreter records an issue and continues
+    coerced to a number — the interpreter raises an alarm and continues
     with a sound over-approximation. *)
 
 open Disco_costlang
 
 (** Abstract value of an expression. [Name]/[Pred] raise on numeric
     coercion concretely; [Opaque] is an unknown representation whose
-    coercion cannot be judged (no issue is recorded for it). *)
+    coercion cannot be judged (no alarm is raised for it). *)
 type aval =
   | Num of Interval.t
   | Name of string
   | Pred of string
   | Opaque
 
-type issue =
+type alarm =
   | Div_by_zero of { definite : bool }
       (** divisor interval is exactly zero ([definite]) or touches zero *)
   | Numeric_name of string
@@ -33,12 +33,8 @@ type env = {
   def_of : string -> (string list * Ast.expr) option;
 }
 
-val max_inline_depth : int
-
 val interval_of : aval -> Interval.t option
 
-val eval : env -> Ast.expr -> aval * issue list
-(** Evaluate abstractly; issues are deduplicated, in first-occurrence
+val eval : env -> Ast.expr -> aval * alarm list
+(** Evaluate abstractly; alarms are deduplicated, in first-occurrence
     order. *)
-
-val pp_issue : Format.formatter -> issue -> unit

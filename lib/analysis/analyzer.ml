@@ -19,46 +19,15 @@
    - inter-variable dependency cycle detection (TotalTime -> TotalSize ->
      TotalTime through different rules), which diverges at evaluation time.
 
-   Findings carry severity, owning source, scope, and source locations
-   threaded from the lexer. *)
+   Findings are {!Finding.t}: severity, owning source, scope, and source
+   locations threaded from the lexer. *)
 
 open Disco_common
 open Disco_catalog
 open Disco_algebra
 open Disco_costlang
 open Disco_core
-
-type severity = Error | Warning | Info
-
-let severity_name = function
-  | Error -> "error"
-  | Warning -> "warning"
-  | Info -> "info"
-
-type finding = {
-  severity : severity;
-  tag : string;        (* stable machine tag: "div-zero", "dead-rule", ... *)
-  source : string;     (* owning source of the offending rule/parameter *)
-  operator : string option;
-  scope : Scope.t option;
-  where : string;      (* "rule scan(C)", "let AdtSel_match", ... *)
-  loc : Ast.pos option;
-  msg : string;
-  excluded : bool;     (* owning source is circuit-broken right now *)
-}
-
-let errors fs = List.filter (fun f -> f.severity = Error) fs
-let of_severity s fs = List.filter (fun f -> f.severity = s) fs
-let active fs = List.filter (fun f -> not f.excluded) fs
-
-let pp_finding ppf f =
-  (match f.loc with
-   | Some p -> Fmt.pf ppf "%a: " Ast.pp_pos p
-   | None -> ());
-  Fmt.pf ppf "%s [%s] %s%a in %s: %s" (severity_name f.severity) f.tag f.source
-    Fmt.(option (fun ppf s -> pf ppf "/%s" s))
-    f.operator f.where f.msg;
-  if f.excluded then Fmt.pf ppf " (scope:excluded)"
+open Finding
 
 (* --- Typed domains for rule-context references ---------------------------- *)
 
@@ -109,6 +78,11 @@ let head_kinds (h : Ast.head) : (string * head_kind) list =
   | Ast.Hjoin (l, r, p) -> arg Koperand l @ arg Koperand r @ pred p
   | Ast.Hsubmit (w, c) -> arg Kname w @ arg Koperand c
 
+(* Operator names valid in rule heads and capability lists. *)
+let known_operators =
+  [ "scan"; "select"; "project"; "sort"; "join"; "union"; "dedup"; "aggregate";
+    "submit" ]
+
 (* --- Interval pass over one rule ------------------------------------------ *)
 
 (* Reference resolution for the abstract interpreter, mirroring
@@ -128,7 +102,7 @@ let rule_resolver reg ~source ~kinds ~locals path : Absint.aval =
           (match List.assoc_opt x kinds with
            | Some Koperand ->
              (* "operand used as a plain value" raises concretely; surfaces
-                as a numeric-name issue on coercion *)
+                as a numeric-name alarm on coercion *)
              Absint.Name x
            | Some (Kattr a) -> Absint.Name a
            | Some Kconst_or_attr -> Absint.Opaque
@@ -160,7 +134,7 @@ let rule_resolver reg ~source ~kinds ~locals path : Absint.aval =
 (* The interval pass over one rule body. Sequential scoping: earlier
    targets' abstract values refine later formulas, exactly like the concrete
    evaluator's [inst.values]. *)
-let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
+let body_pass reg (rule : Rule.t) (ast : Ast.rule) : Finding.t list =
   let source = rule.Rule.source in
   let operator = Rule.operator rule in
   let where = Fmt.str "rule %a" Pp.head ast.Ast.head in
@@ -169,8 +143,7 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
   let findings = ref [] in
   let add ?loc severity tag msg =
     let f =
-      { severity; tag; source; operator = Some operator;
-        scope = Some rule.Rule.scope; where; loc; msg; excluded = false }
+      Finding.v ~source ~operator ~scope:rule.Rule.scope ?loc severity tag where msg
     in
     if not (List.mem f !findings) then findings := f :: !findings
   in
@@ -190,9 +163,9 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
         | Some _ as p -> p
         | None -> ast.Ast.rule_pos
       in
-      let v, issues = Absint.eval env expr in
+      let v, alarms = Absint.eval env expr in
       List.iter
-        (fun (i : Absint.issue) ->
+        (fun (i : Absint.alarm) ->
           match i with
           | Absint.Div_by_zero { definite } ->
             add ?loc
@@ -213,7 +186,7 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
           | Absint.Unknown_call fn ->
             add ?loc Error "unknown-function"
               (Fmt.str "unknown function %S in the formula for %s" fn name))
-        issues;
+        alarms;
       (match target, v with
        | Ast.Cost _, Absint.Num i ->
          if Interval.definitely_neg i then
@@ -234,7 +207,7 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : finding list =
   List.rev !findings
 
 (* Rules without source AST (query-scope history) have nothing to analyze. *)
-let analyze_rule reg (rule : Rule.t) : finding list =
+let analyze_rule reg (rule : Rule.t) : Finding.t list =
   match rule.Rule.ast with None -> [] | Some ast -> body_pass reg rule ast
 
 (* --- ADT parameter ranges ------------------------------------------------- *)
@@ -242,7 +215,7 @@ let analyze_rule reg (rule : Rule.t) : finding list =
 let has_prefix p s =
   String.length s > String.length p && String.sub s 0 (String.length p) = p
 
-let adt_let_findings reg ~source : finding list =
+let adt_let_findings reg ~source : Finding.t list =
   List.filter_map
     (fun n ->
       let value () =
@@ -255,20 +228,15 @@ let adt_let_findings reg ~source : finding list =
         match value () with
         | Some f when f < 0. || f > 1. ->
           Some
-            { severity = Error; tag = "selectivity-range"; source;
-              operator = None; scope = None; where = "let " ^ n; loc = None;
-              msg =
-                Fmt.str "exported ADT selectivity is %g, outside [0, 1]" f;
-              excluded = false }
+            (Finding.v ~source Error "selectivity-range" ("let " ^ n)
+               (Fmt.str "exported ADT selectivity is %g, outside [0, 1]" f))
         | _ -> None
       else if has_prefix "AdtCost_" n then
         match value () with
         | Some f when f < 0. ->
           Some
-            { severity = Error; tag = "negative"; source; operator = None;
-              scope = None; where = "let " ^ n; loc = None;
-              msg = Fmt.str "exported ADT cost is negative (%g)" f;
-              excluded = false }
+            (Finding.v ~source Error "negative" ("let " ^ n)
+               (Fmt.str "exported ADT cost is negative (%g)" f))
         | _ -> None
       else None)
     (Registry.let_names reg ~source)
@@ -462,7 +430,7 @@ let cost_var_deps ~def_of ~earlier (e : Ast.expr) : Ast.cost_var list =
   go 0 e;
   !acc
 
-let analyze_chain reg ~source ~operator : finding list =
+let analyze_chain reg ~source ~operator : Finding.t list =
   let chain =
     Registry.rules_for reg ~source ~operator
     |> List.filter (fun r -> Option.is_some (pattern_head r))
@@ -476,8 +444,7 @@ let analyze_chain reg ~source ~operator : finding list =
   let findings = ref [] in
   let add ?loc ?rule_scope ~owner severity tag where msg =
     let f =
-      { severity; tag; source = owner; operator = Some operator;
-        scope = rule_scope; where; loc; msg; excluded = false }
+      Finding.v ~source:owner ~operator ?scope:rule_scope ?loc severity tag where msg
     in
     if not (List.mem f !findings) then findings := f :: !findings
   in
@@ -707,16 +674,21 @@ let dedup fs =
    registered and will return once the breaker closes) but marked so lint
    gates match what the optimizer can actually pick right now. *)
 let mark_excluded excluded fs =
-  List.map (fun f -> if excluded f.source then { f with excluded = true } else f) fs
+  List.map
+    (fun f ->
+      match f.source with
+      | Some s when excluded s -> { f with excluded = true }
+      | _ -> f)
+    fs
 
-let analyze_source ?(excluded = fun _ -> false) reg ~source : finding list =
+let analyze_source ?(excluded = fun _ -> false) reg ~source : Finding.t list =
   let own =
     Registry.source_rules reg ~source
     |> List.filter (fun r -> Option.is_some (pattern_head r))
   in
   let rule_findings = List.concat_map (analyze_rule reg) own in
   let ops =
-    if String.equal source Registry.default_source then Check.known_operators
+    if String.equal source Registry.default_source then known_operators
     else List.sort_uniq String.compare (List.map Rule.operator own)
   in
   let chain_findings =
@@ -725,51 +697,9 @@ let analyze_source ?(excluded = fun _ -> false) reg ~source : finding list =
   mark_excluded excluded
     (dedup (rule_findings @ adt_let_findings reg ~source @ chain_findings))
 
-let analyze ?(excluded = fun _ -> false) reg : finding list =
+let analyze ?(excluded = fun _ -> false) reg : Finding.t list =
   mark_excluded excluded
     (dedup
        (List.concat_map
           (fun source -> analyze_source reg ~source)
           (Registry.sources reg)))
-
-(* --- Reporting ------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json (fs : finding list) : string =
-  let field k v = Fmt.str "%S: %s" k v in
-  let str k v = field k (Fmt.str "\"%s\"" (json_escape v)) in
-  let one f =
-    let fields =
-      [ str "severity" (severity_name f.severity);
-        str "tag" f.tag;
-        str "source" f.source ]
-      @ (match f.operator with Some o -> [ str "operator" o ] | None -> [])
-      @ (match f.scope with
-         | Some s -> [ str "scope" (Scope.to_string s) ]
-         | None -> [])
-      @ [ str "where" f.where ]
-      @ (match f.loc with
-         | Some p ->
-           [ field "line" (string_of_int p.Ast.line);
-             field "col" (string_of_int p.Ast.col) ]
-         | None -> [])
-      @ (if f.excluded then [ field "excluded" "true" ] else [])
-      @ [ str "msg" f.msg ]
-    in
-    "  {" ^ String.concat ", " fields ^ "}"
-  in
-  "[\n" ^ String.concat ",\n" (List.map one fs) ^ "\n]\n"

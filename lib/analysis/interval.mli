@@ -18,7 +18,6 @@ val point : float -> t
 (** Singleton interval; [point nan] is {!top_nan}. *)
 
 val top : t
-val top_nan : t
 
 val nonneg : t
 (** [[0, inf)] — cardinalities, sizes, times. *)
@@ -34,8 +33,6 @@ val with_nan : bool -> t -> t
 val contains : t -> float -> bool
 (** Membership, NaN-aware: [contains i nan] iff [i.nan]. *)
 
-val contains_zero : t -> bool
-val is_zero : t -> bool
 val definitely_neg : t -> bool
 val maybe_neg : t -> bool
 

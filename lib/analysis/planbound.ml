@@ -60,12 +60,12 @@ let unsat_conjunct child_stats pred =
 
 (* One walk computes bounds and (optionally) validates concrete estimates.
    [validate = None] is the pure bound pass used by [bounds]. *)
-let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimator.ann) =
+let analyze reg ?(validate : (Finding.t -> unit) option) (ann0 : Estimator.ann) =
   let cat = Registry.catalog reg in
   let ctx = Estimator.make_ctx reg in
   let add f = match validate with Some k -> k f | None -> () in
-  let finding ?scope severity tag path source msg =
-    add { Plancheck.severity; tag; source = Some source; scope; path; msg }
+  let finding ?scope severity tag where source msg =
+    add (Finding.v ~source ?scope severity tag where msg)
   in
   (* Concrete estimate of one variable, reporting evaluation failures. *)
   let demand path (ann : Estimator.ann) var =
@@ -81,7 +81,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
         let msg =
           match e with Err.Eval_error m -> m | e -> Printexc.to_string e
         in
-        finding Plancheck.Error "estimation-failure" path ann.Estimator.source
+        finding Finding.Error "estimation-failure" path ann.Estimator.source
           (Fmt.str "%s cannot be estimated: %s" (Ast.cost_var_name var) msg);
         None
   in
@@ -95,13 +95,13 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
     let scope = scope_of ann var in
     let name = Ast.cost_var_name var in
     if Float.is_nan v then
-      finding ?scope Plancheck.Error "nan" path ann.Estimator.source
+      finding ?scope Finding.Error "nan" path ann.Estimator.source
         (Fmt.str "%s is NaN" name)
     else if v < 0. then
-      finding ?scope Plancheck.Error "negative" path ann.Estimator.source
+      finding ?scope Finding.Error "negative" path ann.Estimator.source
         (Fmt.str "%s is negative (%g)" name v)
     else if v = Float.infinity then
-      finding ?scope Plancheck.Error "divergent" path ann.Estimator.source
+      finding ?scope Finding.Error "divergent" path ann.Estimator.source
         (Fmt.str "%s diverges to infinity" name)
   in
   let rec walk rev_path (ann : Estimator.ann) : bound =
@@ -129,7 +129,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
         | ext ->
           let n = float_of_int ext.Stats.count_objects in
           if n < 0. || Float.is_nan n then (
-            finding Plancheck.Warning "tainted-bound" path ann.Estimator.source
+            finding Finding.Warning "tainted-bound" path ann.Estimator.source
               (Fmt.str "catalog extent of %s.%s is degenerate (%g objects)"
                  r.Plan.source r.Plan.collection n);
             Interval.with_nan true Interval.nonneg)
@@ -141,7 +141,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
             | st -> unsat_conjunct st pred
             | exception _ -> false)
          then
-           finding Plancheck.Info "empty-select" path ann.Estimator.source
+           finding Finding.Info "empty-select" path ann.Estimator.source
              "predicate is unsatisfiable against the derived attribute ranges");
         Interval.v ~nan:c.Interval.nan 0. c.Interval.hi
       | Plan.Project _ | Plan.Sort _ | Plan.Submit _ -> (child 0).card
@@ -166,7 +166,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
        if Float.is_nan est || est < 0. || est = Float.infinity then ()
        else if measured ann Ast.Count_object then (
          if above est card.Interval.hi || below est card.Interval.lo then
-           finding ?scope Plancheck.Info "measured-deviation" path
+           finding ?scope Finding.Info "measured-deviation" path
              ann.Estimator.source
              (Fmt.str
                 "measured cardinality %g lies outside the formula-derived \
@@ -177,7 +177,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
            (not card.Interval.nan)
            && (above est card.Interval.hi || below est card.Interval.lo)
          then
-           finding ?scope Plancheck.Error "card-bound" path ann.Estimator.source
+           finding ?scope Finding.Error "card-bound" path ann.Estimator.source
              (Fmt.str "estimated cardinality %g outside sound bound %a" est
                 Interval.pp card);
          (* direct parent-vs-child monotonicity, sharper than the interval
@@ -191,7 +191,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
          | Plan.Select _ | Plan.Project _ | Plan.Sort _ | Plan.Submit _ -> (
            match child_est 0 with
            | Some c when (not (Float.is_nan c)) && above est c ->
-             finding ?scope Plancheck.Error "monotonicity" path
+             finding ?scope Finding.Error "monotonicity" path
                ann.Estimator.source
                (Fmt.str "cardinality %g exceeds its input's %g" est c)
            | _ -> ())
@@ -199,7 +199,7 @@ let analyze reg ?(validate : (Plancheck.finding -> unit) option) (ann0 : Estimat
            match child_est 0 with
            | Some c when (not (Float.is_nan c)) && above est (Float.max 1. c)
              ->
-             finding ?scope Plancheck.Error "monotonicity" path
+             finding ?scope Finding.Error "monotonicity" path
                ann.Estimator.source
                (Fmt.str "cardinality %g exceeds max(1, input %g)" est c)
            | _ -> ())
@@ -238,6 +238,5 @@ let check ?source reg plan =
   match build_ann reg ~source plan with
   | Ok ann -> check_ann reg ann
   | Error msg ->
-    [ { Plancheck.severity = Plancheck.Error; tag = "estimation-failure";
-        source = None; scope = None; path = "plan";
-        msg = Fmt.str "plan cannot be annotated for estimation: %s" msg } ]
+    [ Finding.v Error "estimation-failure" "plan"
+        (Fmt.str "plan cannot be annotated for estimation: %s" msg) ]

@@ -32,11 +32,11 @@ val bounds : ?source:string -> Registry.t -> Plan.t -> bound
 (** Root bound of a plan; [source] is the rule context (defaults to the
     mediator, like {!Estimator.estimate}). *)
 
-val check_ann : Registry.t -> Estimator.ann -> Plancheck.finding list
+val check_ann : Registry.t -> Estimator.ann -> Finding.t list
 (** Validate an already-annotated plan — the warm path: [run_query] reuses
     the answer's estimation tree, so verification adds no estimation pass.
     Demands [CountObject] and [TotalTime] at every node (cached in the
     annotation once computed). *)
 
-val check : ?source:string -> Registry.t -> Plan.t -> Plancheck.finding list
+val check : ?source:string -> Registry.t -> Plan.t -> Finding.t list
 (** [check_ann] over a freshly built annotation. *)

@@ -12,63 +12,10 @@ open Disco_common
 open Disco_catalog
 open Disco_algebra
 open Disco_core
+open Finding
 
-type severity = Analyzer.severity = Error | Warning | Info
-
-type finding = {
-  severity : severity;
-  tag : string;
-  source : string option;
-  scope : Scope.t option;
-  path : string;
-  msg : string;
-}
-
-let errors fs = List.filter (fun f -> f.severity = Error) fs
-let of_severity s fs = List.filter (fun f -> f.severity = s) fs
-
-let pp_severity ppf s =
-  Fmt.string ppf
-    (match s with Error -> "error" | Warning -> "warning" | Info -> "info")
-
-let pp_finding ppf f =
-  Fmt.pf ppf "%s: %a [%s]%a: %s" f.path pp_severity f.severity f.tag
-    (Fmt.option (fun ppf s -> Fmt.pf ppf " %s" s))
-    f.source f.msg
-
-(* Same hand-rolled JSON as Analyzer.to_json: stable field order, no
-   dependencies. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json findings =
-  let field k v = Fmt.str "\"%s\":%s" k v in
-  let str s = Fmt.str "\"%s\"" (json_escape s) in
-  let one f =
-    let fields =
-      [ field "severity"
-          (str (match f.severity with Error -> "error" | Warning -> "warning" | Info -> "info"));
-        field "tag" (str f.tag);
-        field "source" (match f.source with Some s -> str s | None -> "null");
-        field "scope"
-          (match f.scope with Some s -> str (Scope.to_string s) | None -> "null");
-        field "path" (str f.path);
-        field "msg" (str f.msg) ]
-    in
-    "{" ^ String.concat "," fields ^ "}"
-  in
-  "[" ^ String.concat "," (List.map one findings) ^ "]"
+(* The one caller left is perfbench's traced replica of [run_query]. *)
+let errors = Finding.errors
 
 type ctx = [ `Mediator | `Wrapper of string ]
 
@@ -125,21 +72,14 @@ let render_path label rev_nodes = String.concat "/" (List.rev_map label rev_node
 
 let plan_label = function
   | Plan.Scan r -> Fmt.str "scan(%s.%s)" r.Plan.source r.Plan.collection
-  | Plan.Select _ -> "select"
-  | Plan.Project _ -> "project"
-  | Plan.Sort _ -> "sort"
-  | Plan.Join _ -> "join"
-  | Plan.Union _ -> "union"
-  | Plan.Dedup _ -> "dedup"
-  | Plan.Aggregate _ -> "aggregate"
   | Plan.Submit (s, _) -> Fmt.str "submit(%s)" s
+  | p -> Rule.operator_of_node p
 
 let check ?(ctx = `Mediator) reg plan =
   let cat = Registry.catalog reg in
   let out = ref [] in
-  let add ?source ?scope severity tag path msg =
-    let path = render_path plan_label path in
-    out := { severity; tag; source; scope; path; msg } :: !out
+  let add ?source severity tag path msg =
+    out := Finding.v ?source severity tag (render_path plan_label path) msg :: !out
   in
   let resolve_or_report ?(tag = "unknown-attribute") env path name =
     match resolve env name with
@@ -359,166 +299,15 @@ let check ?(ctx = `Mediator) reg plan =
             wrapper declared (paper §2.1); scans are always executable *)
          Plan.fold
            (fun () node ->
-             let op =
-               match node with
-               | Plan.Scan _ | Plan.Submit _ -> None
-               | Plan.Select _ -> Some "select"
-               | Plan.Project _ -> Some "project"
-               | Plan.Sort _ -> Some "sort"
-               | Plan.Join _ -> Some "join"
-               | Plan.Union _ -> Some "union"
-               | Plan.Dedup _ -> Some "dedup"
-               | Plan.Aggregate _ -> Some "aggregate"
-             in
-             match op with
-             | Some op when not (Catalog.capable cat ~source op) ->
-               add ~source Error "capability" path
-                 (Fmt.str "source %s cannot execute %s" source op)
-             | _ -> ())
+             match node with
+             | Plan.Scan _ | Plan.Submit _ -> ()
+             | node ->
+               let op = Rule.operator_of_node node in
+               if not (Catalog.capable cat ~source op) then
+                 add ~source Error "capability" path
+                   (Fmt.str "source %s cannot execute %s" source op))
            () sub;
          walk ~inside:(Some source) path sub)
   in
   ignore (walk ~inside:None [] plan);
-  List.rev !out
-
-(* ---------------- batched-engine preconditions ---------------- *)
-
-module B = Disco_exec.Batch
-
-let check_batch (b : B.t) =
-  let out = ref [] in
-  let add severity tag msg =
-    out := { severity; tag; source = None; scope = None; path = "batch"; msg }
-           :: !out
-  in
-  let ncols = Array.length b.B.cols in
-  if Array.length b.B.attrs <> ncols then
-    add Error "batch-shape"
-      (Fmt.str "%d attribute names for %d columns" (Array.length b.B.attrs) ncols);
-  let col_len = function
-    | B.Ints a -> Array.length a
-    | B.Floats a -> Array.length a
-    | B.Boxed a -> Array.length a
-  in
-  let phys =
-    Array.fold_left (fun acc c -> min acc (col_len c)) max_int b.B.cols
-  in
-  let phys = if ncols = 0 then 0 else phys in
-  (match b.B.sel with
-   | None ->
-     if ncols > 0 && phys < b.B.len then
-       add Error "batch-shape"
-         (Fmt.str "dense batch of len %d over columns of %d rows" b.B.len phys)
-   | Some sel ->
-     if Array.length sel <> b.B.len then
-       add Error "selection-vector"
-         (Fmt.str "selection vector of %d entries but len = %d"
-            (Array.length sel) b.B.len);
-     Array.iter
-       (fun i ->
-         if i < 0 || (ncols > 0 && i >= phys) then
-           add Error "selection-vector"
-             (Fmt.str "selection index %d outside physical rows [0, %d)" i phys))
-       sel);
-  if b.B.len = 0 then
-    add Warning "batch-shape" "emitted batches are non-empty by engine invariant";
-  if errors !out = [] then (
-    let bytes = ref 0 in
-    for i = 0 to b.B.len - 1 do
-      bytes := !bytes + B.row_bytes b i
-    done;
-    if !bytes <> b.B.bytes then
-      add Error "batch-bytes"
-        (Fmt.str "batch claims %d bytes but rows sum to %d" b.B.bytes !bytes));
-  List.rev !out
-
-(* ---------------- physical-plan invariants ---------------- *)
-
-module P = Disco_exec.Physical
-module T = Disco_storage.Table
-
-let physical_label = function
-  | P.Pscan { table; _ } -> Fmt.str "pscan(%s)" table.T.name
-  | P.Pfilter _ -> "pfilter"
-  | P.Pproject _ -> "pproject"
-  | P.Psort _ -> "psort"
-  | P.Pnested_join _ -> "pnested_join"
-  | P.Pindex_join _ -> "pindex_join"
-  | P.Punion _ -> "punion"
-  | P.Pdedup _ -> "pdedup"
-  | P.Paggregate _ -> "paggregate"
-  | P.Pmaterialized _ -> "pmaterialized"
-
-let check_physical plan =
-  let out = ref [] in
-  let add severity tag path msg =
-    let path = render_path physical_label path in
-    out := { severity; tag; source = None; scope = None; path; msg } :: !out
-  in
-  let table_attr table binding path what name =
-    (* residuals and access paths reference attributes of one table: accept
-       the bare schema name or its binding-qualified form *)
-    let bare =
-      match Plan.split_attr name with
-      | Some (b, a) when b = binding -> Some a
-      | Some _ -> None
-      | None -> Some name
-    in
-    match bare with
-    | Some a
-      when Schema.find_attribute table.T.schema a <> None ->
-      Some a
-    | _ ->
-      add Error "unknown-attribute" path
-        (Fmt.str "%s references %s, not an attribute of %s" what name
-           table.T.schema.Schema.coll_name);
-      None
-  in
-  let rec walk up (p : P.t) =
-    let path = p :: up in
-    match p with
-    | P.Pscan { table; binding; access; residual } ->
-      (match access with
-       | P.Full_scan -> ()
-       | P.Index_scan { attr; _ } -> (
-         match table_attr table binding path "index access" attr with
-         | Some a when not (T.has_index table a) ->
-           add Error "index-access" path
-             (Fmt.str "index scan on %s but %s has no index on it" attr
-                table.T.name)
-         | _ -> ()));
-      List.iter
-        (fun a -> ignore (table_attr table binding path "residual" a))
-        (Pred.attributes residual)
-    | P.Pfilter (c, _) | P.Pproject (c, _) | P.Psort (c, _) | P.Pdedup c
-    | P.Paggregate (c, _) ->
-      walk path c
-    | P.Pnested_join (l, r, _) | P.Punion (l, r) ->
-      walk path l;
-      walk path r
-    | P.Pindex_join { outer; table; binding; inner_attr; residual; _ } ->
-      (match table_attr table binding path "index join" inner_attr with
-       | Some a when not (T.has_index table a) ->
-         add Error "index-access" path
-           (Fmt.str "index join probes %s but %s has no index on it" inner_attr
-              table.T.name)
-       | _ -> ());
-      ignore residual;
-      walk path outer
-    | P.Pmaterialized { batches; count; _ } ->
-      (* the mediator's engine reads these batches without re-checking
-         them: each must meet the batched engine's preconditions *)
-      List.iteri
-        (fun i b ->
-          List.iter
-            (fun (f : finding) ->
-              add f.severity f.tag path (Fmt.str "batch %d: %s" i f.msg))
-            (check_batch b))
-        batches;
-      let n = List.fold_left (fun acc (b : B.t) -> acc + b.B.len) 0 batches in
-      if count <> n then
-        add Error "materialized-count" path
-          (Fmt.str "materialized node claims %d rows but holds %d" count n)
-  in
-  walk [] plan;
   List.rev !out

@@ -20,9 +20,6 @@ type t
 
 val create : unit -> t
 
-val register_source : t -> string -> source
-(** Idempotent: returns the existing source entry if already registered. *)
-
 val source_names : t -> string list
 
 val find_source : t -> string -> source

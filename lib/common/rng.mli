@@ -6,9 +6,6 @@ type t
 
 val create : seed:int -> t
 
-val next_int64 : t -> int64
-(** The raw 64-bit stream. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)]. Raises [Invalid_argument] when
     [bound <= 0]. *)

@@ -41,16 +41,6 @@ val find_loose : t -> string -> attr_stat option
 
 val of_catalog_attr : Stats.attribute -> attr_stat
 
-val clear_indexed : t -> t
-
-val narrow_cmp : t -> string -> Pred.cmp -> Constant.t -> t
-(** Narrow by one atomic comparison: equality pins the value, ranges move the
-    bounds and scale the distinct count. *)
-
-val narrow_pred : t -> Pred.t -> t
-(** Narrow by all conjuncts of a predicate (disjunctions and negations are
-    left untouched). *)
-
 val of_node : Catalog.t -> Plan.t -> t list -> t
 (** Derived statistics of one node given its children's. *)
 

@@ -67,8 +67,6 @@ val lookup_let : t -> source:string -> string -> Value.t option
     may reference earlier lets, catalog statistics of their source, defs and
     builtins. *)
 
-val lookup_def : t -> source:string -> string -> Compile.def option
-
 val lookup_let_or_default : t -> source:string -> string -> Value.t option
 (** Falls back to the generic model's parameters, so wrapper rules may
     reference coefficients such as [IO]. *)

@@ -67,9 +67,6 @@ val subject : Plan.t -> Plan.collection_ref option
     preserve the underlying extent: [select(scan(employee), p)] is an
     operation on [employee]. *)
 
-val name_equal : Plan.collection_ref -> string -> bool
-(** The default instance relation: plain collection-name equality. *)
-
 val match_head :
   ?is_instance:(Plan.collection_ref -> string -> bool) ->
   Ast.head -> Plan.t -> bindings option

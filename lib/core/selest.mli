@@ -5,12 +5,6 @@
 open Disco_common
 open Disco_algebra
 
-val default_eq : float
-(** Fallback equality selectivity when statistics are unavailable (0.1). *)
-
-val default_range : float
-(** Fallback range selectivity (1/3). *)
-
 val of_cmp : Derive.t list -> string -> Pred.cmp -> Constant.t -> float
 (** Selectivity of [attr op const] against the inputs' statistics: histogram
     CDF when the attribute carries one (DESIGN.md §11), otherwise [1 /

@@ -81,10 +81,9 @@ let find name : (Value.t list -> Value.t) option =
           Value.num
             (List.fold_left (fun acc v -> Float.max acc (Value.to_num v)) neg_infinity args))
   | "if" ->
-    Some
-      (function
-        | [ c; t; e ] -> if Value.to_num c <> 0. then t else e
-        | args -> arity_error name (List.length args))
+    (* three arguments compile to a conditional ({!Compile.compile}): a
+       call that gets here has the wrong arity *)
+    Some (fun args -> arity_error name (List.length args))
   | "yao" ->
     (* yao(objects, pages, selected): exact Yao'77 page-fetch fraction *)
     Some

@@ -42,6 +42,10 @@ let rec compile (e : Ast.expr) : compiled =
           else x /. y
     in
     fun ctx -> Value.Vnum (f (Value.to_num (ca ctx)) (Value.to_num (cb ctx)))
+  | Ast.Call ("if", [ c; t; e ]) ->
+    (* a conditional: only the branch taken is evaluated *)
+    let cc = compile c and ct = compile t and ce = compile e in
+    fun ctx -> if Value.to_num (cc ctx) <> 0. then ct ctx else ce ctx
   | Ast.Call (name, args) ->
     let cargs = List.map compile args in
     fun ctx -> ctx.call name (List.map (fun c -> c ctx) cargs)

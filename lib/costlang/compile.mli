@@ -18,6 +18,9 @@ type ctx = {
 type compiled = ctx -> Value.t
 
 val compile : Ast.expr -> compiled
+(** A three-argument [if(c, t, e)] compiles to a conditional that evaluates
+    only the branch it takes, so a guard can protect a division; a [def]
+    cannot shadow it. Other arities go to the builtin, which raises. *)
 
 val eval_num : compiled -> ctx -> float
 (** Evaluate and coerce to a number. *)

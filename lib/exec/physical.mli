@@ -42,18 +42,11 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 
-val local_attr : binding:string -> string -> string option
-(** Strip the binding qualifier when the attribute belongs to [binding]. *)
-
 val index_scan_cost : Costs.engine -> Table.t -> clustered:bool -> int -> float
 (** Estimated cost of fetching [k] matches through an index: probe + touched
     pages (contiguous when clustered, Yao otherwise) + materialization. *)
 
 val full_scan_cost : Costs.engine -> Table.t -> matches:int -> float
-
-val choose_access : Costs.engine -> Table.t -> binding:string -> Pred.t -> access * Pred.t
-(** Pick the cheapest indexed conjunct if any beats the full scan; returns
-    the chosen access and the residual predicate. *)
 
 val of_logical : engine:Costs.engine -> find_table:(string -> Table.t) -> Plan.t -> t
 (** Translate a logical subplan (no [submit] nodes — raises

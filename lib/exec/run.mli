@@ -90,8 +90,6 @@ type vector = {
   wall_ms : float;
 }
 
-val vector_of_result : result -> vector
-
 val to_cost_vars : vector -> (Disco_costlang.Ast.cost_var * float) list
 
 val pp_vector : Format.formatter -> vector -> unit

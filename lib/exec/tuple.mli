@@ -13,8 +13,6 @@ val make : string array -> Constant.t array -> t
 
 val arity : t -> int
 
-val find_index : t -> string -> int option
-
 val get : t -> string -> Constant.t
 (** Lookup by qualified name, falling back to a unique unqualified-suffix
     match. @raise Disco_common.Err.Eval_error when absent or ambiguous. *)

@@ -156,12 +156,3 @@ let parse_spec spec : (string * profile) list =
         in
         (source, List.fold_left (parse_field spec) none fields))
     (split_on ';' spec)
-
-let pp_window ppf (a, b) = Fmt.pf ppf "[%.0f,%.0f)" a b
-
-let pp_profile ppf p =
-  Fmt.pf ppf
-    "seed=%d spike=%.2f@%.0fms err=%.2f@%.0fms stall=%.2f outages=%a stallwins=%a"
-    p.seed p.spike_prob p.spike_ms p.transient_prob p.transient_ms p.stall_prob
-    (Fmt.list ~sep:Fmt.comma pp_window) p.outages
-    (Fmt.list ~sep:Fmt.comma pp_window) p.stalls

@@ -56,5 +56,3 @@ val parse_spec : string -> (string * profile) list
     (the last two repeatable). E.g.
     ["web:err=0.3@40,spike=0.2@500,seed=7;files:outage=0-5000"].
     @raise Invalid_argument on malformed input. *)
-
-val pp_profile : Format.formatter -> profile -> unit

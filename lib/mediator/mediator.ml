@@ -14,6 +14,7 @@ open Disco_exec
 open Disco_wrapper
 open Disco_fault
 open Disco_sql
+open Disco_analysis
 
 type t = {
   catalog : Catalog.t;
@@ -39,7 +40,7 @@ type t = {
      rejects an export whose lint has error-severity findings, [`Warn] logs
      and keeps them inspectable, [`Off] skips the analyzer *)
   lint : [ `Error | `Warn | `Off ];
-  mutable last_lint : Disco_analysis.Analyzer.finding list;
+  mutable last_lint : Finding.t list;
   mutable wrappers : (string * Wrapper.t) list;
   (* feedback-driven statistics (§4.3, DESIGN.md §11). Off by default: the
      estimator then never sees a histogram or a selectivity correction and
@@ -150,13 +151,12 @@ let active_cache t = if t.cache_enabled then Some t.plancache else None
    stores it. Re-registration refreshes statistics and replaces rules. *)
 let register t (w : Wrapper.t) =
   let decl = Wrapper.registration_decl w in
-  (match Disco_costlang.Check.errors (Disco_costlang.Check.check_source decl) with
+  (match Finding.errors (Check.check_source decl) with
    | [] -> ()
    | err :: _ ->
      raise
        (Err.Eval_error
-          (Fmt.str "registration of %S rejected: %a" w.Wrapper.name
-             Disco_costlang.Check.pp_issue err)));
+          (Fmt.str "registration of %S rejected: %a" w.Wrapper.name Finding.pp err)));
   ignore (Registry.register_source_decl t.registry decl);
   (* static analysis of the freshly blended model (lib/analysis): in strict
      mode an export whose merged chains can raise, diverge or produce
@@ -164,18 +164,17 @@ let register t (w : Wrapper.t) =
   (match t.lint with
    | `Off -> t.last_lint <- []
    | (`Warn | `Error) as mode ->
-     let module A = Disco_analysis.Analyzer in
      let breaker_open src =
        match Health.state t.health src with
        | Health.Open _ -> true
        | Health.Closed | Health.Half_open _ -> false
      in
      let findings =
-       A.analyze_source ~excluded:breaker_open t.registry
+       Analyzer.analyze_source ~excluded:breaker_open t.registry
          ~source:decl.Disco_costlang.Ast.source_name
      in
      t.last_lint <- findings;
-     (match mode, A.errors (A.active findings) with
+     (match mode, Finding.errors (Finding.active findings) with
       | `Error, (err :: _ as errs) ->
         Registry.clear_source t.registry ~source:decl.Disco_costlang.Ast.source_name;
         raise
@@ -183,14 +182,13 @@ let register t (w : Wrapper.t) =
              (Fmt.str "registration of %S rejected by lint (%d error%s): %a"
                 w.Wrapper.name (List.length errs)
                 (if List.length errs = 1 then "" else "s")
-                A.pp_finding err))
+                Finding.pp err))
       | _, _ ->
         List.iter
-          (fun f ->
-            match f.A.severity with
-            | A.Error | A.Warning ->
-              Logs.warn (fun m -> m "lint: %a" A.pp_finding f)
-            | A.Info -> Logs.info (fun m -> m "lint: %a" A.pp_finding f))
+          (fun (f : Finding.t) ->
+            match f.severity with
+            | Error | Warning -> Logs.warn (fun m -> m "lint: %a" Finding.pp f)
+            | Info -> Logs.info (fun m -> m "lint: %a" Finding.pp f))
           findings));
   t.wrappers <- (w.Wrapper.name, w) :: List.remove_assoc w.Wrapper.name t.wrappers;
   if stats_on t then harvest_wrapper t w
@@ -784,36 +782,31 @@ let unavailable_sources t =
    accumulated failures surface as a structured [Degraded] report. A query
    that needs an already-open source fails fast with
    [Err.Source_unavailable]. *)
-exception Invalid_plan of Disco_analysis.Plancheck.finding list
+exception Invalid_plan of Finding.t list
 
 let () =
   Printexc.register_printer (function
     | Invalid_plan fs ->
-      Some
-        (Fmt.str "Invalid_plan: %a"
-           Fmt.(list ~sep:(any "; ") Disco_analysis.Plancheck.pp_finding)
-           fs)
+      Some (Fmt.str "Invalid_plan: %a" Fmt.(list ~sep:(any "; ") Finding.pp) fs)
     | _ -> None)
 
 (* Whole-plan verification of a chosen plan: typed well-formedness
-   (Plancheck, mediator placement rules) plus, when [deep], estimate-bound
-   validation (Planbound). [ann] reuses an existing estimation tree so the
-   warm query path never pays a second estimation pass. *)
-let verify_chosen ?(deep = true) ?ann t plan =
-  let pc = Disco_analysis.Plancheck.check ~ctx:`Mediator t.registry plan in
+   (Plancheck, mediator placement rules) plus estimate-bound validation
+   (Planbound). [ann] reuses an existing estimation tree so the warm query
+   path never pays a second estimation pass. *)
+let verify_plan ?ann t plan =
+  let pc = Plancheck.check ~ctx:`Mediator t.registry plan in
   let pb =
     (* the bound pass presumes well-formedness (it annotates the plan
        through the estimator, which resolves sources eagerly): skip it on
        plans the typed checker already rejects *)
-    if (not deep) || Disco_analysis.Plancheck.errors pc <> [] then []
+    if Finding.errors pc <> [] then []
     else
       match ann with
-      | Some a -> Disco_analysis.Planbound.check_ann t.registry a
-      | None -> Disco_analysis.Planbound.check t.registry plan
+      | Some a -> Planbound.check_ann t.registry a
+      | None -> Planbound.check t.registry plan
   in
   pc @ pb
-
-let verify_plan ?deep t plan = verify_chosen ?deep t plan
 
 let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
     ?(verify = false) t (text : string) : answer =
@@ -837,9 +830,7 @@ let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
       in
       (if verify then
          let check () =
-           match
-             Disco_analysis.Plancheck.errors (verify_chosen ~ann:estimate t plan)
-           with
+           match Finding.errors (verify_plan ~ann:estimate t plan) with
            | [] -> ()
            | errs -> raise (Invalid_plan errs)
          in

@@ -50,12 +50,6 @@ val optimizer_stats : t -> Optimizer.stats
     pairs, DP entries) — the plan-search cost the server's /metrics
     reports. *)
 
-val refresh_histograms : t -> source:string -> unit
-(** Re-sample a registered source and rebuild its histograms; a no-op when
-    statistics are off or the source is unknown. Invoked automatically on
-    drift; exposed for administrative refresh (the paper's §2.1 interface
-    for out-of-date statistics). *)
-
 val registry : t -> Registry.t
 val catalog : t -> Catalog.t
 
@@ -103,7 +97,7 @@ val register : t -> Wrapper.t -> unit
     export has error-severity findings; the source's rules are rolled
     back. *)
 
-val last_lint : t -> Disco_analysis.Analyzer.finding list
+val last_lint : t -> Disco_analysis.Finding.t list
 (** Findings from the most recent {!register} (empty in [`Off] mode). *)
 
 val find_wrapper : t -> string -> Wrapper.t
@@ -210,18 +204,17 @@ type report = {
 exception Degraded of report
 (** Raised by {!run_query} when replanning cannot recover the query. *)
 
-val pp_report : Format.formatter -> report -> unit
-
-exception Invalid_plan of Disco_analysis.Plancheck.finding list
+exception Invalid_plan of Disco_analysis.Finding.t list
 (** A chosen plan failed whole-plan verification (the [Error]-severity
     findings). Raised by {!run_query} under [~verify:true]; the server
     turns it into a typed protocol rejection. *)
 
-val verify_plan : ?deep:bool -> t -> Plan.t -> Disco_analysis.Plancheck.finding list
+val verify_plan : ?ann:Estimator.ann -> t -> Plan.t -> Disco_analysis.Finding.t list
 (** Whole-plan verification of a mediator plan: typed well-formedness
-    ({!Disco_analysis.Plancheck}, mediator placement rules) plus — when
-    [deep], the default — cardinality/cost-bound validation of its
-    estimates ({!Disco_analysis.Planbound}). *)
+    ({!Disco_analysis.Plancheck}, mediator placement rules) plus
+    cardinality/cost-bound validation of its estimates
+    ({!Disco_analysis.Planbound}), over [ann] when given (an annotation of
+    this plan) and over a fresh estimate otherwise. *)
 
 val run_query :
   ?objective:Optimizer.objective -> ?max_replans:int -> ?verify:bool ->

@@ -172,8 +172,6 @@ let base_node ops (b : base) =
     over selected (Plan.Project (ops.plan selected, attrs))
   | _ -> selected
 
-let base_plan b = base_node bare b
-
 let seed ops (b : base) =
   { n = base_node ops b;
     site = At_source b.ref_.Plan.source;

@@ -26,18 +26,11 @@ val paper_config : config
 val small_config : config
 (** A reduced configuration for tests. *)
 
-val atomic_part_schema : Schema.collection
-val composite_part_schema : Schema.collection
-val connection_schema : Schema.collection
 val document_schema : Schema.collection
 
 val make_tables : config -> Table.t list
 (** AtomicPart, CompositePart (clustered on id), Connection, Document —
     deterministic for a given config. *)
-
-val yao_rules : string
-(** The Yao-based cost rules of the paper's Fig 13, generalized over the
-    collection, plus scan / index-join / submit rules. *)
 
 val make_source :
   ?config:config -> ?with_rules:bool -> ?buffer_pages:int -> unit ->

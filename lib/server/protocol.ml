@@ -17,9 +17,13 @@
      {"id":7,"status":"degraded","failures":[...],"replans":2}
      {"id":7,"status":"rejected","reason":"queue_full"}
      {"id":7,"status":"rejected","reason":"deadline"}
+     {"id":7,"status":"rejected","reason":"invalid_plan","findings":[...]}
      {"id":7,"status":"error","error":"..."} *)
 
 open Disco_common
+open Disco_costlang
+open Disco_core
+open Disco_analysis
 open Disco_exec
 open Disco_mediator
 
@@ -140,28 +144,29 @@ let rejected_response ~id ~reason : Json.t =
       ("status", Json.String "rejected");
       ("reason", Json.String reason) ]
 
-let json_of_plan_finding (f : Disco_analysis.Plancheck.finding) : Json.t =
+(* The one encoding of a static-check finding: every field, [null] when
+   absent, for [disco lint --json], [disco verify --json] and the wire. *)
+let json_of_finding (f : Finding.t) : Json.t =
+  let str = Option.fold ~none:Json.Null ~some:(fun s -> Json.String s) in
+  let pos get = Option.fold ~none:Json.Null ~some:(fun p -> Json.Int (get p)) f.loc in
   Json.Obj
-    [ ("severity",
-       Json.String
-         (match f.Disco_analysis.Plancheck.severity with
-          | Disco_analysis.Plancheck.Error -> "error"
-          | Disco_analysis.Plancheck.Warning -> "warning"
-          | Disco_analysis.Plancheck.Info -> "info"));
-      ("tag", Json.String f.Disco_analysis.Plancheck.tag);
-      ("source",
-       match f.Disco_analysis.Plancheck.source with
-       | Some s -> Json.String s
-       | None -> Json.Null);
-      ("path", Json.String f.Disco_analysis.Plancheck.path);
-      ("msg", Json.String f.Disco_analysis.Plancheck.msg) ]
+    [ ("severity", Json.String (Finding.severity_name f.severity));
+      ("tag", Json.String f.tag);
+      ("source", str f.source);
+      ("operator", str f.operator);
+      ("scope", str (Option.map Scope.to_string f.scope));
+      ("where", Json.String f.where);
+      ("line", pos (fun p -> p.Ast.line));
+      ("col", pos (fun p -> p.Ast.col));
+      ("msg", Json.String f.msg);
+      ("excluded", Json.Bool f.excluded) ]
 
 let invalid_plan_response ~id findings : Json.t =
   Json.Obj
     [ ("id", id);
       ("status", Json.String "rejected");
       ("reason", Json.String "invalid_plan");
-      ("findings", Json.List (List.map json_of_plan_finding findings)) ]
+      ("findings", Json.List (List.map json_of_finding findings)) ]
 
 let error_response ~id msg : Json.t =
   Json.Obj

@@ -23,14 +23,9 @@ type request =
   | Shutdown
   | Http_get of string
 
-val default_tenant : string
-(** ["default"] — the partition of requests that name no tenant. *)
-
 val parse_request : string -> (request, string) result
 
 (** {1 Response rendering} *)
-
-val json_of_constant : Disco_common.Constant.t -> Json.t
 
 val json_of_tuple : Tuple.t -> Json.t
 (** An object mapping qualified attribute names to values — the row shape
@@ -46,11 +41,16 @@ val degraded_response : id:Json.t -> report:Mediator.report -> wall_ms:float -> 
 val rejected_response : id:Json.t -> reason:string -> Json.t
 (** [reason] is ["queue_full"] (backpressure) or ["deadline"]. *)
 
-val invalid_plan_response :
-  id:Json.t -> Disco_analysis.Plancheck.finding list -> Json.t
+val json_of_finding : Disco_analysis.Finding.t -> Json.t
+(** The one JSON encoding of a static-check finding, shared by the wire,
+    [disco lint --json] and [disco verify --json]:
+    [{"severity","tag","source","operator","scope","where","line","col",
+    "msg","excluded"}], every key present, [null] when absent. *)
+
+val invalid_plan_response : id:Json.t -> Disco_analysis.Finding.t list -> Json.t
 (** The typed rejection for plans failing whole-plan verification:
     [{"status":"rejected","reason":"invalid_plan","findings":[...]}], each
-    finding with its severity, tag, source and operator path. *)
+    finding encoded by {!json_of_finding}. *)
 
 val error_response : id:Json.t -> string -> Json.t
 

@@ -57,11 +57,7 @@ val running : t -> bool
 val wait : t -> unit
 (** Block until {!stop} — the foreground [disco serve] loop. *)
 
-val save_snapshot : t -> string option
-(** Snapshot now; [None] when no path is configured. *)
-
 val metrics_json : t -> Json.t
-val health_json : t -> Json.t
 
 val mediator : t -> Mediator.t
 val metrics : t -> Metrics.t

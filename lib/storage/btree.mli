@@ -22,9 +22,6 @@ type t = private {
   height : int;             (** simulated tree height, for probe cost *)
 }
 
-val height_of : int -> int
-(** Height of a fanout-128 tree over [n] distinct keys. *)
-
 val build : Constant.t array -> t
 (** [build keys] indexes positions [0 .. n - 1], position [p] under
     [keys.(p)]. Keys equal under [Constant.compare] share one entry,

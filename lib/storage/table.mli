@@ -47,10 +47,6 @@ type t = {
           needs no pass over its cells *)
 }
 
-val attr_pos : t -> string -> int
-(** Position of an attribute in the tuple layout.
-    @raise Disco_common.Err.Unknown_attribute when absent. *)
-
 val objects_per_page : page_size:int -> fill:float -> object_size:int -> int
 (** With the paper's §5 parameters (4096-byte pages, 96 % fill, 56-byte
     objects) this is 70, giving 1000 pages for 70000 objects. *)

@@ -17,12 +17,7 @@
 
 open Disco_catalog
 
-val employee_schema : Schema.collection
-val department_schema : Schema.collection
-val project_schema : Schema.collection
-val task_schema : Schema.collection
 val document_schema : Schema.collection
-val listing_schema : Schema.collection
 
 val objstore_rules : string
 (** The complete rule export of the object store. *)
@@ -31,8 +26,6 @@ val lang_match : Disco_exec.Adt.t
 (** The files source's expensive ADT operation (200 ms/call language
     detection, selectivity 0.25), usable in queries as
     [lang_match(d.lang, "en")]. *)
-
-val web_rules : string
 
 type sizes = {
   employees : int;

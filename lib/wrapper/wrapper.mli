@@ -57,10 +57,6 @@ val sample_values : t -> collection:string -> attr:string -> Disco_common.Consta
 
 (** {1 Registration phase (paper Fig 1)} *)
 
-val interface_of_table : Table.t -> Ast.interface_decl
-(** The wrapper's [cardinality] methods (paper §3.2): statistics computed
-    from the stored data. *)
-
 val registration_decl : t -> Ast.source_decl
 (** Everything the wrapper uploads at registration: schemas, statistics and
     cost rules. @raise Disco_common.Err.Parse_error if the wrapper's rule

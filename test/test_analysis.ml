@@ -53,17 +53,17 @@ let contains_sub s sub =
   go 0
 
 let find_tag fs tag =
-  match List.filter (fun f -> f.Analyzer.tag = tag) fs with
+  match List.filter (fun f -> f.Finding.tag = tag) fs with
   | [] -> Alcotest.failf "no %S finding" tag
   | f :: _ -> f
 
-let check_sev what expected (f : Analyzer.finding) =
+let check_sev what expected (f : Finding.t) =
   Alcotest.(check string) what
-    (Analyzer.severity_name expected)
-    (Analyzer.severity_name f.Analyzer.severity)
+    (Finding.severity_name expected)
+    (Finding.severity_name f.Finding.severity)
 
-let check_loc what expected (f : Analyzer.finding) =
-  match f.Analyzer.loc with
+let check_loc what expected (f : Finding.t) =
+  match f.Finding.loc with
   | None -> Alcotest.failf "%s: finding has no location" what
   | Some p ->
     Alcotest.(check (pair int int)) what
@@ -133,7 +133,7 @@ let test_builtin_names_resolve () =
       "rule select(C, P) { TotalTime = sel(P) * nnames(C); }"
   in
   Alcotest.(check int) "check accepts context functions" 0
-    (List.length (Check.errors (Check.check_rule r ~lets:[] ~defs:[])))
+    (List.length (Finding.errors (Check.check_rule r ~lets:[] ~defs:[])))
 
 (* --- Seeded regression: possible division by zero ----------------------------- *)
 
@@ -154,13 +154,13 @@ let test_seeded_divzero () =
   let reg = reg_with [ divzero_text ] in
   let fs = Analyzer.analyze_source reg ~source:"srcz" in
   let f = find_tag fs "div-zero" in
-  check_sev "possible divisor zero is a warning" Analyzer.Warning f;
+  check_sev "possible divisor zero is a warning" Finding.Warning f;
   check_loc "location is the TotalTime assignment"
     (pos_of divzero_text "TotalTime = C.TotalSize") f;
-  Alcotest.(check string) "owned by srcz" "srcz" f.Analyzer.source;
+  Alcotest.(check (option string)) "owned by srcz" (Some "srcz") f.Finding.source;
   (* a warning, not an error: strict mode does not reject it *)
   Alcotest.(check int) "no error findings" 0
-    (List.length (Analyzer.errors fs))
+    (List.length (Finding.errors fs))
 
 (* --- Seeded regression: negative cost ----------------------------------------- *)
 
@@ -181,7 +181,7 @@ let test_seeded_negative () =
   let reg = reg_with [ negative_text ] in
   let fs = Analyzer.analyze_source reg ~source:"srcn" in
   let f = find_tag fs "negative" in
-  check_sev "definitely negative cost is an error" Analyzer.Error f;
+  check_sev "definitely negative cost is an error" Finding.Error f;
   check_loc "location is the TimeFirst assignment"
     (pos_of negative_text "TimeFirst = 0 - 5") f
 
@@ -214,13 +214,13 @@ let test_seeded_dead_rule () =
   let reg = reg_with [ dead_text ] in
   let fs = Analyzer.analyze_source reg ~source:"srcd" in
   let f = find_tag fs "dead-rule" in
-  check_sev "dead rule is a warning" Analyzer.Warning f;
+  check_sev "dead rule is a warning" Finding.Warning f;
   (* the victim is the toplevel (wrapper-scope) rule — the second
      "rule scan(C)" in the text *)
   check_loc "location is the shadowed toplevel rule"
     (pos_of ~last:true dead_text "rule scan(C)") f;
   Alcotest.(check bool) "message names the collection-scope shadower" true
-    (contains_sub f.Analyzer.msg "collection")
+    (contains_sub f.Finding.msg "collection")
 
 (* --- Seeded regression: cost-variable dependency cycle ------------------------- *)
 
@@ -240,10 +240,10 @@ let test_seeded_cycle () =
   let reg = reg_with [ cycle_text ] in
   let fs = Analyzer.analyze_source reg ~source:"srcc" in
   let f = find_tag fs "cycle" in
-  check_sev "dependency cycle is an error" Analyzer.Error f;
+  check_sev "dependency cycle is an error" Finding.Error f;
   Alcotest.(check bool) "cycle names both variables" true
-    (contains_sub f.Analyzer.msg "TotalTime"
-     && contains_sub f.Analyzer.msg "TotalSize")
+    (contains_sub f.Finding.msg "TotalTime"
+     && contains_sub f.Finding.msg "TotalSize")
 
 (* --- Coverage: a chain missing a variable is an error -------------------------- *)
 
@@ -266,7 +266,7 @@ let test_coverage_missing_var () =
 }|}));
   let fs = Analyzer.analyze_chain registry ~source:"srcm" ~operator:"scan" in
   let f = find_tag fs "coverage" in
-  check_sev "missing cost variables are an error" Analyzer.Error f
+  check_sev "missing cost variables are an error" Finding.Error f
 
 (* --- The shipped models lint clean under --strict ------------------------------ *)
 
@@ -274,7 +274,7 @@ let test_generic_model_clean () =
   let reg = reg_with [] in
   let fs = Analyzer.analyze reg in
   Alcotest.(check int) "generic + mediator model has no error findings" 0
-    (List.length (Analyzer.errors fs));
+    (List.length (Finding.errors fs));
   (* and the expected benign findings are present: the competing same-level
      select strategies are reported as min-combined ambiguity *)
   ignore (find_tag fs "ambiguous")
@@ -285,13 +285,13 @@ let test_demo_federation_clean_strict () =
   List.iter (Mediator.register med) (Demo.make ~sizes:Demo.small_sizes ());
   let fs = Analyzer.analyze (Mediator.registry med) in
   Alcotest.(check int) "demo federation has no error findings" 0
-    (List.length (Analyzer.errors fs));
+    (List.length (Finding.errors fs));
   (* the objstore index join exports no TimeNext: fallback to generic *)
   Alcotest.(check bool) "objstore join falls back for TimeNext" true
     (List.exists
        (fun f ->
-         f.Analyzer.tag = "fallback" && f.Analyzer.source = "objstore"
-         && f.Analyzer.operator = Some "join")
+         f.Finding.tag = "fallback" && f.Finding.source = Some "objstore"
+         && f.Finding.operator = Some "join")
        fs)
 
 let test_oo7_clean_strict () =
@@ -304,7 +304,7 @@ let test_oo7_clean_strict () =
   ignore (Registry.register_source_decl registry (Wrapper.registration_decl src));
   let fs = Analyzer.analyze_source registry ~source:"oo7" in
   Alcotest.(check int) "oo7 export has no error findings" 0
-    (List.length (Analyzer.errors fs))
+    (List.length (Finding.errors fs))
 
 (* --- Strict registration rejects and rolls back -------------------------------- *)
 
@@ -336,7 +336,7 @@ let test_strict_mode_rejects () =
   Alcotest.(check bool) "warn mode keeps the export" true
     (Registry.rule_count (Mediator.registry med2) ~source:bad.Wrapper.name > 0);
   Alcotest.(check bool) "warn mode records the error finding" true
-    (Analyzer.errors (Mediator.last_lint med2) <> []);
+    (Finding.errors (Mediator.last_lint med2) <> []);
   (* Off mode skips the analyzer *)
   let med3 = Mediator.create ~lint:`Off () in
   Mediator.register med3 bad;
@@ -348,12 +348,15 @@ let test_strict_mode_rejects () =
 let test_json_output () =
   let reg = reg_with [ negative_text ] in
   let fs = Analyzer.analyze_source reg ~source:"srcn" in
-  let json = Analyzer.to_json fs in
+  let json =
+    Disco_server.(Json.to_string (Json.List (List.map Protocol.json_of_finding fs)))
+  in
   let has sub = contains_sub json sub in
   Alcotest.(check bool) "json has severity field" true
-    (has {|"severity": "error"|});
-  Alcotest.(check bool) "json has tag field" true (has {|"tag": "negative"|});
-  Alcotest.(check bool) "json has line field" true (has {|"line": |})
+    (has {|"severity":"error"|});
+  Alcotest.(check bool) "json has tag field" true (has {|"tag":"negative"|});
+  Alcotest.(check bool) "json has line field" true
+    (has {|"line":|} && not (has {|"line":null|}))
 
 (* --- Soundness: abstract interpretation vs the concrete evaluator --------------- *)
 

@@ -624,6 +624,34 @@ let test_division_by_zero_in_rule () =
        false
      with Err.Eval_error _ -> true)
 
+let test_if_takes_one_branch () =
+  (* a guard protects a division: over an empty extent only the else
+     branch is evaluated *)
+  let registry =
+    base_registry
+      ~extra:
+        {|interface Empty { attribute long id; cardinality extent(0, 0, 0); }
+          rule scan(C) { TotalTime = if(C.CountObject, 100 / C.CountObject, 5); }
+          rule select(C, P) { TotalTime = if(C.CountObject, 7, C.TotalTime); }|}
+      ()
+  in
+  let empty = Plan.Scan { Plan.source = "src"; collection = "Empty"; binding = "x" } in
+  Alcotest.(check (float 0.)) "guarded division" 5. (total ~source:"src" registry empty);
+  Alcotest.(check (float 1e-12)) "taken branch divides" 0.01
+    (total ~source:"src" registry scan_emp);
+  (* the child's TotalTime is named only in the untaken branch: it is never
+     computed, so it cannot trip the abort bound either *)
+  let ann =
+    Estimator.estimate ~abort_above:10. ~require_vars:[ Ast.Total_time ]
+      ~source:"src" registry (sel_salary 4)
+  in
+  Alcotest.(check (float 0.)) "then branch" 7. (Estimator.total_time ann);
+  let child = ann.Estimator.inputs.(0) in
+  Alcotest.(check bool) "guard computed" true
+    (Estimator.var child Ast.Count_object <> None);
+  Alcotest.(check (option (float 0.))) "untaken branch not computed" None
+    (Estimator.var child Ast.Total_time)
+
 let test_unknown_attribute_in_rule () =
   let registry =
     base_registry ~extra:"rule select(C, P) { TotalTime = C.nonexistent.Min + 1; }" ()
@@ -1155,6 +1183,7 @@ let () =
           Alcotest.test_case "evals counter" `Quick test_evals_counter_scales;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero_in_rule;
           Alcotest.test_case "unknown attribute" `Quick test_unknown_attribute_in_rule;
+          Alcotest.test_case "if takes one branch" `Quick test_if_takes_one_branch;
           Alcotest.test_case "deep plan chain" `Quick test_deep_plan_chain;
           Alcotest.test_case "TimeNext consistency" `Quick test_time_next_consistency;
           Alcotest.test_case "group cardinality" `Quick test_groupcard;

@@ -239,14 +239,17 @@ let test_parse_items () =
 
 (* --- Static checking ---------------------------------------------------------- *)
 
+module Check = Disco_analysis.Check
+module Finding = Disco_analysis.Finding
+
 let check text = Check.check_source (Parser.parse_source ~what:"check" text)
 
 let has_error issues needle =
   List.exists
     (fun i ->
-      i.Check.severity = Check.Error
+      i.Finding.severity = Finding.Error
       &&
-      let s = i.Check.msg in
+      let s = i.Finding.msg in
       let nl = String.length needle and hl = String.length s in
       let rec go j = j + nl <= hl && (String.sub s j nl = needle || go (j + 1)) in
       go 0)
@@ -255,7 +258,7 @@ let has_error issues needle =
 let test_check_clean () =
   (* the real exports are clean *)
   Alcotest.(check int) "employee fixture has no errors" 0
-    (List.length (Check.errors (check employee_source)))
+    (List.length (Finding.errors (check employee_source)))
 
 let test_check_unbound_variable () =
   let issues =
@@ -265,13 +268,13 @@ let test_check_unbound_variable () =
   (* bound by the head: fine *)
   Alcotest.(check int) "bound is clean" 0
     (List.length
-       (Check.errors (check "source s { rule select(C, A = V) { TotalTime = V * 2; } }")))
+       (Finding.errors (check "source s { rule select(C, A = V) { TotalTime = V * 2; } }")))
 
 let test_check_locals_bind () =
   (* a body-local assignment binds for later formulas (Fig 13 style) *)
   Alcotest.(check int) "local ok" 0
     (List.length
-       (Check.errors
+       (Finding.errors
           (check
              "source s { rule scan(C) { X1 = 3; TotalTime = X1 * 2; } }")));
   (* but not before its assignment *)
@@ -286,11 +289,11 @@ let test_check_unknown_function () =
        "unknown function");
   Alcotest.(check int) "context fns allowed" 0
     (List.length
-       (Check.errors
+       (Finding.errors
           (check "source s { rule select(C, P) { TotalTime = sel(P) * 10; } }")));
   Alcotest.(check int) "defs allowed" 0
     (List.length
-       (Check.errors
+       (Finding.errors
           (check "source s { def f(x) = x; rule scan(C) { TotalTime = f(1); } }")))
 
 let test_check_duplicates () =
@@ -304,6 +307,17 @@ let test_check_duplicates () =
           "source s { interface A { attribute long x; attribute long x; \
            cardinality extent(1,1,1); } }")
        "duplicate attribute")
+
+let test_check_def_if () =
+  (* [if] compiles to a conditional, so a def of that name is refused *)
+  Alcotest.(check bool) "def if" true
+    (has_error
+       (check "source s { def if(c, t, e) = t; rule scan(C) { TotalTime = 1; } }")
+       "cannot be redefined");
+  Alcotest.(check int) "if is callable" 0
+    (List.length
+       (Finding.errors
+          (check "source s { rule scan(C) { TotalTime = if(1, 2, 3); } }")))
 
 let test_check_interface_issues () =
   Alcotest.(check bool) "stats for undeclared attribute" true
@@ -321,9 +335,9 @@ let test_check_interface_issues () =
        "not declared before");
   (* missing extent: a warning, not an error *)
   let issues = check "source s { interface A { attribute long x; } }" in
-  Alcotest.(check int) "no errors" 0 (List.length (Check.errors issues));
+  Alcotest.(check int) "no errors" 0 (List.length (Finding.errors issues));
   Alcotest.(check bool) "warns" true
-    (List.exists (fun i -> i.Check.severity = Check.Warning) issues)
+    (List.exists (fun i -> i.Finding.severity = Finding.Warning) issues)
 
 let test_check_generic_model_clean () =
   (* the generic model itself passes its own checker *)
@@ -331,12 +345,12 @@ let test_check_generic_model_clean () =
     Parser.parse_source ~what:"generic" (Disco_core.Generic.text ())
   in
   Alcotest.(check int) "generic model clean" 0
-    (List.length (Check.errors (Check.check_source decl)));
+    (List.length (Finding.errors (Check.check_source decl)));
   let local =
     Parser.parse_source ~what:"local" Disco_core.Generic.local_text
   in
   Alcotest.(check int) "local rules clean" 0
-    (List.length (Check.errors (Check.check_source local)))
+    (List.length (Finding.errors (Check.check_source local)))
 
 (* --- Pretty-printer round-trip ----------------------------------------------- *)
 
@@ -545,6 +559,7 @@ let () =
           Alcotest.test_case "locals bind sequentially" `Quick test_check_locals_bind;
           Alcotest.test_case "unknown functions" `Quick test_check_unknown_function;
           Alcotest.test_case "duplicates" `Quick test_check_duplicates;
+          Alcotest.test_case "def if" `Quick test_check_def_if;
           Alcotest.test_case "interface issues" `Quick test_check_interface_issues;
           Alcotest.test_case "generic model is clean" `Quick
             test_check_generic_model_clean ] );

@@ -262,7 +262,7 @@ let test_greedy_plans_verify () =
       let sql = Demo.synthetic_sql ~shape ~n:18 () in
       let plan, _cost = Mediator.plan_query med sql in
       let errs =
-        Disco_analysis.Plancheck.errors (Mediator.verify_plan med plan)
+        Disco_analysis.Finding.errors (Mediator.verify_plan med plan)
       in
       Alcotest.(check int)
         (Fmt.str "%s-18 greedy plan verification errors"
@@ -381,7 +381,7 @@ let test_chain50_end_to_end () =
   in
   Alcotest.(check int) "no replans" 0 answer.Mediator.replans;
   let errs =
-    Disco_analysis.Plancheck.errors
+    Disco_analysis.Finding.errors
       (Mediator.verify_plan med answer.Mediator.plan)
   in
   Alcotest.(check int) "executed plan verifies clean" 0 (List.length errs)

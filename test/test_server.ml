@@ -817,6 +817,66 @@ let test_shutdown_op () =
   (* idempotent: a second stop is a no-op *)
   Server.stop srv
 
+(* --- static-check findings: one encoding on the wire and in the CLI --------- *)
+
+let test_invalid_plan_findings () =
+  (* corrupt the model as test_verify's run_query ~verify test does: the
+     served query is rejected with exactly verify_plan's error findings,
+     each encoded by json_of_finding, scope included *)
+  let med = make_mediator () in
+  let sql = "select e.name from Employee e where e.salary > 5000" in
+  let plan, _ = Mediator.plan_query med sql in
+  ignore
+    (Registry.add_query_rule (Mediator.registry med) ~source:"mediator" plan
+       [ (Disco_costlang.Ast.Total_time, Float.neg_infinity) ]);
+  let errors = Disco_analysis.Finding.errors (Mediator.verify_plan med plan) in
+  Alcotest.(check bool) "the corruption is found" true (errors <> []);
+  with_server ~med (fun _srv addr _med ->
+      let c = Client.connect_retry addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let resp = Client.query ~id:(Json.Int 1) c sql in
+          Alcotest.(check string) "rejected" "rejected" (status resp);
+          Alcotest.(check (option string)) "reason" (Some "invalid_plan")
+            (Json.string_member "reason" resp);
+          let findings = field "findings" resp in
+          Alcotest.(check string) "findings = json_of_finding (verify_plan)"
+            (Json.to_string (Json.List (List.map Protocol.json_of_finding errors)))
+            (Json.to_string findings);
+          match findings with
+          | Json.List (f :: _) ->
+            Alcotest.(check (option string)) "scope on the wire" (Some "query")
+              (Json.string_member "scope" f)
+          | _ -> Alcotest.fail "no findings"))
+
+let test_finding_roundtrip () =
+  let f =
+    { Disco_analysis.Finding.severity = Warning;
+      tag = "t";
+      source = Some "s\"rc";
+      operator = None;
+      scope = Some Scope.Query;
+      loc = Some { Disco_costlang.Ast.line = 3; col = 14 };
+      where = "rule scan(C)";
+      msg = "a \"quoted\" name,\na second line, a \x01 and a \\";
+      excluded = true }
+  in
+  let j = Protocol.json_of_finding f in
+  match Json.parse (Json.to_string j) with
+  | Error e -> Alcotest.failf "finding does not parse back: %s" e
+  | Ok j' ->
+    Alcotest.(check string) "same value" (Json.to_string j) (Json.to_string j');
+    Alcotest.(check (option string)) "message" (Some f.msg)
+      (Json.string_member "msg" j');
+    Alcotest.(check (option string)) "source" (Some "s\"rc")
+      (Json.string_member "source" j');
+    Alcotest.(check bool) "absent operator is null" true
+      (Json.member "operator" j' = Some Json.Null);
+    Alcotest.(check (option int)) "col" (Some 14) (Json.int_member "col" j');
+    Alcotest.(check bool) "excluded" true
+      (Json.member "excluded" j' = Some (Json.Bool true))
+
 let () =
   Alcotest.run "server"
     [ ( "json",
@@ -852,4 +912,8 @@ let () =
       ( "endpoints",
         [ Alcotest.test_case "http" `Quick test_http_endpoints;
           Alcotest.test_case "request line bound" `Quick test_request_line_bound;
-          Alcotest.test_case "shutdown op" `Quick test_shutdown_op ] ) ]
+          Alcotest.test_case "shutdown op" `Quick test_shutdown_op ] );
+      ( "findings",
+        [ Alcotest.test_case "invalid_plan encoding" `Quick
+            test_invalid_plan_findings;
+          Alcotest.test_case "finding round-trip" `Quick test_finding_roundtrip ] ) ]

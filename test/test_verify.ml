@@ -11,9 +11,9 @@
    - mutations: swapped join keys, dropped attributes, dangling sources,
      negative cost constants, and a wrapper result with a wrong count or an
      out-of-range selection index are each detected with their specific tag;
-   - engine preconditions: corrupt batches are rejected by [check_batch],
-     and what really crosses from wrappers to the mediator passes
-     [check_physical]. *)
+   - engine preconditions: corrupt batches are rejected by
+     [Audit.check_batch], and what really crosses from wrappers to the
+     mediator passes [Audit.check_physical]. *)
 
 open Disco_common
 open Disco_algebra
@@ -21,8 +21,8 @@ open Disco_core
 open Disco_exec
 open Disco_wrapper
 open Disco_mediator
-module PC = Disco_analysis.Plancheck
 module PB = Disco_analysis.Planbound
+module Finding = Disco_analysis.Finding
 
 let make_med ?seed ?(stats = false) () =
   let stats_mode =
@@ -47,7 +47,7 @@ let corpus =
     "select distinct e.dept_id from Employee e" ]
 
 let pp_errors fs =
-  Fmt.str "%a" (Fmt.list ~sep:Fmt.semi PC.pp_finding) (PC.errors fs)
+  Fmt.str "%a" (Fmt.list ~sep:Fmt.semi Finding.pp) (Finding.errors fs)
 
 (* --- qcheck soundness --------------------------------------------------------- *)
 
@@ -70,7 +70,7 @@ let prop_optimizer_verifies =
     (fun (seed, stats, sql) ->
       let med = cached_med (seed, stats) in
       let plan, _ = Mediator.plan_query med sql in
-      match PC.errors (Mediator.verify_plan med plan) with
+      match Finding.errors (Mediator.verify_plan med plan) with
       | [] -> true
       | errs -> QCheck2.Test.fail_reportf "%s: %s" sql (pp_errors errs))
 
@@ -118,7 +118,7 @@ let prop_bounds_sound =
   QCheck2.Test.make ~name:"random plans stay within cardinality bounds"
     ~count:300 gen_fuzz_plan
     (fun (_src, plan) ->
-      match PC.errors (PB.check registry plan) with
+      match Finding.errors (PB.check registry plan) with
       | [] -> true
       | errs -> QCheck2.Test.fail_reportf "%s" (pp_errors errs))
 
@@ -131,7 +131,7 @@ let joined_plan med =
         where e.dept_id = d.id")
 
 let has_tag tag fs =
-  List.exists (fun f -> f.PC.severity = PC.Error && f.PC.tag = tag) fs
+  List.exists (fun f -> f.Finding.severity = Finding.Error && f.Finding.tag = tag) fs
 
 let check_detects med label tag plan =
   let fs = Mediator.verify_plan med plan in
@@ -184,7 +184,7 @@ let test_negative_cost () =
   let plan = joined_plan med in
   Alcotest.(check int)
     "clean before corruption" 0
-    (List.length (PC.errors (Mediator.verify_plan med plan)));
+    (List.length (Finding.errors (Mediator.verify_plan med plan)));
   (* a measured (query-scope) rule asserting a negative total time *)
   ignore
     (Registry.add_query_rule (Mediator.registry med) ~source:"mediator" plan
@@ -196,7 +196,7 @@ let test_verify_clean_corpus () =
   List.iter
     (fun sql ->
       let plan, _ = Mediator.plan_query med sql in
-      let errs = PC.errors (Mediator.verify_plan med plan) in
+      let errs = Finding.errors (Mediator.verify_plan med plan) in
       Alcotest.(check int) (sql ^ " verifies clean") 0 (List.length errs))
     corpus
 
@@ -219,7 +219,7 @@ let test_run_query_verify () =
   with
   | _ -> Alcotest.fail "corrupted plan executed"
   | exception Mediator.Invalid_plan fs ->
-    Alcotest.(check bool) "findings carried" true (PC.errors fs <> [])
+    Alcotest.(check bool) "findings carried" true (Finding.errors fs <> [])
 
 (* --- engine preconditions ----------------------------------------------------- *)
 
@@ -233,16 +233,16 @@ let mk_batch rows =
 let test_check_batch () =
   let good = mk_batch [ (1, "a"); (2, "b") ] in
   Alcotest.(check int) "good batch clean" 0
-    (List.length (PC.errors (PC.check_batch good)));
+    (List.length (Finding.errors (Audit.check_batch good)));
   let bad_sel = { good with Batch.sel = Some [| 0; 7 |] } in
   Alcotest.(check bool) "out-of-range selection vector" true
-    (has_tag "selection-vector" (PC.check_batch bad_sel));
+    (has_tag "selection-vector" (Audit.check_batch bad_sel));
   let bad_shape = { good with Batch.attrs = [| "e.id" |] } in
   Alcotest.(check bool) "attrs/cols disagreement" true
-    (has_tag "batch-shape" (PC.check_batch bad_shape));
+    (has_tag "batch-shape" (Audit.check_batch bad_shape));
   let bad_bytes = { good with Batch.bytes = good.Batch.bytes + 3 } in
   Alcotest.(check bool) "bytes accounting" true
-    (has_tag "batch-bytes" (PC.check_batch bad_bytes))
+    (has_tag "batch-bytes" (Audit.check_batch bad_bytes))
 
 (* A real wrapper result, as it crosses into the mediator: a residual scan's
    batches with their selection vector. *)
@@ -264,21 +264,21 @@ let materialized ?count batches (v : Run.vector) =
 let test_check_physical () =
   let batches, v = employees_result () in
   Alcotest.(check string) "wrapper result clean" ""
-    (pp_errors (PC.check_physical (materialized batches v)));
+    (pp_errors (Audit.check_physical (materialized batches v)));
   (* and so is every physical plan the mediator builds for the corpus *)
   let med = make_med () in
   List.iter
     (fun sql ->
       let plan, _ = Mediator.plan_query med sql in
       Alcotest.(check string) (sql ^ " physical plan clean") ""
-        (pp_errors (PC.check_physical (Mediator.to_physical med plan))))
+        (pp_errors (Audit.check_physical (Mediator.to_physical med plan))))
     corpus
 
 let test_materialized_count () =
   let batches, v = employees_result () in
   let bad = materialized ~count:(int_of_float v.Run.count + 1) batches v in
   Alcotest.(check bool) "wrong count detected via [materialized-count]" true
-    (has_tag "materialized-count" (PC.check_physical bad))
+    (has_tag "materialized-count" (Audit.check_physical bad))
 
 let test_materialized_selection () =
   let batches, v = employees_result () in
@@ -288,7 +288,7 @@ let test_materialized_selection () =
   let bad = materialized (List.mapi corrupt batches) v in
   Alcotest.(check bool) "selection index out of range detected via [selection-vector]"
     true
-    (has_tag "selection-vector" (PC.check_physical bad))
+    (has_tag "selection-vector" (Audit.check_physical bad))
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
     [ prop_optimizer_verifies; prop_bounds_sound ]
