@@ -58,32 +58,35 @@ let unsat_conjunct child_stats pred =
       | _ -> false)
     (Pred.conjuncts pred)
 
-(* One walk computes bounds and (optionally) validates concrete estimates.
-   [validate = None] is the pure bound pass used by [bounds]. *)
-let analyze reg ?(validate : (Finding.t -> unit) option) (ann0 : Estimator.ann) =
+(* One walk computes bounds and validates the concrete estimates against
+   them, handing each finding to [add]. The walk carries the reversed list
+   of nodes from the current one up to the root, and a finding's operator
+   path is rendered from it only when the finding is recorded, so a clean
+   plan builds no labels and no paths. *)
+let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
   let cat = Registry.catalog reg in
   let ctx = Estimator.make_ctx reg in
-  let add f = match validate with Some k -> k f | None -> () in
-  let finding ?scope severity tag where source msg =
-    add (Finding.v ~source ?scope severity tag where msg)
+  let finding ?scope severity tag path source msg =
+    add
+      (Finding.v ~source ?scope severity tag
+         (Plancheck.render_path Plancheck.plan_label path)
+         msg)
   in
   (* Concrete estimate of one variable, reporting evaluation failures. *)
   let demand path (ann : Estimator.ann) var =
-    if validate = None then None
-    else
-      match Estimator.require ctx ann var with
-      | v -> Some v
-      | exception Estimator.Aborted -> None
-      | exception e ->
-        (* Eval_error, or a lazily-resolved catalog miss (Unknown_source /
-           Unknown_collection reached only at evaluation time): degrade to a
-           finding — Plancheck pinpoints the ill-formed node. *)
-        let msg =
-          match e with Err.Eval_error m -> m | e -> Printexc.to_string e
-        in
-        finding Finding.Error "estimation-failure" path ann.Estimator.source
-          (Fmt.str "%s cannot be estimated: %s" (Ast.cost_var_name var) msg);
-        None
+    match Estimator.require ctx ann var with
+    | v -> Some v
+    | exception Estimator.Aborted -> None
+    | exception e ->
+      (* Eval_error, or a lazily-resolved catalog miss (Unknown_source /
+         Unknown_collection reached only at evaluation time): degrade to a
+         finding — Plancheck pinpoints the ill-formed node. *)
+      let msg =
+        match e with Err.Eval_error m -> m | e -> Printexc.to_string e
+      in
+      finding Finding.Error "estimation-failure" path ann.Estimator.source
+        (Fmt.str "%s cannot be estimated: %s" (Ast.cost_var_name var) msg);
+      None
   in
   let scope_of ann var =
     Option.map
@@ -104,22 +107,9 @@ let analyze reg ?(validate : (Finding.t -> unit) option) (ann0 : Estimator.ann) 
       finding ?scope Finding.Error "divergent" path ann.Estimator.source
         (Fmt.str "%s diverges to infinity" name)
   in
-  let rec walk rev_path (ann : Estimator.ann) : bound =
-    let label =
-      match ann.Estimator.node with
-      | Plan.Scan r -> Fmt.str "scan(%s.%s)" r.Plan.source r.Plan.collection
-      | Plan.Select _ -> "select"
-      | Plan.Project _ -> "project"
-      | Plan.Sort _ -> "sort"
-      | Plan.Join _ -> "join"
-      | Plan.Union _ -> "union"
-      | Plan.Dedup _ -> "dedup"
-      | Plan.Aggregate _ -> "aggregate"
-      | Plan.Submit (s, _) -> Fmt.str "submit(%s)" s
-    in
-    let rev_path = label :: rev_path in
-    let path = String.concat "/" (List.rev rev_path) in
-    let kids = Array.map (walk rev_path) ann.Estimator.inputs in
+  let rec walk up (ann : Estimator.ann) : bound =
+    let path = ann.Estimator.node :: up in
+    let kids = Array.map (walk path) ann.Estimator.inputs in
     let child i = kids.(i) in
     let card =
       match ann.Estimator.node with
@@ -220,17 +210,9 @@ let build_ann reg ~source plan =
   | ann -> Ok ann
   | exception e -> Error (Printexc.to_string e)
 
-let bounds ?source reg plan =
-  let source = Option.value source ~default:Registry.mediator_source in
-  match build_ann reg ~source plan with
-  | Ok ann -> analyze reg ann
-  | Error _ ->
-    { card = Interval.with_nan true Interval.nonneg;
-      cost = Interval.with_nan true Interval.nonneg }
-
 let check_ann reg ann =
   let out = ref [] in
-  ignore (analyze reg ~validate:(fun f -> out := f :: !out) ann);
+  ignore (analyze reg ~add:(fun f -> out := f :: !out) ann);
   List.rev !out
 
 let check ?source reg plan =

@@ -24,19 +24,12 @@
 open Disco_algebra
 open Disco_core
 
-type bound = { card : Interval.t; cost : Interval.t }
-(** [cost] is [[0, inf)] with the taint of its inputs: per-operator cost has
-    no useful structural upper bound, but its sign and taint do propagate. *)
-
-val bounds : ?source:string -> Registry.t -> Plan.t -> bound
-(** Root bound of a plan; [source] is the rule context (defaults to the
-    mediator, like {!Estimator.estimate}). *)
-
 val check_ann : Registry.t -> Estimator.ann -> Finding.t list
-(** Validate an already-annotated plan — the warm path: [run_query] reuses
-    the answer's estimation tree, so verification adds no estimation pass.
-    Demands [CountObject] and [TotalTime] at every node (cached in the
-    annotation once computed). *)
+(** Validate an already-annotated plan — the query path: [run_query]
+    verifies over the chosen plan's own annotation, so verification adds no
+    estimation pass. Demands [CountObject] and [TotalTime] at every node
+    (cached in the annotation once computed). One walk: a finding's
+    operator path is rendered only when the finding is recorded. *)
 
 val check : ?source:string -> Registry.t -> Plan.t -> Finding.t list
 (** [check_ann] over a freshly built annotation. *)

@@ -14,6 +14,16 @@ val errors : Finding.t list -> Finding.t list
 (** {!Finding.errors}, kept for perfbench's traced replica of
     [Mediator.run_query]. *)
 
+val plan_label : Plan.t -> string
+(** A node's label in an operator path: ["scan(src.Coll)"],
+    ["submit(src)"], or the operator name. *)
+
+val render_path : ('a -> string) -> 'a list -> string
+(** [render_path label rev_nodes]: the operator path of the first node of
+    [rev_nodes], whose tail runs up to the root, as ["join/scan(src.C)"].
+    Checks carry the reversed list and render it only for a finding they
+    record. *)
+
 type ctx =
   [ `Mediator  (** full mediator plan: bare scans outside [Submit] are errors *)
   | `Wrapper of string

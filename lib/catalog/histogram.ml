@@ -26,7 +26,6 @@ type t = {
   total : float;           (* sum of bucket counts *)
 }
 
-let kind t = t.kind
 let buckets t = Array.to_list t.buckets
 let total t = t.total
 
@@ -185,23 +184,19 @@ let gt t x = clamp01 (1. -. le t x)
 let ne t x = clamp01 (1. -. eq t x)
 
 (* Selectivity of [attr cmp c] against this histogram; [None] when the
-   constant does not map into the histogram's key domain. The [cmp] argument
-   is a plain variant so the catalog layer stays independent of the algebra
-   library — {!Selest} maps predicate comparators onto it. *)
-type cmp = Ceq | Cne | Clt | Cle | Cgt | Cge
-
+   constant does not map into the histogram's key domain. *)
 let sel_cmp t cmp c =
   match key t c with
   | None -> None
   | Some x ->
     Some
-      (match cmp with
-      | Ceq -> eq t x
-      | Cne -> ne t x
-      | Clt -> lt t x
-      | Cle -> le t x
-      | Cgt -> gt t x
-      | Cge -> ge t x)
+      (match (cmp : Cmp.t) with
+      | Eq -> eq t x
+      | Ne -> ne t x
+      | Lt -> lt t x
+      | Le -> le t x
+      | Gt -> gt t x
+      | Ge -> ge t x)
 
 (* --- Narrowing (for [Derive] range propagation) ---------------------------- *)
 
@@ -243,95 +238,6 @@ let narrow_le t c =
 
 let narrow_ge t c =
   match key t c with None -> Some t | Some x -> narrow_range t ~l:x ~h:infinity
-
-(* --- Merge ----------------------------------------------------------------- *)
-
-(* Merge two histograms of the same kind: overlay both onto the union grid of
-   their bucket boundaries, sum the overlapping mass, then re-cut to the
-   larger of the two bucket counts. Totals add exactly; the equi-depth shape
-   is restored by the re-cut. *)
-let merge a b =
-  if a.kind <> b.kind then invalid_arg "Histogram.merge: kind mismatch";
-  let boundaries =
-    Array.to_list a.buckets @ Array.to_list b.buckets
-    |> List.concat_map (fun bk -> [ bk.lo; bk.hi ])
-    |> List.sort_uniq Float.compare
-  in
-  let cells =
-    (* Consecutive boundary pairs, inclusive cells; degenerate single point
-       handled by the [lo = hi] case. *)
-    let rec pairs = function
-      | x :: (y :: _ as rest) -> (x, y) :: pairs rest
-      | [ x ] -> [ (x, x) ]
-      | [] -> []
-    in
-    match boundaries with [ x ] -> [ (x, x) ] | l -> pairs l
-  in
-  let mass_in hist ~l ~h =
-    Array.fold_left
-      (fun (c, d) bk ->
-        match clip_bucket bk ~l ~h with
-        | None -> (c, d)
-        | Some b -> (c +. b.count, d +. b.distinct))
-      (0., 0.) hist.buckets
-  in
-  let overlay =
-    List.filter_map
-      (fun (l, h) ->
-        (* Half-open cells except the last, to avoid double counting the
-           shared boundary: shrink the top infinitesimally via weighting is
-           overkill — instead count each histogram's mass proportionally and
-           accept boundary mass landing in both cells, then renormalize. *)
-        let ca, da = mass_in a ~l ~h and cb, db = mass_in b ~l ~h in
-        let count = ca +. cb and distinct = Float.max 1. (Float.max da db) in
-        if count <= 0. then None else Some { lo = l; hi = h; count; distinct })
-      cells
-  in
-  match overlay with
-  | [] -> a
-  | overlay ->
-    (* Renormalize so the merged total is exactly [a.total + b.total] even
-       when boundary overlap double-counted some mass. *)
-    let raw = List.fold_left (fun acc b -> acc +. b.count) 0. overlay in
-    let target = a.total +. b.total in
-    let scale = if raw > 0. then target /. raw else 1. in
-    let overlay = List.map (fun b -> { b with count = b.count *. scale }) overlay in
-    (* Re-cut to equi-depth: expand cells into a sorted key multiset is too
-       costly; instead coalesce adjacent cells until the bucket count is at
-       most [max |a| |b|], always merging the lightest adjacent pair. *)
-    let limit = max (Array.length a.buckets) (Array.length b.buckets) in
-    let join x y =
-      { lo = x.lo;
-        hi = y.hi;
-        count = x.count +. y.count;
-        distinct = x.distinct +. y.distinct }
-    in
-    let rec coalesce bs =
-      if List.length bs <= limit then bs
-      else begin
-        (* Find index of the adjacent pair with the smallest combined count. *)
-        let arr = Array.of_list bs in
-        let best = ref 0 and best_w = ref infinity in
-        for i = 0 to Array.length arr - 2 do
-          let w = arr.(i).count +. arr.(i + 1).count in
-          if w < !best_w then begin
-            best := i;
-            best_w := w
-          end
-        done;
-        let merged =
-          List.concat
-            (List.mapi
-               (fun i b ->
-                 if i = !best then [ join b arr.(i + 1) ]
-                 else if i = !best + 1 then []
-                 else [ b ])
-               bs)
-        in
-        coalesce merged
-      end
-    in
-    { kind = a.kind; buckets = Array.of_list (coalesce overlay); total = target }
 
 (* --- Equi-join overlap ------------------------------------------------------ *)
 

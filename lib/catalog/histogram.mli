@@ -30,7 +30,6 @@ type t = private {
   total : float;           (** sum of bucket counts *)
 }
 
-val kind : t -> kind
 val buckets : t -> bucket list
 val total : t -> float
 
@@ -47,15 +46,10 @@ val of_values :
     [seed] (default 0), so builds are cheap and reproducible. [buckets]
     bounds the bucket count (default 32). *)
 
-(** Comparator for {!sel_cmp}. A local variant so the catalog layer stays
-    independent of the algebra library; {!Disco_core.Selest} maps predicate
-    comparators onto it. *)
-type cmp = Ceq | Cne | Clt | Cle | Cgt | Cge
-
-val sel_cmp : t -> cmp -> Constant.t -> float option
+val sel_cmp : t -> Cmp.t -> Constant.t -> float option
 (** [sel_cmp t cmp c] is the fraction of objects satisfying [attr cmp c],
-    in [[0, 1]]. Exact at the extremes: [sel_cmp t Cle max = 1.] and
-    [sel_cmp t Clt min = 0.]. [None] when [c] does not map into the
+    in [[0, 1]]. Exact at the extremes: [sel_cmp t Le max = 1.] and
+    [sel_cmp t Lt min = 0.]. [None] when [c] does not map into the
     histogram's key domain (callers fall back to uniform interpolation). *)
 
 val narrow_le : t -> Constant.t -> t option
@@ -64,11 +58,6 @@ val narrow_le : t -> Constant.t -> t option
     by [Derive] to propagate range predicates. *)
 
 val narrow_ge : t -> Constant.t -> t option
-
-val merge : t -> t -> t
-(** Merge two histograms of the same kind: totals add exactly, the bucket
-    count stays bounded by the larger input's. Used when refreshing
-    statistics incrementally. Raises [Invalid_argument] on kind mismatch. *)
 
 val join_eq : t -> t -> float option
 (** Selectivity of an equi-join between two attributes from their histograms:

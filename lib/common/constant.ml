@@ -17,8 +17,7 @@ let pp ppf = function
   | String s -> Fmt.pf ppf "%S" s
 
 (* Byte-identical to [Fmt.str "%a" pp], without a [Format] buffer: the
-   dedup, join and group keys and the predicate keys render every value
-   through here. [%g] and [%S] are the conversions [pp] prints with. *)
+   dedup, join and group keys render every value through here. [%g] and [%S] are the conversions [pp] prints with. *)
 let to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b

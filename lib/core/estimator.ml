@@ -324,11 +324,8 @@ and context_call ctx ann name (args : Value.t list) : Value.t option =
   | "sel", [ Value.Vpred p ] ->
     let s = Selest.of_pred ~apply_sel (stats ()) p in
     (* feedback-driven correction (§4.3): exactly 1.0 when none installed,
-       keeping the no-feedback path bit-identical; the predicate is printed
-       as a key only once some correction exists *)
-    let c =
-      Registry.sel_fix ctx.registry ~source:ann.source (fun () -> Pred.to_string p)
-    in
+       keeping the no-feedback path bit-identical *)
+    let c = Registry.sel_fix ctx.registry ~source:ann.source p in
     let s = if c = 1.0 then s else Float.min 1. (Float.max 0. (s *. c)) in
     Some (Value.Vnum s)
   | "adtcost", [ Value.Vpred p ] ->

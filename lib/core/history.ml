@@ -49,11 +49,11 @@ type t = {
   mutable count : int;  (* List.length records, kept by observe and forget *)
   mutable feedback : feedback option;
   mutable on_drift : (source:string -> unit) option;
-  (* consecutive drifting observations per (source, predicate key); guarded
+  (* consecutive drifting observations per (source, predicate); guarded
      by [lock] — observations arrive sequentially from one query's submits
      today, but the short-lock discipline keeps the subsystem safe if that
      ever changes (same pattern as [Registry]/[Health]). *)
-  streaks : (string * string, int) Hashtbl.t;
+  streaks : int Registry.Pred_tbl.t;
   lock : Mutex.t;
 }
 
@@ -64,7 +64,7 @@ let create ?(mode = Off) registry =
     count = 0;
     feedback = None;
     on_drift = None;
-    streaks = Hashtbl.create 16;
+    streaks = Registry.Pred_tbl.create 16;
     lock = Mutex.create () }
 
 let mode t = t.mode
@@ -72,7 +72,7 @@ let mode t = t.mode
 let set_feedback t ?on_drift fb =
   t.feedback <- fb;
   t.on_drift <- on_drift;
-  Mutex.protect t.lock (fun () -> Hashtbl.reset t.streaks)
+  Mutex.protect t.lock (fun () -> Registry.Pred_tbl.reset t.streaks)
 
 let feedback t = t.feedback
 
@@ -111,30 +111,29 @@ let feed_cardinality t ~source ~plan ~actual ~estimated =
     (match select_pred plan with
      | None -> ()
      | Some pred ->
-       let key = Pred.to_string pred in
+       let key = (source, pred) in
        let ratio = (estimated +. 1.) /. (actual +. 1.) in
-       let old_fix = Registry.sel_fix t.registry ~source (fun () -> key) in
+       let old_fix = Registry.sel_fix t.registry ~source pred in
        let target = old_fix /. ratio in
        let fix = (fb.smoothing *. target) +. ((1. -. fb.smoothing) *. old_fix) in
        if Float.is_finite fix && fix > 0. then
-         Registry.set_sel_fix t.registry ~source key fix;
+         Registry.set_sel_fix t.registry ~source pred fix;
        let drifting = ratio > fb.band || ratio < 1. /. fb.band in
        let fire =
          Mutex.protect t.lock (fun () ->
+             let module S = Registry.Pred_tbl in
              if not drifting then begin
-               Hashtbl.replace t.streaks (source, key) 0;
+               S.replace t.streaks key 0;
                false
              end
              else begin
-               let n =
-                 1 + Option.value ~default:0 (Hashtbl.find_opt t.streaks (source, key))
-               in
+               let n = 1 + Option.value ~default:0 (S.find_opt t.streaks key) in
                if n >= fb.consecutive then begin
-                 Hashtbl.replace t.streaks (source, key) 0;
+                 S.replace t.streaks key 0;
                  true
                end
                else begin
-                 Hashtbl.replace t.streaks (source, key) n;
+                 S.replace t.streaks key n;
                  false
                end
              end)
@@ -173,7 +172,7 @@ let observe ?estimated_count t ~source ~(plan : Plan.t) ~measured ~estimated_tot
 let forget t =
   t.records <- [];
   t.count <- 0;
-  Mutex.protect t.lock (fun () -> Hashtbl.reset t.streaks);
+  Mutex.protect t.lock (fun () -> Registry.Pred_tbl.reset t.streaks);
   List.iter
     (fun source ->
       Registry.remove_query_rules t.registry ~source;

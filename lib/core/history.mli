@@ -78,7 +78,8 @@ val observe :
     cardinality of the subplan; when present (and feedback is on) it is
     compared with the measured [CountObject] to update the per-predicate
     selectivity correction of the subplan's outermost selection and its
-    drift streak. *)
+    drift streak, both keyed by (source, predicate) under
+    {!Disco_algebra.Pred.equal} ({!Registry.Pred_tbl}). *)
 
 val forget : t -> unit
 (** Drop all records, query-scope rules, adjustment factors, selectivity

@@ -24,6 +24,13 @@ type source_entry = {
   mutable adjust : float;  (* historical adjustment factor, §4.3.1 *)
 }
 
+module Pred_tbl = Hashtbl.Make (struct
+  type t = string * Disco_algebra.Pred.t
+
+  let equal (s1, p1) (s2, p2) = String.equal s1 s2 && Disco_algebra.Pred.equal p1 p2
+  let hash (s, p) = ((Hashtbl.hash s * 31) + Disco_algebra.Pred.hash p) land max_int
+end)
+
 type t = {
   catalog : Catalog.t;
   sources : (string, source_entry) Hashtbl.t;
@@ -33,13 +40,14 @@ type t = {
   adt_costs : (string, float) Hashtbl.t;
   adt_sels : (string, float) Hashtbl.t;
   (* feedback-driven multiplicative selectivity corrections, keyed by
-     (source, printed predicate); maintained by [History] from observed
-     cardinalities (§4.3). Writes do NOT bump the generation — corrections
-     accumulate silently and only a drift-triggered [invalidate] republishes
-     them to cached plans. [sel_fix_active] is a monotone flag letting the
-     estimator skip the lock — and the printing of the key — entirely until
-     the first correction exists, so the feedback-off path costs nothing. *)
-  sel_fixes : (string * string, float) Hashtbl.t;
+     (source, predicate) under [Pred.equal]; maintained by [History] from
+     observed cardinalities (§4.3). Writes do NOT bump the generation —
+     corrections accumulate silently and only a drift-triggered
+     [invalidate] republishes them to cached plans. [sel_fix_active] is a
+     monotone flag letting the estimator skip the lock and the key's hash
+     entirely until the first correction exists, so the feedback-off path
+     costs nothing. *)
+  sel_fixes : float Pred_tbl.t;
   mutable sel_fix_active : bool;
   mutable next_id : int;
   mutable next_order : int;
@@ -70,7 +78,7 @@ let create catalog =
     merged = Hashtbl.create 64;
     adt_costs = Hashtbl.create 8;
     adt_sels = Hashtbl.create 8;
-    sel_fixes = Hashtbl.create 16;
+    sel_fixes = Pred_tbl.create 16;
     sel_fix_active = false;
     next_id = 0;
     next_order = 0;
@@ -106,24 +114,23 @@ let invalidate t =
 
 (* --- Feedback-driven selectivity corrections (§4.3) ---------------------- *)
 
-let set_sel_fix t ~source key factor =
+let set_sel_fix t ~source pred factor =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.sel_fixes (source, key) factor);
+      Pred_tbl.replace t.sel_fixes (source, pred) factor);
   t.sel_fix_active <- true;
   t.revision <- t.revision + 1
 
-let sel_fix t ~source key =
+let sel_fix t ~source pred =
   if not t.sel_fix_active then 1.
   else
-    let key = key () in
     Mutex.protect t.lock (fun () ->
-        Option.value ~default:1. (Hashtbl.find_opt t.sel_fixes (source, key)))
+        Option.value ~default:1. (Pred_tbl.find_opt t.sel_fixes (source, pred)))
 
 let clear_sel_fixes t ~source =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.iter
-        (fun ((s, _) as k) _ -> if String.equal s source then Hashtbl.remove t.sel_fixes k)
-        (Hashtbl.copy t.sel_fixes));
+      Pred_tbl.filter_map_inplace
+        (fun (s, _) fix -> if String.equal s source then None else Some fix)
+        t.sel_fixes);
   t.revision <- t.revision + 1
 
 (* --- Statistics resolution helpers (shared with the estimator) ---------- *)

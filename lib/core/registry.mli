@@ -36,10 +36,11 @@ val revision : t -> int
 (** Monotonic stamp of everything an estimate reads: it moves with every
     {!generation} bump and with every selectivity-correction write
     ({!set_sel_fix}, {!clear_sel_fixes}), which deliberately leave the
-    generation alone. Plan-search results and whole-plan costs key on the
-    generation; only the estimate record of a chosen plan (the mediator's
-    [Plancache.estimates]) keys on the revision, so it is never served
-    across a correction either. *)
+    generation alone. Plan-search results and whole-plan entries key on the
+    generation; only the estimate record of a chosen plan (the [estimates]
+    of the mediator's [Plancache.entry]) keys on the revision, so it is
+    never served across a correction either. The mediator reads it before
+    planning, since a plan search computes the chosen plan's estimates. *)
 
 val invalidate : t -> unit
 (** Drop the merged-rule cache and bump the generation without changing any
@@ -155,17 +156,22 @@ val adjust : t -> source:string -> float
 (** {1 Feedback-driven selectivity corrections (paper §4.3)}
 
     Multiplicative corrections to estimated predicate selectivities, keyed by
-    (source, printed predicate) and maintained by {!History} from observed
-    cardinalities. Unlike {!set_adjust}, writes deliberately do {e not} bump
-    the generation: corrections accumulate silently while plans keep being
-    served from caches, and only a drift-triggered {!invalidate} republishes
-    them. [sel_fix] takes no lock and prints no key until the first
-    correction is installed, so the feedback-off path costs nothing. Both
-    writes move the {!revision}. *)
+    (source, predicate) — the predicate compared with
+    {!Disco_algebra.Pred.equal} and hashed with {!Disco_algebra.Pred.hash},
+    never printed — and maintained by {!History} from observed
+    cardinalities. Unlike {!set_adjust}, writes deliberately do {e not}
+    bump the generation: corrections accumulate silently while plans keep
+    being served from caches, and only a drift-triggered {!invalidate}
+    republishes them. [sel_fix] takes no lock and hashes nothing until the
+    first correction is installed, so the feedback-off path costs nothing.
+    Both writes move the {!revision}. *)
 
-val set_sel_fix : t -> source:string -> string -> float -> unit
-val sel_fix : t -> source:string -> (unit -> string) -> float
-(** The correction for a predicate key; 1 when none is installed. The key
-    is computed only once some correction exists. *)
+module Pred_tbl : Hashtbl.S with type key = string * Disco_algebra.Pred.t
+(** Tables keyed by (source, predicate) under {!Disco_algebra.Pred.equal}:
+    the key of the corrections here and of {!History}'s drift streaks. *)
+
+val set_sel_fix : t -> source:string -> Disco_algebra.Pred.t -> float -> unit
+val sel_fix : t -> source:string -> Disco_algebra.Pred.t -> float
+(** The correction for a predicate; 1 when none is installed. *)
 
 val clear_sel_fixes : t -> source:string -> unit

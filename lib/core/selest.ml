@@ -23,14 +23,6 @@ let find_attr (inputs : Derive.t list) name =
     (fun acc stats -> match acc with Some _ -> acc | None -> Derive.find_loose stats name)
     None inputs
 
-let hist_cmp : Pred.cmp -> Histogram.cmp = function
-  | Pred.Eq -> Histogram.Ceq
-  | Pred.Ne -> Histogram.Cne
-  | Pred.Lt -> Histogram.Clt
-  | Pred.Le -> Histogram.Cle
-  | Pred.Gt -> Histogram.Cgt
-  | Pred.Ge -> Histogram.Cge
-
 let of_cmp inputs a (op : Pred.cmp) v =
   match find_attr inputs a with
   | None ->
@@ -40,10 +32,10 @@ let of_cmp inputs a (op : Pred.cmp) v =
      | Pred.Ne -> 1. -. default_eq
      | Pred.Lt | Pred.Le | Pred.Gt | Pred.Ge -> default_range)
   | Some { Derive.hist = Some h; _ }
-    when Option.is_some (Histogram.sel_cmp h (hist_cmp op) v) ->
+    when Option.is_some (Histogram.sel_cmp h op v) ->
     (* Histogram CDF replaces the uniform interpolation when the attribute
        carries one and the constant maps into its key domain. *)
-    Option.get (Histogram.sel_cmp h (hist_cmp op) v)
+    Option.get (Histogram.sel_cmp h op v)
   | Some s ->
     (match op with
      | Pred.Eq -> 1. /. Float.max s.Derive.distinct 1.

@@ -44,7 +44,6 @@ type t = {
   profile : profile;
   source : string;
   rng : Rng.t;
-  mutable decisions : int;
 }
 
 let install profile ~source =
@@ -52,18 +51,15 @@ let install profile ~source =
     source;
     (* derive the per-source stream from the profile seed and the source
        name, so two sources sharing a profile still fail independently *)
-    rng = Rng.create ~seed:(profile.seed lxor Hashtbl.hash source);
-    decisions = 0 }
+    rng = Rng.create ~seed:(profile.seed lxor Hashtbl.hash source) }
 
 let profile t = t.profile
 let source t = t.source
-let decisions t = t.decisions
 
 let in_window now windows =
   List.exists (fun (start, stop) -> now >= start && now < stop) windows
 
 let decide t ~now =
-  t.decisions <- t.decisions + 1;
   let p = t.profile in
   if in_window now p.outages then Refuse
   else if in_window now p.stalls then Stall

@@ -46,9 +46,6 @@ val decide : t -> now:float -> outcome
 val profile : t -> profile
 val source : t -> string
 
-val decisions : t -> int
-(** Number of [decide] calls made so far. *)
-
 val parse_spec : string -> (string * profile) list
 (** Parse a CLI fault spec:
     [SOURCE:key=val,...;SOURCE:key=val,...] with fields [seed=N],

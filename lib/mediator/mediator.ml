@@ -414,16 +414,14 @@ let variants (r : resolved) : resolved list =
     in
     [ pushed; deferred ]
 
-(* Wrap the optimized join tree with the mediator-side decoration:
-   residual predicate, aggregation or projection, dedup, sort. *)
-let decorate (r : resolved) (joined : Plan.t) : Plan.t =
-  let filtered =
-    if Pred.equal r.post_pred Pred.True then joined else Plan.Select (joined, r.post_pred)
-  in
+(* The mediator-side decoration of a join tree, innermost first: residual
+   predicate, aggregation or projection, dedup, sort. Each element wraps
+   the plan below it. *)
+let decoration (r : resolved) : (Plan.t -> Plan.t) list =
   let aggs = List.filter_map (function Sql.Agg (f, i, o) -> Some (f, i, o) | _ -> None) r.items in
-  let shaped =
+  let cols = List.filter_map (function Sql.Col a -> Some a | _ -> None) r.items in
+  let shape =
     if aggs <> [] || r.group_by <> [] then begin
-      let cols = List.filter_map (function Sql.Col a -> Some a | _ -> None) r.items in
       List.iter
         (fun c ->
           if not (List.mem c r.group_by) then
@@ -431,15 +429,20 @@ let decorate (r : resolved) (joined : Plan.t) : Plan.t =
               (Err.Plan_error
                  (Fmt.str "column %S must appear in GROUP BY when aggregating" c)))
         cols;
-      Plan.Aggregate (filtered, { Plan.group_by = r.group_by; aggs })
+      Some (fun p -> Plan.Aggregate (p, { Plan.group_by = r.group_by; aggs }))
     end
-    else if r.star then filtered
-    else
-      let cols = List.filter_map (function Sql.Col a -> Some a | _ -> None) r.items in
-      Plan.Project (filtered, cols)
+    else if r.star then None
+    else Some (fun p -> Plan.Project (p, cols))
   in
-  let deduped = if r.distinct then Plan.Dedup shaped else shaped in
-  if r.order_by = [] then deduped else Plan.Sort (deduped, r.order_by)
+  List.filter_map Fun.id
+    [ (if Pred.equal r.post_pred Pred.True then None
+       else Some (fun p -> Plan.Select (p, r.post_pred)));
+      shape;
+      (if r.distinct then Some (fun p -> Plan.Dedup p) else None);
+      (if r.order_by = [] then None else Some (fun p -> Plan.Sort (p, r.order_by))) ]
+
+let decorate (r : resolved) (joined : Plan.t) : Plan.t =
+  List.fold_left (fun p node -> node p) joined (decoration r)
 
 (* --- Plan selection ----------------------------------------------------------- *)
 
@@ -470,29 +473,44 @@ let availability t =
   let release () = List.iter (Health.release_probe t.health) !probed in
   (check, release)
 
-(* Optimize one resolved variant into a complete decorated plan. Sources
-   with an open circuit breaker are excluded from plan seeding. The search
-   runs only on a plan-cache miss. *)
-let plan_of_variant ?(objective = Optimizer.Total_time) ?available t
-    (r : resolved) : Plan.t =
+(* One resolved variant's decorated plan, with its annotation when a plan
+   search ran: the search's winner extended by the decoration, node by
+   node, in the mediator's rule context. Sources with an open circuit
+   breaker are excluded from plan seeding. The search runs only on a
+   plan-cache miss. *)
+let join_variant ~objective ~available t (r : resolved) =
+  let spec = r.spec in
+  let search () =
+    fst (Optimizer.optimize ~objective ~available ~stats:t.opt_stats t.registry spec)
+  in
+  let searched (ann : Estimator.ann) =
+    let ann =
+      List.fold_left
+        (fun (a : Estimator.ann) node ->
+          Estimator.extend t.registry ~source:Registry.mediator_source
+            (node a.Estimator.node) [| a |])
+        ann (decoration r)
+    in
+    (ann.Estimator.node, Some ann)
+  in
+  match spec.Optimizer.bases, active_cache t with
+  | [ b ], _ -> (decorate r (Optimizer.submit_base b), None)
+  | _, None -> searched (search ())
+  | _, Some cache ->
+    (match
+       Plancache.search cache t.registry ~objective:(Optimizer.objective_var objective)
+         ~available spec search
+     with
+     | `Cached joined -> (decorate r joined, None)
+     | `Searched ann -> searched ann)
+
+let plan_of_variant ?(objective = Optimizer.Total_time) ?available t r =
   let available =
     match available with
     | Some f -> f
     | None -> fst (availability t)
   in
-  let spec = r.spec and var = Optimizer.objective_var objective in
-  let search () =
-    Optimizer.optimize ~objective ~available
-      ~stats:t.opt_stats t.registry spec
-  in
-  let joined =
-    match spec.Optimizer.bases, active_cache t with
-    | [ b ], _ -> Optimizer.submit_base b
-    | _, None -> fst (search ())
-    | _, Some cache ->
-      fst (Plancache.search cache t.registry ~objective:var ~available spec search)
-  in
-  decorate r joined
+  fst (join_variant ~objective ~available t r)
 
 (* Graceful degradation starts at optimization time: when a query needs a
    source whose circuit is open and no alternative source serves the
@@ -512,47 +530,76 @@ let check_sources_available ?available t (r : resolved) =
              { source = s; retry_at_ms = Health.retry_at t.health s }))
     r.spec.Optimizer.bases
 
-(* The estimated cost of a decorated plan, through the plan cache. A fresh
-   stats record: this estimate is not plan search, so [optimizer_stats]
-   does not count it. *)
-let plan_cost ~objective t plan =
-  let var = Optimizer.objective_var objective and cache = active_cache t in
-  match Option.bind cache (fun c -> Plancache.find c t.registry ~objective:var plan) with
-  | Some cost -> cost
+(* A variant costed: its decorated plan, its cost under the objective, its
+   whole-plan entry when the plan cache held one, and its one annotation —
+   the search's, extended, or else built from scratch when first needed
+   (costing a plan the cache does not hold, or estimating one whose record
+   is not current). *)
+type costed = {
+  plan : Plan.t;
+  cost : float;
+  entry : Plancache.entry option;
+  ann : Estimator.ann Lazy.t;
+}
+
+let cost_variant ~objective ~available t r =
+  let plan, searched = join_variant ~objective ~available t r in
+  let ann =
+    match searched with
+    | Some a -> Lazy.from_val a
+    | None -> lazy (Estimator.build t.registry ~source:Registry.mediator_source plan)
+  in
+  let var = Optimizer.objective_var objective in
+  match
+    Option.bind (active_cache t) (fun c -> Plancache.lookup c t.registry ~objective:var plan)
+  with
+  | Some e -> { plan; cost = e.Plancache.cost; entry = Some e; ann }
   | None ->
-    let cost =
-      Option.get
-        (Optimizer.cost_of ~objective t.registry (Optimizer.new_stats ()) plan)
-    in
-    Option.iter (fun c -> Plancache.add c t.registry ~objective:var plan cost) cache;
-    cost
+    let cost = Estimator.require (Estimator.make_ctx t.registry) (Lazy.force ann) var in
+    { plan; cost; entry = None; ann }
+
+(* Store [c]'s whole-plan entry as [e]. *)
+let store ~objective t (c : costed) e =
+  Option.iter
+    (fun cache ->
+      Plancache.store cache t.registry ~objective:(Optimizer.objective_var objective)
+        c.plan e)
+    (active_cache t)
+
+let unverified (c : costed) = { Plancache.cost = c.cost; verified = false; estimates = None }
 
 (* Optimize a resolved query — including the push-vs-defer choice for
-   expensive predicates; returns the decorated plan and its estimated
-   TotalTime. Source availability is read per call, so a replan sees the
-   breaker state the failed attempt left behind. *)
-let best_plan ?(objective = Optimizer.Total_time) t (r : resolved) : Plan.t * float =
+   expensive predicates — into the cheapest costed variant. The losing
+   variants' costs are stored; the chosen one's entry is the caller's to
+   store, once, with what it learns about the plan. Source availability is
+   read per call, so a replan sees the breaker state the failed attempt
+   left behind. *)
+let best_plan ~objective t (r : resolved) : costed =
   let available, release_probes = availability t in
   match
     check_sources_available ~available t r;
-    List.map
-      (fun v ->
-        let plan = plan_of_variant ~objective ~available t v in
-        (plan, plan_cost ~objective t plan))
-      (variants r)
+    List.map (cost_variant ~objective ~available t) (variants r)
   with
   | [] -> raise (Err.Plan_error "no plan")
-  | first :: rest ->
-    List.fold_left
-      (fun best c -> if Optimizer.cost_le (snd best) (snd c) then best else c)
-      first rest
+  | first :: rest as all ->
+    let best =
+      List.fold_left (fun best c -> if Optimizer.cost_le best.cost c.cost then best else c)
+        first rest
+    in
+    List.iter
+      (fun c -> if c != best && Option.is_none c.entry then store ~objective t c (unverified c))
+      all;
+    best
   | exception e ->
     (* the query dies before any submit: give admitted half-open probes
        back so concurrent traffic can re-probe immediately *)
     release_probes ();
     raise e
 
-let plan_query ?objective t text = best_plan ?objective t (resolve t (Sql.parse text))
+let plan_query ?(objective = Optimizer.Total_time) t text =
+  let c = best_plan ~objective t (resolve t (Sql.parse text)) in
+  if Option.is_none c.entry then store ~objective t c (unverified c);
+  (c.plan, c.cost)
 
 (* --- Execution ------------------------------------------------------------------ *)
 
@@ -808,48 +855,58 @@ let verify_plan ?ann t plan =
   in
   pc @ pb
 
+(* One attempt's plan, estimate, verification and estimate record. A
+   repeat with the model unchanged is served from the plan's entry: its
+   record gives the estimate and its flag spares the verification.
+   Otherwise the plan's one annotation is completed at the root, verifies
+   the plan and yields the record. The entry is then stored once, if
+   anything in it is new — also when verification fails, so a miss leaves
+   the plan's cost behind. *)
+let settle ~objective ~verify ~revision t (c : costed) =
+  let recorded =
+    match c.entry with
+    | Some { Plancache.estimates = Some e; _ } when Plancache.current t.registry e -> Some e
+    | _ -> None
+  in
+  let estimate =
+    match recorded with
+    | Some e -> Estimator.build_with_root t.registry c.plan e.Plancache.root
+    | None ->
+      let ann = Lazy.force c.ann and ctx = Estimator.make_ctx t.registry in
+      List.iter (fun v -> ignore (Estimator.require ctx ann v)) Disco_costlang.Ast.all_cost_vars;
+      ann
+  in
+  let entry = Option.value c.entry ~default:(unverified c) in
+  let check = verify && not entry.Plancache.verified in
+  (if check then
+     match Finding.errors (verify_plan ~ann:estimate t c.plan) with
+     | [] -> ()
+     | errs ->
+       if Option.is_none c.entry then store ~objective t c entry;
+       raise (Invalid_plan errs));
+  let estimates =
+    match recorded with
+    | Some e -> e
+    | None -> record_estimates t ~revision estimate
+  in
+  if Option.is_none c.entry || Option.is_none recorded || check then
+    store ~objective t c
+      { entry with verified = entry.Plancache.verified || check; estimates = Some estimates };
+  (estimate, estimates)
+
 let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
     ?(verify = false) t (text : string) : answer =
   (* resolution reads only the catalog, so every replan reuses it *)
   let r = resolve t (Sql.parse text) in
-  let var = Optimizer.objective_var objective and cache = active_cache t in
   let rec go replans failures =
     match
-      let plan, _ = best_plan ~objective t r in
-      (* a repeat with the model unchanged is served from the plan's record;
-         otherwise the plan is estimated once, and the record read off that
-         annotation after verification *)
-      let recorded =
-        Option.bind cache (fun c -> Plancache.estimates c t.registry ~objective:var plan)
-      in
+      (* read before planning: the search's annotation is computed at it *)
       let revision = Registry.revision t.registry in
-      let estimate =
-        match recorded with
-        | Some e -> Estimator.build_with_root t.registry plan e.Plancache.root
-        | None -> Estimator.estimate t.registry plan
-      in
-      (if verify then
-         let check () =
-           match Finding.errors (verify_plan ~ann:estimate t plan) with
-           | [] -> ()
-           | errs -> raise (Invalid_plan errs)
-         in
-         match cache with
-         | Some c -> Plancache.ensure_verified c t.registry ~objective:var plan check
-         | None -> check ());
-      let estimates =
-        match recorded with
-        | Some e -> e
-        | None ->
-          let e = record_estimates t ~revision estimate in
-          Option.iter
-            (fun c -> Plancache.set_estimates c t.registry ~objective:var plan e)
-            cache;
-          e
-      in
-      let physical = to_physical ~estimates t plan in
+      let c = best_plan ~objective t r in
+      let estimate, estimates = settle ~objective ~verify ~revision t c in
+      let physical = to_physical ~estimates t c.plan in
       let rows, measured = Run.measure ?limit:r.limit (mediator_run_env t) physical in
-      (plan, estimate, rows, measured)
+      (c.plan, estimate, rows, measured)
     with
     | plan, estimate, rows, measured ->
       { rows; plan; estimate; measured; replans; recovered = List.rev failures }

@@ -69,9 +69,9 @@ val set_history : t -> History.t -> unit
 
 val plancache : t -> Plancache.t
 (** The cross-query plan cache: plan-search results per resolved join spec,
-    decorated-plan costs and their verified flags. Its counters report hits,
-    misses, stale drops and evictions; a disabled cache is simply never
-    consulted. *)
+    and one entry per decorated plan (cost, verified flag, estimate
+    record). Its counters report hits, misses, stale drops and evictions; a
+    disabled cache is simply never consulted. *)
 
 val cache_enabled : t -> bool
 val set_cache_enabled : t -> bool -> unit
@@ -146,7 +146,8 @@ val plan_of_variant :
     per-query memoized view, because {!Health.available} is the breaker's
     single-admission probe point and must be consulted once per source per
     query. With the cache enabled the search runs only on a miss of
-    {!Plancache.search}, whose hits answer exactly as the search would. *)
+    {!Plancache.search}, whose hits answer exactly as the search would.
+    Looks up no whole-plan entry. *)
 
 val check_sources_available : ?available:(string -> bool) -> t -> resolved -> unit
 (** @raise Disco_common.Err.Source_unavailable when a relation's source has
@@ -157,7 +158,10 @@ val check_sources_available : ?available:(string -> bool) -> t -> resolved -> un
 val plan_query : ?objective:Optimizer.objective -> t -> string -> Plan.t * float
 (** Parse, resolve and optimize; returns the full plan and its estimated cost
     under the objective (TotalTime by default, TimeFirst for interactive
-    first-answer latency). *)
+    first-answer latency): the cost on the plan's whole-plan entry, else
+    the objective computed on its one annotation (the search's winner
+    extended by the decoration, or the decorated plan annotated once where
+    no search ran), which is then stored. *)
 
 (** {1 Execution} *)
 
@@ -174,7 +178,7 @@ val to_physical :
 
     Each submit feeds history its subplan's estimate times the source's
     adjustment factor in force at that moment. [estimates] is [plan]'s
-    record ({!Plancache.estimates}): its submits are consumed in
+    record ({!Plancache.entry}): its submits are consumed in
     translation order (right child first), each only while the record is
     {!Plancache.current} — under [History.Adjust] a submit's feedback moves
     the model, so the later ones estimate fresh. Without it every subplan
@@ -229,17 +233,21 @@ val run_query :
     re-optimizes that resolved query. With [~verify:true]
     (default false) the chosen plan is verified — reusing the answer's own
     estimation tree, so no second estimation pass — and {!Invalid_plan}
-    raised before any execution; a clean verification is remembered
-    ({!Plancache.ensure_verified}).
+    raised before any execution; a clean verification is remembered on the
+    plan's whole-plan entry ({!Plancache.entry}).
 
-    A repeated query estimates nothing while the model is unchanged: the
-    chosen plan's estimate and its submits' history estimates come from the
-    record on its plan-cache entry ({!Plancache.estimates}). Otherwise the
-    plan is estimated once, that annotation verifies it and yields the
-    record, which is stored. Either way [answer.estimate]'s root holds all
-    five variables, bit-identical to a fresh {!Estimator.estimate}; below
-    the root it computes on demand ({!Estimator.require}). Each replan
-    restarts the submit sequence. *)
+    Each attempt reads the chosen plan's whole-plan entry with one lookup
+    and writes it with at most one store. A repeated query estimates
+    nothing while the model is unchanged: the chosen plan's estimate and
+    its submits' history estimates come from the record on that entry.
+    Otherwise the chosen plan is annotated once — the search's winner
+    extended by the decoration, or, where no search ran, the decorated
+    plan annotated from scratch — and that one annotation gives the plan's
+    cost, the answer's estimate, the verification and the record, which is
+    stored. Either way [answer.estimate]'s root holds all five variables,
+    bit-identical to a fresh {!Estimator.estimate}; below the root it
+    computes on demand ({!Estimator.require}). Each replan restarts the
+    submit sequence. *)
 
 val explain : t -> string -> string
 (** The chosen plan plus per-node cost estimates annotated with the scope of

@@ -487,7 +487,7 @@ let require_available (spec : spec) ~available =
 type strategy = Exact | Goo
 
 let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stats
-    registry (spec : spec) : Plan.t * float =
+    registry (spec : spec) : Estimator.ann * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
   let stats = new_stats () in
@@ -502,7 +502,6 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
    | _ :: _ :: _ -> no_plan_error spec ~available
    | _ -> ());
   let ops = annotations registry in
-  let plan_of (c : Estimator.ann candidate) = c.n.Estimator.node in
   let cost (c : Estimator.ann candidate) =
     Option.get (cost_ann ~objective registry stats c.n)
   in
@@ -570,7 +569,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
       Some (if w == c then stored else cost w)
     in
     match cheapest_by ~prune:false wrapped_cost entries with
-    | Some ((c, _), cst) -> (plan_of (wrap ops c), cst)
+    | Some ((c, _), cst) -> ((wrap ops c).n, cst)
     | None -> no_plan_error spec ~available
   in
   let n = List.length spec.bases in
@@ -857,7 +856,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
        [choose]'s fold so its branch-and-bound pruning applies *)
     let final_of entries =
       Option.map
-        (fun (w, c) -> (plan_of w, c))
+        (fun (w, c) -> (w.n, c))
         (cheapest_by ~prune:true
            (fun bound w -> cost_ann ?bound ~objective registry stats w.n)
            (List.map (fun (c, _) -> wrap ops c) entries))
@@ -946,7 +945,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
 
 type engine =
   ?objective:objective -> ?available:(string -> bool) -> ?stats:stats ->
-  Registry.t -> spec -> Plan.t * float
+  Registry.t -> spec -> Estimator.ann * float
 
 let dpccp : engine = search Exact
 let greedy : engine = search Goo

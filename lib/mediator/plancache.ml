@@ -1,5 +1,5 @@
-(* Cross-query plan cache: plan-search results and whole-plan costs in one
-   generation-stamped table (contract in plancache.mli).
+(* Cross-query plan cache: plan-search results and whole-plan entries in
+   one generation-stamped table (contract in plancache.mli).
 
    Eviction is FIFO under a fixed capacity: mediator workloads re-run recent
    query shapes, and FIFO keeps the bookkeeping O(1) without touching
@@ -52,16 +52,20 @@ type estimates = {
   submits : (float * float) option array;
 }
 
-(* [plan] is a search entry's join tree, or a whole-plan entry's own plan.
-   [verified] and [estimates] are only ever set on whole-plan entries.
-   [stamp] is the entry's insertion number, its slot in the FIFO [order]. *)
 type entry = {
-  plan : Plan.t;
   cost : float;
-  generation : int;
-  stamp : int;
   verified : bool;
   estimates : estimates option;
+}
+
+(* A search key holds a join tree, a whole-plan key its entry. *)
+type value = Joined of Plan.t | Costed of entry
+
+(* [stamp] is the slot's insertion number, its place in the FIFO [order]. *)
+type slot = {
+  value : value;
+  generation : int;
+  stamp : int;
 }
 
 (* immutable, so a snapshot handed out is frozen: continuously polling
@@ -79,7 +83,7 @@ let zero = { hits = 0; misses = 0; stale = 0; evictions = 0; entries = 0 }
 
 type t = {
   capacity : int;
-  table : entry Tbl.t;
+  table : slot Tbl.t;
   (* FIFO order: the key of every live entry under its stamp, and nothing
      else — an entry leaves it with the entry, so it is bounded by the
      table. A re-added key takes a fresh stamp, so it goes to the back.
@@ -118,15 +122,15 @@ let clear t =
       t.oldest <- t.tick + 1;
       t.counts <- zero)
 
-let lookup t registry key =
+let lookup_key t registry key =
   Mutex.protect t.lock (fun () ->
       match Tbl.find_opt t.table key with
-      | Some e when e.generation = Registry.generation registry ->
+      | Some s when s.generation = Registry.generation registry ->
         t.counts <- { t.counts with hits = t.counts.hits + 1 };
-        Some e
-      | Some e ->
+        Some s.value
+      | Some s ->
         Tbl.remove t.table key;
-        Hashtbl.remove t.order e.stamp;
+        Hashtbl.remove t.order s.stamp;
         let c = t.counts in
         t.counts <- { c with misses = c.misses + 1; stale = c.stale + 1 };
         None
@@ -134,18 +138,13 @@ let lookup t registry key =
         t.counts <- { t.counts with misses = t.counts.misses + 1 };
         None)
 
-let store t registry key plan cost =
+let store_key t registry key value =
   let generation = Registry.generation registry in
   Mutex.protect t.lock (fun () ->
       match Tbl.find_opt t.table key with
-      | Some e ->
-        (* refresh in place, keeping the entry's stamp; a verification
-           and an estimate record hold only within their generation *)
-        let same = e.generation = generation in
-        Tbl.replace t.table key
-          { e with plan; cost; generation;
-                   verified = e.verified && same;
-                   estimates = (if same then e.estimates else None) }
+      | Some s ->
+        (* replace in place, keeping the slot's stamp *)
+        Tbl.replace t.table key { s with value; generation }
       | None ->
         (* stamps of dropped entries are gaps; skip them *)
         while Tbl.length t.table >= t.capacity do
@@ -159,67 +158,37 @@ let store t registry key plan cost =
         done;
         t.tick <- t.tick + 1;
         Hashtbl.replace t.order t.tick key;
-        Tbl.replace t.table key
-          { plan; cost; generation; stamp = t.tick; verified = false;
-            estimates = None })
+        Tbl.replace t.table key { value; generation; stamp = t.tick })
+
+(* A whole-plan key only ever holds an entry. *)
+let lookup t registry ~objective plan =
+  match lookup_key t registry (Plan_cost (objective, plan)) with
+  | Some (Costed e) -> Some e
+  | Some (Joined _) | None -> None
+
+let store t registry ~objective plan e =
+  store_key t registry (Plan_cost (objective, plan)) (Costed e)
 
 let find t registry ~objective plan =
-  Option.map (fun e -> e.cost) (lookup t registry (Plan_cost (objective, plan)))
+  Option.map (fun e -> e.cost) (lookup t registry ~objective plan)
 
 let add t registry ~objective plan cost =
-  store t registry (Plan_cost (objective, plan)) plan cost
+  store t registry ~objective plan { cost; verified = false; estimates = None }
 
 let search t registry ~objective ~available (spec : Optimizer.spec) run =
   let key = Search (objective, spec.bases, spec.joins) in
-  match lookup t registry key with
-  | Some e ->
+  match lookup_key t registry key with
+  | Some (Joined plan) ->
     Optimizer.require_available spec ~available;
-    (e.plan, e.cost)
-  | None ->
-    let ((plan, cost) as result) = run () in
-    store t registry key plan cost;
-    result
-
-(* The whole-plan entry of [plan] stamped [generation]. Reading or writing
-   its verified flag or estimate record is not a lookup: the counters do
-   not move. Call under the lock. *)
-let plan_entry t ~generation ~objective plan =
-  let key = Plan_cost (objective, plan) in
-  match Tbl.find_opt t.table key with
-  | Some e when e.generation = generation -> Some (key, e)
-  | _ -> None
-
-(* [check] runs outside the lock, and its outcome is recorded only on an
-   entry of the generation it was checked at. *)
-let ensure_verified t registry ~objective plan check =
-  let generation = Registry.generation registry in
-  let entry () = plan_entry t ~generation ~objective plan in
-  match Mutex.protect t.lock entry with
-  | Some (_, e) when e.verified -> ()
-  | _ ->
-    check ();
-    Mutex.protect t.lock (fun () ->
-        Option.iter
-          (fun (key, e) -> Tbl.replace t.table key { e with verified = true })
-          (entry ()))
+    `Cached plan
+  | Some (Costed _) | None ->
+    let ann = run () in
+    store_key t registry key (Joined ann.Estimator.node);
+    `Searched ann
 
 (* The one validity rule of a record: nothing an estimate reads has been
    written since it was computed. *)
 let current registry (e : estimates) = e.revision = Registry.revision registry
-
-let estimates t registry ~objective plan =
-  let generation = Registry.generation registry in
-  Mutex.protect t.lock (fun () ->
-      match plan_entry t ~generation ~objective plan with
-      | Some (_, { estimates = Some e; _ }) when current registry e -> Some e
-      | _ -> None)
-
-let set_estimates t registry ~objective plan e =
-  let generation = Registry.generation registry in
-  Mutex.protect t.lock (fun () ->
-      Option.iter
-        (fun (key, entry) -> Tbl.replace t.table key { entry with estimates = Some e })
-        (plan_entry t ~generation ~objective plan))
 
 let pp_counters ppf t =
   let c = counters t in

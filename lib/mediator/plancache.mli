@@ -2,11 +2,12 @@
 
     One table (one FIFO capacity bound, one lock, one counter set) holds the
     results of plan searches, keyed on the resolved join spec and the
-    objective variable, and the estimated costs of complete plans, keyed on
-    the plan and the objective variable. Keys compare structurally
-    ({!Disco_algebra.Plan.equal}, {!Disco_algebra.Pred.equal}). Optimizer
-    candidates never enter it. A whole-plan entry also carries a verified
-    flag and, for a plan the mediator chose, its {!estimates} record.
+    objective variable, and one {!entry} per complete plan, keyed on the
+    plan and the objective variable: its estimated cost, a verified flag
+    and, for a plan the mediator chose, its {!estimates} record. Keys
+    compare structurally ({!Disco_algebra.Plan.equal},
+    {!Disco_algebra.Pred.equal}). Optimizer candidates and annotations
+    never enter it.
 
     Each entry is stamped with the {!Disco_core.Registry.generation} in
     force when it was computed; a lookup under a newer generation drops the
@@ -35,35 +36,6 @@ type counters = {
 val create : ?capacity:int -> unit -> t
 (** An empty cache holding at most [capacity] (default 4096) entries. *)
 
-val find : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float option
-(** The cached cost of [plan] under [objective], if present and computed
-    under the registry's current generation. A stale entry is dropped and
-    reported as a miss. *)
-
-val add : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float -> unit
-(** Record a freshly computed cost, stamped with the current generation,
-    evicting the oldest entries if the capacity is reached. *)
-
-val search :
-  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var ->
-  available:(string -> bool) -> Optimizer.spec -> (unit -> Plan.t * float) ->
-  Plan.t * float
-(** The result of a plan search over [spec]: the cached one at the current
-    generation, else what the last argument's search returns, recorded.
-    The key is every spec field the search reads but [can_join], which
-    only registration sets, and registration moves the generation. A hit
-    consults [available] as the search's fail-fast check does
-    ({!Optimizer.require_available}). *)
-
-val ensure_verified :
-  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
-  (unit -> unit) -> unit
-(** Run the last argument — a whole-plan verification that raises on an
-    invalid plan — unless [plan]'s cost entry under [objective] is flagged
-    verified at the current generation; when it returns, flag the entry.
-    The flag is gone after any generation bump or once the entry is
-    evicted, and without an entry every call verifies. *)
-
 (** The estimates a chosen plan's run needs, recorded so that a repeated
     query estimates nothing: the root's five cost variables with their
     provenance ({!Disco_core.Estimator.root_vars}), and each submit's
@@ -81,20 +53,51 @@ val current : Registry.t -> estimates -> bool
     still the one it was computed at, so every estimate it holds equals a
     fresh one bit for bit. *)
 
-val estimates :
-  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
-  estimates option
-(** The record on [plan]'s cost entry under [objective], if the entry is of
-    the current generation and the record {!current}. Not a lookup: the
-    counters do not move. The record is gone with its entry — after a
-    generation bump or an eviction. *)
+(** A whole-plan entry: everything the cache knows about one decorated plan
+    under one objective, read with one {!lookup} and written with one
+    {!store}. *)
+type entry = {
+  cost : float;  (** the plan's estimated cost under the objective *)
+  verified : bool;
+      (** the plan passed whole-plan verification at the entry's
+          generation *)
+  estimates : estimates option;
+      (** for a plan the mediator chose and ran, its estimate record, valid
+          only while {!current} *)
+}
 
-val set_estimates :
-  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t ->
-  estimates -> unit
-(** Put a record on [plan]'s cost entry under [objective] if one exists at
-    the current generation; without an entry, nothing is stored. Not a
-    lookup. *)
+val lookup :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> entry option
+(** [plan]'s entry under [objective], if present and stored under the
+    registry's current generation. A stale entry is dropped and reported as
+    a miss. The verified flag and the record live and die with the entry:
+    a generation bump or an eviction drops them. *)
+
+val store :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> entry -> unit
+(** Make [entry] [plan]'s entry under [objective], stamped with the current
+    generation. An existing entry is replaced in place (it keeps its place
+    in the FIFO order); a new one evicts the oldest entries if the capacity
+    is reached. Not a lookup: the counters other than [evictions] do not
+    move. *)
+
+val find : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float option
+(** The cost of {!lookup}'s entry. *)
+
+val add : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> float -> unit
+(** {!store} of an entry holding only a cost: not verified, no record. *)
+
+val search :
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var ->
+  available:(string -> bool) -> Optimizer.spec -> (unit -> Estimator.ann) ->
+  [ `Cached of Plan.t | `Searched of Estimator.ann ]
+(** The result of a plan search over [spec]: the cached join tree at the
+    current generation, else the annotation the last argument's search
+    returns, whose plan is recorded (the annotation itself never enters
+    the cache). The key is every spec field the search reads but
+    [can_join], which only registration sets, and registration moves the
+    generation. A hit consults [available] as the search's fail-fast check
+    does ({!Optimizer.require_available}). *)
 
 val counters : t -> counters
 (** A consistent snapshot of the counters, taken under the cache lock. *)

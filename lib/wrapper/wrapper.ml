@@ -135,7 +135,3 @@ let execute t (plan : Plan.t) : Batch.t list * Run.vector =
       physical
   in
   (br.Run.batches, Run.vector_of_batched br)
-
-(* The physical plan the wrapper would run, for explain output. *)
-let physical_plan t (plan : Plan.t) : Physical.t =
-  Physical.of_logical ~engine:t.engine ~find_table:(find_table t) plan

@@ -76,6 +76,3 @@ val execute : t -> Plan.t -> Batch.t list * Run.vector
     tables; callers must treat them as read-only. The mediator composes
     them as they are ({!Physical.Pmaterialized}); {!Batch.to_tuples}
     turns one into tuples. *)
-
-val physical_plan : t -> Plan.t -> Physical.t
-(** The physical plan the wrapper would run, for explain output. *)

@@ -38,8 +38,8 @@ type obs = {
 
 let observe (engine : Optimizer.engine) med spec =
   let stats = Optimizer.new_stats () in
-  let plan, cost = engine ~stats (Mediator.registry med) spec in
-  { plan = Plan.to_string plan;
+  let ann, cost = engine ~stats (Mediator.registry med) spec in
+  { plan = Plan.to_string ann.Disco_core.Estimator.node;
     cost_bits = bits cost;
     considered = stats.Optimizer.plans_considered;
     entries = stats.Optimizer.dp_entries;
@@ -198,10 +198,11 @@ let test_carried_cost () =
     List.iter
       (fun objective ->
         let registry = Mediator.registry med in
-        let plan, cost = engine ~objective registry spec in
+        let ann, cost = engine ~objective registry spec in
         let fresh =
           Option.get
-            (Optimizer.cost_of ~objective registry (Optimizer.new_stats ()) plan)
+            (Optimizer.cost_of ~objective registry (Optimizer.new_stats ())
+               ann.Disco_core.Estimator.node)
         in
         if bits cost <> bits fresh then
           Alcotest.failf "%s: search cost %h, fresh cost_of %h" where cost fresh)

@@ -157,22 +157,13 @@ let prop_equi_depth =
       && mx -. mn <= 1.
       && Disco_catalog.Histogram.total h = float_of_int (List.length distinct))
 
-let prop_merge =
-  QCheck2.Test.make ~name:"merge preserves mass and shape invariants" ~count:200
-    QCheck2.Gen.(pair gen_ints gen_ints)
-    (fun (xs, ys) ->
-      let open Disco_catalog.Histogram in
-      let m = merge (build ~buckets:8 xs) (build ~buckets:8 ys) in
-      bucket_invariants ~strict:false m
-      && Float.abs (total m -. float_of_int (List.length xs + List.length ys)) < 1e-6)
-
 let prop_cdf_monotone =
   QCheck2.Test.make ~name:"CDF monotone in [0,1]" ~count:300
     QCheck2.Gen.(triple gen_ints (int_range (-600) 600) (int_range 0 300))
     (fun (xs, x, d) ->
       let open Disco_catalog.Histogram in
       let h = build xs in
-      let sel v = Option.get (sel_cmp h Cle (Constant.Int v)) in
+      let sel v = Option.get (sel_cmp h Cmp.Le (Constant.Int v)) in
       let a = sel x and b = sel (x + d) in
       (* tolerance covers ulp-level rounding in [lt + eq]; a genuine
          monotonicity break is at least a bucket share (>= 1e-3) *)
@@ -185,8 +176,8 @@ let prop_extremes =
       let open Disco_catalog.Histogram in
       let h = build xs in
       let mn = List.fold_left min max_int xs and mx = List.fold_left max min_int xs in
-      Option.get (sel_cmp h Cle (Constant.Int mx)) = 1.
-      && Option.get (sel_cmp h Clt (Constant.Int mn)) = 0.)
+      Option.get (sel_cmp h Cmp.Le (Constant.Int mx)) = 1.
+      && Option.get (sel_cmp h Cmp.Lt (Constant.Int mn)) = 0.)
 
 let prop_deterministic =
   QCheck2.Test.make ~name:"build deterministic under a fixed Rng seed" ~count:50
@@ -380,7 +371,10 @@ let prop_engines_agree =
     QCheck2.Gen.(triple gen_engine_plan bool (int_range 1 70))
     (fun ((src, plan), hj, bsz) ->
       let w = List.find (fun w -> w.Wrapper.name = src) wrappers in
-      let phys = Wrapper.physical_plan w plan in
+      let phys =
+        Physical.of_logical ~engine:w.Wrapper.engine
+          ~find_table:(Wrapper.find_table w) plan
+      in
       let env =
         { Run.engine = w.Wrapper.engine;
           buffer = w.Wrapper.buffer;
@@ -418,7 +412,7 @@ let () =
           [ prop_estimator_total; prop_estimator_joins ] );
       ( "histogram",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_equi_depth; prop_merge; prop_cdf_monotone; prop_extremes;
+          [ prop_equi_depth; prop_cdf_monotone; prop_extremes;
             prop_deterministic; prop_selest_bounds_hist ] );
       ( "engine differential",
         List.map QCheck_alcotest.to_alcotest [ prop_engines_agree ] );

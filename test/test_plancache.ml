@@ -416,14 +416,25 @@ let test_stale_churn_bounded () =
 
 (* The verified flag lives on a whole-plan entry and holds only at the
    generation it was set at: a model write or an eviction forces the plan
-   to be verified again, and a failed check sets nothing. *)
+   to be verified again, and a failed check sets nothing. [verify] reads
+   the entry with one lookup and flags it with one store, as the mediator
+   does; a plan without an entry has no cost to flag, so it is checked
+   every time. *)
 let test_verified_flag () =
   let registry = fresh_registry () in
   let cache = Plancache.create ~capacity:2 () in
   let plan = dummy_plan 1 in
   let checks = ref 0 in
   let verify ?(objective = Ast.Total_time) ?(check = fun () -> incr checks) () =
-    Plancache.ensure_verified cache registry ~objective plan check
+    match Plancache.lookup cache registry ~objective plan with
+    | Some { Plancache.verified = true; _ } -> ()
+    | entry ->
+      check ();
+      Option.iter
+        (fun e ->
+          Plancache.store cache registry ~objective plan
+            { e with Plancache.verified = true })
+        entry
   in
   let add p = Plancache.add cache registry ~objective:Ast.Total_time p 1. in
   let expect what n = Alcotest.(check int) what n !checks in
@@ -972,7 +983,7 @@ let test_record_after_sel_fix () =
   in
   let count (a : Mediator.answer) = Estimator.count_object a.Mediator.estimate in
   let g0 = Registry.generation reg in
-  Registry.set_sel_fix reg ~source (Pred.to_string pred) 0.25;
+  Registry.set_sel_fix reg ~source pred 0.25;
   Alcotest.(check int) "a correction moves no generation" g0 (Registry.generation reg);
   let corrected = Mediator.run_query med sql in
   let fresh = Estimator.estimate reg corrected.Mediator.plan in
@@ -1009,6 +1020,62 @@ let test_record_second_submit_adjust () =
   | rs, ss ->
     Alcotest.failf "expected two objstore submits, got %d records, %d submits"
       (List.length rs) (List.length ss)
+
+(* A query's chosen plan is annotated once — the search's winner extended
+   by the decoration, or the decorated plan built from scratch where no
+   search ran — and that one annotation gives the answer's estimate, the
+   verification and the estimate record. Each must equal what a fresh
+   estimate of the chosen plan gives: the root's five variables with their
+   provenance, the verification findings, and every new history record's
+   estimates. Over the federation corpus (the [lang_match] query has two
+   placements), the 16 wide joins and one objstore join with a
+   mediator-side residual (objstore's own select rule would price that
+   decoration differently, so a decoration extended in the wrong rule
+   context shows), under both objectives, with the cache on and off, on a
+   first run and on a repeat. Feedback with a zero weight and an
+   unreachable band records counts without moving any estimate. *)
+let test_chosen_annotation_fresh () =
+  let neutral = { History.band = infinity; consecutive = max_int; smoothing = 0. } in
+  let root (ann : Estimator.ann) =
+    List.map
+      (fun v -> (Option.map bits (Estimator.var ann v), Estimator.provenance ann v))
+      Ast.all_cost_vars
+  in
+  List.iter
+    (fun (objective, cache) ->
+      let med =
+        record_mediator ~stats_mode:(Mediator.Stats_feedback neutral) ~cache ()
+      in
+      let reg = Mediator.registry med and h = Mediator.history med in
+      for run = 1 to 2 do
+        List.iter
+          (fun sql ->
+            let where = Fmt.str "run %d, cache %b: %s" run cache sql in
+            let before = History.count h in
+            let a = Mediator.run_query ~objective med sql in
+            if root a.Mediator.estimate <> root (Estimator.estimate reg a.Mediator.plan)
+            then Alcotest.failf "%s: answer estimate <> a fresh estimate" where;
+            if
+              Mediator.verify_plan ~ann:a.Mediator.estimate med a.Mediator.plan
+              <> Mediator.verify_plan med a.Mediator.plan
+            then Alcotest.failf "%s: verification findings differ" where;
+            List.iter
+              (fun (r : History.record) ->
+                let source = r.History.source in
+                let fresh = Estimator.estimate ~source reg r.History.plan in
+                if
+                  bits r.History.estimated_total
+                  <> bits (Estimator.total_time fresh *. Registry.adjust reg ~source)
+                  || Option.map bits r.History.estimated_count
+                     <> Some (bits (Estimator.count_object fresh))
+                then Alcotest.failf "%s: history record <> a fresh estimate" where)
+              (History.newest h (History.count h - before)))
+          (federation_corpus @ wide_queries
+          @ [ "select p.id, t.hours from Task t, Project p \
+               where t.project_id = p.id and (t.hours > 10 or p.cost < 5000)" ])
+      done)
+    [ (Optimizer.Total_time, true); (Optimizer.Total_time, false);
+      (Optimizer.First_tuple, true); (Optimizer.First_tuple, false) ]
 
 let allocated_words () =
   Gc.minor ();
@@ -1079,6 +1146,8 @@ let () =
       ( "estimates",
         [ Alcotest.test_case "cache on = cache off" `Quick test_record_differential;
           Alcotest.test_case "record = fresh estimate" `Quick test_record_equals_fresh;
+          Alcotest.test_case "chosen annotation = fresh" `Quick
+            test_chosen_annotation_fresh;
           Alcotest.test_case "selectivity correction" `Quick test_record_after_sel_fix;
           Alcotest.test_case "second submit under adjust" `Quick
             test_record_second_submit_adjust;
