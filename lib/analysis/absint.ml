@@ -1,13 +1,14 @@
 (* Abstract interpretation of cost formulas over the interval domain.
 
-   The interpreter mirrors the concrete evaluator ({!Disco_costlang.Compile}
-   driven by the estimator's resolver): references yield abstract values
-   through an environment, wrapper [def]s are inlined (depth-bounded),
-   builtins get interval transfer functions, and context functions are
-   abstracted by their documented ranges. Where the concrete evaluator
-   raises — a zero divisor, a name coerced to a number — the interpreter
-   raises an alarm and continues with a sound over-approximation, so one
-   pass surfaces every potential failure in a formula. *)
+   The interpreter runs over the resolved formula the estimator's closures
+   are compiled from ({!Disco_costlang.Compile.rule_body}): a reference yields
+   its abstract value through the caller's environment, a def call is its
+   inlined body over its arguments' values, builtins get interval transfer
+   functions, and context functions are abstracted by their documented
+   ranges. Where the concrete evaluator raises — a zero divisor, a name
+   coerced to a number — the interpreter raises an alarm and continues with
+   a sound over-approximation, so one pass surfaces every potential failure
+   in a formula. *)
 
 open Disco_costlang
 
@@ -27,21 +28,11 @@ type alarm =
   | Numeric_name of string  (* name/predicate used where a number is required *)
   | Unknown_call of string
 
-type env = {
-  resolve : string list -> aval;
-      (* reference resolution: head variables, earlier body targets, node
-         cost variables, [let] parameters, catalog paths *)
-  def_of : string -> (string list * Ast.expr) option;
-      (* wrapper-defined functions, inlined abstractly *)
-}
-
-let max_inline_depth = 16
-
 let interval_of = function
   | Num i -> Some i
   | Name _ | Pred _ | Opaque -> None
 
-let eval env (e : Ast.expr) : aval * alarm list =
+let eval (resolve : Compile.name -> aval) (t : Compile.term) : aval * alarm list =
   let alarms = ref [] in
   let emit i = if not (List.mem i !alarms) then alarms := i :: !alarms in
   (* coerce to a number the way [Value.to_num] does: names and predicates
@@ -53,16 +44,17 @@ let eval env (e : Ast.expr) : aval * alarm list =
     | Pred p -> emit (Numeric_name p); Interval.top
     | Opaque -> Interval.top
   in
-  let rec go depth locals (e : Ast.expr) : aval =
-    match e with
-    | Ast.Num f -> Num (Interval.point f)
-    | Ast.Str s -> Name s  (* string literal: argument position only *)
-    | Ast.Ref [ x ] when List.mem_assoc x locals -> List.assoc x locals
-    | Ast.Ref path -> env.resolve path
-    | Ast.Neg e -> Num (Interval.neg (num (go depth locals e)))
-    | Ast.Binop (op, a, b) ->
-      let ia = num (go depth locals a) in
-      let ib = num (go depth locals b) in
+  (* [frame]: the arguments of the def being inlined *)
+  let rec go frame (t : Compile.term) : aval =
+    match t with
+    | Compile.Num f -> Num (Interval.point f)
+    | Compile.Str s -> Name s  (* string literal: argument position only *)
+    | Compile.Ref (Compile.Param i) -> frame.(i)
+    | Compile.Ref n -> resolve n
+    | Compile.Neg e -> Num (Interval.neg (num (go frame e)))
+    | Compile.Binop (op, a, b) ->
+      let ia = num (go frame a) in
+      let ib = num (go frame b) in
       (match op with
        | Ast.Add -> Num (Interval.add ia ib)
        | Ast.Sub -> Num (Interval.sub ia ib)
@@ -74,82 +66,77 @@ let eval env (e : Ast.expr) : aval * alarm list =
           | Interval.Div_maybe_zero -> emit (Div_by_zero { definite = false })
           | Interval.Div_ok -> ());
          Num r)
-    | Ast.Call (fn, args) -> call depth locals fn args
-  and call depth locals fn args =
-    match env.def_of fn, args with
-    | _, [ c; t; e ] when fn = "if" ->
-      (* the conditional, compiled as such: no def shadows it *)
-      let ic = num (go depth locals c) in
-      let at = go depth locals t and ae = go depth locals e in
+    | Compile.If (c, t, e) ->
+      let ic = num (go frame c) in
+      let at = go frame t and ae = go frame e in
       (match interval_of at, interval_of ae with
        | Some it, Some ie -> Num (Interval.ite ic it ie)
        | _ -> Opaque)
-    (* wrapper-defined functions shadow context functions and builtins,
-       matching [Estimator.call_function] *)
-    | Some (params, body), _ when List.length params = List.length args ->
-      if depth >= max_inline_depth then Opaque
-      else
-        let vals = List.map (go depth locals) args in
-        go (depth + 1) (List.combine params vals) body
-    | Some _, _ -> Opaque (* arity mismatch raises concretely on Vnum count *)
-    | None, _ ->
-      let nums () = List.map (fun a -> num (go depth locals a)) args in
-      let n1 f = match nums () with [ a ] -> Num (f a) | _ -> Opaque in
-      let fold f init =
-        match nums () with
-        | [] -> Opaque
-        | vs -> Num (List.fold_left f init vs)
-      in
-      (match fn with
-       | "exp" -> n1 Interval.exp_
-       | "ln" -> n1 Interval.ln_
-       | "log2" -> n1 Interval.log2_
-       | "sqrt" -> n1 Interval.sqrt_
-       | "ceil" -> n1 Interval.ceil_
-       | "floor" -> n1 Interval.floor_
-       | "abs" -> n1 Interval.abs_
-       | "pow" ->
-         (match nums () with [ a; b ] -> Num (Interval.pow_ a b) | _ -> Opaque)
-       | "min" -> fold Interval.min_ (Interval.point infinity)
-       | "max" -> fold Interval.max_ (Interval.point neg_infinity)
-       | "if" -> Opaque (* a wrong arity raises concretely *)
-       | "yao" ->
-         (* exact Yao'77 page-fetch fraction: in [0, 1] for every input
-            (degenerate inputs clamp); NaN inputs propagate *)
-         let anynan = List.exists (fun i -> i.Interval.nan) (nums ()) in
-         Num (Interval.with_nan anynan Interval.unit)
-       | "yaoapprox" ->
-         (* 1 - exp(-selected / pages): in [0, 1) only when the selected
-            count is nonnegative. A negative count yields 1 - exp(+x),
-            unboundedly negative and — when exp overflows — a true -inf
-            whose products can be NaN, so it also taints. *)
-         (match nums () with
-          | [ m; k ] ->
-            let anynan = m.Interval.nan || k.Interval.nan in
-            let range =
-              if k.Interval.lo >= 0. then Interval.unit
-              else Interval.v ~nan:true neg_infinity 1.
-            in
-            Num (Interval.with_nan anynan range)
-          | _ -> Opaque)
-       | "sel" | "selectivity" | "indexed" | "rindexed" ->
-         List.iter (fun a -> ignore (go depth locals a)) args;
-         Num Interval.unit
-       | "adtcost" | "adjust" | "nnames" ->
-         List.iter (fun a -> ignore (go depth locals a)) args;
-         Num Interval.nonneg
-       | "groupcard" ->
-         List.iter (fun a -> ignore (go depth locals a)) args;
-         Num Interval.ge1
-       | _ when List.mem fn Builtins.context_function_names ->
-         (* a context function without a dedicated transfer function:
-            conservatively a nonnegative statistic *)
-         List.iter (fun a -> ignore (go depth locals a)) args;
-         Num Interval.nonneg
-       | _ ->
-         List.iter (fun a -> ignore (go depth locals a)) args;
-         emit (Unknown_call fn);
-         Opaque)
+    | Compile.Inline (_, args, body) -> go (Array.of_list (List.map (go frame) args)) body
+    | Compile.Fail (_, _, args) ->
+      (* a wrong arity or a recursive def raises concretely, after its
+         arguments *)
+      List.iter (fun a -> ignore (go frame a)) args;
+      Opaque
+    | Compile.Builtin (fn, _, args) | Compile.Call (fn, args) -> call frame fn args
+  and call frame fn args =
+    let nums () = List.map (fun a -> num (go frame a)) args in
+    let n1 f = match nums () with [ a ] -> Num (f a) | _ -> Opaque in
+    let fold f init =
+      match nums () with
+      | [] -> Opaque
+      | vs -> Num (List.fold_left f init vs)
+    in
+    match fn with
+    | "exp" -> n1 Interval.exp_
+    | "ln" -> n1 Interval.ln_
+    | "log2" -> n1 Interval.log2_
+    | "sqrt" -> n1 Interval.sqrt_
+    | "ceil" -> n1 Interval.ceil_
+    | "floor" -> n1 Interval.floor_
+    | "abs" -> n1 Interval.abs_
+    | "pow" ->
+      (match nums () with [ a; b ] -> Num (Interval.pow_ a b) | _ -> Opaque)
+    | "min" -> fold Interval.min_ (Interval.point infinity)
+    | "max" -> fold Interval.max_ (Interval.point neg_infinity)
+    | "if" -> Opaque (* a wrong arity raises concretely *)
+    | "yao" ->
+      (* exact Yao'77 page-fetch fraction: in [0, 1] for every input
+         (degenerate inputs clamp); NaN inputs propagate *)
+      let anynan = List.exists (fun i -> i.Interval.nan) (nums ()) in
+      Num (Interval.with_nan anynan Interval.unit)
+    | "yaoapprox" ->
+      (* 1 - exp(-selected / pages): in [0, 1) only when the selected
+         count is nonnegative. A negative count yields 1 - exp(+x),
+         unboundedly negative and — when exp overflows — a true -inf
+         whose products can be NaN, so it also taints. *)
+      (match nums () with
+       | [ m; k ] ->
+         let anynan = m.Interval.nan || k.Interval.nan in
+         let range =
+           if k.Interval.lo >= 0. then Interval.unit
+           else Interval.v ~nan:true neg_infinity 1.
+         in
+         Num (Interval.with_nan anynan range)
+       | _ -> Opaque)
+    | "sel" | "selectivity" | "indexed" | "rindexed" ->
+      List.iter (fun a -> ignore (go frame a)) args;
+      Num Interval.unit
+    | "adtcost" | "adjust" | "nnames" ->
+      List.iter (fun a -> ignore (go frame a)) args;
+      Num Interval.nonneg
+    | "groupcard" ->
+      List.iter (fun a -> ignore (go frame a)) args;
+      Num Interval.ge1
+    | _ when List.mem fn Builtins.context_function_names ->
+      (* a context function without a dedicated transfer function:
+         conservatively a nonnegative statistic *)
+      List.iter (fun a -> ignore (go frame a)) args;
+      Num Interval.nonneg
+    | _ ->
+      List.iter (fun a -> ignore (go frame a)) args;
+      emit (Unknown_call fn);
+      Opaque
   in
-  let v = go 0 [] e in
+  let v = go [||] t in
   (v, List.rev !alarms)

@@ -1,12 +1,14 @@
 (** Abstract interpretation of cost formulas over the interval domain.
 
-    Mirrors the concrete evaluator: references resolve through an
-    environment to abstract values, wrapper [def]s are inlined
-    (depth-bounded), builtins get interval transfer functions, and context
-    functions ([sel], [adtcost], ...) are abstracted by their documented
-    ranges. Where the concrete evaluator raises — a zero divisor, a name
-    coerced to a number — the interpreter raises an alarm and continues
-    with a sound over-approximation. *)
+    It runs over the resolved formula the estimator's closures are compiled
+    from ({!Disco_costlang.Compile.rule_body}), so a name means here what it
+    means to the estimator: references take abstract values from the
+    caller's environment, wrapper [def]s are the inlined bodies (a recursive
+    or wrongly-called def is [Opaque]), builtins get interval transfer
+    functions, and context functions ([sel], [adtcost], ...) are abstracted
+    by their documented ranges. Where the concrete evaluator raises — a zero
+    divisor, a name coerced to a number — the interpreter raises an alarm
+    and continues with a sound over-approximation. *)
 
 open Disco_costlang
 
@@ -28,13 +30,9 @@ type alarm =
           [Vname] fallback for undefined variables surfaces *)
   | Unknown_call of string
 
-type env = {
-  resolve : string list -> aval;
-  def_of : string -> (string list * Ast.expr) option;
-}
-
 val interval_of : aval -> Interval.t option
 
-val eval : env -> Ast.expr -> aval * alarm list
-(** Evaluate abstractly; alarms are deduplicated, in first-occurrence
+val eval : (Compile.name -> aval) -> Compile.term -> aval * alarm list
+(** Evaluate abstractly, each reference but a def parameter valued by the
+    given environment; alarms are deduplicated, in first-occurrence
     order. *)

@@ -31,16 +31,15 @@ open Finding
 
 (* --- Typed domains for rule-context references ---------------------------- *)
 
-(* Statistic tails of operand and attribute paths, with their ranges. Times,
-   sizes and cardinalities are nonnegative by the domain typing premise;
-   [Indexed] is a 0/1 flag; [Min]/[Max] may be non-numeric constants. *)
-let stat_domain = function
-  | "CountObject" | "TotalSize" | "ObjectSize" | "TimeFirst" | "TimeNext"
-  | "TotalTime" ->
+(* The range of a path's statistic. Times, sizes and cardinalities are
+   nonnegative by the domain typing premise; [Indexed] is a 0/1 flag;
+   [Min]/[Max] may be non-numeric constants. *)
+let stat_domain tail =
+  match Compile.stat tail with
+  | Some (Compile.Var _ | Compile.Object_size | Compile.Count_distinct) ->
     Some Interval.nonneg
-  | "Indexed" -> Some Interval.unit
-  | "CountDistinct" -> Some Interval.nonneg
-  | _ -> None
+  | Some Compile.Indexed -> Some Interval.unit
+  | Some (Compile.Min | Compile.Max) | None -> None
 
 let aval_of_value (v : Value.t) : Absint.aval =
   match v with
@@ -52,32 +51,6 @@ let aval_of_value (v : Value.t) : Absint.aval =
   | Value.Vname n -> Absint.Name n
   | Value.Vpred p -> Absint.Pred (Fmt.str "%a" Pred.pp p)
 
-(* What each head variable binds to at match time (mirrors
-   [Rule.match_head]). *)
-type head_kind =
-  | Koperand          (* child plan / base collection *)
-  | Kattr of string   (* attribute name (Battr) *)
-  | Kconst_or_attr    (* Pcmp right side: constant or attribute *)
-  | Kpred of string   (* whole predicate (Bpred) *)
-  | Kname             (* source name or attribute/group list (Bname) *)
-
-let head_kinds (h : Ast.head) : (string * head_kind) list =
-  let arg k = function Ast.Pvar v -> [ (v, k) ] | _ -> [] in
-  let pred = function
-    | Ast.Ppred_var v -> [ (v, Kpred v) ]
-    | Ast.Pcmp (l, _, r) ->
-      (match l with Ast.Pvar v -> [ (v, Kattr v) ] | _ -> [])
-      @ arg Kconst_or_attr r
-  in
-  match h with
-  | Ast.Hscan c | Ast.Hdedup c -> arg Koperand c
-  | Ast.Hselect (c, p) -> arg Koperand c @ pred p
-  | Ast.Hproject (c, a) | Ast.Hsort (c, a) | Ast.Haggregate (c, a) ->
-    arg Koperand c @ arg Kname a
-  | Ast.Hunion (l, r) -> arg Koperand l @ arg Koperand r
-  | Ast.Hjoin (l, r, p) -> arg Koperand l @ arg Koperand r @ pred p
-  | Ast.Hsubmit (w, c) -> arg Kname w @ arg Koperand c
-
 (* Operator names valid in rule heads and capability lists. *)
 let known_operators =
   [ "scan"; "select"; "project"; "sort"; "join"; "union"; "dedup"; "aggregate";
@@ -85,61 +58,52 @@ let known_operators =
 
 (* --- Interval pass over one rule ------------------------------------------ *)
 
-(* Reference resolution for the abstract interpreter, mirroring
-   [Estimator.resolve_ref]: body locals and earlier targets, then node-level
-   cost variables, then head bindings, then [let] parameters, then the
-   silent [Vname] fallback (whose numeric use the interpreter flags). *)
-let rule_resolver reg ~source ~kinds ~locals path : Absint.aval =
-  match path with
-  | [] -> Absint.Opaque
-  | [ x ] ->
-    (match Hashtbl.find_opt locals x with
-     | Some v -> v
-     | None ->
-       (match Ast.cost_var_of_name x with
-        | Some _ -> Absint.Num Interval.nonneg
-        | None ->
-          (match List.assoc_opt x kinds with
-           | Some Koperand ->
-             (* "operand used as a plain value" raises concretely; surfaces
-                as a numeric-name alarm on coercion *)
-             Absint.Name x
-           | Some (Kattr a) -> Absint.Name a
-           | Some Kconst_or_attr -> Absint.Opaque
-           | Some (Kpred p) -> Absint.Pred p
-           | Some Kname -> Absint.Name x
-           | None ->
-             (match Registry.lookup_let_or_default reg ~source x with
-              | Some v -> aval_of_value v
-              | None -> Absint.Name x (* estimator's silent fallback *)
-              | exception _ -> Absint.Opaque))))
-  | x :: rest ->
-    let tail = List.hd (List.rev rest) in
-    let by_tail () =
-      match stat_domain tail with
-      | Some i -> Absint.Num i
-      | None -> Absint.Opaque
-    in
-    (match List.assoc_opt x kinds with
-     | Some Koperand | Some (Kattr _) -> by_tail ()
-     | Some _ -> Absint.Opaque
-     | None ->
-       (* literal path against the rule owner's catalog: resolves to the
-          registered statistic when the collection is known statically *)
-       (match Registry.catalog_path reg ~source path with
-        | Some v -> aval_of_value v
-        | None -> by_tail ()
-        | exception _ -> by_tail ()))
+(* The abstract value of a resolved reference of a rule of [source]: earlier
+   targets as the pass computed them, node-level cost variables, head
+   bindings by kind, [let] parameters at their registered values, paths by
+   their statistic's domain, and the silent [Vname] fallback (whose numeric
+   use the interpreter flags). *)
+let rule_resolver reg ~source ~(targets : Absint.aval array) (n : Compile.name) :
+    Absint.aval =
+  let by_tail segs =
+    match List.rev segs with
+    | (tail, _) :: _ ->
+      (match stat_domain tail with Some i -> Absint.Num i | None -> Absint.Opaque)
+    | [] -> Absint.Opaque
+  in
+  match n with
+  | Compile.Target j -> targets.(j)
+  | Compile.Param _ -> Absint.Opaque
+  | Compile.Cost_var _ -> Absint.Num Interval.nonneg
+  (* "operand used as a plain value" raises concretely; surfaces as a
+     numeric-name alarm on coercion *)
+  | Compile.Head (x, (Compile.Koperand | Compile.Kattr | Compile.Kname)) -> Absint.Name x
+  | Compile.Head (_, Compile.Kconst_or_attr) -> Absint.Opaque
+  | Compile.Head (x, Compile.Kpred) -> Absint.Pred x
+  | Compile.Through (_, (Compile.Koperand | Compile.Kattr), segs) -> by_tail segs
+  | Compile.Through _ -> Absint.Opaque
+  | Compile.Dynamic x ->
+    (match Registry.lookup_let_or_default reg ~source x with
+     | Some v -> aval_of_value v
+     | None -> Absint.Name x (* estimator's silent fallback *)
+     | exception _ -> Absint.Opaque)
+  | Compile.Path segs ->
+    (* literal path against the rule owner's catalog: resolves to the
+       registered statistic when the collection is known statically *)
+    (match Registry.catalog_path reg ~source (List.map fst segs) with
+     | Some v -> aval_of_value v
+     | None -> by_tail segs
+     | exception _ -> by_tail segs)
 
-(* The interval pass over one rule body. Sequential scoping: earlier
-   targets' abstract values refine later formulas, exactly like the concrete
-   evaluator's [inst.values]. *)
+(* The interval pass over one rule body, resolved as registration compiled
+   it. Sequential scoping: earlier targets' abstract values refine later
+   formulas, exactly like the concrete evaluator's target slots. *)
 let body_pass reg (rule : Rule.t) (ast : Ast.rule) : Finding.t list =
-  let source = rule.Rule.source in
+  let source = rule.Rule.owner in
   let operator = Rule.operator rule in
   let where = Fmt.str "rule %a" Pp.head ast.Ast.head in
-  let kinds = head_kinds ast.Ast.head in
-  let locals = Hashtbl.create 8 in
+  let terms = Compile.rule_body ~def_of:(Registry.def_of reg ~source) ast in
+  let targets = Array.make (Array.length terms) Absint.Opaque in
   let findings = ref [] in
   let add ?loc severity tag msg =
     let f =
@@ -147,23 +111,15 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : Finding.t list =
     in
     if not (List.mem f !findings) then findings := f :: !findings
   in
-  let env =
-    { Absint.resolve = rule_resolver reg ~source ~kinds ~locals;
-      def_of =
-        (fun fn ->
-          match Registry.lookup_def_or_default reg ~source fn with
-          | Some d -> Some (d.Compile.params, d.Compile.def_ast)
-          | None -> None) }
-  in
-  List.iter
-    (fun (target, expr) ->
+  List.iteri
+    (fun j (target, _) ->
       let name = Ast.target_name target in
       let loc =
         match Ast.target_pos ast name with
         | Some _ as p -> p
         | None -> ast.Ast.rule_pos
       in
-      let v, alarms = Absint.eval env expr in
+      let v, alarms = Absint.eval (rule_resolver reg ~source ~targets) terms.(j) in
       List.iter
         (fun (i : Absint.alarm) ->
           match i with
@@ -202,7 +158,7 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : Finding.t list =
          add ?loc Error "non-numeric"
            (Fmt.str "%s is assigned the non-numeric value %S" name n)
        | _ -> ());
-      Hashtbl.replace locals name v)
+      targets.(j) <- v)
     ast.Ast.body;
   List.rev !findings
 
@@ -403,32 +359,15 @@ let rule_where (r : Rule.t) =
 let rule_loc (r : Rule.t) =
   Option.bind r.Rule.ast (fun a -> a.Ast.rule_pos)
 
-(* Bare cost-variable references of a formula (transitively through [def]
-   bodies), excluding names assigned earlier in the same rule body: these
-   re-enter the estimator's [require] at the same node and form the
-   dependency graph for cycle detection. *)
-let cost_var_deps ~def_of ~earlier (e : Ast.expr) : Ast.cost_var list =
-  let acc = ref [] in
-  let rec go depth e =
-    match e with
-    | Ast.Num _ | Ast.Str _ -> ()
-    | Ast.Ref [ x ] ->
-      (match Ast.cost_var_of_name x with
-       | Some v when not (List.mem x earlier) ->
-         if not (List.mem v !acc) then acc := v :: !acc
-       | _ -> ())
-    | Ast.Ref _ -> ()
-    | Ast.Neg e -> go depth e
-    | Ast.Binop (_, a, b) -> go depth a; go depth b
-    | Ast.Call (fn, args) ->
-      List.iter (go depth) args;
-      if depth < 8 then
-        match def_of fn with
-        | Some (_, body) -> go (depth + 1) body
-        | None -> ()
-  in
-  go 0 e;
-  !acc
+(* The node's cost variables a formula reads (through the defs it calls
+   too), first occurrence last: these re-enter the estimator's [require] at
+   the same node and form the dependency graph for cycle detection. *)
+let cost_var_deps (t : Compile.term) : Ast.cost_var list =
+  Compile.fold
+    (fun acc -> function
+      | Compile.Ref (Compile.Cost_var v) when not (List.mem v acc) -> v :: acc
+      | _ -> acc)
+    [] t
 
 let analyze_chain reg ~source ~operator : Finding.t list =
   let chain =
@@ -453,7 +392,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
     (fun r ->
       match unmatchable_head (head_of r) with
       | Some why ->
-        add ~owner:r.Rule.source ?loc:(rule_loc r)
+        add ~owner:r.Rule.owner ?loc:(rule_loc r)
           ~rule_scope:r.Rule.scope Warning "unmatchable" (rule_where r)
           (Fmt.str "this head can never match a node: %s" why)
       | None -> ())
@@ -491,7 +430,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
             && head_subsumes ~inst (head_of a) (head_of b))
           chain
       in
-      if String.equal b.Rule.source Registry.default_source
+      if String.equal b.Rule.owner Registry.default_source
          && not (String.equal source Registry.default_source)
       then
         add ~owner:source ?loc:(rule_loc shadower)
@@ -502,7 +441,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
              (rule_where b)
              (Scope.to_string b.Rule.scope))
       else
-        add ~owner:b.Rule.source ?loc:(rule_loc b) ~rule_scope:b.Rule.scope
+        add ~owner:b.Rule.owner ?loc:(rule_loc b) ~rule_scope:b.Rule.scope
           Warning "dead-rule" (rule_where b)
           (Fmt.str
              "dead rule: %s (%s scope) matches every node this rule matches \
@@ -521,7 +460,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
       List.iter
         (fun b ->
           if
-            String.equal a.Rule.source b.Rule.source
+            String.equal a.Rule.owner b.Rule.owner
             && Rule.same_level a b
             && heads_overlap ~inst (head_of a) (head_of b)
           then begin
@@ -529,7 +468,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
               List.filter (fun v -> List.mem v b.Rule.provides) a.Rule.provides
             in
             if shared <> [] then
-              add ~owner:a.Rule.source ?loc:(rule_loc a)
+              add ~owner:a.Rule.owner ?loc:(rule_loc a)
                 ~rule_scope:a.Rule.scope Info "ambiguous" (rule_where a)
                 (Fmt.str
                    "overlaps %s at the same matching level; %s will be \
@@ -544,7 +483,7 @@ let analyze_chain reg ~source ~operator : Finding.t list =
   pairs live;
   (* coverage: per variable, does some live universal-head rule provide it,
      and does the wrapper's own export cover it or fall back to defaults *)
-  let own = List.filter (fun r -> String.equal r.Rule.source source) live in
+  let own = List.filter (fun r -> String.equal r.Rule.owner source) live in
   if own <> [] || String.equal source Registry.default_source then begin
     let missing = ref [] and conditional = ref [] in
     let own_partial = ref [] and own_none = ref [] in
@@ -603,28 +542,18 @@ let analyze_chain reg ~source ~operator : Finding.t list =
         match r.Rule.ast with
         | None -> []
         | Some ast ->
-          let def_of fn =
-            match
-              Registry.lookup_def_or_default reg ~source:r.Rule.source fn
-            with
-            | Some d -> Some (d.Compile.params, d.Compile.def_ast)
-            | None -> None
-          in
+          let terms = Compile.rule_body ~def_of:(Registry.def_of reg ~source:r.Rule.owner) ast in
           let _, edges =
             List.fold_left
-              (fun (earlier, acc) (target, expr) ->
-                let name = Ast.target_name target in
+              (fun (j, acc) (target, _) ->
                 let acc =
                   match target with
                   | Ast.Cost v ->
-                    List.map
-                      (fun w -> (v, w, r))
-                      (cost_var_deps ~def_of ~earlier expr)
-                    @ acc
+                    List.map (fun w -> (v, w, r)) (cost_var_deps terms.(j)) @ acc
                   | Ast.Local _ -> acc
                 in
-                (name :: earlier, acc))
-              ([], []) ast.Ast.body
+                (j + 1, acc))
+              (0, []) ast.Ast.body
           in
           edges)
       live

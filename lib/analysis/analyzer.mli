@@ -3,11 +3,13 @@
     Runs after registration (or on demand via [disco lint]) over the
     registry's merged rule chains. Four passes:
 
-    - {b interval abstract interpretation} of every rule body ({!Absint})
-      over typed variable domains — cardinalities, sizes and times in
-      [[0, inf)], selectivities in [[0, 1]], [let] parameters at their
-      registered values — flagging possible division by zero, NaN,
-      negative costs, and names silently coerced to numbers;
+    - {b interval abstract interpretation} of every rule body ({!Absint}),
+      each name resolved as registration compiles it
+      ({!Disco_costlang.Compile.rule_body}), over typed variable domains —
+      cardinalities, sizes and times in [[0, inf)], selectivities in
+      [[0, 1]], [let] parameters at their registered values — flagging
+      possible division by zero, NaN, negative costs, and names silently
+      coerced to numbers;
     - {b shadowing}: per (source, operator) chain, rules whose head is
       subsumed by strictly more specific rules providing all their
       variables are dead; same-level overlaps are min-combined
@@ -23,20 +25,7 @@
     strict registration ({!Disco_mediator.Mediator}) rejects them. A
     model "lints clean under --strict" when {!Finding.errors} is empty. *)
 
-open Disco_costlang
 open Disco_core
-
-(** What each head variable binds to at match time (mirrors
-    [Rule.match_head]). *)
-type head_kind =
-  | Koperand  (** child plan or base collection *)
-  | Kattr of string  (** attribute name *)
-  | Kconst_or_attr  (** right side of a comparison: constant or attribute *)
-  | Kpred of string  (** whole predicate *)
-  | Kname  (** source name, or attribute or group list *)
-
-val head_kinds : Ast.head -> (string * head_kind) list
-(** The variables a rule head binds, with their kinds. *)
 
 val known_operators : string list
 (** Operator names valid in rule heads and capability lists. *)

@@ -6,16 +6,13 @@
 open Disco_costlang
 open Finding
 
-(* Statistic path tails understood by the estimator. *)
-let operand_stats =
-  [ "CountObject"; "TotalSize"; "ObjectSize"; "TimeFirst"; "TimeNext"; "TotalTime" ]
-
-let attr_stats = [ "Indexed"; "CountDistinct"; "Min"; "Max" ]
-
-(* Check one rule: variable-convention references must be bound (by the head
-   or by an earlier body assignment); calls must resolve to a builtin, a
-   context function or a declared [def]; duplicate assignments are errors;
-   paths must end in known statistics. *)
+(* Check one rule over its body as registration resolves it
+   ([Compile.rule_body], with the export's own defs): a name of the variable
+   convention must denote a head variable, an earlier target, a cost
+   variable or one of the export's lets; a call must bind to a def, a
+   builtin or a context function; duplicate assignments are errors; paths
+   must end in known statistics. Inlined def bodies are not checked here:
+   their calls are the defs'. *)
 let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
   let where = Fmt.str "rule %a" Pp.head r.Ast.head in
   let findings = ref [] in
@@ -25,48 +22,45 @@ let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
   let add sev tag msg =
     findings := Finding.v ?loc:!cur_loc sev tag where msg :: !findings
   in
-  let bound = ref (List.map fst (Analyzer.head_kinds r.Ast.head)) in
-  let is_bound name =
-    List.mem name !bound || List.mem name lets
-    || Option.is_some (Ast.cost_var_of_name name)
+  let statistic segs =
+    match List.rev segs with
+    | (last, _) :: _ when Compile.stat last = None ->
+      add Warning "unknown-statistic"
+        (Fmt.str "path ends in %S, which is not a known statistic" last)
+    | _ -> ()
   in
-  let rec check_expr (e : Ast.expr) =
-    match e with
-    | Ast.Num _ | Ast.Str _ -> ()
-    | Ast.Neg e -> check_expr e
-    | Ast.Binop (_, a, b) ->
-      check_expr a;
-      check_expr b
-    | Ast.Call (fn, args) ->
-      if
-        not
-          (List.mem fn defs
-          || List.mem fn Builtins.context_function_names
-          || Option.is_some (Builtins.find fn))
-      then add Error "unknown-function" (Fmt.str "unknown function %S" fn);
-      List.iter check_expr args
-    | Ast.Ref [ x ] ->
+  let rec check (t : Compile.term) =
+    match t with
+    | Compile.Num _ | Compile.Str _ -> ()
+    | Compile.Neg e -> check e
+    | Compile.Binop (_, a, b) ->
+      check a;
+      check b
+    | Compile.If (c, t, e) -> List.iter check [ c; t; e ]
+    | Compile.Inline (_, args, _) | Compile.Builtin (_, _, args) | Compile.Fail (_, _, args) ->
+      List.iter check args
+    | Compile.Call (fn, args) ->
+      if not (List.mem fn Builtins.context_function_names) then
+        add Error "unknown-function" (Fmt.str "unknown function %S" fn);
+      List.iter check args
+    | Compile.Ref (Compile.Dynamic x) ->
       (* a bare capital-letter identifier is a variable by convention and
          must be bound; other names may be collections or attributes *)
-      if Ast.is_variable_name x && not (is_bound x) then
+      if Ast.is_variable_name x && not (List.mem x lets) then
         add Error "unbound" (Fmt.str "unbound variable %S" x)
-    | Ast.Ref (x :: rest) ->
-      if Ast.is_variable_name x && not (is_bound x) then
+    | Compile.Ref (Compile.Path []) -> add Error "empty-reference" "empty reference"
+    | Compile.Ref (Compile.Path ((x, _) :: rest)) ->
+      if Ast.is_variable_name x then
         add Error "unbound" (Fmt.str "unbound variable %S in path" x);
-      (match List.rev rest with
-       | last :: _
-         when not (List.mem last operand_stats || List.mem last attr_stats) ->
-         add Warning "unknown-statistic"
-           (Fmt.str "path ends in %S, which is not a known statistic" last)
-       | _ -> ())
-    | Ast.Ref [] -> add Error "empty-reference" "empty reference"
+      statistic rest
+    | Compile.Ref (Compile.Through (_, _, segs)) -> statistic segs
+    | Compile.Ref (Compile.Target _ | Compile.Param _ | Compile.Cost_var _ | Compile.Head _) -> ()
   in
+  let terms = Compile.rule_body ~def_of:(fun n -> List.assoc_opt n defs) r in
   let assigned = ref [] in
-  List.iter
-    (fun (target, e) ->
-      let name =
-        match target with Ast.Cost v -> Ast.cost_var_name v | Ast.Local n -> n
-      in
+  List.iteri
+    (fun j (target, _) ->
+      let name = Ast.target_name target in
       (cur_loc :=
          match Ast.target_pos r name with
          | Some _ as p -> p
@@ -74,12 +68,49 @@ let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
       if List.mem name !assigned then
         add Error "duplicate-assignment" (Fmt.str "duplicate assignment to %S" name);
       assigned := name :: !assigned;
-      check_expr e;
-      bound := name :: !bound)
+      check terms.(j))
     r.Ast.body;
   cur_loc := r.Ast.rule_pos;
   if r.Ast.body = [] then add Warning "empty-body" "rule has an empty body";
   List.rev !findings
+
+(* The lets of the export each let reads, through the defs it calls too. *)
+let let_reads ~lets ~defs =
+  let def_of n = List.assoc_opt n defs in
+  List.map
+    (fun (name, e) ->
+      ( name,
+        Compile.fold
+          (fun acc -> function
+            | Compile.Ref (Compile.Dynamic x) when List.mem_assoc x lets -> x :: acc
+            | _ -> acc)
+          [] (Compile.let_body ~def_of e) ))
+    lets
+
+(* A chain of reads from [target] back to itself, if there is one; each
+   let is expanded once. *)
+let cycle reads target =
+  let seen = Hashtbl.create 8 in
+  let rec from x =
+    List.find_map
+      (fun y ->
+        if String.equal y target then Some [ y ]
+        else if Hashtbl.mem seen y then None
+        else (Hashtbl.add seen y (); Option.map (List.cons y) (from y)))
+      (Option.value ~default:[] (List.assoc_opt x reads))
+  in
+  Option.map (List.cons target) (from target)
+
+(* Whether a def reaches a call of itself: inlining a call of it meets the
+   call as [Recursive]. *)
+let recursive ~defs name (d : Compile.def) =
+  let call = Ast.Call (name, List.map (fun _ -> Ast.Num 0.) d.Compile.params) in
+  Compile.fold
+    (fun found -> function
+      | Compile.Fail (fn, Compile.Recursive, _) -> found || String.equal fn name
+      | _ -> found)
+    false
+    (Compile.let_body ~def_of:(fun n -> List.assoc_opt n defs) call)
 
 let check_interface ~declared (i : Ast.interface_decl) : Finding.t list =
   let where = "interface " ^ i.Ast.iface_name in
@@ -121,11 +152,20 @@ let check_interface ~declared (i : Ast.interface_decl) : Finding.t list =
 (* Check a whole source declaration. Returns all findings, errors first. *)
 let check_source (s : Ast.source_decl) : Finding.t list =
   let lets =
-    List.filter_map (function Ast.Let (n, _) -> Some n | _ -> None) s.Ast.items
+    List.filter_map (function Ast.Let (n, e) -> Some (n, e) | _ -> None) s.Ast.items
   in
   let defs =
-    List.filter_map (function Ast.Def (n, _, _) -> Some n | _ -> None) s.Ast.items
+    List.filter_map
+      (function
+        | Ast.Def (n, params, def_ast) -> Some (n, { Compile.params; def_ast })
+        | _ -> None)
+      s.Ast.items
   in
+  let reads = let_reads ~lets ~defs in
+  let located sev tag where msg =
+    Finding.v ?loc:(List.assoc_opt where s.Ast.item_pos) sev tag where msg
+  in
+  let lets = List.map fst lets in
   let findings = ref [] in
   let declared = ref [] in
   List.iter
@@ -155,7 +195,23 @@ let check_source (s : Ast.source_decl) : Finding.t list =
           !findings
           @ [ Finding.v Error "reserved-name" "def if"
                 "\"if\" is the conditional and cannot be redefined" ]
-      | Ast.Let _ | Ast.Def _ -> ())
+      | Ast.Let (name, _) ->
+        (* the estimator refuses such a let when it is read; registration
+           refuses it here, before any query stalls on it *)
+        Option.iter
+          (fun chain ->
+            findings :=
+              !findings
+              @ [ located Error "let-cycle" ("let " ^ name)
+                    (Fmt.str "let %s is defined in terms of itself: %s" name
+                       (String.concat " -> " chain)) ])
+          (cycle reads name)
+      | Ast.Def (name, params, def_ast) ->
+        if recursive ~defs name { Compile.params; def_ast } then
+          findings :=
+            !findings
+            @ [ located Error "recursive-def" ("def " ^ name)
+                  (Fmt.str "def %s calls itself, directly or through other defs" name) ])
     s.Ast.items;
   let errors, warnings = List.partition (fun f -> f.severity = Error) !findings in
   errors @ warnings

@@ -65,7 +65,7 @@ let unsat_conjunct child_stats pred =
    plan builds no labels and no paths. *)
 let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
   let cat = Registry.catalog reg in
-  let ctx = Estimator.make_ctx reg in
+  let ctx = Estimator.make_ctx () in
   let finding ?scope severity tag path source msg =
     add
       (Finding.v ~source ?scope severity tag

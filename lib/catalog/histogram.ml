@@ -92,7 +92,7 @@ let of_keys ~kind ?(buckets = default_buckets) keys =
    value; values of the other kind are dropped. Large columns are subsampled
    deterministically with {!Rng} so registration-time builds stay cheap and
    reproducible. *)
-let of_values ?(buckets = default_buckets) ?(sample = default_sample) ?(seed = 0)
+let of_values ?(buckets = default_buckets) ?(seed = 0)
     (values : Constant.t list) =
   let kind =
     List.find_map
@@ -116,12 +116,12 @@ let of_values ?(buckets = default_buckets) ?(sample = default_sample) ?(seed = 0
     in
     let keys =
       let n = List.length keys in
-      if n <= sample then keys
+      if n <= default_sample then keys
       else begin
         let rng = Rng.create ~seed in
         let arr = Array.of_list keys in
         Rng.shuffle rng arr;
-        Array.to_list (Array.sub arr 0 sample)
+        Array.to_list (Array.sub arr 0 default_sample)
       end
     in
     of_keys ~kind ~buckets keys

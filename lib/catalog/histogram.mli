@@ -37,12 +37,11 @@ val key : t -> Constant.t -> float option
 (** Key of a constant under this histogram's kind; [None] when the constant
     is not comparable in that domain. *)
 
-val of_values :
-  ?buckets:int -> ?sample:int -> ?seed:int -> Constant.t list -> t option
+val of_values : ?buckets:int -> ?seed:int -> Constant.t list -> t option
 (** Build an equi-depth histogram from raw column values. The kind is decided
     by the first non-null value; values of the other kind are dropped. [None]
-    on an empty (or all-null) column. Columns larger than [sample] (default
-    1024) are subsampled deterministically with {!Disco_common.Rng} under
+    on an empty (or all-null) column. Columns larger than 1024 values are
+    subsampled deterministically with {!Disco_common.Rng} under
     [seed] (default 0), so builds are cheap and reproducible. [buckets]
     bounds the bucket count (default 32). *)
 

@@ -24,8 +24,8 @@ type attribute = {
 let extent ~count_objects ~total_size ~object_size =
   { count_objects; total_size; object_size }
 
-let attribute ?(indexed = false) ?histogram ~count_distinct ~min ~max () =
-  { indexed; count_distinct; min; max; histogram }
+let attribute ?(indexed = false) ~count_distinct ~min ~max () =
+  { indexed; count_distinct; min; max; histogram = None }
 
 (* Defaults used when a wrapper exports nothing (paper §6: "In case they are
    not provided, standard values are given, as usual"). *)

@@ -23,7 +23,7 @@ type attribute = {
 val extent : count_objects:int -> total_size:int -> object_size:int -> extent
 
 val attribute :
-  ?indexed:bool -> ?histogram:Histogram.t -> count_distinct:int ->
+  ?indexed:bool -> count_distinct:int ->
   min:Constant.t -> max:Constant.t -> unit -> attribute
 
 val default_extent : extent

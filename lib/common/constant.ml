@@ -70,9 +70,6 @@ let to_float_opt = function
   | Bool false -> Some 0.
   | Null | String _ -> None
 
-let of_int i = Int i
-let of_string s = String s
-
 (* Position of [v] within [min, max] as a fraction in [0, 1]; used for
    range-predicate selectivity under the uniform-distribution assumption.
    Strings interpolate on their first two characters, which is enough to

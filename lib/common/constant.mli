@@ -33,9 +33,6 @@ val to_float_opt : t -> float option
 (** Numeric view: integers and floats as themselves, booleans as 0/1, [None]
     for strings and null. *)
 
-val of_int : int -> t
-val of_string : string -> t
-
 val fraction : min:t -> max:t -> t -> float option
 (** [fraction ~min ~max v] is the position of [v] within [[min, max]] as a
     value in [[0, 1]], used for range-predicate selectivity under the uniform

@@ -21,39 +21,35 @@ open Disco_costlang
 exception Aborted
 (** Raised when [abort_above] is exceeded (§4.3.2). *)
 
-type provenance = { rule_id : int; rule_scope : Scope.t; rule_source : string }
+type provenance = Rule.provenance = {
+  rule_id : int;
+  rule_scope : Scope.t;
+  rule_source : string;
+}
 (** Which rule supplied a computed variable (for explain output and the
     scope-ablation benches). *)
 
-type ctx = {
-  registry : Registry.t;
+(** One estimation: the branch-and-bound limit, the number of formula
+    evaluations performed, and {!require} itself (see {!Rule.ctx}). *)
+type ctx = Rule.ctx = {
   abort_above : float option;
-  evals : int ref;  (** number of formula evaluations performed *)
+  evals : int ref;
+  require : ctx -> ann -> Ast.cost_var -> float;
 }
 
-type ann = {
+(** A plan node annotated with its (incrementally computed) cost variables
+    (see {!Rule.ann}). *)
+and ann = Rule.ann = {
   node : Plan.t;
   source : string;  (** source whose rules govern this node *)
   inputs : ann array;
   stats : Derive.t Lazy.t;  (** derived attribute statistics *)
   matched : (Rule.t * Rule.bindings) list Lazy.t;  (** most specific first *)
-  vars : (Ast.cost_var, float * provenance) Hashtbl.t;
-  insts : (int, inst) Hashtbl.t;
-  mutable in_progress : Ast.cost_var list;  (** cycle detection *)
-}
-(** A plan node annotated with its (incrementally computed) cost variables. *)
-
-(** Per-(node, rule) evaluation instance: body assignments are evaluated
-    sequentially and cached, so locals (Fig 13's [CountPage]) and earlier
-    results are visible to later formulas of the same body. *)
-and inst = {
-  rule : Rule.t;
-  bindings : Rule.bindings;
-  values : (string, Value.t) Hashtbl.t;
-  mutable next_assign : int;
+  vars : Rule.slot array;
+  mutable insts : Rule.inst list;
 }
 
-val make_ctx : ?abort_above:float -> ?evals:int ref -> Registry.t -> ctx
+val make_ctx : ?abort_above:float -> ?evals:int ref -> unit -> ctx
 
 val extend : Registry.t -> source:string -> Plan.t -> ann array -> ann
 (** Annotate one plan node over its inputs' annotations without computing
@@ -69,8 +65,13 @@ val build : Registry.t -> source:string -> Plan.t -> ann
     node gives them. [source] is the rule context of the root. *)
 
 val require : ctx -> ann -> Ast.cost_var -> float
-(** Compute (and cache) one cost variable of a node. A variable the node
-    already holds is returned as it is, unchecked against the bound.
+(** Compute (and keep in its slot) one cost variable of a node. A variable
+    the node already holds is returned as it is, unchecked against the
+    bound. A formula reads its rule's earlier results, the node's
+    variables and its inputs' as its names were resolved at registration;
+    only [let] values and catalog statistics are looked up by name. The
+    slot's cycle guard is cleared on every exit, so an annotation whose
+    estimation raised can be estimated again.
     @raise Aborted when the bound is exceeded
     @raise Disco_common.Err.Eval_error on formula errors or circular
     variable dependencies *)

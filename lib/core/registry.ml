@@ -10,6 +10,7 @@
    virtual tables". *)
 
 open Disco_common
+open Disco_algebra
 open Disco_catalog
 open Disco_costlang
 
@@ -17,7 +18,8 @@ let default_source = "default"
 let mediator_source = "mediator"
 
 type source_entry = {
-  mutable lets : (string * Compile.compiled) list;  (* declaration order *)
+  (* declaration order; a let runs with the chain of lets being computed *)
+  mutable lets : (string * (string list, unit) Compile.t) list;
   let_cache : (string, Value.t) Hashtbl.t;
   mutable defs : (string * Compile.def) list;
   mutable rules : Rule.t list;  (* newest first; order field keeps rank *)
@@ -68,7 +70,8 @@ type t = {
      Held only across the table operations themselves, never across
      formula evaluation — [lookup_let] computes outside the lock (a
      duplicated computation is harmless: let values are deterministic
-     within a generation). *)
+     within a generation). A formula finds its defs and builtins without
+     it: they are bound when the formula is compiled. *)
   lock : Mutex.t;
 }
 
@@ -133,19 +136,23 @@ let clear_sel_fixes t ~source =
         t.sel_fixes);
   t.revision <- t.revision + 1
 
-(* --- Statistics resolution helpers (shared with the estimator) ---------- *)
+(* --- Statistics and wrapper parameters ------------------------------------ *)
 
-let extent_stat (e : Stats.extent) = function
-  | "CountObject" -> Some (float_of_int e.Stats.count_objects)
-  | "TotalSize" -> Some (float_of_int e.Stats.total_size)
-  | "ObjectSize" -> Some (float_of_int e.Stats.object_size)
+let fail fmt = Fmt.kstr (fun msg -> raise (Err.Eval_error msg)) fmt
+
+let extent_stat (e : Stats.extent) name =
+  match Compile.stat name with
+  | Some (Compile.Var Ast.Count_object) -> Some (float_of_int e.Stats.count_objects)
+  | Some (Compile.Var Ast.Total_size) -> Some (float_of_int e.Stats.total_size)
+  | Some Compile.Object_size -> Some (float_of_int e.Stats.object_size)
   | _ -> None
 
-let attr_stat_value (s : Derive.attr_stat) = function
-  | "Indexed" -> Some (Value.Vnum (if s.Derive.indexed then 1. else 0.))
-  | "CountDistinct" -> Some (Value.Vnum s.Derive.distinct)
-  | "Min" -> Some (Value.Vconst s.Derive.min)
-  | "Max" -> Some (Value.Vconst s.Derive.max)
+let attr_stat_value (s : Derive.attr_stat) name =
+  match Compile.stat name with
+  | Some Compile.Indexed -> Some (Value.Vnum (if s.Derive.indexed then 1. else 0.))
+  | Some Compile.Count_distinct -> Some (Value.Vnum s.Derive.distinct)
+  | Some Compile.Min -> Some (Value.Vconst s.Derive.min)
+  | Some Compile.Max -> Some (Value.Vconst s.Derive.max)
   | _ -> None
 
 (* Resolve [Collection.Stat] or [Collection.Attr.Stat] against the catalog
@@ -161,76 +168,250 @@ let catalog_path t ~source path : Value.t option =
     attr_stat_value (Derive.of_catalog_attr st) stat
   | _ -> None
 
-(* --- Wrapper parameters and functions ----------------------------------- *)
-
-(* Evaluation context for [let] bindings: other lets, catalog statistics of
-   the same source, pure builtins and the source's own [def]s. *)
-let rec let_ctx t ~source : Compile.ctx =
-  { Compile.resolve_ref =
-      (fun path ->
-        match path with
-        | [ x ] ->
-          (match lookup_let t ~source x with
-           | Some v -> v
-           | None ->
-             (match catalog_path t ~source path with
-              | Some v -> v
-              | None -> raise (Err.Eval_error (Fmt.str "unbound name %S in let" x))))
-        | _ ->
-          (match catalog_path t ~source path with
-           | Some v -> v
-           | None ->
-             raise
-               (Err.Eval_error
-                  (Fmt.str "cannot resolve path %S in let" (String.concat "." path)))))
-    ;
-    call =
-      (fun name args ->
-        match lookup_def t ~source name with
-        | Some d -> Compile.apply_def d (let_ctx t ~source) args
-        | None ->
-          (match Builtins.find name with
-           | Some f -> f args
-           | None -> raise (Err.Eval_error (Fmt.str "unknown function %S in let" name))))
-  }
-
-and lookup_let t ~source name : Value.t option =
-  let e = entry t source in
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt e.let_cache name) with
-  | Some v -> Some v
-  | None ->
-    (match List.assoc_opt name e.lets with
-     | None -> None
-     | Some compiled ->
-       (* computed outside the lock: let bodies may reference other lets
-          (re-entering this function), and a racing duplicate computation
-          yields the same value within a generation *)
-       let v = compiled (let_ctx t ~source) in
+(* A [let] of the source whose entry is [e], evaluated lazily and memoized.
+   [chain] is the lets this evaluation is computing, so a let that reads
+   itself (directly, or through other lets and the defs they call) raises
+   instead of recursing. The value is computed outside the lock: two
+   domains may compute the same let at once, to the same value. *)
+let lookup_let_in t e name chain : Value.t option =
+  match List.assoc_opt name e.lets with
+  | None -> None
+  | Some compiled ->
+    (match Mutex.protect t.lock (fun () -> Hashtbl.find_opt e.let_cache name) with
+     | Some v -> Some v
+     | None ->
+       if List.mem name chain then fail "let %s is defined in terms of itself" name;
+       let v = compiled (name :: chain) () [||] in
        Mutex.protect t.lock (fun () -> Hashtbl.replace e.let_cache name v);
        Some v)
 
-and lookup_def t ~source name : Compile.def option =
-  List.assoc_opt name (entry t source).defs
+let lookup_let t ~source name = lookup_let_in t (entry t source) name []
 
 (* A let of [source], falling back to the default model's parameters so that
-   wrapper rules may reference generic coefficients such as [IO]. *)
-let lookup_let_or_default t ~source name =
-  match lookup_let t ~source name with
-  | Some v -> Some v
-  | None -> if String.equal source default_source then None else lookup_let t ~source:default_source name
+   wrapper rules may reference generic coefficients such as [IO]. The
+   entries are found once, not per lookup. *)
+let let_or_default t ~source =
+  let own = entry t source and dflt = entry t default_source in
+  fun name ->
+    match lookup_let_in t own name [] with
+    | Some v -> Some v
+    | None -> if own == dflt then None else lookup_let_in t dflt name []
 
-let lookup_def_or_default t ~source name =
-  match lookup_def t ~source name with
-  | Some v -> Some v
-  | None -> if String.equal source default_source then None else lookup_def t ~source:default_source name
+let lookup_let_or_default t ~source name = let_or_default t ~source name
+
+(* The def a rule of [source] calls by [name]: its source's, then the
+   default model's. *)
+let def_of t ~source name =
+  match List.assoc_opt name (entry t source).defs with
+  | Some d -> Some d
+  | None ->
+    if String.equal source default_source then None
+    else List.assoc_opt name (entry t default_source).defs
+
+let adt_cost t name = Hashtbl.find_opt t.adt_costs name
+let adt_selectivity t name = Hashtbl.find_opt t.adt_sels name
+
+let set_adjust t ~source f =
+  (entry t source).adjust <- f;
+  bump t
+let adjust t ~source = (entry t source).adjust
+
+(* --- What compiled formulas read ------------------------------------------ *)
+
+let input_stats (ann : Rule.ann) =
+  Array.to_list (Array.map (fun (a : Rule.ann) -> Lazy.force a.Rule.stats) ann.Rule.inputs)
+
+let find_in_inputs ann a =
+  List.fold_left
+    (fun acc s -> match acc with Some _ -> acc | None -> Derive.find_loose s a)
+    None (input_stats ann)
+
+(* A statistic or cost variable of an operand: a child's computed variables
+   and derived attribute statistics, or a base collection's catalog
+   entries. *)
+let operand_path t (ctx : Rule.ctx) (ann : Rule.ann) (op : Rule.operand) segs =
+  match op, segs with
+  | Rule.Base r, _ ->
+    (match catalog_path t ~source:r.Plan.source (r.Plan.collection :: segs) with
+     | Some v -> v
+     | None ->
+       fail "cannot resolve .%s on base collection %s" (String.concat "." segs)
+         r.Plan.collection)
+  | Rule.Input i, ([ _ ] | [ _; _ ]) when i >= Array.length ann.Rule.inputs ->
+    fail "operand out of range"
+  | Rule.Input i, [ stat ] ->
+    let child = ann.Rule.inputs.(i) in
+    (match Compile.stat stat with
+     | Some (Compile.Var cv) -> Value.Vnum (ctx.Rule.require ctx child cv)
+     | Some Compile.Object_size ->
+       let total = ctx.Rule.require ctx child Ast.Total_size in
+       let count = ctx.Rule.require ctx child Ast.Count_object in
+       Value.Vnum (total /. Float.max count 1.)
+     | _ -> fail "unknown operand statistic %S" stat)
+  | Rule.Input i, [ attr; stat ] ->
+    (match Derive.find_loose (Lazy.force ann.Rule.inputs.(i).Rule.stats) attr with
+     | None -> fail "attribute %S not found in operand result" attr
+     | Some s ->
+       (match attr_stat_value s stat with
+        | Some v -> v
+        | None -> fail "unknown attribute statistic %S" stat))
+  | _, _ -> fail "cannot resolve path .%s on operand" (String.concat "." segs)
+
+(* A path's segments as read: a head variable among them is replaced by its
+   attribute or name binding. *)
+let subst bindings (segs : Compile.seg list) =
+  List.map
+    (fun (s, k) ->
+      match k, List.assoc_opt s bindings with
+      | Some _, Some (Rule.Battr a) -> a
+      | Some _, Some (Rule.Bname n) -> n
+      | _ -> s)
+    segs
+
+(* A literal catalog path, against the node's source and then the rule's. *)
+let literal_path t ~source (ann : Rule.ann) path =
+  match catalog_path t ~source:ann.Rule.source path with
+  | Some v -> v
+  | None ->
+    (match catalog_path t ~source path with
+     | Some v -> v
+     | None -> fail "cannot resolve %S" (String.concat "." path))
+
+(* Context functions: what a formula reads of the node's inputs or of the
+   registry. [None]: no function of that name takes these arguments. *)
+let context_call t (ctx : Rule.ctx) (ann : Rule.ann) name (args : Value.t list) :
+    Value.t option =
+  let stats () = input_stats ann in
+  match name, args with
+  | "sel", [ Value.Vpred p ] ->
+    let s = Selest.of_pred ~apply_sel:(adt_selectivity t) (stats ()) p in
+    (* feedback-driven correction (§4.3): exactly 1.0 when none installed,
+       keeping the no-feedback path bit-identical *)
+    let c = sel_fix t ~source:ann.Rule.source p in
+    let s = if c = 1.0 then s else Float.min 1. (Float.max 0. (s *. c)) in
+    Some (Value.Vnum s)
+  | "adtcost", [ Value.Vpred p ] ->
+    (* total exported per-object cost of the ADT operations in [p];
+       operations without an exported cost count as free, which is exactly
+       the misestimate the export fixes (paper §7) *)
+    let cost =
+      List.fold_left
+        (fun acc fn -> acc +. Option.value ~default:0. (adt_cost t fn))
+        0. (Pred.adt_operations p)
+    in
+    Some (Value.Vnum cost)
+  | "selectivity", [ Value.Vname a; Value.Vconst v ] ->
+    Some (Value.Vnum (Selest.of_cmp (stats ()) a Pred.Eq v))
+  | "indexed", [ Value.Vpred p ] -> Some (Value.Vnum (Selest.indexed (stats ()) p))
+  | "indexed", [ Value.Vname a ] ->
+    let v = match find_in_inputs ann a with Some s when s.Derive.indexed -> 1. | _ -> 0. in
+    Some (Value.Vnum v)
+  | "rindexed", [ Value.Vpred p ] -> Some (Value.Vnum (Selest.rindexed (stats ()) p))
+  | "nnames", [ Value.Vconst (Constant.String s) ] ->
+    let n = if String.length s = 0 then 0 else List.length (String.split_on_char ',' s) in
+    Some (Value.Vnum (float_of_int n))
+  | "groupcard", [ Value.Vconst (Constant.String s) ] ->
+    let names = if String.length s = 0 then [] else String.split_on_char ',' s in
+    let first = match stats () with st :: _ -> st | [] -> [] in
+    let card =
+      List.fold_left
+        (fun acc a ->
+          match Derive.find_loose first a with
+          | Some st -> acc *. Float.max st.Derive.distinct 1.
+          | None -> acc *. 10.)
+        1. names
+    in
+    let input_count =
+      if Array.length ann.Rule.inputs > 0 then
+        ctx.Rule.require ctx ann.Rule.inputs.(0) Ast.Count_object
+      else card
+    in
+    Some (Value.Vnum (Float.min card (Float.max input_count 1.)))
+  | "adjust", [ Value.Vconst (Constant.String w) ] ->
+    Some (Value.Vnum (adjust t ~source:w))
+  | _ -> None
+
+let evaluate_all args a b f = List.iter (fun c -> ignore (c a b f)) args
+
+(* What a rule formula of [source] reads: each resolved name becomes one
+   closure here. Only the dynamic tail ([let]s, catalog paths) still looks
+   a name up when it runs. *)
+let rule_leaves t ~source : (Rule.ctx, Rule.inst) Compile.leaves =
+  let value_of x = function
+    | Rule.Bconst c -> Value.Vconst c
+    | Rule.Battr a -> Value.Vname a
+    | Rule.Bpred p -> Value.Vpred p
+    | Rule.Bname n -> Value.Vconst (Constant.String n)
+    | Rule.Boperand _ -> fail "operand %S used as a plain value in a formula" x
+  in
+  { Compile.name =
+      (function
+        | Compile.Target j -> fun _ inst _ -> inst.Rule.targets.(j)
+        | Compile.Cost_var v ->
+          fun ctx inst _ -> Value.Vnum (ctx.Rule.require ctx inst.Rule.ann v)
+        | Compile.Head (x, _) -> fun _ inst _ -> value_of x (List.assoc x inst.Rule.bindings)
+        | Compile.Through (x, _, segs) ->
+          let stat = String.concat "." (List.map fst segs) in
+          fun ctx inst _ ->
+            let bindings = inst.Rule.bindings and ann = inst.Rule.ann in
+            (match List.assoc x bindings with
+             | Rule.Boperand op -> operand_path t ctx ann op (subst bindings segs)
+             | Rule.Battr a ->
+               (* A.Stat: statistic of a bound attribute, searched in the inputs *)
+               (match find_in_inputs ann a with
+                | Some s ->
+                  (match attr_stat_value s stat with
+                   | Some v -> v
+                   | None -> fail "unknown statistic %S of attribute %S" stat a)
+                | None -> fail "attribute %S not found in inputs" a)
+             | _ -> literal_path t ~source ann (x :: subst bindings segs))
+        | Compile.Dynamic x ->
+          let find = let_or_default t ~source in
+          fun _ _ _ -> (match find x with Some v -> v | None -> Value.Vname x)
+        | Compile.Path segs ->
+          fun _ inst _ -> literal_path t ~source inst.Rule.ann (subst inst.Rule.bindings segs)
+        | Compile.Param _ -> invalid_arg "Registry.rule_leaves: Param");
+    call =
+      (fun fn args ->
+        if List.mem fn Builtins.context_function_names then fun ctx inst f ->
+          match context_call t ctx inst.Rule.ann fn (List.map (fun c -> c ctx inst f) args) with
+          | Some v -> v
+          | None -> fail "unknown function %S" fn
+        else fun a b f ->
+          evaluate_all args a b f;
+          fail "unknown function %S" fn) }
+
+(* What a [let] of the source whose entry is [e] reads: other lets of its
+   source and catalog paths; it calls builtins and its source's defs. *)
+let let_leaves t e ~source : (string list, unit) Compile.leaves =
+  { Compile.name =
+      (function
+        | Compile.Dynamic x ->
+          fun chain () _ ->
+            (match lookup_let_in t e x chain with
+             | Some v -> v
+             | None -> fail "unbound name %S in let" x)
+        | Compile.Path segs ->
+          let path = List.map fst segs in
+          fun _ () _ ->
+            (match catalog_path t ~source path with
+             | Some v -> v
+             | None -> fail "cannot resolve path %S in let" (String.concat "." path))
+        | _ -> invalid_arg "Registry.let_leaves: a let has no targets, cost variables or head");
+    call =
+      (fun fn args a b f ->
+        evaluate_all args a b f;
+        fail "unknown function %S in let" fn) }
 
 (* --- Registration -------------------------------------------------------- *)
 
-(* Compile a rule body: each formula becomes a closure tree once, here
-   (paper §2.4), into the array estimation indexes; estimation only runs the
-   closures. *)
-let compile_body body =
-  Array.of_list (List.map (fun (tgt, e) -> (tgt, Compile.compile e)) body)
+(* Compile a rule body: each formula is resolved and becomes a closure tree
+   once, here (paper §2.4), into the array estimation indexes; estimation
+   only runs the closures. *)
+let compile_body t ~source (r : Ast.rule) =
+  let leaves = rule_leaves t ~source in
+  let terms = Compile.rule_body ~def_of:(def_of t ~source) r in
+  Array.of_list (List.mapi (fun i (tgt, _) -> (tgt, Compile.compile leaves terms.(i))) r.Ast.body)
 
 let fresh_ids t =
   let id = t.next_id and order = t.next_order in
@@ -261,9 +442,9 @@ let add_rule ?interface_of ?scope_override t ~source (r : Ast.rule) =
   let compiled =
     { Rule.id;
       scope;
-      source;
+      owner = source;
       kind = Rule.Pattern r.Ast.head;
-      body = compile_body r.Ast.body;
+      body = compile_body t ~source r;
       provides = Ast.rule_provides r;
       specificity = (c0 + depth, c1, c2, c3);
       order;
@@ -281,9 +462,15 @@ let add_query_rule t ~source (plan : Disco_algebra.Plan.t)
   let compiled =
     { Rule.id;
       scope = Scope.Query;
-      source;
+      owner = source;
       kind = Rule.Exact plan;
-      body = compile_body (List.map (fun (v, x) -> (Ast.Cost v, Ast.Num x)) vars);
+      body =
+        Array.of_list
+          (List.map
+             (fun (v, x) ->
+               let x = Value.Vnum x in
+               (Ast.Cost v, fun _ _ _ -> x))
+             vars);
       provides = List.map fst vars;
       specificity = (max_int, 0, 0, 0);
       order;
@@ -305,9 +492,6 @@ let register_adt t ~name ~cost_ms ~selectivity =
   Hashtbl.replace t.adt_costs name cost_ms;
   Hashtbl.replace t.adt_sels name selectivity;
   bump t
-
-let adt_cost t name = Hashtbl.find_opt t.adt_costs name
-let adt_selectivity t name = Hashtbl.find_opt t.adt_sels name
 
 (* Harvest [AdtCost_*] / [AdtSel_*] parameters from a source's lets into the
    global ADT tables (they must be visible to the mediator's local rules and
@@ -409,18 +593,26 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
     Catalog.register_collection ?parent:i.Ast.iface_parent t.catalog ~source ~schema
       ~extent ~attributes:attr_stats
   in
-  (* First pass: catalog and parameters, so rules can reference them. *)
+  (* First pass: catalog, defs and parameters, so rules can reference them. *)
   List.iter
     (function
       | Ast.Interface i -> register_interface i
-      | Ast.Let (name, expr) ->
-        e.lets <- e.lets @ [ (name, Compile.compile expr) ];
-        Hashtbl.reset e.let_cache
-      | Ast.Def (name, params, body) ->
-        e.defs <- e.defs @ [ (name, Compile.compile_def ~params body) ]
+      | Ast.Def (name, params, def_ast) ->
+        e.defs <- e.defs @ [ (name, { Compile.params; def_ast }) ]
       | Ast.Capabilities ops -> Catalog.set_capabilities t.catalog ~source ops
-      | Ast.Toplevel_rule _ -> ())
+      | Ast.Let _ | Ast.Toplevel_rule _ -> ())
     decl.Ast.items;
+  (* lets compile once every def of the export is known: a let may call a
+     def declared after it *)
+  let leaves = let_leaves t e ~source and def_of name = List.assoc_opt name e.defs in
+  e.lets <-
+    List.filter_map
+      (function
+        | Ast.Let (name, expr) ->
+          Some (name, Compile.compile leaves (Compile.let_body ~def_of expr))
+        | _ -> None)
+      decl.Ast.items;
+  Hashtbl.reset e.let_cache;
   (* Second pass: rules (top-level and in-interface). *)
   let compiled =
     List.concat_map
@@ -436,10 +628,24 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
         | Ast.Let _ | Ast.Def _ | Ast.Capabilities _ -> [])
       decl.Ast.items
   in
+  (* every other source's rules bound their calls to the default model's
+     defs when they were compiled *)
+  if String.equal source default_source then
+    Hashtbl.iter
+      (fun other (o : source_entry) ->
+        if not (String.equal other source) then
+          o.rules <-
+            List.map
+              (fun (r : Rule.t) ->
+                match r.Rule.ast with
+                | Some a -> { r with Rule.body = compile_body t ~source:other a }
+                | None -> r)
+              o.rules)
+      t.sources;
   harvest_adt_lets t ~source decl;
   (* lets and ADT exports change estimates even when no rule was (re)compiled
      above, so a registration always moves the generation *)
-  bump t;
+  invalidate t;
   compiled
 
 (* Parse and register cost-language text for a named source. *)
@@ -502,10 +708,5 @@ let let_names t ~source =
   match Hashtbl.find_opt t.sources source with
   | None -> []
   | Some e -> List.map fst e.lets
-
-let set_adjust t ~source f =
-  (entry t source).adjust <- f;
-  bump t
-let adjust t ~source = (entry t source).adjust
 
 let catalog t = t.catalog

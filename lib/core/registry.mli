@@ -6,7 +6,15 @@
     matching each plan node. Lookup merges a source's rules with the
     default-scope rules, sorted by matching level, and caches the merged
     per-(source, operator) lists — the paper's "own efficient [overriding
-    mechanism] based on kind of virtual tables". *)
+    mechanism] based on kind of virtual tables".
+
+    Compiling a rule resolves every name of its formulas once
+    ({!Disco_costlang.Compile.rule_body}) and binds what each resolved name
+    reads to a closure: a target slot, a cost variable of the node or of an
+    input, a head binding, a context function. Only the dynamic tail — a
+    [let] value, a catalog path — is looked up by name when the formula
+    runs, and every value a model write can change (statistics, [let]s,
+    adjustment factors, selectivity corrections) is read then. *)
 
 open Disco_catalog
 open Disco_costlang
@@ -49,38 +57,39 @@ val invalidate : t -> unit
     ({!Plancache} entries validate against the generation). Safe to call
     concurrently with estimation (short-lock discipline). *)
 
-(** {1 Statistics resolution helpers (shared with the estimator)} *)
-
-val extent_stat : Stats.extent -> string -> float option
-(** [CountObject], [TotalSize] or [ObjectSize] of an extent. *)
-
-val attr_stat_value : Derive.attr_stat -> string -> Value.t option
-(** [Indexed] (0/1), [CountDistinct], [Min] or [Max] of an attribute. *)
+(** {1 Wrapper parameters and functions} *)
 
 val catalog_path : t -> source:string -> string list -> Value.t option
 (** Resolve [Collection.Stat] or [Collection.Attr.Stat] against the catalog
     for a named collection of [source]. *)
 
-(** {1 Wrapper parameters and functions} *)
-
 val lookup_let : t -> source:string -> string -> Value.t option
 (** A [let]-bound parameter of a source, evaluated lazily and memoized; lets
-    may reference earlier lets, catalog statistics of their source, defs and
-    builtins. *)
+    may reference other lets of their source, its catalog statistics, its
+    defs and builtins. A let that reads itself, directly or through other
+    lets and the defs they call, raises {!Disco_common.Err.Eval_error}
+    naming it: the guard is the chain of lets the one evaluation is
+    computing, not shared state, so two domains may compute one let at
+    once. *)
 
 val lookup_let_or_default : t -> source:string -> string -> Value.t option
 (** Falls back to the generic model's parameters, so wrapper rules may
     reference coefficients such as [IO]. *)
 
-val lookup_def_or_default : t -> source:string -> string -> Compile.def option
+val def_of : t -> source:string -> string -> Compile.def option
+(** The def a rule of [source] calls by that name: its source's, then the
+    default model's. A rule's calls are bound to these when it is
+    compiled, so registering the default model recompiles every other
+    source's rules. *)
 
 (** {1 Registration} *)
 
 val add_rule :
   ?interface_of:string -> ?scope_override:Scope.t -> t -> source:string -> Ast.rule ->
   Rule.t
-(** Compile and install one rule; the scope is {!Rule.classify}ed unless
-    overridden (the generic model forces [Default]). *)
+(** Compile and install one rule, its calls bound to the defs {!def_of}
+    gives now; the scope is {!Rule.classify}ed unless overridden (the
+    generic model forces [Default]). *)
 
 val add_query_rule : t -> source:string -> Disco_algebra.Plan.t ->
   (Ast.cost_var * float) list -> Rule.t
@@ -95,7 +104,9 @@ val clear_source : t -> source:string -> unit
 
 val register_source_decl : ?scope_override:Scope.t -> t -> Ast.source_decl -> Rule.t list
 (** Register everything a wrapper exported: interfaces populate the catalog;
-    lets, defs and rules populate the cost store. Re-registration replaces
+    lets, defs and rules populate the cost store. Lets and rules compile
+    once every def of the export is known, so they may call a def declared
+    after them. Re-registration replaces
     the source's previous rules and parameters (the paper's administrative
     interface for refreshing out-of-date cost information, §2.1). Returns
     the compiled rules. *)

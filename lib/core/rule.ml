@@ -31,15 +31,47 @@ type kind =
 type t = {
   id : int;
   scope : Scope.t;
-  source : string;  (* owning source; "default" for the generic model *)
+  owner : string;  (* owning source; "default" for the generic model *)
   kind : kind;
-  body : (Ast.target * Compile.compiled) array;  (* compiled at registration *)
+  body : (Ast.target * formula) array;  (* compiled at registration *)
   provides : Ast.cost_var list;
   (* Literal positions in the head: (collections, attributes, constants,
      shaped-predicate bonus); lexicographic, higher is more specific. *)
   specificity : int * int * int * int;
   order : int;  (* registration order; earlier wins ties (paper §3.3.2) *)
   ast : Ast.rule option;  (* original syntax, for explain output *)
+}
+
+(* The estimator's annotation types, beside the rules whose closures read
+   them. [require] is the estimator's: rules compile before it is linked. *)
+and formula = (ctx, inst) Compile.t
+
+and ctx = {
+  abort_above : float option;
+  evals : int ref;
+  require : ctx -> ann -> Ast.cost_var -> float;
+}
+
+and ann = {
+  node : Plan.t;
+  source : string;
+  inputs : ann array;
+  stats : Derive.t Lazy.t;
+  matched : (t * bindings) list Lazy.t;
+  vars : slot array;
+  mutable insts : inst list;
+}
+
+and slot = Unset | Pending | Set of float * provenance
+
+and provenance = { rule_id : int; rule_scope : Scope.t; rule_source : string }
+
+and inst = {
+  rule : t;
+  bindings : bindings;
+  ann : ann;
+  targets : Value.t array;
+  mutable next_assign : int;
 }
 
 (* The matching level of a rule: scope first, then head specificity, then
@@ -255,11 +287,3 @@ let operator (t : t) =
   match t.kind with
   | Pattern h -> Ast.head_operator h
   | Exact p -> operator_of_node p
-
-let pp ppf (t : t) =
-  let head ppf = function
-    | Pattern h -> Pp.head ppf h
-    | Exact p -> Fmt.pf ppf "exactly[%a]" Plan.pp p
-  in
-  Fmt.pf ppf "[%a/%s #%d] %a -> {%s}" Scope.pp t.scope t.source t.id head t.kind
-    (String.concat ", " (List.map Ast.cost_var_name t.provides))

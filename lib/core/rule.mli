@@ -31,17 +31,56 @@ type kind =
 type t = {
   id : int;
   scope : Scope.t;
-  source : string;  (** owning source; ["default"] for the generic model *)
+  owner : string;  (** owning source; ["default"] for the generic model *)
   kind : kind;
-  body : (Ast.target * Compile.compiled) array;
+  body : (Ast.target * formula) array;
       (** each formula compiled to closures once, at registration, in body
-          order *)
+          order, every name already resolved ({!Compile.rule_body}) *)
   provides : Ast.cost_var list;
   specificity : int * int * int * int;
       (** literal positions: (collections, attributes, constants,
           shaped-predicate bonus); lexicographic, higher is more specific *)
   order : int;  (** registration order; earlier wins ties (paper §3.3.2) *)
   ast : Ast.rule option;  (** original syntax, for explain output *)
+}
+
+(** The estimator's annotation types ({!Disco_core.Estimator} re-exports
+    them), here beside the rules whose closures read them. A formula runs
+    against the estimation in progress, its rule instance and the argument
+    frame of the [def] being inlined. *)
+and formula = (ctx, inst) Compile.t
+
+(** One estimation: its branch-and-bound limit, its formula-evaluation
+    count, and the estimator's [require], which compiled closures call. *)
+and ctx = {
+  abort_above : float option;
+  evals : int ref;
+  require : ctx -> ann -> Ast.cost_var -> float;
+}
+
+and ann = {
+  node : Plan.t;
+  source : string;  (** source whose rules govern this node *)
+  inputs : ann array;
+  stats : Derive.t Lazy.t;  (** derived attribute statistics *)
+  matched : (t * bindings) list Lazy.t;  (** most specific first *)
+  vars : slot array;  (** cost variables by {!Ast.cost_var_index} *)
+  mutable insts : inst list;
+}
+
+(** [Pending] is the cycle guard. *)
+and slot = Unset | Pending | Set of float * provenance
+
+and provenance = { rule_id : int; rule_scope : Scope.t; rule_source : string }
+
+(** A rule evaluated on a node: its body's results by position, the first
+    [next_assign] of them set. *)
+and inst = {
+  rule : t;
+  bindings : bindings;
+  ann : ann;
+  targets : Value.t array;
+  mutable next_assign : int;
 }
 
 val compare_level : t -> t -> int
@@ -82,5 +121,3 @@ val matches :
 
 val operator_of_node : Plan.t -> string
 val operator : t -> string
-
-val pp : Format.formatter -> t -> unit

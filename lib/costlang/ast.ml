@@ -47,6 +47,13 @@ let cost_var_of_name = function
 
 let all_cost_vars = [ Total_time; Time_first; Time_next; Count_object; Total_size ]
 
+let cost_var_index = function
+  | Total_time -> 0
+  | Time_first -> 1
+  | Time_next -> 2
+  | Count_object -> 3
+  | Total_size -> 4
+
 (* Head argument patterns. Following the paper's examples (Fig 8: [select(C,
    A = V)] vs [scan(employee)]), an identifier is a free variable iff it is a
    single capital letter optionally followed by digits; anything else is a
@@ -154,7 +161,11 @@ type item =
   | Capabilities of string list
       (* operators the wrapper can execute (paper §2.1); absent = all *)
 
-type source_decl = { source_name : string; items : item list }
+type source_decl = {
+  source_name : string;
+  items : item list;
+  item_pos : (string * pos) list;  (* "let X" / "def f" -> position *)
+}
 
 let erase_source_pos (s : source_decl) =
   let member = function
@@ -166,7 +177,7 @@ let erase_source_pos (s : source_decl) =
     | Toplevel_rule r -> Toplevel_rule (erase_rule_pos r)
     | it -> it
   in
-  { s with items = List.map item s.items }
+  { s with items = List.map item s.items; item_pos = [] }
 
 (* Free-variable convention: single capital letter, optional digits. *)
 let is_variable_name s =

@@ -41,6 +41,9 @@ val cost_var_of_name : string -> cost_var option
 val all_cost_vars : cost_var list
 (** In canonical evaluation order: statistics first, then times. *)
 
+val cost_var_index : cost_var -> int
+(** Position in {!all_cost_vars}: a node's slot for the variable. *)
+
 (** Head argument patterns. Following the paper's examples (Fig 8:
     [select(C, A = V)] vs [scan(employee)]), an identifier is a free variable
     iff it is a single capital letter optionally followed by digits. *)
@@ -126,10 +129,16 @@ type item =
   | Capabilities of string list
       (** operators the wrapper can execute (paper §2.1); absent = all *)
 
-type source_decl = { source_name : string; items : item list }
+type source_decl = {
+  source_name : string;
+  items : item list;
+  item_pos : (string * pos) list;
+      (** ["let X"] or ["def f"] -> position of its keyword, when parsed *)
+}
 
 val erase_source_pos : source_decl -> source_decl
-(** [erase_rule_pos] applied to every rule in the declaration. *)
+(** [erase_rule_pos] applied to every rule in the declaration, and the
+    positions of its lets and defs dropped. *)
 
 val is_variable_name : string -> bool
 (** The free-variable convention: a single capital letter, optionally

@@ -407,14 +407,20 @@ let source c : Ast.source_decl =
   keyword c "source";
   let name = ident c in
   eat c LBRACE;
-  let rec items acc =
+  let rec items acc pos =
     if peek c = RBRACE then begin
       advance c;
-      List.rev acc
+      (List.rev acc, List.rev pos)
     end
-    else items (item c :: acc)
+    else
+      let p = pos_here c in
+      match item c with
+      | Ast.Let (n, _) as it -> items (it :: acc) (("let " ^ n, p) :: pos)
+      | Ast.Def (n, _, _) as it -> items (it :: acc) (("def " ^ n, p) :: pos)
+      | it -> items (it :: acc) pos
   in
-  { Ast.source_name = name; items = items [] }
+  let items, item_pos = items [] [] in
+  { Ast.source_name = name; items; item_pos }
 
 let cursor_of ~what text =
   { what; toks = Array.of_list (Lexer.tokenize ~what text); i = 0 }

@@ -3,12 +3,9 @@
     render the registration text a wrapper ships to the mediator. *)
 
 val expr : Format.formatter -> Ast.expr -> unit
-val arg_pat : Format.formatter -> Ast.arg_pat -> unit
-val pred_pat : Format.formatter -> Ast.pred_pat -> unit
 val head : Format.formatter -> Ast.head -> unit
 val target : Format.formatter -> Ast.target -> unit
 val rule : Format.formatter -> Ast.rule -> unit
-val member : Format.formatter -> Ast.member -> unit
 val item : Format.formatter -> Ast.item -> unit
 val source : Format.formatter -> Ast.source_decl -> unit
 

@@ -555,7 +555,7 @@ let cost_variant ~objective ~available t r =
   with
   | Some e -> { plan; cost = e.Plancache.cost; entry = Some e; ann }
   | None ->
-    let cost = Estimator.require (Estimator.make_ctx t.registry) (Lazy.force ann) var in
+    let cost = Estimator.require (Estimator.make_ctx ()) (Lazy.force ann) var in
     { plan; cost; entry = None; ann }
 
 (* Store [c]'s whole-plan entry as [e]. *)
@@ -619,8 +619,8 @@ let mediator_run_env t =
    ([Estimator.build] under the wrapper's rule context) or, in the chosen
    plan's annotation, the submit node's child: the same node under the same
    context, so the same values. *)
-let subplan_estimate registry (ann : Estimator.ann) =
-  let ctx = Estimator.make_ctx registry in
+let subplan_estimate (ann : Estimator.ann) =
+  let ctx = Estimator.make_ctx () in
   match
     List.iter
       (fun v -> ignore (Estimator.require ctx ann v))
@@ -642,10 +642,10 @@ let rec submit_anns (ann : Estimator.ann) acc =
 
 (* The estimate record of a chosen plan, read off its annotation, which was
    computed at [revision]. *)
-let record_estimates t ~revision (ann : Estimator.ann) : Plancache.estimates =
+let record_estimates ~revision (ann : Estimator.ann) : Plancache.estimates =
   { Plancache.revision;
     root = Estimator.root_vars ann;
-    submits = Array.of_list (List.map (subplan_estimate t.registry) (submit_anns ann [])) }
+    submits = Array.of_list (List.map subplan_estimate (submit_anns ann [])) }
 
 (* The history estimate of the [index]th submit in translation order: the
    record's while it is current, else a fresh estimate of the subplan. It
@@ -658,7 +658,7 @@ let history_estimate ?estimates t ~index ~source sub =
     | Some (e : Plancache.estimates)
       when Plancache.current t.registry e && index < Array.length e.Plancache.submits ->
       e.Plancache.submits.(index)
-    | _ -> subplan_estimate t.registry (Estimator.build t.registry ~source sub)
+    | _ -> subplan_estimate (Estimator.build t.registry ~source sub)
   in
   match est with
   | Some (total, count) ->
@@ -872,7 +872,7 @@ let settle ~objective ~verify ~revision t (c : costed) =
     match recorded with
     | Some e -> Estimator.build_with_root t.registry c.plan e.Plancache.root
     | None ->
-      let ann = Lazy.force c.ann and ctx = Estimator.make_ctx t.registry in
+      let ann = Lazy.force c.ann and ctx = Estimator.make_ctx () in
       List.iter (fun v -> ignore (Estimator.require ctx ann v)) Disco_costlang.Ast.all_cost_vars;
       ann
   in
@@ -887,15 +887,17 @@ let settle ~objective ~verify ~revision t (c : costed) =
   let estimates =
     match recorded with
     | Some e -> e
-    | None -> record_estimates t ~revision estimate
+    | None -> record_estimates ~revision estimate
   in
   if Option.is_none c.entry || Option.is_none recorded || check then
     store ~objective t c
       { entry with verified = entry.Plancache.verified || check; estimates = Some estimates };
   (estimate, estimates)
 
-let run_query ?(objective = Optimizer.Total_time) ?(max_replans = 2)
-    ?(verify = false) t (text : string) : answer =
+let max_replans = 2
+
+let run_query ?(objective = Optimizer.Total_time) ?(verify = false) t (text : string) :
+    answer =
   (* resolution reads only the catalog, so every replan reuses it *)
   let r = resolve t (Sql.parse text) in
   let rec go replans failures =

@@ -221,12 +221,11 @@ val verify_plan : ?ann:Estimator.ann -> t -> Plan.t -> Disco_analysis.Finding.t 
     this plan) and over a fresh estimate otherwise. *)
 
 val run_query :
-  ?objective:Optimizer.objective -> ?max_replans:int -> ?verify:bool ->
-  t -> string -> answer
+  ?objective:Optimizer.objective -> ?verify:bool -> t -> string -> answer
 (** The full query-processing phase of Fig 2, under the degradation
-    contract: a submit that exhausts its retry budget triggers a replan (up
-    to [max_replans], default 2) against the sources still healthy; when
-    recovery is impossible the accumulated failures surface as {!Degraded}.
+    contract: a submit that exhausts its retry budget triggers a replan (at
+    most twice) against the sources still healthy; when recovery is
+    impossible the accumulated failures surface as {!Degraded}.
     A query needing an already-open source raises
     [Disco_common.Err.Source_unavailable] directly. The text is parsed and
     resolved once; every replan re-reads source availability and

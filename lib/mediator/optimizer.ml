@@ -345,11 +345,11 @@ let objective_var = function
    heuristic of §4.3.2 (TotalTime objective only — TimeFirst is not monotone
    along the tree). Returns [None] when aborted. What the annotation already
    holds is read, not computed or checked against the bound again. *)
-let cost_ann ?bound ~objective registry (stats : stats) (ann : Estimator.ann) :
+let cost_ann ?bound ~objective (stats : stats) (ann : Estimator.ann) :
     float option =
   stats.plans_considered <- stats.plans_considered + 1;
   let bound = match objective with Total_time -> bound | First_tuple -> None in
-  let ctx = Estimator.make_ctx ?abort_above:bound registry in
+  let ctx = Estimator.make_ctx ?abort_above:bound () in
   let result =
     match Estimator.require ctx ann (objective_var objective) with
     | cost -> Some cost
@@ -362,7 +362,7 @@ let cost_ann ?bound ~objective registry (stats : stats) (ann : Estimator.ann) :
 
 (* Estimate a complete plan afresh. *)
 let cost_of ?bound ?(objective = Total_time) registry stats plan =
-  cost_ann ?bound ~objective registry stats
+  cost_ann ?bound ~objective stats
     (Estimator.build registry ~source:Registry.mediator_source plan)
 
 (* The cheapest of [xs] under [cost_le], [cost bound x] costing each with
@@ -503,7 +503,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
    | _ -> ());
   let ops = annotations registry in
   let cost (c : Estimator.ann candidate) =
-    Option.get (cost_ann ~objective registry stats c.n)
+    Option.get (cost_ann ~objective stats c.n)
   in
   (* keep at most one candidate per site *)
   let put_entry existing (c : Estimator.ann candidate) =
@@ -858,7 +858,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
       Option.map
         (fun (w, c) -> (w.n, c))
         (cheapest_by ~prune:true
-           (fun bound w -> cost_ann ?bound ~objective registry stats w.n)
+           (fun bound w -> cost_ann ?bound ~objective stats w.n)
            (List.map (fun (c, _) -> wrap ops c) entries))
     in
     let goo =

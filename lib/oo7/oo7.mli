@@ -9,7 +9,6 @@
     count follows Yao's formula — the non-linearity of the paper's
     Figure 12. *)
 
-open Disco_catalog
 open Disco_storage
 
 type config = {
@@ -25,8 +24,6 @@ val paper_config : config
 
 val small_config : config
 (** A reduced configuration for tests. *)
-
-val document_schema : Schema.collection
 
 val make_tables : config -> Table.t list
 (** AtomicPart, CompositePart (clustered on id), Connection, Document —

@@ -26,15 +26,15 @@ let connect = function
 
 (* Retry briefly: tests and the bench start the server in the background
    and connect as soon as possible. *)
-let connect_retry ?(attempts = 50) ?(delay_s = 0.1) addr =
+let connect_retry addr =
   let rec go n =
     match connect addr with
     | c -> c
     | exception Unix.Unix_error _ when n > 1 ->
-      Thread.delay delay_s;
+      Thread.delay 0.1;
       go (n - 1)
   in
-  go (max 1 attempts)
+  go 50
 
 let close t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -71,6 +71,5 @@ let query ?id ?tenant ?objective ?deadline_ms t sql : Json.t =
 let op t name = request t (Json.Obj [ ("op", Json.String name) ])
 let metrics t = op t "metrics"
 let health t = op t "health"
-let ping t = op t "ping"
 let snapshot t = op t "snapshot"
 let shutdown t = op t "shutdown"

@@ -5,8 +5,8 @@
 type t
 
 val connect : Server.addr -> t
-val connect_retry : ?attempts:int -> ?delay_s:float -> Server.addr -> t
-(** Retries refused connections (default 50 × 100 ms) — for clients racing
+val connect_retry : Server.addr -> t
+(** Retries refused connections (50 × 100 ms) — for clients racing
     a server that is still binding its socket. *)
 
 val close : t -> unit
@@ -21,6 +21,5 @@ val query :
 
 val metrics : t -> Json.t
 val health : t -> Json.t
-val ping : t -> Json.t
 val snapshot : t -> Json.t
 val shutdown : t -> Json.t

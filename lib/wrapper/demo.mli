@@ -15,10 +15,6 @@
     - [web] — remote source behind a slow network; exports a [submit] rule
       overriding the mediator's uniform-communication assumption. *)
 
-open Disco_catalog
-
-val document_schema : Schema.collection
-
 val objstore_rules : string
 (** The complete rule export of the object store. *)
 

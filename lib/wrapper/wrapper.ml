@@ -114,7 +114,7 @@ let registration_decl t : Ast.source_decl =
     if String.length (String.trim t.rules_text) = 0 then []
     else Parser.parse_items ~what:(t.name ^ " cost rules") t.rules_text
   in
-  { Ast.source_name = t.name; items = interfaces @ adt_items @ rule_items }
+  { Ast.source_name = t.name; items = interfaces @ adt_items @ rule_items; item_pos = [] }
 
 (* The registration text as shipped on the wire — the concrete cost-language
    syntax of Figs 4/8. *)

@@ -119,10 +119,11 @@ let test_builtin_names_resolve () =
         (Option.is_none (Builtins.find n));
       (* the abstract interpreter has a transfer function for each: no
          unknown-call issue, numeric result *)
-      let env =
-        { Absint.resolve = (fun _ -> Absint.Opaque); def_of = (fun _ -> None) }
+      let v, issues =
+        Absint.eval
+          (fun _ -> Absint.Opaque)
+          (Compile.let_body ~def_of:(fun _ -> None) (Ast.Call (n, [])))
       in
-      let v, issues = Absint.eval env (Ast.Call (n, [])) in
       Alcotest.(check bool) (n ^ " abstracts to a number") true
         (Option.is_some (Absint.interval_of v));
       Alcotest.(check int) (n ^ " raises no issue") 0 (List.length issues))
@@ -404,31 +405,27 @@ let gen_expr =
                    (fun a b c -> Ast.Call ("yao", [ a; b; c ]))
                    (self (n / 3)) (self (n / 3)) (self (n / 3)) ]))
 
-let abstract_env =
-  { Absint.resolve =
-      (function
-        | [ "N" ] -> Absint.Num Interval.nonneg
-        | [ "S" ] -> Absint.Num Interval.unit
-        | [ "X" ] -> Absint.Num Interval.top
-        | _ -> Absint.Opaque);
-    def_of = (fun _ -> None) }
+(* Both evaluations read the formula as resolved in a let's scope: its
+   names are [Dynamic], its calls builtins. *)
+let abstract_env = function
+  | Compile.Dynamic "N" -> Absint.Num Interval.nonneg
+  | Compile.Dynamic "S" -> Absint.Num Interval.unit
+  | Compile.Dynamic "X" -> Absint.Num Interval.top
+  | _ -> Absint.Opaque
 
-let concrete_ctx (n, s, x) =
-  { Compile.resolve_ref =
+let concrete_leaves (n, s, x) =
+  { Compile.name =
       (function
-        | [ "N" ] -> Value.num n
-        | [ "S" ] -> Value.num s
-        | [ "X" ] -> Value.num x
-        | path -> Fmt.failwith "unexpected ref %s" (String.concat "." path));
-    call =
-      (fun fn args ->
-        match Builtins.find fn with
-        | Some f -> f args
-        | None -> Fmt.failwith "unexpected call %s" fn) }
+        | Compile.Dynamic "N" -> fun () () _ -> Value.num n
+        | Compile.Dynamic "S" -> fun () () _ -> Value.num s
+        | Compile.Dynamic "X" -> fun () () _ -> Value.num x
+        | _ -> Fmt.failwith "unexpected ref");
+    call = (fun fn _ -> Fmt.failwith "unexpected call %s" fn) }
 
 let soundness_prop (e, env) =
-  let av, issues = Absint.eval abstract_env e in
-  match Compile.eval_num (Compile.compile e) (concrete_ctx env) with
+  let t = Compile.let_body ~def_of:(fun _ -> None) e in
+  let av, issues = Absint.eval abstract_env t in
+  match Value.to_num (Compile.compile (concrete_leaves env) t () () [||]) with
   | exception Err.Eval_error _ ->
     (* the only raising construct the generator produces is division by
        zero: the abstract pass must have flagged it *)
@@ -447,6 +444,18 @@ let test_soundness =
       Fmt.str "%a with N=%g S=%g X=%g" Pp.expr e n s x)
     QCheck2.Gen.(pair gen_expr gen_env)
     soundness_prop
+
+(* --- Hostile exports ------------------------------------------------------------- *)
+
+(* Registered without Check, a let cycle makes every read of the let raise
+   at once: lint of the source finishes with its findings instead of
+   stalling on the let. *)
+let test_lint_let_cycle () =
+  let registry =
+    reg_with
+      [ "source s { let A = B + 1; let B = A + 1; rule scan(C) { TotalTime = A; } }" ]
+  in
+  Alcotest.(check bool) "findings" true (Analyzer.analyze_source registry ~source:"s" <> [])
 
 (* --- Run ------------------------------------------------------------------------ *)
 
@@ -476,4 +485,6 @@ let () =
         [ Alcotest.test_case "rejects and rolls back" `Quick
             test_strict_mode_rejects;
           Alcotest.test_case "json findings" `Quick test_json_output ] );
+      ( "hostile exports",
+        [ Alcotest.test_case "lint of a let cycle" `Quick test_lint_let_cycle ] );
       ("properties", [ QCheck_alcotest.to_alcotest test_soundness ]) ]

@@ -1086,6 +1086,146 @@ let test_adjust_factor_reaches_estimates () =
   Alcotest.(check bool) "factor reset restores the estimate bit for bit" true
     (Int64.equal (Int64.bits_of_float cost2) (Int64.bits_of_float cost0))
 
+(* --- Name resolution: what each name of a formula denotes ------------------------
+
+   One rule or let per edge of the precedence order ([Compile.resolve]), on
+   [base_registry]'s source [src]. The expected figures were computed by the
+   resolution cascade this order replaced (each formula evaluation deciding
+   afresh), so they pin today's meaning of every edge. *)
+
+type outcome = Is of float | Raises of string
+
+let mentions s part =
+  let n = String.length part in
+  let rec at i = i + n <= String.length s && (String.sub s i n = part || at (i + 1)) in
+  at 0
+
+let name_cases =
+  let sel_5000 = sel_salary 5000 in
+  let default_employee registry =
+    (* the default model also knows a collection named Employee, with other
+       statistics: a literal path must read the node's source first *)
+    Disco_catalog.Catalog.register_collection (Registry.catalog registry)
+      ~source:Registry.default_source
+      ~schema:(Disco_catalog.Schema.collection "Employee" [ ("id", Disco_catalog.Schema.Tint) ])
+      ~extent:(Disco_catalog.Stats.extent ~count_objects:77 ~total_size:770 ~object_size:10)
+      ~attributes:[];
+    ignore
+      (Registry.add_rule registry ~source:Registry.default_source
+         (Parser.parse_rule ~what:"test" "rule scan(Employee) { TotalTime = Employee.CountObject; }"))
+  in
+  let recalibrate registry =
+    Generic.register
+      ~calibration:{ Generic.default_calibration with Generic.output_ms = 2. }
+      registry
+  in
+  let none _ = () in
+  [ ( "earlier target named like a let",
+      "let Coef = 7; rule scan(Employee) { Coef = 3; TotalTime = Coef * 10; }",
+      none, scan_emp, Ast.Total_time, Is 30. );
+    ( "earlier target named like a cost variable",
+      {| rule scan(Employee) { TimeNext = 9; TotalTime = TimeNext * 10; }
+         rule scan(Employee) { TimeNext = 1; } |},
+      none, scan_emp, Ast.Total_time, Is 90. );
+    ( "target read before it is assigned",
+      "rule scan(Employee) { TotalTime = CountObject * 2; CountObject = 5; }",
+      none, scan_emp, Ast.Total_time, Raises "circular dependency" );
+    ( "duplicate assignment, read by a later formula",
+      "rule scan(Employee) { TimeFirst = 4; TimeFirst = 6; TotalTime = TimeFirst * 10; }",
+      none, scan_emp, Ast.Total_time, Is 60. );
+    ( "duplicate assignment, demanded",
+      "rule scan(Employee) { TimeFirst = 4; TimeFirst = 6; TotalTime = TimeFirst * 10; }",
+      none, scan_emp, Ast.Time_first, Is 4. );
+    ( "head variable named like a let",
+      "let V = 99; rule select(Employee, salary = V) { TotalTime = V * 1; }",
+      none, sel_5000, Ast.Total_time, Is 5000. );
+    ( "head attribute variable as a path",
+      "rule select(C, A = V) { TotalTime = A.CountDistinct; }",
+      none, sel_5000, Ast.Total_time, Is 100. );
+    ( "head attribute variable as a segment",
+      "rule select(C, A = V) { TotalTime = C.A.Min; }",
+      none, sel_5000, Ast.Total_time, Is 1000. );
+    ( "source let shadowing a default let",
+      "let IO = 3; rule scan(Employee) { TotalTime = IO; }",
+      none, scan_emp, Ast.Total_time, Is 3. );
+    ( "default let read by a wrapper rule",
+      "rule scan(Employee) { TotalTime = Output; }",
+      none, scan_emp, Ast.Total_time, Is 9. );
+    ( "default let read after a recalibration",
+      "rule scan(Employee) { TotalTime = Output; }",
+      recalibrate, scan_emp, Ast.Total_time, Is 2. );
+    ( "def parameter shadowing a let",
+      "let x = 100; def f(x) = x * 2; rule scan(Employee) { TotalTime = f(3); }",
+      none, scan_emp, Ast.Total_time, Is 6. );
+    ( "def body reading the caller's head variable",
+      "def g(k) = V + k; rule select(Employee, salary = V) { TotalTime = g(1); }",
+      none, sel_5000, Ast.Total_time, Is 5001. );
+    ( "def shadowing a builtin",
+      "def max(a, b) = 7; rule scan(Employee) { TotalTime = max(1, 2); }",
+      none, scan_emp, Ast.Total_time, Is 7. );
+    ( "def shadowing a context function",
+      "def sel(p) = 0.5; rule select(Employee, P) { TotalTime = sel(P) * 10; }",
+      none, sel_5000, Ast.Total_time, Is 5. );
+    ( "def calling a def declared after it",
+      "def f(x) = g(x) + 1; def g(y) = y * 10; rule scan(Employee) { TotalTime = f(2); }",
+      none, scan_emp, Ast.Total_time, Is 21. );
+    ( "let calling a def declared after it",
+      "let K = h(4); def h(z) = z + 1; rule scan(Employee) { TotalTime = K; }",
+      none, scan_emp, Ast.Total_time, Is 5. );
+    ( "unknown lower-case name as an argument",
+      "rule select(Employee, salary = V) { TotalTime = selectivity(salary, V) * 1000; }",
+      none, sel_5000, Ast.Total_time, Is 10. );
+    ( "literal path against the node's source first",
+      "", default_employee, scan_emp, Ast.Total_time, Is 10000. );
+    ( "unknown function",
+      "rule scan(Employee) { TotalTime = frobnicate(1); }",
+      none, scan_emp, Ast.Total_time, Raises "unknown function" );
+    ( "operand used as a value",
+      "rule scan(C) { TotalTime = C * 2; }",
+      none, scan_emp, Ast.Total_time, Raises "used as a plain value" ) ]
+
+let test_name_resolution () =
+  List.iter
+    (fun (label, extra, setup, node, v, expected) ->
+      (* registered without Check, as a hostile or careless export could be *)
+      let registry = base_registry ~extra () in
+      setup registry;
+      let got =
+        match Estimator.estimate ~require_vars:[ v ] ~source:"src" registry node with
+        | ann -> Is (Option.get (Estimator.var ann v))
+        | exception Err.Eval_error msg -> Raises msg
+      in
+      match expected, got with
+      | Is x, Is y -> Alcotest.(check (float 1e-9)) label x y
+      | Raises part, Raises msg ->
+        Alcotest.(check bool) (Fmt.str "%s: %S mentions %S" label msg part) true
+          (mentions msg part)
+      | _, Is y -> Alcotest.failf "%s: expected an error, got %g" label y
+      | _, Raises msg -> Alcotest.failf "%s: unexpected error %s" label msg)
+    name_cases
+
+(* Registered without Check, a let defined in terms of itself or a def that
+   calls itself raises on its first read, naming the let or def, instead of
+   recursing until the stack overflows. *)
+let test_hostile_cycles () =
+  List.iter
+    (fun (label, extra, part) ->
+      let registry = base_registry ~extra () in
+      match Estimator.estimate ~source:"src" registry scan_emp with
+      | _ -> Alcotest.failf "%s: estimated" label
+      | exception Err.Eval_error msg ->
+        Alcotest.(check bool) (Fmt.str "%s: %S mentions %S" label msg part) true
+          (mentions msg part))
+    [ ( "let cycle",
+        "let A = B + 1; let B = A + 1; rule scan(Employee) { TotalTime = A; }", "let A" );
+      ( "let cycle through a def",
+        "let A = f(1); def f(x) = A + x; rule scan(Employee) { TotalTime = A; }", "let A" );
+      ( "recursive def",
+        "def f(x) = f(x) + 1; rule scan(Employee) { TotalTime = f(1); }", "def f" );
+      ( "mutually recursive defs",
+        "def f(x) = g(x); def g(y) = f(y) * 2; rule scan(Employee) { TotalTime = f(1); }",
+        "def f" ) ]
+
 (* --- Concurrent estimation through one registry --------------------------------- *)
 
 (* Registry hammer: [rules_for] and [lookup_let] fill the registry's
@@ -1188,6 +1328,9 @@ let () =
           Alcotest.test_case "TimeNext consistency" `Quick test_time_next_consistency;
           Alcotest.test_case "group cardinality" `Quick test_groupcard;
           Alcotest.test_case "report" `Quick test_report_smoke ] );
+      ( "names",
+        [ Alcotest.test_case "resolution order" `Quick test_name_resolution;
+          Alcotest.test_case "hostile cycles" `Quick test_hostile_cycles ] );
       ( "invalidation",
         [ Alcotest.test_case "calibration update" `Quick
             test_calibration_update_reaches_estimates;

@@ -319,6 +319,41 @@ let test_check_def_if () =
        (Finding.errors
           (check "source s { rule scan(C) { TotalTime = if(1, 2, 3); } }")))
 
+let test_check_cycles () =
+  (* a let defined in terms of itself, counting the lets read through the
+     defs it calls, and a def that calls itself, directly or not: errors
+     located at the let or def, so Mediator.register refuses the export *)
+  let at issues tag line =
+    List.exists
+      (fun f ->
+        f.Finding.severity = Finding.Error
+        && f.Finding.tag = tag
+        && Option.map (fun (p : Ast.pos) -> p.Ast.line) f.Finding.loc = Some line)
+      issues
+  in
+  let lets = check "source s {\n let A = B + 1;\n let B = A + 1;\n rule scan(C) { TotalTime = A; } }" in
+  Alcotest.(check bool) "let A" true (at lets "let-cycle" 2);
+  Alcotest.(check bool) "let B" true (at lets "let-cycle" 3);
+  Alcotest.(check bool) "through a def" true
+    (has_error
+       (check "source s { let A = f(1); def f(x) = A + x; rule scan(C) { TotalTime = A; } }")
+       "let A is defined in terms of itself");
+  Alcotest.(check bool) "direct recursion" true
+    (at (check "source s {\n def f(x) = f(x) + 1;\n rule scan(C) { TotalTime = f(1); } }")
+       "recursive-def" 2);
+  Alcotest.(check int) "mutual recursion: both defs" 2
+    (List.length
+       (List.filter
+          (fun f -> f.Finding.tag = "recursive-def")
+          (check
+             "source s { def f(x) = g(x); def g(y) = f(y) * 2; rule scan(C) { TotalTime = f(1); } }")));
+  Alcotest.(check int) "acyclic lets and defs, forward references included" 0
+    (List.length
+       (Finding.errors
+          (check
+             "source s { let A = B + f(1); let B = 2; def f(x) = g(x); def g(y) = y; \
+              rule scan(C) { TotalTime = A; } }")))
+
 let test_check_interface_issues () =
   Alcotest.(check bool) "stats for undeclared attribute" true
     (has_error
@@ -397,6 +432,19 @@ let test_pp_roundtrip_real_rules () =
         (Ast.rules_of_source s))
     (real_sources ())
 
+(* Evaluate a formula resolved in a let's scope: its names read through
+   [value], its calls bound to [def_of]'s defs and the builtins. *)
+let eval_let ?(def_of = fun _ -> None) value e =
+  let leaves =
+    { Compile.name =
+        (function
+          | Compile.Dynamic x -> fun () () _ -> value [ x ]
+          | Compile.Path segs -> fun () () _ -> value (List.map fst segs)
+          | _ -> invalid_arg "eval_let");
+      call = (fun fn _ () () _ -> raise (Err.Eval_error ("no fn " ^ fn))) }
+  in
+  Compile.compile leaves (Compile.let_body ~def_of e) () () [||]
+
 (* random expression generator for the round-trip property *)
 let rec expr_gen depth =
   let open QCheck2.Gen in
@@ -424,17 +472,8 @@ let prop_expr_roundtrip =
       let reparsed = Parser.parse_expr ~what:"rt" printed in
       (* compare by evaluation on a fixed environment to tolerate
          reassociation-invariant printing differences *)
-      let ctx =
-        { Compile.resolve_ref =
-            (fun path ->
-              Value.Vnum (float_of_int (Hashtbl.hash path mod 7) +. 1.));
-          call =
-            (fun name args ->
-              match Builtins.find name with
-              | Some f -> f args
-              | None -> Value.Vnum 0.) }
-      in
-      let safe_eval e = try Some (Compile.eval_num (Compile.compile e) ctx) with _ -> None in
+      let value path = Value.Vnum (float_of_int (Hashtbl.hash path mod 7) +. 1.) in
+      let safe_eval e = try Some (Value.to_num (eval_let value e)) with _ -> None in
       match safe_eval e, safe_eval reparsed with
       | Some a, Some b -> Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a)
       | None, None -> true
@@ -442,20 +481,14 @@ let prop_expr_roundtrip =
 
 (* --- Compilation and builtins -------------------------------------------------- *)
 
-let const_ctx bindings =
-  { Compile.resolve_ref =
-      (fun path ->
-        match List.assoc_opt (String.concat "." path) bindings with
-        | Some v -> Value.Vnum v
-        | None -> raise (Err.Eval_error "unbound"));
-    call =
-      (fun name args ->
-        match Builtins.find name with
-        | Some f -> f args
-        | None -> raise (Err.Eval_error ("no fn " ^ name))) }
-
 let eval ?(bindings = []) s =
-  Compile.eval_num (Compile.compile (pexpr s)) (const_ctx bindings)
+  Value.to_num
+    (eval_let
+       (fun path ->
+         match List.assoc_opt (String.concat "." path) bindings with
+         | Some v -> Value.Vnum v
+         | None -> raise (Err.Eval_error "unbound"))
+       (pexpr s))
 
 let test_compile_arith () =
   Alcotest.(check (float 1e-9)) "arith" 7. (eval "1 + 2 * 3");
@@ -510,12 +543,14 @@ let prop_yao_monotone =
       a <= b +. 1e-9 && a >= 0. && b <= 1.)
 
 let test_defs () =
-  let d = Compile.compile_def ~params:[ "x"; "y" ] (pexpr "x * 10 + y") in
-  let v = Compile.apply_def d (const_ctx []) [ Value.Vnum 4.; Value.Vnum 2. ] in
-  Alcotest.(check (float 1e-9)) "def apply" 42. (Value.to_num v);
+  let d = { Compile.params = [ "x"; "y" ]; def_ast = pexpr "x * 10 + y" } in
+  let def_of = function "f" -> Some d | _ -> None in
+  let unbound _ = raise (Err.Eval_error "unbound") in
+  Alcotest.(check (float 1e-9)) "def apply" 42.
+    (Value.to_num (eval_let ~def_of unbound (pexpr "f(4, 2)")));
   Alcotest.(check bool) "wrong arity raises" true
     (try
-       ignore (Compile.apply_def d (const_ctx []) [ Value.Vnum 1. ]);
+       ignore (eval_let ~def_of unbound (pexpr "f(1)"));
        false
      with Err.Eval_error _ -> true)
 
@@ -560,6 +595,7 @@ let () =
           Alcotest.test_case "unknown functions" `Quick test_check_unknown_function;
           Alcotest.test_case "duplicates" `Quick test_check_duplicates;
           Alcotest.test_case "def if" `Quick test_check_def_if;
+          Alcotest.test_case "let and def cycles" `Quick test_check_cycles;
           Alcotest.test_case "interface issues" `Quick test_check_interface_issues;
           Alcotest.test_case "generic model is clean" `Quick
             test_check_generic_model_clean ] );
