@@ -226,15 +226,10 @@ let check_cmd =
        ~doc:"Statically check a wrapper's registration export (rules, interfaces).")
     Term.(const run $ data_term $ source)
 
-let strict_arg =
-  let doc = "Exit non-zero when any error-severity finding is present." in
-  Arg.(value & flag & info [ "strict" ] ~doc)
-
 let fail_on_arg =
   let doc =
     "Exit non-zero when a finding at $(docv) or above is present: \
-     $(b,error) fails on errors only, $(b,warning) also on warnings. \
-     Excluded (circuit-broken) sources never gate."
+     $(b,error) fails on errors only, $(b,warning) also on warnings."
   in
   Arg.(
     value
@@ -246,9 +241,8 @@ let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
 (* lint and verify report through one path: a line per finding, a count
-   line after [summary], the JSON artifact, then the gate. [--strict] and
-   [--fail-on] apply to the findings the optimizer can act on. *)
-let report ~what ~summary ~strict ~fail_on ~json findings =
+   line after [summary], the JSON artifact, then the [--fail-on] gate. *)
+let report ~what ~summary ~fail_on ~json findings =
   List.iter (Fmt.pr "%a@." Finding.pp) findings;
   let count s = List.length (Finding.of_severity s findings) in
   Fmt.pr "-- %s%d finding(s): %d error(s), %d warning(s), %d info@." summary
@@ -260,11 +254,7 @@ let report ~what ~summary ~strict ~fail_on ~json findings =
       Out_channel.with_open_text path (fun oc ->
           output_string oc (Json.to_string (Json.List json) ^ "\n")))
     json;
-  let act = Finding.active findings in
-  let nerrors = List.length (Finding.errors act)
-  and nwarnings = List.length (Finding.of_severity Finding.Warning act) in
-  if strict && nerrors > 0 then
-    Fmt.failwith "%s failed: %d error-severity finding(s)" what nerrors;
+  let nerrors = count Finding.Error and nwarnings = count Finding.Warning in
   match fail_on with
   | Some `Error when nerrors > 0 ->
     Fmt.failwith "%s failed (--fail-on error): %d error(s)" what nerrors
@@ -282,24 +272,18 @@ let oo7_registry config =
   registry
 
 let lint_cmd =
-  let run data no_rules strict fail_on json =
+  let run data no_rules fail_on json =
     handle (fun () ->
         let module A = Disco_analysis.Analyzer in
         (* the demo federation: generic model blended with the four wrapper
            exports (lint runs over every registered source, "default" and
-           "mediator" included). Findings of circuit-broken sources are
-           reported but tagged scope:excluded and never gate. *)
+           "mediator" included) *)
         let med, _ = make_mediator ~no_rules data in
-        let breaker_open src =
-          match Health.state (Mediator.health med) src with
-          | Health.Open _ -> true
-          | Health.Closed | Health.Half_open _ -> false
-        in
-        let demo = A.analyze ~excluded:breaker_open (Mediator.registry med) in
+        let demo = A.analyze (Mediator.registry med) in
         let oo7 =
           A.analyze_source (oo7_registry Disco_oo7.Oo7.small_config) ~source:"oo7"
         in
-        report ~what:"lint" ~summary:"" ~strict ~fail_on ~json (demo @ oo7))
+        report ~what:"lint" ~summary:"" ~fail_on ~json (demo @ oo7))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -308,11 +292,10 @@ let lint_cmd =
           and the oo7 export: interval abstract interpretation (division by \
           zero, NaN, negative costs), rule shadowing and dead rules, \
           coverage of the five cost variables, and dependency cycles.")
-    Term.(
-      const run $ data_term $ no_rules_arg $ strict_arg $ fail_on_arg $ json_arg)
+    Term.(const run $ data_term $ no_rules_arg $ fail_on_arg $ json_arg)
 
 let verify_cmd =
-  let run data no_rules stats strict fail_on json =
+  let run data no_rules stats fail_on json =
     handle (fun () ->
         (* demo federation: optimize a representative query corpus and verify
            every chosen plan — typed well-formedness plus estimate bounds *)
@@ -358,7 +341,7 @@ let verify_cmd =
           ~summary:
             (Fmt.str "verified %d demo plan(s), %d oo7 plan(s); "
                (List.length corpus) (List.length queries))
-          ~strict ~fail_on ~json (demo @ oo7))
+          ~fail_on ~json (demo @ oo7))
   in
   Cmd.v
     (Cmd.info "verify"
@@ -369,8 +352,7 @@ let verify_cmd =
           and capabilities) plus interval cardinality/cost-bound validation \
           of its estimates (NaN, negative, divergent, non-monotone).")
     Term.(
-      const run $ data_term $ no_rules_arg $ stats_arg $ strict_arg $ fail_on_arg
-      $ json_arg)
+      const run $ data_term $ no_rules_arg $ stats_arg $ fail_on_arg $ json_arg)
 
 (* --- sources --------------------------------------------------------------------- *)
 

@@ -76,11 +76,13 @@ let () =
    | None -> ());
 
   (* 6. Static analysis of the blended model: the same lint pass that backs
-     [disco lint] and strict-mode registration, run in-process. The demo
-     exports are deliberately clean — every finding is informational
+     [disco lint] and that [Mediator.register] logs, run in-process. The
+     demo exports are deliberately clean — every finding is informational
      (shadowed defaults, min-combined ties, partial coverage with generic
      fallback). A wrapper whose rules can divide by zero or drive a cost
-     negative would be rejected by [Mediator.create ~lint:`Error ()]. *)
+     negative still registers, since only the registration check
+     ([Disco_analysis.Check]) refuses an export; lint reports it, and
+     [disco lint --fail-on error] fails on it. *)
   hr ();
   print_endline "Lint findings over the blended model:";
   hr ();

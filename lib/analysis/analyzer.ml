@@ -83,7 +83,7 @@ let rule_resolver reg ~source ~(targets : Absint.aval array) (n : Compile.name) 
   | Compile.Through (_, (Compile.Koperand | Compile.Kattr), segs) -> by_tail segs
   | Compile.Through _ -> Absint.Opaque
   | Compile.Dynamic x ->
-    (match Registry.lookup_let_or_default reg ~source x with
+    (match Registry.lookup_let reg ~source x with
      | Some v -> aval_of_value v
      | None -> Absint.Name x (* estimator's silent fallback *)
      | exception _ -> Absint.Opaque)
@@ -166,36 +166,33 @@ let body_pass reg (rule : Rule.t) (ast : Ast.rule) : Finding.t list =
 let analyze_rule reg (rule : Rule.t) : Finding.t list =
   match rule.Rule.ast with None -> [] | Some ast -> body_pass reg rule ast
 
-(* --- ADT parameter ranges ------------------------------------------------- *)
+(* --- Let parameters ------------------------------------------------------------ *)
 
 let has_prefix p s =
   String.length s > String.length p && String.sub s 0 (String.length p) = p
 
-let adt_let_findings reg ~source : Finding.t list =
+(* A let whose evaluation raised (every formula reading it raises the same
+   error), and exported ADT parameters out of range. *)
+let let_findings reg ~source : Finding.t list =
   List.filter_map
-    (fun n ->
-      let value () =
-        match Registry.lookup_let reg ~source n with
-        | Some (Value.Vnum f) -> Some f
-        | Some _ | None -> None
-        | exception _ -> None
-      in
-      if has_prefix "AdtSel_" n then
-        match value () with
-        | Some f when f < 0. || f > 1. ->
-          Some
-            (Finding.v ~source Error "selectivity-range" ("let " ^ n)
-               (Fmt.str "exported ADT selectivity is %g, outside [0, 1]" f))
-        | _ -> None
-      else if has_prefix "AdtCost_" n then
-        match value () with
-        | Some f when f < 0. ->
-          Some
-            (Finding.v ~source Error "negative" ("let " ^ n)
-               (Fmt.str "exported ADT cost is negative (%g)" f))
-        | _ -> None
-      else None)
-    (Registry.let_names reg ~source)
+    (fun (p : Registry.param) ->
+      let where = "let " ^ p.Registry.name in
+      match p.Registry.value with
+      | Error e ->
+        let msg = match e with Err.Eval_error m -> m | e -> Printexc.to_string e in
+        Some
+          (Finding.v ~source ?loc:p.Registry.pos Error "let-error" where
+             (Fmt.str "%s cannot be evaluated: %s" p.Registry.name msg))
+      | Ok (Value.Vnum f) when has_prefix "AdtSel_" p.Registry.name && (f < 0. || f > 1.) ->
+        Some
+          (Finding.v ~source Error "selectivity-range" where
+             (Fmt.str "exported ADT selectivity is %g, outside [0, 1]" f))
+      | Ok (Value.Vnum f) when has_prefix "AdtCost_" p.Registry.name && f < 0. ->
+        Some
+          (Finding.v ~source Error "negative" where
+             (Fmt.str "exported ADT cost is negative (%g)" f))
+      | Ok _ -> None)
+    (Registry.lets reg ~source)
 
 (* --- Head subsumption, overlap, universality ------------------------------ *)
 
@@ -599,18 +596,7 @@ let dedup fs =
   List.rev
     (List.fold_left (fun acc f -> if List.mem f acc then acc else f :: acc) [] fs)
 
-(* Findings of a circuit-broken source are kept (the model is still
-   registered and will return once the breaker closes) but marked so lint
-   gates match what the optimizer can actually pick right now. *)
-let mark_excluded excluded fs =
-  List.map
-    (fun f ->
-      match f.source with
-      | Some s when excluded s -> { f with excluded = true }
-      | _ -> f)
-    fs
-
-let analyze_source ?(excluded = fun _ -> false) reg ~source : Finding.t list =
+let analyze_source reg ~source : Finding.t list =
   let own =
     Registry.source_rules reg ~source
     |> List.filter (fun r -> Option.is_some (pattern_head r))
@@ -623,12 +609,7 @@ let analyze_source ?(excluded = fun _ -> false) reg ~source : Finding.t list =
   let chain_findings =
     List.concat_map (fun op -> analyze_chain reg ~source ~operator:op) ops
   in
-  mark_excluded excluded
-    (dedup (rule_findings @ adt_let_findings reg ~source @ chain_findings))
+  dedup (rule_findings @ let_findings reg ~source @ chain_findings)
 
-let analyze ?(excluded = fun _ -> false) reg : Finding.t list =
-  mark_excluded excluded
-    (dedup
-       (List.concat_map
-          (fun source -> analyze_source reg ~source)
-          (Registry.sources reg)))
+let analyze reg : Finding.t list =
+  dedup (List.concat_map (fun source -> analyze_source reg ~source) (Registry.sources reg))

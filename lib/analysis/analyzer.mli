@@ -1,7 +1,9 @@
 (** Whole-model static analysis of the blended cost model.
 
     Runs after registration (or on demand via [disco lint]) over the
-    registry's merged rule chains. Four passes:
+    registry's merged rule chains and only reports: {!Check} is the one
+    gate an export must pass. Four passes over the rules, and one over the
+    [let]s:
 
     - {b interval abstract interpretation} of every rule body ({!Absint}),
       each name resolved as registration compiles it
@@ -18,12 +20,14 @@
       for every node shape of each operator, and where does a wrapper
       fall back to the generic model;
     - {b cycles}: inter-variable dependencies (TotalTime -> TotalSize ->
-      TotalTime) that diverge at evaluation time.
+      TotalTime) that diverge at evaluation time;
+    - {b lets}: a [let] whose stored value is an error ([let-error]: every
+      formula reading it raises), exported ADT parameters out of range.
 
     Severity contract: [Error] findings mean estimation can raise,
-    diverge, or produce meaningless (negative / non-numeric) costs —
-    strict registration ({!Disco_mediator.Mediator}) rejects them. A
-    model "lints clean under --strict" when {!Finding.errors} is empty. *)
+    diverge, or produce meaningless (negative / non-numeric) costs. A
+    model lints clean when {!Finding.errors} is empty, which is what
+    [disco lint --fail-on error] gates on. *)
 
 open Disco_core
 
@@ -34,13 +38,13 @@ val analyze_chain : Registry.t -> source:string -> operator:string -> Finding.t 
 (** Shadowing, ambiguity, coverage and cycle analysis of the merged
     (source + default) chain for one operator. *)
 
-val analyze_source : ?excluded:(string -> bool) -> Registry.t -> source:string -> Finding.t list
-(** All passes for one source: its own rules, its ADT parameter ranges
-    ([AdtSel_* ] in [[0,1]], [AdtCost_*] nonnegative), and the merged
-    chain of every operator it exports rules for (every known operator
-    for the default source). [excluded] marks findings of circuit-broken
-    sources (default: none). *)
+val analyze_source : Registry.t -> source:string -> Finding.t list
+(** All passes for one source: its own rules, its [let]s (one [let-error]
+    per [let] whose evaluation raised, located at the [let], carrying the
+    error's message; [AdtSel_*] in [[0,1]], [AdtCost_*] nonnegative), and
+    the merged chain of every operator it exports rules for (every known
+    operator for the default source). *)
 
-val analyze : ?excluded:(string -> bool) -> Registry.t -> Finding.t list
+val analyze : Registry.t -> Finding.t list
 (** {!analyze_source} over every registered source, deduplicated. *)
 

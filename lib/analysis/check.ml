@@ -6,13 +6,39 @@
 open Disco_costlang
 open Finding
 
+(* Every subterm of a formula but the bodies of the defs it inlines: those
+   are checked at their defs. *)
+let rec iter_own f (t : Compile.term) =
+  f t;
+  match t with
+  | Compile.Num _ | Compile.Str _ | Compile.Ref _ -> ()
+  | Compile.Neg a -> iter_own f a
+  | Compile.Binop (_, a, b) ->
+    iter_own f a;
+    iter_own f b
+  | Compile.If (a, b, c) -> List.iter (iter_own f) [ a; b; c ]
+  | Compile.Inline (_, args, _) | Compile.Builtin (_, _, args) | Compile.Call (_, args)
+  | Compile.Fail (_, _, args) ->
+    List.iter (iter_own f) args
+
+(* A call must bind to a def of the export, with as many arguments as the
+   def takes, to a builtin or to a context function. *)
+let check_call add (t : Compile.term) =
+  match t with
+  | Compile.Call (fn, _) when not (List.mem fn Builtins.context_function_names) ->
+    add Error "unknown-function" (Fmt.str "unknown function %S" fn)
+  | Compile.Fail (fn, Compile.Arity n, args) ->
+    add Error "arity"
+      (Fmt.str "def %s takes %d argument(s), called with %d" fn n (List.length args))
+  | _ -> ()
+
 (* Check one rule over its body as registration resolves it
    ([Compile.rule_body], with the export's own defs): a name of the variable
    convention must denote a head variable, an earlier target, a cost
-   variable or one of the export's lets; a call must bind to a def, a
-   builtin or a context function; duplicate assignments are errors; paths
-   must end in known statistics. Inlined def bodies are not checked here:
-   their calls are the defs'. *)
+   variable or one of the export's lets; a call must bind as [check_call]
+   requires; duplicate assignments are errors; paths must end in known
+   statistics. Inlined def bodies are not checked here: their calls are the
+   defs'. *)
 let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
   let where = Fmt.str "rule %a" Pp.head r.Ast.head in
   let findings = ref [] in
@@ -29,20 +55,8 @@ let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
         (Fmt.str "path ends in %S, which is not a known statistic" last)
     | _ -> ()
   in
-  let rec check (t : Compile.term) =
+  let check (t : Compile.term) =
     match t with
-    | Compile.Num _ | Compile.Str _ -> ()
-    | Compile.Neg e -> check e
-    | Compile.Binop (_, a, b) ->
-      check a;
-      check b
-    | Compile.If (c, t, e) -> List.iter check [ c; t; e ]
-    | Compile.Inline (_, args, _) | Compile.Builtin (_, _, args) | Compile.Fail (_, _, args) ->
-      List.iter check args
-    | Compile.Call (fn, args) ->
-      if not (List.mem fn Builtins.context_function_names) then
-        add Error "unknown-function" (Fmt.str "unknown function %S" fn);
-      List.iter check args
     | Compile.Ref (Compile.Dynamic x) ->
       (* a bare capital-letter identifier is a variable by convention and
          must be bound; other names may be collections or attributes *)
@@ -54,7 +68,7 @@ let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
         add Error "unbound" (Fmt.str "unbound variable %S in path" x);
       statistic rest
     | Compile.Ref (Compile.Through (_, _, segs)) -> statistic segs
-    | Compile.Ref (Compile.Target _ | Compile.Param _ | Compile.Cost_var _ | Compile.Head _) -> ()
+    | t -> check_call add t
   in
   let terms = Compile.rule_body ~def_of:(fun n -> List.assoc_opt n defs) r in
   let assigned = ref [] in
@@ -68,7 +82,7 @@ let check_rule ~lets ~defs (r : Ast.rule) : Finding.t list =
       if List.mem name !assigned then
         add Error "duplicate-assignment" (Fmt.str "duplicate assignment to %S" name);
       assigned := name :: !assigned;
-      check terms.(j))
+      iter_own check terms.(j))
     r.Ast.body;
   cur_loc := r.Ast.rule_pos;
   if r.Ast.body = [] then add Warning "empty-body" "rule has an empty body";
@@ -165,6 +179,14 @@ let check_source (s : Ast.source_decl) : Finding.t list =
   let located sev tag where msg =
     Finding.v ?loc:(List.assoc_opt where s.Ast.item_pos) sev tag where msg
   in
+  (* the calls of a let's or def's own body, located at its declaration *)
+  let body_calls where e =
+    let out = ref [] in
+    iter_own
+      (check_call (fun sev tag msg -> out := located sev tag where msg :: !out))
+      (Compile.let_body ~def_of:(fun n -> List.assoc_opt n defs) e);
+    List.rev !out
+  in
   let lets = List.map fst lets in
   let findings = ref [] in
   let declared = ref [] in
@@ -195,9 +217,9 @@ let check_source (s : Ast.source_decl) : Finding.t list =
           !findings
           @ [ Finding.v Error "reserved-name" "def if"
                 "\"if\" is the conditional and cannot be redefined" ]
-      | Ast.Let (name, _) ->
-        (* the estimator refuses such a let when it is read; registration
-           refuses it here, before any query stalls on it *)
+      | Ast.Let (name, e) ->
+        (* registration keeps such a let as an error that every read
+           raises; the check refuses it here, before any query reads it *)
         Option.iter
           (fun chain ->
             findings :=
@@ -205,13 +227,15 @@ let check_source (s : Ast.source_decl) : Finding.t list =
               @ [ located Error "let-cycle" ("let " ^ name)
                     (Fmt.str "let %s is defined in terms of itself: %s" name
                        (String.concat " -> " chain)) ])
-          (cycle reads name)
+          (cycle reads name);
+        findings := !findings @ body_calls ("let " ^ name) e
       | Ast.Def (name, params, def_ast) ->
         if recursive ~defs name { Compile.params; def_ast } then
           findings :=
             !findings
             @ [ located Error "recursive-def" ("def " ^ name)
-                  (Fmt.str "def %s calls itself, directly or through other defs" name) ])
+                  (Fmt.str "def %s calls itself, directly or through other defs" name) ];
+        findings := !findings @ body_calls ("def " ^ name) def_ast)
     s.Ast.items;
   let errors, warnings = List.partition (fun f -> f.severity = Error) !findings in
   errors @ warnings

@@ -21,20 +21,17 @@ type t = {
   loc : Ast.pos option;
   where : string;
   msg : string;
-  excluded : bool;
 }
 
 let v ?source ?operator ?scope ?loc severity tag where msg =
-  { severity; tag; source; operator; scope; loc; where; msg; excluded = false }
+  { severity; tag; source; operator; scope; loc; where; msg }
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 let of_severity s fs = List.filter (fun f -> f.severity = s) fs
-let active fs = List.filter (fun f -> not f.excluded) fs
 
 let pp ppf f =
   Option.iter (Fmt.pf ppf "%a: " Ast.pp_pos) f.loc;
   Fmt.pf ppf "%s [%s]" (severity_name f.severity) f.tag;
   Option.iter (Fmt.pf ppf " %s") f.source;
   Option.iter (Fmt.pf ppf "/%s") f.operator;
-  Fmt.pf ppf " in %s: %s" f.where f.msg;
-  if f.excluded then Fmt.pf ppf " (scope:excluded)"
+  Fmt.pf ppf " in %s: %s" f.where f.msg

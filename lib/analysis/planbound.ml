@@ -1,4 +1,4 @@
-(* Interval propagation of cardinality/cost bounds and estimate validation
+(* Interval propagation of cardinality bounds and estimate validation
    (DESIGN.md §14).
 
    Soundness argument for the cardinality lattice: every shipped count
@@ -15,8 +15,6 @@ open Disco_catalog
 open Disco_algebra
 open Disco_costlang
 open Disco_core
-
-type bound = { card : Interval.t; cost : Interval.t }
 
 (* Tolerances for comparing concrete estimates against interval endpoints:
    formulas evaluate in float, bounds multiply long chains of extents, so
@@ -58,11 +56,11 @@ let unsat_conjunct child_stats pred =
       | _ -> false)
     (Pred.conjuncts pred)
 
-(* One walk computes bounds and validates the concrete estimates against
-   them, handing each finding to [add]. The walk carries the reversed list
-   of nodes from the current one up to the root, and a finding's operator
-   path is rendered from it only when the finding is recorded, so a clean
-   plan builds no labels and no paths. *)
+(* One walk computes cardinality bounds and validates the concrete
+   estimates against them, handing each finding to [add]. The walk carries
+   the reversed list of nodes from the current one up to the root, and a
+   finding's operator path is rendered from it only when the finding is
+   recorded, so a clean plan builds no labels and no paths. *)
 let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
   let cat = Registry.catalog reg in
   let ctx = Estimator.make_ctx () in
@@ -107,10 +105,9 @@ let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
       finding ?scope Finding.Error "divergent" path ann.Estimator.source
         (Fmt.str "%s diverges to infinity" name)
   in
-  let rec walk up (ann : Estimator.ann) : bound =
+  let rec walk up (ann : Estimator.ann) : Interval.t =
     let path = ann.Estimator.node :: up in
     let kids = Array.map (walk path) ann.Estimator.inputs in
-    let child i = kids.(i) in
     let card =
       match ann.Estimator.node with
       | Plan.Scan r -> (
@@ -125,7 +122,7 @@ let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
             Interval.with_nan true Interval.nonneg)
           else Interval.v 0. n)
       | Plan.Select (_, pred) ->
-        let c = (child 0).card in
+        let c = kids.(0) in
         (if
            (match Lazy.force ann.Estimator.inputs.(0).Estimator.stats with
             | st -> unsat_conjunct st pred
@@ -134,19 +131,13 @@ let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
            finding Finding.Info "empty-select" path ann.Estimator.source
              "predicate is unsatisfiable against the derived attribute ranges");
         Interval.v ~nan:c.Interval.nan 0. c.Interval.hi
-      | Plan.Project _ | Plan.Sort _ | Plan.Submit _ -> (child 0).card
-      | Plan.Join _ ->
-        Interval.mul (Interval.mul (child 0).card (child 1).card) Interval.unit
-      | Plan.Union _ -> Interval.add (child 0).card (child 1).card
+      | Plan.Project _ | Plan.Sort _ | Plan.Submit _ -> kids.(0)
+      | Plan.Join _ -> Interval.mul (Interval.mul kids.(0) kids.(1)) Interval.unit
+      | Plan.Union _ -> Interval.add kids.(0) kids.(1)
       | Plan.Dedup _ | Plan.Aggregate _ ->
-        let c = (child 0).card in
+        let c = kids.(0) in
         Interval.v ~nan:c.Interval.nan 0. (Float.max 1. c.Interval.hi)
     in
-    let taint =
-      card.Interval.nan
-      || Array.exists (fun (b : bound) -> b.cost.Interval.nan) kids
-    in
-    let cost = Interval.with_nan taint Interval.nonneg in
     (* concrete validation *)
     (match demand path ann Ast.Count_object with
      | None -> ()
@@ -198,27 +189,14 @@ let analyze reg ~(add : Finding.t -> unit) (ann0 : Estimator.ann) =
     (match demand path ann Ast.Total_time with
      | None -> ()
      | Some t -> validate_value path ann Ast.Total_time t);
-    { card; cost }
+    card
   in
   walk [] ann0
-
-(* [Estimator.build] resolves sources eagerly and raises on a dangling
-   one; bound analysis of an ill-formed plan degrades to a finding rather
-   than leaking the exception (Plancheck reports the precise node). *)
-let build_ann reg ~source plan =
-  match Estimator.build reg ~source plan with
-  | ann -> Ok ann
-  | exception e -> Error (Printexc.to_string e)
 
 let check_ann reg ann =
   let out = ref [] in
   ignore (analyze reg ~add:(fun f -> out := f :: !out) ann);
   List.rev !out
 
-let check ?source reg plan =
-  let source = Option.value source ~default:Registry.mediator_source in
-  match build_ann reg ~source plan with
-  | Ok ann -> check_ann reg ann
-  | Error msg ->
-    [ Finding.v Error "estimation-failure" "plan"
-        (Fmt.str "plan cannot be annotated for estimation: %s" msg) ]
+let check ?(source = Registry.mediator_source) reg plan =
+  check_ann reg (Estimator.build reg ~source plan)

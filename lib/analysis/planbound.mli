@@ -1,4 +1,4 @@
-(** Interval propagation of cardinality and cost bounds through whole plans
+(** Interval propagation of cardinality bounds through whole plans
     (DESIGN.md §14).
 
     {!Plancheck} proves a plan well-typed; this module proves its {e

@@ -17,10 +17,13 @@ open Disco_costlang
 let default_source = "default"
 let mediator_source = "mediator"
 
+(* A [let] of an export, evaluated once when the export registers. *)
+type param = { name : string; value : (Value.t, exn) result; pos : Ast.pos option }
+
 type source_entry = {
-  (* declaration order; a let runs with the chain of lets being computed *)
-  mutable lets : (string * (string list, unit) Compile.t) list;
-  let_cache : (string, Value.t) Hashtbl.t;
+  (* declaration order; replaced whole by a registration, never written in
+     place, so a formula reads it without the lock *)
+  mutable lets : param list;
   mutable defs : (string * Compile.def) list;
   mutable rules : Rule.t list;  (* newest first; order field keeps rank *)
   mutable adjust : float;  (* historical adjustment factor, §4.3.1 *)
@@ -62,16 +65,16 @@ type t = {
      generation bump and with every selectivity-correction write, which
      leaves the generation alone *)
   mutable revision : int;
-  (* guards the query-time lazily-filled tables ([merged], per-source
-     [let_cache], on-demand [sources] entries) so two estimations running
-     at once cannot corrupt a Hashtbl mid-resize. The server estimates one
-     query at a time today (under its exec lock); concurrent queries will
-     not, and test_core's registry hammer estimates from four domains.
-     Held only across the table operations themselves, never across
-     formula evaluation — [lookup_let] computes outside the lock (a
-     duplicated computation is harmless: let values are deterministic
-     within a generation). A formula finds its defs and builtins without
-     it: they are bound when the formula is compiled. *)
+  (* guards the query-time lazily-filled tables ([merged], on-demand
+     [sources] entries) and the selectivity corrections, so two estimations
+     running at once cannot corrupt a Hashtbl mid-resize. The server
+     estimates one query at a time today (under its exec lock); concurrent
+     queries will not, and test_core's registry hammer estimates from four
+     domains. Held only across the table operations themselves, never
+     across formula evaluation. A formula reads its source's [let] values
+     without it (each entry's [lets] is replaced whole, never written in
+     place), and finds its defs and builtins without it: they are bound
+     when the formula is compiled. *)
   lock : Mutex.t;
 }
 
@@ -96,7 +99,6 @@ let entry t source =
       | None ->
         let e =
           { lets = [];
-            let_cache = Hashtbl.create 8;
             defs = [];
             rules = [];
             adjust = 1. }
@@ -168,45 +170,30 @@ let catalog_path t ~source path : Value.t option =
     attr_stat_value (Derive.of_catalog_attr st) stat
   | _ -> None
 
-(* A [let] of the source whose entry is [e], evaluated lazily and memoized.
-   [chain] is the lets this evaluation is computing, so a let that reads
-   itself (directly, or through other lets and the defs they call) raises
-   instead of recursing. The value is computed outside the lock: two
-   domains may compute the same let at once, to the same value. *)
-let lookup_let_in t e name chain : Value.t option =
-  match List.assoc_opt name e.lets with
-  | None -> None
-  | Some compiled ->
-    (match Mutex.protect t.lock (fun () -> Hashtbl.find_opt e.let_cache name) with
-     | Some v -> Some v
-     | None ->
-       if List.mem name chain then fail "let %s is defined in terms of itself" name;
-       let v = compiled (name :: chain) () [||] in
-       Mutex.protect t.lock (fun () -> Hashtbl.replace e.let_cache name v);
-       Some v)
+(* The value of the let of that name among [params]; a let whose
+   evaluation raised raises that error again. *)
+let rec let_value (params : param list) name =
+  match params with
+  | [] -> None
+  | p :: rest ->
+    if String.equal p.name name then (match p.value with Ok v -> Some v | Error exn -> raise exn)
+    else let_value rest name
 
-let lookup_let t ~source name = lookup_let_in t (entry t source) name []
-
-(* A let of [source], falling back to the default model's parameters so that
-   wrapper rules may reference generic coefficients such as [IO]. The
-   entries are found once, not per lookup. *)
-let let_or_default t ~source =
+(* The let a rule of [source] reads by a name: its source's, then the
+   default model's, so wrapper rules may reference generic coefficients such
+   as [IO]. The entries are found once, when [lookup_let t ~source] is
+   applied; each read is then a list lookup, without the lock. *)
+let lookup_let t ~source =
   let own = entry t source and dflt = entry t default_source in
   fun name ->
-    match lookup_let_in t own name [] with
+    match let_value own.lets name with
     | Some v -> Some v
-    | None -> if own == dflt then None else lookup_let_in t dflt name []
+    | None -> if own == dflt then None else let_value dflt.lets name
 
-let lookup_let_or_default t ~source name = let_or_default t ~source name
-
-(* The def a rule of [source] calls by [name]: its source's, then the
-   default model's. *)
-let def_of t ~source name =
-  match List.assoc_opt name (entry t source).defs with
-  | Some d -> Some d
-  | None ->
-    if String.equal source default_source then None
-    else List.assoc_opt name (entry t default_source).defs
+(* The def a formula of [source] calls by [name]: its own export's. *)
+let def_of t ~source =
+  let e = entry t source in
+  fun name -> List.assoc_opt name e.defs
 
 let adt_cost t name = Hashtbl.find_opt t.adt_costs name
 let adt_selectivity t name = Hashtbl.find_opt t.adt_sels name
@@ -366,7 +353,7 @@ let rule_leaves t ~source : (Rule.ctx, Rule.inst) Compile.leaves =
                 | None -> fail "attribute %S not found in inputs" a)
              | _ -> literal_path t ~source ann (x :: subst bindings segs))
         | Compile.Dynamic x ->
-          let find = let_or_default t ~source in
+          let find = lookup_let t ~source in
           fun _ _ _ -> (match find x with Some v -> v | None -> Value.Vname x)
         | Compile.Path segs ->
           fun _ inst _ -> literal_path t ~source inst.Rule.ann (subst inst.Rule.bindings segs)
@@ -381,27 +368,55 @@ let rule_leaves t ~source : (Rule.ctx, Rule.inst) Compile.leaves =
           evaluate_all args a b f;
           fail "unknown function %S" fn) }
 
-(* What a [let] of the source whose entry is [e] reads: other lets of its
-   source and catalog paths; it calls builtins and its source's defs. *)
-let let_leaves t e ~source : (string list, unit) Compile.leaves =
-  { Compile.name =
-      (function
-        | Compile.Dynamic x ->
-          fun chain () _ ->
-            (match lookup_let_in t e x chain with
-             | Some v -> v
-             | None -> fail "unbound name %S in let" x)
-        | Compile.Path segs ->
-          let path = List.map fst segs in
-          fun _ () _ ->
-            (match catalog_path t ~source path with
-             | Some v -> v
-             | None -> fail "cannot resolve path %S in let" (String.concat "." path))
-        | _ -> invalid_arg "Registry.let_leaves: a let has no targets, cost variables or head");
-    call =
-      (fun fn args a b f ->
-        evaluate_all args a b f;
-        fail "unknown function %S in let" fn) }
+(* Every let of an export, evaluated once, in declaration order; a let
+   read by another is evaluated on demand. A let reads other lets of its
+   export and its source's catalog paths, and calls builtins and its
+   export's defs. [chain] is the lets an evaluation is computing, so a let
+   that reads itself (directly, or through other lets and the defs they
+   call) raises instead of recursing. A let whose evaluation raises keeps
+   that error. *)
+let evaluate_lets t ~source ~def_of (decl : Ast.source_decl) : param list =
+  let lets = List.filter_map (function Ast.Let (n, e) -> Some (n, e) | _ -> None) decl.Ast.items in
+  let values = Hashtbl.create 8 in
+  let rec read chain name =
+    match Hashtbl.find_opt values name, List.assoc_opt name lets with
+    | (Some _ as r), _ | r, None -> r
+    | None, Some expr ->
+      if List.mem name chain then fail "let %s is defined in terms of itself" name;
+      let r =
+        match Compile.compile leaves (Compile.let_body ~def_of expr) (name :: chain) () [||] with
+        | v -> Ok v
+        | exception exn -> Error exn
+      in
+      Hashtbl.replace values name r;
+      Some r
+  and leaves : (string list, unit) Compile.leaves =
+    { Compile.name =
+        (function
+          | Compile.Dynamic x ->
+            fun chain () _ ->
+              (match read chain x with
+               | Some (Ok v) -> v
+               | Some (Error exn) -> raise exn
+               | None -> fail "unbound name %S in let" x)
+          | Compile.Path segs ->
+            let path = List.map fst segs in
+            fun _ () _ ->
+              (match catalog_path t ~source path with
+               | Some v -> v
+               | None -> fail "cannot resolve path %S in let" (String.concat "." path))
+          | _ -> invalid_arg "Registry.evaluate_lets: a let has no targets, cost variables or head");
+      call =
+        (fun fn args a b f ->
+          evaluate_all args a b f;
+          fail "unknown function %S in let" fn) }
+  in
+  List.map
+    (fun (name, _) ->
+      { name;
+        value = Option.get (read [] name);
+        pos = List.assoc_opt ("let " ^ name) decl.Ast.item_pos })
+    lets
 
 (* --- Registration -------------------------------------------------------- *)
 
@@ -496,7 +511,7 @@ let register_adt t ~name ~cost_ms ~selectivity =
 (* Harvest [AdtCost_*] / [AdtSel_*] parameters from a source's lets into the
    global ADT tables (they must be visible to the mediator's local rules and
    to selectivity estimation, not just to the exporting source). *)
-let harvest_adt_lets t ~source (decl : Ast.source_decl) =
+let harvest_adt_lets t (params : param list) =
   let prefixed prefix name =
     let pl = String.length prefix in
     if String.length name > pl && String.sub name 0 pl = prefix then
@@ -504,21 +519,15 @@ let harvest_adt_lets t ~source (decl : Ast.source_decl) =
     else None
   in
   List.iter
-    (function
-      | Ast.Let (name, _) ->
-        let value () =
-          match lookup_let t ~source name with
-          | Some v -> Value.to_num v
-          | None -> raise (Err.Eval_error ("unresolved let " ^ name))
-        in
-        (match prefixed "AdtCost_" name with
-         | Some fn -> Hashtbl.replace t.adt_costs fn (value ())
-         | None ->
-           (match prefixed "AdtSel_" name with
-            | Some fn -> Hashtbl.replace t.adt_sels fn (value ())
-            | None -> ()))
-      | _ -> ())
-    decl.Ast.items
+    (fun (p : param) ->
+      let value () = match p.value with Ok v -> Value.to_num v | Error exn -> raise exn in
+      match prefixed "AdtCost_" p.name with
+      | Some fn -> Hashtbl.replace t.adt_costs fn (value ())
+      | None ->
+        (match prefixed "AdtSel_" p.name with
+         | Some fn -> Hashtbl.replace t.adt_sels fn (value ())
+         | None -> ()))
+    params
 
 (* Drop everything previously registered for a source (rules, parameters,
    functions), keeping only its query-scope history. Used by re-registration
@@ -526,7 +535,6 @@ let harvest_adt_lets t ~source (decl : Ast.source_decl) =
 let clear_source t ~source =
   let e = entry t source in
   e.lets <- [];
-  Hashtbl.reset e.let_cache;
   e.defs <- [];
   e.rules <- List.filter (fun (r : Rule.t) -> r.Rule.scope = Scope.Query) e.rules;
   invalidate t
@@ -602,17 +610,9 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
       | Ast.Capabilities ops -> Catalog.set_capabilities t.catalog ~source ops
       | Ast.Let _ | Ast.Toplevel_rule _ -> ())
     decl.Ast.items;
-  (* lets compile once every def of the export is known: a let may call a
+  (* lets evaluate once every def of the export is known: a let may call a
      def declared after it *)
-  let leaves = let_leaves t e ~source and def_of name = List.assoc_opt name e.defs in
-  e.lets <-
-    List.filter_map
-      (function
-        | Ast.Let (name, expr) ->
-          Some (name, Compile.compile leaves (Compile.let_body ~def_of expr))
-        | _ -> None)
-      decl.Ast.items;
-  Hashtbl.reset e.let_cache;
+  e.lets <- evaluate_lets t ~source ~def_of:(def_of t ~source) decl;
   (* Second pass: rules (top-level and in-interface). *)
   let compiled =
     List.concat_map
@@ -628,21 +628,7 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
         | Ast.Let _ | Ast.Def _ | Ast.Capabilities _ -> [])
       decl.Ast.items
   in
-  (* every other source's rules bound their calls to the default model's
-     defs when they were compiled *)
-  if String.equal source default_source then
-    Hashtbl.iter
-      (fun other (o : source_entry) ->
-        if not (String.equal other source) then
-          o.rules <-
-            List.map
-              (fun (r : Rule.t) ->
-                match r.Rule.ast with
-                | Some a -> { r with Rule.body = compile_body t ~source:other a }
-                | None -> r)
-              o.rules)
-      t.sources;
-  harvest_adt_lets t ~source decl;
+  harvest_adt_lets t e.lets;
   (* lets and ADT exports change estimates even when no rule was (re)compiled
      above, so a registration always moves the generation *)
   invalidate t;
@@ -704,9 +690,9 @@ let source_rules t ~source =
   | None -> []
   | Some e -> List.rev e.rules  (* declaration order *)
 
-let let_names t ~source =
+let lets t ~source =
   match Hashtbl.find_opt t.sources source with
   | None -> []
-  | Some e -> List.map fst e.lets
+  | Some e -> e.lets
 
 let catalog t = t.catalog

@@ -8,13 +8,15 @@
     per-(source, operator) lists — the paper's "own efficient [overriding
     mechanism] based on kind of virtual tables".
 
-    Compiling a rule resolves every name of its formulas once
-    ({!Disco_costlang.Compile.rule_body}) and binds what each resolved name
-    reads to a closure: a target slot, a cost variable of the node or of an
-    input, a head binding, a context function. Only the dynamic tail — a
-    [let] value, a catalog path — is looked up by name when the formula
-    runs, and every value a model write can change (statistics, [let]s,
-    adjustment factors, selectivity corrections) is read then. *)
+    Registration settles what an export determines once: its [let]s are
+    evaluated to values, and compiling a rule resolves every name of its
+    formulas ({!Disco_costlang.Compile.rule_body}) and binds what each
+    resolved name reads to a closure: a target slot, a cost variable of the
+    node or of an input, a head binding, a def of the export, a context
+    function. Only the dynamic tail — a [let] value, a catalog path — is
+    looked up by name when the formula runs, without a lock, and every
+    value a model write can change (statistics, [let]s of a re-registered
+    export, adjustment factors, selectivity corrections) is read then. *)
 
 open Disco_catalog
 open Disco_costlang
@@ -63,24 +65,29 @@ val catalog_path : t -> source:string -> string list -> Value.t option
 (** Resolve [Collection.Stat] or [Collection.Attr.Stat] against the catalog
     for a named collection of [source]. *)
 
-val lookup_let : t -> source:string -> string -> Value.t option
-(** A [let]-bound parameter of a source, evaluated lazily and memoized; lets
-    may reference other lets of their source, its catalog statistics, its
-    defs and builtins. A let that reads itself, directly or through other
-    lets and the defs they call, raises {!Disco_common.Err.Eval_error}
-    naming it: the guard is the chain of lets the one evaluation is
-    computing, not shared state, so two domains may compute one let at
-    once. *)
+type param = {
+  name : string;
+  value : (Value.t, exn) result;
+      (** the [let]'s value, or the error its one evaluation raised *)
+  pos : Ast.pos option;  (** its declaration, when the export was parsed *)
+}
+(** A [let]-bound parameter of an export, evaluated once when the export
+    registers: in declaration order, a [let] read by another evaluated on
+    demand. A [let] may read other [let]s of its export, its source's
+    catalog statistics, builtins and its export's defs; one that reads
+    itself, directly or through other [let]s and the defs they call, keeps
+    an {!Disco_common.Err.Eval_error} naming it. *)
 
-val lookup_let_or_default : t -> source:string -> string -> Value.t option
-(** Falls back to the generic model's parameters, so wrapper rules may
-    reference coefficients such as [IO]. *)
+val lookup_let : t -> source:string -> string -> Value.t option
+(** The value a rule of [source] reads by that name: the source's [let],
+    else the default model's, so wrapper rules may reference coefficients
+    such as [IO]; [None] when neither declares it. Raises the error the
+    [let]'s evaluation raised. [lookup_let t ~source] finds the two entries
+    once; each read is then a list lookup, without a lock. *)
 
 val def_of : t -> source:string -> string -> Compile.def option
-(** The def a rule of [source] calls by that name: its source's, then the
-    default model's. A rule's calls are bound to these when it is
-    compiled, so registering the default model recompiles every other
-    source's rules. *)
+(** The def a formula of [source] calls by that name: only its own
+    export's. A rule's calls are bound to these when it is compiled. *)
 
 (** {1 Registration} *)
 
@@ -88,8 +95,8 @@ val add_rule :
   ?interface_of:string -> ?scope_override:Scope.t -> t -> source:string -> Ast.rule ->
   Rule.t
 (** Compile and install one rule, its calls bound to the defs {!def_of}
-    gives now; the scope is {!Rule.classify}ed unless overridden (the
-    generic model forces [Default]). *)
+    gives; the scope is {!Rule.classify}ed unless overridden (the generic
+    model forces [Default]). *)
 
 val add_query_rule : t -> source:string -> Disco_algebra.Plan.t ->
   (Ast.cost_var * float) list -> Rule.t
@@ -104,12 +111,12 @@ val clear_source : t -> source:string -> unit
 
 val register_source_decl : ?scope_override:Scope.t -> t -> Ast.source_decl -> Rule.t list
 (** Register everything a wrapper exported: interfaces populate the catalog;
-    lets, defs and rules populate the cost store. Lets and rules compile
-    once every def of the export is known, so they may call a def declared
-    after them. Re-registration replaces
-    the source's previous rules and parameters (the paper's administrative
-    interface for refreshing out-of-date cost information, §2.1). Returns
-    the compiled rules. *)
+    lets ({!param}), defs and rules populate the cost store. Lets evaluate
+    and rules compile once every def of the export is known, so they may
+    call a def declared after them. Re-registration replaces the source's
+    previous rules and parameters (the paper's administrative interface for
+    refreshing out-of-date cost information, §2.1). Returns the compiled
+    rules. *)
 
 val register_text : ?scope_override:Scope.t -> t -> what:string -> string -> string
 (** Parse and register cost-language text; returns the source name. *)
@@ -129,7 +136,7 @@ val rule_count : t -> source:string -> int
 
     Whole-model traversal for the static analyzer ([lib/analysis]): every
     registered source, each source's own compiled rules with their scopes,
-    and its [let] parameter names. *)
+    and its [let] parameters. *)
 
 val sources : t -> string list
 (** All registered source names (including ["default"] and ["mediator"] when
@@ -139,8 +146,8 @@ val source_rules : t -> source:string -> Rule.t list
 (** The source's own rules in declaration order (no default-model merge —
     use {!rules_for} for merged chains). *)
 
-val let_names : t -> source:string -> string list
-(** Names of the source's [let] parameters, in declaration order. *)
+val lets : t -> source:string -> param list
+(** The source's [let] parameters, in declaration order. *)
 
 (** {1 ADT operation costs (paper §7)}
 

@@ -6,8 +6,9 @@
     the static analyzer and the registration checker all read that result.
     {!compile} turns it into closures over the leaves its caller supplies.
     What is decided here is the kind of thing a name is, never a value a
-    model write can change: statistics, [let] values and adjustment factors
-    are read each time a formula runs. *)
+    model write can change: statistics, [let] values (computed when their
+    export registers) and adjustment factors are read each time a formula
+    runs. *)
 
 (** What a head variable binds to in {!Disco_core.Rule.match_head}. *)
 type head_kind =
@@ -38,7 +39,7 @@ type name =
   | Dynamic of string
       (** any other single name, looked up when read: in a rule a [let] of
           its source, then of the default model, else the name itself; in a
-          [let] a [let] of its source, else an error *)
+          [let] a [let] of its export, else an error *)
   | Path of seg list  (** any other path: a catalog path *)
 
 type failure =
@@ -62,7 +63,8 @@ type term =
   | Call of string * term list
       (** a context function of the caller's runtime, or an unknown name *)
   | Fail of string * failure * term list
-      (** a [def] call that cannot be inlined: raises after its arguments *)
+      (** a [def] call that cannot be inlined: raises after its arguments
+          (the registration check refuses an [Arity] failure) *)
 
 (** A wrapper-defined function ([def f(x, y) = ...]), inlined at every call
     site. *)
@@ -73,8 +75,9 @@ val rule_body : def_of:(string -> def option) -> Ast.rule -> term array
     is a parameter of the [def] being inlined or an earlier target, then
     the node's cost variable, then a head variable, else {!Dynamic}; a path
     is {!Through} a head variable, else a {!Path}; a call is a
-    three-argument [if], then [def_of]'s [def] (the rule's source's, then
-    the default model's), then a builtin, else a {!Call}. An unknown
+    three-argument [if], then [def_of]'s [def] (one of the rule's own
+    export: a call binds no other export's), then a builtin, else a
+    {!Call}. An unknown
     function, an operand used as a value or an unresolvable path still
     raise when evaluated, not here. *)
 

@@ -36,11 +36,6 @@ type t = {
      bypassed, so every query searches and estimates afresh — the reference
      behavior the differential tests compare against *)
   mutable cache_enabled : bool;
-  (* strict-mode contract for registration-time static analysis: [`Error]
-     rejects an export whose lint has error-severity findings, [`Warn] logs
-     and keeps them inspectable, [`Off] skips the analyzer *)
-  lint : [ `Error | `Warn | `Off ];
-  mutable last_lint : Finding.t list;
   mutable wrappers : (string * Wrapper.t) list;
   (* feedback-driven statistics (§4.3, DESIGN.md §11). Off by default: the
      estimator then never sees a histogram or a selectivity correction and
@@ -84,8 +79,21 @@ let refresh_histograms t ~source =
   | Some w when stats_on t -> harvest_wrapper t w
   | _ -> ()
 
+(* A fresh history partition in the mode of [t]'s own and, when feedback
+   statistics are on, with the drift hook (histogram recalibration). The
+   mediator's own partition is one; the server creates one per tenant. *)
+let fresh_history t =
+  let h = History.create ~mode:(History.mode t.history) t.registry in
+  (match t.stats_mode with
+   | Stats_off -> ()
+   | Stats_feedback fb ->
+     History.set_feedback h
+       ~on_drift:(fun ~source -> refresh_histograms t ~source)
+       (Some fb));
+  h
+
 let create ?calibration ?(history_mode = History.Off) ?(cache = true)
-    ?policy ?(lint = `Warn) ?(stats_mode = Stats_off) () =
+    ?policy ?(stats_mode = Stats_off) () =
   let catalog = Catalog.create () in
   let registry = Registry.create catalog in
   Generic.register ?calibration registry;
@@ -97,36 +105,17 @@ let create ?calibration ?(history_mode = History.Off) ?(cache = true)
       health = Health.create ?policy ();
       now = 0.;
       cache_enabled = cache;
-      lint;
-      last_lint = [];
       wrappers = [];
       stats_mode;
       opt_stats = Optimizer.new_stats () }
   in
-  (match stats_mode with
-   | Stats_off -> ()
-   | Stats_feedback fb ->
-     History.set_feedback t.history
-       ~on_drift:(fun ~source -> refresh_histograms t ~source)
-       (Some fb));
+  (* the same mode, wired to the feedback statistics *)
+  t.history <- fresh_history t;
   t
 
 let registry t = t.registry
 let catalog t = t.catalog
 let history t = t.history
-
-(* A fresh history partition wired like the mediator's own: same mode, and
-   when feedback statistics are on, the same drift hook (histogram
-   recalibration). The server creates one per tenant. *)
-let fresh_history t =
-  let h = History.create ~mode:(History.mode t.history) t.registry in
-  (match t.stats_mode with
-   | Stats_off -> ()
-   | Stats_feedback fb ->
-     History.set_feedback h
-       ~on_drift:(fun ~source -> refresh_histograms t ~source)
-       (Some fb));
-  h
 
 let set_history t h = t.history <- h
 let plancache t = t.plancache
@@ -135,7 +124,6 @@ let now t = t.now
 let set_now t v = t.now <- v
 let cache_enabled t = t.cache_enabled
 let set_cache_enabled t on = t.cache_enabled <- on
-let last_lint t = t.last_lint
 let stats_mode t = t.stats_mode
 
 (* A copy, so callers can't corrupt the accumulator. *)
@@ -148,7 +136,9 @@ let active_cache t = if t.cache_enabled then Some t.plancache else None
 
 (* Registration phase: the wrapper returns schemas, statistics and cost
    information; the mediator statically checks the export, then compiles and
-   stores it. Re-registration refreshes statistics and replaces rules. *)
+   stores it. [Check] is the one gate, and it runs before anything is
+   installed; lint of the freshly blended model (lib/analysis) only logs.
+   Re-registration refreshes statistics and replaces rules. *)
 let register t (w : Wrapper.t) =
   let decl = Wrapper.registration_decl w in
   (match Finding.errors (Check.check_source decl) with
@@ -158,38 +148,12 @@ let register t (w : Wrapper.t) =
        (Err.Eval_error
           (Fmt.str "registration of %S rejected: %a" w.Wrapper.name Finding.pp err)));
   ignore (Registry.register_source_decl t.registry decl);
-  (* static analysis of the freshly blended model (lib/analysis): in strict
-     mode an export whose merged chains can raise, diverge or produce
-     meaningless costs is rejected and rolled back *)
-  (match t.lint with
-   | `Off -> t.last_lint <- []
-   | (`Warn | `Error) as mode ->
-     let breaker_open src =
-       match Health.state t.health src with
-       | Health.Open _ -> true
-       | Health.Closed | Health.Half_open _ -> false
-     in
-     let findings =
-       Analyzer.analyze_source ~excluded:breaker_open t.registry
-         ~source:decl.Disco_costlang.Ast.source_name
-     in
-     t.last_lint <- findings;
-     (match mode, Finding.errors (Finding.active findings) with
-      | `Error, (err :: _ as errs) ->
-        Registry.clear_source t.registry ~source:decl.Disco_costlang.Ast.source_name;
-        raise
-          (Err.Eval_error
-             (Fmt.str "registration of %S rejected by lint (%d error%s): %a"
-                w.Wrapper.name (List.length errs)
-                (if List.length errs = 1 then "" else "s")
-                Finding.pp err))
-      | _, _ ->
-        List.iter
-          (fun (f : Finding.t) ->
-            match f.severity with
-            | Error | Warning -> Logs.warn (fun m -> m "lint: %a" Finding.pp f)
-            | Info -> Logs.info (fun m -> m "lint: %a" Finding.pp f))
-          findings));
+  List.iter
+    (fun (f : Finding.t) ->
+      match f.severity with
+      | Error | Warning -> Logs.warn (fun m -> m "lint: %a" Finding.pp f)
+      | Info -> Logs.info (fun m -> m "lint: %a" Finding.pp f))
+    (Analyzer.analyze_source t.registry ~source:decl.Disco_costlang.Ast.source_name);
   t.wrappers <- (w.Wrapper.name, w) :: List.remove_assoc w.Wrapper.name t.wrappers;
   if stats_on t then harvest_wrapper t w
 
@@ -844,9 +808,8 @@ let () =
 let verify_plan ?ann t plan =
   let pc = Plancheck.check ~ctx:`Mediator t.registry plan in
   let pb =
-    (* the bound pass presumes well-formedness (it annotates the plan
-       through the estimator, which resolves sources eagerly): skip it on
-       plans the typed checker already rejects *)
+    (* the bound pass presumes a well-typed plan, whose collections and
+       attributes it reads: skip it on plans the typed checker rejects *)
     if Finding.errors pc <> [] then []
     else
       match ann with

@@ -28,19 +28,14 @@ type stats_mode = Stats_off | Stats_feedback of History.feedback
 
 val create :
   ?calibration:Generic.calibration -> ?history_mode:History.mode ->
-  ?cache:bool -> ?policy:Health.policy -> ?lint:[ `Error | `Warn | `Off ] ->
-  ?stats_mode:stats_mode -> unit -> t
-(** A fresh mediator with its generic cost model installed. [cache] (default
-    on) enables the cross-query {!Plancache}; disabling it is the reference
-    behavior the differential tests compare against (a plan search keeps
-    no cache of its own, so it runs the same either way). [policy] sets the submit policy —
+  ?cache:bool -> ?policy:Health.policy -> ?stats_mode:stats_mode -> unit -> t
+(** A fresh mediator with its generic cost model installed and its history
+    partition made by {!fresh_history}. [cache] (default on) enables the
+    cross-query {!Plancache}; disabling it is the reference behavior the
+    differential tests compare against (a plan search keeps no cache of its
+    own, so it runs the same either way). [policy] sets the submit policy —
     per-source timeout, retry budget, backoff, circuit breaker
-    ({!Health.default_policy} when omitted). [lint] is the
-    strict-mode contract for registration-time static analysis
-    ({!Disco_analysis.Analyzer}): [`Error] rejects (and rolls back) an
-    export whose lint has error-severity findings, [`Warn] (the default)
-    logs findings and keeps them inspectable via {!last_lint}, [`Off]
-    skips the analyzer. *)
+    ({!Health.default_policy} when omitted). *)
 
 val stats_mode : t -> stats_mode
 
@@ -57,10 +52,11 @@ val history : t -> History.t
 (** The active history partition (the one {!run_query} feeds). *)
 
 val fresh_history : t -> History.t
-(** A new, empty history partition wired like the mediator's own: same
-    mode, and — when feedback statistics are on — the same drift hook
-    (histogram recalibration). The server keeps one per tenant and swaps
-    it in with {!set_history} before each query. *)
+(** A new, empty history partition in the mode of the mediator's own and,
+    when feedback statistics are on, with the drift hook (histogram
+    recalibration); {!create} makes the mediator's own partition with it.
+    The server keeps one per tenant and swaps it in with {!set_history}
+    before each query. *)
 
 val set_history : t -> History.t -> unit
 (** Make [h] the active history partition. The caller must serialize this
@@ -90,15 +86,14 @@ val set_now : t -> float -> unit
 
 val register : t -> Wrapper.t -> unit
 (** The registration phase: the wrapper returns schemas, statistics and cost
-    information; the mediator compiles and stores them, then statically
-    analyzes the blended model per the mediator's [lint] mode.
-    Re-registering a wrapper refreshes its statistics.
-    @raise Disco_common.Err.Eval_error in [`Error] lint mode when the
-    export has error-severity findings; the source's rules are rolled
-    back. *)
-
-val last_lint : t -> Disco_analysis.Finding.t list
-(** Findings from the most recent {!register} (empty in [`Off] mode). *)
+    information; the mediator checks the export
+    ({!Disco_analysis.Check}), compiles and stores it, then lints the
+    blended model ({!Disco_analysis.Analyzer}) and logs what lint finds:
+    errors and warnings at Warning level, the rest at Info. Re-registering
+    a wrapper refreshes its statistics.
+    @raise Disco_common.Err.Eval_error when the check finds an error; the
+    mediator is then left as it was (nothing of the export is installed,
+    and a previous registration of the source stays in force). *)
 
 val find_wrapper : t -> string -> Wrapper.t
 (** @raise Disco_common.Err.Unknown_source when absent. *)

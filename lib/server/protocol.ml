@@ -158,8 +158,7 @@ let json_of_finding (f : Finding.t) : Json.t =
       ("where", Json.String f.where);
       ("line", pos (fun p -> p.Ast.line));
       ("col", pos (fun p -> p.Ast.col));
-      ("msg", Json.String f.msg);
-      ("excluded", Json.Bool f.excluded) ]
+      ("msg", Json.String f.msg) ]
 
 let invalid_plan_response ~id findings : Json.t =
   Json.Obj

@@ -45,7 +45,7 @@ val json_of_finding : Disco_analysis.Finding.t -> Json.t
 (** The one JSON encoding of a static-check finding, shared by the wire,
     [disco lint --json] and [disco verify --json]:
     [{"severity","tag","source","operator","scope","where","line","col",
-    "msg","excluded"}], every key present, [null] when absent. *)
+    "msg"}], every key present, [null] when absent. *)
 
 val invalid_plan_response : id:Json.t -> Disco_analysis.Finding.t list -> Json.t
 (** The typed rejection for plans failing whole-plan verification:

@@ -269,7 +269,7 @@ let test_coverage_missing_var () =
   let f = find_tag fs "coverage" in
   check_sev "missing cost variables are an error" Finding.Error f
 
-(* --- The shipped models lint clean under --strict ------------------------------ *)
+(* --- The shipped models lint clean (--fail-on error) ----------------------------- *)
 
 let test_generic_model_clean () =
   let reg = reg_with [] in
@@ -281,8 +281,7 @@ let test_generic_model_clean () =
   ignore (find_tag fs "ambiguous")
 
 let test_demo_federation_clean_strict () =
-  (* `Error lint mode: registration itself is the strict gate *)
-  let med = Mediator.create ~lint:`Error () in
+  let med = Mediator.create () in
   List.iter (Mediator.register med) (Demo.make ~sizes:Demo.small_sizes ());
   let fs = Analyzer.analyze (Mediator.registry med) in
   Alcotest.(check int) "demo federation has no error findings" 0
@@ -307,42 +306,80 @@ let test_oo7_clean_strict () =
   Alcotest.(check int) "oo7 export has no error findings" 0
     (List.length (Finding.errors fs))
 
-(* --- Strict registration rejects and rolls back -------------------------------- *)
+(* --- Registration: Check is the one gate, lint only reports ---------------------- *)
 
-let test_strict_mode_rejects () =
-  let med = Mediator.create ~lint:`Error () in
+let relstore () =
+  match Demo.make ~sizes:Demo.small_sizes () with
+  | w :: _ -> w
+  | [] -> assert false
+
+let test_lint_only_reports () =
+  (* the export passes Check but lints with an error (TimeFirst is always
+     negative): registration keeps it, and lint reports the error *)
+  let med = Mediator.create () in
   let bad =
-    match Demo.make ~sizes:Demo.small_sizes () with
-    | w :: _ ->
-      { w with
-        Wrapper.rules_text =
-          {|rule scan(C) {
+    { (relstore ()) with
+      Wrapper.rules_text =
+        {|rule scan(C) {
   CountObject = C.CountObject;
   TotalSize = C.TotalSize;
   TimeFirst = 0 - 5;
   TimeNext = 1;
   TotalTime = 1;
 }|} }
-    | [] -> assert false
   in
-  (match Mediator.register med bad with
-   | () -> Alcotest.fail "strict registration should have rejected the export"
-   | exception Err.Eval_error msg ->
-     Alcotest.(check bool) "error mentions lint" true (contains_sub msg "lint"));
-  Alcotest.(check int) "rules rolled back" 0
-    (Registry.rule_count (Mediator.registry med) ~source:bad.Wrapper.name);
-  (* Warn mode keeps the same export and records the findings *)
-  let med2 = Mediator.create ~lint:`Warn () in
-  Mediator.register med2 bad;
-  Alcotest.(check bool) "warn mode keeps the export" true
-    (Registry.rule_count (Mediator.registry med2) ~source:bad.Wrapper.name > 0);
-  Alcotest.(check bool) "warn mode records the error finding" true
-    (Finding.errors (Mediator.last_lint med2) <> []);
-  (* Off mode skips the analyzer *)
-  let med3 = Mediator.create ~lint:`Off () in
-  Mediator.register med3 bad;
-  Alcotest.(check int) "off mode records nothing" 0
-    (List.length (Mediator.last_lint med3))
+  Alcotest.(check int) "Check passes the export" 0
+    (List.length (Finding.errors (Check.check_source (Wrapper.registration_decl bad))));
+  Mediator.register med bad;
+  Alcotest.(check bool) "the export is registered" true
+    (Registry.rule_count (Mediator.registry med) ~source:bad.Wrapper.name > 0);
+  Alcotest.(check bool) "lint reports the error" true
+    (Finding.errors (Analyzer.analyze_source (Mediator.registry med) ~source:bad.Wrapper.name)
+     <> [])
+
+let test_refused_registration () =
+  (* an export Check refuses installs nothing: not on a first registration,
+     and not over an earlier registration of the source *)
+  let med = Mediator.create () in
+  let good = relstore () in
+  let bad = { good with Wrapper.rules_text = "rule scan(C) { TotalTime = frob(1); }" } in
+  let refused () =
+    match Mediator.register med bad with
+    | () -> Alcotest.fail "Check should have refused the export"
+    | exception Err.Eval_error msg ->
+      Alcotest.(check bool) "refused by the check" true (contains_sub msg "unknown function")
+  in
+  let catalog = Mediator.catalog med and registry = Mediator.registry med in
+  refused ();
+  Alcotest.(check bool) "no collection of the refused export" false
+    (List.mem "relstore" (Disco_catalog.Catalog.source_names catalog));
+  Alcotest.(check (option string)) "Employee is unknown" None
+    (Disco_catalog.Catalog.locate_collection catalog "Employee");
+  Alcotest.(check bool) "no wrapper for it" true
+    (match Mediator.find_wrapper med "relstore" with
+     | _ -> false
+     | exception Err.Unknown_source _ -> true);
+  Alcotest.(check int) "no rule of it" 0 (Registry.rule_count registry ~source:"relstore");
+  Mediator.register med good;
+  let scan =
+    Disco_algebra.Plan.Scan
+      { Disco_algebra.Plan.source = "relstore"; collection = "Employee"; binding = "e" }
+  in
+  let estimate () =
+    let ann = Estimator.estimate ~source:"relstore" registry scan in
+    List.map
+      (fun v -> (Int64.bits_of_float (Option.get (Estimator.var ann v)), Estimator.provenance ann v))
+      Ast.all_cost_vars
+  in
+  let before = estimate () and rules = Registry.rule_count registry ~source:"relstore" in
+  let generation = Registry.generation registry in
+  refused ();
+  Alcotest.(check int) "the model did not move" generation (Registry.generation registry);
+  Alcotest.(check int) "the earlier rules stay" rules (Registry.rule_count registry ~source:"relstore");
+  Alcotest.(check bool) "the earlier rules and statistics still estimate" true
+    (estimate () = before);
+  Alcotest.(check bool) "the earlier wrapper stays" true
+    (Mediator.find_wrapper med "relstore" == good)
 
 (* --- JSON output ---------------------------------------------------------------- *)
 
@@ -457,6 +494,37 @@ let test_lint_let_cycle () =
   in
   Alcotest.(check bool) "findings" true (Analyzer.analyze_source registry ~source:"s" <> [])
 
+(* A let registration could not evaluate (registered without Check) is
+   kept as its error: lint reports it once per let, located at the let,
+   with the evaluation's message. *)
+let test_lint_let_error () =
+  let let_errors text =
+    let registry = reg_with [ text ] in
+    List.filter
+      (fun (f : Finding.t) -> f.tag = "let-error")
+      (Analyzer.analyze_source registry ~source:"s")
+  in
+  let expect text cases =
+    let fs = let_errors text in
+    Alcotest.(check int) "one finding per let" (List.length cases) (List.length fs);
+    List.iter
+      (fun (name, part) ->
+        match List.find_opt (fun (f : Finding.t) -> f.where = "let " ^ name) fs with
+        | None -> Alcotest.failf "no let-error for %s" name
+        | Some f ->
+          check_sev ("let " ^ name) Finding.Error f;
+          check_loc "located at the let" (pos_of text ("let " ^ name)) f;
+          Alcotest.(check bool) (Fmt.str "%S mentions %S" f.msg part) true
+            (contains_sub f.msg part))
+      cases
+  in
+  expect
+    "source s {\n let A = B + 1;\n let B = A + 1;\n rule scan(C) { TotalTime = A; } }"
+    [ ("A", "defined in terms of itself"); ("B", "defined in terms of itself") ];
+  expect "source s {\n let Z = 1 / 0;\n rule scan(C) { TotalTime = Z; } }"
+    [ ("Z", "division by zero") ];
+  expect "source s { let K = 2; rule scan(C) { TotalTime = K; } }" []
+
 (* --- Run ------------------------------------------------------------------------ *)
 
 let () =
@@ -481,10 +549,12 @@ let () =
             test_demo_federation_clean_strict;
           Alcotest.test_case "oo7 clean under strict" `Quick
             test_oo7_clean_strict ] );
-      ( "strict registration",
-        [ Alcotest.test_case "rejects and rolls back" `Quick
-            test_strict_mode_rejects;
+      ( "registration checks",
+        [ Alcotest.test_case "lint only reports" `Quick test_lint_only_reports;
+          Alcotest.test_case "refused export installs nothing" `Quick
+            test_refused_registration;
           Alcotest.test_case "json findings" `Quick test_json_output ] );
       ( "hostile exports",
-        [ Alcotest.test_case "lint of a let cycle" `Quick test_lint_let_cycle ] );
+        [ Alcotest.test_case "lint of a let cycle" `Quick test_lint_let_cycle;
+          Alcotest.test_case "lint of a let error" `Quick test_lint_let_error ] );
       ("properties", [ QCheck_alcotest.to_alcotest test_soundness ]) ]

@@ -1228,11 +1228,12 @@ let test_hostile_cycles () =
 
 (* --- Concurrent estimation through one registry --------------------------------- *)
 
-(* Registry hammer: [rules_for] and [lookup_let] fill the registry's
-   merged-rule and let caches lazily, under one lock. Four domains estimate
-   the demo federation's chosen plans through one freshly registered
-   mediator's registry, so every cache starts cold and the first fills race;
-   each domain walks the plans from its own offset. Every estimate's root
+(* Registry hammer: [rules_for] fills the registry's merged-rule cache
+   lazily, under its lock, while formulas read [let] values, evaluated
+   once at registration, without it. Four domains estimate the demo
+   federation's chosen plans through one freshly registered mediator's
+   registry, so the cache starts cold and the first fills race; each
+   domain walks the plans from its own offset. Every estimate's root
    TotalTime, CountObject and TimeFirst must equal the sequential reference
    (taken on another fresh registry), bit for bit. *)
 let test_registry_hammer () =

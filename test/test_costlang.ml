@@ -255,6 +255,15 @@ let has_error issues needle =
       go 0)
     issues
 
+(* An error finding with this tag located on this line. *)
+let error_at issues tag line =
+  List.exists
+    (fun f ->
+      f.Finding.severity = Finding.Error
+      && f.Finding.tag = tag
+      && Option.map (fun (p : Ast.pos) -> p.Ast.line) f.Finding.loc = Some line)
+    issues
+
 let test_check_clean () =
   (* the real exports are clean *)
   Alcotest.(check int) "employee fixture has no errors" 0
@@ -323,14 +332,7 @@ let test_check_cycles () =
   (* a let defined in terms of itself, counting the lets read through the
      defs it calls, and a def that calls itself, directly or not: errors
      located at the let or def, so Mediator.register refuses the export *)
-  let at issues tag line =
-    List.exists
-      (fun f ->
-        f.Finding.severity = Finding.Error
-        && f.Finding.tag = tag
-        && Option.map (fun (p : Ast.pos) -> p.Ast.line) f.Finding.loc = Some line)
-      issues
-  in
+  let at = error_at in
   let lets = check "source s {\n let A = B + 1;\n let B = A + 1;\n rule scan(C) { TotalTime = A; } }" in
   Alcotest.(check bool) "let A" true (at lets "let-cycle" 2);
   Alcotest.(check bool) "let B" true (at lets "let-cycle" 3);
@@ -353,6 +355,38 @@ let test_check_cycles () =
           (check
              "source s { let A = B + f(1); let B = 2; def f(x) = g(x); def g(y) = y; \
               rule scan(C) { TotalTime = A; } }")))
+
+let test_check_bodies () =
+  (* the calls of def and let bodies bind as a rule's do, and a def called
+     with the wrong number of arguments is refused wherever the call is;
+     each finding is located at its declaration (in a rule, its
+     assignment) *)
+  Alcotest.(check bool) "unknown function in a def" true
+    (error_at
+       (check "source s {\n def f(x) = frob(x);\n rule scan(C) { TotalTime = f(1); } }")
+       "unknown-function" 2);
+  Alcotest.(check bool) "unknown function in a let" true
+    (error_at
+       (check "source s {\n rule scan(C) { TotalTime = K; }\n let K = zork(2); }")
+       "unknown-function" 3);
+  Alcotest.(check bool) "wrong arity in a rule" true
+    (error_at
+       (check "source s { def f(x) = x;\n rule scan(C) {\n TotalTime = f(1, 2); } }")
+       "arity" 3);
+  Alcotest.(check bool) "wrong arity in a def" true
+    (error_at
+       (check "source s { def f(x) = x;\n def g(y) = f(y, y);\n rule scan(C) { TotalTime = g(1); } }")
+       "arity" 2);
+  Alcotest.(check bool) "wrong arity in a let" true
+    (error_at
+       (check "source s { def f(x) = x;\n\n let K = f();\n rule scan(C) { TotalTime = K; } }")
+       "arity" 3);
+  Alcotest.(check int) "builtins, context functions and defs in bodies" 0
+    (List.length
+       (Finding.errors
+          (check
+             "source s { def s(p) = sel(p) * max(1, 2); def t(p) = s(p); let K = min(3, 4); \
+              rule select(C, P) { TotalTime = t(P) * K; } }")))
 
 let test_check_interface_issues () =
   Alcotest.(check bool) "stats for undeclared attribute" true
@@ -596,6 +630,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_check_duplicates;
           Alcotest.test_case "def if" `Quick test_check_def_if;
           Alcotest.test_case "let and def cycles" `Quick test_check_cycles;
+          Alcotest.test_case "def and let bodies" `Quick test_check_bodies;
           Alcotest.test_case "interface issues" `Quick test_check_interface_issues;
           Alcotest.test_case "generic model is clean" `Quick
             test_check_generic_model_clean ] );

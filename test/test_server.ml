@@ -859,8 +859,7 @@ let test_finding_roundtrip () =
       scope = Some Scope.Query;
       loc = Some { Disco_costlang.Ast.line = 3; col = 14 };
       where = "rule scan(C)";
-      msg = "a \"quoted\" name,\na second line, a \x01 and a \\";
-      excluded = true }
+      msg = "a \"quoted\" name,\na second line, a \x01 and a \\" }
   in
   let j = Protocol.json_of_finding f in
   match Json.parse (Json.to_string j) with
@@ -873,9 +872,7 @@ let test_finding_roundtrip () =
       (Json.string_member "source" j');
     Alcotest.(check bool) "absent operator is null" true
       (Json.member "operator" j' = Some Json.Null);
-    Alcotest.(check (option int)) "col" (Some 14) (Json.int_member "col" j');
-    Alcotest.(check bool) "excluded" true
-      (Json.member "excluded" j' = Some (Json.Bool true))
+    Alcotest.(check (option int)) "col" (Some 14) (Json.int_member "col" j')
 
 let () =
   Alcotest.run "server"
