@@ -108,14 +108,15 @@ let print () =
         (fun i -> ignore (Registry.add_rule registry ~source:"oo7" i))
         (List.filter_map
            (function Disco_costlang.Ast.Toplevel_rule r -> Some r | _ -> None)
-           (Disco_costlang.Parser.parse_items ~what:"collection rules" collection_rules));
+           (fst (Disco_costlang.Parser.parse_items ~what:"collection rules" collection_rules)));
     if List.mem `Predicate levels then
       List.iter
         (fun i -> ignore (Registry.add_rule registry ~source:"oo7" i))
         (List.filter_map
            (function Disco_costlang.Ast.Toplevel_rule r -> Some r | _ -> None)
-           (Disco_costlang.Parser.parse_items ~what:"predicate rule"
-              (predicate_rule hot_measured)));
+           (fst
+              (Disco_costlang.Parser.parse_items ~what:"predicate rule"
+                 (predicate_rule hot_measured))));
     if List.mem `Query levels then
       List.iter
         (fun (_, plan, t) ->

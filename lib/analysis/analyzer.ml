@@ -201,102 +201,64 @@ let unqual a =
   | Some i -> String.sub a (i + 1) (String.length a - i - 1)
   | None -> a
 
-(* Operand positions: a literal name matches every instance of that
-   collection, including sub-interfaces. [inst child anc] is the catalog's
-   instance relation. *)
-let arg_sub ~inst a b =
+(* One walk over two heads, position by position, under two position
+   relations. [free a_var b_var] decides a pair in which either side is a
+   variable (it is told which); [operand] decides two literal operands.
+   Literal attributes and constants of a predicate pattern compare
+   unqualified and structurally, and a submit's source by exact name (no
+   inheritance). The attribute-list positions of project/sort/aggregate
+   match unconditionally (literals there are ignored by the matcher), so
+   they relate nothing. *)
+let heads_relate ~free ~operand a b =
+  let is_var = function Ast.Pvar _ -> true | Ast.Pname _ | Ast.Pconst _ -> false in
+  let pos rel x y = if is_var x || is_var y then free (is_var x) (is_var y) else rel x y in
+  let lit x y =
+    match x, y with
+    | Ast.Pname na, Ast.Pname nb -> String.equal (unqual na) (unqual nb)
+    | Ast.Pconst cx, Ast.Pconst cy -> Constant.equal cx cy
+    | _ -> false
+  in
+  let src x y = match x, y with Ast.Pname na, Ast.Pname nb -> String.equal na nb | _ -> false in
+  let is_pred_var = function Ast.Ppred_var _ -> true | Ast.Pcmp _ -> false in
+  let pred p q =
+    match p, q with
+    | Ast.Pcmp (l, op, r), Ast.Pcmp (l', op', r') -> op = op' && pos lit l l' && pos lit r r'
+    | _ -> free (is_pred_var p) (is_pred_var q)
+  in
+  let arg = pos operand in
   match a, b with
-  | Ast.Pvar _, _ -> true
-  | Ast.Pname na, Ast.Pname nb -> inst nb na
-  | Ast.Pconst x, Ast.Pconst y -> Constant.equal x y
+  | Ast.Hscan x, Ast.Hscan y | Ast.Hdedup x, Ast.Hdedup y -> arg x y
+  | Ast.Hselect (c, p), Ast.Hselect (c', p') -> arg c c' && pred p p'
+  | Ast.Hproject (c, _), Ast.Hproject (c', _)
+  | Ast.Hsort (c, _), Ast.Hsort (c', _)
+  | Ast.Haggregate (c, _), Ast.Haggregate (c', _) ->
+    arg c c'
+  | Ast.Hjoin (l, r, p), Ast.Hjoin (l', r', p') -> arg l l' && arg r r' && pred p p'
+  | Ast.Hunion (l, r), Ast.Hunion (l', r') -> arg l l' && arg r r'
+  | Ast.Hsubmit (w, c), Ast.Hsubmit (w', c') -> pos src w w' && arg c c'
   | _ -> false
-
-(* Attribute / constant positions of a predicate pattern: literal names
-   compare unqualified, constants structurally. *)
-let lit_sub a b =
-  match a, b with
-  | Ast.Pvar _, _ -> true
-  | Ast.Pname na, Ast.Pname nb -> String.equal (unqual na) (unqual nb)
-  | Ast.Pconst x, Ast.Pconst y -> Constant.equal x y
-  | _ -> false
-
-(* Submit's source position: exact name matching, no inheritance. *)
-let src_sub a b =
-  match a, b with
-  | Ast.Pvar _, _ -> true
-  | Ast.Pname na, Ast.Pname nb -> String.equal na nb
-  | _ -> false
-
-let pred_sub a b =
-  match a, b with
-  | Ast.Ppred_var _, _ -> true
-  | Ast.Pcmp (l, op, r), Ast.Pcmp (l', op', r') ->
-    op = op' && lit_sub l l' && lit_sub r r'
-  | Ast.Pcmp _, Ast.Ppred_var _ -> false
 
 (* [head_subsumes ~inst a b]: every node matched by [b] is matched by [a].
-   The attribute-list positions of project/sort/aggregate match
-   unconditionally (literals there are ignored by the matcher), so they
-   don't constrain subsumption. *)
-let head_subsumes ~inst a b =
-  match a, b with
-  | Ast.Hscan x, Ast.Hscan y | Ast.Hdedup x, Ast.Hdedup y -> arg_sub ~inst x y
-  | Ast.Hselect (c, p), Ast.Hselect (c', p') ->
-    arg_sub ~inst c c' && pred_sub p p'
-  | Ast.Hproject (c, _), Ast.Hproject (c', _)
-  | Ast.Hsort (c, _), Ast.Hsort (c', _)
-  | Ast.Haggregate (c, _), Ast.Haggregate (c', _) ->
-    arg_sub ~inst c c'
-  | Ast.Hjoin (l, r, p), Ast.Hjoin (l', r', p') ->
-    arg_sub ~inst l l' && arg_sub ~inst r r' && pred_sub p p'
-  | Ast.Hunion (l, r), Ast.Hunion (l', r') ->
-    arg_sub ~inst l l' && arg_sub ~inst r r'
-  | Ast.Hsubmit (w, c), Ast.Hsubmit (w', c') ->
-    src_sub w w' && arg_sub ~inst c c'
-  | _ -> false
-
-let arg_olap ~inst a b =
-  match a, b with
-  | Ast.Pvar _, _ | _, Ast.Pvar _ -> true
-  | Ast.Pname x, Ast.Pname y -> inst x y || inst y x
-  | _ -> false (* Pconst never matches an operand *)
-
-let lit_olap a b =
-  match a, b with
-  | Ast.Pvar _, _ | _, Ast.Pvar _ -> true
-  | Ast.Pname x, Ast.Pname y -> String.equal (unqual x) (unqual y)
-  | Ast.Pconst x, Ast.Pconst y -> Constant.equal x y
-  | _ -> false
-
-let src_olap a b =
-  match a, b with
-  | Ast.Pvar _, _ | _, Ast.Pvar _ -> true
-  | Ast.Pname x, Ast.Pname y -> String.equal x y
-  | _ -> false
-
-let pred_olap a b =
-  match a, b with
-  | Ast.Ppred_var _, _ | _, Ast.Ppred_var _ -> true
-  | Ast.Pcmp (l, op, r), Ast.Pcmp (l', op', r') ->
-    op = op' && lit_olap l l' && lit_olap r r'
+   A literal operand name matches every instance of that collection,
+   including sub-interfaces; [inst child anc] is the catalog's instance
+   relation. *)
+let head_subsumes ~inst =
+  heads_relate
+    ~free:(fun a_var _ -> a_var)
+    ~operand:(fun a b ->
+      match a, b with
+      | Ast.Pname na, Ast.Pname nb -> inst nb na
+      | Ast.Pconst x, Ast.Pconst y -> Constant.equal x y
+      | _ -> false)
 
 (* [heads_overlap ~inst a b]: some node can match both. *)
-let heads_overlap ~inst a b =
-  match a, b with
-  | Ast.Hscan x, Ast.Hscan y | Ast.Hdedup x, Ast.Hdedup y -> arg_olap ~inst x y
-  | Ast.Hselect (c, p), Ast.Hselect (c', p') ->
-    arg_olap ~inst c c' && pred_olap p p'
-  | Ast.Hproject (c, _), Ast.Hproject (c', _)
-  | Ast.Hsort (c, _), Ast.Hsort (c', _)
-  | Ast.Haggregate (c, _), Ast.Haggregate (c', _) ->
-    arg_olap ~inst c c'
-  | Ast.Hjoin (l, r, p), Ast.Hjoin (l', r', p') ->
-    arg_olap ~inst l l' && arg_olap ~inst r r' && pred_olap p p'
-  | Ast.Hunion (l, r), Ast.Hunion (l', r') ->
-    arg_olap ~inst l l' && arg_olap ~inst r r'
-  | Ast.Hsubmit (w, c), Ast.Hsubmit (w', c') ->
-    src_olap w w' && arg_olap ~inst c c'
-  | _ -> false
+let heads_overlap ~inst =
+  heads_relate
+    ~free:(fun _ _ -> true)
+    ~operand:(fun a b ->
+      match a, b with
+      | Ast.Pname x, Ast.Pname y -> inst x y || inst y x
+      | _ -> false (* Pconst never matches an operand *))
 
 (* A universal head matches every node of its operator: all constraining
    positions are distinct free variables. *)

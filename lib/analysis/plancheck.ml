@@ -113,9 +113,12 @@ let check ?(ctx = `Mediator) reg plan =
        | _ -> ())
     | Pred.Apply (fn, attr, _) ->
       ignore (resolve_or_report env path attr);
-      if Registry.adt_cost reg fn = None then
-        add Warning "unknown-adt" path
-          (Fmt.str "ADT operation %s exports no cost; it will be priced as free" fn)
+      (* a declared cost whose evaluation failed is lint's [let-error] *)
+      (match Registry.adt_cost reg fn with
+       | None ->
+         add Warning "unknown-adt" path
+           (Fmt.str "ADT operation %s exports no cost; it will be priced as free" fn)
+       | Some _ | (exception _) -> ())
     | Pred.Attr_cmp (a, _, b) -> (
       match (resolve_or_report env path a, resolve_or_report env path b) with
       | Found (ra, ta), Found (rb, tb) ->

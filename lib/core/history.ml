@@ -45,10 +45,10 @@ type record = {
 type t = {
   registry : Registry.t;
   mode : mode;
+  feedback : feedback option;
+  on_drift : source:string -> unit;
   mutable records : record list;  (* newest first *)
   mutable count : int;  (* List.length records, kept by observe and forget *)
-  mutable feedback : feedback option;
-  mutable on_drift : (source:string -> unit) option;
   (* consecutive drifting observations per (source, predicate); guarded
      by [lock] — observations arrive sequentially from one query's submits
      today, but the short-lock discipline keeps the subsystem safe if that
@@ -57,24 +57,17 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?(mode = Off) registry =
+let create ?(mode = Off) ?feedback ?(on_drift = fun ~source:_ -> ()) registry =
   { registry;
     mode;
+    feedback;
+    on_drift;
     records = [];
     count = 0;
-    feedback = None;
-    on_drift = None;
     streaks = Registry.Pred_tbl.create 16;
     lock = Mutex.create () }
 
 let mode t = t.mode
-
-let set_feedback t ?on_drift fb =
-  t.feedback <- fb;
-  t.on_drift <- on_drift;
-  Mutex.protect t.lock (fun () -> Registry.Pred_tbl.reset t.streaks)
-
-let feedback t = t.feedback
 
 let records t = List.rev t.records
 
@@ -140,7 +133,7 @@ let feed_cardinality t ~source ~plan ~actual ~estimated =
        in
        if fire then begin
          Registry.invalidate t.registry;
-         match t.on_drift with None -> () | Some f -> f ~source
+         t.on_drift ~source
        end)
 
 (* Feed back the measured costs of an executed wrapper subquery. [plan] is

@@ -41,17 +41,15 @@ type record = {
 
 type t
 
-val create : ?mode:mode -> Registry.t -> t
-
-val mode : t -> mode
-
-val set_feedback : t -> ?on_drift:(source:string -> unit) -> feedback option -> unit
-(** Switch cardinality feedback on ([Some fb]) or off ([None]); resets drift
-    streaks either way. [on_drift] runs after a drift-triggered
+val create :
+  ?mode:mode -> ?feedback:feedback -> ?on_drift:(source:string -> unit) -> Registry.t -> t
+(** An empty partition whose policy is fixed for its life: [mode] (default
+    [Off]), and cardinality feedback when [feedback] is given (off
+    otherwise). [on_drift] runs after a drift-triggered
     {!Registry.invalidate}, with the drifting source — the mediator hooks
     histogram recalibration there. *)
 
-val feedback : t -> feedback option
+val mode : t -> mode
 
 val records : t -> record list
 (** Oldest first. O(records): it copies the whole list. *)

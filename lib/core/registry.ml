@@ -21,8 +21,9 @@ let mediator_source = "mediator"
 type param = { name : string; value : (Value.t, exn) result; pos : Ast.pos option }
 
 type source_entry = {
-  (* declaration order; replaced whole by a registration, never written in
-     place, so a formula reads it without the lock *)
+  (* the installed export's lets and defs, in declaration order: replaced
+     whole, together with its rules, by a registration and never written in
+     place, so a formula reads them without the lock *)
   mutable lets : param list;
   mutable defs : (string * Compile.def) list;
   mutable rules : Rule.t list;  (* newest first; order field keeps rank *)
@@ -40,10 +41,9 @@ type t = {
   catalog : Catalog.t;
   sources : (string, source_entry) Hashtbl.t;
   merged : (string * string, Rule.t list) Hashtbl.t;  (* (source, operator) *)
-  (* per-call cost and selectivity of ADT operations (paper §7), exported by
-     wrappers as [let AdtCost_<fn> = ...] / [let AdtSel_<fn> = ...] *)
-  adt_costs : (string, float) Hashtbl.t;
-  adt_sels : (string, float) Hashtbl.t;
+  (* the entries of the installed exports, the latest installed first; the
+     list is replaced whole, so ADT lookups read it without the lock *)
+  mutable exports : source_entry list;
   (* feedback-driven multiplicative selectivity corrections, keyed by
      (source, predicate) under [Pred.equal]; maintained by [History] from
      observed cardinalities (§4.3). Writes do NOT bump the generation —
@@ -57,9 +57,10 @@ type t = {
   mutable next_id : int;
   mutable next_order : int;
   (* monotonic stamp of the blended model: bumps on every write that can
-     change an estimate (rule registration, [let] update, calibration/history
-     adjustment, ADT export). Caches of estimation results are valid only
-     while the generation they were computed under is still current. *)
+     change an estimate (an export's installation, once; a rule added or
+     removed; a calibration/history adjustment). Caches of estimation
+     results are valid only while the generation they were computed under
+     is still current. *)
   mutable generation : int;
   (* monotonic stamp of everything an estimate reads: moves with every
      generation bump and with every selectivity-correction write, which
@@ -82,8 +83,7 @@ let create catalog =
   { catalog;
     sources = Hashtbl.create 16;
     merged = Hashtbl.create 64;
-    adt_costs = Hashtbl.create 8;
-    adt_sels = Hashtbl.create 8;
+    exports = [];
     sel_fixes = Pred_tbl.create 16;
     sel_fix_active = false;
     next_id = 0;
@@ -195,8 +195,24 @@ let def_of t ~source =
   let e = entry t source in
   fun name -> List.assoc_opt name e.defs
 
-let adt_cost t name = Hashtbl.find_opt t.adt_costs name
-let adt_selectivity t name = Hashtbl.find_opt t.adt_sels name
+(* --- ADT operation costs (paper §7) -------------------------------------- *)
+
+(* An ADT operation's parameter as the installed exports declare it, as
+   [let AdtCost_<fn>] / [let AdtSel_<fn>]: the latest installed export's
+   when several do. One whose evaluation raised raises that error. *)
+let adt_param t prefix fn =
+  let name = prefix ^ fn in
+  let rec declared = function
+    | [] -> None
+    | e :: rest ->
+      (match let_value e.lets name with
+       | Some v -> Some (Value.to_num v)
+       | None -> declared rest)
+  in
+  declared t.exports
+
+let adt_cost t fn = adt_param t "AdtCost_" fn
+let adt_selectivity t fn = adt_param t "AdtSel_" fn
 
 let set_adjust t ~source f =
   (entry t source).adjust <- f;
@@ -422,10 +438,10 @@ let evaluate_lets t ~source ~def_of (decl : Ast.source_decl) : param list =
 
 (* Compile a rule body: each formula is resolved and becomes a closure tree
    once, here (paper §2.4), into the array estimation indexes; estimation
-   only runs the closures. *)
-let compile_body t ~source (r : Ast.rule) =
+   only runs the closures. Its calls bind to [def_of]'s defs. *)
+let compile_body t ~source ~def_of (r : Ast.rule) =
   let leaves = rule_leaves t ~source in
-  let terms = Compile.rule_body ~def_of:(def_of t ~source) r in
+  let terms = Compile.rule_body ~def_of r in
   Array.of_list (List.mapi (fun i (tgt, _) -> (tgt, Compile.compile leaves terms.(i))) r.Ast.body)
 
 let fresh_ids t =
@@ -434,10 +450,10 @@ let fresh_ids t =
   t.next_order <- order + 1;
   (id, order)
 
-(* Compile and add one rule. [scope_override] forces the scope (used for the
-   generic model's Default scope); otherwise the rule is classified per the
-   paper's hierarchy. *)
-let add_rule ?interface_of ?scope_override t ~source (r : Ast.rule) =
+(* Compile one rule of [source], without installing it. [scope_override]
+   forces the scope (used for the generic model's Default scope); otherwise
+   the rule is classified per the paper's hierarchy. *)
+let compile_rule ?interface_of ?scope_override t ~source ~def_of (r : Ast.rule) =
   let local = String.equal source mediator_source in
   let scope =
     match scope_override with
@@ -454,27 +470,31 @@ let add_rule ?interface_of ?scope_override t ~source (r : Ast.rule) =
     List.fold_left (fun acc n -> max acc (depth_of n)) 0 named
   in
   let c0, c1, c2, c3 = Rule.specificity_of_head r.Ast.head in
-  let compiled =
-    { Rule.id;
-      scope;
-      owner = source;
-      kind = Rule.Pattern r.Ast.head;
-      body = compile_body t ~source r;
-      provides = Ast.rule_provides r;
-      specificity = (c0 + depth, c1, c2, c3);
-      order;
-      ast = Some r }
-  in
-  (entry t source).rules <- compiled :: (entry t source).rules;
+  { Rule.id;
+    scope;
+    owner = source;
+    kind = Rule.Pattern r.Ast.head;
+    body = compile_body t ~source ~def_of r;
+    provides = Ast.rule_provides r;
+    specificity = (c0 + depth, c1, c2, c3);
+    order;
+    ast = Some r }
+
+(* Install one rule beside a source's others. *)
+let push_rule t ~source (r : Rule.t) =
+  let e = entry t source in
+  e.rules <- r :: e.rules;
   invalidate t;
-  compiled
+  r
+
+let add_rule t ~source r = push_rule t ~source (compile_rule t ~source ~def_of:(def_of t ~source) r)
 
 (* Install a query-scope rule recording measured costs for one exact subplan
    (historical costs, §4.3.1). *)
 let add_query_rule t ~source (plan : Disco_algebra.Plan.t)
     (vars : (Ast.cost_var * float) list) =
   let id, order = fresh_ids t in
-  let compiled =
+  push_rule t ~source
     { Rule.id;
       scope = Scope.Query;
       owner = source;
@@ -490,66 +510,25 @@ let add_query_rule t ~source (plan : Disco_algebra.Plan.t)
       specificity = (max_int, 0, 0, 0);
       order;
       ast = None }
-  in
-  (entry t source).rules <- compiled :: (entry t source).rules;
-  invalidate t;
-  compiled
+
+let is_query (r : Rule.t) = r.Rule.scope = Scope.Query
 
 let remove_query_rules t ~source =
   let e = entry t source in
-  e.rules <-
-    List.filter (fun (r : Rule.t) -> r.Rule.scope <> Scope.Query) e.rules;
+  e.rules <- List.filter (fun r -> not (is_query r)) e.rules;
   invalidate t
 
-(* --- ADT operation costs (paper §7) -------------------------------------- *)
-
-let register_adt t ~name ~cost_ms ~selectivity =
-  Hashtbl.replace t.adt_costs name cost_ms;
-  Hashtbl.replace t.adt_sels name selectivity;
-  bump t
-
-(* Harvest [AdtCost_*] / [AdtSel_*] parameters from a source's lets into the
-   global ADT tables (they must be visible to the mediator's local rules and
-   to selectivity estimation, not just to the exporting source). *)
-let harvest_adt_lets t (params : param list) =
-  let prefixed prefix name =
-    let pl = String.length prefix in
-    if String.length name > pl && String.sub name 0 pl = prefix then
-      Some (String.sub name pl (String.length name - pl))
-    else None
-  in
-  List.iter
-    (fun (p : param) ->
-      let value () = match p.value with Ok v -> Value.to_num v | Error exn -> raise exn in
-      match prefixed "AdtCost_" p.name with
-      | Some fn -> Hashtbl.replace t.adt_costs fn (value ())
-      | None ->
-        (match prefixed "AdtSel_" p.name with
-         | Some fn -> Hashtbl.replace t.adt_sels fn (value ())
-         | None -> ()))
-    params
-
-(* Drop everything previously registered for a source (rules, parameters,
-   functions), keeping only its query-scope history. Used by re-registration
-   (the paper's administrative interface, §2.1). *)
-let clear_source t ~source =
-  let e = entry t source in
-  e.lets <- [];
-  e.defs <- [];
-  e.rules <- List.filter (fun (r : Rule.t) -> r.Rule.scope = Scope.Query) e.rules;
-  invalidate t
-
-(* Register everything a wrapper exported: interfaces populate the catalog,
-   lets/defs/rules populate the cost store. Returns the compiled rules.
-   Re-registration replaces the source's previous rules and parameters
-   (refreshing out-of-date cost information, §2.1). *)
+(* Register everything a wrapper exported. Its interfaces and capabilities
+   go to the catalog first: its lets and its rules' specificity read them.
+   Its defs, lets and rules are then built aside and installed together,
+   with one generation bump, replacing the previous export's (refreshing
+   out-of-date cost information, §2.1); the source keeps its query-scope
+   history rules and its adjustment factor. Nothing raises once the
+   catalog is written: a let whose evaluation fails keeps its error, and a
+   formula that cannot run fails when it runs. Returns the compiled
+   rules. *)
 let register_source_decl ?scope_override t (decl : Ast.source_decl) =
   let source = decl.Ast.source_name in
-  (match Hashtbl.find_opt t.sources source with
-   | Some e when e.rules <> [] || e.lets <> [] || e.defs <> [] ->
-     clear_source t ~source
-   | _ -> ());
-  let e = entry t source in
   let register_interface (i : Ast.interface_decl) =
     let own_attrs =
       List.filter_map
@@ -601,38 +580,44 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
     Catalog.register_collection ?parent:i.Ast.iface_parent t.catalog ~source ~schema
       ~extent ~attributes:attr_stats
   in
-  (* First pass: catalog, defs and parameters, so rules can reference them. *)
   List.iter
     (function
       | Ast.Interface i -> register_interface i
-      | Ast.Def (name, params, def_ast) ->
-        e.defs <- e.defs @ [ (name, { Compile.params; def_ast }) ]
       | Ast.Capabilities ops -> Catalog.set_capabilities t.catalog ~source ops
-      | Ast.Let _ | Ast.Toplevel_rule _ -> ())
+      | Ast.Let _ | Ast.Def _ | Ast.Toplevel_rule _ -> ())
     decl.Ast.items;
-  (* lets evaluate once every def of the export is known: a let may call a
-     def declared after it *)
-  e.lets <- evaluate_lets t ~source ~def_of:(def_of t ~source) decl;
-  (* Second pass: rules (top-level and in-interface). *)
-  let compiled =
+  let defs =
+    List.filter_map
+      (function
+        | Ast.Def (name, params, def_ast) -> Some (name, { Compile.params; def_ast })
+        | _ -> None)
+      decl.Ast.items
+  in
+  let def_of name = List.assoc_opt name defs in
+  (* lets evaluate and rules compile once every def of the export is known:
+     they may call a def declared after them *)
+  let lets = evaluate_lets t ~source ~def_of decl in
+  let compile ?interface_of r = compile_rule ?interface_of ?scope_override t ~source ~def_of r in
+  let rules =
     List.concat_map
       (function
-        | Ast.Toplevel_rule r -> [ add_rule ?scope_override t ~source r ]
+        | Ast.Toplevel_rule r -> [ compile r ]
         | Ast.Interface i ->
           List.filter_map
             (function
-              | Ast.Iface_rule r ->
-                Some (add_rule ~interface_of:i.Ast.iface_name ?scope_override t ~source r)
+              | Ast.Iface_rule r -> Some (compile ~interface_of:i.Ast.iface_name r)
               | _ -> None)
             i.Ast.members
         | Ast.Let _ | Ast.Def _ | Ast.Capabilities _ -> [])
       decl.Ast.items
   in
-  harvest_adt_lets t e.lets;
-  (* lets and ADT exports change estimates even when no rule was (re)compiled
-     above, so a registration always moves the generation *)
+  let e = entry t source in
+  e.defs <- defs;
+  e.lets <- lets;
+  e.rules <- List.rev_append rules (List.filter is_query e.rules);
+  t.exports <- e :: List.filter (fun x -> x != e) t.exports;
   invalidate t;
-  compiled
+  rules
 
 (* Parse and register cost-language text for a named source. *)
 let register_text ?scope_override t ~what text =

@@ -8,9 +8,10 @@
     per-(source, operator) lists — the paper's "own efficient [overriding
     mechanism] based on kind of virtual tables".
 
-    Registration settles what an export determines once: its [let]s are
-    evaluated to values, and compiling a rule resolves every name of its
-    formulas ({!Disco_costlang.Compile.rule_body}) and binds what each
+    Registration settles what an export determines once, and installs it
+    in one step ({!register_source_decl}): its [let]s are evaluated to
+    values, and compiling a rule resolves every name of its formulas
+    ({!Disco_costlang.Compile.rule_body}) and binds what each
     resolved name reads to a closure: a target slot, a cost variable of the
     node or of an input, a head binding, a def of the export, a context
     function. Only the dynamic tail — a [let] value, a catalog path — is
@@ -36,9 +37,9 @@ val catalog : t -> Catalog.t
 
 val generation : t -> int
 (** Monotonic stamp of the blended cost model. It bumps on every write that
-    can change an estimate: rule registration (including query-scope
-    historical rules and their removal), source (re-)registration — rules,
-    [let] parameters and ADT exports — and calibration/history adjustment
+    can change an estimate: an export's (re-)registration, exactly once
+    whatever it holds; a rule added or removed (including query-scope
+    historical rules and their removal); and calibration/history adjustment
     factors. A cached estimation result is valid only while the generation it
     was computed under is still current. *)
 
@@ -91,12 +92,10 @@ val def_of : t -> source:string -> string -> Compile.def option
 
 (** {1 Registration} *)
 
-val add_rule :
-  ?interface_of:string -> ?scope_override:Scope.t -> t -> source:string -> Ast.rule ->
-  Rule.t
-(** Compile and install one rule, its calls bound to the defs {!def_of}
-    gives; the scope is {!Rule.classify}ed unless overridden (the generic
-    model forces [Default]). *)
+val add_rule : t -> source:string -> Ast.rule -> Rule.t
+(** Compile and install one rule beside the source's others, its calls
+    bound to the defs {!def_of} gives and its scope {!Rule.classify}ed, and
+    bump the generation. The source's next registration replaces it. *)
 
 val add_query_rule : t -> source:string -> Disco_algebra.Plan.t ->
   (Ast.cost_var * float) list -> Rule.t
@@ -105,18 +104,24 @@ val add_query_rule : t -> source:string -> Disco_algebra.Plan.t ->
 
 val remove_query_rules : t -> source:string -> unit
 
-val clear_source : t -> source:string -> unit
-(** Drop a source's rules, parameters and functions (its query-scope history
-    is kept); part of re-registration. *)
-
 val register_source_decl : ?scope_override:Scope.t -> t -> Ast.source_decl -> Rule.t list
-(** Register everything a wrapper exported: interfaces populate the catalog;
-    lets ({!param}), defs and rules populate the cost store. Lets evaluate
-    and rules compile once every def of the export is known, so they may
-    call a def declared after them. Re-registration replaces the source's
-    previous rules and parameters (the paper's administrative interface for
-    refreshing out-of-date cost information, §2.1). Returns the compiled
-    rules. *)
+(** Register everything a wrapper exported, in two steps.
+    - Its interfaces and capabilities are written to the catalog: its
+      [let]s and its rules' specificity read them.
+    - Its defs, [let]s ({!param}) and rules are built aside — the [let]s
+      evaluated and the rules compiled once every def of the export is
+      known, so they may call a def declared after them — and installed
+      together with one generation bump.
+    They replace the previous export's defs, [let]s and rules (the paper's
+    administrative interface for refreshing out-of-date cost information,
+    §2.1); the source keeps its query-scope history rules and its
+    adjustment factor, and the catalog keeps collections the new export no
+    longer declares. Nothing raises once the catalog is written: a [let]
+    whose evaluation fails keeps its error ({!param}). So an export the
+    registration checker accepts is installed whole; only a malformed
+    interface (one whose parent is declared after it) raises, and then
+    only the catalog entries declared before it have been written. Returns
+    the compiled rules. *)
 
 val register_text : ?scope_override:Scope.t -> t -> what:string -> string -> string
 (** Parse and register cost-language text; returns the source name. *)
@@ -153,16 +158,21 @@ val lets : t -> source:string -> param list
 
     Wrappers export the per-call cost and selectivity of their abstract-
     data-type operations as [let AdtCost_<fn> = ...] and [let AdtSel_<fn> =
-    ...]; registration harvests them into a global table visible to the
-    generic model's [adtcost(P)] context function and to selectivity
-    estimation. *)
-
-val register_adt : t -> name:string -> cost_ms:float -> selectivity:float -> unit
+    ...]. Those [let]s are the one store of them: the generic model's
+    [adtcost(P)] context function and selectivity estimation read the
+    installed exports' parameters, whichever source exported them. When two
+    installed exports declare the same parameter, the one installed later
+    is read; re-registering an export that no longer declares it removes
+    it. *)
 
 val adt_cost : t -> string -> float option
-(** Exported per-call cost of an ADT operation, in ms. *)
+(** Exported per-call cost of an ADT operation, in ms: the installed
+    [AdtCost_<fn>] parameter, [None] when no installed export declares it.
+    Raises the error the parameter's evaluation raised
+    ({!param}). *)
 
 val adt_selectivity : t -> string -> float option
+(** The installed [AdtSel_<fn>] parameter, as {!adt_cost}. *)
 
 (** {1 Historical adjustment factors (paper §4.3.1)} *)
 

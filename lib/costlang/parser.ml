@@ -403,23 +403,26 @@ let item c : Ast.item =
   | IDENT "rule" -> Ast.Toplevel_rule (rule c)
   | t -> error_at c (Fmt.str "expected let, def, interface or rule, found %a" Lexer.pp_token t)
 
+(* Items up to the token [stop] (left unconsumed), with the positions of
+   their lets and defs. *)
+let items c ~stop =
+  let rec go acc pos =
+    if peek c = stop then (List.rev acc, List.rev pos)
+    else
+      let p = pos_here c in
+      match item c with
+      | Ast.Let (n, _) as it -> go (it :: acc) (("let " ^ n, p) :: pos)
+      | Ast.Def (n, _, _) as it -> go (it :: acc) (("def " ^ n, p) :: pos)
+      | it -> go (it :: acc) pos
+  in
+  go [] []
+
 let source c : Ast.source_decl =
   keyword c "source";
   let name = ident c in
   eat c LBRACE;
-  let rec items acc pos =
-    if peek c = RBRACE then begin
-      advance c;
-      (List.rev acc, List.rev pos)
-    end
-    else
-      let p = pos_here c in
-      match item c with
-      | Ast.Let (n, _) as it -> items (it :: acc) (("let " ^ n, p) :: pos)
-      | Ast.Def (n, _, _) as it -> items (it :: acc) (("def " ^ n, p) :: pos)
-      | it -> items (it :: acc) pos
-  in
-  let items, item_pos = items [] [] in
+  let items, item_pos = items c ~stop:RBRACE in
+  advance c;
   { Ast.source_name = name; items; item_pos }
 
 let cursor_of ~what text =
@@ -434,11 +437,8 @@ let parse_source ~what text : Ast.source_decl =
   s
 
 (* A sequence of items without the [source name { }] wrapper; the caller
-   supplies the source name. Used for registering extra rules at runtime. *)
-let parse_items ~what text : Ast.item list =
-  let c = cursor_of ~what text in
-  let rec items acc = if peek c = EOF then List.rev acc else items (item c :: acc) in
-  items []
+   supplies the source name. *)
+let parse_items ~what text = items (cursor_of ~what text) ~stop:EOF
 
 let parse_rule ~what text : Ast.rule =
   let c = cursor_of ~what text in

@@ -9,9 +9,11 @@
 val parse_source : what:string -> string -> Ast.source_decl
 (** Parse a full [source name { ... }] declaration. *)
 
-val parse_items : what:string -> string -> Ast.item list
-(** Parse a sequence of items without the [source] wrapper; used for
-    registering extra rules at runtime. *)
+val parse_items : what:string -> string -> Ast.item list * (string * Ast.pos) list
+(** Parse a sequence of items without the [source] wrapper — a wrapper's
+    rules text, or extra rules registered at runtime — with the positions
+    of its [let]s and [def]s in that text, as {!parse_source}'s
+    [item_pos]. *)
 
 val parse_rule : what:string -> string -> Ast.rule
 (** Parse a single [rule head { ... }]. *)

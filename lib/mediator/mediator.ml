@@ -81,16 +81,14 @@ let refresh_histograms t ~source =
 
 (* A fresh history partition in the mode of [t]'s own and, when feedback
    statistics are on, with the drift hook (histogram recalibration). The
-   mediator's own partition is one; the server creates one per tenant. *)
+   server creates one per tenant. *)
 let fresh_history t =
-  let h = History.create ~mode:(History.mode t.history) t.registry in
-  (match t.stats_mode with
-   | Stats_off -> ()
-   | Stats_feedback fb ->
-     History.set_feedback h
-       ~on_drift:(fun ~source -> refresh_histograms t ~source)
-       (Some fb));
-  h
+  match t.stats_mode with
+  | Stats_off -> History.create ~mode:(History.mode t.history) t.registry
+  | Stats_feedback feedback ->
+    History.create ~mode:(History.mode t.history) ~feedback
+      ~on_drift:(fun ~source -> refresh_histograms t ~source)
+      t.registry
 
 let create ?calibration ?(history_mode = History.Off) ?(cache = true)
     ?policy ?(stats_mode = Stats_off) () =
@@ -109,8 +107,10 @@ let create ?calibration ?(history_mode = History.Off) ?(cache = true)
       stats_mode;
       opt_stats = Optimizer.new_stats () }
   in
-  (* the same mode, wired to the feedback statistics *)
-  t.history <- fresh_history t;
+  (* the drift hook needs [t], so a feedback partition is made after it *)
+  (match stats_mode with
+   | Stats_off -> ()
+   | Stats_feedback _ -> t.history <- fresh_history t);
   t
 
 let registry t = t.registry
@@ -439,14 +439,11 @@ let availability t =
 
 (* One resolved variant's decorated plan, with its annotation when a plan
    search ran: the search's winner extended by the decoration, node by
-   node, in the mediator's rule context. Sources with an open circuit
-   breaker are excluded from plan seeding. The search runs only on a
+   node, in the mediator's rule context. The search runs only on a
    plan-cache miss. *)
-let join_variant ~objective ~available t (r : resolved) =
+let join_variant ~objective t (r : resolved) =
   let spec = r.spec in
-  let search () =
-    fst (Optimizer.optimize ~objective ~available ~stats:t.opt_stats t.registry spec)
-  in
+  let search () = fst (Optimizer.optimize ~objective ~stats:t.opt_stats t.registry spec) in
   let searched (ann : Estimator.ann) =
     let ann =
       List.fold_left
@@ -462,23 +459,17 @@ let join_variant ~objective ~available t (r : resolved) =
   | _, None -> searched (search ())
   | _, Some cache ->
     (match
-       Plancache.search cache t.registry ~objective:(Optimizer.objective_var objective)
-         ~available spec search
+       Plancache.search cache t.registry ~objective:(Optimizer.objective_var objective) spec
+         search
      with
      | `Cached joined -> (decorate r joined, None)
      | `Searched ann -> searched ann)
 
-let plan_of_variant ?(objective = Optimizer.Total_time) ?available t r =
-  let available =
-    match available with
-    | Some f -> f
-    | None -> fst (availability t)
-  in
-  fst (join_variant ~objective ~available t r)
-
 (* Graceful degradation starts at optimization time: when a query needs a
    source whose circuit is open and no alternative source serves the
-   collection, fail before planning with an error that says when to retry. *)
+   collection, fail before planning with an error that says when to retry.
+   This is the one place availability is decided: a plan search never
+   reads it. *)
 let check_sources_available ?available t (r : resolved) =
   let available =
     match available with
@@ -494,6 +485,10 @@ let check_sources_available ?available t (r : resolved) =
              { source = s; retry_at_ms = Health.retry_at t.health s }))
     r.spec.Optimizer.bases
 
+let plan_of_variant ?(objective = Optimizer.Total_time) ?available t r =
+  check_sources_available ?available t r;
+  fst (join_variant ~objective t r)
+
 (* A variant costed: its decorated plan, its cost under the objective, its
    whole-plan entry when the plan cache held one, and its one annotation —
    the search's, extended, or else built from scratch when first needed
@@ -506,8 +501,8 @@ type costed = {
   ann : Estimator.ann Lazy.t;
 }
 
-let cost_variant ~objective ~available t r =
-  let plan, searched = join_variant ~objective ~available t r in
+let cost_variant ~objective t r =
+  let plan, searched = join_variant ~objective t r in
   let ann =
     match searched with
     | Some a -> Lazy.from_val a
@@ -542,7 +537,7 @@ let best_plan ~objective t (r : resolved) : costed =
   let available, release_probes = availability t in
   match
     check_sources_available ~available t r;
-    List.map (cost_variant ~objective ~available t) (variants r)
+    List.map (cost_variant ~objective t) (variants r)
   with
   | [] -> raise (Err.Plan_error "no plan")
   | first :: rest as all ->
@@ -787,11 +782,11 @@ let unavailable_sources t =
 
 (* The full query-processing phase of Fig 2, wrapped in the degradation
    contract: a submit that exhausts its retry budget mid-execution triggers a
-   replan — the failed source's circuit state and inflated history steer the
-   optimizer, and with the circuit open the source is excluded outright — up
-   to [max_replans] times; when no plan remains (or the budget is spent) the
-   accumulated failures surface as a structured [Degraded] report. A query
-   that needs an already-open source fails fast with
+   replan — the failed source's inflated history steers the optimizer, and
+   a replan that needs a source whose circuit is now open is refused before
+   planning — up to [max_replans] times; when no plan remains (or the budget
+   is spent) the accumulated failures surface as a structured [Degraded]
+   report. A query that needs an already-open source fails fast with
    [Err.Source_unavailable]. *)
 exception Invalid_plan of Finding.t list
 

@@ -30,7 +30,7 @@ val create :
   ?calibration:Generic.calibration -> ?history_mode:History.mode ->
   ?cache:bool -> ?policy:Health.policy -> ?stats_mode:stats_mode -> unit -> t
 (** A fresh mediator with its generic cost model installed and its history
-    partition made by {!fresh_history}. [cache] (default on) enables the
+    partition in [history_mode] (the one {!fresh_history} makes). [cache] (default on) enables the
     cross-query {!Plancache}; disabling it is the reference behavior the
     differential tests compare against (a plan search keeps no cache of its
     own, so it runs the same either way). [policy] sets the submit policy —
@@ -53,10 +53,11 @@ val history : t -> History.t
 
 val fresh_history : t -> History.t
 (** A new, empty history partition in the mode of the mediator's own and,
-    when feedback statistics are on, with the drift hook (histogram
-    recalibration); {!create} makes the mediator's own partition with it.
-    The server keeps one per tenant and swaps it in with {!set_history}
-    before each query. *)
+    when feedback statistics are on, with that policy and the drift hook
+    (histogram recalibration), both fixed at its creation
+    ({!History.create}); with feedback on, {!create} makes the mediator's
+    own partition with it. The server keeps one per tenant and swaps it in
+    with {!set_history} before each query. *)
 
 val set_history : t -> History.t -> unit
 (** Make [h] the active history partition. The caller must serialize this
@@ -87,10 +88,13 @@ val set_now : t -> float -> unit
 val register : t -> Wrapper.t -> unit
 (** The registration phase: the wrapper returns schemas, statistics and cost
     information; the mediator checks the export
-    ({!Disco_analysis.Check}), compiles and stores it, then lints the
-    blended model ({!Disco_analysis.Analyzer}) and logs what lint finds:
-    errors and warnings at Warning level, the rest at Info. Re-registering
-    a wrapper refreshes its statistics.
+    ({!Disco_analysis.Check}), installs it whole in one step
+    ({!Registry.register_source_decl}: one generation bump), then lints
+    the blended model ({!Disco_analysis.Analyzer}) and logs what lint
+    finds: errors and warnings at Warning level, the rest at Info.
+    Re-registering a wrapper refreshes its statistics and replaces its
+    previous export whole: rules, [let]s (ADT parameters included) and
+    [def]s.
     @raise Disco_common.Err.Eval_error when the check finds an error; the
     mediator is then left as it was (nothing of the export is installed,
     and a previous registration of the source stays in force). *)
@@ -132,23 +136,27 @@ val decorate : resolved -> Plan.t -> Plan.t
 (** Wrap an optimized join tree with the mediator-side decoration: residual
     predicate, aggregation or projection, dedup, sort. *)
 
+val check_sources_available : ?available:(string -> bool) -> t -> resolved -> unit
+(** The one place availability is decided: a plan search and a plan-cache
+    hit never read it.
+    @raise Disco_common.Err.Source_unavailable when a relation's source has
+    an open circuit breaker (graceful degradation's fail-fast edge: no plan
+    remains for a single-sourced collection). [available] is the
+    availability view to consult, by default a fresh per-call one; a caller
+    deciding one query passes a per-query memoized view, because
+    {!Health.available} is the breaker's single-admission probe point and
+    must be consulted once per source per query. *)
+
 val plan_of_variant :
   ?objective:Optimizer.objective -> ?available:(string -> bool) -> t ->
   resolved -> Plan.t
-(** Optimize one resolved variant into a complete decorated plan. Sources
-    with an open circuit breaker are excluded from plan seeding.
-    [available] overrides the availability check — {!run_query} passes a
-    per-query memoized view, because {!Health.available} is the breaker's
-    single-admission probe point and must be consulted once per source per
-    query. With the cache enabled the search runs only on a miss of
+(** Optimize one resolved variant into a complete decorated plan, after
+    {!check_sources_available} with [available]: a source with an open
+    circuit breaker refuses the variant with
+    [Disco_common.Err.Source_unavailable] before any plan-cache lookup.
+    With the cache enabled the search runs only on a miss of
     {!Plancache.search}, whose hits answer exactly as the search would.
     Looks up no whole-plan entry. *)
-
-val check_sources_available : ?available:(string -> bool) -> t -> resolved -> unit
-(** @raise Disco_common.Err.Source_unavailable when a relation's source has
-    an open circuit breaker (graceful degradation's fail-fast edge: no plan
-    remains for a single-sourced collection). [available] as in
-    {!plan_of_variant}. *)
 
 val plan_query : ?objective:Optimizer.objective -> t -> string -> Plan.t * float
 (** Parse, resolve and optimize; returns the full plan and its estimated cost

@@ -424,57 +424,24 @@ type gtree = Gleaf of int | Gnode of gtree * gtree
 (* --- Dynamic programming ------------------------------------------------------ *)
 
 (* Diagnose an impossible query precisely instead of a generic "no complete
-   plan found": name the unavailable single-sourced relations, and the
-   connected components of the join graph when it is disconnected. *)
-let no_plan_error (spec : spec) ~available : 'a =
-  let adj = adjacency_of spec in
-  let unavailable =
-    List.filter (fun b -> not (available b.ref_.Plan.source)) spec.bases
-  in
-  let avail_aliases =
-    List.filter_map
-      (fun b ->
-        if available b.ref_.Plan.source then Some b.ref_.Plan.binding else None)
-      spec.bases
-  in
-  let comps = join_components adj avail_aliases in
-  let parts = [] in
-  let parts =
-    if unavailable = [] then parts
-    else
-      Fmt.str "relation%s %s unavailable and not replicated"
-        (if List.length unavailable > 1 then "s" else "")
-        (String.concat ", "
-           (List.map
-              (fun b ->
-                Fmt.str "%s (alias %s, source %s)" b.ref_.Plan.collection
-                  b.ref_.Plan.binding b.ref_.Plan.source)
-              unavailable))
-      :: parts
-  in
-  let parts =
-    if List.length comps <= 1 then parts
-    else
-      Fmt.str
-        "join graph splits into %d disconnected components %s — add join \
-         predicates linking them (cross joins are not enumerated)"
-        (List.length comps)
-        (String.concat " | "
-           (List.map (fun c -> "{" ^ String.concat ", " c ^ "}") comps))
-      :: parts
+   plan found": name the connected components of the join graph when it is
+   disconnected. *)
+let no_plan_error (spec : spec) : 'a =
+  let comps =
+    join_components (adjacency_of spec) (List.map (fun b -> b.ref_.Plan.binding) spec.bases)
   in
   let msg =
-    match List.rev parts with
-    | [] -> "no complete plan found (join enumeration produced no candidate)"
-    | ps -> "no complete plan found: " ^ String.concat "; " ps
+    if List.length comps <= 1 then
+      "no complete plan found (join enumeration produced no candidate)"
+    else
+      Fmt.str
+        "no complete plan found: join graph splits into %d disconnected \
+         components %s — add join predicates linking them (cross joins are \
+         not enumerated)"
+        (List.length comps)
+        (String.concat " | " (List.map (fun c -> "{" ^ String.concat ", " c ^ "}") comps))
   in
   raise (Err.Plan_error msg)
-
-(* The fail-fast half of the diagnosis: a base whose only source is
-   unavailable (open circuit) can never be part of a complete plan. *)
-let require_available (spec : spec) ~available =
-  if List.exists (fun b -> not (available b.ref_.Plan.source)) spec.bases then
-    no_plan_error spec ~available
 
 (* Both engines keep, for every alias set they build (a connected subset in
    the exact DP, a merged unit in greedy), the best candidate per site (one
@@ -486,20 +453,18 @@ let require_available (spec : spec) ~available =
    computed. *)
 type strategy = Exact | Goo
 
-let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stats
-    registry (spec : spec) : Estimator.ann * float =
+let search strategy ?(objective = Total_time) ?stats registry (spec : spec) :
+    Estimator.ann * float =
   if spec.bases = [] then raise (Err.Plan_error "query has no relations");
   let caller_stats = stats in
   let stats = new_stats () in
   let adj = adjacency_of spec in
-  (* fail early, with names: a base whose only source is unavailable (open
-     circuit) or a join graph in several pieces can never produce a complete
-     plan — diagnose both up front instead of discovering an empty table
-     after the whole enumeration ran *)
-  require_available spec ~available;
+  (* fail early, with names: a join graph in several pieces can never
+     produce a complete plan — diagnose it up front instead of discovering
+     an empty table after the whole enumeration ran *)
   let aliases = List.map (fun b -> b.ref_.Plan.binding) spec.bases in
   (match join_components adj aliases with
-   | _ :: _ :: _ -> no_plan_error spec ~available
+   | _ :: _ :: _ -> no_plan_error spec
    | _ -> ());
   let ops = annotations registry in
   let cost (c : Estimator.ann candidate) =
@@ -570,7 +535,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
     in
     match cheapest_by ~prune:false wrapped_cost entries with
     | Some ((c, _), cst) -> ((wrap ops c).n, cst)
-    | None -> no_plan_error spec ~available
+    | None -> no_plan_error spec
   in
   let n = List.length spec.bases in
 
@@ -750,7 +715,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
     in
     match dpccp_units units with
     | Some (_ :: _ as cands) -> best_of_entries cands
-    | Some [] | None -> no_plan_error spec ~available
+    | Some [] | None -> no_plan_error spec
   in
 
   (* --- the greedy engine: GOO + bounded DPccp-window improvement ------------- *)
@@ -828,7 +793,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
       | None ->
         (* unreachable: the up-front component check guarantees the unit
            graph stays connected under merging *)
-        no_plan_error spec ~available
+        no_plan_error spec
       | Some (i, j, _) ->
         let entries = join_entries entries_u.(i) entries_u.(j) in
         al_u.(i) <- Aliases.union al_u.(i) al_u.(j);
@@ -864,7 +829,7 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
     let goo =
       match final_of entries_u.(!root) with
       | Some pc -> pc
-      | None -> no_plan_error spec ~available
+      | None -> no_plan_error spec
     in
     (* bounded improvement: re-optimize windows of the merge tree exactly
        with DPccp, then re-join the windows (windowed DP over composite
@@ -944,15 +909,14 @@ let search strategy ?(objective = Total_time) ?(available = fun _ -> true) ?stat
     (match strategy with Exact -> run_exact | Goo -> run_greedy)
 
 type engine =
-  ?objective:objective -> ?available:(string -> bool) -> ?stats:stats ->
-  Registry.t -> spec -> Estimator.ann * float
+  ?objective:objective -> ?stats:stats -> Registry.t -> spec -> Estimator.ann * float
 
 let dpccp : engine = search Exact
 let greedy : engine = search Goo
 
 let optimize : engine =
- fun ?objective ?available ?stats registry spec ->
+ fun ?objective ?stats registry spec ->
   let engine =
     if List.length spec.bases <= default_enum_threshold then dpccp else greedy
   in
-  engine ?objective ?available ?stats registry spec
+  engine ?objective ?stats registry spec

@@ -108,8 +108,7 @@ val choose :
     {!dpccp} is tested against. *)
 
 type engine =
-  ?objective:objective -> ?available:(string -> bool) -> ?stats:stats ->
-  Registry.t -> spec -> Estimator.ann * float
+  ?objective:objective -> ?stats:stats -> Registry.t -> spec -> Estimator.ann * float
 (** A plan search: the annotation of the cheapest plan it finds joining
     every base of the spec (its [node] is the plan, a mediator-side one in
     the mediator's rule context), with its estimated cost under
@@ -125,21 +124,13 @@ type engine =
     {!Estimator.build} of its plan computes, so the returned cost is the
     one a fresh {!cost_of} of the returned plan gives, to the bit, and a
     caller can extend it ({!Estimator.extend}) instead of annotating the
-    plan again. Once
-    every base's source is available, the result depends only on the
-    spec, the objective and the registry generation. [available]
-    (default: everything) excludes sources — e.g. those with an open
-    circuit breaker — from planning; a query touching an excluded
-    single-sourced relation fails up front with a named diagnosis
-    ({!require_available}), as does a disconnected join graph (the error
-    lists its connected components). [stats] receives the counters of the
-    run.
-    @raise Disco_common.Err.Plan_error on an empty or disconnected query,
-    or when exclusions leave some relation without a source. *)
-
-val require_available : spec -> available:(string -> bool) -> unit
-(** The search's fail-fast check on the bases' sources.
-    @raise Disco_common.Err.Plan_error naming the unavailable relations. *)
+    plan again. The result depends only on the spec, the objective and
+    the registry generation: a search never reads source availability,
+    which the mediator decides before any search runs. A disconnected
+    join graph fails up front with a named diagnosis (the error lists its
+    connected components). [stats] receives the counters of the run.
+    @raise Disco_common.Err.Plan_error on an empty or disconnected
+    query. *)
 
 val optimize : engine
 (** The search normal query processing runs: {!dpccp} up to

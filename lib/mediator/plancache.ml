@@ -175,12 +175,10 @@ let find t registry ~objective plan =
 let add t registry ~objective plan cost =
   store t registry ~objective plan { cost; verified = false; estimates = None }
 
-let search t registry ~objective ~available (spec : Optimizer.spec) run =
+let search t registry ~objective (spec : Optimizer.spec) run =
   let key = Search (objective, spec.bases, spec.joins) in
   match lookup_key t registry key with
-  | Some (Joined plan) ->
-    Optimizer.require_available spec ~available;
-    `Cached plan
+  | Some (Joined plan) -> `Cached plan
   | Some (Costed _) | None ->
     let ann = run () in
     store_key t registry key (Joined ann.Estimator.node);

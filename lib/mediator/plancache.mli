@@ -11,9 +11,10 @@
 
     Each entry is stamped with the {!Disco_core.Registry.generation} in
     force when it was computed; a lookup under a newer generation drops the
-    entry instead of serving it, so model writes — rule registration, [let]
-    updates, calibration adjustment, historical-tuning feedback (paper
-    §4.3) — can never be shadowed by an old cached plan or cost. *)
+    entry instead of serving it, so model writes — an export's
+    (re-)registration, a rule added, calibration adjustment,
+    historical-tuning feedback (paper §4.3) — can never be shadowed by an
+    old cached plan or cost. *)
 
 open Disco_algebra
 open Disco_core
@@ -88,16 +89,16 @@ val add : t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Plan.t -> 
 (** {!store} of an entry holding only a cost: not verified, no record. *)
 
 val search :
-  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var ->
-  available:(string -> bool) -> Optimizer.spec -> (unit -> Estimator.ann) ->
-  [ `Cached of Plan.t | `Searched of Estimator.ann ]
+  t -> Registry.t -> objective:Disco_costlang.Ast.cost_var -> Optimizer.spec ->
+  (unit -> Estimator.ann) -> [ `Cached of Plan.t | `Searched of Estimator.ann ]
 (** The result of a plan search over [spec]: the cached join tree at the
     current generation, else the annotation the last argument's search
     returns, whose plan is recorded (the annotation itself never enters
     the cache). The key is every spec field the search reads but
     [can_join], which only registration sets, and registration moves the
-    generation. A hit consults [available] as the search's fail-fast check
-    does ({!Optimizer.require_available}). *)
+    generation. A search reads no source availability, so neither does a
+    hit: the mediator refuses a query over an unavailable source before
+    it looks anything up. *)
 
 val counters : t -> counters
 (** A consistent snapshot of the counters, taken under the cache lock. *)

@@ -99,8 +99,8 @@ let registration_decl t : Ast.source_decl =
   let interfaces =
     List.map (fun (_, tbl) -> Ast.Interface (interface_of_table tbl)) t.tables
   in
-  (* the cost and selectivity of ADT operations, exported as parameters the
-     mediator harvests (paper §7) *)
+  (* the cost and selectivity of ADT operations, exported as parameters
+     (paper §7) *)
   let adt_items =
     if not t.export_adt_costs then []
     else
@@ -110,11 +110,12 @@ let registration_decl t : Ast.source_decl =
             Ast.Let ("AdtSel_" ^ a.Adt.name, Ast.Num a.Adt.selectivity) ])
         t.adts
   in
-  let rule_items =
-    if String.length (String.trim t.rules_text) = 0 then []
+  (* positions are the rules text's own; the rest is synthesized *)
+  let rule_items, item_pos =
+    if String.length (String.trim t.rules_text) = 0 then ([], [])
     else Parser.parse_items ~what:(t.name ^ " cost rules") t.rules_text
   in
-  { Ast.source_name = t.name; items = interfaces @ adt_items @ rule_items; item_pos = [] }
+  { Ast.source_name = t.name; items = interfaces @ adt_items @ rule_items; item_pos }
 
 (* The registration text as shipped on the wire — the concrete cost-language
    syntax of Figs 4/8. *)

@@ -381,6 +381,84 @@ let test_refused_registration () =
   Alcotest.(check bool) "the earlier wrapper stays" true
     (Mediator.find_wrapper med "relstore" == good)
 
+let test_wrapper_positions () =
+  (* findings on a wrapper's lets and defs are located in its rules text *)
+  let w = { (relstore ()) with Wrapper.rules_text = "\n\ndef f(x) = frob(x);\n" } in
+  match Finding.errors (Check.check_source (Wrapper.registration_decl w)) with
+  | [ f ] ->
+    Alcotest.(check string) "tag" "unknown-function" f.Finding.tag;
+    Alcotest.(check string) "where" "def f" f.Finding.where;
+    check_loc "at the def" (pos_of w.Wrapper.rules_text "def f") f
+  | fs -> Alcotest.failf "expected one error, got %d" (List.length fs)
+
+let test_adt_let_error () =
+  (* an ADT parameter whose evaluation fails passes Check and is installed
+     with the rest of the export: the error is raised where the parameter
+     is read, and lint reports it at the let *)
+  let base = relstore () in
+  let bad =
+    { base with Wrapper.rules_text = base.Wrapper.rules_text ^ "\nlet AdtCost_f = 1 / 0;" }
+  in
+  let med = Mediator.create () and plain = Mediator.create () in
+  Mediator.register med bad;
+  Mediator.register plain base;
+  let rows m =
+    List.map Disco_exec.Tuple.key (Mediator.run_query m "select e.id from Employee e").Mediator.rows
+  in
+  Alcotest.(check (list string)) "same rows as without the let" (rows plain) (rows med);
+  let registry = Mediator.registry med in
+  Alcotest.(check bool) "the cost raises the let's error" true
+    (match Registry.adt_cost registry "f" with
+     | _ -> false
+     | exception Err.Eval_error msg -> contains_sub msg "division by zero");
+  match
+    List.filter
+      (fun (f : Finding.t) -> f.tag = "let-error")
+      (Analyzer.analyze_source registry ~source:"relstore")
+  with
+  | [ f ] ->
+    Alcotest.(check string) "where" "let AdtCost_f" f.Finding.where;
+    check_loc "at the let" (pos_of bad.Wrapper.rules_text "let AdtCost_f") f
+  | fs -> Alcotest.failf "expected one let-error, got %d" (List.length fs)
+
+let test_reregistration_replaces_adt () =
+  (* re-registering files without its exports drops its ADT parameters, as
+     if it had never exported them *)
+  let files ws = List.find (fun (w : Wrapper.t) -> w.Wrapper.name = "files") ws in
+  let demo = Demo.make ~sizes:Demo.small_sizes () in
+  let med = Mediator.create () and fresh = Mediator.create () in
+  List.iter (Mediator.register med) demo;
+  Alcotest.(check bool) "exported first" true
+    (Registry.adt_cost (Mediator.registry med) "lang_match" <> None);
+  Mediator.register med (Wrapper.without_rules (files demo));
+  List.iter (Mediator.register fresh)
+    (List.map
+       (fun (w : Wrapper.t) -> if w.Wrapper.name = "files" then Wrapper.without_rules w else w)
+       demo);
+  List.iter
+    (fun (what, read) ->
+      Alcotest.(check (option (float 0.))) what (read (Mediator.registry fresh) "lang_match")
+        (read (Mediator.registry med) "lang_match");
+      Alcotest.(check (option (float 0.))) (what ^ " gone") None
+        (read (Mediator.registry med) "lang_match"))
+    [ ("cost", Registry.adt_cost); ("selectivity", Registry.adt_selectivity) ]
+
+let test_registration_bumps_once () =
+  (* an export is installed in one step: a first registration, a
+     re-registration and one with fewer rules all move the generation once *)
+  let med = Mediator.create () in
+  let registry = Mediator.registry med in
+  let register w =
+    let g0 = Registry.generation registry in
+    Mediator.register med w;
+    Alcotest.(check int) (w.Wrapper.name ^ " moves the generation once") (g0 + 1)
+      (Registry.generation registry)
+  in
+  let demo = Demo.make ~sizes:Demo.small_sizes () in
+  List.iter register demo;
+  List.iter register demo;
+  List.iter register (List.map Wrapper.without_rules demo)
+
 (* --- JSON output ---------------------------------------------------------------- *)
 
 let test_json_output () =
@@ -553,6 +631,12 @@ let () =
         [ Alcotest.test_case "lint only reports" `Quick test_lint_only_reports;
           Alcotest.test_case "refused export installs nothing" `Quick
             test_refused_registration;
+          Alcotest.test_case "wrapper findings located" `Quick test_wrapper_positions;
+          Alcotest.test_case "ADT let error installs whole" `Quick test_adt_let_error;
+          Alcotest.test_case "re-registration replaces ADTs" `Quick
+            test_reregistration_replaces_adt;
+          Alcotest.test_case "one bump per registration" `Quick
+            test_registration_bumps_once;
           Alcotest.test_case "json findings" `Quick test_json_output ] );
       ( "hostile exports",
         [ Alcotest.test_case "lint of a let cycle" `Quick test_lint_let_cycle;

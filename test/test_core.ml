@@ -468,9 +468,9 @@ let test_adt_costs () =
   let registry =
     base_registry ~extra:"let AdtCost_heavy = 150; let AdtSel_heavy = 0.02;" ()
   in
-  Alcotest.(check (option (float 0.))) "cost harvested" (Some 150.)
+  Alcotest.(check (option (float 0.))) "cost exported" (Some 150.)
     (Registry.adt_cost registry "heavy");
-  Alcotest.(check (option (float 0.))) "selectivity harvested" (Some 0.02)
+  Alcotest.(check (option (float 0.))) "selectivity exported" (Some 0.02)
     (Registry.adt_selectivity registry "heavy");
   Alcotest.(check (option (float 0.))) "unknown op" None (Registry.adt_cost registry "nope");
   let apply = Pred.Apply ("heavy", "e.name", Constant.String "x") in
@@ -888,8 +888,7 @@ let prop_selest_bounds =
    after firing, and an in-band observation resets it. *)
 let test_feedback_drift_bumps_once () =
   let registry = base_registry () in
-  let history = History.create registry in
-  History.set_feedback history (Some History.default_feedback);
+  let history = History.create ~feedback:History.default_feedback registry in
   let plan = sel_salary 9 in
   let g0 = Registry.generation registry in
   let observe ~estimated =

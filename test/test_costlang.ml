@@ -234,7 +234,7 @@ let test_parse_inheritance_and_capabilities () =
   Alcotest.(check bool) "round-trip" true (Parser.parse_source ~what:"rt" printed = s)
 
 let test_parse_items () =
-  let items = Parser.parse_items ~what:"items" "let X = 3; rule scan(C) { TotalTime = X; }" in
+  let items, _ = Parser.parse_items ~what:"items" "let X = 3; rule scan(C) { TotalTime = X; }" in
   Alcotest.(check int) "two items" 2 (List.length items)
 
 (* --- Static checking ---------------------------------------------------------- *)

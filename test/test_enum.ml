@@ -337,16 +337,6 @@ let test_disconnected_diagnostic () =
     [ "disconnected components"; "{d}"; "{e}"; "join predicates" ]
     (fun () -> Optimizer.optimize (Mediator.registry med) spec)
 
-let test_unavailable_diagnostic () =
-  let med = synth_med 4 in
-  let spec = spec_of med (Demo.synthetic_sql ~shape:Demo.Chain ~n:4 ()) in
-  expect_plan_error ~what:"excluded source"
-    [ "Rel0"; "source s0"; "unavailable" ]
-    (fun () ->
-      Optimizer.optimize
-        ~available:(fun s -> s <> "s0")
-        (Mediator.registry med) spec)
-
 (* --- width guards ---------------------------------------------------------- *)
 
 let test_width_guards () =
@@ -432,8 +422,6 @@ let () =
       ( "guards",
         [ Alcotest.test_case "disconnected join graph" `Quick
             test_disconnected_diagnostic;
-          Alcotest.test_case "unavailable source" `Quick
-            test_unavailable_diagnostic;
           Alcotest.test_case "width limits" `Quick test_width_guards ] );
       ( "modes",
         [ Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;

@@ -7,14 +7,15 @@
      the warm cross-query cache, must reproduce the same bits without
      running a plan search. The plan-cache properties are pinned on the
      query-level table: structurally identical join specs share a search
-     result, a registration forces a new search, an open breaker is
-     honoured on a hit, and the two objectives key apart;
+     result, a registration forces a new search, an open breaker refuses
+     the query before any lookup, and the two objectives key apart;
 
    - invalidation: every kind of cost-model write — rule registration,
-     [let] update via re-registration, calibration adjustment, historical
-     feedback (§4.3) — must bump {!Registry.generation}, so a stale cache
-     entry is dropped instead of served and re-estimation sees the new
-     model. One test per {!Registry} invalidation site. *)
+     re-registration (its rules, [let]s and ADT parameters), calibration
+     adjustment, historical feedback (§4.3) — must bump
+     {!Registry.generation}, so a stale cache entry is dropped instead of
+     served and re-estimation sees the new model. One test per {!Registry}
+     invalidation site. *)
 
 open Disco_common
 open Disco_algebra
@@ -222,9 +223,9 @@ let test_registration_forces_search () =
   Alcotest.(check bool) "no wrapper-side join once objstore cannot join" false
     (wrapper_side_join p1)
 
-(* An open breaker on a base source is honoured on a hit exactly as by a
-   search: run_query fails fast with [Source_unavailable], and planning the
-   variant directly gives the search's named diagnosis. *)
+(* An open breaker on a base source refuses the query before any plan-cache
+   lookup, cached or not: run_query fails fast with [Source_unavailable],
+   and so does planning the variant directly. *)
 let test_breaker_on_hit () =
   let cached = federation ~cache:true and reference = federation ~cache:false in
   let sql =
@@ -249,17 +250,23 @@ let test_breaker_on_hit () =
   Alcotest.(check string) "run_query as uncached" (outcome reference) (outcome cached);
   Alcotest.(check bool) "fails fast" true
     (String.starts_with ~prefix:"unavailable relstore" (outcome cached));
-  let plan_error med =
+  let plan_outcome med =
     let r = Mediator.resolve med (Disco_sql.Sql.parse sql) in
     match Mediator.plan_of_variant med r with
     | _ -> "planned"
-    | exception Err.Plan_error msg -> msg
+    | exception Err.Source_unavailable { source; retry_at_ms } ->
+      Fmt.str "unavailable %s until %g" source retry_at_ms
   in
-  let hits = (Plancache.counters (Mediator.plancache cached)).Plancache.hits in
-  Alcotest.(check string) "planning diagnosis as uncached" (plan_error reference)
-    (plan_error cached);
-  Alcotest.(check int) "the diagnosis came from a hit" (hits + 1)
-    (Plancache.counters (Mediator.plancache cached)).Plancache.hits
+  let lookups () =
+    let c = Plancache.counters (Mediator.plancache cached) in
+    c.Plancache.hits + c.Plancache.misses
+  in
+  let before = lookups () in
+  Alcotest.(check string) "planning as uncached" (plan_outcome reference)
+    (plan_outcome cached);
+  Alcotest.(check bool) "planning fails fast" true
+    (String.starts_with ~prefix:"unavailable relstore" (plan_outcome cached));
+  Alcotest.(check int) "no cache lookup" before (lookups ())
 
 (* The demo optimize workload planned cold, warm and again after a
    generation bump (the wrappers re-registered), through a cached and an
@@ -320,7 +327,7 @@ let test_churn_readd_survives () =
   let find i = Plancache.find cache registry ~objective:Ast.Total_time (dummy_plan i) in
   List.iter (fun i -> add i (float_of_int i)) [ 1; 2; 3 ];
   (* a model write makes every entry stale *)
-  Registry.register_adt registry ~name:"churn" ~cost_ms:1. ~selectivity:0.5;
+  Registry.invalidate registry;
   Alcotest.(check (option (float 0.))) "stale entry dropped" None (find 2);
   add 2 20.;
   (* re-added under the new generation *)
@@ -349,7 +356,6 @@ let prop_cache_model =
          refreshes in place, so position is insertion order of first
          residency, which the list preserves *)
       let model : (int * float * int) list ref = ref [] in
-      let adts = ref 0 in
       let ok = ref true in
       List.iteri
         (fun step (key, kind) ->
@@ -382,10 +388,7 @@ let prop_cache_model =
                Plancache.find cache registry ~objective:Ast.Total_time (dummy_plan key)
              in
              if got <> expect then ok := false
-           | _ ->
-             incr adts;
-             Registry.register_adt registry ~name:(Fmt.str "adt%d" !adts)
-               ~cost_ms:1. ~selectivity:0.5);
+           | _ -> Registry.invalidate registry);
           if Plancache.size cache > capacity then ok := false;
           if Plancache.size cache <> List.length !model then ok := false)
         ops;
@@ -572,7 +575,7 @@ let test_multi_domain_hammer () =
   wave ();
   (* every resident entry is now stale; wave two must never see a wave-one
      cost *)
-  Registry.register_adt registry ~name:"hammer" ~cost_ms:1. ~selectivity:0.5;
+  Registry.invalidate registry;
   wave ();
   let total a = Array.fold_left ( + ) 0 a in
   Alcotest.(check int) "no stale entry served, capacity never exceeded" 0
@@ -593,7 +596,7 @@ let test_multi_domain_hammer () =
      may evict every pre-bump resident through capacity churn before a find
      reaches it, so the stale counter is only pinned here.) *)
   let stale0 = c.Plancache.stale in
-  Registry.register_adt registry ~name:"hammer2" ~cost_ms:1. ~selectivity:0.5;
+  Registry.invalidate registry;
   let resident =
     List.find
       (fun k ->
@@ -758,25 +761,36 @@ let test_invalidate_remove_query_rules () =
   in
   Alcotest.(check bool) "historical cost gone" true (c1 <> 777.)
 
-let test_invalidate_clear_source () =
-  (* clear_source drops the source's rules; the registry falls back to the
-     generic model, so the estimate changes *)
+(* Re-register the fixture's source with [extra] cost-language text,
+   checking that it moves the generation exactly once. *)
+let reregister registry extra () =
+  let g0 = Registry.generation registry in
+  ignore
+    (Registry.register_source_decl registry
+       (Parser.parse_source ~what:"rereg" (src_text extra)));
+  Alcotest.(check int) "one bump" (g0 + 1) (Registry.generation registry)
+
+let test_invalidate_reregistration () =
+  (* a re-registration without the source's rule drops it; the registry
+     falls back to the generic model, so the estimate changes *)
   let registry = base_registry ~extra:"rule scan(C) { TotalTime = 99; }" () in
   Alcotest.(check (float 0.)) "source rule governs" 99. (total registry scan_emp);
-  let c1 =
-    check_invalidates "clear_source" registry scan_emp (fun () ->
-        Registry.clear_source registry ~source:"src")
-  in
-  Alcotest.(check bool) "generic model after clear" true (c1 <> 99.)
+  let c1 = check_invalidates "re-registration" registry scan_emp (reregister registry "") in
+  Alcotest.(check bool) "generic model after re-registration" true (c1 <> 99.);
+  Alcotest.(check int) "no rule left" 0 (Registry.rule_count registry ~source:"src")
 
-let test_invalidate_register_adt () =
-  (* ADT cost exports feed adtcost(P)/selectivity; their arrival must
-     invalidate too *)
+let test_invalidate_adt_export () =
+  (* ADT parameters feed adtcost(P) and selectivity: exporting them is a
+     re-registration, and it invalidates like any *)
   let registry = base_registry () in
-  let g0 = Registry.generation registry in
-  Registry.register_adt registry ~name:"contains" ~cost_ms:4.5 ~selectivity:0.1;
-  Alcotest.(check bool) "register_adt bumps generation" true
-    (Registry.generation registry > g0)
+  let plan = Plan.Select (scan_emp, Pred.Apply ("contains", "e.salary", Constant.Int 1)) in
+  ignore
+    (check_invalidates "ADT export" registry plan
+       (reregister registry "let AdtCost_contains = 4.5; let AdtSel_contains = 0.1;"));
+  Alcotest.(check (option (float 0.))) "cost read" (Some 4.5)
+    (Registry.adt_cost registry "contains");
+  Alcotest.(check (option (float 0.))) "selectivity read" (Some 0.1)
+    (Registry.adt_selectivity registry "contains")
 
 let test_generation_stable_across_reads () =
   (* estimation and cache traffic are reads: no bump *)
@@ -1160,6 +1174,6 @@ let () =
           Alcotest.test_case "history exact" `Quick test_invalidate_history_exact;
           Alcotest.test_case "history adjust" `Quick test_invalidate_history_adjust;
           Alcotest.test_case "remove_query_rules" `Quick test_invalidate_remove_query_rules;
-          Alcotest.test_case "clear_source" `Quick test_invalidate_clear_source;
-          Alcotest.test_case "register_adt" `Quick test_invalidate_register_adt;
+          Alcotest.test_case "re-registration" `Quick test_invalidate_reregistration;
+          Alcotest.test_case "ADT export" `Quick test_invalidate_adt_export;
           Alcotest.test_case "reads stable" `Quick test_generation_stable_across_reads ] ) ]
