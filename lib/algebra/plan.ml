@@ -167,6 +167,47 @@ let split_attr qname =
     Some (String.sub qname 0 i, String.sub qname (i + 1) (String.length qname - i - 1))
   | None -> None
 
+type resolution = Found of int | Ambiguous of int list | Missing
+
+(* The index of the first attribute equal to [name] at or after [i], or
+   -1; the attributes before [i] whose unqualified part is [name], onto
+   [acc]. Top-level, so a resolution allocates no closure. *)
+let rec exact_index attrs name i =
+  if i = Array.length attrs then -1
+  else if String.equal attrs.(i) name then i
+  else exact_index attrs name (i + 1)
+
+let rec suffix_indexes attrs name i acc =
+  if i = 0 then acc
+  else
+    let acc =
+      match split_attr attrs.(i - 1) with
+      | Some (_, base) when String.equal base name -> (i - 1) :: acc
+      | _ -> acc
+    in
+    suffix_indexes attrs name (i - 1) acc
+
+(* The executors' attribute-resolution rule, and the plan checker's: the
+   first exact match wins; otherwise the one attribute whose unqualified
+   part is [name]. Several such attributes are ambiguous, none is missing. *)
+let resolve_attr attrs name =
+  match exact_index attrs name 0 with
+  | -1 ->
+    (match suffix_indexes attrs name (Array.length attrs) [] with
+     | [] -> Missing
+     | [ i ] -> Found i
+     | is -> Ambiguous is)
+  | i -> Found i
+
+let attr_index attrs name =
+  match resolve_attr attrs name with
+  | Found i -> i
+  | Ambiguous _ | Missing ->
+    raise
+      (Disco_common.Err.Eval_error
+         (Fmt.str "attribute %S not found in tuple (%s)" name
+            (String.concat ", " (Array.to_list attrs))))
+
 (* The base collection and unqualified attribute a qualified name refers to,
    if it traces back to a scan of [plan]. *)
 let attr_origin plan qname =

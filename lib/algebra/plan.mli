@@ -73,6 +73,23 @@ val bindings : t -> (string * collection_ref) list
 val split_attr : string -> (string * string) option
 (** [split_attr "e.salary" = Some ("e", "salary")]; [None] for bare names. *)
 
+(** Where a name resolves among a row's attributes: the index of the
+    attribute, several candidate indexes (ascending), or none. *)
+type resolution = Found of int | Ambiguous of int list | Missing
+
+val resolve_attr : string array -> string -> resolution
+(** The one attribute-resolution rule, used by both execution engines
+    ([Tuple.get], [Batch.find_col], the join-pair evaluator) and by the plan
+    checker: the first attribute equal to the name wins; otherwise the
+    single attribute whose unqualified part ({!split_attr}) is the name. Two
+    or more such attributes are [Ambiguous], none is [Missing]. *)
+
+val attr_index : string array -> string -> int
+(** The [Found] index of {!resolve_attr}.
+    @raise Disco_common.Err.Eval_error ["attribute \"x\" not found in tuple
+    (a, b)"] when the name is ambiguous or missing: the executors' one
+    resolution error. *)
+
 val attr_origin : t -> string -> (collection_ref * string) option
 (** The base collection and unqualified attribute a qualified name traces
     back to, if its binding appears in the plan. *)

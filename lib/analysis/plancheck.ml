@@ -5,8 +5,7 @@
    types — and validates every reference against it. The environment mirrors
    [Plan.output_attrs] exactly (requested names survive Project/Aggregate
    verbatim), so what we type here is what [Run] will look up at execution.
-   Name resolution copies the executor's rule (Tuple.get / Batch.find_col):
-   exact match first, then a unique unqualified-suffix match. *)
+   Names resolve by the executors' own function, [Plan.resolve_attr]. *)
 
 open Disco_common
 open Disco_catalog
@@ -23,24 +22,19 @@ type ctx = [ `Mediator | `Wrapper of string ]
 
 type env = (string * Schema.ty) list
 
-let unqual name =
-  match Plan.split_attr name with Some (_, a) -> a | None -> name
-
 type resolution =
   | Found of string * Schema.ty
   | Ambiguous of string list
   | Missing
 
 let resolve (env : env) name : resolution =
-  match List.assoc_opt name env with
-  | Some ty -> Found (name, ty)
-  | None ->
-    if Plan.split_attr name <> None then Missing
-    else (
-      match List.filter (fun (n, _) -> unqual n = name) env with
-      | [ (n, ty) ] -> Found (n, ty)
-      | [] -> Missing
-      | several -> Ambiguous (List.map fst several))
+  let env = Array.of_list env in
+  match Plan.resolve_attr (Array.map fst env) name with
+  | Plan.Found i ->
+    let n, ty = env.(i) in
+    Found (n, ty)
+  | Plan.Ambiguous is -> Ambiguous (List.map (fun i -> fst env.(i)) is)
+  | Plan.Missing -> Missing
 
 let numeric = function Schema.Tint | Schema.Tfloat -> true | _ -> false
 let compatible a b = a = b || (numeric a && numeric b)

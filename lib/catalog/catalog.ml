@@ -22,14 +22,6 @@ type t = { mutable sources : (string * source) list }
 
 let create () = { sources = [] }
 
-let register_source t name =
-  match List.assoc_opt name t.sources with
-  | Some s -> s
-  | None ->
-    let s = { source_name = name; collections = []; capabilities = None } in
-    t.sources <- t.sources @ [ (name, s) ];
-    s
-
 let source_names t = List.map fst t.sources
 
 let find_source t name =
@@ -37,22 +29,24 @@ let find_source t name =
   | Some s -> s
   | None -> raise (Err.Unknown_source name)
 
-(* Register or replace a collection of [source]; re-registration supports the
-   paper's administrative interface for refreshing out-of-date statistics. *)
-let register_collection ?parent t ~source ~schema ~extent ~attributes =
-  let s = register_source t source in
-  let entry = { schema; extent; attributes; parent } in
-  s.collections <-
-    (schema.Schema.coll_name, entry)
-    :: List.remove_assoc schema.Schema.coll_name s.collections
+(* A source's whole export, written at once: re-registration replaces
+   every collection and the capabilities (the paper's administrative
+   interface for refreshing out-of-date statistics), so nothing the new
+   export no longer declares survives. A source the catalog does not hold
+   stays absent while its export declares nothing. *)
+let replace_source t ~source ~collections ~capabilities =
+  match List.assoc_opt source t.sources, collections, capabilities with
+  | Some s, _, _ ->
+    s.collections <- collections;
+    s.capabilities <- capabilities
+  | None, [], None -> ()
+  | None, _, _ ->
+    t.sources <- t.sources @ [ (source, { source_name = source; collections; capabilities }) ]
 
 let collections t ~source = List.map fst (find_source t source).collections
 
 (* Wrapper capabilities (paper §2.1): which operators a source can execute.
    [None] (the default) means all. *)
-let set_capabilities t ~source ops =
-  (register_source t source).capabilities <- Some ops
-
 let capable t ~source op =
   match List.assoc_opt source t.sources with
   | None | Some { capabilities = None; _ } -> true

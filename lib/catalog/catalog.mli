@@ -25,21 +25,21 @@ val source_names : t -> string list
 val find_source : t -> string -> source
 (** @raise Disco_common.Err.Unknown_source when absent. *)
 
-val register_collection :
-  ?parent:string ->
+val replace_source :
   t ->
   source:string ->
-  schema:Schema.collection ->
-  extent:Stats.extent ->
-  attributes:(string * Stats.attribute) list ->
+  collections:(string * entry) list ->
+  capabilities:string list option ->
   unit
-(** Register or replace a collection. Re-registration supports the paper's
-    administrative interface for refreshing out-of-date statistics. *)
+(** A source's export in one write: its collections (by name, first listed
+    first in {!collections}) and its capabilities ([None]: every operator)
+    replace whatever the source held, so a re-registration keeps nothing
+    the new export no longer declares, histograms included. This is the
+    paper's administrative interface for refreshing out-of-date
+    statistics. A source the catalog does not hold is added, unless
+    [collections] is empty and [capabilities] is [None]. *)
 
 val collections : t -> source:string -> string list
-
-val set_capabilities : t -> source:string -> string list -> unit
-(** Restrict a source to the given operator names. *)
 
 val capable : t -> source:string -> string -> bool
 (** Whether the source can execute the operator; [true] when no capabilities

@@ -529,21 +529,23 @@ let remove_query_rules t ~source =
    rules. *)
 let register_source_decl ?scope_override t (decl : Ast.source_decl) =
   let source = decl.Ast.source_name in
-  let register_interface (i : Ast.interface_decl) =
+  (* interface [i]'s catalog entry, given the export's earlier ones *)
+  let interface_entry earlier (i : Ast.interface_decl) =
     let own_attrs =
       List.filter_map
         (function Ast.Attr_decl (ty, n) -> Some (n, ty) | _ -> None)
         i.Ast.members
     in
     (* single inheritance: prepend the parent's attributes (the parent must
-       be registered first — declare super-interfaces before their subs) *)
+       be declared earlier in the same export) *)
     let inherited =
       match i.Ast.iface_parent with
       | None -> []
       | Some p ->
         let entry =
-          try Catalog.find_collection t.catalog ~source p
-          with Err.Unknown_collection _ ->
+          match List.assoc_opt p earlier with
+          | Some e -> e
+          | None ->
             raise
               (Err.Eval_error
                  (Fmt.str "interface %s inherits from %s, which is not declared yet"
@@ -556,7 +558,6 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
     let attrs =
       inherited @ List.filter (fun (n, _) -> not (List.mem_assoc n inherited)) own_attrs
     in
-    let schema = Schema.collection i.Ast.iface_name attrs in
     let extent =
       List.fold_left
         (fun acc -> function
@@ -566,7 +567,7 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
           | _ -> acc)
         Stats.default_extent i.Ast.members
     in
-    let attr_stats =
+    let attributes =
       List.filter_map
         (function
           | Ast.Attr_stats { attr; indexed; distinct; min; max } ->
@@ -577,15 +578,24 @@ let register_source_decl ?scope_override t (decl : Ast.source_decl) =
           | _ -> None)
         i.Ast.members
     in
-    Catalog.register_collection ?parent:i.Ast.iface_parent t.catalog ~source ~schema
-      ~extent ~attributes:attr_stats
+    { Catalog.schema = Schema.collection i.Ast.iface_name attrs;
+      extent;
+      attributes;
+      parent = i.Ast.iface_parent }
   in
-  List.iter
-    (function
-      | Ast.Interface i -> register_interface i
-      | Ast.Capabilities ops -> Catalog.set_capabilities t.catalog ~source ops
-      | Ast.Let _ | Ast.Def _ | Ast.Toplevel_rule _ -> ())
-    decl.Ast.items;
+  (* the export's catalog entry, built aside and written whole: the latest
+     interface of a name first, the last capabilities declared *)
+  let collections, capabilities =
+    List.fold_left
+      (fun (colls, caps) -> function
+        | Ast.Interface i ->
+          let name = i.Ast.iface_name in
+          ((name, interface_entry colls i) :: List.remove_assoc name colls, caps)
+        | Ast.Capabilities ops -> (colls, Some ops)
+        | Ast.Let _ | Ast.Def _ | Ast.Toplevel_rule _ -> (colls, caps))
+      ([], None) decl.Ast.items
+  in
+  Catalog.replace_source t.catalog ~source ~collections ~capabilities;
   let defs =
     List.filter_map
       (function

@@ -106,8 +106,12 @@ val remove_query_rules : t -> source:string -> unit
 
 val register_source_decl : ?scope_override:Scope.t -> t -> Ast.source_decl -> Rule.t list
 (** Register everything a wrapper exported, in two steps.
-    - Its interfaces and capabilities are written to the catalog: its
-      [let]s and its rules' specificity read them.
+    - Its catalog entry is built aside and written whole
+      ({!Disco_catalog.Catalog.replace_source}): its interfaces, a parent
+      resolved against the export's own earlier interfaces, and its
+      capabilities. They replace the source's collections and
+      capabilities, so a re-registration keeps none the new export no
+      longer declares. Its [let]s and its rules' specificity read them.
     - Its defs, [let]s ({!param}) and rules are built aside — the [let]s
       evaluated and the rules compiled once every def of the export is
       known, so they may call a def declared after them — and installed
@@ -115,13 +119,12 @@ val register_source_decl : ?scope_override:Scope.t -> t -> Ast.source_decl -> Ru
     They replace the previous export's defs, [let]s and rules (the paper's
     administrative interface for refreshing out-of-date cost information,
     §2.1); the source keeps its query-scope history rules and its
-    adjustment factor, and the catalog keeps collections the new export no
-    longer declares. Nothing raises once the catalog is written: a [let]
+    adjustment factor. Nothing raises once the catalog is written: a [let]
     whose evaluation fails keeps its error ({!param}). So an export the
     registration checker accepts is installed whole; only a malformed
-    interface (one whose parent is declared after it) raises, and then
-    only the catalog entries declared before it have been written. Returns
-    the compiled rules. *)
+    interface (one whose parent is not declared before it in the export)
+    raises, and then before anything is written. Returns the compiled
+    rules. *)
 
 val register_text : ?scope_override:Scope.t -> t -> what:string -> string -> string
 (** Parse and register cost-language text; returns the source name. *)

@@ -10,8 +10,8 @@
    - [len > 0] for every batch an operator emits (empty batches are dropped);
    - [bytes] is the exact sum of [Tuple.byte_size] over the batch's rows
      (integer arithmetic, so carrying it incrementally is exact);
-   - attribute resolution ([find_col]) matches [Tuple.get]: exact match
-     first, then a unique unqualified-suffix match, else [Err.Eval_error]. *)
+   - attribute resolution ([find_col]) is [Tuple.get]'s: both call
+     [Plan.attr_index]. *)
 
 open Disco_common
 module Table = Disco_storage.Table
@@ -50,49 +50,9 @@ let phys b i = match b.sel with None -> i | Some s -> s.(i)
 (* Box one cell; [i] is a logical row index. *)
 let cell b c i = Table.cell b.cols.(c) (phys b i)
 
-(* Compare two cells without boxing when both columns are unboxed; must
-   agree with [Constant.compare] on the boxed values (it does: Int/Int is
-   [Int.compare], Float/Float is [Float.compare], and Int/Float coerces the
-   int side to float). *)
-let cell_compare ba ca ia bb cb ib =
-  let pa = phys ba ia and pb = phys bb ib in
-  match ba.cols.(ca), bb.cols.(cb) with
-  | Ints xs, Ints ys -> Int.compare xs.(pa) ys.(pb)
-  | Floats xs, Floats ys -> Float.compare xs.(pa) ys.(pb)
-  | Ints xs, Floats ys -> Float.compare (float_of_int xs.(pa)) ys.(pb)
-  | Floats xs, Ints ys -> Float.compare xs.(pa) (float_of_int ys.(pb))
-  | _ -> Constant.compare (cell ba ca ia) (cell bb cb ib)
-
-(* Attribute resolution, mirroring [Tuple.get]: first exact name match wins;
-   otherwise a unique match on the unqualified suffix; otherwise the same
-   [Err.Eval_error] a tuple lookup would raise. *)
-let find_col_opt b name =
-  let n = Array.length b.attrs in
-  let rec exact i =
-    if i >= n then None
-    else if String.equal b.attrs.(i) name then Some i
-    else exact (i + 1)
-  in
-  match exact 0 with
-  | Some _ as r -> r
-  | None ->
-    let matches = ref [] in
-    Array.iteri
-      (fun i a ->
-        match Disco_algebra.Plan.split_attr a with
-        | Some (_, base) when String.equal base name -> matches := i :: !matches
-        | _ -> ())
-      b.attrs;
-    (match !matches with [ i ] -> Some i | _ -> None)
-
-let find_col b name =
-  match find_col_opt b name with
-  | Some i -> i
-  | None ->
-    raise
-      (Err.Eval_error
-         (Fmt.str "attribute %S not found in tuple (%s)" name
-            (String.concat ", " (Array.to_list b.attrs))))
+(* Attribute resolution: the executors' one rule ([Plan.resolve_attr]),
+   raising the same [Err.Eval_error] a tuple lookup would. *)
+let find_col b name = Disco_algebra.Plan.attr_index b.attrs name
 
 (* The first [n] rows of [b], boxed and consed onto [acc] from the last
    row to the first, so each row is consed once. A row allocates its cons,

@@ -6,7 +6,7 @@
 
     Invariants the batch execution path relies on: emitted batches are
     non-empty; [byte_size] is the exact integer sum of {!Tuple.byte_size}
-    over the rows; {!find_col} resolves names exactly like {!Tuple.get}. *)
+    over the rows; {!find_col} resolves names by {!Tuple.get}'s rule. *)
 
 open Disco_common
 
@@ -40,15 +40,10 @@ val indexer : t -> int -> int
 val cell : t -> int -> int -> Constant.t
 (** [cell b col row], boxed. *)
 
-val cell_compare : t -> int -> int -> t -> int -> int -> int
-(** [cell_compare ba ca ia bb cb ib] agrees with [Constant.compare] on the
-    boxed cells but avoids boxing for unboxed column pairs. *)
-
-val find_col_opt : t -> string -> int option
-
 val find_col : t -> string -> int
-(** Resolution identical to {!Tuple.get}: exact match first, then a unique
-    unqualified-suffix match.
+(** {!Disco_algebra.Plan.attr_index} over the batch's attributes, so
+    resolution is {!Tuple.get}'s: the first exact match, else the one
+    attribute whose unqualified part is the name.
     @raise Disco_common.Err.Eval_error when absent or ambiguous. *)
 
 val rows_onto : t -> int -> Tuple.t list -> Tuple.t list

@@ -4,11 +4,12 @@
    re-dispatching on constructors per tuple, as [Pred.eval] does.
 
    Semantics are pinned to the tuple path:
-   - attribute resolution mirrors [Tuple.get] (via [Batch.find_col]), and
-     for pairs resolves over the concatenated schema exactly like
-     [Tuple.get] on [Tuple.concat lt rt];
-   - comparison agrees with [Cmp.eval]/[Constant.compare], including the
-     Int/Float coercion and the rank order across constructors;
+   - attribute resolution is [Tuple.get]'s rule ([Plan.resolve_attr], via
+     [Batch.find_col]), and for pairs runs over the concatenated schema as
+     [Tuple.get] on [Tuple.concat lt rt] does;
+   - comparison is [Cmp.eval] on the boxed cells, except where a kernel
+     below specializes it (an [Ints] column against an [Int] constant, and
+     two [Ints] columns of a join pair), which agrees with it;
    - the right operand of [And]/[Or] is only compiled and evaluated when
      some row short-circuits into it, so a resolution error in a dead
      branch raises in the batch path exactly when it would have raised in
@@ -16,15 +17,6 @@
 
 open Disco_common
 open Disco_algebra
-
-let holds (op : Cmp.t) c =
-  match op with
-  | Cmp.Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
 
 let with_mask n f =
   let m = Bytes.make n '\000' in
@@ -66,9 +58,8 @@ let ints_int m n (a : int array) sel (x : int) op neg =
   !c
 
 (* attr-vs-constant column comparison: the kernel for an int column
-   against an int constant, row by row through [with_mask] otherwise.
-   [ix] translates logical row indices through the batch's selection
-   vector (identity for dense batches). *)
+   against an int constant, the only pairing a workload filters on; every
+   other one is [Cmp.eval] on the boxed cells, row by row. *)
 let cmp_mask (b : Batch.t) ci op v =
   let n = b.Batch.len in
   match b.Batch.cols.(ci), v with
@@ -84,41 +75,7 @@ let cmp_mask (b : Batch.t) ci op v =
     in
     let m = Bytes.create n in
     (m, ints_int m n a b.Batch.sel x base neg)
-  | Batch.Ints a, Constant.Float x ->
-    let ix = Batch.indexer b in
-    with_mask n (fun i -> holds op (Float.compare (float_of_int a.(ix i)) x))
-  | Batch.Floats a, Constant.Float x ->
-    let ix = Batch.indexer b in
-    with_mask n (fun i -> holds op (Float.compare a.(ix i) x))
-  | Batch.Floats a, Constant.Int xi ->
-    let ix = Batch.indexer b in
-    let x = float_of_int xi in
-    with_mask n (fun i -> holds op (Float.compare a.(ix i) x))
-  | Batch.Ints _, v ->
-    (* non-numeric constant vs a numeric column: the comparison is decided
-       by constructor rank alone, so the whole column answers alike *)
-    let r = holds op (Constant.compare (Constant.Int 0) v) in
-    with_mask n (fun _ -> r)
-  | Batch.Floats _, v ->
-    let r = holds op (Constant.compare (Constant.Float 0.) v) in
-    with_mask n (fun _ -> r)
-  | Batch.Boxed a, v ->
-    let ix = Batch.indexer b in
-    with_mask n (fun i -> Cmp.eval op a.(ix i) v)
-
-let attr_mask (b : Batch.t) ci cj op =
-  let n = b.Batch.len in
-  match b.Batch.cols.(ci), b.Batch.cols.(cj) with
-  | Batch.Ints a, Batch.Ints c ->
-    let ix = Batch.indexer b in
-    (match op with
-     | Cmp.Eq -> with_mask n (fun i -> a.(ix i) = c.(ix i))
-     | Ne -> with_mask n (fun i -> a.(ix i) <> c.(ix i))
-     | Lt -> with_mask n (fun i -> a.(ix i) < c.(ix i))
-     | Le -> with_mask n (fun i -> a.(ix i) <= c.(ix i))
-     | Gt -> with_mask n (fun i -> a.(ix i) > c.(ix i))
-     | Ge -> with_mask n (fun i -> a.(ix i) >= c.(ix i)))
-  | _ -> with_mask n (fun i -> holds op (Batch.cell_compare b ci i b cj i))
+  | _ -> with_mask n (fun i -> Cmp.eval op (Batch.cell b ci i) v)
 
 (* [mp] narrowed (widened) to the rows set in [mq] as well (as well or
    instead), in place; the new count. Mask bytes are 0 or 1. *)
@@ -151,7 +108,7 @@ let rec mask ~apply (b : Batch.t) (p : Pred.t) : Bytes.t * int =
   | Pred.Attr_cmp (a, op, b') ->
     let ci = Batch.find_col b a in
     let cj = Batch.find_col b b' in
-    attr_mask b ci cj op
+    with_mask n (fun i -> Cmp.eval op (Batch.cell b ci i) (Batch.cell b cj i))
   | Pred.Apply (fn, a, v) ->
     let c = Batch.find_col b a in
     with_mask n (fun i -> apply fn (Batch.cell b c i) v)
@@ -180,37 +137,12 @@ let rec mask ~apply (b : Batch.t) (p : Pred.t) : Bytes.t * int =
 
 type loc = L of int | R of int
 
-(* Resolution over the concatenated schema, identical to [Tuple.get] on
-   [Tuple.concat lt rt]: exact match scans left attrs then right attrs;
-   the suffix fallback must be unique across both. *)
+(* Resolution over the concatenated schema, as [Tuple.get] on
+   [Tuple.concat lt rt] resolves. *)
 let find_pair (l : Batch.t) (r : Batch.t) name : loc =
-  let la = l.Batch.attrs and ra = r.Batch.attrs in
-  let ln = Array.length la in
-  let rec exact i =
-    if i < ln then
-      if String.equal la.(i) name then Some (L i) else exact (i + 1)
-    else if i - ln < Array.length ra then
-      if String.equal ra.(i - ln) name then Some (R (i - ln)) else exact (i + 1)
-    else None
-  in
-  match exact 0 with
-  | Some loc -> loc
-  | None ->
-    let matches = ref [] in
-    let consider i a =
-      match Disco_algebra.Plan.split_attr a with
-      | Some (_, base) when String.equal base name -> matches := i :: !matches
-      | _ -> ()
-    in
-    Array.iteri consider la;
-    Array.iteri (fun i a -> consider (ln + i) a) ra;
-    (match !matches with
-     | [ i ] -> if i < ln then L i else R (i - ln)
-     | _ ->
-       raise
-         (Err.Eval_error
-            (Fmt.str "attribute %S not found in tuple (%s)" name
-               (String.concat ", " (Array.to_list la @ Array.to_list ra)))))
+  let ln = Array.length l.Batch.attrs in
+  let i = Plan.attr_index (Array.append l.Batch.attrs r.Batch.attrs) name in
+  if i < ln then L i else R (i - ln)
 
 let int_test (op : Cmp.t) : int -> int -> bool =
   match op with
@@ -247,16 +179,8 @@ let pair_eval ~apply (l : Batch.t) (r : Batch.t) (p : Pred.t) :
       let f = go p in
       fun i j -> not (f i j)
     | Pred.Cmp (a, op, v) ->
-      let loc = find_pair l r a in
-      (match colof loc, v with
-       | Batch.Ints arr, Constant.Int x ->
-         let t = int_test op in
-         (match loc with
-          | L _ -> fun i _ -> t arr.(lix i) x
-          | R _ -> fun _ j -> t arr.(rix j) x)
-       | _ ->
-         let get = cellf loc in
-         fun i j -> Cmp.eval op (get i j) v)
+      let get = cellf (find_pair l r a) in
+      fun i j -> Cmp.eval op (get i j) v
     | Pred.Attr_cmp (a, op, b) ->
       let la = find_pair l r a in
       let lb = find_pair l r b in

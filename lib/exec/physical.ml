@@ -32,7 +32,6 @@ type t =
       binding : string;
       outer_attr : string;       (* qualified attr of the outer tuple *)
       inner_attr : string;       (* unqualified inner attribute (indexed) *)
-      residual : Pred.t;
     }
   | Punion of t * t
   | Pdedup of t
@@ -181,8 +180,7 @@ let rec of_logical ~engine ~find_table (plan : Plan.t) : t =
            table;
            binding = r.Plan.binding;
            outer_attr;
-           inner_attr;
-           residual = Pred.True }
+           inner_attr }
      | None ->
        Pnested_join (recur left, recur inner, Pred.Attr_cmp (a, Pred.Eq, b)))
   | Plan.Join (left, right, pred) -> Pnested_join (recur left, recur right, pred)

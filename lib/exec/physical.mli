@@ -27,8 +27,10 @@ type t =
       binding : string;
       outer_attr : string;  (** qualified attribute of the outer tuple *)
       inner_attr : string;  (** unqualified inner attribute (indexed) *)
-      residual : Pred.t;
     }
+      (** Every pair of an outer row and a stored row whose [inner_attr]
+          equals the outer row's [outer_attr]; the join predicate is that
+          one equality, so a pair needs no further check. *)
   | Punion of t * t
   | Pdedup of t
   | Paggregate of t * Plan.aggregate

@@ -152,9 +152,9 @@ let nlog2n n = float_of_int n *. (log (Float.max (float_of_int n) 2.) /. log 2.)
    in simulated time by construction — the float operations and their order
    are fixed here, and both engines feed the same operands (the batched
    engine replays buffer accesses in the same order, so even the repeated
-   [io +. io_ms] accumulation matches bit for bit). [rc] is the per-object
-   residual-predicate cost, [None] when the residual is [True] (the tuple
-   path never evaluates — or charges — an absent residual). *)
+   [io +. io_ms] accumulation matches bit for bit). A scan's [rc] is the
+   per-object residual-predicate cost, [None] when the residual is [True]
+   (the tuple path never evaluates — or charges — an absent residual). *)
 
 let full_scan_costs (e : Costs.engine) ~io ~scanned ~rc =
   let total =
@@ -207,16 +207,13 @@ let nl_join_costs (e : Costs.engine) ~l_first ~l_total ~r_first ~r_total ~n_left
   (l_first +. r_first +. e.Costs.eval_ms, total)
 
 let index_join_costs (e : Costs.engine) ~o_first ~o_total ~height ~probes ~io
-    ~fetched ~rc ~n_out =
+    ~fetched ~n_out =
   let emitted = float_of_int n_out in
   let probe_cost =
     float_of_int probes *. float_of_int height *. e.Costs.probe_ms
   in
-  let residual_cost =
-    match rc with Some c -> float_of_int fetched *. c | None -> 0.
-  in
   let total =
-    o_total +. probe_cost +. io +. residual_cost
+    o_total +. probe_cost +. io
     +. (float_of_int fetched *. e.Costs.output_ms)
     +. (emitted *. e.Costs.output_ms)
   in
@@ -386,7 +383,7 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
            ~pc:(pred_cost env pred)
        in
        mk rows ~first ~total)
-  | Physical.Pindex_join { outer; table; binding; outer_attr; inner_attr; residual } ->
+  | Physical.Pindex_join { outer; table; binding; outer_attr; inner_attr } ->
     let o = exec_tuple env outer in
     let idx =
       match Table.index table inner_attr with
@@ -406,18 +403,13 @@ let rec exec_tuple (env : env) (p : Physical.t) : result =
                  ~page:(Table.page_of table pos)
             then io := !io +. e.Costs.io_ms;
             incr fetched;
-            let t = Tuple.concat ot (tuple_of_row attrs (Table.fetch table pos)) in
-            if Pred.equal residual Pred.True || eval_pred env residual t then
-              rows := t :: !rows
+            rows := Tuple.concat ot (tuple_of_row attrs (Table.fetch table pos)) :: !rows
           done)
       o.rows;
     let rows = List.rev !rows in
-    let rc =
-      if Pred.equal residual Pred.True then None else Some (pred_cost env residual)
-    in
     let first, total =
       index_join_costs e ~o_first:o.first ~o_total:o.total ~height:idx.Btree.height
-        ~probes:!probes ~io:!io ~fetched:!fetched ~rc ~n_out:(List.length rows)
+        ~probes:!probes ~io:!io ~fetched:!fetched ~n_out:(List.length rows)
     in
     mk rows ~first ~total
   | Physical.Punion (left, right) ->
@@ -611,15 +603,15 @@ let bres_of_acc acc ~first ~total =
 
    The sort, hash join and aggregate address their input batches by global
    row id ([Batch.rows]) and read keys from columns extracted once per
-   input. A key column is unboxed when the key's column is unboxed the same
-   way in every batch and boxed otherwise: each operator keeps one
+   input. A key column is unboxed [Kints] when the key's column is [Ints]
+   in every batch, the keys the workloads sort, join and group on, and
+   boxed otherwise (float keys included): each operator keeps one
    algorithm, and only the key column's representation varies. Outputs are
    gathered column by column ([Batch.gather]), except over a union's mixed
    schemas, which go row by row through [bout]. *)
 
 type keycol =
   | Kints of int array
-  | Kfloats of float array
   | Kboxed of Constant.t array
 
 (* Key [name] over [bats] in row-id order ([n] rows). A batch where [name]
@@ -660,15 +652,6 @@ let extract_key (bats : Batch.t array) n name =
           | Batch.Ints x, Some s -> Array.iteri (fun i p -> a.(o + i) <- x.(p)) s
           | _ -> ());
       Kints a
-    end
-    else if all (function Batch.Floats _ -> true | _ -> false) then begin
-      let a = Array.make n 0. in
-      fill (fun o b c ->
-          match b.Batch.cols.(c), b.Batch.sel with
-          | Batch.Floats x, None -> Array.blit x 0 a o b.Batch.len
-          | Batch.Floats x, Some s -> Array.iteri (fun i p -> a.(o + i) <- x.(p)) s
-          | _ -> ());
-      Kfloats a
     end
     else begin
       let a = Array.make n Constant.Null in
@@ -750,7 +733,6 @@ let sort_segment perm lo hi kc (ord : Plan.order) =
     let cmp =
       match kc with
       | Kints a -> fun i j -> sign * Int.compare a.(i) a.(j)
-      | Kfloats a -> fun i j -> sign * Float.compare a.(i) a.(j)
       | Kboxed a -> fun i j -> sign * Constant.compare a.(i) a.(j)
     in
     Array.stable_sort cmp seg
@@ -760,7 +742,6 @@ let sort_segment perm lo hi kc (ord : Plan.order) =
 let key_equal kc g h =
   match kc with
   | Kints a -> a.(g) = a.(h)
-  | Kfloats a -> Float.compare a.(g) a.(h) = 0
   | Kboxed a -> Constant.compare a.(g) a.(h) = 0
 
 (* The row ids of [bats] in sorted order: stable, lexicographic over
@@ -867,9 +848,9 @@ let ipush v x =
 let all_ints (bats : Batch.t array) name =
   Array.for_all
     (fun b ->
-      match Batch.find_col_opt b name with
-      | Some c -> (match b.Batch.cols.(c) with Batch.Ints _ -> true | _ -> false)
-      | None -> false)
+      match Plan.resolve_attr b.Batch.attrs name with
+      | Plan.Found c -> (match b.Batch.cols.(c) with Batch.Ints _ -> true | _ -> false)
+      | Plan.Ambiguous _ | Plan.Missing -> false)
     bats
 
 (* [name] occurs exactly once in [attrs], at an index within [lo, hi). *)
@@ -1114,7 +1095,8 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
       else
         let in_bats bats a =
           match bats with
-          | b :: _ -> (try ignore (Batch.find_col b a); true with _ -> false)
+          | (b : Batch.t) :: _ ->
+            (match Plan.resolve_attr b.Batch.attrs a with Plan.Found _ -> true | _ -> false)
           | [] -> false
         in
         List.find_map
@@ -1236,7 +1218,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
            ~pc:(pred_cost env pred)
        in
        bres (bats, n_out, bytes) ~first ~total)
-  | Physical.Pindex_join { outer; table; binding; outer_attr; inner_attr; residual } ->
+  | Physical.Pindex_join { outer; table; binding; outer_attr; inner_attr } ->
     let ores = exec_batch env ~bsz outer in
     let idx =
       match Table.index table inner_attr with
@@ -1244,9 +1226,8 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
       | None -> raise (Err.Plan_error ("no index on " ^ inner_attr))
     in
     let attrs = qualified_attrs table binding in
-    let has_res = not (Pred.equal residual Pred.True) in
-    (* inner rows are table positions: pairs are evaluated and gathered
-       straight from the table's columns *)
+    (* inner rows are table positions: pairs are gathered straight from the
+       table's columns *)
     let stored = Batch.of_table attrs table in
     let inner = Batch.rows [| stored |] in
     let starts = idx.Btree.starts and postings = idx.Btree.postings in
@@ -1254,7 +1235,7 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
     let io = ref 0. and probes = ref 0 and fetched = ref 0 in
     let acc = bacc () in
     let oids = ivec (min bsz 64) and pids = ivec (min bsz 64) in
-    (* kept (outer row id, inner position) pairs over a run of outer batches
+    (* (outer row id, inner position) pairs over a run of outer batches
        sharing one schema, gathered column by column every [bsz] pairs *)
     let join_run (bats : Batch.t array) =
       let orows = Batch.rows bats in
@@ -1269,15 +1250,15 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
       let g = ref 0 in
       Array.iter
         (fun (ob : Batch.t) ->
-          (* compiled on the first fetched pair: the reference evaluates
-             the residual only once a pair exists *)
-          let ev = lazy (Bpred.pair_eval ~apply ob stored residual) in
-          let ix = Batch.indexer ob in
+          (* an [Ints] outer column probes unboxed; any other probes with
+             its boxed cell *)
+          let c = Batch.find_col ob outer_attr in
           let find =
-            match ob.Batch.cols.(Batch.find_col ob outer_attr) with
-            | Batch.Ints a -> fun li -> Btree.find_int idx a.(ix li)
-            | Batch.Floats a -> fun li -> Btree.find_float idx a.(ix li)
-            | Batch.Boxed a -> fun li -> Btree.find idx a.(ix li)
+            match ob.Batch.cols.(c) with
+            | Batch.Ints a ->
+              let ix = Batch.indexer ob in
+              fun li -> Btree.find_int idx a.(ix li)
+            | Batch.Floats _ | Batch.Boxed _ -> fun li -> Btree.find idx (Batch.cell ob c li)
           in
           for li = 0 to ob.Batch.len - 1 do
             incr probes;
@@ -1288,11 +1269,9 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
                 if Buffer.access env.buffer ~table:name ~page:(pos / per_page) then
                   io := !io +. e.Costs.io_ms;
                 incr fetched;
-                if (not has_res) || (Lazy.force ev) li pos then begin
-                  ipush oids (!g + li);
-                  ipush pids pos;
-                  if oids.ilen >= bsz then flush ()
-                end
+                ipush oids (!g + li);
+                ipush pids pos;
+                if oids.ilen >= bsz then flush ()
               done
           done;
           g := !g + ob.Batch.len)
@@ -1309,10 +1288,9 @@ let rec exec_batch (env : env) ~bsz (p : Physical.t) : batched_result =
       join_run (Array.sub obats !i (!j - !i));
       i := !j
     done;
-    let rc = if has_res then Some (pred_cost env residual) else None in
     let first, total =
       index_join_costs e ~o_first:ores.bfirst ~o_total:ores.btotal
-        ~height:idx.Btree.height ~probes:!probes ~io:!io ~fetched:!fetched ~rc
+        ~height:idx.Btree.height ~probes:!probes ~io:!io ~fetched:!fetched
         ~n_out:acc.acount
     in
     bres_of_acc acc ~first ~total

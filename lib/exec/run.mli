@@ -22,17 +22,17 @@
     reference engine's sequence) and emits its positions [bsz] at a time as
     selection vectors over the columns ({!Batch.pick}), a residual
     narrowing each one; an index join looks each outer key up (unboxed
-    when the outer column is), accesses the postings' pages in the same
-    order, evaluates a residual on the (outer row, stored row) pair, and
-    gathers the kept pairs column by column every [bsz] pairs. The
+    when the outer column is [Ints], boxed otherwise), accesses the
+    postings' pages in the same order, and gathers the (outer row, stored
+    row) pairs column by column every [bsz] pairs. The
     reference engine accesses the same pages in the same order and boxes
     each row it reads from the columns by position
     ({!Disco_storage.Table.fetch}).
 
     The batched engine's composition kernels (sort, hash join, aggregate)
     address their inputs by row id over key columns extracted once per input
-    (unboxed when the key's column is unboxed the same way in every batch)
-    and write sort and join outputs column by column. They keep the
+    (unboxed when the key's column is [Ints] in every batch, boxed
+    otherwise) and write sort and join outputs column by column. They keep the
     reference's semantics exactly: sorts are stable and compare keys as
     [Constant.compare] does; each left row's join matches come newest build
     row first, whichever side the table is built on, and the candidate

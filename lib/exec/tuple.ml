@@ -15,35 +15,9 @@ let make attrs values =
 
 let arity t = Array.length t.attrs
 
-let find_index t name =
-  let rec go i =
-    if i >= Array.length t.attrs then None
-    else if String.equal t.attrs.(i) name then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* Attribute lookup; accepts both qualified names and, when unambiguous in
-   the tuple, bare names. *)
-let get t name : Constant.t =
-  match find_index t name with
-  | Some i -> t.values.(i)
-  | None ->
-    (* fall back to suffix match on the unqualified part *)
-    let matches = ref [] in
-    Array.iteri
-      (fun i a ->
-        match Disco_algebra.Plan.split_attr a with
-        | Some (_, base) when String.equal base name -> matches := i :: !matches
-        | _ -> ())
-      t.attrs;
-    (match !matches with
-     | [ i ] -> t.values.(i)
-     | _ ->
-       raise
-         (Err.Eval_error
-            (Fmt.str "attribute %S not found in tuple (%s)" name
-               (String.concat ", " (Array.to_list t.attrs)))))
+(* Attribute lookup by the executors' one rule ([Plan.resolve_attr]):
+   qualified names and, when unambiguous in the tuple, bare names. *)
+let get t name : Constant.t = t.values.(Disco_algebra.Plan.attr_index t.attrs name)
 
 let concat a b =
   { attrs = Array.append a.attrs b.attrs; values = Array.append a.values b.values }

@@ -14,8 +14,10 @@ val make : string array -> Constant.t array -> t
 val arity : t -> int
 
 val get : t -> string -> Constant.t
-(** Lookup by qualified name, falling back to a unique unqualified-suffix
-    match. @raise Disco_common.Err.Eval_error when absent or ambiguous. *)
+(** Lookup by {!Disco_algebra.Plan.resolve_attr}: the first exact match,
+    else the one attribute whose unqualified part is the name.
+    @raise Disco_common.Err.Eval_error when absent or ambiguous
+    ({!Disco_algebra.Plan.attr_index}). *)
 
 val concat : t -> t -> t
 

@@ -90,11 +90,11 @@ let fresh_history t =
       ~on_drift:(fun ~source -> refresh_histograms t ~source)
       t.registry
 
-let create ?calibration ?(history_mode = History.Off) ?(cache = true)
-    ?policy ?(stats_mode = Stats_off) () =
+let create ?(history_mode = History.Off) ?(cache = true) ?policy
+    ?(stats_mode = Stats_off) () =
   let catalog = Catalog.create () in
   let registry = Registry.create catalog in
-  Generic.register ?calibration registry;
+  Generic.register registry;
   let t =
     { catalog;
       registry;

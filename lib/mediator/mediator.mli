@@ -27,9 +27,10 @@ type t
 type stats_mode = Stats_off | Stats_feedback of History.feedback
 
 val create :
-  ?calibration:Generic.calibration -> ?history_mode:History.mode ->
-  ?cache:bool -> ?policy:Health.policy -> ?stats_mode:stats_mode -> unit -> t
-(** A fresh mediator with its generic cost model installed and its history
+  ?history_mode:History.mode -> ?cache:bool -> ?policy:Health.policy ->
+  ?stats_mode:stats_mode -> unit -> t
+(** A fresh mediator with its generic cost model installed (the default
+    calibration; {!Generic.register} calibrates it) and its history
     partition in [history_mode] (the one {!fresh_history} makes). [cache] (default on) enables the
     cross-query {!Plancache}; disabling it is the reference behavior the
     differential tests compare against (a plan search keeps no cache of its

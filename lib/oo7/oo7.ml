@@ -171,10 +171,8 @@ let yao_rules =
 (* The ObjectStore-backed OO7 source. [with_rules] controls whether the
    wrapper exports the Yao cost rules (the paper's proposal) or only
    statistics (the baseline calibrating approach of [GST96]). *)
-let make_source ?(config = paper_config) ?(with_rules = true) ?(buffer_pages = 2048) () :
-    Disco_wrapper.Wrapper.t =
-  Disco_wrapper.Wrapper.create ~name:"oo7" ~engine:Costs.objectstore
-    ~network:Costs.lan ~buffer_pages
+let make_source ?(config = paper_config) ?(with_rules = true) () : Disco_wrapper.Wrapper.t =
+  Disco_wrapper.Wrapper.create ~name:"oo7" ~engine:Costs.objectstore ~network:Costs.lan
     ~rules_text:(if with_rules then yao_rules else "")
     (make_tables config)
 

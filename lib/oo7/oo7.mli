@@ -29,12 +29,11 @@ val make_tables : config -> Table.t list
 (** AtomicPart, CompositePart (clustered on id), Connection, Document —
     deterministic for a given config. *)
 
-val make_source :
-  ?config:config -> ?with_rules:bool -> ?buffer_pages:int -> unit ->
-  Disco_wrapper.Wrapper.t
-(** The ObjectStore-backed OO7 source. [with_rules] (default true) controls
-    whether the wrapper exports the Yao cost rules (the paper's proposal) or
-    only statistics (the baseline calibrating approach of [GST96]). *)
+val make_source : ?config:config -> ?with_rules:bool -> unit -> Disco_wrapper.Wrapper.t
+(** The ObjectStore-backed OO7 source, with {!Disco_wrapper.Wrapper.create}'s
+    default buffer pool. [with_rules] (default true) controls whether the
+    wrapper exports the Yao cost rules (the paper's proposal) or only
+    statistics (the baseline calibrating approach of [GST96]). *)
 
 val cold_cache : Disco_wrapper.Wrapper.t -> unit
 (** Reset the wrapper's buffer pool between measurements. *)

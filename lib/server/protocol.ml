@@ -68,24 +68,32 @@ let parse_request (line : string) : (request, string) result =
        | Some "ping" -> Ok Ping
        | Some "shutdown" -> Ok Shutdown
        | Some "query" | None ->
-         (match Json.string_member "sql" j with
-          | None -> Error "query without \"sql\""
-          | Some sql ->
-            let objective =
-              match Json.string_member "objective" j with
-              | Some "first" -> Optimizer.First_tuple
-              | Some "total" | None -> Optimizer.Total_time
-              | Some _ -> Optimizer.Total_time
-            in
-            Ok
-              (Query
-                 { id = Option.value ~default:Json.Null (Json.member "id" j);
-                   tenant =
-                     Option.value ~default:default_tenant
-                       (Json.string_member "tenant" j);
-                   sql;
-                   objective;
-                   deadline_ms = Json.float_member "deadline_ms" j }))
+         (* an optional field is absent or well-formed: a malformed one is
+            refused by name, not read as its default *)
+         let field name read =
+           match Json.member name j, read name j with
+           | None, _ -> Ok None
+           | Some _, (Some _ as v) -> Ok v
+           | Some _, None -> Error (Printf.sprintf "malformed %S" name)
+         in
+         let objective name j =
+           match Json.string_member name j with
+           | Some "first" -> Some Optimizer.First_tuple
+           | Some "total" -> Some Optimizer.Total_time
+           | _ -> None
+         in
+         let ( let* ) = Result.bind in
+         let* sql = Option.to_result ~none:"query without \"sql\"" (Json.string_member "sql" j) in
+         let* objective = field "objective" objective in
+         let* tenant = field "tenant" Json.string_member in
+         let* deadline_ms = field "deadline_ms" Json.float_member in
+         Ok
+           (Query
+              { id = Option.value ~default:Json.Null (Json.member "id" j);
+                tenant = Option.value ~default:default_tenant tenant;
+                sql;
+                objective = Option.value ~default:Optimizer.Total_time objective;
+                deadline_ms })
        | Some op -> Error (Printf.sprintf "unknown op %S" op))
 
 (* --- response rendering -------------------------------------------------------- *)

@@ -24,6 +24,11 @@ type request =
   | Http_get of string
 
 val parse_request : string -> (request, string) result
+(** A query needs a string ["sql"]. Its optional fields are absent or
+    well-formed: ["objective"] is ["first"] or ["total"] (the default),
+    ["tenant"] a string (default ["default"]) and ["deadline_ms"] a
+    number. Any other value of one of them is an [Error] naming the field,
+    never its default. *)
 
 (** {1 Response rendering} *)
 

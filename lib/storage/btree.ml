@@ -79,20 +79,14 @@ let find t k =
   let i = lower_bound t k in
   if i < Array.length t.keys && Constant.compare t.keys.(i) k = 0 then i else -1
 
-(* [Constant.compare key (Int x)] and [Constant.compare key (Float x)]
-   without boxing the probe: against a non-numeric key only the
-   constructor rank decides, whatever the number. *)
+(* [Constant.compare key (Int x)] without boxing the probe: against a
+   non-numeric key only the constructor rank decides, whatever the
+   number. *)
 let compare_int key x =
   match key with
   | Constant.Int y -> Int.compare y x
   | Constant.Float y -> Float.compare y (float_of_int x)
   | _ -> Constant.compare key (Constant.Int 0)
-
-let compare_float key x =
-  match key with
-  | Constant.Float y -> Float.compare y x
-  | Constant.Int y -> Float.compare (float_of_int y) x
-  | _ -> Constant.compare key (Constant.Float 0.)
 
 let find_int t x =
   let lo = ref 0 and hi = ref (Array.length t.keys) in
@@ -101,14 +95,6 @@ let find_int t x =
     if compare_int t.keys.(mid) x < 0 then lo := mid + 1 else hi := mid
   done;
   if !lo < Array.length t.keys && compare_int t.keys.(!lo) x = 0 then !lo else -1
-
-let find_float t x =
-  let lo = ref 0 and hi = ref (Array.length t.keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_float t.keys.(mid) x < 0 then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length t.keys && compare_float t.keys.(!lo) x = 0 then !lo else -1
 
 (* The posting offsets [span_lo, span_hi) of [key op k] — for [Ne], the
    offsets it excludes (the key itself). *)

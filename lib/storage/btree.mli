@@ -35,10 +35,9 @@ val find : t -> Constant.t -> int
     postings are the offsets [starts.(i)] to [starts.(i + 1) - 1]. *)
 
 val find_int : t -> int -> int
-(** [find t (Int x)] without boxing [x]. *)
-
-val find_float : t -> float -> int
-(** [find t (Float x)] without boxing [x]. *)
+(** [find t (Int x)] without boxing [x]: the index join's probe for an
+    [Ints] outer column, the one a workload runs. Any other probe value
+    goes through {!find}. *)
 
 val iter_spans : t -> Cmp.t -> Constant.t -> (int -> int -> unit) -> unit
 (** [iter_spans t op k f] calls [f lo hi] for each non-empty run of

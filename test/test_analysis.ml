@@ -443,6 +443,35 @@ let test_reregistration_replaces_adt () =
         (read (Mediator.registry med) "lang_match"))
     [ ("cost", Registry.adt_cost); ("selectivity", Registry.adt_selectivity) ]
 
+let test_reregistration_replaces_collections () =
+  (* re-registering relstore with its Employee table only drops Department
+     from the catalog: a query over it is refused when it is resolved,
+     instead of planning a submit relstore can no longer run *)
+  let base = relstore () in
+  let med = Mediator.create () in
+  Mediator.register med base;
+  Mediator.register med
+    { base with
+      Wrapper.tables = List.filter (fun (n, _) -> n = "Employee") base.Wrapper.tables };
+  Alcotest.(check (list string)) "collections" [ "Employee" ]
+    (Disco_catalog.Catalog.collections (Mediator.catalog med) ~source:"relstore");
+  Alcotest.check_raises "Department no longer resolves" (Err.Unknown_collection "Department")
+    (fun () ->
+      ignore (Mediator.resolve med (Disco_sql.Sql.parse "select d.id from Department d")))
+
+let test_reregistration_replaces_capabilities () =
+  (* web declares [capabilities scan;]; re-registered without its rules it
+     declares none, so it reads as a fresh registration of that export *)
+  let web = List.find (fun (w : Wrapper.t) -> w.Wrapper.name = "web") (Demo.make ~sizes:Demo.small_sizes ()) in
+  let med = Mediator.create () and fresh = Mediator.create () in
+  Mediator.register med web;
+  let capable m = Disco_catalog.Catalog.capable (Mediator.catalog m) ~source:"web" "select" in
+  Alcotest.(check bool) "scan only at first" false (capable med);
+  Mediator.register med (Wrapper.without_rules web);
+  Mediator.register fresh (Wrapper.without_rules web);
+  Alcotest.(check bool) "fresh registration" true (capable fresh);
+  Alcotest.(check bool) "re-registration" (capable fresh) (capable med)
+
 let test_registration_bumps_once () =
   (* an export is installed in one step: a first registration, a
      re-registration and one with fewer rules all move the generation once *)
@@ -635,6 +664,10 @@ let () =
           Alcotest.test_case "ADT let error installs whole" `Quick test_adt_let_error;
           Alcotest.test_case "re-registration replaces ADTs" `Quick
             test_reregistration_replaces_adt;
+          Alcotest.test_case "re-registration replaces collections" `Quick
+            test_reregistration_replaces_collections;
+          Alcotest.test_case "re-registration replaces capabilities" `Quick
+            test_reregistration_replaces_capabilities;
           Alcotest.test_case "one bump per registration" `Quick
             test_registration_bumps_once;
           Alcotest.test_case "json findings" `Quick test_json_output ] );

@@ -73,15 +73,76 @@ let test_builder_typing () =
   let bytes = List.fold_left (fun acc t -> acc + Tuple.byte_size t) 0 tuples in
   Alcotest.(check int) "bytes exact" bytes (Batch.byte_size b)
 
-let test_find_col_matches_tuple_get () =
-  let bld = Batch.builder [| "p.id"; "b.id" |] in
-  Batch.add_row bld [| Constant.Int 1; Constant.Int 2 |];
-  let b = Batch.flush bld in
-  Alcotest.(check int) "qualified" 0 (Batch.find_col b "p.id");
-  Alcotest.(check bool) "ambiguous bare name raises" true
-    (try ignore (Batch.find_col b "id"); false with Err.Eval_error _ -> true);
-  Alcotest.(check bool) "missing raises" true
-    (try ignore (Batch.find_col b "zzz"); false with Err.Eval_error _ -> true)
+(* One table of (attributes, name) cases through every consumer of the
+   resolution rule: [Tuple.get], [Batch.find_col], a join-pair evaluator
+   over the attributes split into two batches, and the plan checker. Cell
+   [k] holds [Int k], so an executor's lookup shows which attribute it
+   took; the executors raise on an ambiguous or missing name. The checker
+   sees the attributes as an aggregate's outputs, the expected one a string
+   and every other an int, so a name resolved anywhere else reads as a type
+   mismatch against a string constant. *)
+type resolves = Is of int | Ambiguous | Missing
+
+let resolution_cases =
+  [ ("exact match over suffix match", [| "d.id"; "id" |], "id", Is 1);
+    ("first of two identical names", [| "e.id"; "e.id" |], "e.id", Is 0);
+    ("bare name, one qualified match", [| "d.name"; "e.id"; "e.name" |], "id", Is 1);
+    ("qualified suffix of a longer name", [| "d.x"; "a.b.c" |], "b.c", Is 1);
+    ("two qualified matches", [| "e.id"; "d.id" |], "id", Ambiguous);
+    ("no match", [| "e.id"; "d.name" |], "x", Missing);
+    ("qualified, no match", [| "e.id"; "d.id" |], "x.id", Missing) ]
+
+let test_one_resolution_rule () =
+  let reg = Disco_core.Registry.create (Catalog.create ()) in
+  ignore
+    (Disco_core.Registry.register_text reg ~what:"test"
+       "source s { interface C { attribute string name; } }");
+  let cell k = Constant.Int k in
+  let batch attrs off =
+    let bld = Batch.builder attrs in
+    Batch.add_row bld (Array.mapi (fun k _ -> cell (off + k)) attrs);
+    Batch.flush bld
+  in
+  List.iter
+    (fun (label, attrs, name, want) ->
+      let n = Array.length attrs in
+      let found = match want with Is k -> Some k | Ambiguous | Missing -> None in
+      let check what f =
+        Alcotest.(check (option int)) (label ^ ": " ^ what) found
+          (match f () with k -> Some k | exception Err.Eval_error _ -> None)
+      in
+      check "Tuple.get" (fun () ->
+          match Tuple.get (Tuple.make attrs (Array.init n cell)) name with
+          | Constant.Int k -> k
+          | _ -> -1);
+      check "Batch.find_col" (fun () -> Batch.find_col (batch attrs 0) name);
+      let ln = (n + 1) / 2 in
+      let l = batch (Array.sub attrs 0 ln) 0 and r = batch (Array.sub attrs ln (n - ln)) ln in
+      check "pair_eval" (fun () ->
+          let ev k = Bpred.pair_eval ~apply:(Adt.apply []) l r (Pred.Cmp (name, Pred.Eq, cell k)) in
+          List.find (fun k -> ev k 0 0) (List.init n Fun.id));
+      let agg k a =
+        if Some k = found then (Plan.Min, "c.name", a) else (Plan.Count, "", a)
+      in
+      let plan =
+        Plan.Select
+          ( Plan.Aggregate
+              ( Plan.Submit ("s", Plan.Scan { Plan.source = "s"; collection = "C"; binding = "c" }),
+                { Plan.group_by = []; aggs = List.mapi agg (Array.to_list attrs) } ),
+            Pred.Cmp (name, Pred.Eq, Constant.String "x") )
+      in
+      Alcotest.(check (list string)) (label ^ ": Plancheck")
+        (match want with
+         | Is _ -> []
+         | Ambiguous -> [ "ambiguous-attribute" ]
+         | Missing -> [ "unknown-attribute" ])
+        (List.filter_map
+           (fun (f : Disco_analysis.Finding.t) ->
+             match f.tag with
+             | "type-mismatch" | "ambiguous-attribute" | "unknown-attribute" -> Some f.tag
+             | _ -> None)
+           (Disco_analysis.Plancheck.check reg plan)))
+    resolution_cases
 
 let test_mask_matches_pred_eval () =
   let parts = part_table ~n:200 () in
@@ -208,8 +269,7 @@ let test_diff_operators () =
          table = parts;
          binding = "p";
          outer_attr = "b.part_id";
-         inner_attr = "id";
-         residual = Pred.Cmp ("p.weight", Pred.Gt, Constant.Int 5) })
+         inner_attr = "id" })
 
 let test_diff_empty_table () =
   let empty =
@@ -546,15 +606,12 @@ let test_index_access_diff () =
         [ ("k", i 7); ("k", i 25); ("k", i (-1)); ("m", i 5); ("m", Constant.Null);
           ("m", f 3.); ("id", i 150) ])
     ops;
-  let ijoin ?(residual = Pred.True) outer outer_attr inner_attr =
-    Physical.Pindex_join
-      { outer; table = ix; binding = "x"; outer_attr; inner_attr; residual }
+  let ijoin outer outer_attr inner_attr =
+    Physical.Pindex_join { outer; table = ix; binding = "x"; outer_attr; inner_attr }
   in
   let o = pscan ox "o" in
   check_index_diff "index join, Ints outer" (ijoin o "o.rk" "k");
   check_index_diff "index join, Int/Null outer into Int/Null index" (ijoin o "o.rm" "m");
-  check_index_diff "index join + residual"
-    (ijoin ~residual:(Pred.Cmp ("x.id", Pred.Gt, i 100)) o "o.rk" "k");
   check_index_diff "index join, outer from an index scan"
     (ijoin (iscan "k" Cmp.Le (i 4) Pred.True) "x.m" "m");
   check_index_diff "index join, Floats outer"
@@ -698,8 +755,7 @@ let test_index_join_allocation () =
            table = part_table ~n:1_000 ();
            binding = "p";
            outer_attr = "b.part_id";
-           inner_attr = "id";
-           residual = Pred.True })
+           inner_attr = "id" })
   in
   Alcotest.(check int) "every box finds its part" 10_000 r.Run.bcount;
   let per_row = words /. 10_000. in
@@ -973,7 +1029,7 @@ let () =
   Alcotest.run "batch"
     [ ( "representation",
         [ Alcotest.test_case "builder typing + bytes" `Quick test_builder_typing;
-          Alcotest.test_case "find_col = Tuple.get" `Quick test_find_col_matches_tuple_get;
+          Alcotest.test_case "one resolution rule" `Quick test_one_resolution_rule;
           Alcotest.test_case "mask = Pred.eval" `Quick test_mask_matches_pred_eval ] );
       ( "scan kernels",
         [ QCheck_alcotest.to_alcotest prop_mask_matches_cmp_eval;

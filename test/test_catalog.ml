@@ -42,14 +42,19 @@ let test_stats_of_strings () =
 
 (* --- Catalog ------------------------------------------------------------------ *)
 
+let entry ?(attributes = []) schema extent =
+  (schema.Schema.coll_name, { Catalog.schema; extent; attributes; parent = None })
+
 let sample_catalog () =
   let c = Catalog.create () in
-  Catalog.register_collection c ~source:"s1" ~schema:employee
-    ~extent:(Stats.extent ~count_objects:10000 ~total_size:1_200_000 ~object_size:120)
-    ~attributes:
-      [ ( "salary",
-          Stats.attribute ~indexed:true ~count_distinct:5000 ~min:(Constant.Int 1000)
-            ~max:(Constant.Int 30000) () ) ];
+  Catalog.replace_source c ~source:"s1" ~capabilities:None
+    ~collections:
+      [ entry employee
+          (Stats.extent ~count_objects:10000 ~total_size:1_200_000 ~object_size:120)
+          ~attributes:
+            [ ( "salary",
+                Stats.attribute ~indexed:true ~count_distinct:5000
+                  ~min:(Constant.Int 1000) ~max:(Constant.Int 30000) () ) ] ];
   c
 
 let test_catalog_roundtrip () =
@@ -81,9 +86,10 @@ let test_catalog_reregistration () =
   let c = sample_catalog () in
   (* re-registration replaces statistics (the administrative interface for
      out-of-date statistics, paper §2.1) *)
-  Catalog.register_collection c ~source:"s1" ~schema:employee
-    ~extent:(Stats.extent ~count_objects:20000 ~total_size:2_400_000 ~object_size:120)
-    ~attributes:[];
+  Catalog.replace_source c ~source:"s1" ~capabilities:None
+    ~collections:
+      [ entry employee
+          (Stats.extent ~count_objects:20000 ~total_size:2_400_000 ~object_size:120) ];
   let e = Catalog.extent_stats c ~source:"s1" "Employee" in
   Alcotest.(check int) "updated count" 20000 e.Stats.count_objects;
   Alcotest.(check (list string)) "still one collection" [ "Employee" ]
@@ -91,9 +97,9 @@ let test_catalog_reregistration () =
 
 let test_locate_collection () =
   let c = sample_catalog () in
-  Catalog.register_collection c ~source:"s2"
-    ~schema:(Schema.collection "Project" [ ("id", Schema.Tint) ])
-    ~extent:Stats.default_extent ~attributes:[];
+  Catalog.replace_source c ~source:"s2" ~capabilities:None
+    ~collections:
+      [ entry (Schema.collection "Project" [ ("id", Schema.Tint) ]) Stats.default_extent ];
   Alcotest.(check (option string)) "employee in s1" (Some "s1")
     (Catalog.locate_collection c "Employee");
   Alcotest.(check (option string)) "project in s2" (Some "s2")

@@ -1104,11 +1104,15 @@ let name_cases =
   let default_employee registry =
     (* the default model also knows a collection named Employee, with other
        statistics: a literal path must read the node's source first *)
-    Disco_catalog.Catalog.register_collection (Registry.catalog registry)
-      ~source:Registry.default_source
-      ~schema:(Disco_catalog.Schema.collection "Employee" [ ("id", Disco_catalog.Schema.Tint) ])
-      ~extent:(Disco_catalog.Stats.extent ~count_objects:77 ~total_size:770 ~object_size:10)
-      ~attributes:[];
+    Disco_catalog.Catalog.replace_source (Registry.catalog registry)
+      ~source:Registry.default_source ~capabilities:None
+      ~collections:
+        [ ( "Employee",
+            { Disco_catalog.Catalog.schema =
+                Disco_catalog.Schema.collection "Employee" [ ("id", Disco_catalog.Schema.Tint) ];
+              extent = Disco_catalog.Stats.extent ~count_objects:77 ~total_size:770 ~object_size:10;
+              attributes = [];
+              parent = None } ) ];
     ignore
       (Registry.add_rule registry ~source:Registry.default_source
          (Parser.parse_rule ~what:"test" "rule scan(Employee) { TotalTime = Employee.CountObject; }"))

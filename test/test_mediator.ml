@@ -451,8 +451,8 @@ let test_capabilities_join () =
   Alcotest.(check bool) "wrapper-side joins exist for capable sources" true
     (wrapper_side_joins <> []);
   (* now deny the capability and re-enumerate *)
-  Disco_catalog.Catalog.set_capabilities (Mediator.catalog med) ~source:"relstore"
-    [ "scan"; "select"; "project" ];
+  (Disco_catalog.Catalog.find_source (Mediator.catalog med) "relstore").capabilities <-
+    Some [ "scan"; "select"; "project" ];
   let r2 = Mediator.resolve med (Disco_sql.Sql.parse q) in
   let wrapper_side_joins2 =
     List.filter

@@ -655,6 +655,36 @@ let test_request_line_bound () =
           Alcotest.(check string) "another client is answered" "ok"
             (status (Client.query c (List.hd queries)))))
 
+(* A query field with a value outside its type is refused by name, not
+   read as its default: an unknown objective used to be planned for total
+   time, a non-numeric deadline ignored and a non-string tenant sent to the
+   default tenant. Well-formed values of the three are still answered. *)
+let test_malformed_query_fields () =
+  with_server (fun _srv addr _med ->
+      let c = Client.connect_retry addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let sql = ("sql", Json.String "select e.id from Employee e") in
+          let send extra = Client.request c (Json.Obj (("op", Json.String "query") :: sql :: extra)) in
+          List.iter
+            (fun (name, v) ->
+              let reply = send [ (name, v) ] in
+              Alcotest.(check string) (name ^ " refused") "error" (status reply);
+              Alcotest.(check (option string)) (name ^ " named")
+                (Some (Printf.sprintf "malformed %S" name))
+                (Json.string_member "error" reply))
+            [ ("objective", Json.String "fastest");
+              ("objective", Json.Int 1);
+              ("deadline_ms", Json.String "soon");
+              ("tenant", Json.Int 7) ];
+          Alcotest.(check string) "well-formed fields answered" "ok"
+            (status
+               (send
+                  [ ("objective", Json.String "first");
+                    ("deadline_ms", Json.Int 60_000);
+                    ("tenant", Json.String "t1") ]))))
+
 (* [History.count] is the record count without copying the list: equal to
    [List.length (records h)] after observations, after [forget] and after
    a snapshot restore, and free to call. *)
@@ -909,6 +939,7 @@ let () =
       ( "endpoints",
         [ Alcotest.test_case "http" `Quick test_http_endpoints;
           Alcotest.test_case "request line bound" `Quick test_request_line_bound;
+          Alcotest.test_case "malformed query fields" `Quick test_malformed_query_fields;
           Alcotest.test_case "shutdown op" `Quick test_shutdown_op ] );
       ( "findings",
         [ Alcotest.test_case "invalid_plan encoding" `Quick

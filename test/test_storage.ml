@@ -28,9 +28,7 @@ let test_btree_lookup () =
   Alcotest.(check int) "missing" 0 (List.length (lookup idx (Constant.Int 7)));
   Alcotest.(check int) "find missing" (-1) (Btree.find idx (Constant.Int 7));
   Alcotest.(check int) "find_int = find" (Btree.find idx (Constant.Int 9))
-    (Btree.find_int idx 9);
-  Alcotest.(check int) "find_float = find" (Btree.find idx (Constant.Int 5))
-    (Btree.find_float idx 5.)
+    (Btree.find_int idx 9)
 
 let test_btree_range () =
   let idx = mk_index (List.init 10 Fun.id) in
